@@ -35,10 +35,10 @@ bench-smoke:
 
 ## bench-gate: run the engine benchmarks and compare events/sec against the
 ## checked-in floors in BENCH_FLOOR.json. Perf floors are warn-only (shared
-## runners are noisy), but the 0 allocs/op ceilings are scheduling-independent
+## runners are noisy), but the allocs/op ceilings are scheduling-independent
 ## and hard-fail via -strict-allocs.
 bench-gate:
-	$(GO) test -run '^$$' -bench='Engine|PopScale' -benchmem -count=1 -timeout 20m . \
+	$(GO) test -run '^$$' -bench='Engine|PopScale|ScenarioAudited' -benchmem -count=1 -timeout 20m . \
 		| $(GO) run ./cmd/benchjson -o BENCH_GATE.json
 	$(GO) run ./cmd/benchgate -floor BENCH_FLOOR.json -strict-allocs BENCH_GATE.json
 

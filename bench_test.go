@@ -14,12 +14,15 @@ import (
 	"dui/internal/blink"
 	"dui/internal/conntrack"
 	"dui/internal/dapper"
+	"dui/internal/fuzz"
 	"dui/internal/graph"
 	"dui/internal/nethide"
 	"dui/internal/netsim"
 	"dui/internal/packet"
 	"dui/internal/pcc"
 	"dui/internal/pytheas"
+	"dui/internal/runner"
+	"dui/internal/scenario"
 	"dui/internal/sketch"
 	"dui/internal/sppifo"
 	"dui/internal/stats"
@@ -330,6 +333,30 @@ func BenchmarkE8Defenses(b *testing.B) {
 		vetoed = float64(res.VetoedReroutes)
 	}
 	b.ReportMetric(vetoed, "vetoed-reroutes")
+}
+
+// BenchmarkScenarioAuditedRun measures the fault-mode fuzzing trial: one
+// op is scenario.RunChecked — a double run under the full audit stack —
+// over each of 32 fixed generated fault-mode scenarios. allocs/op and B/op
+// cover everything a trial builds and throws away (network, wheel, lanes,
+// packets, auditors, trace digest), so a per-run fixed cost coming back
+// shows here before it shows in a campaign. trials/sec is the headline
+// metric; the seeds are fixed, so the work per op never changes.
+func BenchmarkScenarioAuditedRun(b *testing.B) {
+	var scns []*scenario.Scenario
+	for _, seed := range runner.Seeds(1, 32) {
+		scns = append(scns, fuzz.Generate(seed, fuzz.GenConfig{FaultModes: true}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range scns {
+			if rep := scenario.RunChecked(s, scenario.Options{}); rep.HasRule(scenario.RuleDeterminism) {
+				b.Fatalf("scenario %#x: %v", s.Seed, rep.Violations)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.N*len(scns))/b.Elapsed().Seconds(), "trials/sec")
 }
 
 // BenchmarkPopScale measures the PoP-scale steady state: a prefix-

@@ -27,15 +27,13 @@ type NetAudit struct {
 	rec *Recorder
 	v   violations
 
-	shadow map[shadowKey]*shadowCounts
-}
-
-type shadowKey struct {
-	link *netsim.Link
-	dir  netsim.Direction
+	// shadow is indexed by link direction, Link.Index()*2+dir — the same
+	// location the trace records — and grows as links first report.
+	shadow []shadowCounts
 }
 
 type shadowCounts struct {
+	seen                                                    bool // any event observed
 	sent, delivered, queuedrop, downdrop, tapdrop, faildrop uint64
 	faultdrop, duplicated                                   uint64
 }
@@ -53,7 +51,7 @@ const DefaultEventBudget = 1 << 30
 // starts so the shadow counters see every event. At most one auditor per
 // network (the probe slot is single).
 func AttachNetwork(nw *netsim.Network, rec *Recorder) *NetAudit {
-	a := &NetAudit{nw: nw, rec: rec, shadow: map[shadowKey]*shadowCounts{}}
+	a := &NetAudit{nw: nw, rec: rec}
 	nw.Engine().SetAudit(true)
 	if nw.Engine().EventBudget() == 0 {
 		nw.Engine().SetEventBudget(DefaultEventBudget)
@@ -63,18 +61,19 @@ func AttachNetwork(nw *netsim.Network, rec *Recorder) *NetAudit {
 }
 
 func (a *NetAudit) onLinkEvent(now float64, kind netsim.LinkEventKind, l *netsim.Link, dir netsim.Direction, p *packet.Packet) {
+	where := l.Index()*2 + int(dir)
 	if a.rec != nil {
 		var flow uint64
 		if p != nil {
 			flow = p.Flow().FastHash()
 		}
-		a.rec.Record(now, Kind(kind.String()), l.Index()*2+int(dir), flow)
+		a.rec.Record(now, Kind(kind.String()), where, flow)
 	}
-	sc := a.shadow[shadowKey{l, dir}]
-	if sc == nil {
-		sc = &shadowCounts{}
-		a.shadow[shadowKey{l, dir}] = sc
+	if where >= len(a.shadow) {
+		a.shadow = append(a.shadow, make([]shadowCounts, where+1-len(a.shadow))...)
 	}
+	sc := &a.shadow[where]
+	sc.seen = true
 	switch kind {
 	case netsim.LinkSent:
 		sc.sent++
@@ -100,32 +99,33 @@ func (a *NetAudit) onLinkEvent(now float64, kind netsim.LinkEventKind, l *netsim
 }
 
 // checkLinkDir verifies one direction's invariants at the current instant.
+// The link's name is built only when a rule fires: this runs on every
+// link event, and a passing check must not allocate.
 func (a *NetAudit) checkLinkDir(now float64, l *netsim.Link, dir netsim.Direction, sc *shadowCounts) {
 	st := l.Stats(dir)
 	queued, onWire, held := l.Occupancy(dir)
-	where := linkName(l, dir)
 	if queued < 0 || onWire < 0 || held < 0 {
-		a.v.add(now, RuleOccupancy, where, "negative occupancy (queued=%d onWire=%d tapHeld=%d)", queued, onWire, held)
+		a.v.add(now, RuleOccupancy, linkName(l, dir), "negative occupancy (queued=%d onWire=%d tapHeld=%d)", queued, onWire, held)
 	}
 	if l.QueueCap > 0 && queued > l.QueueCap {
-		a.v.add(now, RuleQueueCap, where, "queue over capacity (%d > %d)", queued, l.QueueCap)
+		a.v.add(now, RuleQueueCap, linkName(l, dir), "queue over capacity (%d > %d)", queued, l.QueueCap)
 	}
 	if !l.Up() && queued > 0 {
-		a.v.add(now, RuleQueueSurvives, where, "%d queued packets surviving a link failure", queued)
+		a.v.add(now, RuleQueueSurvives, linkName(l, dir), "%d queued packets surviving a link failure", queued)
 	}
 	if st.Sent != st.Delivered+st.QueueDrop+st.DownDrop+uint64(queued)+uint64(onWire) {
-		a.v.add(now, RuleLinkConservation, where, "link conservation broken: Sent=%d != Delivered=%d + QueueDrop=%d + DownDrop=%d + queued=%d + onWire=%d",
+		a.v.add(now, RuleLinkConservation, linkName(l, dir), "link conservation broken: Sent=%d != Delivered=%d + QueueDrop=%d + DownDrop=%d + queued=%d + onWire=%d",
 			st.Sent, st.Delivered, st.QueueDrop, st.DownDrop, queued, onWire)
 	}
 	if st.Offered+st.Injected+st.Duplicated != st.TapDrop+st.FaultDrop+uint64(held)+st.Sent {
-		a.v.add(now, RuleSendConservation, where, "send-layer conservation broken: Offered=%d + Injected=%d + Duplicated=%d != TapDrop=%d + FaultDrop=%d + held=%d + Sent=%d",
+		a.v.add(now, RuleSendConservation, linkName(l, dir), "send-layer conservation broken: Offered=%d + Injected=%d + Duplicated=%d != TapDrop=%d + FaultDrop=%d + held=%d + Sent=%d",
 			st.Offered, st.Injected, st.Duplicated, st.TapDrop, st.FaultDrop, held, st.Sent)
 	}
 	if sc != nil {
 		if sc.sent != st.Sent || sc.delivered != st.Delivered || sc.queuedrop != st.QueueDrop ||
 			sc.tapdrop != st.TapDrop || sc.downdrop+sc.faildrop != st.DownDrop ||
 			sc.faultdrop != st.FaultDrop || sc.duplicated != st.Duplicated {
-			a.v.add(now, RuleShadowMismatch, where, "stats disagree with observed events: stats=%+v events={sent:%d delivered:%d queuedrop:%d downdrop:%d+%d tapdrop:%d faultdrop:%d duplicated:%d}",
+			a.v.add(now, RuleShadowMismatch, linkName(l, dir), "stats disagree with observed events: stats=%+v events={sent:%d delivered:%d queuedrop:%d downdrop:%d+%d tapdrop:%d faultdrop:%d duplicated:%d}",
 				st, sc.sent, sc.delivered, sc.queuedrop, sc.downdrop, sc.faildrop, sc.tapdrop, sc.faultdrop, sc.duplicated)
 		}
 	}
@@ -137,7 +137,11 @@ func (a *NetAudit) Check() error {
 	now := a.nw.Now()
 	for _, l := range a.nw.Links() {
 		for _, dir := range []netsim.Direction{netsim.AToB, netsim.BToA} {
-			a.checkLinkDir(now, l, dir, a.shadow[shadowKey{l, dir}])
+			var sc *shadowCounts
+			if i := l.Index()*2 + int(dir); i < len(a.shadow) && a.shadow[i].seen {
+				sc = &a.shadow[i]
+			}
+			a.checkLinkDir(now, l, dir, sc)
 		}
 	}
 	return a.v.err()

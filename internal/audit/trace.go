@@ -50,24 +50,43 @@ func (e Event) String() string {
 // safe for concurrent use; parallel trials each get their own Recorder and
 // the per-run traces are flattened in trial order afterwards, which is
 // what makes worker-count-independent traces comparable at all.
+//
+// Every recorder folds each event into a running count and Hash as it
+// arrives. A digest recorder (NewDigestRecorder) keeps only those two, so
+// a run that needs just the fingerprint — the fuzzer's determinism
+// oracle — holds no trace in memory at all.
 type Recorder struct {
 	events []Event
+	keep   bool
+	n      int
+	hash   uint64
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+// NewRecorder returns an empty recorder that retains every event.
+func NewRecorder() *Recorder { return &Recorder{keep: true, hash: hashOffset} }
+
+// NewDigestRecorder returns an empty recorder that keeps only the event
+// count and the running Hash; Events returns nothing.
+func NewDigestRecorder() *Recorder { return &Recorder{hash: hashOffset} }
 
 // Record appends one event. Seq and Run are assigned at Flatten/Write
 // time, so recorders from parallel trials stay mergeable.
 func (r *Recorder) Record(t float64, kind Kind, where int, flow uint64) {
-	r.events = append(r.events, Event{T: t, Kind: kind, Where: where, Flow: flow})
+	r.n++
+	r.hash = hashEvent(r.hash, t, kind, where, flow)
+	if r.keep {
+		r.events = append(r.events, Event{T: t, Kind: kind, Where: where, Flow: flow})
+	}
 }
 
 // Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
+func (r *Recorder) Len() int { return r.n }
+
+// Hash returns Hash of every event recorded so far, retained or not.
+func (r *Recorder) Hash() uint64 { return r.hash }
 
 // Events returns the recorded events with Run and Seq stamped for a
-// single-run trace (run 0).
+// single-run trace (run 0); a digest recorder returns none.
 func (r *Recorder) Events() []Event { return Flatten([]*Recorder{r}) }
 
 // Flatten merges per-run recorders (index = run) into one event sequence
@@ -137,28 +156,39 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 // Hash folds an event sequence into one FNV-1a-style 64-bit digest. Two
 // traces hash equal iff (up to 64-bit collision) they are element-wise
 // identical, which is how the fuzzer's determinism oracle compares a
-// scenario's double run without retaining both traces.
+// scenario's double run without retaining either trace. Seq and Run are
+// not part of the digest.
 func Hash(events []Event) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
-	}
+	h := uint64(hashOffset)
 	for _, ev := range events {
-		mix(math.Float64bits(ev.T))
-		for _, c := range []byte(ev.Kind) {
-			h ^= uint64(c)
-			h *= prime64
-		}
-		mix(uint64(ev.Where))
-		mix(ev.Flow)
+		h = hashEvent(h, ev.T, ev.Kind, ev.Where, ev.Flow)
+	}
+	return h
+}
+
+const (
+	hashOffset = 14695981039346656037
+	hashPrime  = 1099511628211
+)
+
+// hashEvent folds one event into h, byte by byte: the timestamp's bits,
+// the kind's bytes, the location, and the flow hash.
+func hashEvent(h uint64, t float64, kind Kind, where int, flow uint64) uint64 {
+	h = hashWord(h, math.Float64bits(t))
+	for i := 0; i < len(kind); i++ {
+		h ^= uint64(kind[i])
+		h *= hashPrime
+	}
+	h = hashWord(h, uint64(where))
+	return hashWord(h, flow)
+}
+
+// hashWord folds the eight bytes of x into h, low byte first.
+func hashWord(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= x & 0xff
+		h *= hashPrime
+		x >>= 8
 	}
 	return h
 }

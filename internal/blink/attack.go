@@ -23,9 +23,13 @@ func (f programFunc) OnPacket(now float64, p *packet.Packet, n *netsim.Node) boo
 // attacker enter a netsim experiment: the attacker "does not need to
 // establish TCP connections with the victim network" — it just emits
 // crafted (spoofed) packets from hosts it controls.
+//
+// The stream's packets go through one netsim.Lane, which holds at most
+// the next packet: a send costs a ring-buffer slot instead of a closure,
+// and the lane executes each packet exactly where Engine.At would have.
 func PlayStream(nw *netsim.Network, from *netsim.Node, st trace.Stream) {
-	var pump func()
-	pump = func() {
+	var ln *netsim.Lane
+	pump := func() {
 		ev, ok := st.Next()
 		if !ok {
 			return
@@ -33,12 +37,12 @@ func PlayStream(nw *netsim.Network, from *netsim.Node, st trace.Stream) {
 		// The network retains packets (link queues, MitM taps, delayed
 		// delivery) past the stream's next Next(), so take ownership of a
 		// copy — the Stream packet-lifetime rule.
-		pkt := ev.Pkt.Clone()
-		nw.Engine().At(ev.Time, func() {
-			from.Send(pkt)
-			pump()
-		})
+		ln.Push(ev.Time, netsim.LaneEntry{P: ev.Pkt.Clone()})
 	}
+	ln = nw.Engine().NewLane(func(en netsim.LaneEntry) {
+		from.Send(en.P)
+		pump()
+	})
 	pump()
 }
 

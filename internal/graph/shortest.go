@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 )
@@ -24,9 +23,9 @@ func (g *Graph) Dijkstra(src NodeID) *ShortestTree {
 		t.Prev[i] = -1
 	}
 	t.Dist[src] = 0
-	pq := &distHeap{{node: src, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
+	pq := distHeap{{node: src, dist: 0}}
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.dist > t.Dist[it.node] {
 			continue // stale entry
 		}
@@ -35,7 +34,7 @@ func (g *Graph) Dijkstra(src NodeID) *ShortestTree {
 			if nd < t.Dist[e.To] {
 				t.Dist[e.To] = nd
 				t.Prev[e.To] = it.node
-				heap.Push(pq, distItem{node: e.To, dist: nd})
+				pq.push(distItem{node: e.To, dist: nd})
 			}
 		}
 	}
@@ -56,6 +55,19 @@ func (t *ShortestTree) PathTo(dst NodeID) Path {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
+}
+
+// FirstHop returns the node after the source on PathTo(dst) without
+// building the path. ok is false when that path has fewer than two nodes:
+// dst is unreachable, or dst is the source.
+func (t *ShortestTree) FirstHop(dst NodeID) (hop NodeID, ok bool) {
+	if dst == t.Source || math.IsInf(t.Dist[dst], 1) {
+		return -1, false
+	}
+	for t.Prev[dst] != t.Source {
+		dst = t.Prev[dst]
+	}
+	return dst, true
 }
 
 // ShortestPath returns a shortest path from src to dst, or nil if
@@ -172,16 +184,43 @@ type distItem struct {
 	dist float64
 }
 
+// distHeap is a binary min-heap on dist. push and pop are
+// container/heap's Push and Pop — the same sift steps in the same order,
+// so equal-distance entries pop in the same sequence and Dijkstra picks
+// the same predecessors — on the concrete type, so no item is boxed.
 type distHeap []distItem
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *distHeap) push(it distItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }

@@ -194,12 +194,9 @@ func (nw *Network) ComputeRoutes() {
 			if d.node == src {
 				continue
 			}
-			path := tree.PathTo(graph.NodeID(d.node.id))
-			if len(path) < 2 {
-				continue
+			if hop, ok := tree.FirstHop(graph.NodeID(d.node.id)); ok {
+				src.AddRoute(d.pfx, nw.nodes[hop], nil)
 			}
-			nh := nw.nodes[path[1]]
-			src.AddRoute(d.pfx, nh, nil)
 		}
 	}
 }

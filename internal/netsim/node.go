@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"sort"
+	"slices"
 
 	"dui/internal/packet"
 )
@@ -122,11 +122,13 @@ func (n *Node) AddRoute(pfx packet.Prefix, nexthop *Node, via *Link) {
 			return
 		}
 	}
-	n.routes = append(n.routes, route{prefix: pfx, nexthop: nexthop, via: via})
-	// Longest prefix first; stable so insertion order breaks ties.
-	sort.SliceStable(n.routes, func(i, j int) bool {
-		return n.routes[i].prefix.Bits > n.routes[j].prefix.Bits
-	})
+	// Longest prefix first, insertion order among equal lengths: the new
+	// route goes after every route at least as long.
+	i := len(n.routes)
+	for i > 0 && n.routes[i-1].prefix.Bits < pfx.Bits {
+		i--
+	}
+	n.routes = slices.Insert(n.routes, i, route{prefix: pfx, nexthop: nexthop, via: via})
 }
 
 // Lookup returns the next hop for dst, or nil if no route matches.

@@ -33,11 +33,16 @@ import "math"
 // about one rotation — clamped to a factor-of-2 step so boundaries stay
 // stable, and a degenerate ready (everything clustered under one slot)
 // triggers a respread that resizes the tick from the cluster's actual
-// span. Adaptation only ever happens while the slots are empty, so no
-// event needs re-bucketing, and it depends only on event timestamps and
-// counts — never on wall clock — so it is deterministic.
+// span. The slot count N adapts too: a fresh wheel has minSlots slots,
+// and each rebase doubles the table, up to maxSlots, while the pending
+// population outgrows it, so a short scenario never allocates (or makes
+// the collector scan) a table sized for a dense million-event run.
+// Adaptation only ever happens while the slots are empty, so no event
+// needs re-bucketing, and it depends only on event timestamps and counts
+// — never on wall clock — so it is deterministic.
 const (
-	wheelSlots = 8192 // slots per rotation
+	minSlots   = 256  // slots per rotation of a fresh wheel
+	maxSlots   = 8192 // slots per rotation once the population has grown
 	wheelSpill = 4096 // ready size that triggers a respread (slots empty)
 	minTick    = 1e-9 // 1 ns of virtual time
 	maxTick    = 1e6  // ~11 virtual days per slot
@@ -55,14 +60,14 @@ type wheelSched struct {
 	// never has to scan it.
 	stage    []event
 	stageMin float64
-	slots    [][]event
+	slots    [][]event // one unsorted bucket per tick; N = len(slots)
 	cursor   int
 	start    float64 // time of slot 0 in the current rotation
 	tick     float64
 	// Derived values cached by recalc so the place hot path costs one
 	// multiply and two compares instead of repeated slotLow evaluations:
 	// invTick = 1/tick, curHigh = slotLow(cursor+1), horizon =
-	// slotLow(wheelSlots). Boundary decisions still resolve through
+	// slotLow(N). Boundary decisions still resolve through
 	// slotLow itself (via the correction loops), so the cached values are
 	// an accelerator, never a second source of truth.
 	invTick float64
@@ -78,7 +83,7 @@ type wheelSched struct {
 
 func newWheelSched() *wheelSched {
 	w := &wheelSched{
-		slots:    make([][]event, wheelSlots),
+		slots:    make([][]event, minSlots),
 		tick:     1e-3,
 		spillAt:  wheelSpill,
 		stageMin: math.Inf(1),
@@ -92,11 +97,11 @@ func newWheelSched() *wheelSched {
 func (w *wheelSched) recalc() {
 	w.invTick = 1 / w.tick
 	w.curHigh = w.slotLow(w.cursor + 1)
-	w.horizon = w.slotLow(wheelSlots)
+	w.horizon = w.slotLow(len(w.slots))
 }
 
 // slotLow is the single boundary formula: the low edge of slot i. Slot i
-// covers [slotLow(i), slotLow(i+1)); slotLow(wheelSlots) is the horizon.
+// covers [slotLow(i), slotLow(i+1)); slotLow(N) is the horizon.
 func (w *wheelSched) slotLow(i int) float64 { return w.start + float64(i)*w.tick }
 
 func (w *wheelSched) len() int {
@@ -119,7 +124,7 @@ func (w *wheelSched) place(ev event) {
 		w.readyInsert(ev)
 		return
 	}
-	if !(ev.t < w.horizon) { // == slotLow(wheelSlots), cached by recalc
+	if !(ev.t < w.horizon) { // == slotLow(N), cached by recalc
 		// Beyond the horizon: stage it. Inserting into the overflow heap
 		// here would be wasted work — late in a rotation the remaining
 		// window shrinks toward one tick, so even modest delays land
@@ -131,14 +136,15 @@ func (w *wheelSched) place(ev event) {
 		w.stage = append(w.stage, ev)
 		return
 	}
+	n := len(w.slots)
 	idx := int((ev.t - w.start) * w.invTick)
-	if idx >= wheelSlots {
-		idx = wheelSlots - 1
+	if idx >= n {
+		idx = n - 1
 	}
 	for idx > w.cursor+1 && ev.t < w.slotLow(idx) {
 		idx--
 	}
-	for idx < wheelSlots-1 && ev.t >= w.slotLow(idx+1) {
+	for idx < n-1 && ev.t >= w.slotLow(idx+1) {
 		idx++
 	}
 	if idx <= w.cursor {
@@ -264,10 +270,11 @@ func (w *wheelSched) ensureReady() {
 }
 
 // rebase starts a fresh rotation at newStart (the overflow minimum — the
-// wheel only rebases once its slots are empty), adapts the tick, and
-// promotes overflow events that now fall inside the horizon. Callers
-// guarantee ready and all slots are empty.
+// wheel only rebases once its slots are empty), adapts the slot count and
+// the tick, and promotes overflow events that now fall inside the horizon.
+// Callers guarantee ready and all slots are empty.
 func (w *wheelSched) rebase(newStart float64) {
+	w.fitSlots()
 	w.retick()
 	w.start = newStart
 	w.cursor = 0
@@ -315,7 +322,21 @@ func (w *wheelSched) retick() {
 	if gap <= 0 {
 		return
 	}
-	w.adjustTick(gap * (1 + 4*float64(w.len())/wheelSlots))
+	w.adjustTick(gap * (1 + 4*float64(w.len())/float64(len(w.slots))))
+}
+
+// fitSlots doubles the slot table until it covers the pending population
+// or reaches maxSlots; the existing buckets keep their backing arrays.
+// Only rebase calls it: ready and the slots are empty, so no event needs
+// re-bucketing, and the stage drains against the widened horizon after.
+func (w *wheelSched) fitSlots() {
+	n := len(w.slots)
+	for n < maxSlots && n < w.len() {
+		n *= 2
+	}
+	if n > len(w.slots) {
+		w.slots = append(w.slots, make([][]event, n-len(w.slots))...)
+	}
 }
 
 // adjustTick clamps the proposed tick and limits the change to one
@@ -360,7 +381,7 @@ func (w *wheelSched) respread() {
 	if !(hi > lo) {
 		return // one distinct finite timestamp (or none): sorted serving is optimal
 	}
-	span := (hi - lo) / float64(wheelSlots-2)
+	span := (hi - lo) / float64(len(w.slots)-2)
 	if span <= w.tick {
 		return // already fine-grained; the cluster is genuinely dense
 	}

@@ -212,3 +212,45 @@ func TestWheelPendingExecutedParity(t *testing.T) {
 		}
 	}
 }
+
+// The slot table starts at minSlots and grows toward maxSlots only as the
+// pending population outgrows it: a sparse run keeps the small table, a
+// dense circulating population reaches the full one, and both execute in
+// the heap's exact order while the table grows under them.
+func TestWheelSlotTableFitsPopulation(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		pop       int
+		wantSlots int
+	}{
+		{"sparse", 4, minSlots},
+		{"dense", 6000, maxSlots},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wheel *wheelSched
+			got := runOrder(t, func(e *Engine, fire func(i int)) {
+				if w, ok := e.sched.(*wheelSched); ok {
+					wheel = w
+				}
+				// pop events each re-arm themselves 20 times at seeded
+				// exponential gaps, so the population stays level.
+				rng := stats.NewRNG(0x5107 + uint64(tc.pop))
+				for i := 0; i < tc.pop; i++ {
+					i, left := i, 20
+					var step func()
+					step = func() {
+						fire(i)
+						if left--; left > 0 {
+							e.After(rng.Exp(1e-3*float64(tc.pop)), step)
+						}
+					}
+					e.At(rng.Float64(), step)
+				}
+			})
+			assertSameOrder(t, got)
+			if n := len(wheel.slots); n != tc.wantSlots {
+				t.Fatalf("slot table has %d slots after a population of %d, want %d", n, tc.pop, tc.wantSlots)
+			}
+		})
+	}
+}

@@ -14,7 +14,8 @@ import (
 )
 
 // Built is a scenario realized on a netsim.Network with the full audit
-// stack attached: the conservation checker and event recorder on every
+// stack attached: the conservation checker and the event-trace digest
+// (audit.NewDigestRecorder — count and hash, no retained trace) on every
 // link, the selector auditor and reroute-threshold oracle on the Blink
 // pipeline (when deployed), and the drain check registered for teardown.
 type Built struct {
@@ -65,7 +66,7 @@ func Build(s *Scenario) *Built {
 
 	// The audit stack attaches before any traffic is scheduled so the
 	// shadow counters and the trace see every event from t=0.
-	b.Recorder = audit.NewRecorder()
+	b.Recorder = audit.NewDigestRecorder()
 	b.NetAudit = audit.AttachNetwork(nw, b.Recorder)
 	nw.OnTeardown(func() { _ = b.NetAudit.CheckDrained() })
 

@@ -34,13 +34,8 @@ const (
 // in seconds instead of a wall-clock hang.
 const runEventBudget = 1 << 26
 
-// Options controls what a Run retains beyond the verdict, and lets a
-// caller attach extra machinery to the built scenario.
+// Options lets a caller attach extra machinery to the built scenario.
 type Options struct {
-	// KeepEvents retains the full event trace in the report (the trace is
-	// always recorded — it feeds EventCount and TraceHash — but only kept
-	// on request).
-	KeepEvents bool
 	// Hook, if non-nil, runs on the Built scenario after construction and
 	// before the simulation starts — the installation point for
 	// supervisor guards and extra observers (internal/advsearch's
@@ -58,11 +53,10 @@ type Options struct {
 type Report struct {
 	Violations []audit.Violation `json:"violations,omitempty"`
 	// EventCount and TraceHash fingerprint the run's event trace; the
-	// determinism oracle compares them across a double run.
+	// determinism oracle compares them across a double run. The trace
+	// itself is folded into them as it happens and never retained.
 	EventCount int    `json:"event_count"`
 	TraceHash  uint64 `json:"trace_hash"`
-	// Events is the full trace when Options.KeepEvents was set.
-	Events []audit.Event `json:"-"`
 	// Reroutes counts Blink failovers executed (0 without Blink).
 	Reroutes int `json:"reroutes,omitempty"`
 	// Vetoes counts Blink failovers blocked by a guard a Hook installed.
@@ -157,12 +151,8 @@ func Run(s *Scenario, opts Options) (rep Report) {
 		})
 	}
 
-	events := b.Recorder.Events()
-	rep.EventCount = len(events)
-	rep.TraceHash = audit.Hash(events)
-	if opts.KeepEvents {
-		rep.Events = events
-	}
+	rep.EventCount = b.Recorder.Len()
+	rep.TraceHash = b.Recorder.Hash()
 	if b.Pipe != nil {
 		rep.Reroutes = len(b.Pipe.Reroutes())
 		rep.Vetoes = b.Pipe.VetoedReroutes
