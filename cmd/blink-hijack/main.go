@@ -47,8 +47,7 @@ func main() {
 		MalFlows: *mal, LegitFlows: *legit,
 	}
 	if *defended {
-		clean := dui.RunFailover(dui.FailoverConfig{FailAt: 0, Duration: 20})
-		model := dui.NewRTOModel(clean.SRTTs, 0.2)
+		model := dui.DefaultRTOModel()
 		cfg.Hook = func(p *blink.Pipeline) { dui.GuardPipeline(p, model) }
 	}
 

@@ -24,7 +24,7 @@ import (
 	"dui/internal/conntrack"
 	"dui/internal/nethide"
 	"dui/internal/prof"
-	"dui/internal/pytheas"
+	"dui/internal/robustness"
 	"dui/internal/runner"
 	"dui/internal/sketch"
 	"dui/internal/stats"
@@ -228,30 +228,20 @@ func e7(quick bool, seed uint64, workers int) string {
 	return b.String()
 }
 
+// e8 formats the §5 countermeasure evaluation that cmd/robustness
+// -defense-eval renders in full.
 func e8(quick bool, seed uint64, workers int) string {
 	var b strings.Builder
-	clean := dui.RunFailover(dui.FailoverConfig{FailAt: 0, Duration: 20})
-	model := dui.NewRTOModel(clean.SRTTs, 0.2)
-	hook := func(p *blink.Pipeline) { dui.GuardPipeline(p, model) }
-	genuine := dui.RunFailover(dui.FailoverConfig{FailAt: 20, Duration: 45, Hook: hook})
-	attack := dui.RunHijack(dui.HijackConfig{Seed: seed, Hook: hook})
-	base := dui.PytheasConfig{Seed: seed}
-	atk := pytheas.Poison{Bots: 150, ReportMultiplier: 5}.Defaults()
-	vuln := dui.RunPytheas(base, atk)
-	defended := base
-	defended.E2.Aggregate = pytheas.MADFiltered(3)
-	defended.DedupReports = true
-	prot := dui.RunPytheas(defended, atk)
-	att := dui.RunOscillation(dui.OscConfig{Duration: 90, Seed: seed, Attack: true})
+	d := robustness.EvalDefenses(seed, workers)
 	fmt.Fprintf(&b, "\n## E8 — §5 countermeasures\n")
 	fmt.Fprintf(&b, "- Blink guard: genuine failover still works (rerouted=%v, latency %.2fs, 0 vetoes=%v); hijack blocked (rerouted=%v, %d vetoes)\n",
-		genuine.Rerouted, genuine.DetectionLatency, genuine.VetoedReroutes == 0, attack.Rerouted, attack.VetoedReroutes)
+		d.Genuine.Rerouted, d.Genuine.DetectionLatency, d.Genuine.VetoedReroutes == 0, d.Hijack.Rerouted, d.Hijack.VetoedReroutes)
 	fmt.Fprintf(&b, "- Pytheas: attacked QoE %.2f -> defended %.2f (dedup + MAD filtering)\n",
-		vuln.HonestQoELate, prot.HonestQoELate)
-	fmt.Fprintf(&b, "- PCC: equalizer detected: %s\n", dui.PCCLossCorrelation(att.Records))
-	for _, cap := range []float64{0.05, 0.01} {
-		_, amp := dui.ForcedOscillation(0.01, cap, 20)
-		fmt.Fprintf(&b, "- PCC ε clamp %.2f bounds forced oscillation to ±%.0f%%\n", cap, 100*amp/2)
+		d.PytheasAttacked, d.PytheasDefended)
+	fmt.Fprintf(&b, "- PCC: equalizer detected: %s\n", d.PCCAttacked)
+	// The widest and the narrowest clamp.
+	for _, c := range []robustness.EpsClamp{d.Clamps[0], d.Clamps[len(d.Clamps)-1]} {
+		fmt.Fprintf(&b, "- PCC ε clamp %.2f bounds forced oscillation to ±%.0f%%\n", c.Cap, 100*c.Amp/2)
 	}
 	return b.String()
 }

@@ -11,9 +11,10 @@
 // running duid server — both byte-identical to inline execution at any
 // -parallel setting.
 //
-// -defense-eval renders the legacy cmd/defense-eval §5 countermeasure
-// report instead of the matrix (the three-system evaluation that command
-// used to compute on its own); the matrix driver subsumes it.
+// -defense-eval renders the E8 §5 countermeasure report instead of the
+// matrix: the point evaluations of the paper's three supervisors, which
+// the matrix subsumes (robustness.EvalDefenses; duireport's E8 section
+// formats the same numbers).
 package main
 
 import (
@@ -39,11 +40,11 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the canonical campaign result JSON instead of the table")
 		server   = flag.String("server", "", "submit the matrix to the duid server at this URL")
 		quick    = flag.Bool("quick", false, "reduced per-cell simulations for smoke runs")
-		legacy   = flag.Bool("defense-eval", false, "render the legacy cmd/defense-eval §5 report instead of the matrix")
+		defense  = flag.Bool("defense-eval", false, "render the E8 §5 countermeasure report instead of the matrix")
 	)
 	cli.Parse("robustness")
 
-	if *legacy {
+	if *defense {
 		robustness.WriteDefenseEval(os.Stdout, *seed, *parallel)
 		return
 	}

@@ -257,6 +257,10 @@ type (
 	Verdict = supervisor.Verdict
 	// RTOModel is the Blink supervisor's retransmission-timing model.
 	RTOModel = supervisor.RTOModel
+	// PCCGuard flags loss correlated with PCC's faster rate trials.
+	PCCGuard = supervisor.PCCGuard
+	// PytheasGuard flags a deviating minority in a Pytheas group.
+	PytheasGuard = supervisor.PytheasGuard
 )
 
 // NewRTOModel trains the Blink supervisor from passive RTT measurements.
@@ -264,11 +268,9 @@ func NewRTOModel(srtts []float64, rtoMin float64) *RTOModel {
 	return supervisor.NewRTOModel(srtts, rtoMin)
 }
 
+// DefaultRTOModel is the Blink supervisor trained from a clean failover
+// run, built once per process.
+var DefaultRTOModel = supervisor.DefaultRTOModel
+
 // GuardPipeline installs the Blink supervisor on a pipeline.
 var GuardPipeline = supervisor.GuardPipeline
-
-// PCCLossCorrelation flags loss correlated with the faster rate trials.
-var PCCLossCorrelation = supervisor.PCCLossCorrelation
-
-// GroupReportCheck flags a deviating minority in a Pytheas group.
-var GroupReportCheck = supervisor.GroupReportCheck

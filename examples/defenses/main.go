@@ -33,7 +33,7 @@ func main() {
 
 	// PCC: detect, then constrain the decision range.
 	attacked := dui.RunOscillation(dui.OscConfig{Duration: 90, Seed: 2, Attack: true})
-	fmt.Printf("\nPCC equalizer detector: %s\n", dui.PCCLossCorrelation(attacked.Records))
+	fmt.Printf("\nPCC equalizer detector: %s\n", (&dui.PCCGuard{}).Check(attacked.Records))
 	for _, cap := range []float64{0.05, 0.02, 0.01} {
 		_, amp := dui.ForcedOscillation(0.01, cap, 20)
 		fmt.Printf("allowed operating range ε<=%.2f bounds the forced oscillation to ±%.0f%%\n", cap, 100*amp/2)

@@ -32,7 +32,7 @@ func main() {
 
 	// The detector view of a poisoned report window.
 	window := poisonedWindow()
-	fmt.Printf("\ngroup-distribution check on a poisoned window: %s\n", dui.GroupReportCheck(window, 4))
+	fmt.Printf("\ngroup-distribution check on a poisoned window: %s\n", (&dui.PytheasGuard{K: 4}).Check(window))
 
 	// The MitM variant needs no bots at all.
 	out := dui.RunThrottle(cfg, 0.7, 0.2)

@@ -16,9 +16,10 @@ import (
 // reroute during a run with no real failure anywhere.
 //
 // Guarded deployments run the same scenario with the §5 RTO-plausibility
-// guard installed through scenario Options.Hook; the guard's RTOModel is
-// trained once, at construction, from the SRTTs of a clean failover run —
-// the passive measurement the supervisor has in deployment.
+// guard installed through scenario Options.Hook; the guard's model is
+// supervisor.DefaultRTOModel, trained once per process from the SRTTs of
+// a clean failover run — the passive measurement the supervisor has in
+// deployment.
 type BlinkTarget struct {
 	// Guarded installs the supervisor guard on every evaluation.
 	Guarded bool
@@ -31,8 +32,6 @@ type BlinkTarget struct {
 	// MaxFlows caps the spoofed-flow knob (0 = 256). Tests shrink it to
 	// keep evaluations cheap.
 	MaxFlows float64
-
-	model *supervisor.RTOModel
 }
 
 // Selector parameters of the deployment under attack: small enough that
@@ -44,9 +43,8 @@ const (
 	blinkWindow    = 0.8
 )
 
-// NewBlinkTarget builds the target and trains the guard model from a
-// clean (failure-free would yield no retransmissions, so: genuine
-// failure) Blink run, exactly as cmd/chaos-eval trains the supervisor.
+// NewBlinkTarget builds the target with its default duration and flow
+// cap.
 func NewBlinkTarget(guarded bool) *BlinkTarget {
 	t := &BlinkTarget{Guarded: guarded}
 	t.init()
@@ -59,10 +57,6 @@ func (t *BlinkTarget) init() {
 	}
 	if t.MaxFlows <= 0 {
 		t.MaxFlows = 256
-	}
-	if t.model == nil && t.Guarded {
-		clean := blink.RunFailover(blink.FailoverConfig{FailAt: 0, Duration: 20})
-		t.model = supervisor.NewRTOModel(clean.SRTTs, 0.2)
 	}
 }
 
@@ -169,7 +163,7 @@ func (t *BlinkTarget) Evaluate(x Vector, evalSeed uint64) Outcome {
 			r.cells = append(r.cells, ev.Cell)
 		})
 		if t.Guarded {
-			supervisor.GuardPipelineCfg(b.Pipe, t.model, supervisor.GuardConfig{MaxRisk: t.GuardMaxRisk})
+			supervisor.GuardPipeline(b.Pipe, supervisor.DefaultRTOModel()).MaxRisk = t.GuardMaxRisk
 		}
 	}
 	rep := scenario.RunChecked(s, scenario.Options{Hook: hook})

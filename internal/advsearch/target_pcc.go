@@ -94,7 +94,7 @@ func (t *PCCTarget) Evaluate(x Vector, evalSeed uint64) Outcome {
 	collapsed := res.MeanRateLate < 0.6*t.baseline
 	detected := false
 	if t.Guarded {
-		detected = !supervisor.PCCLossCorrelation(res.Records).Plausible
+		detected = !(&supervisor.PCCGuard{}).Check(res.Records).Plausible
 	}
 	out.Flipped = collapsed && !detected
 	p := suppressed / 0.4

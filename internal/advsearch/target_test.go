@@ -57,8 +57,8 @@ func TestBlinkGuardRaisesTheBar(t *testing.T) {
 }
 
 // TestSearchFindsPlantedGap is the satellite acceptance test: a
-// deliberately weakened guard (MaxRisk > 1 never vetoes — the deployment
-// flag supervisor.GuardConfig documents) must be found by a small-budget
+// deliberately weakened guard (MaxRisk > 1 never vetoes — the knob
+// supervisor.BlinkGuard.MaxRisk documents) must be found by a small-budget
 // search, and the minimal flipping input must be stable across reruns.
 func TestSearchFindsPlantedGap(t *testing.T) {
 	tgt := quickBlink(true, 2)

@@ -175,16 +175,10 @@ func chaosEps(c *ChaosSpec, li int) float64 {
 
 var chaosOps = ops{
 	total: func(s JobSpec) int { return s.Chaos.Trials * s.Chaos.Levels },
-	init: func(s JobSpec, _ int) (any, error) {
-		// The supervisor model is trained once per process, from passively
-		// measured RTTs of a clean chaos-free run — deterministic, so every
-		// shard (and every worker process) derives the same model.
-		clean := blink.RunFailover(blink.FailoverConfig{FailAt: 0, Duration: 20})
-		return supervisor.NewRTOModel(clean.SRTTs, 0.2), nil
-	},
-	runOne: func(s JobSpec, state any, trial int, seed uint64) (json.RawMessage, error) {
+	init:  func(JobSpec, int) (any, error) { return nil, nil },
+	runOne: func(s JobSpec, _ any, trial int, seed uint64) (json.RawMessage, error) {
 		c := s.Chaos
-		model := state.(*supervisor.RTOModel)
+		model := supervisor.DefaultRTOModel()
 		e := chaosEps(c, trial/c.Trials)
 		grayCfg := faults.GrayConfig{
 			LossP: 0.03 * e, DupP: 0.01 * e, CorruptP: 0.005 * e,

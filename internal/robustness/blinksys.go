@@ -1,31 +1,12 @@
 package robustness
 
 import (
-	"sync"
-
 	"dui/internal/blink"
 	"dui/internal/faults"
 	"dui/internal/netsim"
 	"dui/internal/stats"
 	"dui/internal/supervisor"
 )
-
-// blinkModel trains the RTO supervisor model once per process from a
-// clean, chaos-free failover run. RunFailover consumes no RNG, so the
-// model is a process-independent constant and the cache cannot break
-// bit-identity (same construction as the chaos campaign kind).
-var (
-	blinkModelOnce sync.Once
-	blinkRTOModel  *supervisor.RTOModel
-)
-
-func blinkModel() *supervisor.RTOModel {
-	blinkModelOnce.Do(func() {
-		clean := blink.RunFailover(blink.FailoverConfig{FailAt: 0, Duration: 20})
-		blinkRTOModel = supervisor.NewRTOModel(clean.SRTTs, 0.2)
-	})
-	return blinkRTOModel
-}
 
 // blinkSystem scores Blink (§3/§5): attack "hijack" is the fake
 // retransmission storm that steals the victim prefix onto the
@@ -68,7 +49,7 @@ func blinkRunHijack(guarded bool, prof Profile, seed uint64, quick bool) TrialRe
 	var g *supervisor.BlinkGuard
 	if guarded {
 		cfg.Hook = func(p *blink.Pipeline) {
-			g = supervisor.GuardPipeline(p, blinkModel())
+			g = supervisor.GuardPipeline(p, supervisor.DefaultRTOModel())
 		}
 	}
 	res := blink.RunHijack(cfg)
@@ -96,7 +77,7 @@ func blinkRunTwin(guarded bool, prof Profile, seed uint64, quick bool) TrialResu
 	var g *supervisor.BlinkGuard
 	if guarded {
 		cfg.Hook = func(p *blink.Pipeline) {
-			g = supervisor.GuardPipeline(p, blinkModel())
+			g = supervisor.GuardPipeline(p, supervisor.DefaultRTOModel())
 		}
 	}
 	res := blink.RunFailover(cfg)

@@ -4,22 +4,6 @@ import (
 	"testing"
 
 	"dui/internal/robustness"
-	"dui/internal/supervisor"
-)
-
-// Every per-system defense and adapter satisfies the common Guard
-// interface — the contract the matrix's cost and verdict accounting
-// relies on.
-var (
-	_ supervisor.Guard = (*supervisor.SPPIFOGuard)(nil)
-	_ supervisor.Guard = (*supervisor.SketchGuard)(nil)
-	_ supervisor.Guard = (*supervisor.RONGuard)(nil)
-	_ supervisor.Guard = (*supervisor.ConntrackGuard)(nil)
-	_ supervisor.Guard = (*supervisor.DapperGuard)(nil)
-	_ supervisor.Guard = (*supervisor.BNNGuard)(nil)
-	_ supervisor.Guard = (*supervisor.BlinkGuard)(nil)
-	_ supervisor.Guard = (*supervisor.PytheasGuard)(nil)
-	_ supervisor.Guard = (*supervisor.PCCGuard)(nil)
 )
 
 // falseVetoSeeds is the seed panel for the false-veto sweeps. Small on

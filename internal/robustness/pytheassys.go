@@ -10,8 +10,8 @@ import (
 // report-poisoning attack (fabricated QoE reports with volume
 // amplification). The guarded arm runs the §5 defense stack —
 // DedupReports plus the MAD-filtered aggregator — and feeds each
-// epoch's report window through supervisor.PytheasGuard
-// (GroupReportCheck) for detection. Damage is the honest population's
+// epoch's report window through supervisor.PytheasGuard for detection.
+// Damage is the honest population's
 // QoE shortfall below the 4.5 benign benchmark over the late window,
 // normalized to [0, 1].
 //

@@ -23,14 +23,18 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, n)}
 }
 
-// Add records one observation.
+// Add records one observation. The range test comes before the bin
+// index conversion: converting an out-of-range float (±Inf, or a finite
+// value whose bin index overflows int) is implementation-defined in Go,
+// and on amd64 yields a negative index that would land in the first bin.
+// NaN goes to the first bin.
 func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
+	i := 0
+	switch {
+	case x >= h.Hi:
 		i = len(h.Counts) - 1
+	case x > h.Lo:
+		i = min(int((x-h.Lo)/(h.Hi-h.Lo)*float64(len(h.Counts))), len(h.Counts)-1)
 	}
 	h.Counts[i]++
 	h.total++

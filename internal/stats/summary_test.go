@@ -188,6 +188,48 @@ func TestHistogramClampsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestHistogramAddClampsExtremes pins Add's clamping for values whose
+// bin index does not fit an int: ±Inf and huge finite values must clamp
+// to the end they lie beyond, and NaN goes to the first bin. The shape
+// is the Blink supervisor's gap histogram (50 ms bins over [0, 4 s)).
+func TestHistogramAddClampsExtremes(t *testing.T) {
+	cases := []struct {
+		x   float64
+		bin int
+	}{
+		{math.Inf(1), 79},
+		{1e300, 79},
+		{1e19, 79},
+		{math.MaxFloat64, 79},
+		{4, 79},
+		{math.Nextafter(4, 0), 79},
+		{math.Inf(-1), 0},
+		{-1e300, 0},
+		{-1e19, 0},
+		{0, 0},
+		{math.NaN(), 0},
+		{0.05, 1},
+		{2.01, 40},
+	}
+	for _, c := range cases {
+		h := NewHistogram(0, 4, 80)
+		h.Add(c.x)
+		if h.Counts[c.bin] != 1 || h.Total() != 1 {
+			t.Errorf("Add(%v): counts %v, want one observation in bin %d", c.x, nonzeroBins(h), c.bin)
+		}
+	}
+}
+
+func nonzeroBins(h *Histogram) map[int]uint64 {
+	m := map[int]uint64{}
+	for i, c := range h.Counts {
+		if c > 0 {
+			m[i] = c
+		}
+	}
+	return m
+}
+
 func TestSeriesSetFromAndCrossing(t *testing.T) {
 	s := NewSeries(0, 1, 10)
 	s.SetFrom(0, 1)

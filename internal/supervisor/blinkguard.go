@@ -2,6 +2,7 @@ package supervisor
 
 import (
 	"math"
+	"sync"
 
 	"dui/internal/blink"
 	"dui/internal/stats"
@@ -52,32 +53,49 @@ func NewRTOModel(srtts []float64, rtoMin float64) *RTOModel {
 	return &RTOModel{hist: h}
 }
 
-// Check compares observed retransmission gaps against the model and
-// returns the verdict at the default veto threshold (maxRisk 0.5). The
-// risk is 1 minus the model's Coverage of the observed histogram (0 =
-// every gap in the model's most-expected bins, 1 = no gap anywhere the
-// model has mass). Coverage, not L1 distance: in a low-jitter environment
-// every genuine gap collapses onto the RTO floor, and a symmetric distance
-// would read that concentration — the strongest possible match with the
-// model's dominant bin — as implausible.
-func (m *RTOModel) Check(gaps []float64) Verdict {
-	return m.CheckWith(gaps, 0.5)
+// DefaultRTOModel returns the model every deployment in this repository
+// uses: trained from the smoothed RTTs of a clean, failure-free Blink
+// failover run at the 200 ms RTO floor. RunFailover consumes no RNG, so
+// the model is a process-independent constant; it is built once per
+// process and shared (checks only read it).
+func DefaultRTOModel() *RTOModel {
+	defaultModelOnce.Do(func() {
+		clean := blink.RunFailover(blink.FailoverConfig{FailAt: 0, Duration: 20})
+		defaultModel = NewRTOModel(clean.SRTTs, 0.2)
+	})
+	return defaultModel
 }
 
-// CheckWith is Check with an explicit veto threshold: the verdict is
-// implausible exactly when risk >= maxRisk. The boundary is inclusive by
-// design — a window whose risk lands exactly on the threshold is vetoed —
-// so "Plausible == (risk < maxRisk)" holds identically everywhere the
-// verdict is consumed, with no off-by-one drift between the guard and
-// direct Check callers (pinned by the boundary table tests). maxRisk <= 0
-// means the default 0.5; maxRisk > 1 disables vetoes (risk never exceeds
-// 1), the knob a deliberately weakened deployment turns.
-func (m *RTOModel) CheckWith(gaps []float64, maxRisk float64) Verdict {
+var (
+	defaultModelOnce sync.Once
+	defaultModel     *RTOModel
+)
+
+// check compares observed retransmission gaps against the model. The risk
+// is 1 minus the model's Coverage of the observed histogram (0 = every
+// gap in the model's most-expected bins, 1 = no gap anywhere the model
+// has mass). Coverage, not L1 distance: in a low-jitter environment every
+// genuine gap collapses onto the RTO floor, and a symmetric distance
+// would read that concentration — the strongest possible match with the
+// model's dominant bin — as implausible.
+//
+// The verdict is implausible exactly when risk >= maxRisk. The boundary
+// is inclusive by design — a window whose risk lands exactly on the
+// threshold is vetoed — so "Plausible == (risk < maxRisk)" holds
+// everywhere the verdict is consumed (pinned by the boundary table
+// tests). maxRisk <= 0 means the default 0.5; maxRisk > 1 disables
+// vetoes (risk never exceeds 1), the knob a deliberately weakened
+// deployment turns. A nil or untrained model has no evidence to judge
+// by and returns plausible.
+func (m *RTOModel) check(gaps []float64, maxRisk float64) Verdict {
 	if maxRisk <= 0 {
 		maxRisk = 0.5
 	}
 	if len(gaps) == 0 {
 		return Verdict{Plausible: true, Risk: 0, Reason: "no retransmissions observed"}
+	}
+	if m == nil || m.hist.Total() == 0 {
+		return Verdict{Plausible: true, Risk: 0, Reason: "untrained RTO model: no RTT samples to judge by"}
 	}
 	obs := gapHistogram()
 	for _, g := range gaps {
@@ -93,14 +111,18 @@ func (m *RTOModel) CheckWith(gaps []float64, maxRisk float64) Verdict {
 	return v
 }
 
-// BlinkGuard wires an RTOModel into a blink.Pipeline: it records the
-// retransmission gaps of the monitored prefix and vetoes failovers whose
-// gap window fails the plausibility check.
+// BlinkGuard is the Blink supervisor: it judges one veto-time window of
+// retransmission gaps against an RTOModel. GuardPipeline wires it into a
+// blink.Pipeline, where it records the monitored prefix's gaps and vetoes
+// failovers whose gap window fails the check.
 type BlinkGuard struct {
 	Model *RTOModel
-	// Window is how far back (seconds) gaps are considered at veto time.
+	// Window is how far back (seconds) the wired veto path considers
+	// gaps (GuardPipeline sets 3).
 	Window float64
-	// MaxRisk is the veto threshold (see GuardConfig).
+	// MaxRisk is the veto threshold (<= 0 = 0.5; > 1 never vetoes — a
+	// deliberately weakened guard). The wired veto path reads it at veto
+	// time, so it may be set after GuardPipeline returns.
 	MaxRisk float64
 
 	// Verdicts records every check performed.
@@ -110,24 +132,11 @@ type BlinkGuard struct {
 	times []float64
 }
 
-// GuardConfig tunes a BlinkGuard deployment. The zero value is the
-// default guard (3 s gap window, veto at risk >= 0.5).
-type GuardConfig struct {
-	// Window is how far back (seconds) gaps are considered at veto time
-	// (<= 0 = 3).
-	Window float64
-	// MaxRisk is the veto threshold handed to RTOModel.CheckWith (<= 0 =
-	// 0.5; > 1 never vetoes — a deliberately weakened guard).
-	MaxRisk float64
-}
+var _ Guard[[]float64] = (*BlinkGuard)(nil)
 
-// GuardPipeline installs the default-configured guard on pipeline's first
-// monitored prefix and returns it. Call before traffic starts.
-func GuardPipeline(p *blink.Pipeline, model *RTOModel) *BlinkGuard {
-	return GuardPipelineCfg(p, model, GuardConfig{})
-}
-
-// GuardPipelineCfg is GuardPipeline with an explicit configuration.
+// GuardPipeline installs a guard over model on pipeline's first monitored
+// prefix (3 s gap window, veto at risk >= 0.5) and returns it. Call
+// before traffic starts.
 //
 // The veto-time gap selection uses the same subtraction form as
 // blink.Monitor's in-window test (now - t <= window), via windowContains.
@@ -136,11 +145,8 @@ func GuardPipeline(p *blink.Pipeline, model *RTOModel) *BlinkGuard {
 // now-t — so the guard would judge a slightly different gap set than the
 // selector counted, the boundary drift a search-based attacker can sit
 // on. The table tests in boundary_test.go pin the agreement.
-func GuardPipelineCfg(p *blink.Pipeline, model *RTOModel, cfg GuardConfig) *BlinkGuard {
-	if cfg.Window <= 0 {
-		cfg.Window = 3
-	}
-	g := &BlinkGuard{Model: model, Window: cfg.Window, MaxRisk: cfg.MaxRisk}
+func GuardPipeline(p *blink.Pipeline, model *RTOModel) *BlinkGuard {
+	g := &BlinkGuard{Model: model, Window: 3}
 	p.Monitor(0).OnRetrans(func(ev blink.RetransEvent) {
 		g.gaps = append(g.gaps, ev.Gap)
 		g.times = append(g.times, ev.Now)
@@ -152,25 +158,20 @@ func GuardPipelineCfg(p *blink.Pipeline, model *RTOModel, cfg GuardConfig) *Blin
 				recent = append(recent, g.gaps[i])
 			}
 		}
-		v := model.CheckWith(recent, g.MaxRisk)
-		g.Verdicts = append(g.Verdicts, v)
-		return !v.Plausible
+		return !g.Check(recent).Plausible
 	}
 	return g
 }
 
-// Check implements Guard; obs must be a []float64 of retransmission
-// gaps (one veto-time window). It delegates to the model at the guard's
-// threshold and records the verdict like the wired veto path does.
-func (g *BlinkGuard) Check(obs any) Verdict {
-	gaps := obs.([]float64)
-	v := g.Model.CheckWith(gaps, g.MaxRisk)
+// Check implements Guard: it judges one veto-time window of
+// retransmission gaps at the guard's threshold and records the verdict.
+func (g *BlinkGuard) Check(gaps []float64) Verdict {
+	v := g.Model.check(gaps, g.MaxRisk)
 	g.Verdicts = append(g.Verdicts, v)
 	return v
 }
 
-// Cost implements Guard, derived from the recorded verdicts (both the
-// wired veto path and direct Check calls append there).
+// Cost implements Guard, derived from the recorded verdicts.
 func (g *BlinkGuard) Cost() GuardCost {
 	c := GuardCost{Checks: len(g.Verdicts)}
 	for _, v := range g.Verdicts {

@@ -42,11 +42,11 @@ func NewBNNGuard(train []bnn.Input, maxDist int) *BNNGuard {
 	return &BNNGuard{MaxDist: maxDist, train: append([]bnn.Input(nil), train...)}
 }
 
-// Check implements Guard; obs must be a BNNObs. Risk normalizes the
-// distance so MaxDist lands exactly on the inclusive 0.5 veto
-// threshold.
-func (g *BNNGuard) Check(obs any) Verdict {
-	o := obs.(BNNObs)
+var _ Guard[BNNObs] = (*BNNGuard)(nil)
+
+// Check implements Guard. Risk normalizes the distance so MaxDist lands
+// exactly on the inclusive 0.5 veto threshold.
+func (g *BNNGuard) Check(o BNNObs) Verdict {
 	g.cost.Checks++
 	d := g.MinDist(o.X)
 	risk := float64(d) / float64(2*g.MaxDist)

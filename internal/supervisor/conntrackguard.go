@@ -55,11 +55,12 @@ func (g *ConntrackGuard) defaults() {
 	}
 }
 
-// Check implements Guard; obs must be a TableObs. Risk reaches the
-// inclusive 0.5 veto threshold after MinSteps consecutive pressured
-// samples (near-full table with fresh insertion rejections).
-func (g *ConntrackGuard) Check(obs any) Verdict {
-	o := obs.(TableObs)
+var _ Guard[TableObs] = (*ConntrackGuard)(nil)
+
+// Check implements Guard. Risk reaches the inclusive 0.5 veto threshold
+// after MinSteps consecutive pressured samples (near-full table with
+// fresh insertion rejections).
+func (g *ConntrackGuard) Check(o TableObs) Verdict {
 	g.defaults()
 	g.cost.Checks++
 	pressured := float64(o.Len) >= g.PressureFrac*float64(o.Cap) && o.Rejected > g.lastRejected

@@ -2,6 +2,7 @@ package supervisor
 
 import (
 	"fmt"
+	"math"
 
 	"dui/internal/dapper"
 	"dui/internal/netsim"
@@ -122,14 +123,19 @@ func (g *DapperGuard) OnPacket(now float64, p *packet.Packet, _ *netsim.Node) bo
 	return true
 }
 
-// Check implements Guard; obs must be a DapperPacketObs. The verdict is
-// per packet: implausible marks forged evidence (an instant duplicate
-// or an implausibly small advertised window), which the sanitized
-// mirror then ignores.
-func (g *DapperGuard) Check(obs any) Verdict {
-	o := obs.(DapperPacketObs)
+var _ Guard[DapperPacketObs] = (*DapperGuard)(nil)
+
+// Check implements Guard. The verdict is per packet: implausible marks
+// forged evidence (an instant duplicate or an implausibly small
+// advertised window), which the sanitized mirror then ignores. A packet
+// without a finite timestamp cannot be placed in an epoch and is
+// ignored.
+func (g *DapperGuard) Check(o DapperPacketObs) Verdict {
 	g.defaults()
 	g.cost.Checks++
+	if math.IsNaN(o.Now) || math.IsInf(o.Now, 0) {
+		return Verdict{Plausible: true, Reason: "non-finite timestamp: packet ignored"}
+	}
 	c := g.conns[o.Key]
 	if c == nil {
 		c = &dapperConn{endTimes: map[int64]float64{}, sanRwndMin: 1 << 30}

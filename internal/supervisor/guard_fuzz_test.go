@@ -19,7 +19,7 @@ import (
 // concentration as implausible) slipped through exactly because only one
 // configuration was pinned; this sweep would have caught it.
 func TestGuardNeverVetoesGenuineFailovers(t *testing.T) {
-	model := trainModel()
+	model := DefaultRTOModel()
 	rng := stats.NewRNG(3)
 	n := 10
 	if testing.Short() {
@@ -97,7 +97,7 @@ func attackFree(s *scenario.Scenario) *scenario.Scenario {
 // verdict; (c) across the sweep the guard actually fires — at least one
 // storm that hijacks the unguarded pipeline is vetoed on the guarded one.
 func TestGuardOnGeneratedAttackScenarios(t *testing.T) {
-	model := trainModel()
+	model := DefaultRTOModel()
 	seeds := uint64(80)
 	if testing.Short() {
 		seeds = 20
@@ -164,7 +164,7 @@ func TestGuardOnGeneratedAttackScenarios(t *testing.T) {
 // reroute-threshold oracle elsewhere) nor, once the genuine failure hits,
 // make the guard read the real storm as implausible and veto it.
 func TestGuardNeverVetoesUnderGrayFailure(t *testing.T) {
-	model := trainModel()
+	model := DefaultRTOModel()
 	rng := stats.NewRNG(5)
 	n := 10
 	if testing.Short() {
@@ -208,7 +208,7 @@ func TestGuardNeverVetoesUnderGrayFailure(t *testing.T) {
 // chaos a §5 countermeasure must tolerate: the guard may not veto the
 // eventual genuine failover.
 func TestGuardNeverVetoesUnderFlapping(t *testing.T) {
-	model := trainModel()
+	model := DefaultRTOModel()
 	rng := stats.NewRNG(9)
 	n := 10
 	if testing.Short() {

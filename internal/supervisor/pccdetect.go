@@ -6,18 +6,27 @@ import (
 	"dui/internal/pcc"
 )
 
-// PCCLossCorrelation is the §5 input-quality check for PCC: "monitor when
-// packets are dropped in every +ε or −ε phase". Natural congestion loss
+// PCCGuard is the §5 input-quality check for PCC: "monitor when packets
+// are dropped in every +ε or −ε phase". Natural congestion loss
 // correlates only weakly with a ±5% rate difference, so loss that lands
 // almost exclusively in the (1+ε) trials is the signature of the
 // equalizer MitM.
 //
-// Per Fig 3, the driver reports its state to the supervisor, so the check
-// uses the driver's own trial labels: it compares the loss observed in
-// "up" trials against "down" trials and base-rate fillers. Startup
-// doublings and adjusting excursions are excluded — their (genuine)
-// congestion loss says nothing about tampering.
-func PCCLossCorrelation(records []pcc.MIRecord) Verdict {
+// One observation is one flow's monitor-interval history. Per Fig 3, the
+// driver reports its state to the supervisor, so the check uses the
+// driver's own trial labels: it compares the loss observed in "up"
+// trials against "down" trials and base-rate fillers. Startup doublings
+// and adjusting excursions are excluded — their (genuine) congestion
+// loss says nothing about tampering.
+type PCCGuard struct {
+	cost GuardCost
+}
+
+var _ Guard[[]pcc.MIRecord] = (*PCCGuard)(nil)
+
+// Check implements Guard; records is one flow's monitor-interval history.
+func (g *PCCGuard) Check(records []pcc.MIRecord) Verdict {
+	g.cost.Checks++
 	if len(records) < 12 {
 		return Verdict{Plausible: true, Reason: "insufficient history"}
 	}
@@ -56,20 +65,6 @@ func PCCLossCorrelation(records []pcc.MIRecord) Verdict {
 	}
 	v := Verdict{Risk: risk, Plausible: risk < 0.5}
 	v.Reason = fmt.Sprintf("loss events in %.0f%% of fast trials vs %.0f%% of slow/base MIs", 100*fFast, 100*fSlow)
-	return v
-}
-
-// PCCGuard adapts PCCLossCorrelation to the common Guard interface: one
-// observation is one flow's monitor-interval history.
-type PCCGuard struct {
-	cost GuardCost
-}
-
-// Check implements Guard; obs must be a []pcc.MIRecord.
-func (g *PCCGuard) Check(obs any) Verdict {
-	records := obs.([]pcc.MIRecord)
-	g.cost.Checks++
-	v := PCCLossCorrelation(records)
 	if !v.Plausible {
 		g.cost.Flags++
 	}

@@ -7,18 +7,34 @@ import (
 	"dui/internal/stats"
 )
 
-// GroupReportCheck is the §5 Pytheas countermeasure as a detector: "look
-// at the distribution of throughput across all clients in a group. If
-// only a few clients exhibit low throughput while others exhibit high
+// PytheasGuard is the §5 Pytheas countermeasure as a detector: "look at
+// the distribution of throughput across all clients in a group. If only
+// a few clients exhibit low throughput while others exhibit high
 // throughput, this is indicative of either groups being ill-formed or
 // malicious inputs from part of the group population."
 //
-// It measures the fraction of reports deviating more than k MADs from the
+// One observation is one epoch's window of QoE reports. The guard
+// measures the fraction of reports deviating more than K MADs from the
 // group median. A benign group is unimodal (tiny outlier fraction); a
 // poisoned or ill-formed group shows a coherent deviating minority.
-func GroupReportCheck(reports []float64, k float64) Verdict {
+type PytheasGuard struct {
+	// K is the MAD multiplier (<= 0 = 4).
+	K float64
+
+	cost GuardCost
+}
+
+var _ Guard[[]float64] = (*PytheasGuard)(nil)
+
+// Check implements Guard; reports is one epoch's report window.
+func (g *PytheasGuard) Check(reports []float64) Verdict {
+	g.cost.Checks++
 	if len(reports) < 20 {
 		return Verdict{Plausible: true, Reason: "insufficient reports"}
+	}
+	k := g.K
+	if k <= 0 {
+		k = 4
 	}
 	med := stats.Median(reports)
 	mad := stats.MAD(reports)
@@ -40,28 +56,6 @@ func GroupReportCheck(reports []float64, k float64) Verdict {
 	}
 	v := Verdict{Risk: risk, Plausible: risk < 0.5}
 	v.Reason = fmt.Sprintf("%.1f%% of reports deviate >%.0f MADs from the group median", 100*frac, k)
-	return v
-}
-
-// PytheasGuard adapts GroupReportCheck to the common Guard interface:
-// one observation is one epoch's report window.
-type PytheasGuard struct {
-	// K is the MAD multiplier (<= 0 = 4).
-	K float64
-
-	cost GuardCost
-}
-
-// Check implements Guard; obs must be a []float64 of one epoch's QoE
-// reports.
-func (g *PytheasGuard) Check(obs any) Verdict {
-	reports := obs.([]float64)
-	k := g.K
-	if k <= 0 {
-		k = 4
-	}
-	g.cost.Checks++
-	v := GroupReportCheck(reports, k)
 	if !v.Plausible {
 		g.cost.Flags++
 	}

@@ -71,18 +71,21 @@ func (g *RONGuard) defaults() {
 	}
 }
 
-// Check implements Guard; obs must be a ProbeObs. The verdict is about
-// the single sample: Plausible means "admit into the estimator". Shift
-// accounting happens as a side effect; Summary reports the run-level
-// verdict.
-func (g *RONGuard) Check(obs any) Verdict {
-	o := obs.(ProbeObs)
+var _ Guard[ProbeObs] = (*RONGuard)(nil)
+
+// Check implements Guard. The verdict is about the single sample:
+// Plausible means "admit into the estimator". Shift accounting happens
+// as a side effect; Summary reports the run-level verdict. Any
+// non-finite RTT (a timeout, or a NaN from a broken measurement) takes
+// the timeout path: it is never admitted, least of all as a baseline.
+func (g *RONGuard) Check(o ProbeObs) Verdict {
 	g.defaults()
 	g.cost.Checks++
 	key := [2]int{o.I, o.J}
+	finite := !math.IsNaN(o.RTT) && !math.IsInf(o.RTT, 0)
 	b, seen := g.base[key]
 	if !seen {
-		if math.IsInf(o.RTT, 1) {
+		if !finite {
 			// Never admit a timeout as a baseline.
 			g.cost.Flags++
 			return Verdict{Risk: 1, Reason: "probe timeout before any baseline"}
@@ -92,7 +95,7 @@ func (g *RONGuard) Check(obs any) Verdict {
 	}
 	dev := math.Abs(o.RTT - b)
 	env := math.Max(g.AbsDev, g.RelDev*b)
-	if !math.IsInf(o.RTT, 1) && dev <= env {
+	if finite && dev <= env {
 		g.base[key] = (1-g.Alpha)*b + g.Alpha*o.RTT
 		g.streak[key] = 0
 		return Verdict{Plausible: true, Risk: dev / (2 * env),

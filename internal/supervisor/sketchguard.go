@@ -30,15 +30,20 @@ type SketchGuard struct {
 	cost GuardCost
 }
 
-// Check implements Guard; obs must be a SketchObs. Risk normalizes the
-// imbalance so MaxImbalance lands on the inclusive 0.5 veto threshold.
-func (g *SketchGuard) Check(obs any) Verdict {
-	o := obs.(SketchObs)
+var _ Guard[SketchObs] = (*SketchGuard)(nil)
+
+// Check implements Guard. Risk normalizes the imbalance so MaxImbalance
+// lands on the inclusive 0.5 veto threshold. A table with no cells
+// (M <= 0) holds no residue to compare: plausible, risk 0.
+func (g *SketchGuard) Check(o SketchObs) Verdict {
 	max := g.MaxImbalance
 	if max <= 0 {
 		max = 0.04
 	}
 	g.cost.Checks++
+	if o.M <= 0 {
+		return Verdict{Plausible: true, Risk: 0, Reason: "empty table: no residue to compare"}
+	}
 	imb := float64(o.PrimaryResidue-o.ShadowResidue) / float64(o.M)
 	if imb < 0 {
 		imb = 0

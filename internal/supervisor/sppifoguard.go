@@ -86,12 +86,12 @@ func (g *SPPIFOGuard) defaults() {
 	}
 }
 
-// Check implements Guard; obs must be an SPPIFOObs. The risk is the
-// larger of the two channel risks, each normalized so its threshold
-// lands exactly on the 0.5 veto threshold (inclusive, like every
-// supervisor in this package).
-func (g *SPPIFOGuard) Check(obs any) Verdict {
-	o := obs.(SPPIFOObs)
+var _ Guard[SPPIFOObs] = (*SPPIFOGuard)(nil)
+
+// Check implements Guard. The risk is the larger of the two channel
+// risks, each normalized so its threshold lands exactly on the 0.5 veto
+// threshold (inclusive, like every supervisor in this package).
+func (g *SPPIFOGuard) Check(o SPPIFOObs) Verdict {
 	g.defaults()
 	if g.ring == nil {
 		g.ring = make([]bool, g.Window)

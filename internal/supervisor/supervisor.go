@@ -5,38 +5,48 @@
 // under the influence"), and constrain the driver's allowed operating
 // range.
 //
-// Three concrete supervisors are provided, one per case-study system:
+// Every supervisor implements one contract, Guard[O]: Check consumes one
+// observation of the guard's own type O and returns a Verdict, and Cost
+// accounts the checks made and the flags raised. Each guard file asserts
+// its Guard[O] instance at compile time, so wiring a guard to the wrong
+// observation type is a build error, not a runtime panic. Check is the
+// one entry point per supervisor; the Guard* helpers only wire a guard
+// into a system's decision path.
+//
+// Three supervisors cover the paper's own §5 discussion:
 //
 //   - Blink (§5 "applicability"): learn the RTT distribution over many
 //     flows, derive the expected RTO distribution upon a genuine failure,
-//     and veto reroutes whose retransmission timing does not match it.
+//     and veto reroutes whose retransmission timing does not match it
+//     (BlinkGuard over an RTOModel; DefaultRTOModel is the model trained
+//     from a clean failover run).
 //   - Pytheas: inspect the distribution of QoE reports within a group; a
 //     deviating minority indicates ill-formed groups or malicious inputs
-//     and is excluded from the decision (implemented as the aggregation
-//     ablation in package pytheas; here as an explicit detector).
+//     (PytheasGuard; the aggregation ablation lives in package pytheas).
 //   - PCC: bound the trial amplitude ε (constraining the decision range,
-//     countermeasure III) and flag loss that correlates with the faster
-//     trials (input-quality check, countermeasure I).
+//     countermeasure III, EpsRange) and flag loss that correlates with
+//     the faster trials (input-quality check, countermeasure I, PCCGuard).
 //
 // The robustness matrix (internal/robustness) adds a supervisor for each
-// of the remaining §3.2 case studies behind the common Guard interface:
-// SP-PIFO rank-inversion rate limiting (SPPIFOGuard), sketch
-// cross-validation against a salted shadow table (SketchGuard), RON
-// probe-consistency checks (RONGuard), a conntrack table-pressure guard
-// (ConntrackGuard), DAPPER metric-sanity clamps (DapperGuard), and a BNN
-// input-envelope check (BNNGuard).
+// of the remaining §3.2 case studies: SP-PIFO rank-inversion rate
+// limiting (SPPIFOGuard), sketch cross-validation against a salted
+// shadow table (SketchGuard), RON probe-consistency checks (RONGuard), a
+// conntrack table-pressure guard (ConntrackGuard), DAPPER metric-sanity
+// clamps (DapperGuard), and a BNN input-envelope check (BNNGuard).
+//
+// Every Check is total: degenerate observations (empty windows, zero
+// counts, NaN or infinite values) yield a verdict with a finite risk in
+// [0, 1], never a panic.
 package supervisor
 
 import "fmt"
 
 // Guard is the common contract every per-system supervisor implements:
-// it consumes system-specific observations one at a time and keeps an
-// account of the work done and the flags raised. Observations are typed
-// per guard (see each guard's Check doc); passing a foreign type panics
-// — a wiring bug, not data.
-type Guard interface {
+// it consumes observations of type O one at a time and keeps an account
+// of the work done and the flags raised.
+type Guard[O any] interface {
 	// Check consumes one observation and returns the verdict it implies.
-	Check(obs any) Verdict
+	Check(obs O) Verdict
 	// Cost returns the accounting so far.
 	Cost() GuardCost
 }

@@ -8,14 +8,8 @@ import (
 	"dui/internal/stats"
 )
 
-func trainModel() *RTOModel {
-	// Passive RTT measurement: SRTTs from a clean (no failure) run.
-	clean := blink.RunFailover(blink.FailoverConfig{FailAt: 0, Duration: 20})
-	return NewRTOModel(clean.SRTTs, 0.2)
-}
-
 func TestRTOModelSyntheticVerdicts(t *testing.T) {
-	m := NewRTOModel([]float64{0.02, 0.03, 0.05}, 0.2)
+	g := &BlinkGuard{Model: NewRTOModel([]float64{0.02, 0.03, 0.05}, 0.2)}
 	// Genuine failure: gaps at RTO (~0.2s) and backoff stages with
 	// residual-spacing jitter.
 	var genuine []float64
@@ -30,7 +24,7 @@ func TestRTOModelSyntheticVerdicts(t *testing.T) {
 		}
 		genuine = append(genuine, base+0.2*rng.Float64())
 	}
-	if v := m.Check(genuine); !v.Plausible {
+	if v := g.Check(genuine); !v.Plausible {
 		t.Fatalf("genuine failure rejected: %v", v)
 	}
 	// Attack pacing: ~0.5s ±10% gaps.
@@ -38,11 +32,11 @@ func TestRTOModelSyntheticVerdicts(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		attack = append(attack, 0.45+0.1*rng.Float64())
 	}
-	if v := m.Check(attack); v.Plausible {
+	if v := g.Check(attack); v.Plausible {
 		t.Fatalf("attack pacing accepted: %v", v)
 	}
 	// No data: benign by default.
-	if v := m.Check(nil); !v.Plausible {
+	if v := g.Check(nil); !v.Plausible {
 		t.Fatalf("empty evidence rejected: %v", v)
 	}
 }
@@ -50,7 +44,7 @@ func TestRTOModelSyntheticVerdicts(t *testing.T) {
 // TestGuardedFailoverStillReroutes: the supervisor must not break Blink's
 // legitimate function (§5 criterion ii: no impact on the driver's job).
 func TestGuardedFailoverStillReroutes(t *testing.T) {
-	model := trainModel()
+	model := DefaultRTOModel()
 	var guard *BlinkGuard
 	res := blink.RunFailover(blink.FailoverConfig{
 		FailAt: 20, Duration: 45,
@@ -72,7 +66,7 @@ func TestGuardedFailoverStillReroutes(t *testing.T) {
 // the fake retransmission storm's timing does not match any plausible RTO
 // distribution.
 func TestGuardedHijackBlocked(t *testing.T) {
-	model := trainModel()
+	model := DefaultRTOModel()
 	var guard *BlinkGuard
 	res := blink.RunHijack(blink.HijackConfig{
 		Seed: 4,
@@ -92,13 +86,14 @@ func TestGuardedHijackBlocked(t *testing.T) {
 	}
 }
 
-func TestGroupReportCheck(t *testing.T) {
+func TestPytheasGuardDetectsPoisonedGroup(t *testing.T) {
 	rng := stats.NewRNG(2)
 	var clean []float64
 	for i := 0; i < 200; i++ {
 		clean = append(clean, 4.5+0.3*rng.NormFloat64())
 	}
-	if v := GroupReportCheck(clean, 4); !v.Plausible {
+	g := &PytheasGuard{K: 4}
+	if v := g.Check(clean); !v.Plausible {
 		t.Fatalf("clean group flagged: %v", v)
 	}
 	// 15% coherent low-ballers — the §4.1 botnet signature.
@@ -106,21 +101,25 @@ func TestGroupReportCheck(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		poisoned[i] = 0.2
 	}
-	if v := GroupReportCheck(poisoned, 4); v.Plausible {
+	if v := g.Check(poisoned); v.Plausible {
 		t.Fatalf("poisoned group passed: %v", v)
 	}
-	if v := GroupReportCheck(clean[:5], 4); !v.Plausible {
+	if v := g.Check(clean[:5]); !v.Plausible {
 		t.Fatal("insufficient data must default to plausible")
+	}
+	if c := g.Cost(); c != (GuardCost{Checks: 3, Flags: 1}) {
+		t.Fatalf("cost %+v, want 3 checks and 1 flag", c)
 	}
 }
 
-func TestPCCLossCorrelationDetectsEqualizer(t *testing.T) {
+func TestPCCGuardDetectsEqualizer(t *testing.T) {
 	clean := pcc.RunOscillation(pcc.OscConfig{Duration: 90, Seed: 2})
 	attacked := pcc.RunOscillation(pcc.OscConfig{Duration: 90, Seed: 2, Attack: true})
-	if v := PCCLossCorrelation(clean.Records); !v.Plausible {
+	g := &PCCGuard{}
+	if v := g.Check(clean.Records); !v.Plausible {
 		t.Fatalf("clean PCC flagged: %v", v)
 	}
-	if v := PCCLossCorrelation(attacked.Records); v.Plausible {
+	if v := g.Check(attacked.Records); v.Plausible {
 		t.Fatalf("equalizer not detected: %v", v)
 	}
 }
@@ -165,7 +164,7 @@ func TestRangeAndVerdictHelpers(t *testing.T) {
 // hard to obtain for an attacker with host or MitM privileges" only when
 // RTTs actually vary).
 func TestAdaptiveAttackerBeatsGuard(t *testing.T) {
-	model := trainModel()
+	model := DefaultRTOModel()
 	hook := func(p *blink.Pipeline) { GuardPipeline(p, model) }
 	naive := blink.RunHijack(blink.HijackConfig{Seed: 4, Hook: hook})
 	if naive.Rerouted {

@@ -5,9 +5,9 @@
 # four workers, and submitted to a duid server — and all three JSON
 # results must be byte-identical (cmp): trial seeds derive from cell
 # coordinates alone, so neither the worker pool nor the service path may
-# leak into result bytes. The legacy report alias is checked the same
-# way (cmd/defense-eval vs cmd/robustness -defense-eval). The matrix
-# JSON is left at $OUT for CI to upload as an artifact.
+# leak into result bytes. The matrix JSON is left at $OUT for CI to
+# upload as an artifact. (The E8 -defense-eval report is pinned by
+# TestDefenseEvalPinned in internal/robustness.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,9 +34,8 @@ wait_up() {
 	die "duid at $BASE never came up"
 }
 
-say "building robustness, defense-eval, and duid"
+say "building robustness and duid"
 go build -o "$WORK/robustness" ./cmd/robustness
-go build -o "$WORK/defense-eval" ./cmd/defense-eval
 go build -o "$WORK/duid" ./cmd/duid
 
 say "quick matrix inline: -parallel 1 vs -parallel 4"
@@ -63,13 +62,6 @@ cmp "$WORK/p1.json" "$WORK/cached.json" || die "cached resubmission diverged"
 grep -q '"cached":true' "$WORK/state/jobs.journal" ||
 	die "resubmission was not served from the result cache"
 say "identical resubmission served from the result cache"
-
-say "legacy alias: cmd/defense-eval vs cmd/robustness -defense-eval"
-"$WORK/defense-eval" >"$WORK/legacy-a.txt"
-"$WORK/robustness" -defense-eval >"$WORK/legacy-b.txt"
-cmp "$WORK/legacy-a.txt" "$WORK/legacy-b.txt" ||
-	die "-defense-eval alias diverged from cmd/defense-eval"
-say "legacy defense-eval report is byte-identical through the alias"
 
 cp "$WORK/p1.json" "$OUT"
 say "matrix JSON written to $OUT"
