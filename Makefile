@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check vet build test race audit bench bench-smoke bench-gate pop-smoke fuzz-smoke chaos-smoke advsearch-smoke duid-smoke robustness-smoke report
+.PHONY: check vet build test race bench-check audit bench bench-smoke bench-gate pop-smoke fuzz-smoke chaos-smoke advsearch-smoke duid-smoke robustness-smoke report
 
-## check: the full gate — vet, build, race-enabled tests.
-check: vet build race
+## check: the full gate — vet, build, race-enabled tests, and the
+## benchmark module.
+check: vet build race bench-check
 
 vet:
 	$(GO) vet ./...
@@ -16,6 +17,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## bench-check: vet and test bench/, the end-to-end benchmark. It is a
+## nested Go module, so ./... above never reaches it, yet it compiles
+## against the campaign API and its golden digests pin the result bytes of
+## all four benchmark workloads.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## audit: the race-enabled suite with the invariant-audit layer forced on
 ## (engine causality checks + audited experiment paths). The 0 allocs/op

@@ -76,7 +76,7 @@ func main() {
 		Systems: systems, Guarded: *guarded, Searcher: *searcher,
 		Seed: *seed, Gens: *gens, Pop: *pop, Validate: *validate, Quick: *quick,
 	}}
-	raw, err := cli.DispatchCampaign(context.Background(), "advsearch", *server, spec, *parallel, true)
+	raw, err := cli.DispatchCampaign(context.Background(), "advsearch", *server, spec, campaign.Env{Workers: *parallel}, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "advsearch: %v\n", err)
 		os.Exit(1)

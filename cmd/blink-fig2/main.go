@@ -148,13 +148,7 @@ func main() {
 	fmt.Printf("  sample end level: sim mean %.1f cells (theory %.1f, finite-pool bound %.1f)\n",
 		res.SimMean.Values[len(res.SimMean.Values)-1],
 		res.TheoryMean.Values[len(res.TheoryMean.Values)-1],
-		capturable(cfg))
+		blink.ExpectedCapturable(cfg.Blink.Cells, cfg.MalFlows()))
 	fmt.Printf("\npaper: \"on average, it takes 172 s until the sample contains enough (i.e., 32) malicious flows\";\n")
 	fmt.Printf("       simulations cross ~200 s. See EXPERIMENTS.md for the comparison discussion.\n")
-}
-
-func capturable(cfg dui.Fig2Config) float64 {
-	n := cfg.Blink.Cells
-	m := cfg.MalFlows()
-	return float64(n) * (1 - math.Pow(1-1/float64(n), float64(m)))
 }

@@ -48,6 +48,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"dui/internal/buildinfo"
 	"dui/internal/campaign"
@@ -86,7 +87,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "duid: serving on http://%s (state %s, rev %s)\n",
 		ln.Addr(), *dir, buildinfo.Revision())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// No WriteTimeout: ?wait long-polls and SSE progress streams hold a
+	// response open for as long as the job runs.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {

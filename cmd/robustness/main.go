@@ -56,7 +56,7 @@ func main() {
 		RootSeed: *seed,
 		Quick:    *quick,
 	}}
-	raw, err := cli.DispatchCampaign(context.Background(), "robustness", *server, spec, *parallel, true)
+	raw, err := cli.DispatchCampaign(context.Background(), "robustness", *server, spec, campaign.Env{Workers: *parallel}, true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "robustness:", err)
 		os.Exit(1)

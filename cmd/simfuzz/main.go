@@ -13,21 +13,27 @@
 //	simfuzz -server URL [campaign flags]
 //	simfuzz -replay DIR
 //
-// The campaign verdict is a pure function of (-seed, -seeds, -faults): any
-// -parallel value finds the same failures (a -budget cutoff is the one
-// wall-clock-dependent exception, reported as skipped trials). -faults
-// opens the benign-fault plane (gray failure, flapping, degradation,
-// crash/restart) to the generator. -checkpoint records every completed
-// trial's verdict in FILE; a campaign killed mid-run resumes from it with
-// an identical final verdict. -replay re-checks every corpus entry in DIR
-// against current code instead of fuzzing.
+// Every mode runs one internal/campaign fuzz job and differs only in how
+// it renders the result: the text summary (default), the canonical result
+// JSON (-json), or the result a running duid server serves (-server).
+// The verdict is a pure function of (-seed, -seeds, -max-nodes, -faults,
+// -shrink): any -parallel value finds the same failures. -faults opens
+// the benign-fault plane (gray failure, flapping, degradation,
+// crash/restart) to the generator. -replay re-checks every corpus entry
+// in DIR against current code instead of fuzzing.
 //
-// -json emits the canonical campaign result JSON (internal/campaign's
-// fuzz kind) instead of the text summary; -server submits the same
-// campaign to a running duid server and prints the result it serves. The
-// two outputs are byte-identical — the determinism gate CI's duid-smoke
-// job enforces with cmp. Both modes reject the process-local flags
-// (-budget, -checkpoint, -corpus, -replay): a campaign result must be a
+// -checkpoint FILE is the job's campaign journal: every completed trial's
+// verdict is appended as it finishes, and a campaign killed mid-run
+// resumes from it with an identical final verdict. The journal is bound
+// to the whole campaign spec plus the build revision, so a resume must
+// repeat those flags. -budget stops starting trials once the wall-time
+// budget is spent; running trials finish (and are journaled), the
+// summary reports the rest as skipped, and the failures found are still
+// shrunk — the one wall-clock-dependent result.
+//
+// -json and -server print byte-identical results — the determinism gate
+// CI's duid-smoke job enforces with cmp. Both reject the process-local
+// flags (-budget, -checkpoint, -corpus, -replay): their result must be a
 // pure function of the spec, and the server journals durability itself.
 //
 // Exit status 0 when all scenarios (or corpus entries) pass, 1 when the
@@ -41,12 +47,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"dui/internal/campaign"
 	"dui/internal/cli"
 	"dui/internal/fuzz"
-	"dui/internal/runner"
 )
 
 func main() {
@@ -80,93 +84,83 @@ func main() {
 			fmt.Fprintln(os.Stderr, "simfuzz: -json/-server campaigns reject the process-local flags -budget, -checkpoint, -corpus, -replay")
 			os.Exit(2)
 		}
-		spec := campaign.JobSpec{Kind: campaign.KindFuzz, Fuzz: &campaign.FuzzSpec{
-			Seeds: *seeds, RootSeed: *seed, MaxNodes: *maxNodes,
-			Faults: *faultModes, Shrink: *shrink,
-		}}
-		res, err := cli.DispatchCampaign(context.Background(), "simfuzz", *server, spec, *parallel, *quiet)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simfuzz: %v\n", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(res)
-		var fr campaign.FuzzResult
-		if err := json.Unmarshal(res, &fr); err != nil {
-			fmt.Fprintf(os.Stderr, "simfuzz: bad result: %v\n", err)
-			os.Exit(2)
-		}
-		if len(fr.Failures) > 0 {
-			os.Exit(1)
-		}
-		os.Exit(0)
 	}
-
 	if *replay != "" {
 		os.Exit(replayCorpus(*replay, *quiet))
 	}
 
-	var log io.Writer = os.Stdout
-	if *quiet {
-		log = nil
+	spec := campaign.JobSpec{Kind: campaign.KindFuzz, Fuzz: &campaign.FuzzSpec{
+		Seeds: *seeds, RootSeed: *seed, MaxNodes: *maxNodes,
+		Faults: *faultModes, Shrink: *shrink,
+	}}
+	resumed := 0
+	env := campaign.Env{
+		Workers: *parallel, Journal: *checkpoint, Budget: *budget,
+		OnProgress: func(p campaign.Progress) { resumed = p.Resumed },
 	}
-	res, err := fuzz.Run(context.Background(), fuzz.Config{
-		Seeds:      *seeds,
-		RootSeed:   *seed,
-		Workers:    *parallel,
-		Budget:     *budget,
-		Shrink:     *shrink,
-		Gen:        fuzz.GenConfig{MaxNodes: *maxNodes, FaultModes: *faultModes},
-		Checkpoint: *checkpoint,
-		Log:        log,
-		OnProgress: func(p runner.Progress) {
-			if *quiet || p.Done%50 != 0 && p.Done != p.Total {
-				return
-			}
-			fmt.Fprintf(os.Stderr, "simfuzz: %d/%d trials, %.0fs virtual in %s\n",
-				p.Done, p.Total, p.VirtualSeconds, p.Elapsed.Round(time.Millisecond))
-		},
-	})
+	raw, err := cli.DispatchCampaign(context.Background(), "simfuzz", *server, spec, env, *quiet)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simfuzz: %v\n", err)
 		os.Exit(2)
 	}
-
-	if *corpus != "" {
-		for i := range res.Failures {
-			f := &res.Failures[i]
-			scn := f.Scenario
-			if f.Shrunk != nil {
-				scn = f.Shrunk.Clone()
-			}
-			e := &fuzz.Entry{
-				Name:     fmt.Sprintf("seed-%016x", f.Seed),
-				Rule:     f.Rule,
-				Note:     fmt.Sprintf("found by simfuzz -seed %d (trial %d): %s", *seed, f.TrialIndex, f.Violations[0].Error()),
-				Scenario: scn,
-			}
-			path, err := fuzz.SaveEntry(*corpus, e)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simfuzz: %v\n", err)
-				os.Exit(2)
-			}
-			if !*quiet {
-				fmt.Printf("wrote %s\n", path)
-			}
-		}
+	var res campaign.FuzzResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		fmt.Fprintf(os.Stderr, "simfuzz: bad result: %v\n", err)
+		os.Exit(2)
 	}
-
-	ran := res.Trials - res.Skipped
-	fmt.Printf("simfuzz: %d/%d scenarios run, %d failures", ran, res.Trials, len(res.Failures))
-	if res.Resumed > 0 {
-		fmt.Printf(" (%d resumed from checkpoint)", res.Resumed)
+	if *jsonOut || *server != "" {
+		os.Stdout.Write(raw)
+	} else if err := report(os.Stdout, &res, resumed, *corpus, *quiet); err != nil {
+		fmt.Fprintf(os.Stderr, "simfuzz: %v\n", err)
+		os.Exit(2)
 	}
-	if res.Skipped > 0 {
-		fmt.Printf(" (%d skipped: budget exhausted)", res.Skipped)
-	}
-	fmt.Println()
 	if len(res.Failures) > 0 {
 		os.Exit(1)
 	}
+}
+
+// report renders the text summary of a campaign result: one FAIL line
+// (and one shrink line) per failure unless quiet, the reproducers written
+// to corpusDir when it is set, and the closing count line.
+func report(w io.Writer, res *campaign.FuzzResult, resumed int, corpusDir string, quiet bool) error {
+	if !quiet {
+		for _, f := range res.Failures {
+			fmt.Fprintf(w, "FAIL trial=%d seed=%#x rule=%s (%s): %s\n",
+				f.Trial, f.Seed, f.Rule, f.Scenario.Size(), f.Violations[0])
+			if f.Shrunk != nil {
+				fmt.Fprintf(w, "  shrunk in %d runs to: %s\n", f.ShrinkRuns, f.Shrunk.Size())
+			}
+		}
+	}
+	if corpusDir != "" {
+		for _, f := range res.Failures {
+			scn := f.Scenario
+			if f.Shrunk != nil {
+				scn = f.Shrunk
+			}
+			path, err := fuzz.SaveEntry(corpusDir, &fuzz.Entry{
+				Name:     fmt.Sprintf("seed-%016x", f.Seed),
+				Rule:     f.Rule,
+				Note:     fmt.Sprintf("found by simfuzz -seed %d (trial %d): %s", res.RootSeed, f.Trial, f.Violations[0]),
+				Scenario: *scn,
+			})
+			if err != nil {
+				return err
+			}
+			if !quiet {
+				fmt.Fprintf(w, "wrote %s\n", path)
+			}
+		}
+	}
+	fmt.Fprintf(w, "simfuzz: %d/%d scenarios run, %d failures", res.Seeds-res.Skipped, res.Seeds, len(res.Failures))
+	if resumed > 0 {
+		fmt.Fprintf(w, " (%d resumed from checkpoint)", resumed)
+	}
+	if res.Skipped > 0 {
+		fmt.Fprintf(w, " (%d skipped: budget exhausted)", res.Skipped)
+	}
+	fmt.Fprintln(w)
+	return nil
 }
 
 // replayCorpus re-validates every persisted reproducer, returning the

@@ -63,10 +63,11 @@ type JobSpec struct {
 	Robustness *RobustnessSpec `json:"robustness,omitempty"`
 }
 
-// FuzzSpec is a scenario-fuzzing campaign (cmd/simfuzz inline, or the
-// fuzz job kind). Wall-clock budgets and checkpoint paths are
-// deliberately absent: both are process-local concerns that would break
-// the pure-function-of-spec contract the result cache depends on.
+// FuzzSpec is a scenario-fuzzing campaign (cmd/simfuzz, or the fuzz job
+// kind). Wall-clock budgets and checkpoint paths are deliberately absent:
+// they are process-local concerns that live in Env (Budget, Journal), so
+// the spec — and the result cache key — stays a pure description of the
+// campaign.
 type FuzzSpec struct {
 	// Seeds is how many scenarios to draw and run (default 200).
 	Seeds int `json:"seeds"`

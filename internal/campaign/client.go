@@ -180,12 +180,11 @@ type DispatchOpts struct {
 	// Server, when non-empty, submits to the campaign server at this URL;
 	// empty runs inline via Execute.
 	Server string
-	// Workers and Shards configure inline execution (ignored with Server:
-	// the server's own configuration governs).
-	Workers int
-	Shards  int
-	// OnProgress observes trial completion in both modes.
-	OnProgress func(Progress)
+	// Env configures inline execution. With Server only Env.OnProgress
+	// applies — the server's own configuration governs — and Journal and
+	// Budget are rejected: the server journals every job itself, and it
+	// must never cache a budget-partial result.
+	Env Env
 }
 
 // Dispatch runs spec either inline (via Execute) or through a campaign
@@ -194,7 +193,10 @@ type DispatchOpts struct {
 // drivers' -json and -server modes rely on.
 func Dispatch(ctx context.Context, spec JobSpec, o DispatchOpts) ([]byte, error) {
 	if o.Server == "" {
-		return Execute(ctx, spec, Env{Workers: o.Workers, Shards: o.Shards, OnProgress: o.OnProgress})
+		return Execute(ctx, spec, o.Env)
+	}
+	if o.Env.Journal != "" || o.Env.Budget > 0 {
+		return nil, fmt.Errorf("campaign: a server-run job takes no journal or budget")
 	}
 	c := NewClient(o.Server)
 	st, err := c.Submit(ctx, spec)
@@ -202,8 +204,8 @@ func Dispatch(ctx context.Context, spec JobSpec, o DispatchOpts) ([]byte, error)
 		return nil, err
 	}
 	fin, err := c.Wait(ctx, st.ID, func(js JobStatus) {
-		if o.OnProgress != nil {
-			o.OnProgress(Progress{Done: js.Done, Total: js.Total, Resumed: js.Resumed})
+		if o.Env.OnProgress != nil {
+			o.Env.OnProgress(Progress{Done: js.Done, Total: js.Total, Resumed: js.Resumed})
 		}
 	})
 	if err != nil {

@@ -3,8 +3,10 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"dui/internal/journal"
 	"dui/internal/runner"
@@ -48,8 +50,9 @@ type ShardRequest struct {
 type ShardFn func(ctx context.Context, req ShardRequest) ([]TrialRec, error)
 
 // Env tunes one Execute call. The result bytes are independent of every
-// field here — Workers, Shards, ShardParallel, RunShard, and Journal only
-// change how (and how durably) the campaign runs, never what it returns.
+// field here but Budget — Workers, Shards, ShardParallel, RunShard, and
+// Journal only change how (and how durably) the campaign runs, never what
+// it returns.
 type Env struct {
 	// Workers bounds each shard's in-process trial pool (<= 0: all cores).
 	Workers int
@@ -64,6 +67,14 @@ type Env struct {
 	// this internal/journal file, bound to the job Key. A killed campaign
 	// resumes from it to the identical final verdict.
 	Journal string
+	// Budget, when positive, stops starting trials once this much wall
+	// time has passed; trials already running finish and are journaled.
+	// A budget-stopped fuzz job returns a partial result whose
+	// FuzzResult.Skipped counts the unstarted trials (its failures are
+	// still shrunk); every other kind returns an error. Partial bytes
+	// depend on the wall clock, so the campaign server never sets Budget.
+	// External RunShard executors see it as a context deadline.
+	Budget time.Duration
 	// RunShard executes one shard (nil = in-process).
 	RunShard ShardFn
 	// OnProgress, if non-nil, observes trial completion. Calls are
@@ -85,10 +96,20 @@ const (
 	jobJournalVersion = 1
 )
 
+// errBudget is the cancel cause of a shard context whose Env.Budget ran
+// out, telling a budget stop apart from a cancellation.
+var errBudget = errors.New("campaign: budget exhausted")
+
+// budgetSpent reports whether ctx ended because Env.Budget ran out.
+func budgetSpent(ctx context.Context) bool {
+	return errors.Is(context.Cause(ctx), errBudget)
+}
+
 // Execute runs the campaign described by spec and returns its canonical
 // result JSON. The bytes are a pure function of the canonical spec:
 // byte-identical at any worker count, shard split, shard executor, and
-// across journal-driven resumes. See Env for the knobs.
+// across journal-driven resumes. See Env for the knobs; only a spent
+// Budget can change what a run returns.
 func Execute(ctx context.Context, spec JobSpec, env Env) ([]byte, error) {
 	canon, err := spec.Canon()
 	if err != nil {
@@ -151,10 +172,19 @@ func Execute(ctx context.Context, spec JobSpec, env Env) ([]byte, error) {
 		local := &localExec{journal: jf, prog: prog}
 		runShard = local.run
 	}
+	var deadline time.Time
+	if env.Budget > 0 {
+		deadline = time.Now().Add(env.Budget)
+	}
 	perShard, err := runner.Map(ctx, shards, 0, runner.Config{Workers: shardPar},
 		func(ctx context.Context, _ runner.Trial, sh [2]int) ([]TrialRec, error) {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
+			}
+			if !deadline.IsZero() {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithDeadlineCause(ctx, deadline, errBudget)
+				defer cancel()
 			}
 			req := ShardRequest{Spec: canon, Lo: sh[0], Hi: sh[1], Workers: workers}
 			for t := sh[0]; t < sh[1]; t++ {
@@ -187,14 +217,22 @@ func Execute(ctx context.Context, spec JobSpec, env Env) ([]byte, error) {
 
 	// Deterministic merge: shard results concatenate in shard order,
 	// which is trial order — the same discipline as internal/popscale.
+	// A nil record is a trial the budget left unstarted.
 	outs := make([][]byte, 0, total)
+	skipped := 0
 	for _, recs := range perShard {
 		for _, rec := range recs {
 			if rec.Trial != len(outs) {
 				return nil, fmt.Errorf("campaign: shard merge out of order: got trial %d at position %d", rec.Trial, len(outs))
 			}
+			if rec.Data == nil {
+				skipped++
+			}
 			outs = append(outs, rec.Data)
 		}
+	}
+	if skipped > 0 && !ops.partial {
+		return nil, fmt.Errorf("%w: %d of %d %s trials never started", errBudget, skipped, total, canon.Kind)
 	}
 
 	result, err := ops.assemble(ctx, canon, outs)
@@ -261,7 +299,8 @@ func RunShard(ctx context.Context, req ShardRequest) ([]TrialRec, error) {
 // runShardWith is the shared shard body: replay what Done covers, run
 // the rest on an internal/runner pool with per-trial seeds from the
 // GLOBAL seed expansion (so shard boundaries never shift a trial's
-// seed), and return records in trial order.
+// seed), and return records in trial order. Once Env.Budget has run out
+// no trial starts: each unstarted trial comes back with nil Data.
 func runShardWith(ctx context.Context, req ShardRequest, onFresh func(TrialRec)) ([]TrialRec, error) {
 	canon, err := req.Spec.Canon()
 	if err != nil {
@@ -292,6 +331,9 @@ func runShardWith(ctx context.Context, req ShardRequest, onFresh func(TrialRec))
 			// A cancel can land between dispatch and here; bail before
 			// paying for a simulation.
 			if err := ctx.Err(); err != nil {
+				if budgetSpent(ctx) {
+					return nil, nil
+				}
 				return nil, err
 			}
 			data, err := ops.runOne(canon, state, trial, seeds[trial])
@@ -303,11 +345,15 @@ func runShardWith(ctx context.Context, req ShardRequest, onFresh func(TrialRec))
 			}
 			return data, nil
 		})
-	if err != nil {
+	if err != nil && !(errors.Is(err, context.DeadlineExceeded) && budgetSpent(ctx)) {
 		return nil, err
 	}
 	recs := make([]TrialRec, n)
 	for i, data := range datas {
+		if data == nil {
+			// The budget can stop dispatch before a replayed trial's turn.
+			data = done[req.Lo+i]
+		}
 		recs[i] = TrialRec{Trial: req.Lo + i, Data: data}
 	}
 	return recs, nil

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dui/internal/campaign"
 	"dui/internal/fuzz"
+	"dui/internal/netsim"
 	"dui/internal/scenario"
 )
 
@@ -199,5 +204,96 @@ func TestExecuteJournalRejectsForeignJob(t *testing.T) {
 	_, err := campaign.Execute(context.Background(), fuzzSpec(3), campaign.Env{Workers: 1, Journal: jpath})
 	if err == nil || !strings.Contains(err.Error(), "different job") {
 		t.Fatalf("foreign journal accepted: err = %v", err)
+	}
+}
+
+// TestExecuteBudgetPartial: once Env.Budget runs out no trial starts. A
+// fuzz job returns the partial result — unstarted trials counted in
+// Skipped, the failures it has still shrunk — any other kind fails, and
+// the budget-stopped journal resumes without a budget to the bytes of an
+// uninterrupted run.
+func TestExecuteBudgetPartial(t *testing.T) {
+	netsim.DebugHooks.DisableFailureFlush = true
+	defer func() { netsim.DebugHooks.DisableFailureFlush = false }()
+
+	const seeds = 40
+	spec := campaign.JobSpec{Kind: campaign.KindFuzz,
+		Fuzz: &campaign.FuzzSpec{Seeds: seeds, RootSeed: 11, Shrink: true}}
+	want := mustExecute(t, spec, campaign.Env{Workers: 2})
+	var full campaign.FuzzResult
+	if err := json.Unmarshal(want, &full); err != nil {
+		t.Fatal(err)
+	}
+
+	// Journal the first 15 trials — two of the campaign's three failures
+	// (trials 5 and 10) among them — then kill the run.
+	jpath := filepath.Join(t.TempDir(), "job.journal")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := campaign.Execute(ctx, spec, campaign.Env{Workers: 1, Journal: jpath,
+		OnProgress: func(p campaign.Progress) {
+			if p.Done == 15 {
+				cancel()
+			}
+		}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run returned %v, want context.Canceled", err)
+	}
+
+	// A budget that is already spent starts nothing: journaled trials
+	// replay and the rest are skipped.
+	tiny := campaign.Env{Workers: 2, Journal: jpath, Budget: time.Nanosecond}
+	var part campaign.FuzzResult
+	if err := json.Unmarshal(mustExecute(t, spec, tiny), &part); err != nil {
+		t.Fatal(err)
+	}
+	if part.Skipped == 0 || part.Skipped == seeds {
+		t.Fatalf("budget-stopped run skipped %d of %d trials", part.Skipped, seeds)
+	}
+	if len(part.Failures) == 0 {
+		t.Fatal("budget-stopped run lost its journaled failures")
+	}
+	for i, f := range part.Failures {
+		if f.Shrunk == nil {
+			t.Fatalf("failure at trial %d not shrunk", f.Trial)
+		}
+		if !reflect.DeepEqual(f, full.Failures[i]) {
+			t.Fatalf("failure at trial %d differs from the uninterrupted run's", f.Trial)
+		}
+	}
+
+	rob := campaign.JobSpec{Kind: campaign.KindRobustness, Robustness: &campaign.RobustnessSpec{
+		Systems: []string{"sppifo"}, Profiles: []string{"none"}, Trials: 1, Quick: true}}
+	if _, err := campaign.Execute(context.Background(), rob, campaign.Env{Budget: time.Nanosecond}); err == nil ||
+		!strings.Contains(err.Error(), "budget") {
+		t.Fatalf("budget-stopped robustness job returned err = %v, want a budget error", err)
+	}
+
+	if got := mustExecute(t, spec, campaign.Env{Workers: 2, Journal: jpath}); !bytes.Equal(got, want) {
+		t.Error("budget-stopped journal resumed to different bytes than an uninterrupted run")
+	}
+}
+
+// TestExecuteBudgetJournalsStartedTrials: a budget that runs out
+// mid-campaign lets running trials finish, and every trial that ran —
+// and only those — is in the journal.
+func TestExecuteBudgetJournalsStartedTrials(t *testing.T) {
+	const seeds = 2000
+	spec := fuzzSpec(seeds)
+	jpath := filepath.Join(t.TempDir(), "job.journal")
+	var res campaign.FuzzResult
+	raw := mustExecute(t, spec, campaign.Env{Workers: 2, Journal: jpath, Budget: 20 * time.Millisecond})
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Skipped == 0 {
+		t.Skip("the campaign finished inside the budget")
+	}
+	b, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := bytes.Count(b, []byte("\n")) - 1; recs != seeds-res.Skipped {
+		t.Fatalf("journal holds %d trials, result says %d ran", recs, seeds-res.Skipped)
 	}
 }

@@ -26,6 +26,9 @@ type ops struct {
 	init     func(JobSpec, int) (any, error)
 	runOne   func(JobSpec, any, int, uint64) (json.RawMessage, error)
 	assemble func(context.Context, JobSpec, [][]byte) (any, error)
+	// partial marks a kind whose assemble accepts nil records — trials
+	// an Env.Budget left unstarted. Other kinds fail a budget stop.
+	partial bool
 }
 
 // kindOps resolves a canonical kind. Canon has already rejected unknown
@@ -82,11 +85,14 @@ type FuzzFailure struct {
 }
 
 // FuzzResult is the canonical result of a fuzz job: a pure function of
-// the canonical FuzzSpec.
+// the canonical FuzzSpec, unless an Env.Budget stopped the run early.
 type FuzzResult struct {
-	Kind     string        `json:"kind"`
-	Seeds    int           `json:"seeds"`
-	RootSeed uint64        `json:"root_seed"`
+	Kind     string `json:"kind"`
+	Seeds    int    `json:"seeds"`
+	RootSeed uint64 `json:"root_seed"`
+	// Skipped counts trials a budget left unstarted; a complete run
+	// omits it.
+	Skipped  int           `json:"skipped,omitempty"`
 	Failures []FuzzFailure `json:"failures"`
 }
 
@@ -102,6 +108,10 @@ var fuzzOps = ops{
 		res := FuzzResult{Kind: KindFuzz, Seeds: s.Fuzz.Seeds, RootSeed: s.Fuzz.RootSeed,
 			Failures: []FuzzFailure{}}
 		for i, raw := range outs {
+			if raw == nil {
+				res.Skipped++
+				continue
+			}
 			var rec fuzzRec
 			if err := json.Unmarshal(raw, &rec); err != nil {
 				return nil, fmt.Errorf("campaign: fuzz trial %d: corrupt record: %v", i, err)
@@ -134,6 +144,7 @@ var fuzzOps = ops{
 		}
 		return res, nil
 	},
+	partial: true,
 }
 
 // --------------------------------------------------------------- chaos

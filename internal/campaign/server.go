@@ -193,12 +193,23 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// maxSpecBytes caps a POST /v1/jobs body. Parameter specs are a few
+// hundred bytes; a scenarios batch carries ~2–5 KiB per scenario, so this
+// admits batches of a thousand-odd scenarios while bounding what one
+// request can make the server buffer.
+const maxSpecBytes = 8 << 20
+
 // handleSubmit accepts a JobSpec, consults the result cache, and either
 // records an immediately-done cached job or queues it for the scheduler.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{Error: "bad job spec: " + err.Error()})
 		return
 	}
 	canon, err := spec.Canon()

@@ -3,7 +3,10 @@ package campaign_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -220,5 +223,35 @@ func TestServerCancel(t *testing.T) {
 	}
 	if _, err := c.Result(ctx, st.ID); err == nil {
 		t.Fatal("canceled job served a result")
+	}
+}
+
+// TestServerRejectsOversizeSpec: a POST /v1/jobs body past the server's
+// cap is answered 413 without queuing anything.
+func TestServerRejectsOversizeSpec(t *testing.T) {
+	_, c, stop := startServer(t, t.TempDir(), campaign.Options{Workers: 1})
+	defer stop()
+
+	body := `{"kind":"fuzz","pad":"` + strings.Repeat("x", 16<<20) + `"}`
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize spec answered %d, want 413", resp.StatusCode)
+	}
+
+	resp, err = http.Get(c.Base + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("GET /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var jobs []campaign.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+		t.Fatalf("job list: %v", err)
+	}
+	if len(jobs) != 0 {
+		t.Fatalf("oversize spec created %d job(s)", len(jobs))
 	}
 }

@@ -1,8 +1,8 @@
 // Package journal implements the durable JSONL journal the lab's
-// crash-recovery machinery is built on: the fuzz checkpoint
-// (internal/fuzz) and the campaign service's job store and per-job trial
-// journals (internal/campaign) all share this file format and recovery
-// discipline.
+// crash-recovery machinery is built on: the campaign service's job store
+// and per-job trial journals (internal/campaign) share this file format
+// and recovery discipline. There is no separate fuzz checkpoint: simfuzz
+// -checkpoint is a campaign job journal.
 //
 // The format is JSON Lines: the first line is a header binding the file
 // to one logical stream (a campaign configuration, a job store), and
@@ -19,7 +19,7 @@
 // Appends are serialized by an internal mutex and written as exactly one
 // line per record, so concurrent appenders interleave at record
 // granularity — never mid-line. That contract is pinned by race-enabled
-// tests here and in internal/fuzz.
+// tests here.
 package journal
 
 import (
