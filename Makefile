@@ -41,12 +41,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=Substrate -benchtime=100x -benchmem .
 
-## bench-gate: run the engine benchmarks and compare events/sec against the
-## checked-in floors in BENCH_FLOOR.json. Perf floors are warn-only (shared
-## runners are noisy), but the allocs/op ceilings are scheduling-independent
-## and hard-fail via -strict-allocs.
+## bench-gate: run the engine, PoP, audited-scenario and matrix-system
+## benchmarks and compare them against the checked-in floors in
+## BENCH_FLOOR.json. Perf floors are warn-only (shared runners are noisy),
+## but the allocs/op ceilings are scheduling-independent and hard-fail via
+## -strict-allocs.
 bench-gate:
-	$(GO) test -run '^$$' -bench='Engine|PopScale|ScenarioAudited' -benchmem -count=1 -timeout 20m . \
+	$(GO) test -run '^$$' -bench='Engine|PopScale|ScenarioAudited|MatrixSystem' -benchmem -count=1 -timeout 20m . \
 		| $(GO) run ./cmd/benchjson -o BENCH_GATE.json
 	$(GO) run ./cmd/benchgate -floor BENCH_FLOOR.json -strict-allocs BENCH_GATE.json
 

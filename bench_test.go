@@ -21,6 +21,7 @@ import (
 	"dui/internal/packet"
 	"dui/internal/pcc"
 	"dui/internal/pytheas"
+	"dui/internal/robustness"
 	"dui/internal/runner"
 	"dui/internal/scenario"
 	"dui/internal/sketch"
@@ -333,6 +334,28 @@ func BenchmarkE8Defenses(b *testing.B) {
 		vetoed = float64(res.VetoedReroutes)
 	}
 	b.ReportMetric(vetoed, "vetoed-reroutes")
+}
+
+// BenchmarkMatrixSystem runs one robustness-matrix trial per op: the
+// system's guarded arm under its first attack, fault-free, at the full
+// (non-quick) scale and a fixed seed, exactly as the matrix calls it. The
+// allocs/op of the systems converted to incremental state are ceilinged
+// in BENCH_FLOOR.json; ns/op is the system's share of a matrix cell.
+func BenchmarkMatrixSystem(b *testing.B) {
+	for _, sys := range robustness.Systems() {
+		switch sys.Name() {
+		case "pytheas", "bnn", "sketch":
+		default:
+			continue
+		}
+		b.Run(sys.Name(), func(b *testing.B) {
+			attack := sys.Attacks()[0]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys.Run(attack, true, robustness.AllProfiles[0], 1, false)
+			}
+		})
+	}
 }
 
 // BenchmarkScenarioAuditedRun measures the fault-mode fuzzing trial: one

@@ -34,16 +34,21 @@ type Layer struct {
 // forward computes the layer's output bits.
 func (l *Layer) forward(x uint64) uint64 {
 	var out uint64
-	mask := uint64(1)<<l.In - 1
 	for j, w := range l.Weights {
-		// dot = In - 2*popcount(x XOR w) over {−1,+1} encoding.
-		agree := l.In - bits.OnesCount64((x^w)&mask)
-		dot := 2*agree - l.In
-		if dot >= 0 {
+		if l.fires(x, w) {
 			out |= 1 << j
 		}
 	}
 	return out
+}
+
+// fires reports whether a neuron with weight mask w outputs +1 on x: its
+// dot product In − 2·popcount(x XOR w) over the {−1,+1} encoding is
+// non-negative.
+func (l *Layer) fires(x, w uint64) bool {
+	mask := uint64(1)<<l.In - 1
+	agree := l.In - bits.OnesCount64((x^w)&mask)
+	return 2*agree-l.In >= 0
 }
 
 // margin returns the final neuron's raw dot product (decision margin).
@@ -107,29 +112,65 @@ func (n *Network) Accuracy(xs []Input, ys []bool) float64 {
 // repeatedly flip the single weight bit that improves training accuracy
 // the most, until no flip helps. Simple, deterministic, and sufficient
 // for the small data-plane-scale networks this package models.
+//
+// Each sample's hidden-layer output is cached, so a trial flip of one
+// hidden weight bit re-evaluates that one neuron per sample, and a trial
+// flip of an output weight bit re-evaluates only the output neuron. The
+// flips, their order and every accuracy compared are those of
+// re-classifying the whole set with Accuracy after each flip.
 func (n *Network) Train(xs []Input, ys []bool, maxPasses int) float64 {
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}
-	best := n.Accuracy(xs, ys)
-	for pass := 0; pass < maxPasses; pass++ {
-		improved := false
-		flip := func(w *uint64, bit int) {
-			*w ^= 1 << bit
-			if acc := n.Accuracy(xs, ys); acc > best {
-				best = acc
-				improved = true
-			} else {
-				*w ^= 1 << bit // revert
+	hs := make([]uint64, len(xs))    // hidden output per sample
+	trial := make([]uint64, len(xs)) // hidden outputs under a trial flip
+	for i, x := range xs {
+		hs[i] = n.Hidden.forward(uint64(x))
+	}
+	accuracy := func(hs []uint64) float64 {
+		if len(hs) == 0 {
+			return 0
+		}
+		ok := 0
+		for i, h := range hs {
+			if (n.Out.margin(h) >= 0) == ys[i] {
+				ok++
 			}
 		}
+		return float64(ok) / float64(len(hs))
+	}
+	best := accuracy(hs)
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
 		for j := range n.Hidden.Weights {
+			w := &n.Hidden.Weights[j]
+			bit := uint64(1) << j
 			for b := 0; b < n.Hidden.In; b++ {
-				flip(&n.Hidden.Weights[j], b)
+				*w ^= 1 << b
+				for i, x := range xs {
+					h := hs[i] &^ bit
+					if n.Hidden.fires(uint64(x), *w) {
+						h |= bit
+					}
+					trial[i] = h
+				}
+				if acc := accuracy(trial); acc > best {
+					best = acc
+					improved = true
+					hs, trial = trial, hs
+				} else {
+					*w ^= 1 << b // revert
+				}
 			}
 		}
 		for b := 0; b < n.Out.In; b++ {
-			flip(&n.Out.Weights[0], b)
+			n.Out.Weights[0] ^= 1 << b
+			if acc := accuracy(hs); acc > best {
+				best = acc
+				improved = true
+			} else {
+				n.Out.Weights[0] ^= 1 << b // revert
+			}
 		}
 		if !improved {
 			break

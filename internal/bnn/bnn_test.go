@@ -145,3 +145,86 @@ func TestNewRandomPanics(t *testing.T) {
 	}()
 	NewRandom(0, 4, stats.NewRNG(1))
 }
+
+// trainNaive is the from-scratch trainer Train must reproduce: every
+// trial flip re-classifies the whole set through Accuracy.
+func trainNaive(n *Network, xs []Input, ys []bool, maxPasses int) float64 {
+	if maxPasses <= 0 {
+		maxPasses = 8
+	}
+	best := n.Accuracy(xs, ys)
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
+		flip := func(w *uint64, bit int) {
+			*w ^= 1 << bit
+			if acc := n.Accuracy(xs, ys); acc > best {
+				best = acc
+				improved = true
+			} else {
+				*w ^= 1 << bit
+			}
+		}
+		for j := range n.Hidden.Weights {
+			for b := 0; b < n.Hidden.In; b++ {
+				flip(&n.Hidden.Weights[j], b)
+			}
+		}
+		for b := 0; b < n.Out.In; b++ {
+			flip(&n.Out.Weights[0], b)
+		}
+		if !improved {
+			break
+		}
+	}
+	return best
+}
+
+// TestTrainMatchesNaive pins the activation-cached trainer to the naive
+// one: the same final weights and the same returned accuracy over seeds,
+// shapes, label noise, an empty set and defaulted pass counts.
+func TestTrainMatchesNaive(t *testing.T) {
+	for _, tc := range []struct {
+		in, hidden, samples, passes int
+		noise                       bool
+	}{
+		{24, 16, 300, 20, false},
+		{24, 16, 300, 20, true},
+		{24, 12, 150, 3, false},
+		{8, 3, 40, 0, false},
+		{5, 1, 17, -1, true},
+		{64, 64, 30, 2, false},
+		{24, 16, 0, 4, false},
+		{12, 6, 0, 0, false},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := stats.NewRNG(seed)
+			teacher := NewRandom(tc.in, tc.hidden, rng.Child())
+			xs := make([]Input, tc.samples)
+			ys := make([]bool, tc.samples)
+			for i := range xs {
+				xs[i] = Input(rng.Uint64() & (1<<tc.in - 1))
+				ys[i] = teacher.Classify(xs[i])
+				if tc.noise && rng.Bool(0.1) {
+					ys[i] = !ys[i]
+				}
+			}
+			a := NewRandom(tc.in, tc.hidden, rng.Child())
+			b := &Network{In: a.In,
+				Hidden: Layer{In: a.Hidden.In, Weights: append([]uint64(nil), a.Hidden.Weights...)},
+				Out:    Layer{In: a.Out.In, Weights: append([]uint64(nil), a.Out.Weights...)},
+			}
+			got, want := a.Train(xs, ys, tc.passes), trainNaive(b, xs, ys, tc.passes)
+			if got != want {
+				t.Fatalf("%+v seed %d: accuracy %v, naive %v", tc, seed, got, want)
+			}
+			for j := range a.Hidden.Weights {
+				if a.Hidden.Weights[j] != b.Hidden.Weights[j] {
+					t.Fatalf("%+v seed %d: hidden weight %d differs", tc, seed, j)
+				}
+			}
+			if a.Out.Weights[0] != b.Out.Weights[0] {
+				t.Fatalf("%+v seed %d: output weights differ", tc, seed)
+			}
+		}
+	}
+}

@@ -101,6 +101,7 @@ func RunExhaustion(cfg ExhaustionConfig) *ExhaustionResult {
 	table := NewTable(cfg.TableCap, cfg.Timeout)
 	lb := NewLoadBalancer(table, cfg.Backends, rng)
 	res := &ExhaustionResult{Config: cfg}
+	vip := packet.MustParseAddr("10.9.0.1")
 
 	type legitConn struct {
 		key     packet.FlowKey
@@ -113,7 +114,7 @@ func RunExhaustion(cfg ExhaustionConfig) *ExhaustionResult {
 	newKey := func() packet.FlowKey {
 		legitID++
 		return packet.FlowKey{
-			Src: packet.Addr(0x14000000 + legitID), Dst: packet.MustParseAddr("10.9.0.1"),
+			Src: packet.Addr(0x14000000 + legitID), Dst: vip,
 			SrcPort: uint16(1024 + legitID%60000), DstPort: 443, Proto: packet.ProtoTCP,
 		}
 	}
@@ -138,7 +139,7 @@ func RunExhaustion(cfg ExhaustionConfig) *ExhaustionResult {
 			attackCarry--
 			attackID++
 			k := packet.FlowKey{
-				Src: packet.Addr(0x1E000000 + attackID), Dst: packet.MustParseAddr("10.9.0.1"),
+				Src: packet.Addr(0x1E000000 + attackID), Dst: vip,
 				SrcPort: uint16(1024 + attackID%60000), DstPort: 443, Proto: packet.ProtoTCP,
 			}
 			lb.Dispatch(now, k, true)

@@ -62,6 +62,8 @@ type eqFlow struct {
 	curCount int
 	phases   []float64 // ring of completed phase rates
 	phasePos int
+	sorted   []float64 // medianPhase scratch: phases ascending
+	centers  []float64 // medianPhase scratch: level centers
 	// Punishment of fast phases: exactly one of the two (1+ε) trials in
 	// each 4-MI decision round is degraded below its (1−ε) counterpart
 	// while the other passes untouched, so the round is inconclusive *by
@@ -220,10 +222,10 @@ func (f *eqFlow) medianPhase() float64 {
 	if len(f.phases) == 0 {
 		return 0
 	}
-	tmp := make([]float64, len(f.phases))
-	copy(tmp, f.phases)
+	tmp := append(f.sorted[:0], f.phases...)
 	sort.Float64s(tmp)
-	var centers []float64
+	f.sorted = tmp
+	centers := f.centers[:0]
 	var sum float64
 	var n int
 	for i, r := range tmp {
@@ -237,6 +239,7 @@ func (f *eqFlow) medianPhase() float64 {
 			centers = append(centers, sum/float64(n))
 		}
 	}
+	f.centers = centers
 	switch len(centers) {
 	case 1:
 		return centers[0]

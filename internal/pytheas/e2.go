@@ -21,30 +21,27 @@ import (
 // Option indexes one of a group's choices (CDN site, bitrate, replica...).
 type Option int
 
-// Aggregator reduces a window of QoE reports to a single score. Mean is
-// Pytheas' default; Median/TrimmedMean/MADFilteredMean are the §5 defense
+// Aggregator reduces an option's window of QoE reports to a single score.
+// Mean is Pytheas' default; Median/Trimmed/MADFiltered are the §5 defense
 // ablation.
-type Aggregator func(window []float64) float64
+type Aggregator func(w *Window) float64
 
 // Mean is the default (attack-prone) aggregator.
-func Mean(w []float64) float64 { return stats.Mean(w) }
+func Mean(w *Window) float64 { return stats.Mean(w.Values()) }
 
 // Median aggregates by the 50th percentile.
-func Median(w []float64) float64 {
-	if len(w) == 0 {
+func Median(w *Window) float64 {
+	if w.Len() == 0 {
 		return 0
 	}
-	return stats.Median(w)
+	return stats.QuantileSorted(w.Sorted(), 0.5)
 }
 
 // Trimmed returns a trimmed-mean aggregator discarding the given fraction
 // at each tail.
 func Trimmed(frac float64) Aggregator {
-	return func(w []float64) float64 {
-		if len(w) == 0 {
-			return 0
-		}
-		return stats.TrimmedMean(w, frac)
+	return func(w *Window) float64 {
+		return stats.TrimmedMeanSorted(w.Sorted(), frac)
 	}
 }
 
@@ -53,25 +50,27 @@ func Trimmed(frac float64) Aggregator {
 // median ("the low-throughput clients can be tackled separately, removing
 // their impact on the larger population"), then averages the rest.
 func MADFiltered(k float64) Aggregator {
-	return func(w []float64) float64 {
-		if len(w) == 0 {
+	return func(w *Window) float64 {
+		if w.Len() == 0 {
 			return 0
 		}
-		med := stats.Median(w)
-		mad := stats.MAD(w)
+		med, mad := stats.MedianMADSorted(w.Sorted())
 		if mad == 0 {
 			return med
 		}
-		var kept []float64
-		for _, x := range w {
+		// The kept reports are summed in arrival order, as stats.Mean
+		// over them would.
+		sum, kept := 0.0, 0
+		for _, x := range w.Values() {
 			if math.Abs(x-med) <= k*mad {
-				kept = append(kept, x)
+				sum += x
+				kept++
 			}
 		}
-		if len(kept) == 0 {
+		if kept == 0 {
 			return med
 		}
-		return stats.Mean(kept)
+		return sum / float64(kept)
 	}
 }
 
@@ -106,37 +105,38 @@ func (c E2Config) Defaults() E2Config {
 }
 
 // Group is the per-group E2 state: a sliding window of QoE reports per
-// option and a UCB decision rule over the aggregated scores.
+// option and a UCB decision rule over the aggregated scores. A Group is
+// not safe for concurrent use; Score may update a window's sorted view.
 type Group struct {
 	cfg     E2Config
-	windows [][]float64 // per option, ring semantics via slicing
+	windows []Window
 	total   int
 }
 
 // NewGroup returns a group with the (defaulted) config.
 func NewGroup(cfg E2Config) *Group {
 	cfg = cfg.Defaults()
-	return &Group{cfg: cfg, windows: make([][]float64, cfg.Options)}
+	g := &Group{cfg: cfg, windows: make([]Window, cfg.Options)}
+	for i := range g.windows {
+		g.windows[i].size = cfg.Window
+	}
+	return g
 }
 
 // Report records one QoE measurement for an option.
 func (g *Group) Report(opt Option, qoe float64) {
-	w := append(g.windows[opt], qoe)
-	if len(w) > g.cfg.Window {
-		w = w[len(w)-g.cfg.Window:]
-	}
-	g.windows[opt] = w
+	g.windows[opt].push(qoe)
 	g.total++
 }
 
 // Score returns the aggregated QoE score of an option (0 when no data).
 func (g *Group) Score(opt Option) float64 {
-	return g.cfg.Aggregate(g.windows[opt])
+	return g.cfg.Aggregate(&g.windows[opt])
 }
 
 // Reports returns a copy of the current report window for an option.
 func (g *Group) Reports(opt Option) []float64 {
-	return append([]float64(nil), g.windows[opt]...)
+	return append([]float64(nil), g.windows[opt].Values()...)
 }
 
 // Decide returns the option for the next session: the one maximizing
@@ -145,7 +145,7 @@ func (g *Group) Decide() Option {
 	best := Option(0)
 	bestScore := math.Inf(-1)
 	for i := range g.windows {
-		n := len(g.windows[i])
+		n := g.windows[i].Len()
 		if n == 0 {
 			return Option(i) // explore untried options immediately
 		}

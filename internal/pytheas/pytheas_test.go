@@ -47,6 +47,16 @@ func TestGroupWindowSlides(t *testing.T) {
 	}
 }
 
+// scoreOf scores one option fed the given reports, in order, under the
+// aggregator.
+func scoreOf(a Aggregator, reports []float64) float64 {
+	g := NewGroup(E2Config{Options: 1, Window: len(reports), Aggregate: a})
+	for _, r := range reports {
+		g.Report(0, r)
+	}
+	return g.Score(0)
+}
+
 func TestAggregatorsAgainstContamination(t *testing.T) {
 	// 20% extreme-low contamination: mean collapses, median and
 	// MAD-filtered mean barely move — the §5 defense property.
@@ -57,16 +67,16 @@ func TestAggregatorsAgainstContamination(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		w[i] = 0.1
 	}
-	if m := Mean(w); m > 4.0 {
+	if m := scoreOf(Mean, w); m > 4.0 {
 		t.Fatalf("mean unexpectedly robust: %v", m)
 	}
-	if m := Median(w); m != 4.5 {
+	if m := scoreOf(Median, w); m != 4.5 {
 		t.Fatalf("median = %v", m)
 	}
-	if m := MADFiltered(3)(w); math.Abs(m-4.5) > 0.01 {
+	if m := scoreOf(MADFiltered(3), w); math.Abs(m-4.5) > 0.01 {
 		t.Fatalf("MAD-filtered mean = %v", m)
 	}
-	if m := Trimmed(0.25)(w); math.Abs(m-4.5) > 0.01 {
+	if m := scoreOf(Trimmed(0.25), w); math.Abs(m-4.5) > 0.01 {
 		t.Fatalf("trimmed mean = %v", m)
 	}
 }
@@ -75,8 +85,8 @@ func TestAggregatorsEmptyWindow(t *testing.T) {
 	for name, a := range map[string]Aggregator{
 		"mean": Mean, "median": Median, "mad": MADFiltered(3), "trim": Trimmed(0.2),
 	} {
-		if v := a(nil); v != 0 {
-			t.Fatalf("%s(nil) = %v", name, v)
+		if v := scoreOf(a, nil); v != 0 {
+			t.Fatalf("%s(empty) = %v", name, v)
 		}
 	}
 }
@@ -202,24 +212,29 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestPoisonSweepParallelMatchesSequential pins the runner's determinism
-// contract for the E5 sweep: identical rows at any worker count.
+// contract for the E5 sweep: identical rows at any worker count. The
+// MAD-filtered run shares one aggregator closure across the workers while
+// each group keeps its own sorted windows, which -race checks.
 func TestPoisonSweepParallelMatchesSequential(t *testing.T) {
-	cfg := SimConfig{Seed: 4, Sessions: 200, Epochs: 80}
-	fractions := []float64{0, 0.1, 0.2, 0.3}
-	a := PoisonSweepN(cfg, fractions, 5, 1)
-	b := PoisonSweepN(cfg, fractions, 5, 4)
-	if len(a) != len(b) {
-		t.Fatal("row counts differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs: %+v vs %+v", i, a[i], b[i])
+	for name, agg := range map[string]Aggregator{"mean": Mean, "mad": MADFiltered(3)} {
+		cfg := SimConfig{Seed: 4, Sessions: 200, Epochs: 80}
+		cfg.E2.Aggregate = agg
+		fractions := []float64{0, 0.1, 0.2, 0.3}
+		a := PoisonSweepN(cfg, fractions, 5, 1)
+		b := PoisonSweepN(cfg, fractions, 5, 4)
+		if len(a) != len(b) {
+			t.Fatalf("%s: row counts differ", name)
 		}
-	}
-	// The sweep must keep fraction order, not completion order.
-	for i := range a {
-		if a[i].BotFraction != fractions[i] {
-			t.Fatalf("row %d out of order: %+v", i, a[i])
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: row %d differs: %+v vs %+v", name, i, a[i], b[i])
+			}
+		}
+		// The sweep must keep fraction order, not completion order.
+		for i := range a {
+			if a[i].BotFraction != fractions[i] {
+				t.Fatalf("%s: row %d out of order: %+v", name, i, a[i])
+			}
 		}
 	}
 }

@@ -23,9 +23,10 @@ func CraftPollutingFlows(m, k, n int, region float64, startLabel FlowID) []FlowI
 		limit = 1
 	}
 	out := make([]FlowID, 0, n)
+	var buf [8]int
 	for id := startLabel; len(out) < n; id++ {
 		ok := true
-		for i, p := range positions(id, k, m) {
+		for i, p := range appendPositions(buf[:0], id, k, m) {
 			if p-i*rangeLen >= limit {
 				ok = false
 				break
@@ -50,12 +51,13 @@ func CraftTargetedHiders(m, k int, victim FlowID, region float64, perCell int, s
 	if limit < 1 {
 		limit = 1
 	}
-	vic := positions(victim, k, m)
+	vic := appendPositions(nil, victim, k, m)
 	var out []FlowID
+	var buf [8]int
 	for target := 0; target < k; target++ {
 		found := 0
 		for id := startLabel; found < perCell; id++ {
-			ps := positions(id, k, m)
+			ps := appendPositions(buf[:0], id, k, m)
 			if ps[target] != vic[target] {
 				continue
 			}

@@ -24,7 +24,8 @@ func NewBloom(m, k int) *Bloom {
 
 // Add inserts a key.
 func (b *Bloom) Add(id FlowID) {
-	for _, p := range positions(id, b.k, len(b.bits)) {
+	var buf [8]int
+	for _, p := range appendPositions(buf[:0], id, b.k, len(b.bits)) {
 		if !b.bits[p] {
 			b.bits[p] = true
 			b.set++
@@ -34,7 +35,8 @@ func (b *Bloom) Add(id FlowID) {
 
 // Contains reports (probabilistic) membership.
 func (b *Bloom) Contains(id FlowID) bool {
-	for _, p := range positions(id, b.k, len(b.bits)) {
+	var buf [8]int
+	for _, p := range appendPositions(buf[:0], id, b.k, len(b.bits)) {
 		if !b.bits[p] {
 			return false
 		}
@@ -64,12 +66,13 @@ func SaturationInsertions(m, k int, targetFPR float64, crafted bool, rng *stats.
 	b := NewBloom(m, k)
 	n := 0
 	next := FlowID(1)
+	var buf [8]int
 	for b.EstimateFPR(400, rng.Child()) < targetFPR {
 		if crafted {
 			// Greedy: take the next key all of whose bits are unset.
 			for {
 				ok := true
-				for _, p := range positions(next, k, m) {
+				for _, p := range appendPositions(buf[:0], next, k, m) {
 					if b.bits[p] {
 						ok = false
 						break

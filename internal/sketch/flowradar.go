@@ -12,11 +12,6 @@
 // inaccurate network statistics".
 package sketch
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-)
-
 // FlowID is the flow label carried by packets (an opaque 64-bit value;
 // real FlowRadar uses the 5-tuple).
 type FlowID uint64
@@ -70,25 +65,35 @@ func (f *FlowRadar) K() int { return f.k }
 // pollution attack works (per Kerckhoff, §2.1); a NewSalted table keys
 // the hash by XORing the secret salt into the label first.
 func (f *FlowRadar) Positions(id FlowID) []int {
-	return positions(id^f.salt, f.k, len(f.cells))
+	return appendPositions(make([]int, 0, f.k), id^f.salt, f.k, len(f.cells))
 }
 
-func positions(id FlowID, k, m int) []int {
-	out := make([]int, k)
+// FNV-1a 64-bit parameters, as hash/fnv uses them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// appendPositions appends the k cell indices of a (salted) label to dst
+// and returns the extended slice. Callers pass a stack array's [:0] so
+// the per-packet path does not allocate for k <= len of that array.
+//
+// Partition i's index is FNV-1a over the 9 bytes {i, id big-endian}. The
+// partition index goes FIRST: appended last it would only perturb FNV's
+// final step, leaving the per-partition offsets of one id
+// deterministically correlated (two flows colliding in one partition
+// would collide in all of them, which breaks peeling).
+func appendPositions(dst []int, id FlowID, k, m int) []int {
 	rangeLen := m / k
-	var buf [9]byte
-	// The partition index goes FIRST: appended last it would only
-	// perturb FNV's final step, leaving the per-partition offsets of one
-	// id deterministically correlated (two flows colliding in one
-	// partition would collide in all of them, which breaks peeling).
-	binary.BigEndian.PutUint64(buf[1:], uint64(id))
 	for i := 0; i < k; i++ {
-		buf[0] = byte(i)
-		h := fnv.New64a()
-		h.Write(buf[:])
-		out[i] = i*rangeLen + int(h.Sum64()%uint64(rangeLen))
+		h := (fnvOffset64 ^ uint64(byte(i))) * fnvPrime64
+		for shift := 56; shift >= 0; shift -= 8 {
+			h ^= uint64(byte(id >> shift))
+			h *= fnvPrime64
+		}
+		dst = append(dst, i*rangeLen+int(h%uint64(rangeLen)))
 	}
-	return out
+	return dst
 }
 
 // Add records one packet of the given flow: the flow's label enters the
@@ -99,7 +104,8 @@ func (f *FlowRadar) Add(id FlowID) {
 	if newFlow {
 		f.seen[id] = true
 	}
-	for _, p := range f.Positions(id) {
+	var buf [8]int
+	for _, p := range appendPositions(buf[:0], id^f.salt, f.k, len(f.cells)) {
 		c := &f.cells[p]
 		if newFlow {
 			c.FlowXOR ^= id
@@ -114,7 +120,8 @@ func (f *FlowRadar) Add(id FlowID) {
 // subtracting two meters leaves exactly the lost packets (a flow present
 // in both meters cancels out of the flow fields entirely).
 func (f *FlowRadar) AddPacket(id FlowID) {
-	for _, p := range f.Positions(id) {
+	var buf [8]int
+	for _, p := range appendPositions(buf[:0], id^f.salt, f.k, len(f.cells)) {
 		c := &f.cells[p]
 		c.FlowXOR ^= id
 		c.FlowCount++
@@ -139,6 +146,7 @@ func (f *FlowRadar) Decode() Decoded {
 	out := Decoded{Flows: map[FlowID]uint64{}}
 
 	queue := make([]int, 0, len(cells))
+	var refBuf [8]int
 	for i, c := range cells {
 		if c.Pure() {
 			queue = append(queue, i)
@@ -156,7 +164,7 @@ func (f *FlowRadar) Decode() Decoded {
 		// it must hash back to this cell. (With distinct per-partition
 		// positions this always holds; the check guards the decoder
 		// against adversarially corrupted state regardless.)
-		backRefs := positions(id^f.salt, f.k, len(cells))
+		backRefs := appendPositions(refBuf[:0], id^f.salt, f.k, len(cells))
 		found := false
 		for _, p := range backRefs {
 			if p == i {

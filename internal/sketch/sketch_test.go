@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -82,7 +84,7 @@ func TestCraftedFlowsLandInRegion(t *testing.T) {
 	rangeLen := m / k
 	limit := int(0.05 * float64(rangeLen))
 	for _, id := range flows {
-		for i, p := range positions(id, k, m) {
+		for i, p := range appendPositions(nil, id, k, m) {
 			if p-i*rangeLen >= limit {
 				t.Fatalf("flow %x position %d outside region of partition %d", id, p, i)
 			}
@@ -262,5 +264,29 @@ func TestLossRadarPollutionMasksLosses(t *testing.T) {
 	}
 	if rep.Residue == 0 {
 		t.Fatal("no residue: pollution had no effect")
+	}
+}
+
+// TestInlineHashMatchesFNV pins the inline FNV-1a of appendPositions to
+// hash/fnv's New64a over the same 9 bytes, on random labels and table
+// shapes.
+func TestInlineHashMatchesFNV(t *testing.T) {
+	rng := stats.NewRNG(11)
+	for n := 0; n < 2000; n++ {
+		id := FlowID(rng.Uint64())
+		k := 1 + rng.IntN(12)
+		m := k + rng.IntN(5000)
+		got := appendPositions(nil, id, k, m)
+		rangeLen := m / k
+		var buf [9]byte
+		binary.BigEndian.PutUint64(buf[1:], uint64(id))
+		for i := 0; i < k; i++ {
+			buf[0] = byte(i)
+			h := fnv.New64a()
+			h.Write(buf[:])
+			if want := i*rangeLen + int(h.Sum64()%uint64(rangeLen)); got[i] != want {
+				t.Fatalf("id %x k %d m %d partition %d: %d, want %d", id, k, m, i, got[i], want)
+			}
+		}
 	}
 }

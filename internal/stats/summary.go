@@ -143,3 +143,100 @@ func MAD(xs []float64) float64 {
 	}
 	return Median(dev)
 }
+
+// TrimmedMeanSorted is TrimmedMean for data already sorted ascending; it
+// does not copy.
+func TrimmedMeanSorted(sorted []float64, trim float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	if trim < 0 || trim >= 0.5 {
+		panic("stats: trim fraction must be in [0, 0.5)")
+	}
+	k := int(trim * float64(len(sorted)))
+	return Mean(sorted[k : len(sorted)-k])
+}
+
+// MedianMAD returns Median(xs) and MAD(xs) from one sorted copy of xs
+// instead of the three sorts the two calls make. It panics on an empty
+// slice, as Median does.
+func MedianMAD(xs []float64) (med, mad float64) {
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	sort.Float64s(s)
+	return MedianMADSorted(s)
+}
+
+// MedianMADSorted is MedianMAD for data already sorted as sort.Float64s
+// sorts (NaNs first, then ascending); it neither copies nor allocates.
+//
+// The deviations |x − med| are V-shaped over sorted data — falling up to
+// the median, rising after it, since rounded subtraction is monotone — so
+// the order statistics the MAD's median needs come from merging the two
+// runs outward from the median, without materializing or sorting them.
+// Each deviation is computed exactly as MAD computes it, so both results
+// equal Median and MAD bit for bit (a NaN result may carry a different
+// NaN payload).
+func MedianMADSorted(sorted []float64) (med, mad float64) {
+	n := len(sorted)
+	if n == 0 {
+		panic("stats: quantile of empty slice")
+	}
+	med = quantileSorted(sorted, 0.5)
+	// The order statistics quantileSorted(·, 0.5) reads, and their weight.
+	pos := 0.5 * float64(n-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+	frac := pos - float64(lo)
+	// Sorted deviations are the NaN ones first (NaN inputs, and inputs
+	// equal to an infinite median), then the rest ascending; dev returns
+	// the one at the given rank.
+	nans := 0
+	for nans < n && math.IsNaN(sorted[nans]) {
+		nans++
+	}
+	var dLo, dHi float64
+	switch {
+	case math.IsNaN(med):
+		return med, math.NaN()
+	case math.IsInf(med, 0):
+		// Every non-NaN deviation is Inf except at x == med (Inf − Inf).
+		for _, x := range sorted[nans:] {
+			if x == med {
+				nans++
+			}
+		}
+		dLo, dHi = math.Inf(1), math.Inf(1)
+		if lo < nans {
+			dLo = math.NaN()
+		}
+		if hi < nans {
+			dHi = math.NaN()
+		}
+	default:
+		dLo, dHi = math.NaN(), math.NaN()
+		r := sorted[nans:]
+		// j is the first index at or above the median, i the last below.
+		j := sort.SearchFloat64s(r, med)
+		i := j - 1
+		for rank := nans; rank <= hi; rank++ {
+			var d float64
+			if j >= len(r) || (i >= 0 && math.Abs(r[i]-med) < math.Abs(r[j]-med)) {
+				d = math.Abs(r[i] - med)
+				i--
+			} else {
+				d = math.Abs(r[j] - med)
+				j++
+			}
+			if rank == lo {
+				dLo = d
+			}
+			if rank == hi {
+				dHi = d
+			}
+		}
+	}
+	if lo == hi {
+		return med, dLo
+	}
+	return med, dLo*(1-frac) + dHi*frac
+}

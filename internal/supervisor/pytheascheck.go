@@ -36,8 +36,7 @@ func (g *PytheasGuard) Check(reports []float64) Verdict {
 	if k <= 0 {
 		k = 4
 	}
-	med := stats.Median(reports)
-	mad := stats.MAD(reports)
+	med, mad := stats.MedianMAD(reports)
 	if mad == 0 {
 		mad = 1e-9
 	}

@@ -91,6 +91,7 @@ type Sender struct {
 	// OnComplete, if set, fires when TotalBytes are ACKed.
 	OnComplete func(now float64)
 	paceNext   float64
+	repump     func() // s.pump, bound once so pacing re-arms allocate nothing
 }
 
 type sendInfo struct {
@@ -112,12 +113,13 @@ func Start(src, dst *Endpoint, cfg Config) *Sender {
 		rto:      cfg.RTOInit,
 	}
 	s.stats.RTO = s.rto
+	s.repump = s.pump
 	// Receiver: consumes data arriving with the forward key, ACKs back.
 	r := &receiver{net: dst.node.Net(), node: dst.node, key: cfg.Key, mss: cfg.MSS, rwnd: cfg.RcvWindow}
 	dst.Register(cfg.Key, r)
 	// Sender consumes ACKs arriving with the reverse key.
 	src.Register(cfg.Key.Reverse(), netsim.ReceiverFunc(s.onAck))
-	s.net.Engine().After(0, func() { s.pump() })
+	s.net.Engine().After(0, s.repump)
 	return s
 }
 
@@ -155,7 +157,7 @@ func (s *Sender) pump() {
 		if s.cfg.Pace > 0 {
 			if now < s.paceNext {
 				// Try again when the pacing gate opens.
-				s.net.Engine().At(s.paceNext, func() { s.pump() })
+				s.net.Engine().At(s.paceNext, s.repump)
 				return
 			}
 			s.paceNext = now + 1/s.cfg.Pace
