@@ -9,6 +9,16 @@
 // fast smoke pass. -parallel N runs the eight report sections — and the
 // seeded trials inside each — concurrently on the trial runner; the
 // report text is identical at every worker count.
+//
+// duireport <subcommand> [flags] prints one experiment's full tables:
+//
+//	blink-survey       E2: per prefix, tR (how long a legit flow stays in Blink's sample) and the qm needed
+//	blink-hijack       E3: faked retransmissions reroute a healthy prefix onto the attacker's path;
+//	                   -defended adds the §5 supervisor, -legit runs a genuine failure instead
+//	pcc-oscillate      E4: the utility equalizer pins PCC flows near their start rate for <1% drops
+//	pytheas-poison     E5: honest QoE vs botnet share, with and without dedup + MAD; the throttle stampede
+//	nethide-trace      E6: NetHide's accuracy/utility/security trade-off; an operator's lie hides the bottleneck
+//	dataplane-attacks  E7: §3.2 breadth: SP-PIFO, FlowRadar/Bloom, RON, DAPPER, state exhaustion, BNN
 package main
 
 import (
@@ -16,83 +26,133 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"os"
+	"sort"
 	"strings"
 
 	"dui"
 	"dui/internal/blink"
 	"dui/internal/cli"
 	"dui/internal/conntrack"
+	"dui/internal/graph"
 	"dui/internal/nethide"
 	"dui/internal/prof"
+	"dui/internal/pytheas"
 	"dui/internal/robustness"
+	"dui/internal/ron"
 	"dui/internal/runner"
 	"dui/internal/sketch"
 	"dui/internal/stats"
 )
 
+// subcommands maps each single-experiment mode to its body, which
+// defines its flags and calls start as a standalone main would.
+var subcommands = map[string]func(){
+	"blink-survey":      blinkSurvey,
+	"blink-hijack":      blinkHijack,
+	"pcc-oscillate":     pccOscillate,
+	"pytheas-poison":    pytheasPoison,
+	"nethide-trace":     nethideTrace,
+	"dataplane-attacks": dataplaneAttacks,
+}
+
+// main dispatches on os.Args[1] before any flag is parsed: a subcommand
+// name is shifted off os.Args, so the subcommand parses its own flags.
+// Any other word is left for the report mode to reject.
 func main() {
+	flag.Usage = usage
+	run := report
+	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
+		run = subcommands[os.Args[1]]
+		os.Args = os.Args[1:]
+	}
+	run()
+}
+
+// start parses the command line of tool, rejects a stray positional
+// argument (or an unknown subcommand) with the usage and exit status 2,
+// and starts the profiling the flags ask for; defer the returned stop.
+func start(tool string) (stop func()) {
+	cli.Parse(tool)
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "%s: unexpected argument %q\n", tool, flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
+	return prof.Start()
+}
+
+// usage prints the synopsis, the subcommands and the defined flags.
+func usage() {
+	var names []string
+	for name := range subcommands {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fmt.Fprintf(os.Stderr, "usage: duireport [flags] | duireport <subcommand> [flags]\nsubcommands: %s\nflags:\n",
+		strings.Join(names, " "))
+	flag.PrintDefaults()
+}
+
+// report is the default mode: every experiment's section, in order.
+func report() {
 	var (
 		quick    = flag.Bool("quick", false, "reduced-scale smoke run")
 		seed     = cli.Seed("")
 		parallel = cli.Parallel("workers for sections and trials (0 = all cores; report identical at any setting)")
 	)
-	cli.Parse("duireport")
-	defer prof.Start()()
+	defer start("duireport")()
 
 	fmt.Printf("# Reproduction report (seed %d, quick=%v)\n", *seed, *quick)
 
-	sections := []func(quick bool, seed uint64, workers int) string{
+	sections := []func(b *strings.Builder, quick bool, seed uint64, workers int){
 		e1, e2, e3, e4, e5, e6, e7, e8,
 	}
 	outputs, _ := runner.Map(context.Background(), sections, *seed, runner.Config{Workers: *parallel},
-		func(_ context.Context, t runner.Trial, section func(bool, uint64, int) string) (string, error) {
-			return section(*quick, *seed, *parallel), nil
+		func(_ context.Context, t runner.Trial, section func(*strings.Builder, bool, uint64, int)) (string, error) {
+			var b strings.Builder
+			section(&b, *quick, *seed, *parallel)
+			return b.String(), nil
 		})
 	for _, out := range outputs {
 		fmt.Print(out)
 	}
 }
 
-func e1(quick bool, seed uint64, workers int) string {
-	var b strings.Builder
+func e1(b *strings.Builder, quick bool, seed uint64, workers int) {
 	cfg := dui.Fig2Config{Seed: seed, Parallel: workers}
 	if quick {
 		cfg.Runs, cfg.Duration, cfg.LegitFlows = 4, 400, 2000
 	}
 	res := dui.RunFig2(cfg)
+	cross, _ := res.TheoryMean.FirstCrossing(32)
 	var hits []float64
-	missed := 0
 	for _, h := range res.HitTimes {
-		if math.IsNaN(h) {
-			missed++
-		} else {
+		if !math.IsNaN(h) {
 			hits = append(hits, h)
 		}
 	}
-	fmt.Fprintf(&b, "\n## E1 — Fig 2: malicious flows sampled by Blink\n")
-	fmt.Fprintf(&b, "- parameters: tR=%.2fs (measured %.2fs), qm=%.4f, %d runs\n",
+	fmt.Fprintf(b, "\n## E1 — Fig 2: malicious flows sampled by Blink\n")
+	fmt.Fprintf(b, "- parameters: tR=%.2fs (measured %.2fs), qm=%.4f, %d runs\n",
 		res.Config.TR, res.MeasuredTR, res.Config.Qm, res.Config.Runs)
-	fmt.Fprintf(&b, "- theory: E[hit 32 cells]=%.0fs (p5 %.0fs, p95 %.0fs); mean curve crosses 32 at %.0fs\n",
-		res.TheoryExpectedHit, res.TheoryHitP5, res.TheoryHitP95, crossing(res.TheoryMean, 32))
+	fmt.Fprintf(b, "- theory: E[hit 32 cells]=%.0fs (p5 %.0fs, p95 %.0fs); mean curve crosses 32 at %.0fs\n",
+		res.TheoryExpectedHit, res.TheoryHitP5, res.TheoryHitP95, cross)
 	if len(hits) > 0 {
-		fmt.Fprintf(&b, "- simulation: mean hit %.0fs, median %.0fs, p5 %.0fs, p95 %.0fs (%d/%d runs reached majority)\n",
+		fmt.Fprintf(b, "- simulation: mean hit %.0fs, median %.0fs, p5 %.0fs, p95 %.0fs (%d/%d runs reached majority)\n",
 			stats.Mean(hits), stats.Median(hits), stats.Quantile(hits, 0.05), stats.Quantile(hits, 0.95),
 			len(hits), res.Config.Runs)
 	}
-	fmt.Fprintf(&b, "- end-of-run sample: sim %.1f cells, theory %.1f, finite-pool bound %.1f\n",
+	fmt.Fprintf(b, "- end-of-run sample: sim %.1f cells, theory %.1f, finite-pool bound %.1f\n",
 		last(res.SimMean), last(res.TheoryMean), blink.ExpectedCapturable(res.Config.Blink.Cells, res.Config.MalFlows()))
-	fmt.Fprintf(&b, "- paper: avg 172s to majority, simulations ~200s, sample saturates high\n")
-	return b.String()
+	fmt.Fprintf(b, "- paper: avg 172s to majority, simulations ~200s, sample saturates high\n")
 }
 
-func e2(quick bool, seed uint64, workers int) string {
-	var b strings.Builder
+func e2(b *strings.Builder, quick bool, seed uint64, workers int) {
 	n, flows := 20, 500
 	if quick {
 		n, flows = 8, 250
 	}
-	prefixes := dui.SyntheticSurvey(n, seed)
-	rows := dui.RunSurveyN(dui.BlinkConfig{}, prefixes, flows, seed+1, workers)
+	rows := survey(n, flows, seed, workers)
 	var trs []float64
 	ge10, feasible := 0, 0
 	for _, r := range rows {
@@ -104,30 +164,142 @@ func e2(quick bool, seed uint64, workers int) string {
 			feasible++
 		}
 	}
-	fmt.Fprintf(&b, "\n## E2 — prefix survey (tR and required qm)\n")
-	fmt.Fprintf(&b, "- %d synthetic prefixes: median tR %.1fs, %d/%d with tR>=10s\n",
+	fmt.Fprintf(b, "\n## E2 — prefix survey (tR and required qm)\n")
+	fmt.Fprintf(b, "- %d synthetic prefixes: median tR %.1fs, %d/%d with tR>=10s\n",
 		n, stats.Median(trs), ge10, n)
-	fmt.Fprintf(&b, "- prefixes attackable at qm<=5.25%% within one reset: %d/%d\n", feasible, n)
-	fmt.Fprintf(&b, "- required qm is monotone in tR (theory property, verified in tests)\n")
-	fmt.Fprintf(&b, "- paper: median tR ~5s; half of prefixes ~10s; longer tR needs higher qm\n")
-	return b.String()
+	fmt.Fprintf(b, "- prefixes attackable at qm<=5.25%% within one reset: %d/%d\n", feasible, n)
+	fmt.Fprintf(b, "- required qm is monotone in tR (theory property, verified in tests)\n")
+	fmt.Fprintf(b, "- paper: median tR ~5s; half of prefixes ~10s; longer tR needs higher qm\n")
 }
 
-func e3(quick bool, seed uint64, workers int) string {
-	var b strings.Builder
-	legit := dui.RunFailover(dui.FailoverConfig{FailAt: 20, Duration: 45})
+// survey measures tR and the required qm for n synthetic prefixes (E2).
+func survey(n, flows int, seed uint64, workers int) []blink.SurveyRow {
+	return dui.RunSurveyN(dui.BlinkConfig{}, dui.SyntheticSurvey(n, seed), flows, seed+1, workers)
+}
+
+func blinkSurvey() {
+	var (
+		n        = flag.Int("prefixes", 20, "number of synthetic prefixes")
+		flows    = flag.Int("flows", 500, "concurrent flows per prefix workload")
+		seed     = cli.Seed("")
+		parallel = cli.Parallel("")
+	)
+	defer start("duireport blink-survey")()
+
+	rows := survey(*n, *flows, *seed, *parallel)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].TR < rows[j].TR })
+
+	fmt.Printf("§3.1 prefix survey — %d synthetic prefixes, Blink defaults (64 cells, 8.5 min reset)\n\n", *n)
+	fmt.Printf("%-8s %12s %8s %10s %14s %16s\n",
+		"prefix", "meanFlowDur", "pps", "tR (s)", "required qm", "E[hit] @ qm=5.25%")
+	for _, r := range rows {
+		hit := fmt.Sprintf("%8.0f s", r.HitAtPaperQm)
+		if r.HitAtPaperQm > 510 {
+			hit = " >budget"
+		}
+		fmt.Printf("%-8s %10.1fs %8.1f %10.2f %14.4f %16s\n",
+			r.Name, r.MeanDuration, r.PPS, r.TR, r.RequiredQm, hit)
+	}
+
+	trs := make([]float64, len(rows))
+	ge10, feasible := 0, 0
+	for i, r := range rows {
+		trs[i] = r.TR
+		if r.TR >= 10 {
+			ge10++
+		}
+		if r.HitAtPaperQm <= 510 {
+			feasible++
+		}
+	}
+	fmt.Printf("\nmedian tR: %.1f s   mean: %.1f s   prefixes with tR >= 10 s: %d/%d\n",
+		stats.Median(trs), stats.Mean(trs), ge10, len(rows))
+	fmt.Printf("prefixes attackable at the paper's qm=5.25%% within one reset budget: %d/%d\n", feasible, len(rows))
+	fmt.Printf("\npaper: median tR ~5 s across the top-20 prefixes; longer tR requires higher qm.\n")
+}
+
+func e3(b *strings.Builder, quick bool, seed uint64, workers int) {
+	legit := genuineFailover()
 	res := dui.RunHijack(dui.HijackConfig{Seed: seed})
-	fmt.Fprintf(&b, "\n## E3 — end-to-end Blink behaviour\n")
-	fmt.Fprintf(&b, "- genuine failure: detected in %.2fs, %d/%d flows recovered via backup\n",
+	fmt.Fprintf(b, "\n## E3 — end-to-end Blink behaviour\n")
+	fmt.Fprintf(b, "- genuine failure: detected in %.2fs, %d/%d flows recovered via backup\n",
 		legit.DetectionLatency, legit.RecoveredFlows, legit.Config.Flows)
-	fmt.Fprintf(&b, "- hijack: attacker held %d/64 cells at trigger; reroute %.2fs after the storm; %d packets crossed the attacker router\n",
+	fmt.Fprintf(b, "- hijack: attacker held %d/64 cells at trigger; reroute %.2fs after the storm; %d packets crossed the attacker router\n",
 		res.MaliciousCellsAtTrigger, res.Latency, res.HijackedPackets)
-	fmt.Fprintf(&b, "- paper: single-host-level attacker can induce rerouting onto a path she controls\n")
-	return b.String()
+	fmt.Fprintf(b, "- paper: single-host-level attacker can induce rerouting onto a path she controls\n")
 }
 
-func e4(quick bool, seed uint64, workers int) string {
-	var b strings.Builder
+// genuineFailover is Blink's intended function: a real primary-path
+// failure at t=20 s with real TCP flows (E3's baseline).
+func genuineFailover() *dui.FailoverResult {
+	return dui.RunFailover(dui.FailoverConfig{FailAt: 20, Duration: 45})
+}
+
+func blinkHijack() {
+	var (
+		seed     = cli.Seed("")
+		trigger  = flag.Float64("trigger", 150, "attack trigger time (s)")
+		duration = flag.Float64("duration", 200, "horizon (s)")
+		mal      = flag.Int("malflows", 80, "attacker flow pool")
+		legit    = flag.Int("legitflows", 400, "legitimate flow population")
+		defended = flag.Bool("defended", false, "install the §5 RTO-plausibility supervisor")
+		legitRun = flag.Bool("legit", false, "run a genuine failure instead of the attack")
+		runs     = flag.Int("runs", 1, "independent seeded trials (>1 prints ensemble statistics)")
+		parallel = cli.Parallel("")
+	)
+	defer start("duireport blink-hijack")()
+
+	if *legitRun {
+		res := genuineFailover()
+		fmt.Printf("Blink legitimate operation — real failure at t=%.0fs\n", res.FailureAt)
+		fmt.Printf("  rerouted: %v at t=%.2fs (detection latency %.2fs)\n",
+			res.Rerouted, res.RerouteTime, res.DetectionLatency)
+		fmt.Printf("  flows recovered after failover: %d/%d\n", res.RecoveredFlows, res.Config.Flows)
+		fmt.Printf("  retransmission gaps observed: %d (RTO-shaped; supervisor training signal)\n", len(res.RetransGaps))
+		return
+	}
+
+	cfg := dui.HijackConfig{
+		Seed: *seed, TriggerAt: *trigger, Duration: *duration,
+		MalFlows: *mal, LegitFlows: *legit,
+	}
+	if *defended {
+		model := dui.DefaultRTOModel()
+		cfg.Hook = func(p *blink.Pipeline) { dui.GuardPipeline(p, model) }
+	}
+
+	if *runs > 1 {
+		ens := dui.SummarizeHijacks(dui.HijackTrials(cfg, *runs, *parallel))
+		fmt.Printf("§3.1 Blink traffic hijack — %d seeded trials (qm=%.2f, trigger at %.0fs, defended=%v)\n",
+			ens.Trials, float64(*mal)/float64(*legit), *trigger, *defended)
+		fmt.Printf("  attack succeeded (reroute onto attacker path): %d/%d trials\n", ens.Rerouted, ens.Trials)
+		fmt.Printf("  attacker-held cells at trigger: %.1f mean\n", ens.CellsMean)
+		if ens.Rerouted > 0 {
+			fmt.Printf("  reroute latency after the storm: mean %.2fs, p95 %.2fs\n", ens.LatencyMean, ens.LatencyP95)
+		}
+		fmt.Printf("  victim packets through the attacker across all trials: %d\n", ens.HijackedPackets)
+		return
+	}
+
+	res := dui.RunHijack(cfg)
+
+	fmt.Printf("§3.1 Blink traffic hijack (qm=%.2f, trigger at %.0fs, defended=%v)\n",
+		float64(res.Config.MalFlows)/float64(res.Config.LegitFlows), *trigger, *defended)
+	fmt.Printf("  malicious cells at trigger: %d/%d (threshold %d)\n",
+		res.MaliciousCellsAtTrigger, res.Config.Blink.Cells, res.Config.Blink.Threshold)
+	if res.Rerouted {
+		fmt.Printf("  HIJACKED: reroute at t=%.2fs (%.2fs after the storm started)\n", res.RerouteTime, res.Latency)
+		fmt.Printf("  victim traffic through the attacker's router: %d packets\n", res.HijackedPackets)
+	} else {
+		fmt.Printf("  no reroute (attack failed or was blocked)\n")
+	}
+	if res.VetoedReroutes > 0 {
+		fmt.Printf("  supervisor vetoed %d reroute attempt(s): retransmission timing did not match the RTO model\n",
+			res.VetoedReroutes)
+	}
+}
+
+func e4(b *strings.Builder, quick bool, seed uint64, workers int) {
 	dur := 120.0
 	flows := 10
 	if quick {
@@ -141,63 +313,199 @@ func e4(quick bool, seed uint64, workers int) string {
 	}, workers)
 	clean, attacked, fleetC, fleetA := runs[0], runs[1], runs[2], runs[3]
 	_, amp := dui.ForcedOscillation(0.01, 0.05, 10)
-	fmt.Fprintf(&b, "\n## E4 — PCC utility equalizer\n")
-	fmt.Fprintf(&b, "- single flow: clean %.0f pkts/s vs attacked %.0f pkts/s (capacity 1000); oscillation %.1f%%; drop budget %.2f%%\n",
+	fmt.Fprintf(b, "\n## E4 — PCC utility equalizer\n")
+	fmt.Fprintf(b, "- single flow: clean %.0f pkts/s vs attacked %.0f pkts/s (capacity 1000); oscillation %.1f%%; drop budget %.2f%%\n",
 		clean.MeanRateLate, attacked.MeanRateLate, 100*attacked.Flows[0].OscAmplitude, 100*attacked.DropFraction)
-	fmt.Fprintf(&b, "- fleet of %d flows: aggregate %.0f -> %.0f pkts/s; arrival CV %.2f%% -> %.2f%%\n",
-		flows, lateMean(fleetC.AggSeries, dur*2/3), lateMean(fleetA.AggSeries, dur*2/3),
+	fmt.Fprintf(b, "- fleet of %d flows: aggregate %.0f -> %.0f pkts/s; arrival CV %.2f%% -> %.2f%%\n",
+		flows, fleetC.AggMeanLate, fleetA.AggMeanLate,
 		100*fleetC.AggCV, 100*fleetA.AggCV)
-	fmt.Fprintf(&b, "- analytic model: tied trials escalate ε to the 5%% cap -> ±5%% forced oscillation (peak-to-peak %.0f%%)\n", 100*amp)
-	fmt.Fprintf(&b, "- paper: flows fluctuate ±5%% without converging; fleet-level traffic fluctuation at the destination\n")
-	return b.String()
+	fmt.Fprintf(b, "- analytic model: tied trials escalate ε to the 5%% cap -> ±5%% forced oscillation (peak-to-peak %.0f%%)\n", 100*amp)
+	fmt.Fprintf(b, "- paper: flows fluctuate ±5%% without converging; fleet-level traffic fluctuation at the destination\n")
 }
 
-func e5(quick bool, seed uint64, workers int) string {
-	var b strings.Builder
+func pccOscillate() {
+	var (
+		flows    = flag.Int("flows", 1, "concurrent PCC flows to one destination")
+		duration = flag.Float64("duration", 120, "horizon (s)")
+		seed     = cli.Seed("")
+		capacity = flag.Float64("capacity", 1000, "per-flow bottleneck capacity (pkts/s)")
+		miTrace  = flag.Bool("mitrace", false, "dump flow 0's monitor-interval records")
+	)
+	defer start("duireport pcc-oscillate")()
+
+	cfg := dui.OscConfig{Flows: *flows, Duration: *duration, Seed: *seed, CapacityPPS: *capacity}
+	clean := dui.RunOscillation(cfg)
+	cfg.Attack = true
+	attacked := dui.RunOscillation(cfg)
+
+	fmt.Printf("§4.2 PCC under the utility equalizer — %d flow(s), capacity %.0f pkts/s\n\n", *flows, *capacity)
+	fmt.Printf("%-22s %14s %14s\n", "", "clean", "attacked")
+	fmt.Printf("%-22s %12.0f %14.0f   pkts/s (late mean base rate)\n", "rate", clean.MeanRateLate, attacked.MeanRateLate)
+	fmt.Printf("%-22s %13.1f%% %13.1f%%  (peak-to-peak / mean, late)\n", "rate oscillation",
+		100*clean.Flows[0].OscAmplitude, 100*attacked.Flows[0].OscAmplitude)
+	fmt.Printf("%-22s %13.2f%% %13.2f%%\n", "aggregate arrival CV", 100*clean.AggCV, 100*attacked.AggCV)
+	fmt.Printf("%-22s %14s %13.2f%%  of packets dropped by the MitM\n", "attack budget", "-", 100*attacked.DropFraction)
+
+	_, amp := dui.ForcedOscillation(0.01, 0.05, 10)
+	fmt.Printf("\nanalytic §4.2 model: with every trial tied, ε escalates 0.01→0.05 and the rate\n")
+	fmt.Printf("fluctuates ±5%% forever (peak-to-peak %.0f%% of base) without converging.\n", 100*amp)
+
+	if *miTrace {
+		fmt.Printf("\nflow 0 monitor intervals (attacked):\n")
+		for _, r := range attacked.Records {
+			fmt.Printf("  t=%6.1f rate=%7.1f role=%-7s loss=%.3f u=%9.2f eps=%.2f state=%s\n",
+				r.Start, r.Rate, r.Role, r.Loss, r.Utility, r.Eps, r.State)
+		}
+	}
+}
+
+func e5(b *strings.Builder, quick bool, seed uint64, workers int) {
 	cfg := dui.PytheasConfig{Seed: seed}
 	if quick {
 		cfg.Sessions, cfg.Epochs = 500, 150
 	}
 	fractions := []float64{0, 0.1, 0.2, 0.3}
 	rows := dui.PoisonSweepN(cfg, fractions, 5, workers)
-	fmt.Fprintf(&b, "\n## E5 — Pytheas group poisoning\n")
+	fmt.Fprintf(b, "\n## E5 — Pytheas group poisoning\n")
 	for i, f := range fractions {
-		fmt.Fprintf(&b, "- botnet %.0f%%: honest QoE %.2f, %.0f%% of honest sessions still on the good option\n",
+		fmt.Fprintf(b, "- botnet %.0f%%: honest QoE %.2f, %.0f%% of honest sessions still on the good option\n",
 			100*f, rows[i].HonestQoELate, 100*rows[i].GoodShareLate)
 	}
 	out := dui.RunThrottle(cfg, 0.7, 0.2)
-	fmt.Fprintf(&b, "- throttle attack: QoE %.2f -> %.2f, peak stampede %.0f%% onto the capacity-limited site\n",
+	fmt.Fprintf(b, "- throttle attack: QoE %.2f -> %.2f, peak stampede %.0f%% onto the capacity-limited site\n",
 		out.Baseline.HonestQoELate, out.Attacked.HonestQoELate, 100*out.PeakStampedeShare)
-	fmt.Fprintf(&b, "- paper: a minority of manipulated clients drives group-wide decisions; throttling stampedes/overloads a CDN site\n")
-	return b.String()
+	fmt.Fprintf(b, "- paper: a minority of manipulated clients drives group-wide decisions; throttling stampedes/overloads a CDN site\n")
 }
 
-func e6(quick bool, seed uint64, workers int) string {
-	var b strings.Builder
+func pytheasPoison() {
+	var (
+		sessions   = flag.Int("sessions", 1000, "group population")
+		epochs     = flag.Int("epochs", 300, "simulation epochs")
+		seed       = cli.Seed("")
+		multiplier = flag.Int("multiplier", 5, "fake reports per bot per epoch")
+	)
+	defer start("duireport pytheas-poison")()
+
+	fractions := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5}
+	base := dui.PytheasConfig{Sessions: *sessions, Epochs: *epochs, Seed: *seed}
+
+	fmt.Printf("§4.1 Pytheas report poisoning — %d sessions, bots submit %dx report volume\n\n", *sessions, *multiplier)
+	fmt.Printf("%-10s | %-28s | %-28s\n", "", "mean aggregation (default)", "defense: dedup + MAD filter")
+	fmt.Printf("%-10s | %12s %14s | %12s %14s\n", "botnet f", "honest QoE", "on good opt", "honest QoE", "on good opt")
+
+	defended := base
+	defended.E2.Aggregate = pytheas.MADFiltered(3)
+	defended.DedupReports = true
+
+	vuln := dui.PoisonSweep(base, fractions, *multiplier)
+	prot := dui.PoisonSweep(defended, fractions, *multiplier)
+	for i := range fractions {
+		fmt.Printf("%-10.2f | %12.2f %13.0f%% | %12.2f %13.0f%%\n",
+			fractions[i],
+			vuln[i].HonestQoELate, 100*vuln[i].GoodShareLate,
+			prot[i].HonestQoELate, 100*prot[i].GoodShareLate)
+	}
+
+	fmt.Printf("\n§4.1 selective throttling (MitM/operator): coverage 70%% of sessions, severity 0.2\n")
+	out := dui.RunThrottle(base, 0.7, 0.2)
+	fmt.Printf("  baseline honest QoE: %.2f -> attacked: %.2f (drop %.2f)\n",
+		out.Baseline.HonestQoELate, out.Attacked.HonestQoELate, out.QoEDrop)
+	fmt.Printf("  peak stampede onto the capacity-limited fallback site: %.0f%% of the group\n",
+		100*out.PeakStampedeShare)
+	fmt.Printf("  (the group oscillates between the throttled site and the overloaded one)\n")
+}
+
+func e6(b *strings.Builder, quick bool, seed uint64, workers int) {
+	h := hideHottestLink()
+	virt, m := dui.Obfuscate(h.g, h.pairs, dui.NetHideConfig{DensityCap: 30}, seed)
+	atk := nethide.EvaluateAttack(h.phys, nethide.Survey(virt, h.pairs), 0)
+	lieAtk := nethide.EvaluateAttack(h.phys, h.view, 0)
+	fmt.Fprintf(b, "\n## E6 — NetHide / fake topologies\n")
+	fmt.Fprintf(b, "- Abilene: hottest link %s-%s density %d; NetHide cap 30 -> virt max %d, accuracy %.3f, utility %.3f, attack success %.2f\n",
+		h.g.Name(h.a), h.g.Name(h.b), h.density, m.MaxDensityVirt, m.Accuracy, m.Utility, atk.Success)
+	fmt.Fprintf(b, "- malicious operator: hidden link visible=%v; attacker success on the lie %.2f\n",
+		nethide.HiddenLinkVisible(h.view, h.a, h.b), lieAtk.Success)
+	fmt.Fprintf(b, "- paper: unauthenticated ICMP lets whoever answers traceroute control the learned topology\n")
+}
+
+// hiddenLink is §4.3's malicious operator on Abilene: lie hides the
+// hottest physical link a–b, and view is what traceroute then shows.
+type hiddenLink struct {
+	g               *graph.Graph
+	pairs           []nethide.Pair
+	phys, lie, view dui.PathMap
+	a, b            graph.NodeID
+	density         int
+}
+
+func hideHottestLink() hiddenLink {
 	g := dui.Abilene()
 	pairs := nethide.AllPairs(g)
 	phys := nethide.ShortestPaths(g, pairs)
-	hot, hotD := phys.MaxDensity()
-	virt, m := dui.Obfuscate(g, pairs, dui.NetHideConfig{DensityCap: 30}, seed)
-	atk := nethide.EvaluateAttack(phys, nethide.Survey(virt, pairs), 0)
+	hot, density := phys.MaxDensity()
 	lie := dui.MaliciousTopology(g, pairs, hot.A, hot.B)
-	view := nethide.Survey(lie, pairs)
-	lieAtk := nethide.EvaluateAttack(phys, view, 0)
-	fmt.Fprintf(&b, "\n## E6 — NetHide / fake topologies\n")
-	fmt.Fprintf(&b, "- Abilene: hottest link %s-%s density %d; NetHide cap 30 -> virt max %d, accuracy %.3f, utility %.3f, attack success %.2f\n",
-		g.Name(hot.A), g.Name(hot.B), hotD, m.MaxDensityVirt, m.Accuracy, m.Utility, atk.Success)
-	fmt.Fprintf(&b, "- malicious operator: hidden link visible=%v; attacker success on the lie %.2f\n",
-		nethide.HiddenLinkVisible(view, hot.A, hot.B), lieAtk.Success)
-	fmt.Fprintf(&b, "- paper: unauthenticated ICMP lets whoever answers traceroute control the learned topology\n")
-	return b.String()
+	return hiddenLink{g, pairs, phys, lie, nethide.Survey(lie, pairs), hot.A, hot.B, density}
 }
 
-func e7(quick bool, seed uint64, workers int) string {
-	var b strings.Builder
+func nethideTrace() {
+	var (
+		seed     = cli.Seed("")
+		parallel = cli.Parallel("trial workers for the cap sweep (0 = all cores; results identical at any setting)")
+	)
+	defer start("duireport nethide-trace")()
+
+	topos := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"abilene", dui.Abilene()},
+		{"fattree4", dui.FatTree(4)},
+		{"rand16", graph.RandomConnected(16, 24, stats.NewRNG(*seed))},
+	}
+
+	fmt.Printf("§4.3 / NetHide — topology obfuscation and traceroute deception\n\n")
+	fmt.Printf("%-9s %5s | %8s %8s | %8s %8s | %12s\n",
+		"topology", "cap", "physMax", "virtMax", "accuracy", "utility", "attackSuccess")
+	for _, tc := range topos {
+		pairs := nethide.AllPairs(tc.g)
+		phys := nethide.ShortestPaths(tc.g, pairs)
+		_, physMax := phys.MaxDensity()
+		caps := []int{int(0.75 * float64(physMax)), int(0.5 * float64(physMax))}
+		for _, row := range nethide.SweepCaps(tc.g, pairs, caps, dui.NetHideConfig{}, *seed, *parallel) {
+			m := row.Metrics
+			fmt.Printf("%-9s %5d | %8d %8d | %8.3f %8.3f | %12.2f\n",
+				tc.name, row.Cap, m.MaxDensityPhys, m.MaxDensityVirt, m.Accuracy, m.Utility, row.AttackSuccess)
+		}
+	}
+
+	h := hideHottestLink()
+	met := nethide.Evaluate(h.phys, h.view)
+	atk := nethide.EvaluateAttack(h.phys, h.view, 0)
+	fmt.Printf("\nmalicious operator on Abilene: hides the hottest link %s–%s (density %d)\n",
+		h.g.Name(h.a), h.g.Name(h.b), h.density)
+	fmt.Printf("  hidden link visible in any traceroute: %v\n", nethide.HiddenLinkVisible(h.view, h.a, h.b))
+	fmt.Printf("  view accuracy: %.3f   utility: %.3f (the lie is unconstrained)\n", met.Accuracy, met.Utility)
+	fmt.Printf("  attacker planning on the lie achieves %.0f%% of the ground-truth attack\n", 100*atk.Success)
+
+	// Show one concrete traceroute before/after.
+	src, _ := h.g.NodeByName("SEA")
+	dst, _ := h.g.NodeByName("NYC")
+	fmt.Printf("\ntraceroute SEA->NYC, truth: %s\n", renderPath(h.g, dui.Traceroute(h.phys, src, dst)))
+	fmt.Printf("traceroute SEA->NYC, lie:   %s\n", renderPath(h.g, dui.Traceroute(h.lie, src, dst)))
+}
+
+func renderPath(g *graph.Graph, hops []graph.NodeID) string {
+	names := make([]string, len(hops))
+	for i, h := range hops {
+		names[i] = g.Name(h)
+	}
+	return strings.Join(names, " -> ")
+}
+
+func e7(b *strings.Builder, quick bool, seed uint64, workers int) {
 	sp := dui.RunSPPIFO(8, seed)
-	rows := dui.RunSketchPollution(seed, []int{400})
 	var crafted, random sketch.PollutionRow
-	for _, r := range rows {
+	for _, r := range dui.RunSketchPollution(seed, []int{400}) {
 		if r.Crafted {
 			crafted = r
 		} else {
@@ -206,59 +514,118 @@ func e7(quick bool, seed uint64, workers int) string {
 	}
 	vic, others := sketch.PollutionExperiment{Seed: seed}.RunTargeted(400, 2)
 	probe := dui.RunProbeAttack(8, seed, 0.2)
-	fmt.Fprintf(&b, "\n## E7 — §3.2 breadth\n")
-	fmt.Fprintf(&b, "- SP-PIFO (8 queues): adversarial ranks amplify excess unpifoness %.1fx over random arrivals\n", sp.Amplification)
-	fmt.Fprintf(&b, "- FlowRadar: 400 crafted flows -> %.0f%% of attack traffic invisible (random: %.0f%% decoded); targeted victim hidden=%v with %.0f%% collateral-free legit decode\n",
+	fmt.Fprintf(b, "\n## E7 — §3.2 breadth\n")
+	fmt.Fprintf(b, "- SP-PIFO (8 queues): adversarial ranks amplify excess unpifoness %.1fx over random arrivals\n", sp.Amplification)
+	fmt.Fprintf(b, "- FlowRadar: 400 crafted flows -> %.0f%% of attack traffic invisible (random: %.0f%% decoded); targeted victim hidden=%v with %.0f%% collateral-free legit decode\n",
 		100*(1-crafted.AttackDecoded), 100*random.AttackDecoded, !vic, 100*others)
-	fmt.Fprintf(&b, "- RON: +200ms on probes only diverts the victim pair (latency x%.2f) touching %.2f%% of packets\n",
+	fmt.Fprintf(b, "- RON: +200ms on probes only diverts the victim pair (latency x%.2f) touching %.2f%% of packets\n",
 		probe.Inflation, 100*probe.TamperBudget)
 	misblame := dui.RunDapper(dui.TrueSender, dui.InjectRetransmissions, 20)
-	fmt.Fprintf(&b, "- DAPPER: duplicated segments flip a sender-limited flow's diagnosis to %s (%d injected packets)\n",
+	fmt.Fprintf(b, "- DAPPER: duplicated segments flip a sender-limited flow's diagnosis to %s (%d injected packets)\n",
 		misblame.Diagnosis, misblame.Budget)
 	exh := dui.RunStateExhaustion(conntrack.ExhaustionConfig{Seed: seed, AttackSYNRate: 2000})
-	fmt.Fprintf(&b, "- state exhaustion: 2000 SYN/s fills the 4000-entry table; %.0f%% of legit connections break at the next pool update\n",
+	fmt.Fprintf(b, "- state exhaustion: 2000 SYN/s fills the 4000-entry table; %.0f%% of legit connections break at the next pool update\n",
 		100*exh.BrokenFraction)
 	acc, evRows := dui.RunBNNEvasion(seed|1, []int{4})
 	for _, r := range evRows {
 		if r.Crafted {
-			fmt.Fprintf(&b, "- in-network BNN (%.0f%% accurate): %.0f%% evasion with %.1f crafted bit flips on average\n",
+			fmt.Fprintf(b, "- in-network BNN (%.0f%% accurate): %.0f%% evasion with %.1f crafted bit flips on average\n",
 				100*acc, 100*r.SuccessRate, r.MeanFlips)
 		}
 	}
-	return b.String()
+}
+
+func dataplaneAttacks() {
+	var seed = cli.Seed("")
+	defer start("duireport dataplane-attacks")()
+
+	fmt.Printf("§3.2 breadth attacks\n")
+
+	// SP-PIFO: adversarial rank sequences vs the random-arrival design
+	// assumption, across queue counts (the ablation DESIGN.md calls out).
+	fmt.Printf("\n[SP-PIFO] excess unpifoness over an ideal PIFO (same arrivals)\n")
+	fmt.Printf("%-8s %14s %14s %14s %12s\n", "queues", "random ranks", "adversarial", "amplification", "victim delay")
+	for _, k := range []int{2, 4, 8, 16, 32} {
+		out := dui.RunSPPIFO(k, *seed)
+		fmt.Printf("%-8d %14d %14d %13.1fx %9.1f pkt\n",
+			k, out.RandomExcess, out.AdversarialExcess, out.Amplification, out.Adversarial.VictimDelay)
+	}
+
+	// FlowRadar pollution.
+	fmt.Printf("\n[FlowRadar] crafted vs random extra flows (4096 cells, k=3, 1500 legit flows)\n")
+	fmt.Printf("%-14s %10s | %14s %14s %10s\n", "attack flows", "crafted", "legit decoded", "attack decoded", "residue")
+	for _, r := range dui.RunSketchPollution(*seed, []int{200, 400, 800, 3000}) {
+		fmt.Printf("%-14d %10v | %13.1f%% %13.1f%% %10d\n",
+			r.AttackFlows, r.Crafted, 100*r.LegitDecoded, 100*r.AttackDecoded, r.Residue)
+	}
+	vic, others := sketch.PollutionExperiment{Seed: *seed}.RunTargeted(400, 2)
+	fmt.Printf("targeted hiding: victim flow decoded=%v, other legit flows decoded=%.1f%%\n", vic, 100*others)
+
+	rng := stats.NewRNG(*seed)
+	randomN := sketch.SaturationInsertions(4096, 3, 0.5, false, rng.Child())
+	craftedN := sketch.SaturationInsertions(4096, 3, 0.5, true, rng.Child())
+	fmt.Printf("bloom saturation to 50%% FPR: crafted %d insertions vs random %d (%.1fx advantage)\n",
+		craftedN, randomN, float64(randomN)/float64(craftedN))
+
+	// RON probe manipulation.
+	fmt.Printf("\n[RON] probe-only tampering on an 8-node overlay, victim pair (0,1)\n")
+	delay := dui.RunProbeAttack(8, *seed, 0.2)
+	fmt.Printf("  delay probes +200ms: diverted=%v, data latency %.1fms -> %.1fms (x%.2f), budget %.2f%% of packets\n",
+		delay.Diverted, 1000*delay.CleanLatency, 1000*delay.AttackedLatency, delay.Inflation, 100*delay.TamperBudget)
+	drop := ron.RunProbeAttack(8, *seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
+		return ron.DropProbes(0, 1), -1
+	}, 0, 1)
+	fmt.Printf("  drop probes (fake dead path): diverted=%v, data latency x%.2f\n", drop.Diverted, drop.Inflation)
+	steer := ron.RunProbeAttack(8, *seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
+		return ron.SteerVia(0, 1, 5, 0.2), 5
+	}, 0, 1)
+	fmt.Printf("  steer via attacker node 5: routed through it=%v (privacy: attacker now on-path)\n", steer.ViaAttacker)
+
+	// DAPPER diagnosis mis-blaming.
+	fmt.Printf("\n[DAPPER] TCP diagnosis confusion matrix (rows: ground truth; columns: attack)\n")
+	fmt.Printf("%-10s | %-16s %-22s %-16s %-16s\n", "truth", "none", "inject-retrans", "shrink-window", "inflate-window")
+	byKey := map[[2]string]string{}
+	for _, o := range dui.DapperConfusionMatrix(25) {
+		byKey[[2]string{o.Scenario.String(), o.Attack.String()}] = o.Diagnosis.String()
+	}
+	for _, sc := range []string{"network", "receiver", "sender"} {
+		fmt.Printf("%-10s | %-16s %-22s %-16s %-16s\n", sc,
+			byKey[[2]string{sc, "none"}], byKey[[2]string{sc, "inject-retransmissions"}],
+			byKey[[2]string{sc, "shrink-window"}], byKey[[2]string{sc, "inflate-window"}])
+	}
+
+	// SilkRoad-style state exhaustion.
+	fmt.Printf("\n[per-connection state] 4000-entry table, 1000 legit connections, pool update at t=30s\n")
+	fmt.Printf("%-14s %14s %14s %14s\n", "SYN flood/s", "occupancy", "broken legit", "rejected")
+	for _, rate := range []float64{0, 900, 2000, 4000} {
+		res := dui.RunStateExhaustion(conntrack.ExhaustionConfig{Seed: *seed, AttackSYNRate: rate})
+		fmt.Printf("%-14.0f %14d %13.0f%% %14d\n", rate, res.TableOccupancy, 100*res.BrokenFraction, res.Rejected)
+	}
+
+	// In-network BNN adversarial examples.
+	fmt.Printf("\n[in-network BNN] adversarial header-bit flips vs the line-rate classifier\n")
+	acc, rows2 := dui.RunBNNEvasion(*seed|1, []int{1, 2, 4, 6})
+	fmt.Printf("student accuracy vs ground truth: %.1f%%\n", 100*acc)
+	fmt.Printf("%-8s | %-10s %14s %12s\n", "budget", "crafted", "evasion rate", "mean flips")
+	for _, r := range rows2 {
+		fmt.Printf("%-8d | %-10v %13.0f%% %12.1f\n", r.Budget, r.Crafted, 100*r.SuccessRate, r.MeanFlips)
+	}
 }
 
 // e8 formats the §5 countermeasure evaluation that cmd/robustness
 // -defense-eval renders in full.
-func e8(quick bool, seed uint64, workers int) string {
-	var b strings.Builder
+func e8(b *strings.Builder, quick bool, seed uint64, workers int) {
 	d := robustness.EvalDefenses(seed, workers)
-	fmt.Fprintf(&b, "\n## E8 — §5 countermeasures\n")
-	fmt.Fprintf(&b, "- Blink guard: genuine failover still works (rerouted=%v, latency %.2fs, 0 vetoes=%v); hijack blocked (rerouted=%v, %d vetoes)\n",
+	fmt.Fprintf(b, "\n## E8 — §5 countermeasures\n")
+	fmt.Fprintf(b, "- Blink guard: genuine failover still works (rerouted=%v, latency %.2fs, 0 vetoes=%v); hijack blocked (rerouted=%v, %d vetoes)\n",
 		d.Genuine.Rerouted, d.Genuine.DetectionLatency, d.Genuine.VetoedReroutes == 0, d.Hijack.Rerouted, d.Hijack.VetoedReroutes)
-	fmt.Fprintf(&b, "- Pytheas: attacked QoE %.2f -> defended %.2f (dedup + MAD filtering)\n",
+	fmt.Fprintf(b, "- Pytheas: attacked QoE %.2f -> defended %.2f (dedup + MAD filtering)\n",
 		d.PytheasAttacked, d.PytheasDefended)
-	fmt.Fprintf(&b, "- PCC: equalizer detected: %s\n", d.PCCAttacked)
+	fmt.Fprintf(b, "- PCC: equalizer detected: %s\n", d.PCCAttacked)
 	// The widest and the narrowest clamp.
 	for _, c := range []robustness.EpsClamp{d.Clamps[0], d.Clamps[len(d.Clamps)-1]} {
-		fmt.Fprintf(&b, "- PCC ε clamp %.2f bounds forced oscillation to ±%.0f%%\n", c.Cap, 100*c.Amp/2)
+		fmt.Fprintf(b, "- PCC ε clamp %.2f bounds forced oscillation to ±%.0f%%\n", c.Cap, 100*c.Amp/2)
 	}
-	return b.String()
-}
-
-func crossing(s *stats.Series, level float64) float64 {
-	t, _ := s.FirstCrossing(level)
-	return t
 }
 
 func last(s *stats.Series) float64 { return s.Values[len(s.Values)-1] }
-
-func lateMean(s *stats.Series, from float64) float64 {
-	var sum stats.Summary
-	for i := range s.Values {
-		if s.Time(i) >= from {
-			sum.Add(s.Values[i])
-		}
-	}
-	return sum.Mean()
-}

@@ -1,7 +1,7 @@
 package dui
 
 // Documentation and formatting lint, run as part of the ordinary test
-// suite (and therefore by the CI `check` job). Two layers:
+// suite (and therefore by the CI `check` job). Three layers:
 //
 //   - every .go file in the repository must be gofmt-clean and every
 //     package must carry a package comment — documentation is a stated
@@ -10,7 +10,9 @@ package dui
 //   - the determinism-critical packages (internal/netsim, internal/stats,
 //     internal/runner) are held to the stricter godoc standard: every
 //     exported top-level identifier must have a doc comment, because
-//     their comments carry the engine's ordering and seeding contracts.
+//     their comments carry the engine's ordering and seeding contracts;
+//   - every command and example the living documents name must exist, so
+//     deleting or renaming one cannot leave a stale instruction behind.
 
 import (
 	"bytes"
@@ -21,6 +23,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -165,4 +168,35 @@ func checkDeclDocs(t *testing.T, fset *token.FileSet, path string, decl ast.Decl
 		}
 	}
 	_ = path
+}
+
+// docRefFiles are the living documents whose command and example
+// references must resolve. EXPERIMENTS.md is exempt: it is a dated log
+// that names deleted tools on purpose.
+var docRefFiles = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+
+// docRef matches cmd/<x> and examples/<x> (optionally ./-prefixed) and
+// /tmp/bins/<x>, the verify skill's build directory for cmd/<x>.
+var docRef = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?(cmd|examples)/([\w-]+)|/tmp/bins/([\w-]+)`)
+
+// TestDocReferencesExist asserts every cmd/<x>, examples/<x> and
+// /tmp/bins/<x> named in a living document is an existing directory.
+func TestDocReferencesExist(t *testing.T) {
+	for _, doc := range docRefFiles {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, m := range docRef.FindAllStringSubmatch(line, -1) {
+				dir := filepath.Join(m[1], m[2])
+				if m[3] != "" {
+					dir = filepath.Join("cmd", m[3])
+				}
+				if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+					t.Errorf("%s:%d: names %s, which does not exist", doc, i+1, dir)
+				}
+			}
+		}
+	}
 }

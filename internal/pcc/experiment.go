@@ -94,6 +94,8 @@ type OscResult struct {
 	MeanRateLate float64
 	// AggSeries is the destination's arrival rate (packets/s per bin).
 	AggSeries *stats.Series
+	// AggMeanLate is the mean of AggSeries over the last third.
+	AggMeanLate float64
 	// AggCV is the coefficient of variation of the aggregate arrival
 	// rate over the last third — the destination-side traffic
 	// fluctuation the attacker manufactures.
@@ -246,8 +248,9 @@ func RunOscillation(cfg OscConfig) *OscResult {
 			aggLate.Add(agg.Values[i])
 		}
 	}
-	if aggLate.Mean() > 0 {
-		res.AggCV = aggLate.Stddev() / aggLate.Mean()
+	res.AggMeanLate = aggLate.Mean()
+	if res.AggMeanLate > 0 {
+		res.AggCV = aggLate.Stddev() / res.AggMeanLate
 	}
 	if eq != nil {
 		res.DropFraction = eq.DropFraction()
