@@ -52,13 +52,14 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -floor BENCH_FLOOR.json -strict-allocs BENCH_GATE.json
 
 ## pop-smoke: the PoP-scale determinism gate — a 512-prefix / ~34k-flow
-## blink-pop run with the bank-vs-scalar audit on every 8th prefix, executed
-## once single-shard single-worker and once with 7 shards on 4 workers; the
-## deterministic stdout must be byte-identical (cmp) or the target fails.
+## duireport blink-pop run with the bank-vs-scalar audit on every 8th
+## prefix, executed once single-shard single-worker and once with 7 shards
+## on 4 workers; the deterministic stdout must be byte-identical (cmp) or
+## the target fails.
 pop-smoke:
-	$(GO) build -o /tmp/blink-pop ./cmd/blink-pop
-	/tmp/blink-pop -quick -audit-every 8 -shards 1 -parallel 1 2>/dev/null > /tmp/pop-smoke-a.txt
-	/tmp/blink-pop -quick -audit-every 8 -shards 7 -parallel 4 2>/dev/null > /tmp/pop-smoke-b.txt
+	$(GO) build -o /tmp/pop-smoke-duireport ./cmd/duireport
+	/tmp/pop-smoke-duireport blink-pop -quick -audit-every 8 -shards 1 -parallel 1 2>/dev/null > /tmp/pop-smoke-a.txt
+	/tmp/pop-smoke-duireport blink-pop -quick -audit-every 8 -shards 7 -parallel 4 2>/dev/null > /tmp/pop-smoke-b.txt
 	cmp /tmp/pop-smoke-a.txt /tmp/pop-smoke-b.txt
 	@echo "pop-smoke: shard/worker-count independent output verified"
 
@@ -69,21 +70,22 @@ fuzz-smoke:
 	$(GO) run -race ./cmd/simfuzz -seeds 200 -shrink
 	$(GO) run -race ./cmd/simfuzz -replay internal/fuzz/testdata/corpus
 
-## chaos-smoke: the race-enabled fault-plane gate — a reduced chaos-eval
-## sweep (gray-failure intensity vs Blink inference, 3 levels x 3 trials)
-## plus a short fault-mode fuzzing campaign. Both are seed-deterministic.
+## chaos-smoke: the race-enabled fault-plane gate — a reduced duireport
+## chaos-eval sweep (gray-failure intensity vs Blink inference, 3 levels x
+## 3 trials) plus a short fault-mode fuzzing campaign. Both are
+## seed-deterministic.
 chaos-smoke:
-	$(GO) run -race ./cmd/chaos-eval -quick
+	$(GO) run -race ./cmd/duireport chaos-eval -quick
 	$(GO) run -race ./cmd/simfuzz -seeds 100 -faults -shrink
 
 ## advsearch-smoke: the adversary-synthesis determinism gate — a quick
-## Blink attack-frontier search (guarded vs unguarded, CEM) run once on one
-## worker and once on four; the JSON on stdout must be byte-identical (cmp)
-## or the target fails.
+## Blink attack-frontier search (duireport advsearch: guarded vs unguarded,
+## CEM) run once on one worker and once on four; the JSON on stdout must be
+## byte-identical (cmp) or the target fails.
 advsearch-smoke:
-	$(GO) build -o /tmp/advsearch ./cmd/advsearch
-	/tmp/advsearch -quick -system blink -parallel 1 2>/dev/null > /tmp/advsearch-a.json
-	/tmp/advsearch -quick -system blink -parallel 4 2>/dev/null > /tmp/advsearch-b.json
+	$(GO) build -o /tmp/advsearch-smoke-duireport ./cmd/duireport
+	/tmp/advsearch-smoke-duireport advsearch -quick -system blink -parallel 1 2>/dev/null > /tmp/advsearch-a.json
+	/tmp/advsearch-smoke-duireport advsearch -quick -system blink -parallel 4 2>/dev/null > /tmp/advsearch-b.json
 	cmp /tmp/advsearch-a.json /tmp/advsearch-b.json
 	@echo "advsearch-smoke: worker-count independent frontier verified"
 
@@ -96,8 +98,9 @@ duid-smoke:
 	./scripts/duid_smoke.sh
 
 ## robustness-smoke: the robustness-matrix determinism gate — the quick
-## matrix run inline on 1 and 4 workers and via a duid server must be
-## byte-identical (cmp), and the resubmission must hit the result cache.
+## duireport robustness matrix run inline on 1 and 4 workers and via a duid
+## server must be byte-identical (cmp), and the resubmission must hit the
+## result cache.
 ## Leaves the matrix JSON at robustness-matrix.json (CI artifact).
 robustness-smoke:
 	./scripts/robustness_smoke.sh

@@ -385,11 +385,11 @@ func BenchmarkScenarioAuditedRun(b *testing.B) {
 // BenchmarkPopScale measures the PoP-scale steady state: a prefix-
 // interleaved stream of 4096 prefixes × 64 flows (262k concurrently
 // active) fed through a MonitorBank's flat per-prefix selectors. The
-// timed loop is the real per-packet path of cmd/blink-pop — generator
-// Next plus bank Feed — and must stay at 0 allocs/op (pinned here and by
-// TestMonitorBankFeedZeroAllocs). flows/sec is the headline metric:
-// concurrently-active flows × virtual seconds per wall second, which for
-// this workload equals events/sec ÷ PPS.
+// timed loop is the real per-packet path of duireport blink-pop —
+// generator Next plus bank Feed — and must stay at 0 allocs/op (pinned
+// here and by TestMonitorBankFeedZeroAllocs). flows/sec is the headline
+// metric: concurrently-active flows × virtual seconds per wall second,
+// which for this workload equals events/sec ÷ PPS.
 func BenchmarkPopScale(b *testing.B) {
 	const prefixes = 4096
 	pop := trace.PopConfig{

@@ -1,10 +1,10 @@
 // Command duid is the lab's campaign service (internal/campaign): a
 // persistent server that accepts evaluation campaigns — scenario fuzzing,
-// chaos sweeps, scenario batches, attack-frontier searches — over an HTTP
-// JSON API, executes them on bounded worker pools, journals every
-// completed trial so a campaign survives kill -9, and serves repeated
-// submissions from a content-addressed result cache keyed by (canonical
-// spec, code revision).
+// chaos sweeps, scenario batches, attack-frontier searches, robustness
+// matrices — over an HTTP JSON API, executes them on bounded worker
+// pools, journals every completed trial so a campaign survives kill -9,
+// and serves repeated submissions from a content-addressed result cache
+// keyed by (canonical spec, code revision).
 //
 // Usage:
 //
@@ -30,10 +30,11 @@
 //	POST /v1/jobs/{id}/cancel    cancel
 //	GET  /v1/version             build identity (= cache-key revision)
 //
-// The drivers cmd/simfuzz, cmd/chaos-eval, and cmd/advsearch submit to a
-// running duid with their -server flag and emit the same canonical JSON
-// their -json inline mode produces — byte-identical, by construction and
-// by the duid-smoke CI gate.
+// The drivers cmd/simfuzz and duireport's chaos-eval, robustness and
+// advsearch subcommands submit to a running duid with their -server flag
+// and emit the same canonical JSON their -json inline mode produces —
+// byte-identical, by construction and by the duid-smoke and
+// robustness-smoke CI gates.
 package main
 
 import (

@@ -19,10 +19,22 @@
 //	pytheas-poison     E5: honest QoE vs botnet share, with and without dedup + MAD; the throttle stampede
 //	nethide-trace      E6: NetHide's accuracy/utility/security trade-off; an operator's lie hides the bottleneck
 //	dataplane-attacks  E7: §3.2 breadth: SP-PIFO, FlowRadar/Bloom, RON, DAPPER, state exhaustion, BNN
+//	blink-fig2         E1: Fig 2, theory vs trace-driven simulation; -csv series, -audit/-trace selector checks
+//	blink-pop          Blink at PoP scale: a selector bank over millions of flows, stdout identical at any -shards
+//	chaos-eval         §5 Blink guard under gray failure: detect, false-veto and false-reroute rates per intensity
+//	robustness         §5 matrix: system x attack x guard arm x fault profile; -defense-eval prints E8 in full
+//	advsearch          black-box attack-frontier search (CEM or annealing) against Blink, Pytheas and PCC, as JSON
+//
+// chaos-eval, robustness and advsearch run campaign job kinds
+// (internal/campaign): -server submits the spec to a running duid
+// instead, -json (always, for advsearch) writes the canonical result
+// bytes, and a spec the campaign validator rejects exits 2.
 package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -31,11 +43,14 @@ import (
 	"strings"
 
 	"dui"
+	"dui/internal/audit"
 	"dui/internal/blink"
+	"dui/internal/campaign"
 	"dui/internal/cli"
 	"dui/internal/conntrack"
 	"dui/internal/graph"
 	"dui/internal/nethide"
+	"dui/internal/popscale"
 	"dui/internal/prof"
 	"dui/internal/pytheas"
 	"dui/internal/robustness"
@@ -54,6 +69,11 @@ var subcommands = map[string]func(){
 	"pytheas-poison":    pytheasPoison,
 	"nethide-trace":     nethideTrace,
 	"dataplane-attacks": dataplaneAttacks,
+	"blink-fig2":        blinkFig2,
+	"blink-pop":         blinkPop,
+	"chaos-eval":        chaosEval,
+	"robustness":        robustnessMatrix,
+	"advsearch":         advSearch,
 }
 
 // main dispatches on os.Args[1] before any flag is parsed: a subcommand
@@ -126,12 +146,7 @@ func e1(b *strings.Builder, quick bool, seed uint64, workers int) {
 	}
 	res := dui.RunFig2(cfg)
 	cross, _ := res.TheoryMean.FirstCrossing(32)
-	var hits []float64
-	for _, h := range res.HitTimes {
-		if !math.IsNaN(h) {
-			hits = append(hits, h)
-		}
-	}
+	hits := reached(res)
 	fmt.Fprintf(b, "\n## E1 — Fig 2: malicious flows sampled by Blink\n")
 	fmt.Fprintf(b, "- parameters: tR=%.2fs (measured %.2fs), qm=%.4f, %d runs\n",
 		res.Config.TR, res.MeasuredTR, res.Config.Qm, res.Config.Runs)
@@ -145,6 +160,187 @@ func e1(b *strings.Builder, quick bool, seed uint64, workers int) {
 	fmt.Fprintf(b, "- end-of-run sample: sim %.1f cells, theory %.1f, finite-pool bound %.1f\n",
 		last(res.SimMean), last(res.TheoryMean), blink.ExpectedCapturable(res.Config.Blink.Cells, res.Config.MalFlows()))
 	fmt.Fprintf(b, "- paper: avg 172s to majority, simulations ~200s, sample saturates high\n")
+}
+
+// reached returns the hitting times of the Fig 2 runs whose sample
+// reached the malicious majority.
+func reached(res *dui.Fig2Result) []float64 {
+	var hits []float64
+	for _, h := range res.HitTimes {
+		if !math.IsNaN(h) {
+			hits = append(hits, h)
+		}
+	}
+	return hits
+}
+
+func blinkFig2() {
+	var (
+		runs     = flag.Int("runs", 50, "number of trace-driven simulations")
+		duration = flag.Float64("duration", 500, "horizon in seconds")
+		tr       = flag.Float64("tr", 8.37, "target mean sampled residence tR (s)")
+		qm       = flag.Float64("qm", 0.0525, "malicious traffic fraction")
+		flows    = flag.Int("flows", 2000, "legitimate flow population")
+		seed     = cli.Seed("")
+		meanDur  = flag.Float64("meandur", 0, "legit mean flow duration (0 = calibrate to tR)")
+		csv      = flag.Bool("csv", false, "emit plottable CSV instead of the summary")
+		parallel = cli.Parallel("")
+		progress = flag.Bool("progress", false, "report per-trial progress on stderr")
+		trace    = cli.Trace("write the per-trial selector event trace (JSONL) to this file; diff two runs with cmd/simtrace")
+		audited  = cli.Audit("check selector invariants on every trial (defaults to DUI_AUDIT)")
+	)
+	defer start("duireport blink-fig2")()
+
+	cfgIn := dui.Fig2Config{
+		Runs: *runs, Duration: *duration, TR: *tr, Qm: *qm,
+		LegitFlows: *flows, Seed: *seed, MeanFlowDuration: *meanDur,
+		Parallel: *parallel,
+	}
+	var (
+		recs []*audit.Recorder
+		auds []*audit.MonAudit
+	)
+	if *trace != "" || *audited {
+		n := cfgIn.Defaults().Runs
+		recs = make([]*audit.Recorder, n)
+		auds = make([]*audit.MonAudit, n)
+		cfgIn.ObserveTrial = func(run int, m *blink.Monitor) {
+			var rec *audit.Recorder
+			if *trace != "" {
+				rec = audit.NewRecorder()
+				recs[run] = rec
+			}
+			auds[run] = audit.AttachMonitor(m, rec)
+		}
+	}
+	if *progress {
+		cfgIn.OnProgress = func(p runner.Progress) {
+			fmt.Fprintf(os.Stderr, "\rtrial %d/%d (%.1fs wall, %.0fs simulated)",
+				p.Done, p.Total, p.Elapsed.Seconds(), p.VirtualSeconds)
+			if p.Done == p.Total {
+				fmt.Fprintln(os.Stderr)
+			}
+		}
+	}
+	res := dui.RunFig2(cfgIn)
+
+	if *audited {
+		for run, a := range auds {
+			if a == nil {
+				continue
+			}
+			if err := a.Check(res.Config.Duration); err != nil {
+				fmt.Fprintf(os.Stderr, "blink-fig2: audit: run %d: %v\n", run, err)
+				os.Exit(1)
+			}
+		}
+		fmt.Fprintf(os.Stderr, "blink-fig2: audit: selector invariants hold for all %d runs\n", len(auds))
+	}
+	if *trace != "" {
+		events := audit.Flatten(recs)
+		f, err := os.Create(*trace)
+		if err == nil {
+			err = errors.Join(audit.WriteJSONL(f, events), f.Close())
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "blink-fig2: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "blink-fig2: wrote %d trace events to %s\n", len(events), *trace)
+	}
+
+	if *csv {
+		names := []string{"theory_mean", "theory_p5", "theory_p95", "sim_mean", "sim_p5", "sim_p95"}
+		series := []*stats.Series{res.TheoryMean, res.TheoryP5, res.TheoryP95, res.SimMean, res.SimP5, res.SimP95}
+		for i, r := range res.Runs {
+			names = append(names, fmt.Sprintf("run%02d", i))
+			series = append(series, r)
+		}
+		fmt.Print(stats.CSV(names, series))
+		return
+	}
+
+	cfg := res.Config
+	fmt.Printf("Fig 2 reproduction — malicious flows sampled by Blink over time\n")
+	fmt.Printf("parameters: tR=%.2fs qm=%.4f (%d legit + %d malicious flows), %d cells, threshold %d, %d runs\n",
+		cfg.TR, cfg.Qm, cfg.LegitFlows, cfg.MalFlows(), cfg.Blink.Cells, cfg.Blink.Threshold, cfg.Runs)
+	fmt.Printf("calibration: legit mean flow duration %.2fs -> measured tR %.2fs\n\n",
+		res.MeanFlowDuration, res.MeasuredTR)
+
+	fmt.Printf("theory (binomial model of §3.1):\n")
+	fmt.Printf("  expected majority hitting time: %.0f s (5th pct %.0f s, 95th pct %.0f s)\n",
+		res.TheoryExpectedHit, res.TheoryHitP5, res.TheoryHitP95)
+	mc, _ := res.TheoryMean.FirstCrossing(float64(cfg.Blink.Threshold))
+	fmt.Printf("  mean curve crosses %d cells at:  %.0f s\n", cfg.Blink.Threshold, mc)
+
+	hits := reached(res)
+	fmt.Printf("\nsimulations (%d runs, %d reached the majority):\n", cfg.Runs, len(hits))
+	if len(hits) > 0 {
+		fmt.Printf("  mean hitting time: %.0f s   median: %.0f s   p5: %.0f s   p95: %.0f s\n",
+			stats.Mean(hits), stats.Median(hits), stats.Quantile(hits, 0.05), stats.Quantile(hits, 0.95))
+	}
+	if missed := len(res.HitTimes) - len(hits); missed > 0 {
+		fmt.Printf("  %d runs never reached the majority within %.0f s\n", missed, cfg.Duration)
+	}
+	fmt.Printf("  sample end level: sim mean %.1f cells (theory %.1f, finite-pool bound %.1f)\n",
+		last(res.SimMean), last(res.TheoryMean), blink.ExpectedCapturable(cfg.Blink.Cells, cfg.MalFlows()))
+	fmt.Printf("\npaper: \"on average, it takes 172 s until the sample contains enough (i.e., 32) malicious flows\";\n")
+	fmt.Printf("       simulations cross ~200 s. See EXPERIMENTS.md for the comparison discussion.\n")
+}
+
+func blinkPop() {
+	var cfg popscale.Config
+	flag.IntVar(&cfg.Prefixes, "prefixes", 16384, "monitored /24 prefixes")
+	flag.IntVar(&cfg.FlowsPerPrefix, "flows-per-prefix", 64, "concurrently active legitimate flows per prefix")
+	flag.Float64Var(&cfg.Duration, "duration", 20, "simulated horizon (seconds)")
+	flag.Float64Var(&cfg.PPS, "pps", 2, "mean per-flow packet rate")
+	flag.Float64Var(&cfg.MeanFlowDuration, "flow-duration", 6.35, "mean legitimate flow duration (seconds)")
+	flag.Float64Var(&cfg.Epoch, "epoch", 1, "prefix-interleave granularity (seconds)")
+	flag.IntVar(&cfg.AttackedEvery, "attack-every", 16, "attack pool on every k-th prefix (0 = attack-free)")
+	flag.IntVar(&cfg.AttackFlows, "attack-flows", 48, "attack pool size per attacked prefix (>= threshold so storms can win the majority vote)")
+	flag.Float64Var(&cfg.StormAt, "storm-at", 0, "retransmission-storm start (0 = duration/2, <0 = never)")
+	cli.SeedVar(&cfg.Seed, "root seed (prefix pid streams from ChildAt(seed, pid))")
+	flag.IntVar(&cfg.Shards, "shards", 32, "contiguous prefix-range shards (output identical at any value)")
+	cli.ParallelVar(&cfg.Parallel, "workers for the shard pool (0 = all cores; output identical at any value)")
+	flag.IntVar(&cfg.AuditEvery, "audit-every", 0, "cross-check every k-th prefix against a shadow scalar Monitor (0 = off)")
+	quick := flag.Bool("quick", false, "reduced-scale smoke run (512 prefixes, 10 s)")
+	failures := flag.Int("failures", 5, "print the first N failure inferences")
+	defer start("duireport blink-pop")()
+
+	if *quick {
+		cfg.Prefixes, cfg.Duration = 512, 10
+	}
+
+	res, err := popscale.Run(context.Background(), cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "blink-pop:", err)
+		os.Exit(1)
+	}
+	cfg = res.Config // defaulted
+
+	fmt.Printf("# blink-pop: prefixes=%d flows/prefix=%d duration=%gs pps=%g seed=%d\n",
+		cfg.Prefixes, cfg.FlowsPerPrefix, cfg.Duration, cfg.PPS, cfg.Seed)
+	fmt.Printf("active flows:  %d (%d attacked prefixes)\n", res.ActiveFlows, res.AttackedPrefixes)
+	fmt.Printf("packets:       %d\n", res.Packets)
+	fmt.Printf("occupied:      %d cells at t=%g\n", res.OccupiedCells, cfg.Duration)
+	fmt.Printf("failures:      %d inferences on %d prefixes\n", len(res.Failures), res.PrefixesWithFailure)
+	for i, f := range res.Failures {
+		if i >= *failures {
+			fmt.Printf("  … %d more\n", len(res.Failures)-i)
+			break
+		}
+		fmt.Printf("  prefix %d failed at t=%.3fs\n", f.Prefix, f.Now)
+	}
+	if cfg.AuditEvery > 0 {
+		fmt.Printf("audited:       %d prefixes bit-identical to scalar monitors\n", res.AuditedPrefixes)
+	}
+	fmt.Printf("state hash:    %016x\n", res.StateHash)
+
+	fmt.Fprintf(os.Stderr, "wall: %.2fs  flows/sec: %.3gM  events/sec: %.3gM  (shards=%d parallel=%d)\n",
+		res.WallSeconds, res.FlowsPerSec/1e6, res.EventsPerSec/1e6, cfg.Shards, cfg.Parallel)
+	if rss, ok := prof.PeakRSS(); ok {
+		fmt.Fprintf(os.Stderr, "peak RSS: %.1f MiB\n", float64(rss)/(1<<20))
+	}
 }
 
 func e2(b *strings.Builder, quick bool, seed uint64, workers int) {
@@ -612,7 +808,7 @@ func dataplaneAttacks() {
 	}
 }
 
-// e8 formats the §5 countermeasure evaluation that cmd/robustness
+// e8 formats the §5 countermeasure evaluation that robustness
 // -defense-eval renders in full.
 func e8(b *strings.Builder, quick bool, seed uint64, workers int) {
 	d := robustness.EvalDefenses(seed, workers)
@@ -629,3 +825,155 @@ func e8(b *strings.Builder, quick bool, seed uint64, workers int) {
 }
 
 func last(s *stats.Series) float64 { return s.Values[len(s.Values)-1] }
+
+// runCampaign runs the campaign subcommand tool's spec, inline or on the
+// duid server at server, and returns the canonical result bytes. A spec
+// campaign.JobSpec.Canon rejects is a usage error (exit 2); a failed run
+// exits 1.
+func runCampaign(tool, server string, spec campaign.JobSpec, workers int) []byte {
+	if _, err := spec.Canon(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		os.Exit(2)
+	}
+	raw, err := cli.DispatchCampaign(context.Background(), tool, server, spec, campaign.Env{Workers: workers}, true)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		os.Exit(1)
+	}
+	return raw
+}
+
+// decode unmarshals tool's canonical result bytes into res, exiting 1
+// on a malformed result.
+func decode(tool string, raw []byte, res any) {
+	if err := json.Unmarshal(raw, res); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: bad result: %v\n", tool, err)
+		os.Exit(1)
+	}
+}
+
+func chaosEval() {
+	var (
+		trials   = flag.Int("trials", 10, "trials per intensity level")
+		seed     = cli.Seed("root seed (trial i derives its own stream)")
+		parallel = cli.Parallel("trial workers (0 = all cores; output identical at any setting)")
+		levels   = flag.Int("levels", 6, "gray intensity levels, evenly spaced over [0, 1]")
+		csvOut   = flag.Bool("csv", false, "emit CSV instead of the table")
+		jsonOut  = flag.Bool("json", false, "emit the canonical campaign result JSON instead of the table")
+		server   = flag.String("server", "", "submit the sweep to the duid server at this URL")
+		quick    = flag.Bool("quick", false, "reduced sweep (3 levels x 3 trials) for smoke runs")
+	)
+	defer start("duireport chaos-eval")()
+	if *quick {
+		*trials, *levels = 3, 3
+	}
+	if *jsonOut && *csvOut {
+		fmt.Fprintln(os.Stderr, "chaos-eval: -json and -csv are mutually exclusive")
+		os.Exit(2)
+	}
+
+	raw := runCampaign("chaos-eval", *server, campaign.JobSpec{Kind: campaign.KindChaos, Chaos: &campaign.ChaosSpec{
+		Trials: *trials, Levels: *levels, RootSeed: *seed,
+	}}, *parallel)
+	if *jsonOut {
+		os.Stdout.Write(raw)
+		return
+	}
+	var res campaign.ChaosResult
+	decode("chaos-eval", raw, &res)
+
+	if *csvOut {
+		fmt.Println("eps,trials,detect_rate,median_latency_s,false_veto_rate,false_reroute_rate")
+	} else {
+		fmt.Printf("Blink failure inference under gray failure (%d trials/level, seed %d)\n", res.Trials, res.RootSeed)
+		fmt.Printf("%6s %12s %16s %16s %18s\n", "eps", "detect", "median latency", "false vetoes", "false reroutes")
+	}
+	for _, r := range res.Rows {
+		if *csvOut {
+			fmt.Printf("%.2f,%d,%.4f,%.4f,%.4f,%.4f\n",
+				r.Eps, r.Trials, r.DetectRate, r.MedianLatency, r.FalseVetoRate, r.FalseRerouteRate)
+		} else {
+			fmt.Printf("%6.2f %11.0f%% %15.3fs %15.0f%% %17.0f%%\n",
+				r.Eps, 100*r.DetectRate, r.MedianLatency, 100*r.FalseVetoRate, 100*r.FalseRerouteRate)
+		}
+	}
+}
+
+func robustnessMatrix() {
+	var (
+		systems  = flag.String("systems", "", "comma-separated system subset (default all: "+strings.Join(robustness.SystemNames(), ",")+")")
+		profiles = flag.String("profiles", "", "comma-separated fault profiles (default all: none,gray,flap,degrade)")
+		trials   = flag.Int("trials", 2, "twin-run reps per matrix cell")
+		seed     = cli.Seed("root seed (every rep derives its own stream)")
+		parallel = cli.Parallel("trial workers (0 = all cores; output identical at any setting)")
+		jsonOut  = flag.Bool("json", false, "emit the canonical campaign result JSON instead of the table")
+		server   = flag.String("server", "", "submit the matrix to the duid server at this URL")
+		quick    = flag.Bool("quick", false, "reduced per-cell simulations for smoke runs")
+		defense  = flag.Bool("defense-eval", false, "render the E8 §5 countermeasure report instead of the matrix")
+	)
+	defer start("duireport robustness")()
+
+	if *defense {
+		robustness.WriteDefenseEval(os.Stdout, *seed, *parallel)
+		return
+	}
+
+	raw := runCampaign("robustness", *server, campaign.JobSpec{Kind: campaign.KindRobustness, Robustness: &campaign.RobustnessSpec{
+		Systems:  splitList(*systems),
+		Profiles: splitList(*profiles),
+		Trials:   *trials,
+		RootSeed: *seed,
+		Quick:    *quick,
+	}}, *parallel)
+	if *jsonOut {
+		os.Stdout.Write(raw)
+		return
+	}
+	var res campaign.RobustnessResult
+	decode("robustness", raw, &res)
+	fmt.Printf("Robustness matrix: %d systems x attacks x guard arms x %d profiles, %d trials/cell (seed %d)\n",
+		len(res.Systems), len(res.Profiles), res.Trials, res.RootSeed)
+	fmt.Print(robustness.RenderTable(res.Cells))
+}
+
+// splitList parses a comma-separated flag into its non-empty entries.
+func splitList(s string) []string {
+	if s == "" {
+		return nil
+	}
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+func advSearch() {
+	var (
+		system   = flag.String("system", "all", "blink | pytheas | pcc | all")
+		guarded  = flag.String("guarded", "both", "on | off | both")
+		searcher = flag.String("searcher", "cem", "cem | anneal")
+		seed     = cli.Seed("root seed; the whole output derives from it")
+		gens     = flag.Int("gens", 8, "search generations")
+		pop      = flag.Int("pop", 24, "population per generation")
+		validate = flag.Int("validate", 5, "validation replications per frontier candidate")
+		parallel = cli.Parallel("evaluation workers (0 = all cores; output identical at any setting)")
+		server   = flag.String("server", "", "submit the search to the duid server at this URL")
+		quick    = flag.Bool("quick", false, "reduced budget (3x8, 2 validations) and shrunk per-eval simulations for smoke runs")
+	)
+	defer start("duireport advsearch")()
+	if *quick {
+		*gens, *pop, *validate = 3, 8, 2
+	}
+
+	var systems []string // all: the canonical default
+	if *system != "all" {
+		systems = []string{*system}
+	}
+	os.Stdout.Write(runCampaign("advsearch", *server, campaign.JobSpec{Kind: campaign.KindAdv, Adv: &campaign.AdvSpec{
+		Systems: systems, Guarded: *guarded, Searcher: *searcher,
+		Seed: *seed, Gens: *gens, Pop: *pop, Validate: *validate, Quick: *quick,
+	}}, *parallel))
+}

@@ -28,8 +28,14 @@ func init() {
 // stdout, stderr and exit status.
 func run(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 	t.Helper()
+	return runEnv(t, nil, args...)
+}
+
+// runEnv is run with env appended to the child's environment.
+func runEnv(t *testing.T, env []string, args ...string) (stdout, stderr []byte, code int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	cmd.Env = append(append(os.Environ(), runMainEnv+"=1"), env...)
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
@@ -40,11 +46,13 @@ func run(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 	return out.Bytes(), errOut.Bytes(), cmd.ProcessState.ExitCode()
 }
 
-// stdoutPins are the SHA-256 digests of stdout that the standalone
-// blink-survey, blink-hijack, pcc-oscillate, pytheas-poison,
-// nethide-trace and dataplane-attacks binaries printed for these flags
-// before they became duireport subcommands. The hijack ensemble pins the
-// same digest at one and two workers.
+// stdoutPins are the SHA-256 digests of stdout that each subcommand's
+// former standalone binary (blink-survey, blink-hijack, pcc-oscillate,
+// pytheas-poison, nethide-trace, dataplane-attacks, blink-fig2,
+// blink-pop, advsearch, robustness, chaos-eval) printed for these flags.
+// The hijack ensemble pins the same digest at one and two workers, and
+// the audited blink-pop run the same digest at one shard on one worker
+// and seven shards on four.
 var stdoutPins = []struct{ args, sha string }{
 	{"blink-survey", "0dca1c5df958dc4d176195fd598032f7858f70456e85eb549df40294de7efa46"},
 	{"blink-survey -prefixes 4 -flows 100 -seed 2", "71a4219e58dcff1ce90175ecb9d5ab6bf73180426495ed8113b5cbbdb440c6dc"},
@@ -59,6 +67,16 @@ var stdoutPins = []struct{ args, sha string }{
 	{"pytheas-poison -sessions 300 -epochs 100 -multiplier 3 -seed 2", "7aea06eb161c7250f1ac39494ad2bbcdf1537119cd14bb1cd8bf77842bfe75c5"},
 	{"nethide-trace", "8b3799a7d03c5e8520204385df5ea6f050faee0e6867611ef63dba314477e7fd"},
 	{"nethide-trace -seed 2", "53f21d121e1a1a41ea5401e3454b553c1bf7e367e0d6d26d13d59d6e8a48b996"},
+	{"blink-fig2 -runs 6 -duration 120 -flows 400 -meandur 6.35", "9db053f505e8e5e26d6eb98eeeeac399cc4b28717468c263d587d61e7b2a4896"},
+	{"blink-fig2 -runs 4 -duration 120 -flows 400 -meandur 6.35 -csv", "3b78a596539cea56935ac04ca088f68a385e597e592da487734fce14aae843c0"},
+	{"blink-pop -quick", "4bb4e558f0d741b55c965ba3d025ec47a90f6dd9e16d218f52a5a858a9aa2720"},
+	{"blink-pop -quick -audit-every 8 -shards 7 -parallel 4", "bda212334ab55a06d67cb9be4f348d30d5d845dacbded798ca1e2910072eee4c"},
+	{"blink-pop -quick -audit-every 8 -shards 1 -parallel 1", "bda212334ab55a06d67cb9be4f348d30d5d845dacbded798ca1e2910072eee4c"},
+	{"advsearch -quick -system blink", "fdba3b135222e9c05dfde0b87219dd36f8fff9d5bf30f3e501005016c8c048ce"},
+	{"advsearch -quick -system pytheas -searcher anneal -guarded on", "280210ddc88c445954c2d1ced3d3ea5d18a69e67b6c1f4e36f191dca4460286b"},
+	{"robustness -defense-eval", "9eacd12f1bd11cf6fabf9951194a58922763a48d8ae6dd426bc5779257fa3c95"},
+	{"robustness -quick -trials 1 -systems pcc,sketch -profiles none,gray", "4847c6691348189cf971daada5a56817f7f2d75ac9fe362c8b5a2f3fec9a29ee"},
+	{"robustness -quick -trials 1 -systems pcc,sketch -profiles none,gray -json", "3ad04077c6db66a4bd691470ebc6b12aa7dd9bc9dcd46d48075d0a9beceae304"},
 }
 
 // TestSubcommandsPinned pins every subcommand's stdout to the digest its
@@ -78,9 +96,37 @@ func checkPin(t *testing.T, args, want string) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
-	sum := sha256.Sum256(stdout)
+	checkDigest(t, "stdout", stdout, want)
+}
+
+func checkDigest(t *testing.T, what string, b []byte, want string) {
+	t.Helper()
+	sum := sha256.Sum256(b)
 	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("stdout digest %s, want %s\n%s", got, want, stdout)
+		t.Errorf("%s digest %s, want %s\n%s", what, got, want, b)
+	}
+}
+
+// TestTracePinned pins the audited blink-fig2 run's stdout and its JSONL
+// selector trace under both event engines, as the trace-identity CI job
+// compares them.
+func TestTracePinned(t *testing.T) {
+	for _, engine := range []string{"wheel", "heap"} {
+		t.Run(engine, func(t *testing.T) {
+			t.Parallel()
+			trace := t.TempDir() + "/trace.jsonl"
+			stdout, stderr, code := runEnv(t, []string{"DUI_ENGINE=" + engine},
+				"blink-fig2", "-runs", "4", "-duration", "120", "-flows", "400", "-meandur", "6.35", "-audit", "-trace", trace)
+			if code != 0 {
+				t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+			}
+			checkDigest(t, "stdout", stdout, "ffd182c2de07192358d14fcb9b654b946b59442f883085493ed3cf6602831d50")
+			events, err := os.ReadFile(trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, "trace", events, "928bd2899ffb7dcc65bcacadbdb5a84c4f0a37121cf89b37a55da4a275f4b46b")
+		})
 	}
 }
 
@@ -96,6 +142,11 @@ func TestRejectsStrayArguments(t *testing.T) {
 		"blink-survey extra",
 		"pcc-oscillate -flows 1 extra",
 		"dataplane-attacks -seed 2 dataplane-attacks",
+		"blink-fig2 -runs 1 extra",
+		"blink-pop -quick extra",
+		"chaos-eval -quick extra",
+		"robustness -quick extra",
+		"advsearch -quick extra",
 	} {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()
@@ -107,6 +158,30 @@ func TestRejectsStrayArguments(t *testing.T) {
 				if !bytes.Contains(stderr, []byte(name)) {
 					t.Errorf("usage does not list %s:\n%s", name, stderr)
 				}
+			}
+		})
+	}
+}
+
+// TestCampaignSpecRejected: a campaign subcommand whose flags make a
+// spec campaign.JobSpec.Canon rejects prints Canon's error under the
+// subcommand's name and exits 2 without running anything.
+func TestCampaignSpecRejected(t *testing.T) {
+	for _, c := range []struct{ args, msg string }{
+		{"advsearch -system bogus", `advsearch: campaign: adv job: unknown system "bogus"`},
+		{"advsearch -guarded maybe", `advsearch: campaign: adv job: unknown guarded "maybe"`},
+		{"advsearch -searcher grid", `advsearch: campaign: adv job: unknown searcher "grid"`},
+		{"robustness -systems bogus", `robustness: campaign: robustness job: robustness: unknown system "bogus"`},
+		{"chaos-eval -levels 1", "chaos-eval: campaign: chaos job needs levels >= 2, got 1"},
+	} {
+		t.Run(c.args, func(t *testing.T) {
+			t.Parallel()
+			stdout, stderr, code := run(t, strings.Fields(c.args)...)
+			if code != 2 || len(stdout) != 0 {
+				t.Errorf("exit %d with %d stdout bytes, want exit 2 and none", code, len(stdout))
+			}
+			if !bytes.HasPrefix(stderr, []byte(c.msg)) {
+				t.Errorf("stderr %q, want prefix %q", stderr, c.msg)
 			}
 		})
 	}

@@ -7,12 +7,42 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
 	"dui/internal/campaign"
 	"dui/internal/netsim"
 )
+
+// runMainEnv makes the test binary act as simfuzz itself: a child
+// re-executed with this variable set runs main on its real os.Args from
+// init, before the testing package registers its flags.
+const runMainEnv = "SIMFUZZ_RUN_MAIN"
+
+func init() {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+}
+
+// TestMaxNodesPastAddressPlanRejected: -max-nodes above the 255-host
+// address plan is a usage error (exit 2) before any scenario is drawn,
+// not a campaign whose generated scenarios all fail validation.
+func TestMaxNodesPastAddressPlanRejected(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-seeds", "4", "-max-nodes", "400", "-json")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); cmd.ProcessState == nil {
+		t.Fatal(err)
+	}
+	const msg = "simfuzz: campaign: fuzz job: max_nodes 400 exceeds the 255-host address plan\n"
+	if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || stderr.String() != msg {
+		t.Errorf("exit %d, %d stdout bytes, stderr %q; want exit 2, no stdout, stderr %q", code, stdout.Len(), stderr.Bytes(), msg)
+	}
+}
 
 // TestReportPinned pins the text-mode output of a failing campaign — the
 // FAIL and shrink lines, the summary line, and the -corpus reproducer

@@ -1,8 +1,8 @@
 // Command simtrace diffs two event traces recorded by the internal/audit
-// layer (e.g. `blink-fig2 -trace a.jsonl`) and reports the FIRST diverging
-// event, with surrounding context from both traces — turning a whole-file
-// "bytes differ" bit-identity check into a localized answer: which run,
-// which virtual time, which cell or link, which flow.
+// layer (e.g. `duireport blink-fig2 -trace a.jsonl`) and reports the
+// FIRST diverging event, with surrounding context from both traces —
+// turning a whole-file "bytes differ" bit-identity check into a localized
+// answer: which run, which virtual time, which cell or link, which flow.
 //
 // Usage:
 //

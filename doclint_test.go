@@ -170,19 +170,32 @@ func checkDeclDocs(t *testing.T, fset *token.FileSet, path string, decl ast.Decl
 	_ = path
 }
 
-// docRefFiles are the living documents whose command and example
-// references must resolve. EXPERIMENTS.md is exempt: it is a dated log
-// that names deleted tools on purpose.
-var docRefFiles = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+// docRefFiles are the living documents, and the CI files that build and
+// run commands, whose command and example references must resolve (glob
+// patterns). EXPERIMENTS.md is exempt: it is a dated log that names
+// deleted tools on purpose.
+var docRefFiles = []string{
+	"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md",
+	"Makefile", ".github/workflows/*.yml", "scripts/*.sh",
+}
 
 // docRef matches cmd/<x> and examples/<x> (optionally ./-prefixed) and
 // /tmp/bins/<x>, the verify skill's build directory for cmd/<x>.
 var docRef = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?(cmd|examples)/([\w-]+)|/tmp/bins/([\w-]+)`)
 
 // TestDocReferencesExist asserts every cmd/<x>, examples/<x> and
-// /tmp/bins/<x> named in a living document is an existing directory.
+// /tmp/bins/<x> named in a living document or CI file is an existing
+// directory.
 func TestDocReferencesExist(t *testing.T) {
-	for _, doc := range docRefFiles {
+	var docs []string
+	for _, pattern := range docRefFiles {
+		matches, err := filepath.Glob(pattern)
+		if err != nil || len(matches) == 0 {
+			t.Fatalf("%s matches no file (%v)", pattern, err)
+		}
+		docs = append(docs, matches...)
+	}
+	for _, doc := range docs {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

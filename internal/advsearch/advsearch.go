@@ -10,7 +10,7 @@
 // harder engineering question the defenses of §5 raise: what does the
 // *cheapest* successful attack cost, and how much does a guard move that
 // cost? The answer is an attack-frontier curve (cost vs validated success
-// rate) per system and deployment, produced by cmd/advsearch.
+// rate) per system and deployment, produced by duireport advsearch.
 //
 // # Determinism contract
 //

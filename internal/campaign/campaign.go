@@ -3,12 +3,12 @@
 // "heavy traffic from many users" layer of the reproduction (ROADMAP
 // item 5), served by cmd/duid.
 //
-// A JobSpec describes one campaign: a scenario-fuzzing run, a chaos-eval
-// sweep, a scenario batch, or an attack-frontier search. Every job kind
-// obeys the repo-wide determinism contract — the result is a pure
-// function of the canonical spec, independent of worker count, shard
-// split, process boundaries, and restarts — which is what makes the rest
-// of this package sound:
+// A JobSpec describes one campaign: a scenario-fuzzing run, a chaos
+// sweep, a scenario batch, an attack-frontier search, or a robustness
+// matrix. Every job kind obeys the repo-wide determinism contract — the
+// result is a pure function of the canonical spec, independent of worker
+// count, shard split, process boundaries, and restarts — which is what
+// makes the rest of this package sound:
 //
 //   - Execute splits a job's seed range into contiguous shards, runs them
 //     on bounded worker pools (in-process via internal/runner, or in
@@ -33,6 +33,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"dui/internal/buildinfo"
 	"dui/internal/fuzz"
@@ -83,8 +84,9 @@ type FuzzSpec struct {
 	ShrinkBudget int `json:"shrink_budget,omitempty"`
 }
 
-// ChaosSpec is a chaos-eval sweep: Blink failure inference under gray
-// failure of Levels intensities, Trials trials each (cmd/chaos-eval).
+// ChaosSpec is a chaos sweep: Blink failure inference under gray
+// failure of Levels intensities, Trials trials each (duireport
+// chaos-eval).
 type ChaosSpec struct {
 	// Trials per intensity level (default 10).
 	Trials int `json:"trials"`
@@ -106,9 +108,9 @@ type ScenarioSpec struct {
 	Scenarios []scenario.Scenario `json:"scenarios"`
 }
 
-// AdvSpec is an attack-frontier search (cmd/advsearch). The search is
-// sequential across generations, so this kind always runs as one shard;
-// worker-count independence comes from internal/advsearch itself.
+// AdvSpec is an attack-frontier search (duireport advsearch). The search
+// is sequential across generations, so this kind always runs as one
+// shard; worker-count independence comes from internal/advsearch itself.
 type AdvSpec struct {
 	// Systems to attack, a subset of {blink, pytheas, pcc}; canonicalized
 	// to that order (default all three).
@@ -129,9 +131,9 @@ type AdvSpec struct {
 	Quick bool `json:"quick,omitempty"`
 }
 
-// RobustnessSpec is a full robustness-matrix evaluation (cmd/robustness):
-// every (system, attack, guard arm, fault profile) cell scored over
-// Trials twin-run reps.
+// RobustnessSpec is a full robustness-matrix evaluation (duireport
+// robustness): every (system, attack, guard arm, fault profile) cell
+// scored over Trials twin-run reps.
 type RobustnessSpec struct {
 	// Systems selects harnesses by canonical name; canonicalized to
 	// registry order (default all nine).
@@ -145,6 +147,26 @@ type RobustnessSpec struct {
 	RootSeed uint64 `json:"root_seed"`
 	// Quick shrinks every harness for smoke runs.
 	Quick bool `json:"quick,omitempty"`
+}
+
+// MaxTrials bounds every count a spec asks for: fuzz seeds, chaos
+// trials x levels, robustness cells x trials, adv gens x pop and
+// validations. Execute allocates per-trial state for the whole job before
+// its first trial runs, so an unbounded count in a small request body
+// would be a memory bomb; every in-repo campaign stays far below it.
+const MaxTrials = 1 << 20
+
+// advSystems are the adv kind's systems in canonical order, also its
+// default selection.
+var advSystems = []string{"blink", "pytheas", "pcc"}
+
+// checkCount rejects a count of a × b above MaxTrials, without
+// overflowing; a and b are positive.
+func checkCount(what string, a, b int) error {
+	if b > MaxTrials/a {
+		return fmt.Errorf("campaign: %s: %d x %d exceeds the %d-trial cap", what, a, b, MaxTrials)
+	}
+	return nil
 }
 
 // Canon validates s and returns the canonical form: kind defaults
@@ -164,6 +186,12 @@ func (s JobSpec) Canon() (JobSpec, error) {
 		if f.RootSeed == 0 {
 			f.RootSeed = 1
 		}
+		if err := checkCount("fuzz job seeds", 1, f.Seeds); err != nil {
+			return out, err
+		}
+		if f.MaxNodes > scenario.MaxHosts {
+			return out, fmt.Errorf("campaign: fuzz job: max_nodes %d exceeds the %d-host address plan", f.MaxNodes, scenario.MaxHosts)
+		}
 		out.Fuzz = &f
 	case KindChaos:
 		c := ChaosSpec{}
@@ -178,6 +206,9 @@ func (s JobSpec) Canon() (JobSpec, error) {
 		}
 		if c.Levels < 2 {
 			return out, fmt.Errorf("campaign: chaos job needs levels >= 2, got %d", c.Levels)
+		}
+		if err := checkCount("chaos job levels x trials", c.Levels, c.Trials); err != nil {
+			return out, err
 		}
 		if c.RootSeed == 0 {
 			c.RootSeed = 1
@@ -210,19 +241,17 @@ func (s JobSpec) Canon() (JobSpec, error) {
 			a = *s.Adv
 		}
 		if len(a.Systems) == 0 {
-			a.Systems = []string{"blink", "pytheas", "pcc"}
+			a.Systems = advSystems
 		}
 		want := map[string]bool{}
 		for _, sys := range a.Systems {
-			switch sys {
-			case "blink", "pytheas", "pcc":
-				want[sys] = true
-			default:
+			if !slices.Contains(advSystems, sys) {
 				return out, fmt.Errorf("campaign: adv job: unknown system %q", sys)
 			}
+			want[sys] = true
 		}
-		a.Systems = a.Systems[:0]
-		for _, sys := range []string{"blink", "pytheas", "pcc"} {
+		a.Systems = nil
+		for _, sys := range advSystems {
 			if want[sys] {
 				a.Systems = append(a.Systems, sys)
 			}
@@ -252,6 +281,12 @@ func (s JobSpec) Canon() (JobSpec, error) {
 		}
 		if a.Validate <= 0 {
 			a.Validate = 5
+		}
+		if err := checkCount("adv job gens x pop", a.Gens, a.Pop); err != nil {
+			return out, err
+		}
+		if err := checkCount("adv job validations", 1, a.Validate); err != nil {
+			return out, err
 		}
 		out.Adv = &a
 	case KindRobustness:
@@ -286,6 +321,9 @@ func (s JobSpec) Canon() (JobSpec, error) {
 		}
 		if r.RootSeed == 0 {
 			r.RootSeed = 1
+		}
+		if err := checkCount("robustness job cells x trials", len(robustness.EnumerateCells(systems, profiles)), r.Trials); err != nil {
+			return out, err
 		}
 		out.Robustness = &r
 	default:

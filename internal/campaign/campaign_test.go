@@ -1,10 +1,13 @@
 package campaign_test
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
 	"dui/internal/campaign"
+	"dui/internal/robustness"
 )
 
 // TestCanonDefaults pins the canonical defaults of every kind: a bare
@@ -51,6 +54,8 @@ func TestCanonRejects(t *testing.T) {
 			Adv: &campaign.AdvSpec{Systems: []string{"ron"}}}, "unknown system"},
 		{"adv unknown guarded", campaign.JobSpec{Kind: campaign.KindAdv,
 			Adv: &campaign.AdvSpec{Guarded: "maybe"}}, "unknown guarded"},
+		{"fuzz max_nodes past the address plan", campaign.JobSpec{Kind: campaign.KindFuzz,
+			Fuzz: &campaign.FuzzSpec{MaxNodes: 256}}, "max_nodes 256 exceeds the 255-host address plan"},
 		{"empty scenario batch", campaign.JobSpec{Kind: campaign.KindScenarios},
 			"no scenarios"},
 	}
@@ -83,5 +88,88 @@ func TestKeySpellingInvariance(t *testing.T) {
 	}
 	if campaign.Key(bare) == campaign.Key(reseeded) {
 		t.Fatal("root seed does not reach the cache key")
+	}
+}
+
+// TestCanonTrialCap: every kind's trial count is accepted at
+// campaign.MaxTrials and rejected one step above it, including products
+// whose int multiplication would overflow to a small value.
+func TestCanonTrialCap(t *testing.T) {
+	const capN = campaign.MaxTrials
+	fuzz := func(seeds int) campaign.JobSpec {
+		return campaign.JobSpec{Kind: campaign.KindFuzz, Fuzz: &campaign.FuzzSpec{Seeds: seeds}}
+	}
+	chaos := func(trials, levels int) campaign.JobSpec {
+		return campaign.JobSpec{Kind: campaign.KindChaos, Chaos: &campaign.ChaosSpec{Trials: trials, Levels: levels}}
+	}
+	adv := func(gens, pop, validate int) campaign.JobSpec {
+		return campaign.JobSpec{Kind: campaign.KindAdv, Adv: &campaign.AdvSpec{Gens: gens, Pop: pop, Validate: validate}}
+	}
+	// One system under one profile: its attacks x two guard arms.
+	systems, err := robustness.Select([]string{"pcc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles, err := robustness.Profiles([]string{"none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(robustness.EnumerateCells(systems, profiles))
+	matrix := func(trials int) campaign.JobSpec {
+		return campaign.JobSpec{Kind: campaign.KindRobustness, Robustness: &campaign.RobustnessSpec{
+			Systems: []string{"pcc"}, Profiles: []string{"none"}, Trials: trials}}
+	}
+	// 17 x 61681 = MaxTrials + 1.
+	for _, c := range []struct {
+		name     string
+		at, over campaign.JobSpec
+	}{
+		{"fuzz seeds", fuzz(capN), fuzz(capN + 1)},
+		{"chaos trials x levels", chaos(capN/2, 2), chaos(61681, 17)},
+		{"chaos overflowing product", chaos(capN/4, 4), chaos(1<<32, 1<<32)},
+		{"adv gens x pop", adv(1<<10, 1<<10, 0), adv(17, 61681, 0)},
+		{"adv overflowing product", adv(1<<10, 1<<10, 0), adv(math.MaxInt, math.MaxInt, 0)},
+		{"adv validations", adv(0, 0, capN), adv(0, 0, capN+1)},
+		{"robustness cells x trials", matrix(capN / cells), matrix(capN/cells + 1)},
+	} {
+		if _, err := c.at.Canon(); err != nil {
+			t.Errorf("%s at the cap: %v", c.name, err)
+		}
+		if _, err := c.over.Canon(); err == nil || !strings.Contains(err.Error(), "trial cap") {
+			t.Errorf("%s over the cap: err = %v, want the trial cap", c.name, err)
+		}
+	}
+}
+
+// TestCanonJSONPinned pins the canonical JSON (and so the cache Key
+// input) of specs that were valid before the trial and node caps, so
+// adding validation cannot move an existing cache entry.
+func TestCanonJSONPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec campaign.JobSpec
+		want string
+	}{
+		{campaign.JobSpec{Kind: campaign.KindFuzz, Fuzz: &campaign.FuzzSpec{Seeds: 5000, MaxNodes: 255, Faults: true, Shrink: true}},
+			`{"kind":"fuzz","fuzz":{"seeds":5000,"root_seed":1,"max_nodes":255,"faults":true,"shrink":true}}`},
+		{campaign.JobSpec{Kind: campaign.KindChaos, Chaos: &campaign.ChaosSpec{Trials: 3, Levels: 3}},
+			`{"kind":"chaos","chaos":{"trials":3,"levels":3,"root_seed":1,"fail_at":20,"duration":45}}`},
+		{campaign.JobSpec{Kind: campaign.KindAdv},
+			`{"kind":"adv","adv":{"systems":["blink","pytheas","pcc"],"guarded":"both","searcher":"cem","seed":1,"gens":8,"pop":24,"validate":5}}`},
+		{campaign.JobSpec{Kind: campaign.KindAdv, Adv: &campaign.AdvSpec{Systems: []string{"pcc", "blink", "pcc"}, Quick: true}},
+			`{"kind":"adv","adv":{"systems":["blink","pcc"],"guarded":"both","searcher":"cem","seed":1,"gens":8,"pop":24,"validate":5,"quick":true}}`},
+		{campaign.JobSpec{Kind: campaign.KindRobustness, Robustness: &campaign.RobustnessSpec{Systems: []string{"sketch", "pcc"}, Profiles: []string{"gray", "none"}, Trials: 1}},
+			`{"kind":"robustness","robustness":{"systems":["pcc","sketch"],"profiles":["none","gray"],"trials":1,"root_seed":1}}`},
+	} {
+		canon, err := c.spec.Canon()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("canonical JSON\n got %s\nwant %s", got, c.want)
+		}
 	}
 }

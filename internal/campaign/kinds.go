@@ -151,7 +151,7 @@ var fuzzOps = ops{
 
 // chaosRec is the journaled per-trial verdict of a chaos job — the
 // guarded-genuine-failure / unguarded-failure-free twin-run outcome
-// under gray failure (the cmd/chaos-eval trial body, extracted here so
+// under gray failure (the duireport chaos-eval trial body, kept here so
 // server-mediated and inline runs share one implementation).
 type chaosRec struct {
 	Rerouted     bool    `json:"rerouted"`
@@ -330,7 +330,7 @@ var scenarioOps = ops{
 // ----------------------------------------------------------------- adv
 
 // AdvSystem is one (system, deployment) attack-frontier search in an
-// AdvResult — the same shape cmd/advsearch has always emitted.
+// AdvResult — the same shape advsearch has always emitted.
 type AdvSystem struct {
 	System   string                    `json:"system"`
 	Guarded  bool                      `json:"guarded"`
@@ -377,11 +377,10 @@ func advTarget(system string, guarded, quick bool) advsearch.Target {
 	panic("campaign: advTarget on unvalidated system " + system)
 }
 
-// RunAdv executes the full attack-frontier search for spec on workers
+// runAdv executes the full attack-frontier search for spec on workers
 // in-process workers and returns the result. Deterministic at any
-// worker count (pinned by internal/advsearch tests); exported so
-// cmd/advsearch's inline mode and the adv job kind share one body.
-func RunAdv(a *AdvSpec, workers int) AdvResult {
+// worker count (pinned by internal/advsearch tests).
+func runAdv(a *AdvSpec, workers int) AdvResult {
 	var s advsearch.Searcher
 	if a.Searcher == "anneal" {
 		s = advsearch.Anneal{}
@@ -425,7 +424,7 @@ var advOps = ops{
 	total: func(JobSpec) int { return 1 },
 	init:  func(_ JobSpec, workers int) (any, error) { return advState{workers: workers}, nil },
 	runOne: func(s JobSpec, state any, _ int, _ uint64) (json.RawMessage, error) {
-		return json.Marshal(RunAdv(s.Adv, state.(advState).workers))
+		return json.Marshal(runAdv(s.Adv, state.(advState).workers))
 	},
 	assemble: func(_ context.Context, _ JobSpec, outs [][]byte) (any, error) {
 		var res AdvResult

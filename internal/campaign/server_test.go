@@ -241,8 +241,32 @@ func TestServerRejectsOversizeSpec(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize spec answered %d, want 413", resp.StatusCode)
 	}
+	assertNoJobs(t, c.Base)
+}
 
-	resp, err = http.Get(c.Base + "/v1/jobs")
+// TestServerRejectsOverCapSpec: a small body asking for more trials
+// than campaign.MaxTrials is answered 400 and never journaled as queued,
+// so a restart cannot re-queue it either.
+func TestServerRejectsOverCapSpec(t *testing.T) {
+	_, c, stop := startServer(t, t.TempDir(), campaign.Options{Workers: 1})
+	defer stop()
+
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"fuzz","fuzz":{"seeds":1000000000}}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-cap spec answered %d, want 400", resp.StatusCode)
+	}
+	assertNoJobs(t, c.Base)
+}
+
+// assertNoJobs fails t unless the server at base lists no jobs.
+func assertNoJobs(t *testing.T, base string) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs")
 	if err != nil {
 		t.Fatalf("GET /v1/jobs: %v", err)
 	}
@@ -252,6 +276,6 @@ func TestServerRejectsOversizeSpec(t *testing.T) {
 		t.Fatalf("job list: %v", err)
 	}
 	if len(jobs) != 0 {
-		t.Fatalf("oversize spec created %d job(s)", len(jobs))
+		t.Fatalf("rejected spec created %d job(s)", len(jobs))
 	}
 }

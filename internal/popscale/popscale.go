@@ -22,8 +22,8 @@
 //     checks, and the bank must match it bit for bit (audit.BankAudit).
 //
 // The headline numbers — simulated flows/sec, packets (events)/sec, peak
-// RSS at ≥1M active flows — are what cmd/blink-pop and BenchmarkPopScale
-// report into BENCH_4.json.
+// RSS at ≥1M active flows — are what duireport blink-pop and
+// BenchmarkPopScale report into BENCH_4.json.
 package popscale
 
 import (
@@ -183,7 +183,7 @@ type Result struct {
 	AuditedPrefixes int
 
 	// Wall-clock performance (NOT deterministic; excluded from StateHash
-	// and printed to stderr by cmd/blink-pop).
+	// and printed to stderr by duireport blink-pop).
 	WallSeconds  float64
 	FlowsPerSec  float64 // ActiveFlows × Duration / WallSeconds
 	EventsPerSec float64 // Packets / WallSeconds

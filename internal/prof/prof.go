@@ -2,7 +2,7 @@
 // -memprofile, and -memstats flags, so future performance work starts
 // from a profile instead of a guess:
 //
-//	go run ./cmd/blink-fig2 -cpuprofile fig2.cpu.pprof -memprofile fig2.mem.pprof
+//	go run ./cmd/duireport blink-fig2 -cpuprofile fig2.cpu.pprof -memprofile fig2.mem.pprof
 //	go tool pprof fig2.cpu.pprof
 //
 // Importing the package registers the flags; call Start after flag.Parse

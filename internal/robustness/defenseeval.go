@@ -89,8 +89,8 @@ func evalPCC(d *DefenseEval, seed uint64) {
 }
 
 // WriteDefenseEval renders the E8 §5 countermeasure report
-// (cmd/robustness -defense-eval) from EvalDefenses(seed, workers). The
-// bytes are identical at every worker count.
+// (duireport robustness -defense-eval) from EvalDefenses(seed, workers).
+// The bytes are identical at every worker count.
 func WriteDefenseEval(w io.Writer, seed uint64, workers int) {
 	d := EvalDefenses(seed, workers)
 	fmt.Fprintf(w, "§5 countermeasure evaluation\n")

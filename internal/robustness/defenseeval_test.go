@@ -9,7 +9,7 @@ import (
 	"dui/internal/robustness"
 )
 
-// TestDefenseEvalPinned pins the E8 report (cmd/robustness -defense-eval)
+// TestDefenseEvalPinned pins the E8 report (duireport robustness -defense-eval)
 // at seed 1 to the digest of the report as the standalone defense-eval
 // command printed it, at one and two section workers. Any change to a
 // guard's verdict, a reason string, or one of the three §5 simulations

@@ -5,7 +5,7 @@
 // matrix of (system, attack, guard-on/off, benign-fault profile) cells,
 // scored with one common metric.
 //
-// Each cell runs the twin-run pattern chaos-eval introduced, per trial:
+// Each cell runs the twin-run pattern of the campaign chaos kind, per trial:
 // one run under the attack and one attack-free twin at the same seed,
 // both under the cell's benign-fault profile. From the pair the cell
 // aggregates

@@ -204,6 +204,10 @@ type BlinkSpec struct {
 	Window float64 `json:"window,omitempty"`
 }
 
+// MaxHosts is the most nodes a scenario may have: node i is addressed
+// from 10.i.0.0, so the index must fit in one octet.
+const MaxHosts = 255
+
 // HostAddr returns the deterministic address of the host at node index i.
 func HostAddr(i int) packet.Addr { return packet.MakeAddr(10, byte(i), 0, 1) }
 
@@ -234,8 +238,8 @@ func (s *Scenario) Validate() error {
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("no nodes")
 	}
-	if len(s.Nodes) > 255 {
-		return fmt.Errorf("%d nodes exceed the 255-host address plan", len(s.Nodes))
+	if len(s.Nodes) > MaxHosts {
+		return fmt.Errorf("%d nodes exceed the %d-host address plan", len(s.Nodes), MaxHosts)
 	}
 	for i, n := range s.Nodes {
 		if n.Name == "" {

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # robustness-smoke: the robustness-matrix determinism gate.
 #
-# The quick matrix is run three ways — inline on one worker, inline on
-# four workers, and submitted to a duid server — and all three JSON
-# results must be byte-identical (cmp): trial seeds derive from cell
-# coordinates alone, so neither the worker pool nor the service path may
-# leak into result bytes. The matrix JSON is left at $OUT for CI to
-# upload as an artifact. (The E8 -defense-eval report is pinned by
+# The quick matrix (duireport robustness) is run three ways — inline on
+# one worker, inline on four workers, and submitted to a duid server —
+# and all three JSON results must be byte-identical (cmp): trial seeds
+# derive from cell coordinates alone, so neither the worker pool nor the
+# service path may leak into result bytes. The matrix JSON is left at
+# $OUT for CI to upload as an artifact. (The E8 -defense-eval report is pinned by
 # TestDefenseEvalPinned in internal/robustness.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,13 +34,13 @@ wait_up() {
 	die "duid at $BASE never came up"
 }
 
-say "building robustness and duid"
-go build -o "$WORK/robustness" ./cmd/robustness
+say "building duireport and duid"
+go build -o "$WORK/duireport" ./cmd/duireport
 go build -o "$WORK/duid" ./cmd/duid
 
 say "quick matrix inline: -parallel 1 vs -parallel 4"
-"$WORK/robustness" -quick -json -parallel 1 >"$WORK/p1.json"
-"$WORK/robustness" -quick -json -parallel 4 >"$WORK/p4.json"
+"$WORK/duireport" robustness -quick -json -parallel 1 >"$WORK/p1.json"
+"$WORK/duireport" robustness -quick -json -parallel 4 >"$WORK/p4.json"
 cmp "$WORK/p1.json" "$WORK/p4.json" ||
 	die "matrix diverged across worker counts"
 say "worker-count independent matrix verified"
@@ -51,13 +51,13 @@ DUID_PID=$!
 disown
 wait_up
 
-"$WORK/robustness" -quick -json -server "$BASE" >"$WORK/server.json"
+"$WORK/duireport" robustness -quick -json -server "$BASE" >"$WORK/server.json"
 cmp "$WORK/p1.json" "$WORK/server.json" ||
 	die "server-mediated matrix diverged from inline execution"
 say "server result is byte-identical to inline execution"
 
 # An identical resubmission must answer from the result cache.
-"$WORK/robustness" -quick -json -server "$BASE" >"$WORK/cached.json"
+"$WORK/duireport" robustness -quick -json -server "$BASE" >"$WORK/cached.json"
 cmp "$WORK/p1.json" "$WORK/cached.json" || die "cached resubmission diverged"
 grep -q '"cached":true' "$WORK/state/jobs.journal" ||
 	die "resubmission was not served from the result cache"
