@@ -31,11 +31,12 @@ bench-check:
 audit:
 	DUI_AUDIT=1 $(GO) test -race ./...
 
-## bench: the per-experiment and substrate benchmarks (minutes); refreshes
-## BENCH_4.json, the repo's benchmark-trajectory file (BENCH_2.json is the
-## frozen pre-timing-wheel snapshot, BENCH_3.json the pre-PoP-scale one).
+## bench: the per-experiment and substrate benchmarks (minutes); writes
+## BENCH_5.json, the repo's benchmark-trajectory file (BENCH_2.json is the
+## frozen pre-timing-wheel snapshot, BENCH_3.json the pre-PoP-scale one,
+## BENCH_4.json the frozen PoP-scale one).
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=1 -timeout 60m . | $(GO) run ./cmd/benchjson -o BENCH_4.json
+	$(GO) test -run '^$$' -bench=. -benchmem -count=1 -timeout 60m . | $(GO) run ./cmd/benchjson -o BENCH_5.json
 
 ## bench-smoke: the fast substrate subset CI runs on every push.
 bench-smoke:

@@ -10,7 +10,7 @@ import (
 // fig2Traced runs a Fig 2 experiment with a MonAudit (and recorder)
 // attached to every trial, returning the flattened trace after verifying
 // the selector invariants held on each run.
-func fig2Traced(t *testing.T, cfg Fig2Config, workers int) []audit.Event {
+func fig2Traced(t *testing.T, cfg blink.Fig2Config, workers int) []audit.Event {
 	t.Helper()
 	cfg.Parallel = workers
 	n := cfg.Defaults().Runs
@@ -20,7 +20,7 @@ func fig2Traced(t *testing.T, cfg Fig2Config, workers int) []audit.Event {
 		recs[run] = audit.NewRecorder()
 		auds[run] = audit.AttachMonitor(m, recs[run])
 	}
-	res := RunFig2(cfg)
+	res := blink.RunFig2(cfg)
 	for run, a := range auds {
 		if a == nil {
 			t.Fatalf("trial %d was never observed", run)
@@ -38,7 +38,7 @@ func fig2Traced(t *testing.T, cfg Fig2Config, workers int) []audit.Event {
 // the selector invariants. A divergence fails with the first differing
 // event — the same localization cmd/simtrace gives on saved traces.
 func TestFig2AuditedTraceParity(t *testing.T) {
-	cfg := Fig2Config{Runs: 4, Duration: 60, LegitFlows: 300, MeanFlowDuration: 8}
+	cfg := blink.Fig2Config{Runs: 4, Duration: 60, LegitFlows: 300, MeanFlowDuration: 8}
 	assertParity(t, cfg)
 }
 
@@ -49,11 +49,11 @@ func TestFig2AuditedTraceParityFullScale(t *testing.T) {
 	if !audit.EnabledFromEnv() {
 		t.Skip("set DUI_AUDIT=1 to run the full-scale audited parity check")
 	}
-	cfg := Fig2Config{Runs: 10, Duration: 250, LegitFlows: 1000, MeanFlowDuration: 8}
+	cfg := blink.Fig2Config{Runs: 10, Duration: 250, LegitFlows: 1000, MeanFlowDuration: 8}
 	assertParity(t, cfg)
 }
 
-func assertParity(t *testing.T, cfg Fig2Config) {
+func assertParity(t *testing.T, cfg blink.Fig2Config) {
 	seq := fig2Traced(t, cfg, 1)
 	par := fig2Traced(t, cfg, 4)
 	if len(seq) == 0 {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dui/internal/blink"
+	"dui/internal/bnn"
 	"dui/internal/conntrack"
 	"dui/internal/dapper"
 	"dui/internal/fuzz"
@@ -22,11 +23,13 @@ import (
 	"dui/internal/pcc"
 	"dui/internal/pytheas"
 	"dui/internal/robustness"
+	"dui/internal/ron"
 	"dui/internal/runner"
 	"dui/internal/scenario"
 	"dui/internal/sketch"
 	"dui/internal/sppifo"
 	"dui/internal/stats"
+	"dui/internal/supervisor"
 	"dui/internal/trace"
 )
 
@@ -198,7 +201,7 @@ func BenchmarkEngineLinkBurst(b *testing.B) {
 func BenchmarkE1BlinkFig2(b *testing.B) {
 	var hit float64
 	for i := 0; i < b.N; i++ {
-		res := RunFig2(Fig2Config{Runs: 2, Duration: 300, Seed: uint64(i + 1), MeanFlowDuration: 6.35})
+		res := blink.RunFig2(blink.Fig2Config{Runs: 2, Duration: 300, Seed: uint64(i + 1), MeanFlowDuration: 6.35})
 		hit = stats.Mean(res.HitTimes)
 	}
 	b.ReportMetric(hit, "mean-hit-s")
@@ -212,7 +215,7 @@ func BenchmarkE1BlinkFig2(b *testing.B) {
 // 4+ cores it approaches a 4x wall-clock reduction (8 independent
 // trials, embarrassingly parallel).
 func BenchmarkE1BlinkFig2Parallel(b *testing.B) {
-	cfg := Fig2Config{Runs: 8, Duration: 150, LegitFlows: 500, Seed: 1, MeanFlowDuration: 6.35}
+	cfg := blink.Fig2Config{Runs: 8, Duration: 150, LegitFlows: 500, Seed: 1, MeanFlowDuration: 6.35}
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -220,7 +223,7 @@ func BenchmarkE1BlinkFig2Parallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := cfg
 				c.Parallel = workers
-				res := RunFig2(c)
+				res := blink.RunFig2(c)
 				cells = res.SimMean.Values[len(res.SimMean.Values)-1]
 			}
 			b.ReportMetric(cells, "end-cells")
@@ -232,8 +235,8 @@ func BenchmarkE1BlinkFig2Parallel(b *testing.B) {
 func BenchmarkE2PrefixSurvey(b *testing.B) {
 	var med float64
 	for i := 0; i < b.N; i++ {
-		prefixes := SyntheticSurvey(6, uint64(i+1))
-		rows := RunSurvey(BlinkConfig{}, prefixes, 200, uint64(i+1))
+		prefixes := trace.SyntheticSurvey(6, stats.NewRNG(uint64(i+1)))
+		rows := blink.RunSurvey(blink.Config{}, prefixes, 200, uint64(i+1), 0)
 		trs := make([]float64, len(rows))
 		for j, r := range rows {
 			trs[j] = r.TR
@@ -247,7 +250,7 @@ func BenchmarkE2PrefixSurvey(b *testing.B) {
 func BenchmarkE3BlinkHijack(b *testing.B) {
 	var cells float64
 	for i := 0; i < b.N; i++ {
-		res := RunHijack(HijackConfig{Seed: uint64(i + 1), TriggerAt: 100, Duration: 120})
+		res := blink.RunHijack(blink.HijackConfig{Seed: uint64(i + 1), TriggerAt: 100, Duration: 120})
 		cells = float64(res.MaliciousCellsAtTrigger)
 	}
 	b.ReportMetric(cells, "malicious-cells")
@@ -257,7 +260,7 @@ func BenchmarkE3BlinkHijack(b *testing.B) {
 func BenchmarkE4PCCOscillation(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res := RunOscillation(OscConfig{Duration: 60, Seed: uint64(i + 1), Attack: true})
+		res := pcc.RunOscillation(pcc.OscConfig{Duration: 60, Seed: uint64(i + 1), Attack: true})
 		rate = res.Flows[0].MeanRateLate
 	}
 	b.ReportMetric(rate, "pinned-rate-pps")
@@ -267,8 +270,8 @@ func BenchmarkE4PCCOscillation(b *testing.B) {
 func BenchmarkE5PytheasPoisoning(b *testing.B) {
 	var qoe float64
 	for i := 0; i < b.N; i++ {
-		cfg := PytheasConfig{Seed: uint64(i + 1), Sessions: 600, Epochs: 150}
-		res := RunPytheas(cfg, pytheas.Poison{Bots: 90, ReportMultiplier: 5}.Defaults())
+		cfg := pytheas.SimConfig{Seed: uint64(i + 1), Sessions: 600, Epochs: 150}
+		res := pytheas.Run(cfg, pytheas.Poison{Bots: 90, ReportMultiplier: 5}.Defaults())
 		qoe = res.HonestQoELate
 	}
 	b.ReportMetric(qoe, "poisoned-qoe")
@@ -280,7 +283,7 @@ func BenchmarkE6NetHide(b *testing.B) {
 	pairs := nethide.AllPairs(g)
 	var success float64
 	for i := 0; i < b.N; i++ {
-		virt, _ := Obfuscate(g, pairs, NetHideConfig{DensityCap: 30}, uint64(i+1))
+		virt, _ := nethide.Obfuscate(g, pairs, nethide.Config{DensityCap: 30}, stats.NewRNG(uint64(i+1)))
 		out := nethide.EvaluateAttack(nethide.ShortestPaths(g, pairs), nethide.Survey(virt, pairs), 0)
 		success = out.Success
 	}
@@ -315,7 +318,9 @@ func BenchmarkE7bSketchPollution(b *testing.B) {
 func BenchmarkE7cRONProbes(b *testing.B) {
 	var inflation float64
 	for i := 0; i < b.N; i++ {
-		out := RunProbeAttack(8, uint64(i+1), 0.2)
+		out := ron.RunProbeAttack(8, uint64(i+1), func(o *ron.Overlay) (ron.ProbeTamper, int) {
+			return ron.DelayProbes(0, 1, 0.2), -1
+		}, 0, 1)
 		inflation = out.Inflation
 	}
 	b.ReportMetric(inflation, "latency-inflation")
@@ -323,13 +328,13 @@ func BenchmarkE7cRONProbes(b *testing.B) {
 
 // BenchmarkE8Defenses runs the Blink supervisor against the hijack.
 func BenchmarkE8Defenses(b *testing.B) {
-	clean := RunFailover(FailoverConfig{FailAt: 0, Duration: 15})
-	model := NewRTOModel(clean.SRTTs, 0.2)
+	clean := blink.RunFailover(blink.FailoverConfig{FailAt: 0, Duration: 15})
+	model := supervisor.NewRTOModel(clean.SRTTs, 0.2)
 	var vetoed float64
 	for i := 0; i < b.N; i++ {
-		res := RunHijack(HijackConfig{
+		res := blink.RunHijack(blink.HijackConfig{
 			Seed: uint64(i + 1), TriggerAt: 100, Duration: 120,
-			Hook: func(p *blink.Pipeline) { GuardPipeline(p, model) },
+			Hook: func(p *blink.Pipeline) { supervisor.GuardPipeline(p, model) },
 		})
 		vetoed = float64(res.VetoedReroutes)
 	}
@@ -453,7 +458,7 @@ func BenchmarkSubstratePCCUtility(b *testing.B) {
 func BenchmarkE7dDAPPERMisblaming(b *testing.B) {
 	var flipped float64
 	for i := 0; i < b.N; i++ {
-		out := RunDapper(TrueSender, InjectRetransmissions, 15)
+		out := dapper.Run(dapper.TrueSender, dapper.InjectRetransmissions, 15)
 		if out.Diagnosis == dapper.NetworkLimited {
 			flipped = 1
 		}
@@ -465,7 +470,7 @@ func BenchmarkE7dDAPPERMisblaming(b *testing.B) {
 func BenchmarkE7eStateExhaustion(b *testing.B) {
 	var broken float64
 	for i := 0; i < b.N; i++ {
-		res := RunStateExhaustion(conntrack.ExhaustionConfig{Seed: uint64(i + 1), AttackSYNRate: 2000})
+		res := conntrack.RunExhaustion(conntrack.ExhaustionConfig{Seed: uint64(i + 1), AttackSYNRate: 2000})
 		broken = res.BrokenFraction
 	}
 	b.ReportMetric(broken, "broken-fraction")
@@ -475,7 +480,7 @@ func BenchmarkE7eStateExhaustion(b *testing.B) {
 func BenchmarkE7fBNNEvasion(b *testing.B) {
 	var evasion float64
 	for i := 0; i < b.N; i++ {
-		_, rows := RunBNNEvasion(uint64(i)|1, []int{4})
+		_, rows := bnn.Experiment{Seed: uint64(i) | 1}.Run([]int{4})
 		for _, r := range rows {
 			if r.Crafted {
 				evasion = r.SuccessRate
@@ -500,7 +505,7 @@ func BenchmarkAblationBlinkEviction(b *testing.B) {
 					trace.ExpDuration{MeanSec: 6}, 2, 60, 10, stats.NewRNG(uint64(i+1)))
 			}
 			b.ReportMetric(tr, "tR-s")
-			b.ReportMetric(RequiredQm(64, 32, tr, 510, 0.95), "required-qm")
+			b.ReportMetric(blink.RequiredQm(64, 32, tr, 510, 0.95), "required-qm")
 		})
 	}
 }
@@ -513,7 +518,7 @@ func BenchmarkAblationBlinkResetPeriod(b *testing.B) {
 		b.Run(fmt.Sprintf("tB=%.0fs", tb), func(b *testing.B) {
 			var qm float64
 			for i := 0; i < b.N; i++ {
-				qm = RequiredQm(64, 32, 8.37, tb, 0.95)
+				qm = blink.RequiredQm(64, 32, 8.37, tb, 0.95)
 			}
 			b.ReportMetric(qm, "required-qm")
 		})
@@ -531,7 +536,7 @@ func BenchmarkAblationPCCUtility(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var rate float64
 			for i := 0; i < b.N; i++ {
-				res := RunOscillation(OscConfig{Duration: 60, Seed: uint64(i + 1), Attack: true, Utility: tc.u})
+				res := pcc.RunOscillation(pcc.OscConfig{Duration: 60, Seed: uint64(i + 1), Attack: true, Utility: tc.u})
 				rate = res.Flows[0].MeanRateLate
 			}
 			b.ReportMetric(rate, "pinned-rate-pps")
@@ -568,7 +573,7 @@ func BenchmarkAblationSPPIFOQueues(b *testing.B) {
 		b.Run(fmt.Sprintf("queues=%d", k), func(b *testing.B) {
 			var amp float64
 			for i := 0; i < b.N; i++ {
-				amp = RunSPPIFO(k, uint64(i+1)).Amplification
+				amp = sppifo.Experiment{Queues: k, Seed: uint64(i + 1)}.Run().Amplification
 			}
 			b.ReportMetric(amp, "amplification")
 		})

@@ -42,14 +42,16 @@ import (
 	"sort"
 	"strings"
 
-	"dui"
 	"dui/internal/audit"
 	"dui/internal/blink"
+	"dui/internal/bnn"
 	"dui/internal/campaign"
 	"dui/internal/cli"
 	"dui/internal/conntrack"
+	"dui/internal/dapper"
 	"dui/internal/graph"
 	"dui/internal/nethide"
+	"dui/internal/pcc"
 	"dui/internal/popscale"
 	"dui/internal/prof"
 	"dui/internal/pytheas"
@@ -57,7 +59,10 @@ import (
 	"dui/internal/ron"
 	"dui/internal/runner"
 	"dui/internal/sketch"
+	"dui/internal/sppifo"
 	"dui/internal/stats"
+	"dui/internal/supervisor"
+	"dui/internal/trace"
 )
 
 // subcommands maps each single-experiment mode to its body, which
@@ -140,11 +145,11 @@ func report() {
 }
 
 func e1(b *strings.Builder, quick bool, seed uint64, workers int) {
-	cfg := dui.Fig2Config{Seed: seed, Parallel: workers}
+	cfg := blink.Fig2Config{Seed: seed, Parallel: workers}
 	if quick {
 		cfg.Runs, cfg.Duration, cfg.LegitFlows = 4, 400, 2000
 	}
-	res := dui.RunFig2(cfg)
+	res := blink.RunFig2(cfg)
 	cross, _ := res.TheoryMean.FirstCrossing(32)
 	hits := reached(res)
 	fmt.Fprintf(b, "\n## E1 — Fig 2: malicious flows sampled by Blink\n")
@@ -164,7 +169,7 @@ func e1(b *strings.Builder, quick bool, seed uint64, workers int) {
 
 // reached returns the hitting times of the Fig 2 runs whose sample
 // reached the malicious majority.
-func reached(res *dui.Fig2Result) []float64 {
+func reached(res *blink.Fig2Result) []float64 {
 	var hits []float64
 	for _, h := range res.HitTimes {
 		if !math.IsNaN(h) {
@@ -191,7 +196,7 @@ func blinkFig2() {
 	)
 	defer start("duireport blink-fig2")()
 
-	cfgIn := dui.Fig2Config{
+	cfgIn := blink.Fig2Config{
 		Runs: *runs, Duration: *duration, TR: *tr, Qm: *qm,
 		LegitFlows: *flows, Seed: *seed, MeanFlowDuration: *meanDur,
 		Parallel: *parallel,
@@ -222,7 +227,7 @@ func blinkFig2() {
 			}
 		}
 	}
-	res := dui.RunFig2(cfgIn)
+	res := blink.RunFig2(cfgIn)
 
 	if *audited {
 		for run, a := range auds {
@@ -370,7 +375,7 @@ func e2(b *strings.Builder, quick bool, seed uint64, workers int) {
 
 // survey measures tR and the required qm for n synthetic prefixes (E2).
 func survey(n, flows int, seed uint64, workers int) []blink.SurveyRow {
-	return dui.RunSurveyN(dui.BlinkConfig{}, dui.SyntheticSurvey(n, seed), flows, seed+1, workers)
+	return blink.RunSurvey(blink.Config{}, trace.SyntheticSurvey(n, stats.NewRNG(seed)), flows, seed+1, workers)
 }
 
 func blinkSurvey() {
@@ -416,7 +421,7 @@ func blinkSurvey() {
 
 func e3(b *strings.Builder, quick bool, seed uint64, workers int) {
 	legit := genuineFailover()
-	res := dui.RunHijack(dui.HijackConfig{Seed: seed})
+	res := blink.RunHijack(blink.HijackConfig{Seed: seed})
 	fmt.Fprintf(b, "\n## E3 — end-to-end Blink behaviour\n")
 	fmt.Fprintf(b, "- genuine failure: detected in %.2fs, %d/%d flows recovered via backup\n",
 		legit.DetectionLatency, legit.RecoveredFlows, legit.Config.Flows)
@@ -427,8 +432,8 @@ func e3(b *strings.Builder, quick bool, seed uint64, workers int) {
 
 // genuineFailover is Blink's intended function: a real primary-path
 // failure at t=20 s with real TCP flows (E3's baseline).
-func genuineFailover() *dui.FailoverResult {
-	return dui.RunFailover(dui.FailoverConfig{FailAt: 20, Duration: 45})
+func genuineFailover() *blink.FailoverResult {
+	return blink.RunFailover(blink.FailoverConfig{FailAt: 20, Duration: 45})
 }
 
 func blinkHijack() {
@@ -455,17 +460,17 @@ func blinkHijack() {
 		return
 	}
 
-	cfg := dui.HijackConfig{
+	cfg := blink.HijackConfig{
 		Seed: *seed, TriggerAt: *trigger, Duration: *duration,
 		MalFlows: *mal, LegitFlows: *legit,
 	}
 	if *defended {
-		model := dui.DefaultRTOModel()
-		cfg.Hook = func(p *blink.Pipeline) { dui.GuardPipeline(p, model) }
+		model := supervisor.DefaultRTOModel()
+		cfg.Hook = func(p *blink.Pipeline) { supervisor.GuardPipeline(p, model) }
 	}
 
 	if *runs > 1 {
-		ens := dui.SummarizeHijacks(dui.HijackTrials(cfg, *runs, *parallel))
+		ens := blink.Summarize(blink.HijackTrials(cfg, *runs, *parallel))
 		fmt.Printf("§3.1 Blink traffic hijack — %d seeded trials (qm=%.2f, trigger at %.0fs, defended=%v)\n",
 			ens.Trials, float64(*mal)/float64(*legit), *trigger, *defended)
 		fmt.Printf("  attack succeeded (reroute onto attacker path): %d/%d trials\n", ens.Rerouted, ens.Trials)
@@ -477,7 +482,7 @@ func blinkHijack() {
 		return
 	}
 
-	res := dui.RunHijack(cfg)
+	res := blink.RunHijack(cfg)
 
 	fmt.Printf("§3.1 Blink traffic hijack (qm=%.2f, trigger at %.0fs, defended=%v)\n",
 		float64(res.Config.MalFlows)/float64(res.Config.LegitFlows), *trigger, *defended)
@@ -501,14 +506,14 @@ func e4(b *strings.Builder, quick bool, seed uint64, workers int) {
 	if quick {
 		dur, flows = 60, 4
 	}
-	runs := dui.OscSweep([]dui.OscConfig{
+	runs := pcc.OscSweep([]pcc.OscConfig{
 		{Duration: dur, Seed: seed},
 		{Duration: dur, Seed: seed, Attack: true},
 		{Flows: flows, Duration: dur, Seed: seed},
 		{Flows: flows, Duration: dur, Seed: seed, Attack: true},
 	}, workers)
 	clean, attacked, fleetC, fleetA := runs[0], runs[1], runs[2], runs[3]
-	_, amp := dui.ForcedOscillation(0.01, 0.05, 10)
+	_, amp := pcc.ForcedOscillation(0.01, 0.05, 10)
 	fmt.Fprintf(b, "\n## E4 — PCC utility equalizer\n")
 	fmt.Fprintf(b, "- single flow: clean %.0f pkts/s vs attacked %.0f pkts/s (capacity 1000); oscillation %.1f%%; drop budget %.2f%%\n",
 		clean.MeanRateLate, attacked.MeanRateLate, 100*attacked.Flows[0].OscAmplitude, 100*attacked.DropFraction)
@@ -529,10 +534,10 @@ func pccOscillate() {
 	)
 	defer start("duireport pcc-oscillate")()
 
-	cfg := dui.OscConfig{Flows: *flows, Duration: *duration, Seed: *seed, CapacityPPS: *capacity}
-	clean := dui.RunOscillation(cfg)
+	cfg := pcc.OscConfig{Flows: *flows, Duration: *duration, Seed: *seed, CapacityPPS: *capacity}
+	clean := pcc.RunOscillation(cfg)
 	cfg.Attack = true
-	attacked := dui.RunOscillation(cfg)
+	attacked := pcc.RunOscillation(cfg)
 
 	fmt.Printf("§4.2 PCC under the utility equalizer — %d flow(s), capacity %.0f pkts/s\n\n", *flows, *capacity)
 	fmt.Printf("%-22s %14s %14s\n", "", "clean", "attacked")
@@ -542,7 +547,7 @@ func pccOscillate() {
 	fmt.Printf("%-22s %13.2f%% %13.2f%%\n", "aggregate arrival CV", 100*clean.AggCV, 100*attacked.AggCV)
 	fmt.Printf("%-22s %14s %13.2f%%  of packets dropped by the MitM\n", "attack budget", "-", 100*attacked.DropFraction)
 
-	_, amp := dui.ForcedOscillation(0.01, 0.05, 10)
+	_, amp := pcc.ForcedOscillation(0.01, 0.05, 10)
 	fmt.Printf("\nanalytic §4.2 model: with every trial tied, ε escalates 0.01→0.05 and the rate\n")
 	fmt.Printf("fluctuates ±5%% forever (peak-to-peak %.0f%% of base) without converging.\n", 100*amp)
 
@@ -556,18 +561,18 @@ func pccOscillate() {
 }
 
 func e5(b *strings.Builder, quick bool, seed uint64, workers int) {
-	cfg := dui.PytheasConfig{Seed: seed}
+	cfg := pytheas.SimConfig{Seed: seed}
 	if quick {
 		cfg.Sessions, cfg.Epochs = 500, 150
 	}
 	fractions := []float64{0, 0.1, 0.2, 0.3}
-	rows := dui.PoisonSweepN(cfg, fractions, 5, workers)
+	rows := pytheas.PoisonSweep(cfg, fractions, 5, workers)
 	fmt.Fprintf(b, "\n## E5 — Pytheas group poisoning\n")
 	for i, f := range fractions {
 		fmt.Fprintf(b, "- botnet %.0f%%: honest QoE %.2f, %.0f%% of honest sessions still on the good option\n",
 			100*f, rows[i].HonestQoELate, 100*rows[i].GoodShareLate)
 	}
-	out := dui.RunThrottle(cfg, 0.7, 0.2)
+	out := pytheas.RunThrottle(cfg, 0.7, 0.2)
 	fmt.Fprintf(b, "- throttle attack: QoE %.2f -> %.2f, peak stampede %.0f%% onto the capacity-limited site\n",
 		out.Baseline.HonestQoELate, out.Attacked.HonestQoELate, 100*out.PeakStampedeShare)
 	fmt.Fprintf(b, "- paper: a minority of manipulated clients drives group-wide decisions; throttling stampedes/overloads a CDN site\n")
@@ -583,7 +588,7 @@ func pytheasPoison() {
 	defer start("duireport pytheas-poison")()
 
 	fractions := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5}
-	base := dui.PytheasConfig{Sessions: *sessions, Epochs: *epochs, Seed: *seed}
+	base := pytheas.SimConfig{Sessions: *sessions, Epochs: *epochs, Seed: *seed}
 
 	fmt.Printf("§4.1 Pytheas report poisoning — %d sessions, bots submit %dx report volume\n\n", *sessions, *multiplier)
 	fmt.Printf("%-10s | %-28s | %-28s\n", "", "mean aggregation (default)", "defense: dedup + MAD filter")
@@ -593,8 +598,8 @@ func pytheasPoison() {
 	defended.E2.Aggregate = pytheas.MADFiltered(3)
 	defended.DedupReports = true
 
-	vuln := dui.PoisonSweep(base, fractions, *multiplier)
-	prot := dui.PoisonSweep(defended, fractions, *multiplier)
+	vuln := pytheas.PoisonSweep(base, fractions, *multiplier, 0)
+	prot := pytheas.PoisonSweep(defended, fractions, *multiplier, 0)
 	for i := range fractions {
 		fmt.Printf("%-10.2f | %12.2f %13.0f%% | %12.2f %13.0f%%\n",
 			fractions[i],
@@ -603,7 +608,7 @@ func pytheasPoison() {
 	}
 
 	fmt.Printf("\n§4.1 selective throttling (MitM/operator): coverage 70%% of sessions, severity 0.2\n")
-	out := dui.RunThrottle(base, 0.7, 0.2)
+	out := pytheas.RunThrottle(base, 0.7, 0.2)
 	fmt.Printf("  baseline honest QoE: %.2f -> attacked: %.2f (drop %.2f)\n",
 		out.Baseline.HonestQoELate, out.Attacked.HonestQoELate, out.QoEDrop)
 	fmt.Printf("  peak stampede onto the capacity-limited fallback site: %.0f%% of the group\n",
@@ -613,7 +618,7 @@ func pytheasPoison() {
 
 func e6(b *strings.Builder, quick bool, seed uint64, workers int) {
 	h := hideHottestLink()
-	virt, m := dui.Obfuscate(h.g, h.pairs, dui.NetHideConfig{DensityCap: 30}, seed)
+	virt, m := nethide.Obfuscate(h.g, h.pairs, nethide.Config{DensityCap: 30}, stats.NewRNG(seed))
 	atk := nethide.EvaluateAttack(h.phys, nethide.Survey(virt, h.pairs), 0)
 	lieAtk := nethide.EvaluateAttack(h.phys, h.view, 0)
 	fmt.Fprintf(b, "\n## E6 — NetHide / fake topologies\n")
@@ -629,17 +634,17 @@ func e6(b *strings.Builder, quick bool, seed uint64, workers int) {
 type hiddenLink struct {
 	g               *graph.Graph
 	pairs           []nethide.Pair
-	phys, lie, view dui.PathMap
+	phys, lie, view nethide.PathMap
 	a, b            graph.NodeID
 	density         int
 }
 
 func hideHottestLink() hiddenLink {
-	g := dui.Abilene()
+	g := graph.Abilene()
 	pairs := nethide.AllPairs(g)
 	phys := nethide.ShortestPaths(g, pairs)
 	hot, density := phys.MaxDensity()
-	lie := dui.MaliciousTopology(g, pairs, hot.A, hot.B)
+	lie := nethide.MaliciousTopology(g, pairs, hot.A, hot.B)
 	return hiddenLink{g, pairs, phys, lie, nethide.Survey(lie, pairs), hot.A, hot.B, density}
 }
 
@@ -654,8 +659,8 @@ func nethideTrace() {
 		name string
 		g    *graph.Graph
 	}{
-		{"abilene", dui.Abilene()},
-		{"fattree4", dui.FatTree(4)},
+		{"abilene", graph.Abilene()},
+		{"fattree4", graph.FatTree(4)},
 		{"rand16", graph.RandomConnected(16, 24, stats.NewRNG(*seed))},
 	}
 
@@ -667,7 +672,7 @@ func nethideTrace() {
 		phys := nethide.ShortestPaths(tc.g, pairs)
 		_, physMax := phys.MaxDensity()
 		caps := []int{int(0.75 * float64(physMax)), int(0.5 * float64(physMax))}
-		for _, row := range nethide.SweepCaps(tc.g, pairs, caps, dui.NetHideConfig{}, *seed, *parallel) {
+		for _, row := range nethide.SweepCaps(tc.g, pairs, caps, nethide.Config{}, *seed, *parallel) {
 			m := row.Metrics
 			fmt.Printf("%-9s %5d | %8d %8d | %8.3f %8.3f | %12.2f\n",
 				tc.name, row.Cap, m.MaxDensityPhys, m.MaxDensityVirt, m.Accuracy, m.Utility, row.AttackSuccess)
@@ -686,8 +691,8 @@ func nethideTrace() {
 	// Show one concrete traceroute before/after.
 	src, _ := h.g.NodeByName("SEA")
 	dst, _ := h.g.NodeByName("NYC")
-	fmt.Printf("\ntraceroute SEA->NYC, truth: %s\n", renderPath(h.g, dui.Traceroute(h.phys, src, dst)))
-	fmt.Printf("traceroute SEA->NYC, lie:   %s\n", renderPath(h.g, dui.Traceroute(h.lie, src, dst)))
+	fmt.Printf("\ntraceroute SEA->NYC, truth: %s\n", renderPath(h.g, nethide.Traceroute(h.phys, src, dst)))
+	fmt.Printf("traceroute SEA->NYC, lie:   %s\n", renderPath(h.g, nethide.Traceroute(h.lie, src, dst)))
 }
 
 func renderPath(g *graph.Graph, hops []graph.NodeID) string {
@@ -699,9 +704,9 @@ func renderPath(g *graph.Graph, hops []graph.NodeID) string {
 }
 
 func e7(b *strings.Builder, quick bool, seed uint64, workers int) {
-	sp := dui.RunSPPIFO(8, seed)
+	sp := sppifo.Experiment{Queues: 8, Seed: seed}.Run()
 	var crafted, random sketch.PollutionRow
-	for _, r := range dui.RunSketchPollution(seed, []int{400}) {
+	for _, r := range (sketch.PollutionExperiment{Seed: seed}).Run([]int{400}) {
 		if r.Crafted {
 			crafted = r
 		} else {
@@ -709,26 +714,34 @@ func e7(b *strings.Builder, quick bool, seed uint64, workers int) {
 		}
 	}
 	vic, others := sketch.PollutionExperiment{Seed: seed}.RunTargeted(400, 2)
-	probe := dui.RunProbeAttack(8, seed, 0.2)
+	probe := delayProbes(seed)
 	fmt.Fprintf(b, "\n## E7 — §3.2 breadth\n")
 	fmt.Fprintf(b, "- SP-PIFO (8 queues): adversarial ranks amplify excess unpifoness %.1fx over random arrivals\n", sp.Amplification)
 	fmt.Fprintf(b, "- FlowRadar: 400 crafted flows -> %.0f%% of attack traffic invisible (random: %.0f%% decoded); targeted victim hidden=%v with %.0f%% collateral-free legit decode\n",
 		100*(1-crafted.AttackDecoded), 100*random.AttackDecoded, !vic, 100*others)
 	fmt.Fprintf(b, "- RON: +200ms on probes only diverts the victim pair (latency x%.2f) touching %.2f%% of packets\n",
 		probe.Inflation, 100*probe.TamperBudget)
-	misblame := dui.RunDapper(dui.TrueSender, dui.InjectRetransmissions, 20)
+	misblame := dapper.Run(dapper.TrueSender, dapper.InjectRetransmissions, 20)
 	fmt.Fprintf(b, "- DAPPER: duplicated segments flip a sender-limited flow's diagnosis to %s (%d injected packets)\n",
 		misblame.Diagnosis, misblame.Budget)
-	exh := dui.RunStateExhaustion(conntrack.ExhaustionConfig{Seed: seed, AttackSYNRate: 2000})
+	exh := conntrack.RunExhaustion(conntrack.ExhaustionConfig{Seed: seed, AttackSYNRate: 2000})
 	fmt.Fprintf(b, "- state exhaustion: 2000 SYN/s fills the 4000-entry table; %.0f%% of legit connections break at the next pool update\n",
 		100*exh.BrokenFraction)
-	acc, evRows := dui.RunBNNEvasion(seed|1, []int{4})
+	acc, evRows := bnn.Experiment{Seed: seed | 1}.Run([]int{4})
 	for _, r := range evRows {
 		if r.Crafted {
 			fmt.Fprintf(b, "- in-network BNN (%.0f%% accurate): %.0f%% evasion with %.1f crafted bit flips on average\n",
 				100*acc, 100*r.SuccessRate, r.MeanFlips)
 		}
 	}
+}
+
+// delayProbes is E7's RON attack: +200 ms on the probes of victim pair
+// (0,1) in an 8-node overlay, data packets untouched.
+func delayProbes(seed uint64) ron.Outcome {
+	return ron.RunProbeAttack(8, seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
+		return ron.DelayProbes(0, 1, 0.2), -1
+	}, 0, 1)
 }
 
 func dataplaneAttacks() {
@@ -742,7 +755,7 @@ func dataplaneAttacks() {
 	fmt.Printf("\n[SP-PIFO] excess unpifoness over an ideal PIFO (same arrivals)\n")
 	fmt.Printf("%-8s %14s %14s %14s %12s\n", "queues", "random ranks", "adversarial", "amplification", "victim delay")
 	for _, k := range []int{2, 4, 8, 16, 32} {
-		out := dui.RunSPPIFO(k, *seed)
+		out := sppifo.Experiment{Queues: k, Seed: *seed}.Run()
 		fmt.Printf("%-8d %14d %14d %13.1fx %9.1f pkt\n",
 			k, out.RandomExcess, out.AdversarialExcess, out.Amplification, out.Adversarial.VictimDelay)
 	}
@@ -750,7 +763,7 @@ func dataplaneAttacks() {
 	// FlowRadar pollution.
 	fmt.Printf("\n[FlowRadar] crafted vs random extra flows (4096 cells, k=3, 1500 legit flows)\n")
 	fmt.Printf("%-14s %10s | %14s %14s %10s\n", "attack flows", "crafted", "legit decoded", "attack decoded", "residue")
-	for _, r := range dui.RunSketchPollution(*seed, []int{200, 400, 800, 3000}) {
+	for _, r := range (sketch.PollutionExperiment{Seed: *seed}).Run([]int{200, 400, 800, 3000}) {
 		fmt.Printf("%-14d %10v | %13.1f%% %13.1f%% %10d\n",
 			r.AttackFlows, r.Crafted, 100*r.LegitDecoded, 100*r.AttackDecoded, r.Residue)
 	}
@@ -765,7 +778,7 @@ func dataplaneAttacks() {
 
 	// RON probe manipulation.
 	fmt.Printf("\n[RON] probe-only tampering on an 8-node overlay, victim pair (0,1)\n")
-	delay := dui.RunProbeAttack(8, *seed, 0.2)
+	delay := delayProbes(*seed)
 	fmt.Printf("  delay probes +200ms: diverted=%v, data latency %.1fms -> %.1fms (x%.2f), budget %.2f%% of packets\n",
 		delay.Diverted, 1000*delay.CleanLatency, 1000*delay.AttackedLatency, delay.Inflation, 100*delay.TamperBudget)
 	drop := ron.RunProbeAttack(8, *seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
@@ -781,7 +794,7 @@ func dataplaneAttacks() {
 	fmt.Printf("\n[DAPPER] TCP diagnosis confusion matrix (rows: ground truth; columns: attack)\n")
 	fmt.Printf("%-10s | %-16s %-22s %-16s %-16s\n", "truth", "none", "inject-retrans", "shrink-window", "inflate-window")
 	byKey := map[[2]string]string{}
-	for _, o := range dui.DapperConfusionMatrix(25) {
+	for _, o := range dapper.ConfusionMatrix(25) {
 		byKey[[2]string{o.Scenario.String(), o.Attack.String()}] = o.Diagnosis.String()
 	}
 	for _, sc := range []string{"network", "receiver", "sender"} {
@@ -794,13 +807,13 @@ func dataplaneAttacks() {
 	fmt.Printf("\n[per-connection state] 4000-entry table, 1000 legit connections, pool update at t=30s\n")
 	fmt.Printf("%-14s %14s %14s %14s\n", "SYN flood/s", "occupancy", "broken legit", "rejected")
 	for _, rate := range []float64{0, 900, 2000, 4000} {
-		res := dui.RunStateExhaustion(conntrack.ExhaustionConfig{Seed: *seed, AttackSYNRate: rate})
+		res := conntrack.RunExhaustion(conntrack.ExhaustionConfig{Seed: *seed, AttackSYNRate: rate})
 		fmt.Printf("%-14.0f %14d %13.0f%% %14d\n", rate, res.TableOccupancy, 100*res.BrokenFraction, res.Rejected)
 	}
 
 	// In-network BNN adversarial examples.
 	fmt.Printf("\n[in-network BNN] adversarial header-bit flips vs the line-rate classifier\n")
-	acc, rows2 := dui.RunBNNEvasion(*seed|1, []int{1, 2, 4, 6})
+	acc, rows2 := bnn.Experiment{Seed: *seed | 1}.Run([]int{1, 2, 4, 6})
 	fmt.Printf("student accuracy vs ground truth: %.1f%%\n", 100*acc)
 	fmt.Printf("%-8s | %-10s %14s %12s\n", "budget", "crafted", "evasion rate", "mean flips")
 	for _, r := range rows2 {

@@ -14,8 +14,10 @@
 //
 // # Layout
 //
-// The root package is a facade re-exporting the main entry points. The
-// implementation lives in internal packages:
+// The root package holds only this doc and the module-wide tests
+// (per-experiment benchmarks, the audited Fig 2 parity check, entry-point
+// smoke tests, doc/format lint). The library is the internal packages,
+// imported directly by every caller:
 //
 //   - internal/stats, internal/graph, internal/packet: deterministic
 //     randomness, graphs, and the packet model.
@@ -25,14 +27,17 @@
 //   - internal/tcpflow, internal/trace: a compact TCP endpoint model and
 //     the synthetic workloads standing in for CAIDA traces.
 //   - internal/blink, internal/pytheas, internal/pcc, internal/nethide,
-//     internal/sppifo, internal/sketch, internal/ron: the case-study
-//     systems and their attacks.
+//     internal/sppifo, internal/sketch, internal/ron, internal/dapper,
+//     internal/conntrack, internal/bnn: the case-study systems and their
+//     attacks.
 //   - internal/supervisor: the §5 driver/supervisor countermeasures.
 //   - internal/core: the §2 threat model and the attack catalog.
 //
 // # Quick start
 //
-//	for _, cs := range dui.Catalog() {
+// From a program inside this module (examples/quickstart is this loop):
+//
+//	for _, cs := range core.Catalog() {
 //	    fmt.Println(cs)
 //	    summary := cs.Run(1)
 //	    for _, name := range summary.Names() {
@@ -40,7 +45,7 @@
 //	    }
 //	}
 //
-// Each experiment from the paper has a dedicated binary under cmd/ and a
+// Each experiment from the paper has a cmd/duireport subcommand and a
 // benchmark in bench_test.go; see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for reproduced-vs-paper results.
 package dui

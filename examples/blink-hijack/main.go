@@ -9,13 +9,13 @@ package main
 import (
 	"fmt"
 
-	"dui"
+	"dui/internal/blink"
 )
 
 func main() {
 	// 1. The legitimate function: a real link failure, real TCP flows.
 	fmt.Println("== Blink working as designed ==")
-	legit := dui.RunFailover(dui.FailoverConfig{FailAt: 20, Duration: 45})
+	legit := blink.RunFailover(blink.FailoverConfig{FailAt: 20, Duration: 45})
 	fmt.Printf("link fails at t=%.0fs -> Blink reroutes at t=%.2fs (latency %.2fs), %d/%d flows recover\n\n",
 		legit.FailureAt, legit.RerouteTime, legit.DetectionLatency,
 		legit.RecoveredFlows, legit.Config.Flows)
@@ -24,7 +24,7 @@ func main() {
 	// flows have taken over the monitored sample and fake a
 	// retransmission storm.
 	fmt.Println("== The same machinery, attacked ==")
-	atk := dui.RunHijack(dui.HijackConfig{Seed: 1})
+	atk := blink.RunHijack(blink.HijackConfig{Seed: 1})
 	fmt.Printf("attacker holds %d/64 sample cells at t=%.0fs, fakes retransmissions ->\n",
 		atk.MaliciousCellsAtTrigger, atk.Config.TriggerAt)
 	fmt.Printf("Blink reroutes the healthy prefix onto the attacker's path %.2fs later; %d packets hijacked\n\n",
@@ -35,7 +35,7 @@ func main() {
 	fmt.Println("== Attack feasibility (theory) ==")
 	fmt.Println("tR (s)   required qm (95% confidence within one 8.5min reset)")
 	for _, tr := range []float64{2, 5, 8.37, 15, 30} {
-		fmt.Printf("%6.2f   %.4f\n", tr, dui.RequiredQm(64, 32, tr, 510, 0.95))
+		fmt.Printf("%6.2f   %.4f\n", tr, blink.RequiredQm(64, 32, tr, 510, 0.95))
 	}
 	fmt.Println("\nthe paper's example point: tR=8.37s, qm=0.0525 — comfortably feasible.")
 }

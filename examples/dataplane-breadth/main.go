@@ -9,29 +9,30 @@ package main
 import (
 	"fmt"
 
-	"dui"
+	"dui/internal/bnn"
 	"dui/internal/conntrack"
+	"dui/internal/dapper"
 )
 
 func main() {
 	fmt.Println("== DAPPER: who gets blamed? ==")
-	honest := dui.RunDapper(dui.TrueSender, dui.NoDapperAttack, 20)
+	honest := dapper.Run(dapper.TrueSender, dapper.None, 20)
 	fmt.Printf("a healthy application-limited flow: diagnosed %s\n", honest.Diagnosis)
-	blamed := dui.RunDapper(dui.TrueSender, dui.InjectRetransmissions, 20)
+	blamed := dapper.Run(dapper.TrueSender, dapper.InjectRetransmissions, 20)
 	fmt.Printf("same flow + %d injected duplicate segments: diagnosed %s\n",
 		blamed.Budget, blamed.Diagnosis)
 	fmt.Println("the operator now 'fixes' a congestion problem that does not exist")
 
 	fmt.Println("\n== Per-connection state exhaustion ==")
-	clean := dui.RunStateExhaustion(conntrack.ExhaustionConfig{Seed: 1})
-	flood := dui.RunStateExhaustion(conntrack.ExhaustionConfig{Seed: 1, AttackSYNRate: 2000})
+	clean := conntrack.RunExhaustion(conntrack.ExhaustionConfig{Seed: 1})
+	flood := conntrack.RunExhaustion(conntrack.ExhaustionConfig{Seed: 1, AttackSYNRate: 2000})
 	fmt.Printf("no attack:   table %d/%d, %.0f%% of connections broken by a pool update\n",
 		clean.TableOccupancy, clean.Config.TableCap, 100*clean.BrokenFraction)
 	fmt.Printf("2000 SYN/s:  table %d/%d, %.0f%% of connections broken by a pool update\n",
 		flood.TableOccupancy, flood.Config.TableCap, 100*flood.BrokenFraction)
 
 	fmt.Println("\n== In-network BNN adversarial examples ==")
-	acc, rows := dui.RunBNNEvasion(1, []int{2, 4})
+	acc, rows := bnn.Experiment{Seed: 1}.Run([]int{2, 4})
 	fmt.Printf("deployed classifier accuracy: %.0f%%\n", 100*acc)
 	for _, r := range rows {
 		kind := "random flips "

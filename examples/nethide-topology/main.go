@@ -8,13 +8,13 @@ package main
 import (
 	"fmt"
 
-	"dui"
 	"dui/internal/graph"
 	"dui/internal/nethide"
+	"dui/internal/stats"
 )
 
 func main() {
-	g := dui.Abilene()
+	g := graph.Abilene()
 	pairs := nethide.AllPairs(g)
 	phys := nethide.ShortestPaths(g, pairs)
 	hot, hotD := phys.MaxDensity()
@@ -23,23 +23,23 @@ func main() {
 
 	src, _ := g.NodeByName("SEA")
 	dst, _ := g.NodeByName("NYC")
-	fmt.Printf("truthful traceroute SEA->NYC: %s\n", render(g, dui.Traceroute(phys, src, dst)))
+	fmt.Printf("truthful traceroute SEA->NYC: %s\n", render(g, nethide.Traceroute(phys, src, dst)))
 
 	// NetHide: minimal lying, bounded flow density.
-	virt, m := dui.Obfuscate(g, pairs, dui.NetHideConfig{DensityCap: 30}, 1)
+	virt, m := nethide.Obfuscate(g, pairs, nethide.Config{DensityCap: 30}, stats.NewRNG(1))
 	fmt.Printf("\nNetHide (density cap 30): accuracy %.3f, utility %.3f, max density %d -> %d\n",
 		m.Accuracy, m.Utility, m.MaxDensityPhys, m.MaxDensityVirt)
-	fmt.Printf("NetHide traceroute SEA->NYC: %s\n", render(g, dui.Traceroute(virt, src, dst)))
+	fmt.Printf("NetHide traceroute SEA->NYC: %s\n", render(g, nethide.Traceroute(virt, src, dst)))
 
 	// Malicious operator: unconstrained lie hiding the bottleneck.
-	lie := dui.MaliciousTopology(g, pairs, hot.A, hot.B)
+	lie := nethide.MaliciousTopology(g, pairs, hot.A, hot.B)
 	view := nethide.Survey(lie, pairs)
 	fmt.Printf("\nmalicious operator hides %s-%s entirely: visible in any traceroute = %v\n",
 		g.Name(hot.A), g.Name(hot.B), nethide.HiddenLinkVisible(view, hot.A, hot.B))
 	d, _ := g.NodeByName("CHI")
 	s2, _ := g.NodeByName("DEN")
-	fmt.Printf("lying traceroute DEN->CHI:   %s\n", render(g, dui.Traceroute(lie, s2, d)))
-	fmt.Printf("truthful route DEN->CHI:     %s\n", render(g, dui.Traceroute(phys, s2, d)))
+	fmt.Printf("lying traceroute DEN->CHI:   %s\n", render(g, nethide.Traceroute(lie, s2, d)))
+	fmt.Printf("truthful route DEN->CHI:     %s\n", render(g, nethide.Traceroute(phys, s2, d)))
 }
 
 func render(g *graph.Graph, hops []graph.NodeID) string {

@@ -8,12 +8,12 @@ package main
 import (
 	"fmt"
 
-	"dui"
+	"dui/internal/pcc"
 )
 
 func main() {
-	clean := dui.RunOscillation(dui.OscConfig{Duration: 90, Seed: 2})
-	attacked := dui.RunOscillation(dui.OscConfig{Duration: 90, Seed: 2, Attack: true})
+	clean := pcc.RunOscillation(pcc.OscConfig{Duration: 90, Seed: 2})
+	attacked := pcc.RunOscillation(pcc.OscConfig{Duration: 90, Seed: 2, Attack: true})
 
 	fmt.Println("== PCC Allegro, 1000 pkts/s bottleneck ==")
 	fmt.Printf("clean:    converges to %.0f pkts/s\n", clean.MeanRateLate)
@@ -29,7 +29,7 @@ func main() {
 			r.Start, r.Rate, r.Role, r.Loss, r.Utility)
 	}
 
-	trace, amp := dui.ForcedOscillation(0.01, 0.05, 8)
+	trace, amp := pcc.ForcedOscillation(0.01, 0.05, 8)
 	fmt.Printf("\nanalytic model — ε per decision round when every trial ties: %v\n", trace)
 	fmt.Printf("steady state: the flow probes rate·(1±0.05) forever: ±5%% oscillation (peak-to-peak %.0f%%)\n", 100*amp)
 }

@@ -7,18 +7,18 @@ package main
 import (
 	"fmt"
 
-	"dui"
+	"dui/internal/core"
 )
 
 func main() {
 	fmt.Println("Threat model (§2): attack catalog")
 	fmt.Println("name                   system     sect  privilege  target       impacts")
-	for _, cs := range dui.Catalog() {
+	for _, cs := range core.Catalog() {
 		fmt.Println(cs)
 	}
 
 	fmt.Println("\nRunning every attack (reduced scale)...")
-	for _, cs := range dui.Catalog() {
+	for _, cs := range core.Catalog() {
 		s := cs.Run(1)
 		fmt.Printf("\n[%s] %s\n", cs.Name, s.Note)
 		for _, name := range s.Names() {

@@ -43,14 +43,6 @@ const (
 	blinkWindow    = 0.8
 )
 
-// NewBlinkTarget builds the target with its default duration and flow
-// cap.
-func NewBlinkTarget(guarded bool) *BlinkTarget {
-	t := &BlinkTarget{Guarded: guarded}
-	t.init()
-	return t
-}
-
 func (t *BlinkTarget) init() {
 	if t.Duration <= 0 {
 		t.Duration = 6

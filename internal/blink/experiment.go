@@ -281,15 +281,11 @@ type SurveyRow struct {
 // difficulty, reproducing the §3.1 survey ("for half of [the top-20
 // prefixes] the average time a flow remains sampled is 10 s; the median is
 // ~5 s") and its consequence: longer tR ⇒ higher required qm.
-func RunSurvey(cfg Config, prefixes []trace.SurveyPrefix, flows int, seed uint64) []SurveyRow {
-	return RunSurveyN(cfg, prefixes, flows, seed, 0)
-}
-
-// RunSurveyN is RunSurvey with an explicit trial worker count
-// (0 = GOMAXPROCS). Prefix k's workload draws from stats.ChildAt(seed, k)
-// — the stream the sequential loop used — so rows are identical at every
-// worker count.
-func RunSurveyN(cfg Config, prefixes []trace.SurveyPrefix, flows int, seed uint64, workers int) []SurveyRow {
+//
+// workers is the trial worker count (0 = GOMAXPROCS). Prefix k's workload
+// draws from stats.ChildAt(seed, k) — the stream the sequential loop used —
+// so rows are identical at every worker count.
+func RunSurvey(cfg Config, prefixes []trace.SurveyPrefix, flows int, seed uint64, workers int) []SurveyRow {
 	cfg = cfg.Defaults()
 	rows, _ := runner.Map(context.Background(), prefixes, seed, runner.Config{Workers: workers},
 		func(_ context.Context, t runner.Trial, p trace.SurveyPrefix) (SurveyRow, error) {

@@ -153,8 +153,8 @@ func TestFig2ParallelMatchesSequential(t *testing.T) {
 // prefix survey.
 func TestSurveyParallelMatchesSequential(t *testing.T) {
 	prefixes := trace.SyntheticSurvey(8, stats.NewRNG(3))
-	a := RunSurveyN(Config{}, prefixes, 150, 11, 1)
-	b := RunSurveyN(Config{}, prefixes, 150, 11, 4)
+	a := RunSurvey(Config{}, prefixes, 150, 11, 1)
+	b := RunSurvey(Config{}, prefixes, 150, 11, 4)
 	if len(a) != len(b) {
 		t.Fatalf("row counts differ")
 	}
@@ -189,7 +189,7 @@ func TestHijackTrialsDeterministicEnsemble(t *testing.T) {
 
 func TestSurveyShape(t *testing.T) {
 	prefixes := trace.SyntheticSurvey(12, stats.NewRNG(5))
-	rows := RunSurvey(Config{}, prefixes, 300, 11)
+	rows := RunSurvey(Config{}, prefixes, 300, 11, 0)
 	if len(rows) != 12 {
 		t.Fatal("row count")
 	}
@@ -204,8 +204,8 @@ func TestSurveyShape(t *testing.T) {
 	}
 	var trs []float64
 	for _, r := range rows {
-		if r.TR <= 0 {
-			t.Fatalf("bad tR in %+v", r)
+		if r.TR <= 0 || math.IsNaN(r.RequiredQm) {
+			t.Fatalf("bad row %+v", r)
 		}
 		trs = append(trs, r.TR)
 	}

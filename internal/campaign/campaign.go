@@ -298,7 +298,7 @@ func (s JobSpec) Canon() (JobSpec, error) {
 		if err != nil {
 			return out, fmt.Errorf("campaign: robustness job: %w", err)
 		}
-		r.Systems = r.Systems[:0]
+		r.Systems = nil
 		for _, sys := range systems {
 			r.Systems = append(r.Systems, sys.Name())
 		}
@@ -310,7 +310,7 @@ func (s JobSpec) Canon() (JobSpec, error) {
 		for _, p := range profiles {
 			wantProf[p.Name] = true
 		}
-		r.Profiles = r.Profiles[:0]
+		r.Profiles = nil
 		for _, p := range robustness.AllProfiles {
 			if wantProf[p.Name] {
 				r.Profiles = append(r.Profiles, p.Name)

@@ -3,11 +3,14 @@ package campaign_test
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dui/internal/campaign"
+	"dui/internal/fuzz"
 	"dui/internal/robustness"
+	"dui/internal/scenario"
 )
 
 // TestCanonDefaults pins the canonical defaults of every kind: a bare
@@ -62,6 +65,45 @@ func TestCanonRejects(t *testing.T) {
 	for _, c := range cases {
 		if _, err := c.spec.Canon(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestCanonLeavesInputUntouched: Canon returns a fresh spec and never
+// writes into its caller's, even when canonicalizing reorders or dedups a
+// selection in place would be cheaper. Each case builds its spec twice so
+// the untouched copy shares no backing array with the canonicalized one.
+func TestCanonLeavesInputUntouched(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   func() campaign.JobSpec
+	}{
+		{"fuzz", func() campaign.JobSpec {
+			return campaign.JobSpec{Kind: campaign.KindFuzz, Fuzz: &campaign.FuzzSpec{MaxNodes: 8, Shrink: true}}
+		}},
+		{"chaos", func() campaign.JobSpec {
+			return campaign.JobSpec{Kind: campaign.KindChaos, Chaos: &campaign.ChaosSpec{Levels: 3}}
+		}},
+		{"scenarios", func() campaign.JobSpec {
+			return campaign.JobSpec{Kind: campaign.KindScenarios, Scenarios: &campaign.ScenarioSpec{
+				Scenarios: []scenario.Scenario{*fuzz.Generate(11, fuzz.GenConfig{MaxNodes: 6})}}}
+		}},
+		{"adv", func() campaign.JobSpec {
+			return campaign.JobSpec{Kind: campaign.KindAdv, Adv: &campaign.AdvSpec{Systems: []string{"pcc", "blink", "pcc"}}}
+		}},
+		{"robustness", func() campaign.JobSpec {
+			return campaign.JobSpec{Kind: campaign.KindRobustness, Robustness: &campaign.RobustnessSpec{
+				Systems: []string{"sketch", "pcc"}, Profiles: []string{"gray", "none"}}}
+		}},
+	} {
+		in := c.mk()
+		if _, err := in.Canon(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := c.mk(); !reflect.DeepEqual(in, want) {
+			got, _ := json.Marshal(in)
+			orig, _ := json.Marshal(want)
+			t.Errorf("%s: Canon wrote into its input:\n got %s\nwant %s", c.name, got, orig)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -261,6 +263,54 @@ func TestServerRejectsOverCapSpec(t *testing.T) {
 		t.Fatalf("over-cap spec answered %d, want 400", resp.StatusCode)
 	}
 	assertNoJobs(t, c.Base)
+}
+
+// TestServerRecoversRejectedSubmit: a store journal whose submit record
+// this build's Canon rejects (an over-cap fuzz job journaled before the
+// trial cap existed) must not keep the server from starting. The record
+// is listed as failed and never runs, the valid job journaled after it
+// still runs, and the next submission does not reuse either ID.
+func TestServerRecoversRejectedSubmit(t *testing.T) {
+	spec := fuzzSpec(4)
+	direct := mustExecute(t, spec, campaign.Env{Workers: 1})
+	canon, err := spec.Canon()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonJSON, err := json.Marshal(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	journal := `{"magic":"dui-campaign-store","version":1}
+{"op":"submit","id":"j000001","key":"0123456789abcdef0123456789abcdef","spec":{"kind":"fuzz","fuzz":{"seeds":1000000000,"root_seed":1}}}
+{"op":"submit","id":"j000002","key":"` + campaign.Key(canon) + `","spec":` + string(canonJSON) + `}
+`
+	if err := os.WriteFile(filepath.Join(dir, "jobs.journal"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c, stop := startServer(t, dir, campaign.Options{Workers: 1})
+	defer stop()
+	ctx := context.Background()
+	rejected, err := c.Status(ctx, "j000001")
+	if err != nil || rejected.State != campaign.JobFailed || !strings.Contains(rejected.Error, "trial cap") {
+		t.Fatalf("rejected record = %+v, %v; want failed naming the trial cap", rejected, err)
+	}
+	fin, err := c.Wait(ctx, "j000002", nil)
+	if err != nil || fin.State != campaign.JobDone {
+		t.Fatalf("valid record = %+v, %v; want done", fin, err)
+	}
+	if res, err := c.Result(ctx, "j000002"); err != nil || !bytes.Equal(res, direct) {
+		t.Fatalf("valid record's result diverged from direct execution (err %v)", err)
+	}
+	if got, _ := c.Status(ctx, "j000001"); got.State != campaign.JobFailed || got.Done != 0 {
+		t.Fatalf("rejected record ran: %+v", got)
+	}
+	next, err := c.Submit(ctx, fuzzSpec(5))
+	if err != nil || next.ID != "j000003" {
+		t.Fatalf("next submission = %+v, %v; want id j000003", next, err)
+	}
 }
 
 // assertNoJobs fails t unless the server at base lists no jobs.

@@ -128,12 +128,15 @@ func OpenStore(path string) (*Store, error) {
 				jf.Close()
 				return nil, fmt.Errorf("campaign: %s: submit record %d carries no spec", path, i+1)
 			}
+			// A spec an older, looser build accepted but this one
+			// rejects is indexed failed, so it never runs yet still
+			// counts toward seq and its ID is never reused.
 			canon, err := rec.Spec.Canon()
 			if err != nil {
-				jf.Close()
-				return nil, fmt.Errorf("campaign: %s: submit record %d: %v", path, i+1, err)
+				canon = *rec.Spec
+				err = fmt.Errorf("rejected on recovery: %v", err)
 			}
-			st.indexLocked(rec.ID, canon, rec.Key)
+			st.indexLocked(rec.ID, canon, rec.Key, err)
 		case "state":
 			jb, ok := st.jobs[rec.ID]
 			if !ok {
@@ -154,16 +157,20 @@ func OpenStore(path string) (*Store, error) {
 	return st, nil
 }
 
-// indexLocked adds a queued job to the in-memory index. Callers hold mu
-// (or, during recovery, have exclusive access).
-func (st *Store) indexLocked(id string, canon JobSpec, key string) *job {
+// indexLocked adds a job to the in-memory index: queued, or failed with
+// the rejection's message when rejected is non-nil (spec is then not
+// canonical and never runs). Callers hold mu (or, during recovery, have
+// exclusive access).
+func (st *Store) indexLocked(id string, spec JobSpec, key string, rejected error) *job {
 	jb := &job{
-		status: JobStatus{
-			ID: id, Key: key, Kind: canon.Kind, State: JobQueued,
-			Total: kindOps(canon.Kind).total(canon),
-		},
-		spec: canon,
-		subs: map[chan struct{}]struct{}{},
+		status: JobStatus{ID: id, Key: key, Kind: spec.Kind, State: JobQueued},
+		spec:   spec,
+		subs:   map[chan struct{}]struct{}{},
+	}
+	if rejected != nil {
+		jb.status.State, jb.status.Error = JobFailed, rejected.Error()
+	} else {
+		jb.status.Total = kindOps(spec.Kind).total(spec)
 	}
 	st.jobs[id] = jb
 	st.order = append(st.order, id)
@@ -197,7 +204,7 @@ func (st *Store) submit(spec JobSpec, cached bool) (JobStatus, error) {
 	if err := st.j.Append(storeRec{Op: "submit", ID: id, Key: key, Spec: &canon}); err != nil {
 		return JobStatus{}, err
 	}
-	jb := st.indexLocked(id, canon, key)
+	jb := st.indexLocked(id, canon, key, nil)
 	if cached {
 		st.j.Append(storeRec{Op: "state", ID: id, State: JobDone, Cached: true})
 		jb.status.State = JobDone

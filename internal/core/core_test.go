@@ -52,6 +52,12 @@ func TestCatalogComplete(t *testing.T) {
 		if c.String() == "" {
 			t.Fatal("empty row")
 		}
+		if c.MinPrivilege != Host && c.MinPrivilege != MitM && c.MinPrivilege != Operator {
+			t.Fatalf("bad privilege in %s", c.Name)
+		}
+		if c.Target != Infrastructure && c.Target != Endpoint {
+			t.Fatalf("bad target in %s", c.Name)
+		}
 		systems[c.System] = true
 	}
 	for _, want := range []string{"Blink", "Pytheas", "PCC", "NetHide/traceroute", "SP-PIFO", "FlowRadar", "RON", "DAPPER", "SilkRoad-style LB", "in-network BNN"} {

@@ -1,8 +1,8 @@
 // Package exampletest checks the examples/ programs from their own
 // tests: it runs a program's main in process, captures what it prints,
-// and asserts one headline line verbatim. The examples are the public
-// dui facade's only callers outside the repository's own commands, so
-// these tests are what keep the facade from rotting silently.
+// and asserts one headline line verbatim. The examples are the walkthroughs
+// README points readers to, so these tests are what keep them from
+// rotting silently.
 package exampletest
 
 import (

@@ -125,6 +125,20 @@ func TestObfuscateNoCapIsIdentity(t *testing.T) {
 	}
 }
 
+// TestNoPairsIsEmpty: with no host pairs there is nothing to present, so
+// both topologies are empty and the metrics are zero — degenerate but
+// well-defined.
+func TestNoPairsIsEmpty(t *testing.T) {
+	g := graph.Abilene()
+	if lie := MaliciousTopology(g, nil, 0, 1); len(lie) != 0 {
+		t.Fatalf("malicious topology over no pairs: %v", lie)
+	}
+	virt, m := Obfuscate(g, nil, Config{}, stats.NewRNG(1))
+	if len(virt) != 0 || m != (Metrics{}) {
+		t.Fatalf("obfuscation over no pairs: %v %+v", virt, m)
+	}
+}
+
 func TestAttackDegradedByObfuscation(t *testing.T) {
 	g := graph.FatTree(4)
 	pairs := AllPairs(g)

@@ -95,9 +95,6 @@ func (nw *Network) AddRouter(name string) *Node {
 // Nodes returns all nodes in creation order.
 func (nw *Network) Nodes() []*Node { return nw.nodes }
 
-// NodeByAddr returns the node owning addr, or nil.
-func (nw *Network) NodeByAddr(a packet.Addr) *Node { return nw.byAddr[a] }
-
 // NodeByName returns the first node with the given name, or nil.
 func (nw *Network) NodeByName(name string) *Node {
 	for _, n := range nw.nodes {

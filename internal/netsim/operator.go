@@ -17,17 +17,10 @@ type Operator struct {
 // NewOperator returns operator-level control over nw.
 func NewOperator(nw *Network) *Operator { return &Operator{net: nw} }
 
-// TapLink installs a tap on any link (the operator has MitM capability
-// everywhere).
-func (o *Operator) TapLink(l *Link, t Tap) *Injector { return l.AttachTap(t) }
-
 // Reroute overwrites the route for pfx on a router — config manipulation.
 func (o *Operator) Reroute(on *Node, pfx packet.Prefix, nexthop *Node) {
 	on.AddRoute(pfx, nexthop, nil)
 }
-
-// SetLinkState brings any link up or down.
-func (o *Operator) SetLinkState(l *Link, up bool) { l.SetUp(up) }
 
 // Throttle installs a tap that degrades a selected subset of traffic:
 // packets matched by sel are dropped with probability dropP and delayed by

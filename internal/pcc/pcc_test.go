@@ -105,6 +105,9 @@ func TestAttackPreventsConvergence(t *testing.T) {
 func TestForcedOscillationModel(t *testing.T) {
 	trace, amp := ForcedOscillation(0.01, 0.05, 10)
 	want := []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05}
+	if len(trace) != len(want) {
+		t.Fatalf("eps trace has %d rounds, want %d", len(trace), len(want))
+	}
 	for i := range want {
 		if math.Abs(trace[i]-want[i]) > 1e-12 {
 			t.Fatalf("eps trace[%d] = %v, want %v", i, trace[i], want[i])

@@ -21,14 +21,11 @@ type PoisonRow struct {
 // PoisonSweep runs the §4.1 report-poisoning attack across bot fractions.
 // The defense ablation is expressed through cfg.E2.Aggregate (Mean is the
 // vulnerable default; Median/MADFiltered are the §5 countermeasure).
-func PoisonSweep(cfg SimConfig, fractions []float64, multiplier int) []PoisonRow {
-	return PoisonSweepN(cfg, fractions, multiplier, 0)
-}
-
-// PoisonSweepN is PoisonSweep with an explicit trial worker count
-// (0 = GOMAXPROCS). Each fraction is an independent group simulation
-// seeded by cfg.Seed alone, so rows are identical at any worker count.
-func PoisonSweepN(cfg SimConfig, fractions []float64, multiplier, workers int) []PoisonRow {
+//
+// workers is the trial worker count (0 = GOMAXPROCS). Each fraction is an
+// independent group simulation seeded by cfg.Seed alone, so rows are
+// identical at any worker count.
+func PoisonSweep(cfg SimConfig, fractions []float64, multiplier, workers int) []PoisonRow {
 	cfg = cfg.Defaults()
 	rows, _ := runner.Map(context.Background(), fractions, cfg.Seed, runner.Config{Workers: workers},
 		func(_ context.Context, t runner.Trial, f float64) (PoisonRow, error) {

@@ -121,7 +121,7 @@ func TestPoisoningDegradesGroup(t *testing.T) {
 // disproportionate (f of the clients degrade everyone).
 func TestPoisonSweepMonotoneShape(t *testing.T) {
 	cfg := SimConfig{Seed: 3, Sessions: 600, Epochs: 200}
-	rows := PoisonSweep(cfg, []float64{0, 0.1, 0.3, 0.5}, 5)
+	rows := PoisonSweep(cfg, []float64{0, 0.1, 0.3, 0.5}, 5, 0)
 	if rows[0].HonestQoELate < 4.0 {
 		t.Fatalf("f=0 baseline degraded: %+v", rows[0])
 	}
@@ -220,8 +220,8 @@ func TestPoisonSweepParallelMatchesSequential(t *testing.T) {
 		cfg := SimConfig{Seed: 4, Sessions: 200, Epochs: 80}
 		cfg.E2.Aggregate = agg
 		fractions := []float64{0, 0.1, 0.2, 0.3}
-		a := PoisonSweepN(cfg, fractions, 5, 1)
-		b := PoisonSweepN(cfg, fractions, 5, 4)
+		a := PoisonSweep(cfg, fractions, 5, 1)
+		b := PoisonSweep(cfg, fractions, 5, 4)
 		if len(a) != len(b) {
 			t.Fatalf("%s: row counts differ", name)
 		}

@@ -39,9 +39,6 @@ func (e *Endpoint) Register(key packet.FlowKey, r netsim.Receiver) {
 	e.handlers[key] = r
 }
 
-// Unregister removes a flow binding.
-func (e *Endpoint) Unregister(key packet.FlowKey) { delete(e.handlers, key) }
-
 // Receive implements netsim.Receiver.
 func (e *Endpoint) Receive(now float64, p *packet.Packet) {
 	if h, ok := e.handlers[p.Flow()]; ok {
