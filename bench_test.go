@@ -344,12 +344,13 @@ func BenchmarkE8Defenses(b *testing.B) {
 // BenchmarkMatrixSystem runs one robustness-matrix trial per op: the
 // system's guarded arm under its first attack, fault-free, at the full
 // (non-quick) scale and a fixed seed, exactly as the matrix calls it. The
-// allocs/op of the systems converted to incremental state are ceilinged
-// in BENCH_FLOOR.json; ns/op is the system's share of a matrix cell.
+// allocs/op of the systems converted to incremental state, and of the
+// TCP-path systems (blink, pcc, dapper, conntrack), are ceilinged in
+// BENCH_FLOOR.json; ns/op is the system's share of a matrix cell.
 func BenchmarkMatrixSystem(b *testing.B) {
 	for _, sys := range robustness.Systems() {
 		switch sys.Name() {
-		case "pytheas", "bnn", "sketch":
+		case "pytheas", "bnn", "sketch", "blink", "pcc", "dapper", "conntrack":
 		default:
 			continue
 		}

@@ -14,8 +14,9 @@
 // Every run is a pure function of the scenario and its seeds. The engine
 // executes events in exactly one order — ascending (t, seq), where seq is
 // the global scheduling sequence number — regardless of which scheduler
-// backs the queue (timing wheel or 4-ary heap, see Scheduler) and
-// regardless of link-lane batching. Simulation code must draw all
+// backs the queue (timing wheel or 4-ary heap, see Scheduler), regardless
+// of link-lane batching, and regardless of when a link's lazily settled
+// serialization-done transitions are applied (see Link). Simulation code must draw all
 // randomness from seeded stats.RNG streams (SplitMix64 child derivation,
 // stats.ChildAt for per-trial streams), never from the wall clock or a
 // global generator, so results are bit-identical at any worker count.
@@ -110,8 +111,14 @@ type scheduler interface {
 // best lane head comes first, draining consecutive lane entries in a
 // burst while they precede everything else pending.
 type Engine struct {
-	now      float64
-	seq      uint64
+	now float64
+	seq uint64
+	// curSeq completes the settle frontier (now, curSeq): every event
+	// keyed strictly before it has executed and none at or after it has.
+	// Inside run it is the executing entry's seq; once a run reaches its
+	// horizon it is one past the last seq handed out. Links apply their
+	// pending serialization-done transitions against it (passed).
+	curSeq   uint64
 	audit    bool
 	budget   uint64
 	executed uint64
@@ -133,6 +140,9 @@ type Engine struct {
 	// drain boundary and recompute only when this changes, since the
 	// boundary can otherwise only move when the drain itself pops.
 	schedGen uint64
+	// wires lists every link direction, whose unsettled serialization-done
+	// transitions Pending counts.
+	wires []*linkDir
 }
 
 // LivelockError is the panic value delivered when an engine's event budget
@@ -163,8 +173,11 @@ func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 func (e *Engine) EventBudget() uint64 { return e.budget }
 
 // Executed returns the total number of events executed so far. Lane
-// entries count exactly like ordinary events (sentinels do not), so the
-// count is identical across schedulers and with batching on or off.
+// entries count exactly like ordinary events, so the count is identical
+// across schedulers and with batching on or off. A link's
+// serialization-done transitions are settled lazily rather than executed,
+// so they are not counted (a transition flushed by a link failure runs as
+// the no-op event it would have been, and is).
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // checkBudget enforces the event-budget watchdog after each executed event.
@@ -230,6 +243,31 @@ func (e *Engine) At(t float64, fn func()) {
 	e.sched.push(event{t: t, seq: e.seq, fn: fn})
 }
 
+// nextSeq hands out the next scheduling sequence number without queueing
+// anything, for a link's serialization-done transition: it keeps the key
+// (t, seq) it would have had as an event, but is applied lazily.
+func (e *Engine) nextSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// passed reports whether an event keyed (t, seq) would already have
+// executed: whether the key precedes the settle frontier (now, curSeq).
+func (e *Engine) passed(t float64, seq uint64) bool {
+	return t < e.now || (t == e.now && seq < e.curSeq)
+}
+
+// pushNop queues a no-op event at an already-assigned key: a link
+// failure hands its flushed serialization-done transitions back this way,
+// so they stay pending, and then execute, exactly as the events they
+// would have been.
+func (e *Engine) pushNop(t float64, seq uint64) {
+	e.schedGen++
+	e.sched.push(event{t: t, seq: seq, fn: nop})
+}
+
+func nop() {}
+
 // After schedules fn d seconds from now. Negative or NaN d panics.
 func (e *Engine) After(d float64, fn func()) {
 	if d < 0 || math.IsNaN(d) {
@@ -239,23 +277,38 @@ func (e *Engine) After(d float64, fn func()) {
 }
 
 // Pending returns the number of queued events, counting each pending lane
-// entry once.
-func (e *Engine) Pending() int { return e.sched.len() + e.laneEntries }
+// entry once and each not yet passed serialization-done transition of a
+// link as the event it would have been. It settles every link direction.
+func (e *Engine) Pending() int {
+	n := e.sched.len() + e.laneEntries
+	for _, d := range e.wires {
+		d.settle(e)
+		n += d.wires.n
+	}
+	return n
+}
 
 // RunUntil executes events in timestamp order until the queue is empty or
 // the next event is after t; the clock ends at exactly t (or later events
 // remain queued). It returns the number of events executed.
 func (e *Engine) RunUntil(t float64) int {
 	n := e.run(t)
-	if e.now < t {
+	if e.now <= t {
+		// Every event at or before t has run, whatever its seq. A horizon
+		// behind the clock runs nothing and leaves the frontier alone.
 		e.now = t
+		e.curSeq = e.seq + 1
 	}
 	return n
 }
 
 // Run executes all events until the queue drains. Use RunUntil for open
 // systems that generate events forever.
-func (e *Engine) Run() int { return e.run(math.Inf(1)) }
+func (e *Engine) Run() int {
+	n := e.run(math.Inf(1))
+	e.curSeq = e.seq + 1
+	return n
+}
 
 // run is the shared event loop: each step compares the scheduler minimum
 // with the best lane head (root of laneQ) and executes whichever has the
@@ -288,7 +341,7 @@ func (e *Engine) run(until float64) int {
 		if e.audit {
 			e.checkCausality(ev.t)
 		}
-		e.now = ev.t
+		e.now, e.curSeq = ev.t, ev.seq
 		ev.fn()
 		n++
 		e.checkBudget()

@@ -33,9 +33,10 @@ var DebugHooks struct {
 	// by duplication enter the link uncounted in LinkStats.Duplicated
 	// (caught by the audit "send-conservation" rule).
 	SkipDuplicatedCount bool
-	// DisableLinkLanes is not a bug switch: it routes every packet through
-	// the pre-lane closure scheduling path, as the A/B baseline for the
-	// link-batching benchmarks and the lane/closure trace-identity test.
-	// Traces must be byte-identical either way.
+	// DisableLinkLanes is not a bug switch: it routes every packet's
+	// delivery through the pre-lane closure scheduling path, as the A/B
+	// baseline for the link-batching benchmarks and the lane/closure
+	// trace-identity test. Serialization-done transitions are settled
+	// lazily either way. Traces must be byte-identical either way.
 	DisableLinkLanes bool
 }

@@ -8,15 +8,15 @@ import (
 
 // LaneEntry is one pending event in a Lane: an engine-assigned (T, Seq)
 // key plus a fixed payload — two integer slots, one flag settable through
-// Lane.Flag, and a packet pointer — sized for the link fast path (epoch
-// guard, wire↔deliver pairing, the packet itself) so scheduling a packet
-// allocates nothing. Work that needs richer state uses an ordinary
-// closure via Engine.At instead.
+// Lane.Flag, and a packet pointer — so scheduling a packet allocates
+// nothing. Links use the packet and the flag (set when a link failure
+// flushes the packet before it reached the wire). Work that needs richer
+// state uses an ordinary closure via Engine.At instead.
 type LaneEntry struct {
 	T   float64 // firing time, set by Push
 	Seq uint64  // global scheduling sequence, set by Push
-	Tag uint64  // payload slot (links: the direction epoch at enqueue)
-	Ref uint64  // payload slot (links: the paired deliver-lane position)
+	Tag uint64  // payload slot
+	Ref uint64  // payload slot
 	OK  bool    // payload flag, settable later via Flag
 	P   *packet.Packet
 }
@@ -60,9 +60,8 @@ func (e *Engine) NewLane(run func(LaneEntry)) *Lane {
 // Len returns the number of pending entries.
 func (ln *Lane) Len() int { return ln.n }
 
-// NextPos returns the absolute position the next Push will occupy, for
-// cross-lane pairing (a wire entry records its deliver entry's position
-// before either is pushed).
+// NextPos returns the absolute position the next Push will occupy, so a
+// caller can address the entry later through Flag.
 func (ln *Lane) NextPos() uint64 { return ln.base + uint64(ln.n) }
 
 // CanPush reports whether an entry at time t respects the lane's FIFO
@@ -91,9 +90,9 @@ func (ln *Lane) Push(t float64, en LaneEntry) uint64 {
 }
 
 // push is Push without revalidation, for package-internal callers that
-// have already established the contract (Link.enqueue checks CanPush on
-// both lanes before committing either, and its times derive from the
-// monotone serialization horizon, so they are finite and never past).
+// have already established the contract (Link.enqueue checks CanPush
+// first, and its times derive from the monotone serialization horizon, so
+// they are finite and never past).
 func (ln *Lane) push(t float64, en LaneEntry) uint64 {
 	e := ln.eng
 	e.seq++
@@ -126,9 +125,8 @@ func (ln *Lane) grow() {
 
 // Flag sets the OK payload flag on the pending entry at absolute position
 // pos (as returned by Push/NextPos). Positions already executed are
-// ignored; links use this so a wire event marks its paired delivery as
-// live — the deliver entry always has a strictly larger (t, seq) key, so
-// it is still pending when the wire entry runs.
+// ignored; links use this so a link failure marks the deliveries of the
+// packets it flushed dead.
 func (ln *Lane) Flag(pos uint64) {
 	if pos < ln.base || pos >= ln.base+uint64(ln.n) {
 		return
@@ -237,7 +235,7 @@ func (e *Engine) runLane(ln *Lane, until float64) int {
 		if e.audit {
 			e.checkCausality(en.T)
 		}
-		e.now = en.T
+		e.now, e.curSeq = en.T, en.Seq
 		ln.run(en)
 		n++
 		e.checkBudget()

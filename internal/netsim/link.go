@@ -173,20 +173,92 @@ type Link struct {
 
 type linkDir struct {
 	busyUntil float64
-	qlen      int    // packets queued or serializing (not yet on the wire)
-	onWire    int    // packets past serialization, propagating toward the peer
-	tapHeld   int    // packets held in a tap- or fault-imposed delay, not yet on the link
-	epoch     uint64 // bumped on link failure; queued packets from older epochs are gone
+	qlen      int // packets queued or serializing (not yet on the wire)
+	onWire    int // packets past serialization, propagating toward the peer
+	tapHeld   int // packets held in a tap- or fault-imposed delay, not yet on the link
 	stats     LinkStats
 
-	// wire and deliver are the direction's batching lanes (see Lane): the
-	// serialization-done events and the delivery events of consecutive
-	// packets are FIFO in time, so they skip the priority queue. Entries
-	// pair one-to-one — the k-th wire entry flags the k-th deliver entry
-	// live (Ref carries the position) exactly as the closure path's shared
-	// onWire bool did.
-	wire    *Lane
+	// wires holds the serialization-done transition of every queued or
+	// serializing packet. A transition is not an engine event: it keeps
+	// the (t, seq) key it would have had as one and is applied — the
+	// packet leaves the queue and goes on the wire — by settle, at the
+	// first read of that state at or after its key. Keys enter in
+	// increasing order (the horizon only moves forward while the link is
+	// up, and a failure empties the FIFO), so the passed transitions are
+	// always a prefix.
+	wires wireFIFO
+	// deliver is the direction's batching lane (see Lane): the delivery
+	// events of consecutive packets are FIFO in time, so they skip the
+	// priority queue.
 	deliver *Lane
+}
+
+// wireFIFO is a ring of pending serialization-done transitions.
+type wireFIFO struct {
+	buf  []wireEntry // power-of-two ring
+	head int
+	n    int
+}
+
+// wireEntry is one pending serialization-done transition and the handle
+// that marks its packet's delivery dead if a failure flushes it first:
+// a deliver-lane position, or the closure path's flag.
+type wireEntry struct {
+	t    float64
+	seq  uint64
+	pos  uint64
+	dead *bool
+}
+
+func (f *wireFIFO) push(w wireEntry) {
+	if f.n == len(f.buf) {
+		c := 2 * len(f.buf)
+		if c == 0 {
+			c = 16
+		}
+		nb := make([]wireEntry, c)
+		for i := 0; i < f.n; i++ {
+			nb[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
+		}
+		f.buf, f.head = nb, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = w
+	f.n++
+}
+
+// settle applies every transition whose key the engine has passed: each
+// moves one packet from the queue onto the wire.
+func (d *linkDir) settle(e *Engine) {
+	for f := &d.wires; f.n > 0; {
+		w := &f.buf[f.head]
+		if !e.passed(w.t, w.seq) {
+			return
+		}
+		w.dead = nil
+		f.head = (f.head + 1) & (len(f.buf) - 1)
+		f.n--
+		d.qlen--
+		d.onWire++
+	}
+}
+
+// flush drops every unsettled transition on a link failure, emptying the
+// queue: each packet's delivery is marked dead, and the transition goes to
+// the scheduler as the no-op event it would have been, at its original
+// key.
+func (d *linkDir) flush(e *Engine) {
+	d.qlen = 0
+	for f := &d.wires; f.n > 0; f.n-- {
+		w := f.buf[f.head]
+		f.buf[f.head].dead = nil
+		f.head = (f.head + 1) & (len(f.buf) - 1)
+		if w.dead != nil {
+			*w.dead = true
+		} else {
+			d.deliver.Flag(w.pos)
+		}
+		e.pushNop(w.t, w.seq)
+	}
 }
 
 // Up reports whether the link is currently up.
@@ -208,16 +280,14 @@ func (l *Link) SetUp(up bool) {
 	if DebugHooks.DisableFailureFlush {
 		return
 	}
-	now := l.net.eng.Now()
+	eng := l.net.eng
 	for dir := range l.dir {
 		d := &l.dir[dir]
+		d.settle(eng)
 		n := d.qlen
-		if n > 0 {
-			d.stats.DownDrop += uint64(n)
-			d.qlen = 0
-		}
-		d.busyUntil = now
-		d.epoch++
+		d.stats.DownDrop += uint64(n)
+		d.flush(eng)
+		d.busyUntil = eng.Now()
 		for i := 0; i < n; i++ {
 			l.net.probeLink(LinkFailDrop, l, Direction(dir), nil)
 		}
@@ -233,6 +303,7 @@ func (l *Link) Stats(dir Direction) LinkStats { return l.dir[dir].stats }
 // the link drains.
 func (l *Link) Occupancy(dir Direction) (queued, onWire, tapHeld int) {
 	d := &l.dir[dir]
+	d.settle(l.net.eng)
 	return d.qlen, d.onWire, d.tapHeld
 }
 
@@ -376,6 +447,8 @@ func (l *Link) enqueue(p *packet.Packet, dir Direction) {
 		l.net.probeLink(LinkDownDrop, l, dir, p)
 		return
 	}
+	eng := l.net.eng
+	d.settle(eng)
 	if l.QueueCap > 0 && d.qlen >= l.QueueCap {
 		d.stats.QueueDrop++
 		l.net.probeLink(LinkSent, l, dir, p)
@@ -383,7 +456,6 @@ func (l *Link) enqueue(p *packet.Packet, dir Direction) {
 		l.net.notifyDrop(p, l, dir)
 		return
 	}
-	eng := l.net.eng
 	now := eng.Now()
 	start := now
 	if d.busyUntil > start {
@@ -396,57 +468,52 @@ func (l *Link) enqueue(p *packet.Packet, dir Direction) {
 	d.busyUntil = start + tx
 	d.qlen++
 	l.net.probeLink(LinkSent, l, dir, p)
+	// The serialization-done transition takes its seq after the probe
+	// (which may schedule) and before the delivery event, exactly as two
+	// scheduled events would: a failure at exactly tw flushes the packet
+	// iff the failure's key comes first.
+	tw, td := start+tx, start+tx+l.Delay
+	w := wireEntry{t: tw, seq: eng.nextSeq()}
 	dst := l.b
 	if dir == BToA {
 		dst = l.a
 	}
-	// The serialization-done event moves the packet from the queue onto
-	// the wire; a link failure in between flushes the queue (SetUp bumps
-	// the epoch), so the packet is already counted as DownDrop and both
-	// events become no-ops. A failure at exactly start+tx drops the packet
-	// iff the failure event is processed first — deterministic, since
-	// engine ties break by scheduling order.
-	//
-	// Fast path: both events ride the direction's lanes — one ring append
-	// each, no closures, and bursts drain in one dequeue. Times are FIFO
-	// by construction (busyUntil only advances while the link is up), but
-	// a failure resets the horizon, so new times can regress behind stale
-	// pending entries; then this packet takes the closure path. Both
-	// events go the same way so the wire↔deliver position pairing stays
-	// aligned. Seq assignment is identical on either path (two bumps, wire
-	// first), so the execution order — and every trace byte — is too.
-	epoch := d.epoch
-	tw, td := start+tx, start+tx+l.Delay
-	if !DebugHooks.DisableLinkLanes && d.wire.CanPush(tw) && d.deliver.CanPush(td) {
-		d.wire.push(tw, LaneEntry{Tag: epoch, Ref: d.deliver.NextPos()})
+	// Fast path: the delivery rides the direction's lane — one ring
+	// append, no closure. Times are FIFO by construction, but a failure
+	// resets the horizon, so a new delivery can regress behind stale
+	// pending entries; then it takes the closure path. Seq assignment is
+	// identical on either path, so the execution order is too.
+	if !DebugHooks.DisableLinkLanes && d.deliver.CanPush(td) {
+		w.pos = d.deliver.NextPos()
+		d.wires.push(w)
 		d.deliver.push(td, LaneEntry{P: p})
 		return
 	}
-	onWire := false
-	eng.At(tw, func() {
-		if d.epoch != epoch {
-			return
-		}
-		d.qlen--
-		d.onWire++
-		onWire = true
-	})
+	dead := false
+	w.dead = &dead
+	d.wires.push(w)
 	eng.At(td, func() {
-		if !onWire {
-			return
+		if !dead {
+			l.deliverPacket(d, dir, dst, p)
 		}
-		d.onWire--
-		d.stats.Delivered++
-		d.stats.Bytes += uint64(p.Size)
-		l.net.probeLink(LinkDelivered, l, dir, p)
-		dst.receive(p, l)
 	})
 }
 
-// initLanes creates the four per-direction lanes (wire + deliver each
-// way). The lane callbacks replay exactly the closure bodies above: the
-// wire entry is epoch-guarded and flags its paired deliver entry live; the
-// deliver entry no-ops unless flagged.
+// deliverPacket hands a packet that completed propagation to the far
+// node. Its own serialization-done transition precedes it, so settling
+// first moves it onto the wire before it is taken off.
+func (l *Link) deliverPacket(d *linkDir, dir Direction, dst *Node, p *packet.Packet) {
+	d.settle(l.net.eng)
+	d.onWire--
+	d.stats.Delivered++
+	d.stats.Bytes += uint64(p.Size)
+	l.net.probeLink(LinkDelivered, l, dir, p)
+	dst.receive(p, l)
+}
+
+// initLanes creates the per-direction deliver lanes and registers the
+// directions with the engine, whose Pending counts their unsettled
+// transitions. An entry flagged OK was flushed by a link failure.
 func (l *Link) initLanes() {
 	for i := range l.dir {
 		d := &l.dir[i]
@@ -457,21 +524,9 @@ func (l *Link) initLanes() {
 		}
 		d.deliver = l.net.eng.NewLane(func(en LaneEntry) {
 			if !en.OK {
-				return
+				l.deliverPacket(d, dir, dst, en.P)
 			}
-			d.onWire--
-			d.stats.Delivered++
-			d.stats.Bytes += uint64(en.P.Size)
-			l.net.probeLink(LinkDelivered, l, dir, en.P)
-			dst.receive(en.P, l)
 		})
-		d.wire = l.net.eng.NewLane(func(en LaneEntry) {
-			if d.epoch != en.Tag {
-				return
-			}
-			d.qlen--
-			d.onWire++
-			d.deliver.Flag(en.Ref)
-		})
+		l.net.eng.wires = append(l.net.eng.wires, d)
 	}
 }

@@ -89,7 +89,20 @@ const DefaultTTL = 64
 
 // NewTCP returns a TCP packet with sensible defaults (TTL 64).
 func NewTCP(src, dst Addr, h TCPHeader, size int) *Packet {
-	return &Packet{Src: src, Dst: dst, TTL: DefaultTTL, Proto: ProtoTCP, Size: size, TCP: &h}
+	return newTCP(Packet{Src: src, Dst: dst, TTL: DefaultTTL, Proto: ProtoTCP, Size: size}, h)
+}
+
+// tcpPacket allocates a TCP packet and its header as one object, halving
+// the allocations of the TCP hot path; the packet's TCP field points at h.
+type tcpPacket struct {
+	p Packet
+	h TCPHeader
+}
+
+func newTCP(p Packet, h TCPHeader) *Packet {
+	b := &tcpPacket{p: p, h: h}
+	b.p.TCP = &b.h
+	return &b.p
 }
 
 // NewUDP returns a UDP packet with sensible defaults.
@@ -105,23 +118,29 @@ func NewICMP(src, dst Addr, h ICMPHeader, size int) *Packet {
 // Clone returns a deep copy, used by MitM taps that modify packets and by
 // retransmission logic.
 func (p *Packet) Clone() *Packet {
-	c := *p
-	if p.TCP != nil {
-		h := *p.TCP
-		c.TCP = &h
-	}
-	if p.UDP != nil {
-		h := *p.UDP
-		c.UDP = &h
-	}
-	if p.ICMP != nil {
-		h := *p.ICMP
-		c.ICMP = &h
+	var c *Packet
+	if p.TCP != nil && p.UDP == nil && p.ICMP == nil {
+		c = newTCP(*p, *p.TCP)
+	} else {
+		cp := *p
+		c = &cp
+		if p.TCP != nil {
+			h := *p.TCP
+			c.TCP = &h
+		}
+		if p.UDP != nil {
+			h := *p.UDP
+			c.UDP = &h
+		}
+		if p.ICMP != nil {
+			h := *p.ICMP
+			c.ICMP = &h
+		}
 	}
 	if p.Payload != nil {
 		c.Payload = append([]byte(nil), p.Payload...)
 	}
-	return &c
+	return c
 }
 
 // FlowKey is the classic 5-tuple. It is comparable and therefore usable as

@@ -118,13 +118,30 @@ type Sender struct {
 
 	// Per-MI accounting.
 	nextSeq  uint64
-	ackSet   map[uint64]bool
+	acks     ackWindow
+	open     []miSpan           // unfinalized MIs' seq spans, in start order
 	sentAt   map[uint64]float64 // RTT probes (sparse)
 	srtt     float64
 	records  []MIRecord
 	epsTrace []float64
 	stopped  bool
+
+	// sends queues the paced transmissions startMI scheduled, in firing
+	// order (each MI's send times are nondecreasing and precede the next
+	// MI's), so one bound callback serves them all.
+	sends    []pacedSend
+	sendHead int
+	sendFn   func() // s.sendNext, bound once
 }
+
+// pacedSend is one scheduled data transmission.
+type pacedSend struct {
+	seq   uint64
+	probe bool // record the send time as an RTT probe
+}
+
+// miSpan is the seq range [lo, hi) one monitor interval sent.
+type miSpan struct{ lo, hi uint64 }
 
 // Start launches a PCC flow from src to dst. The receiver echoes every
 // data packet's sequence number; loss per MI is counted from the echoes.
@@ -138,11 +155,11 @@ func Start(src, dst *tcpflow.Endpoint, cfg Config, rng *stats.RNG) *Sender {
 		state:  Starting,
 		rate:   cfg.StartRate,
 		eps:    cfg.EpsMin,
-		ackSet: map[uint64]bool{},
 		sentAt: map[uint64]float64{},
 		srtt:   0.1,
 	}
 	s.prevMIUtil = math.Inf(-1)
+	s.sendFn = s.sendNext
 	// Receiver: echo the sequence number of each arriving data packet.
 	rk := cfg.Key.Reverse()
 	dst.Register(cfg.Key, netsim.ReceiverFunc(func(now float64, p *packet.Packet) {
@@ -217,30 +234,39 @@ func (s *Sender) startMI(rate float64, role string) {
 		n = 1
 	}
 	gap := 1 / rate
+	s.sends = append(s.sends[:0], s.sends[s.sendHead:]...)
+	s.sendHead = 0
+	lo := s.nextSeq
 	for i := 0; i < n; i++ {
-		seq := s.nextSeq
+		s.sends = append(s.sends, pacedSend{seq: s.nextSeq, probe: i%16 == 0}) // sparse RTT probes
 		s.nextSeq++
-		probe := i%16 == 0 // sparse RTT probes
-		s.net.Engine().At(now+float64(i)*gap, func() {
-			if s.stopped {
-				return
-			}
-			if probe {
-				s.sentAt[seq] = s.net.Now()
-			}
-			p := packet.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, packet.TCPHeader{
-				SrcPort: s.cfg.Key.SrcPort, DstPort: s.cfg.Key.DstPort,
-				Seq: uint32(seq), Flags: packet.FlagACK,
-			}, s.cfg.PktSize)
-			s.node.Send(p)
-		})
+		s.net.Engine().At(now+float64(i)*gap, s.sendFn)
 	}
 	rec.Sent = n
 	hi := s.nextSeq
+	s.open = append(s.open, miSpan{lo, hi})
+	s.acks.extend(hi)
 	// The next MI starts back-to-back; results are finalized one RTT
 	// (plus margin) after the MI ends so in-flight echoes are counted.
 	s.net.Engine().At(now+dur, func() { s.nextMI() })
 	s.net.Engine().At(now+dur+1.5*s.srtt+0.05, func() { s.finalizeMI(rec, hi) })
+}
+
+// sendNext transmits the oldest scheduled paced send.
+func (s *Sender) sendNext() {
+	ps := s.sends[s.sendHead]
+	s.sendHead++
+	if s.stopped {
+		return
+	}
+	if ps.probe {
+		s.sentAt[ps.seq] = s.net.Now()
+	}
+	p := packet.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, packet.TCPHeader{
+		SrcPort: s.cfg.Key.SrcPort, DstPort: s.cfg.Key.DstPort,
+		Seq: uint32(ps.seq), Flags: packet.FlagACK,
+	}, s.cfg.PktSize)
+	s.node.Send(p)
 }
 
 // finalizeMI computes loss and utility once echoes have had time to land.
@@ -250,10 +276,22 @@ func (s *Sender) finalizeMI(rec *MIRecord, hi uint64) {
 	}
 	acked := 0
 	for seq := hi - uint64(rec.Sent); seq < hi; seq++ {
-		if s.ackSet[seq] {
+		if s.acks.has(seq) {
 			acked++
-			delete(s.ackSet, seq)
 		}
+	}
+	// Finalization order can differ from start order when the SRTT moves
+	// between MIs; the window keeps everything from the oldest open MI.
+	for i, sp := range s.open {
+		if sp.hi == hi {
+			s.open = append(s.open[:i], s.open[i+1:]...)
+			break
+		}
+	}
+	if len(s.open) > 0 {
+		s.acks.advance(s.open[0].lo)
+	} else {
+		s.acks.advance(s.nextSeq)
 	}
 	rec.Acked = acked
 	rec.Loss = 1 - float64(acked)/float64(rec.Sent)
@@ -402,10 +440,67 @@ func (s *Sender) onAck(now float64, p *packet.Packet) {
 		return
 	}
 	seq := uint64(p.TCP.Ack)
-	s.ackSet[seq] = true
+	s.acks.set(seq)
 	if at, ok := s.sentAt[seq]; ok {
 		delete(s.sentAt, seq)
 		rtt := now - at
 		s.srtt = 0.875*s.srtt + 0.125*rtt
 	}
+}
+
+// ackWindow is the set of echoed seqs a finalization can still read: a
+// bitmap over [lo, hi), from the oldest unfinalized MI's first seq to
+// nextSeq. Echoes below lo — late jitter or a gray duplicate of an
+// already finalized MI — are dropped instead of accumulating forever.
+// Echoes at or past hi name seqs not sent yet (a corrupted echo carries
+// an arbitrary seq); they wait in ahead until the window reaches them,
+// since an MI that later sends that seq counts them.
+type ackWindow struct {
+	lo    uint64   // multiple of 64: words[0] bit i is seq lo+i
+	hi    uint64   // first seq not yet sent
+	words []uint64 // bitmap
+	ahead map[uint64]bool
+}
+
+func (w *ackWindow) set(seq uint64) {
+	switch {
+	case seq < w.lo:
+	case seq >= w.hi:
+		if w.ahead == nil {
+			w.ahead = map[uint64]bool{}
+		}
+		w.ahead[seq] = true
+	default:
+		w.words[(seq-w.lo)/64] |= 1 << ((seq - w.lo) % 64)
+	}
+}
+
+func (w *ackWindow) has(seq uint64) bool {
+	return seq >= w.lo && seq < w.hi && w.words[(seq-w.lo)/64]&(1<<((seq-w.lo)%64)) != 0
+}
+
+// extend grows the window to hi, pulling in early echoes it now covers.
+func (w *ackWindow) extend(hi uint64) {
+	for need := int((hi - w.lo + 63) / 64); len(w.words) < need; {
+		w.words = append(w.words, 0)
+	}
+	w.hi = hi
+	for seq := range w.ahead {
+		if seq < hi {
+			delete(w.ahead, seq)
+			w.set(seq)
+		}
+	}
+}
+
+// advance drops every seq below lo from the window.
+func (w *ackWindow) advance(lo uint64) {
+	drop := int((lo - w.lo) / 64)
+	if drop == 0 {
+		return
+	}
+	n := copy(w.words, w.words[drop:])
+	clear(w.words[n:])
+	w.words = w.words[:n]
+	w.lo += uint64(drop) * 64
 }

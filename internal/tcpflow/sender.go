@@ -92,6 +92,28 @@ type Sender struct {
 	OnComplete func(now float64)
 	paceNext   float64
 	repump     func() // s.pump, bound once so pacing re-arms allocate nothing
+
+	// rtoArms holds every RTO arm whose engine event is still pending, as
+	// a min-heap on (deadline, arm order) — the engine's own firing order,
+	// since arm order is scheduling order — so the one bound callback
+	// rtoFn learns which arm is firing and whether it is still current.
+	rtoArms  []rtoArm
+	armCount uint64
+	rtoFn    func() // s.rtoFired, bound once
+}
+
+// rtoArm is one armed retransmission timer.
+type rtoArm struct {
+	deadline float64
+	order    uint64 // arm count at arm time
+	gen      uint64 // rtoSeq at arm time; stale once rtoSeq moves on
+}
+
+func (a rtoArm) before(b rtoArm) bool {
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
+	}
+	return a.order < b.order
 }
 
 type sendInfo struct {
@@ -114,6 +136,7 @@ func Start(src, dst *Endpoint, cfg Config) *Sender {
 	}
 	s.stats.RTO = s.rto
 	s.repump = s.pump
+	s.rtoFn = s.rtoFired
 	// Receiver: consumes data arriving with the forward key, ACKs back.
 	r := &receiver{net: dst.node.Net(), node: dst.node, key: cfg.Key, mss: cfg.MSS, rwnd: cfg.RcvWindow}
 	dst.Register(cfg.Key, r)
@@ -186,16 +209,64 @@ func (s *Sender) transmit(seq int64, isRetrans bool) {
 
 func (s *Sender) armRTO() {
 	s.rtoSeq++
-	seq := s.rtoSeq
 	timeout := s.rto * math.Pow(2, float64(s.backoff))
 	if timeout > 60 {
 		timeout = 60
 	}
-	s.net.Engine().After(timeout, func() {
-		if s.rtoSeq == seq {
-			s.onRTO()
+	eng := s.net.Engine()
+	deadline := eng.Now() + timeout
+	s.armCount++
+	s.pushArm(rtoArm{deadline: deadline, order: s.armCount, gen: s.rtoSeq})
+	eng.At(deadline, s.rtoFn)
+}
+
+// rtoFired runs when the earliest pending arm's timer fires; only the
+// current arm retransmits.
+func (s *Sender) rtoFired() {
+	if s.popArm().gen == s.rtoSeq {
+		s.onRTO()
+	}
+}
+
+func (s *Sender) pushArm(a rtoArm) {
+	h := append(s.rtoArms, a)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !a.before(h[parent]) {
+			break
 		}
-	})
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = a
+	s.rtoArms = h
+}
+
+func (s *Sender) popArm() rtoArm {
+	h := s.rtoArms
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	s.rtoArms = h
+	return top
 }
 
 // onRTO fires when the oldest segment times out: retransmit it, back off,
