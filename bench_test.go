@@ -39,11 +39,13 @@ import (
 // background population of per-flow hold timers with exponential gaps.
 // A fixed set of packets circulates host-to-host (the receiver reflects
 // each one back), so the steady state allocates nothing and the measured
-// cost is pure event machinery. sched=heap/lanes=off routes every packet
-// through the two closure events of the PR 2 engine — exactly the
-// BENCH_2-era code path, doubling as the baseline; sched=wheel/lanes=on
-// is the timing wheel with link batching. The events/sec ratio between
-// the two is the tentpole speedup figure tracked in EXPERIMENTS.md and
+// cost is pure event machinery. sched=heap/lanes=off routes every
+// packet's delivery through a closure event on the reference heap, the
+// baseline; sched=wheel/lanes=on is the timing wheel with link batching.
+// A packet-hop is one event on both: serialization-done is settled
+// lazily, not executed, so events/sec here is not comparable with
+// BENCH_4.json and earlier, which counted two events per hop. The
+// events/sec ratio between the two modes is tracked in EXPERIMENTS.md and
 // gated by cmd/benchgate. Traces are byte-identical either way
 // (TestLinkLanesTraceIdenticalToClosures) — only the throughput differs.
 func BenchmarkEngineE1(b *testing.B) {
@@ -139,11 +141,11 @@ func BenchmarkEngineHold(b *testing.B) {
 
 // BenchmarkEngineLinkBurst measures the packet path through a link:
 // bursts of back-to-back packets serialize, propagate, and deliver.
-// lanes=off routes every packet through the two closure events of the
-// PR 2 engine (with the heap scheduler, this is exactly the BENCH_2-era
-// code); lanes=on is the batching fast path on the timing wheel. Traces
-// are byte-identical either way (TestLinkLanesTraceIdenticalToClosures) —
-// only the events/sec differ.
+// lanes=off routes every delivery through a closure event on the heap
+// scheduler; lanes=on is the batching fast path on the timing wheel. Each
+// packet-hop is one event either way (serialization-done is settled
+// lazily). Traces are byte-identical either way
+// (TestLinkLanesTraceIdenticalToClosures) — only the events/sec differ.
 func BenchmarkEngineLinkBurst(b *testing.B) {
 	type mode struct {
 		name  string

@@ -47,7 +47,7 @@ func TestLaneSteadyStateAllocs(t *testing.T) {
 			e.RunUntil(10)
 
 			if avg := testing.AllocsPerRun(2000, func() {
-				ln.Push(e.Now()+0.5, LaneEntry{Tag: 1, Ref: ln.NextPos()})
+				ln.Push(e.Now()+0.5, LaneEntry{Tag: ln.NextPos()})
 				ln.Push(e.Now()+0.6, LaneEntry{})
 				e.RunUntil(e.Now() + 1)
 			}); avg != 0 {

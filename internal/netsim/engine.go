@@ -16,10 +16,11 @@
 // the global scheduling sequence number — regardless of which scheduler
 // backs the queue (timing wheel or 4-ary heap, see Scheduler), regardless
 // of link-lane batching, and regardless of when a link's lazily settled
-// serialization-done transitions are applied (see Link). Simulation code must draw all
-// randomness from seeded stats.RNG streams (SplitMix64 child derivation,
-// stats.ChildAt for per-trial streams), never from the wall clock or a
-// global generator, so results are bit-identical at any worker count.
+// serialization-done transitions are applied (see Link). Simulation code
+// must draw all randomness from seeded stats.RNG streams (SplitMix64
+// child derivation, stats.ChildAt for per-trial streams), never from the
+// wall clock or a global generator, so results are bit-identical at any
+// worker count.
 // Packet values handed to hot-path callbacks follow the scratch-packet
 // rule of internal/trace: they are valid only for the duration of the
 // callback unless the producer documents otherwise; retainers must

@@ -7,7 +7,7 @@ import (
 )
 
 // LaneEntry is one pending event in a Lane: an engine-assigned (T, Seq)
-// key plus a fixed payload — two integer slots, one flag settable through
+// key plus a fixed payload — an integer slot, a flag settable through
 // Lane.Flag, and a packet pointer — so scheduling a packet allocates
 // nothing. Links use the packet and the flag (set when a link failure
 // flushes the packet before it reached the wire). Work that needs richer
@@ -16,7 +16,6 @@ type LaneEntry struct {
 	T   float64 // firing time, set by Push
 	Seq uint64  // global scheduling sequence, set by Push
 	Tag uint64  // payload slot
-	Ref uint64  // payload slot
 	OK  bool    // payload flag, settable later via Flag
 	P   *packet.Packet
 }

@@ -234,7 +234,6 @@ func (d *linkDir) settle(e *Engine) {
 		if !e.passed(w.t, w.seq) {
 			return
 		}
-		w.dead = nil
 		f.head = (f.head + 1) & (len(f.buf) - 1)
 		f.n--
 		d.qlen--
@@ -250,7 +249,6 @@ func (d *linkDir) flush(e *Engine) {
 	d.qlen = 0
 	for f := &d.wires; f.n > 0; f.n-- {
 		w := f.buf[f.head]
-		f.buf[f.head].dead = nil
 		f.head = (f.head + 1) & (len(f.buf) - 1)
 		if w.dead != nil {
 			*w.dead = true

@@ -94,18 +94,17 @@ type Sender struct {
 	repump     func() // s.pump, bound once so pacing re-arms allocate nothing
 
 	// rtoArms holds every RTO arm whose engine event is still pending, as
-	// a min-heap on (deadline, arm order) — the engine's own firing order,
-	// since arm order is scheduling order — so the one bound callback
-	// rtoFn learns which arm is firing and whether it is still current.
-	rtoArms  []rtoArm
-	armCount uint64
-	rtoFn    func() // s.rtoFired, bound once
+	// a min-heap on (deadline, gen) — the engine's own firing order, since
+	// gen rises with every arm and so follows scheduling order — so the
+	// one bound callback rtoFn learns which arm is firing and whether it
+	// is still current.
+	rtoArms []rtoArm
+	rtoFn   func() // s.rtoFired, bound once
 }
 
 // rtoArm is one armed retransmission timer.
 type rtoArm struct {
 	deadline float64
-	order    uint64 // arm count at arm time
 	gen      uint64 // rtoSeq at arm time; stale once rtoSeq moves on
 }
 
@@ -113,7 +112,7 @@ func (a rtoArm) before(b rtoArm) bool {
 	if a.deadline != b.deadline {
 		return a.deadline < b.deadline
 	}
-	return a.order < b.order
+	return a.gen < b.gen
 }
 
 type sendInfo struct {
@@ -215,8 +214,7 @@ func (s *Sender) armRTO() {
 	}
 	eng := s.net.Engine()
 	deadline := eng.Now() + timeout
-	s.armCount++
-	s.pushArm(rtoArm{deadline: deadline, order: s.armCount, gen: s.rtoSeq})
+	s.pushArm(rtoArm{deadline: deadline, gen: s.rtoSeq})
 	eng.At(deadline, s.rtoFn)
 }
 
