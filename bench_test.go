@@ -346,23 +346,30 @@ func BenchmarkE8Defenses(b *testing.B) {
 // BenchmarkMatrixSystem runs one robustness-matrix trial per op: the
 // system's guarded arm under its first attack, fault-free, at the full
 // (non-quick) scale and a fixed seed, exactly as the matrix calls it. The
-// allocs/op of the systems converted to incremental state, and of the
-// TCP-path systems (blink, pcc, dapper, conntrack), are ceilinged in
-// BENCH_FLOOR.json; ns/op is the system's share of a matrix cell.
+// <system>-twin sub-benchmarks run the attack-free arm RunTrial pairs with
+// every attacked one: for blink, pcc and dapper that is a whole TCP-driven
+// run (Blink's genuine failover, PCC's honest equalizer, DAPPER's honest
+// network-limited flow). The allocs/op of the systems converted to
+// incremental state, and of the TCP-path arms (blink, pcc, dapper,
+// conntrack and the three twins), are ceilinged in BENCH_FLOOR.json; ns/op
+// is the arm's share of a matrix cell.
 func BenchmarkMatrixSystem(b *testing.B) {
-	for _, sys := range robustness.Systems() {
-		switch sys.Name() {
-		case "pytheas", "bnn", "sketch", "blink", "pcc", "dapper", "conntrack":
-		default:
-			continue
-		}
-		b.Run(sys.Name(), func(b *testing.B) {
-			attack := sys.Attacks()[0]
+	run := func(name string, sys robustness.System, attack string) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sys.Run(attack, true, robustness.AllProfiles[0], 1, false)
 			}
 		})
+	}
+	for _, sys := range robustness.Systems() {
+		switch sys.Name() {
+		case "pytheas", "bnn", "sketch", "conntrack":
+			run(sys.Name(), sys, sys.Attacks()[0])
+		case "blink", "pcc", "dapper":
+			run(sys.Name(), sys, sys.Attacks()[0])
+			run(sys.Name()+"-twin", sys, "")
+		}
 	}
 }
 

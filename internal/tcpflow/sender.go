@@ -1,7 +1,9 @@
 package tcpflow
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"dui/internal/netsim"
 	"dui/internal/packet"
@@ -77,7 +79,7 @@ type Sender struct {
 	cfg  Config
 
 	una, nxt   int64 // bytes: oldest unACKed, next to send
-	inFlight   map[int64]sendInfo
+	inFlight   flight
 	window     float64
 	dupAcks    int
 	srtt, rttv float64
@@ -91,7 +93,8 @@ type Sender struct {
 	// OnComplete, if set, fires when TotalBytes are ACKed.
 	OnComplete func(now float64)
 	paceNext   float64
-	repump     func() // s.pump, bound once so pacing re-arms allocate nothing
+	paceWake   float64 // the pacing instant the last wake-up was scheduled for
+	repump     func()  // s.pump, bound once so pacing re-arms allocate nothing
 
 	// rtoArms holds every RTO arm whose engine event is still pending, as
 	// a min-heap on (deadline, gen) — the engine's own firing order, since
@@ -120,18 +123,72 @@ type sendInfo struct {
 	retrans bool
 }
 
+// flight is the in-flight window: the sent, unACKed segments in ascending
+// seq order in one reused buffer. Lookup, insert or overwrite, and the cut
+// below an ACK take any seq, not only multiples of the MSS, since ACK
+// numbers come off the wire.
+type flight struct {
+	segs []flightSeg // segs[lo:] are live; segs[:lo] were cut
+	lo   int
+}
+
+type flightSeg struct {
+	seq int64
+	sendInfo
+}
+
+func (f *flight) len() int { return len(f.segs) - f.lo }
+
+// find returns the index of seq among the live segments, or where it would
+// be inserted, and whether it is there.
+func (f *flight) find(seq int64) (int, bool) {
+	i, ok := slices.BinarySearchFunc(f.segs[f.lo:], seq, func(g flightSeg, seq int64) int {
+		return cmp.Compare(g.seq, seq)
+	})
+	return f.lo + i, ok
+}
+
+func (f *flight) get(seq int64) (sendInfo, bool) {
+	if i, ok := f.find(seq); ok {
+		return f.segs[i].sendInfo, true
+	}
+	return sendInfo{}, false
+}
+
+// put records a send of seq at time at; a segment once retransmitted stays
+// marked retransmitted (Karn).
+func (f *flight) put(seq int64, at float64, retrans bool) {
+	i, ok := f.find(seq)
+	if ok {
+		f.segs[i].sendInfo = sendInfo{at: at, retrans: retrans || f.segs[i].retrans}
+		return
+	}
+	if len(f.segs) == cap(f.segs) && f.lo > 0 {
+		// Compact the live segments over the cut prefix instead of growing.
+		n := copy(f.segs, f.segs[f.lo:])
+		f.segs, i, f.lo = f.segs[:n], i-f.lo, 0
+	}
+	f.segs = slices.Insert(f.segs, i, flightSeg{seq: seq, sendInfo: sendInfo{at: at, retrans: retrans}})
+}
+
+// cut drops every segment with seq < ack.
+func (f *flight) cut(ack int64) {
+	if f.lo, _ = f.find(ack); f.lo == len(f.segs) {
+		f.segs, f.lo = f.segs[:0], 0
+	}
+}
+
 // Start creates the receiver on dst, registers both directions, and begins
 // sending at the current simulation time.
 func Start(src, dst *Endpoint, cfg Config) *Sender {
 	cfg.defaults()
 	s := &Sender{
-		net:      src.node.Net(),
-		node:     src.node,
-		cfg:      cfg,
-		inFlight: map[int64]sendInfo{},
-		window:   cfg.Window,
-		rwnd:     int64(cfg.RcvWindow),
-		rto:      cfg.RTOInit,
+		net:    src.node.Net(),
+		node:   src.node,
+		cfg:    cfg,
+		window: cfg.Window,
+		rwnd:   int64(cfg.RcvWindow),
+		rto:    cfg.RTOInit,
 	}
 	s.stats.RTO = s.rto
 	s.repump = s.pump
@@ -178,8 +235,16 @@ func (s *Sender) pump() {
 		}
 		if s.cfg.Pace > 0 {
 			if now < s.paceNext {
-				// Try again when the pacing gate opens.
-				s.net.Engine().At(s.paceNext, s.repump)
+				// Try again when the pacing gate opens, once per instant:
+				// every ACK inside a pacing gap lands here, and a second
+				// wake-up at the same instant would only hit the gate and
+				// re-arm. It could send only after a duplicate ACK at that
+				// instant raised the advertised window, which no paced
+				// caller produces (DESIGN.md §7.1).
+				if s.paceWake != s.paceNext {
+					s.paceWake = s.paceNext
+					s.net.Engine().At(s.paceNext, s.repump)
+				}
 				return
 			}
 			s.paceNext = now + 1/s.cfg.Pace
@@ -202,7 +267,7 @@ func (s *Sender) transmit(seq int64, isRetrans bool) {
 	if isRetrans {
 		s.stats.Retransmissions++
 	}
-	s.inFlight[seq] = sendInfo{at: now, retrans: isRetrans || s.inFlight[seq].retrans}
+	s.inFlight.put(seq, now, isRetrans)
 	s.armRTO()
 }
 
@@ -271,7 +336,7 @@ func (s *Sender) popArm() rtoArm {
 // and collapse the window — the behaviour a failed path amplifies into the
 // retransmission storm Blink watches for.
 func (s *Sender) onRTO() {
-	if s.stopped || s.stats.Completed || len(s.inFlight) == 0 {
+	if s.stopped || s.stats.Completed || s.inFlight.len() == 0 {
 		return
 	}
 	s.backoff++
@@ -303,14 +368,10 @@ func (s *Sender) onAck(now float64, p *packet.Packet) {
 		return
 	}
 	// RTT sample (Karn: skip retransmitted segments).
-	if info, ok := s.inFlight[s.una]; ok && !info.retrans {
+	if info, ok := s.inFlight.get(s.una); ok && !info.retrans {
 		s.rttSample(now - info.at)
 	}
-	for seq := range s.inFlight {
-		if seq < ack {
-			delete(s.inFlight, seq)
-		}
-	}
+	s.inFlight.cut(ack)
 	acked := ack - s.una
 	s.una = ack
 	s.dupAcks = 0
@@ -329,7 +390,7 @@ func (s *Sender) onAck(now float64, p *packet.Packet) {
 		}
 		return
 	}
-	if len(s.inFlight) > 0 {
+	if s.inFlight.len() > 0 {
 		s.armRTO()
 	}
 	s.pump()

@@ -189,3 +189,22 @@ func TestMitMDropTriggersFastRetransmit(t *testing.T) {
 		t.Fatalf("recovery too slow (%.3fs): RTO instead of fast retransmit?", st.CompletionTime)
 	}
 }
+
+// TestPacedPendingBounded checks that a paced flow keeps a bounded number
+// of engine events pending: one pacing wake-up, its RTO arms and the
+// packets on the wire. Blink's failover flow shape (Pace 4, Window 2)
+// takes an ACK inside every pacing gap, and each ACK hits the pacing gate;
+// when every hit scheduled its own wake-up, the duplicates re-armed
+// forever and the queue grew by one per ACK.
+func TestPacedPendingBounded(t *testing.T) {
+	nw, e1, e2, _ := pair(10e6, 0.005, 0)
+	Start(e1, e2, Config{Key: flowKey(e1, e2, 1006), Window: 2, Pace: 4})
+	most := 0
+	for until := 0.1; until <= 40; until += 0.1 {
+		nw.RunUntil(until)
+		most = max(most, nw.Engine().Pending())
+	}
+	if most > 8 {
+		t.Fatalf("paced flow left up to %d events pending, want at most 8", most)
+	}
+}
