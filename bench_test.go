@@ -349,26 +349,32 @@ func BenchmarkE8Defenses(b *testing.B) {
 // <system>-twin sub-benchmarks run the attack-free arm RunTrial pairs with
 // every attacked one: for blink, pcc and dapper that is a whole TCP-driven
 // run (Blink's genuine failover, PCC's honest equalizer, DAPPER's honest
-// network-limited flow). The allocs/op of the systems converted to
-// incremental state, and of the TCP-path arms (blink, pcc, dapper,
-// conntrack and the three twins), are ceilinged in BENCH_FLOOR.json; ns/op
+// network-limited flow). blink-gray-twin and pcc-gray-twin run the same
+// twins under the gray-failure profile, whose fault plane holds, drops,
+// corrupts and duplicates packets. The allocs/op of the systems converted
+// to incremental state, and of the TCP-path arms (blink, pcc, dapper,
+// conntrack and the five twins), are ceilinged in BENCH_FLOOR.json; ns/op
 // is the arm's share of a matrix cell.
 func BenchmarkMatrixSystem(b *testing.B) {
-	run := func(name string, sys robustness.System, attack string) {
+	run := func(name string, sys robustness.System, attack string, prof robustness.Profile) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sys.Run(attack, true, robustness.AllProfiles[0], 1, false)
+				sys.Run(attack, true, prof, 1, false)
 			}
 		})
 	}
+	none, gray := robustness.AllProfiles[0], robustness.AllProfiles[1]
 	for _, sys := range robustness.Systems() {
 		switch sys.Name() {
 		case "pytheas", "bnn", "sketch", "conntrack":
-			run(sys.Name(), sys, sys.Attacks()[0])
+			run(sys.Name(), sys, sys.Attacks()[0], none)
 		case "blink", "pcc", "dapper":
-			run(sys.Name(), sys, sys.Attacks()[0])
-			run(sys.Name()+"-twin", sys, "")
+			run(sys.Name(), sys, sys.Attacks()[0], none)
+			run(sys.Name()+"-twin", sys, "", none)
+			if sys.Name() != "dapper" {
+				run(sys.Name()+"-gray-twin", sys, "", gray)
+			}
 		}
 	}
 }

@@ -36,8 +36,9 @@ func PlayStream(nw *netsim.Network, from *netsim.Node, st trace.Stream) {
 		}
 		// The network retains packets (link queues, MitM taps, delayed
 		// delivery) past the stream's next Next(), so take ownership of a
-		// copy — the Stream packet-lifetime rule.
-		ln.Push(ev.Time, netsim.LaneEntry{P: ev.Pkt.Clone()})
+		// copy — the Stream packet-lifetime rule — drawn from the
+		// network's free list.
+		ln.Push(ev.Time, netsim.LaneEntry{P: nw.CloneTCP(ev.Pkt)})
 	}
 	ln = nw.Engine().NewLane(func(en netsim.LaneEntry) {
 		from.Send(en.P)

@@ -21,10 +21,34 @@
 // child derivation, stats.ChildAt for per-trial streams), never from the
 // wall clock or a global generator, so results are bit-identical at any
 // worker count.
+//
+// # Packet ownership
+//
 // Packet values handed to hot-path callbacks follow the scratch-packet
 // rule of internal/trace: they are valid only for the duration of the
 // callback unless the producer documents otherwise; retainers must
-// Clone().
+// Clone(). The rule is load-bearing: each Network keeps a free list of
+// TCP packets, and the TCP producers (tcpflow, pcc, blink.PlayStream, the
+// scenario injector and fault-plane duplicates) take their packets from
+// it through Network.NewTCP and Network.CloneTCP. netsim returns such a
+// packet to the list at its single end of life, and the next NewTCP may
+// hand the same memory out again:
+//
+//   - delivery to a host, after the receiver returns;
+//   - arrival at a host as transit traffic;
+//   - no route, a program drop, or TTL expiry (after the ICMP reply is
+//     built);
+//   - a tap drop, or a tap Replace that supersedes it (Replace != p);
+//   - a fault drop, or a fault Replace that supersedes it;
+//   - a down drop or queue drop, after the probe and the drop handler;
+//   - a failure flush, when the flushed delivery would have run.
+//
+// A packet that is queued, on the wire, or held by a tap or fault delay
+// is never released. A receiver that re-sends the packet it was handed
+// must Clone it, and a producer must not touch a packet after handing it
+// to Send or an Injector. Packets built with packet.NewTCP or Clone are
+// never recycled, so code that keeps its own packets is unaffected.
+// DebugHooks.PoisonReleased checks that nothing reads a released packet.
 package netsim
 
 import (
@@ -291,8 +315,13 @@ func (e *Engine) Pending() int {
 
 // RunUntil executes events in timestamp order until the queue is empty or
 // the next event is after t; the clock ends at exactly t (or later events
-// remain queued). It returns the number of events executed.
+// remain queued). It returns the number of events executed. A NaN horizon
+// panics, as At(NaN) does: no event time compares after it, so the run
+// would never stop on an open system and would never set the clock.
 func (e *Engine) RunUntil(t float64) int {
+	if math.IsNaN(t) {
+		panic("netsim: RunUntil at NaN")
+	}
 	n := e.run(t)
 	if e.now <= t {
 		// Every event at or before t has run, whatever its seq. A horizon

@@ -144,6 +144,35 @@ func TestEngineAtRejectsNaN(t *testing.T) {
 	})
 }
 
+// TestEngineRunUntilRejectsNaN pins that a NaN horizon panics before any
+// event runs. Every event time compares as not after NaN, so a run to NaN
+// used to execute the whole queue — here a timer that re-arms itself 1000
+// times — and then leave the clock wherever the last event put it; on an
+// open system it never returned.
+func TestEngineRunUntilRejectsNaN(t *testing.T) {
+	forEachScheduler(t, func(t *testing.T, e *Engine) {
+		left := 1000
+		var tick func()
+		tick = func() {
+			if left--; left > 0 {
+				e.After(1, tick)
+			}
+		}
+		e.At(1, tick)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("RunUntil(NaN) did not panic")
+				}
+			}()
+			e.RunUntil(math.NaN())
+		}()
+		if e.Executed() != 0 || e.Now() != 0 || e.Pending() != 1 {
+			t.Fatalf("RunUntil(NaN) ran events: executed=%d now=%v pending=%d", e.Executed(), e.Now(), e.Pending())
+		}
+	})
+}
+
 func TestEngineClockMonotoneProperty(t *testing.T) {
 	for _, k := range schedulers {
 		k := k

@@ -5,8 +5,9 @@ package netsim
 // cmd/simfuzz) can prove they would have caught each of them and so the
 // corpus regression tests can pin that detection forever. The switches are
 // consulted only on cold paths (link failure, tap-imposed delay, MitM
-// injection) — with every field false the per-packet hot path is unchanged
-// and the zero-allocation guarantees hold.
+// injection) or behind one predictable branch (a packet's release) — with
+// every field false the per-packet hot path is unchanged and the
+// zero-allocation guarantees hold.
 //
 // The hooks exist for tests only. They are process-global and not
 // synchronized; tests that set one must restore it and must not run in
@@ -39,4 +40,11 @@ var DebugHooks struct {
 	// trace-identity test. Serialization-done transitions are settled
 	// lazily either way. Traces must be byte-identical either way.
 	DisableLinkLanes bool
+	// PoisonReleased is not a bug switch: at every end of life (see the
+	// package doc) it overwrites a recyclable packet with poison values
+	// instead of returning it to the network's free list, and the packet
+	// is never issued again. Any read of a released packet then changes
+	// the output, so tests run identical workloads with it on and off and
+	// require byte-identical results.
+	PoisonReleased bool
 }

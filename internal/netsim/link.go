@@ -191,6 +191,74 @@ type linkDir struct {
 	// events of consecutive packets are FIFO in time, so they skip the
 	// priority queue.
 	deliver *Lane
+	// holds are the packets a tap or fault delay keeps off the link, in a
+	// min-heap on the (t, seq) key of the engine event that ends each
+	// hold. Those events all run unhold, bound once per direction, and
+	// fire in key order, so the heap's minimum is always the one firing.
+	holds  []held
+	unhold func()
+}
+
+// held is one packet in a tap- or fault-imposed delay. A fault hold
+// carries the verdict's duplicate count; a tap hold goes back through the
+// fault stage when it ends.
+type held struct {
+	t     float64
+	seq   uint64
+	p     *packet.Packet
+	fault bool
+	dup   int
+}
+
+func (a held) before(b held) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
+}
+
+// pushHold adds h to the holds heap.
+func (d *linkDir) pushHold(h held) {
+	q := append(d.holds, h)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = h
+	d.holds = q
+}
+
+// popHold removes and returns the holds heap's minimum.
+func (d *linkDir) popHold() held {
+	q := d.holds
+	top, last := q[0], q[len(q)-1]
+	q[len(q)-1] = held{}
+	q = q[:len(q)-1]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if len(q) > 0 {
+		q[i] = last
+	}
+	d.holds = q
+	return top
 }
 
 // wireFIFO is a ring of pending serialization-done transitions.
@@ -347,6 +415,7 @@ func (l *Link) directionFrom(n *Node) Direction {
 }
 
 // send is the node-facing entry: applies taps, then queues the packet.
+// A packet a tap drops or replaces ends its life here.
 func (l *Link) send(from *Node, p *packet.Packet) {
 	dir := l.directionFrom(from)
 	d := &l.dir[dir]
@@ -358,9 +427,11 @@ func (l *Link) send(from *Node, p *packet.Packet) {
 		if v.Drop {
 			d.stats.TapDrop++
 			l.net.probeLink(LinkTapDrop, l, dir, p)
+			l.net.release(p)
 			return
 		}
-		if v.Replace != nil {
+		if v.Replace != nil && v.Replace != p {
+			l.net.release(p)
 			p = v.Replace
 		}
 		if v.Delay > 0 {
@@ -373,15 +444,34 @@ func (l *Link) send(from *Node, p *packet.Packet) {
 		}
 	}
 	if delay > 0 {
-		d.tapHeld++
-		pp := p
-		l.net.eng.After(delay, func() {
-			d.tapHeld--
-			l.ingress(pp, dir)
-		})
+		l.hold(d, held{p: p}, delay)
 		return
 	}
 	l.ingress(p, dir)
+}
+
+// hold keeps p off the link for delay seconds, counted in the tapHeld
+// occupancy term: it schedules the direction's unhold callback exactly as
+// a per-packet closure would have been scheduled, and files the packet
+// under that event's (t, seq) key.
+func (l *Link) hold(d *linkDir, h held, delay float64) {
+	eng := l.net.eng
+	d.tapHeld++
+	eng.After(delay, d.unhold)
+	h.t, h.seq = eng.now+delay, eng.seq
+	d.pushHold(h)
+}
+
+// unholdFrom ends the hold whose event is firing: a tap hold re-enters the
+// fault stage, a fault hold goes on to the queue with its duplicates.
+func (l *Link) unholdFrom(d *linkDir, dir Direction) {
+	h := d.popHold()
+	d.tapHeld--
+	if h.fault {
+		l.faultEnqueue(h.p, dir, h.dup)
+		return
+	}
+	l.ingress(h.p, dir)
 }
 
 // ingress is the fault-plane stage between the tap chain (or injector) and
@@ -401,19 +491,15 @@ func (l *Link) ingress(p *packet.Packet, dir Direction) {
 			d.stats.FaultDrop++
 		}
 		l.net.probeLink(LinkFaultDrop, l, dir, p)
+		l.net.release(p)
 		return
 	}
-	if v.Replace != nil {
+	if v.Replace != nil && v.Replace != p {
+		l.net.release(p)
 		p = v.Replace
 	}
 	if v.Delay > 0 {
-		d := &l.dir[dir]
-		d.tapHeld++
-		pp, dup := p, v.Duplicate
-		l.net.eng.After(v.Delay, func() {
-			d.tapHeld--
-			l.faultEnqueue(pp, dir, dup)
-		})
+		l.hold(&l.dir[dir], held{p: p, fault: true, dup: v.Duplicate}, v.Delay)
 		return
 	}
 	l.faultEnqueue(p, dir, v.Duplicate)
@@ -422,28 +508,43 @@ func (l *Link) ingress(p *packet.Packet, dir Direction) {
 // faultEnqueue enqueues p plus dup fault-plane copies. Each copy is counted
 // in Duplicated before its own enqueue, so the send-layer conservation
 // identity balances at every probe, and is cloned because forwarding
-// mutates TTL in place.
+// mutates TTL in place. The copies are cloned from p and the probes read
+// it, so p stays alive through the loop even when the queue drops it, and
+// ends its life only after.
 func (l *Link) faultEnqueue(p *packet.Packet, dir Direction, dup int) {
-	l.enqueue(p, dir)
+	dropped := !l.admit(p, dir)
 	d := &l.dir[dir]
 	for i := 0; i < dup; i++ {
 		if !DebugHooks.SkipDuplicatedCount {
 			d.stats.Duplicated++
 		}
-		l.enqueue(p.Clone(), dir)
+		l.enqueue(l.net.CloneTCP(p), dir)
 		l.net.probeLink(LinkDuplicated, l, dir, p)
+	}
+	if dropped {
+		l.net.release(p)
 	}
 }
 
-// enqueue models serialization, queueing, propagation, and drop-tail loss.
+// enqueue admits p to the queue; a packet the link drops ends its life
+// here.
 func (l *Link) enqueue(p *packet.Packet, dir Direction) {
+	if !l.admit(p, dir) {
+		l.net.release(p)
+	}
+}
+
+// admit models serialization, queueing, propagation, and drop-tail loss.
+// It reports whether the packet got onto the link; a dropped packet is
+// left to the caller.
+func (l *Link) admit(p *packet.Packet, dir Direction) bool {
 	d := &l.dir[dir]
 	d.stats.Sent++
 	if !l.up {
 		d.stats.DownDrop++
 		l.net.probeLink(LinkSent, l, dir, p)
 		l.net.probeLink(LinkDownDrop, l, dir, p)
-		return
+		return false
 	}
 	eng := l.net.eng
 	d.settle(eng)
@@ -452,7 +553,7 @@ func (l *Link) enqueue(p *packet.Packet, dir Direction) {
 		l.net.probeLink(LinkSent, l, dir, p)
 		l.net.probeLink(LinkQueueDrop, l, dir, p)
 		l.net.notifyDrop(p, l, dir)
-		return
+		return false
 	}
 	now := eng.Now()
 	start := now
@@ -485,16 +586,19 @@ func (l *Link) enqueue(p *packet.Packet, dir Direction) {
 		w.pos = d.deliver.NextPos()
 		d.wires.push(w)
 		d.deliver.push(td, LaneEntry{P: p})
-		return
+		return true
 	}
 	dead := false
 	w.dead = &dead
 	d.wires.push(w)
 	eng.At(td, func() {
-		if !dead {
-			l.deliverPacket(d, dir, dst, p)
+		if dead {
+			l.net.release(p)
+			return
 		}
+		l.deliverPacket(d, dir, dst, p)
 	})
+	return true
 }
 
 // deliverPacket hands a packet that completed propagation to the far
@@ -511,7 +615,9 @@ func (l *Link) deliverPacket(d *linkDir, dir Direction, dst *Node, p *packet.Pac
 
 // initLanes creates the per-direction deliver lanes and registers the
 // directions with the engine, whose Pending counts their unsettled
-// transitions. An entry flagged OK was flushed by a link failure.
+// transitions, and binds each direction's unhold callback. An entry
+// flagged OK was flushed by a link failure; its packet ends its life when
+// the entry pops.
 func (l *Link) initLanes() {
 	for i := range l.dir {
 		d := &l.dir[i]
@@ -521,10 +627,13 @@ func (l *Link) initLanes() {
 			dst = l.a
 		}
 		d.deliver = l.net.eng.NewLane(func(en LaneEntry) {
-			if !en.OK {
-				l.deliverPacket(d, dir, dst, en.P)
+			if en.OK {
+				l.net.release(en.P)
+				return
 			}
+			l.deliverPacket(d, dir, dst, en.P)
 		})
+		d.unhold = func() { l.unholdFrom(d, dir) }
 		l.net.eng.wires = append(l.net.eng.wires, d)
 	}
 }

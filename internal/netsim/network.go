@@ -25,6 +25,9 @@ type Network struct {
 	announcements []announcement
 	onTeardown    []func()
 	tornDown      bool
+	// free holds the recyclable TCP packets whose life in this network
+	// has ended (see release), for NewTCP and CloneTCP to issue again.
+	free []*packet.Packet
 }
 
 // New returns an empty network on a fresh engine.
@@ -128,6 +131,62 @@ func (nw *Network) assignID(p *packet.Packet) {
 	if p.ID == 0 {
 		nw.nextID++
 		p.ID = nw.nextID
+	}
+}
+
+// NewTCP returns a TCP packet equal to packet.NewTCP(src, dst, h, size),
+// drawn from the network's free list when it has one. The network takes
+// the packet back at the end of its life there (see the package doc), so
+// the caller hands it to Send or an Injector and must not touch it after.
+func (nw *Network) NewTCP(src, dst packet.Addr, h packet.TCPHeader, size int) *packet.Packet {
+	p := nw.recycled()
+	p.ResetTCP(packet.Packet{Src: src, Dst: dst, TTL: packet.DefaultTTL, Proto: packet.ProtoTCP, Size: size}, h)
+	return p
+}
+
+// CloneTCP returns p.Clone(), drawn from the free list when p is a TCP
+// packet without payload, and a plain Clone otherwise. The copy has the
+// same ownership rule as NewTCP's packets.
+func (nw *Network) CloneTCP(p *packet.Packet) *packet.Packet {
+	if p.TCP == nil || p.UDP != nil || p.ICMP != nil || p.Payload != nil {
+		return p.Clone()
+	}
+	c := nw.recycled()
+	c.ResetTCP(*p, *p.TCP)
+	return c
+}
+
+// recycled pops the free list, or allocates when it is empty.
+func (nw *Network) recycled() *packet.Packet {
+	n := len(nw.free)
+	if n == 0 {
+		return packet.NewRecyclable()
+	}
+	p := nw.free[n-1]
+	nw.free = nw.free[:n-1]
+	return p
+}
+
+// release ends p's life in the network. A recyclable packet returns to the
+// free list; any other packet is left to the garbage collector.
+func (nw *Network) release(p *packet.Packet) {
+	if !p.Recyclable() {
+		return
+	}
+	if DebugHooks.PoisonReleased {
+		poison(p)
+		return
+	}
+	nw.free = append(nw.free, p)
+}
+
+// poison overwrites a released packet with values no simulation produces
+// and drops its recyclable mark, so a later read shows up as changed
+// output and the packet is never issued or released again.
+func poison(p *packet.Packet) {
+	*p = packet.Packet{
+		ID: ^uint64(0), Src: 0xdeadbeef, Dst: 0xdeadbeef, Proto: 0xff, Size: -1 << 20,
+		TCP: &packet.TCPHeader{SrcPort: 0xdead, DstPort: 0xdead, Seq: 0xdeadbeef, Ack: 0xdeadbeef, Flags: 0xff, Window: 0xdead},
 	}
 }
 

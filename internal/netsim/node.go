@@ -157,28 +157,33 @@ func (n *Node) Send(p *packet.Packet) {
 	n.dispatch(p, nil)
 }
 
-// receive handles a packet arriving from a link.
+// receive handles a packet arriving from a link. A packet delivered here
+// ends its life once the receiver returns.
 func (n *Node) receive(p *packet.Packet, from *Link) {
 	n.stats.Received++
 	if n.Addr == p.Dst {
 		if n.receiver != nil {
 			n.receiver.Receive(n.net.eng.Now(), p)
 		}
+		n.net.release(p)
 		return
 	}
 	if n.kind == Host {
 		// Hosts do not forward transit traffic.
+		n.net.release(p)
 		return
 	}
 	n.dispatch(p, from)
 }
 
 // dispatch runs data-plane programs, TTL handling, and the routing lookup.
+// A packet it drops ends its life here.
 func (n *Node) dispatch(p *packet.Packet, from *Link) {
 	now := n.net.eng.Now()
 	for _, prog := range n.programs {
 		if !prog.OnPacket(now, p, n) {
 			n.stats.ProgramDrop++
+			n.net.release(p)
 			return
 		}
 	}
@@ -186,6 +191,7 @@ func (n *Node) dispatch(p *packet.Packet, from *Link) {
 		if p.TTL <= 1 {
 			n.stats.TTLExpired++
 			n.ttlExceeded(p)
+			n.net.release(p)
 			return
 		}
 		p.TTL--
@@ -193,6 +199,7 @@ func (n *Node) dispatch(p *packet.Packet, from *Link) {
 	nh, via := n.Lookup(p.Dst)
 	if nh == nil {
 		n.stats.NoRoute++
+		n.net.release(p)
 		return
 	}
 	n.stats.Forwarded++

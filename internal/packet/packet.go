@@ -82,6 +82,11 @@ type Packet struct {
 	UDP      *UDPHeader
 	ICMP     *ICMPHeader
 	Payload  []byte
+
+	// box is the allocation of a recyclable packet (NewRecyclable) and
+	// nil on every other packet. A struct copy carries the pointer but is
+	// not box's own packet, so Recyclable is false on every copy.
+	box *tcpPacket
 }
 
 // DefaultTTL is the initial TTL for ordinary (non-traceroute) packets.
@@ -102,7 +107,37 @@ type tcpPacket struct {
 func newTCP(p Packet, h TCPHeader) *Packet {
 	b := &tcpPacket{p: p, h: h}
 	b.p.TCP = &b.h
+	b.p.box = nil
 	return &b.p
+}
+
+// NewRecyclable returns a zero packet that its owner may later overwrite
+// with ResetTCP and issue again, however often: netsim's per-network free
+// list is built from these. Copies of it — Clone, or a plain *p — are
+// ordinary packets.
+func NewRecyclable() *Packet {
+	b := &tcpPacket{}
+	b.p.TCP = &b.h
+	b.p.box = b
+	return &b.p
+}
+
+// Recyclable reports whether p came from NewRecyclable.
+func (p *Packet) Recyclable() bool { return p.box != nil && &p.box.p == p }
+
+// ResetTCP overwrites a recyclable packet with v and its TCP header with h,
+// and points p.TCP back at the packet's own header, wherever a holder may
+// have pointed it since. v's own TCP field is ignored. So
+// p.ResetTCP(Packet{Src: src, Dst: dst, TTL: DefaultTTL, Proto: ProtoTCP,
+// Size: size}, h) leaves p equal, field by field, to NewTCP(src, dst, h,
+// size). It panics on a packet NewRecyclable did not return.
+func (p *Packet) ResetTCP(v Packet, h TCPHeader) {
+	if !p.Recyclable() {
+		panic("packet: ResetTCP of a packet that is not recyclable")
+	}
+	b := p.box
+	b.p, b.h = v, h
+	b.p.TCP, b.p.box = &b.h, b
 }
 
 // NewUDP returns a UDP packet with sensible defaults.
@@ -116,13 +151,14 @@ func NewICMP(src, dst Addr, h ICMPHeader, size int) *Packet {
 }
 
 // Clone returns a deep copy, used by MitM taps that modify packets and by
-// retransmission logic.
+// retransmission logic. The copy is never recyclable.
 func (p *Packet) Clone() *Packet {
 	var c *Packet
 	if p.TCP != nil && p.UDP == nil && p.ICMP == nil {
 		c = newTCP(*p, *p.TCP)
 	} else {
 		cp := *p
+		cp.box = nil
 		c = &cp
 		if p.TCP != nil {
 			h := *p.TCP

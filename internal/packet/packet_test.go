@@ -231,3 +231,26 @@ func TestPacketString(t *testing.T) {
 		t.Fatal("empty string")
 	}
 }
+
+// TestRecyclable pins the recyclable mark: only the packet NewRecyclable
+// returned carries it, never a Clone or a struct copy, and ResetTCP
+// refuses any other packet.
+func TestRecyclable(t *testing.T) {
+	p := NewRecyclable()
+	h := TCPHeader{SrcPort: 1, DstPort: 2, Seq: 3}
+	p.ResetTCP(Packet{Src: 1, Dst: 2, TTL: DefaultTTL, Proto: ProtoTCP, Size: 40, TCP: &TCPHeader{Seq: 9}}, h)
+	want := NewTCP(1, 2, h, 40)
+	if !p.Recyclable() || *p.TCP != *want.TCP || p.Src != want.Src || p.Size != want.Size || p.TTL != want.TTL {
+		t.Fatalf("reset packet %v, want %v", p, want)
+	}
+	cp := *p
+	if p.Clone().Recyclable() || (&cp).Recyclable() || want.Recyclable() {
+		t.Fatal("a copy or a NewTCP packet is recyclable")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ResetTCP of a copy did not panic")
+		}
+	}()
+	cp.ResetTCP(Packet{}, h)
+}

@@ -166,11 +166,10 @@ func Start(src, dst *tcpflow.Endpoint, cfg Config, rng *stats.RNG) *Sender {
 		if p.TCP == nil {
 			return
 		}
-		echo := packet.NewTCP(rk.Src, rk.Dst, packet.TCPHeader{
+		dst.Node().Send(s.net.NewTCP(rk.Src, rk.Dst, packet.TCPHeader{
 			SrcPort: rk.SrcPort, DstPort: rk.DstPort,
 			Ack: p.TCP.Seq, Flags: packet.FlagACK,
-		}, 40)
-		dst.Node().Send(echo)
+		}, 40))
 	}))
 	src.Register(rk, netsim.ReceiverFunc(s.onAck))
 	s.net.Engine().After(0, func() { s.startMI(s.rate, "start") })
@@ -262,11 +261,10 @@ func (s *Sender) sendNext() {
 	if ps.probe {
 		s.sentAt[ps.seq] = s.net.Now()
 	}
-	p := packet.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, packet.TCPHeader{
+	s.node.Send(s.net.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, packet.TCPHeader{
 		SrcPort: s.cfg.Key.SrcPort, DstPort: s.cfg.Key.DstPort,
 		Seq: uint32(ps.seq), Flags: packet.FlagACK,
-	}, s.cfg.PktSize)
-	s.node.Send(p)
+	}, s.cfg.PktSize))
 }
 
 // finalizeMI computes loss and utility once echoes have had time to land.

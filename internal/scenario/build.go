@@ -203,7 +203,7 @@ func (b *Built) buildTap(ti int) {
 			return
 		}
 		eng.At(t, func() {
-			p := packet.NewTCP(src, dst, packet.TCPHeader{
+			p := b.Net.NewTCP(src, dst, packet.TCPHeader{
 				SrcPort: 4444, DstPort: 443, Seq: seq, Flags: packet.FlagACK,
 			}, 512)
 			seq += 512

@@ -261,8 +261,7 @@ func (s *Sender) transmit(seq int64, isRetrans bool) {
 		SrcPort: s.cfg.Key.SrcPort, DstPort: s.cfg.Key.DstPort,
 		Seq: uint32(seq), Flags: packet.FlagACK,
 	}
-	p := packet.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, h, s.cfg.MSS+40)
-	s.node.Send(p)
+	s.node.Send(s.net.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, h, s.cfg.MSS+40))
 	s.stats.SentSegments++
 	if isRetrans {
 		s.stats.Retransmissions++
@@ -448,5 +447,5 @@ func (r *receiver) Receive(now float64, p *packet.Packet) {
 		Ack: uint32(r.rcvNxt), Flags: packet.FlagACK,
 		Window: uint16(r.rwnd),
 	}
-	r.node.Send(packet.NewTCP(rk.Src, rk.Dst, h, 40))
+	r.node.Send(r.net.NewTCP(rk.Src, rk.Dst, h, 40))
 }
