@@ -34,23 +34,23 @@ audit:
 ## bench: the per-experiment and substrate benchmarks (minutes); writes
 ## BENCH_5.json, the repo's benchmark-trajectory file (BENCH_2.json is the
 ## frozen pre-timing-wheel snapshot, BENCH_3.json the pre-PoP-scale one,
-## BENCH_4.json the frozen PoP-scale one).
+## BENCH_4.json the frozen PoP-scale one), and reports BENCH_FLOOR.json's
+## floors against it, warn-only.
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=1 -timeout 60m . | $(GO) run ./cmd/benchjson -o BENCH_5.json
+	$(GO) test -run '^$$' -bench=. -benchmem -count=1 -timeout 60m . | $(GO) run ./cmd/benchgate BENCH_5.json
 
 ## bench-smoke: the fast substrate subset CI runs on every push.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=Substrate -benchtime=100x -benchmem .
 
 ## bench-gate: run the engine, PoP, audited-scenario and matrix-system
-## benchmarks and compare them against the checked-in floors in
-## BENCH_FLOOR.json. Perf floors are warn-only (shared runners are noisy),
-## but the allocs/op ceilings are scheduling-independent and hard-fail via
-## -strict-allocs.
+## benchmarks, write BENCH_GATE.json and compare it against the checked-in
+## floors in BENCH_FLOOR.json. Perf floors are warn-only (shared runners
+## are noisy), but the allocs/op ceilings are scheduling-independent and
+## hard-fail via -strict-allocs.
 bench-gate:
 	$(GO) test -run '^$$' -bench='Engine|PopScale|ScenarioAudited|MatrixSystem' -benchmem -count=1 -timeout 20m . \
-		| $(GO) run ./cmd/benchjson -o BENCH_GATE.json
-	$(GO) run ./cmd/benchgate -floor BENCH_FLOOR.json -strict-allocs BENCH_GATE.json
+		| $(GO) run ./cmd/benchgate -strict-allocs BENCH_GATE.json
 
 ## pop-smoke: the PoP-scale determinism gate — a 512-prefix / ~34k-flow
 ## duireport blink-pop run with the bank-vs-scalar audit on every 8th

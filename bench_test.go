@@ -33,36 +33,27 @@ import (
 	"dui/internal/trace"
 )
 
-// BenchmarkEngineE1 measures engine throughput on the E1-shaped workload:
-// a sustained packet storm through a bottleneck link — the clustered
-// back-to-back timestamps Blink's FIN/RST storm produces — over a
-// background population of per-flow hold timers with exponential gaps.
-// A fixed set of packets circulates host-to-host (the receiver reflects
-// each one back), so the steady state allocates nothing and the measured
-// cost is pure event machinery. sched=heap/lanes=off routes every
-// packet's delivery through a closure event on the reference heap, the
-// baseline; sched=wheel/lanes=on is the timing wheel with link batching.
-// A packet-hop is one event on both: serialization-done is settled
-// lazily, not executed, so events/sec here is not comparable with
-// BENCH_4.json and earlier, which counted two events per hop. The
-// events/sec ratio between the two modes is tracked in EXPERIMENTS.md and
-// gated by cmd/benchgate. Traces are byte-identical either way
-// (TestLinkLanesTraceIdenticalToClosures) — only the throughput differs.
+// BenchmarkEngineE1 measures engine throughput on a synthetic mixed
+// workload: a packet storm of clustered back-to-back timestamps through
+// one link, over a background population of per-flow hold timers with
+// exponential gaps. It is an engine micro-benchmark named after the
+// first one this repo wrote, not a model of any experiment: blink-fig2
+// replays traces into the selector without netsim. A fixed set of packets
+// circulates host-to-host (the receiver reflects each one back), so the
+// steady state allocates nothing and the measured cost is pure event
+// machinery. lanes=off routes every packet's delivery through a closure
+// event; lanes=on is link batching. A packet-hop is one event on both:
+// serialization-done is settled lazily, not executed, so events/sec here
+// is not comparable with BENCH_4.json and earlier, which counted two
+// events per hop; ns/packet (wall time per delivered packet, timer events
+// included) is. The events/sec ratio between the two modes is gated by
+// cmd/benchgate. Traces are byte-identical either way
+// (TestLinkLanesTraceIdenticalToClosures): only the throughput differs.
 func BenchmarkEngineE1(b *testing.B) {
-	type mode struct {
-		name  string
-		sched netsim.Scheduler
-		lanes bool
-	}
-	for _, m := range []mode{
-		{"sched=heap/lanes=off", netsim.SchedulerHeap, false},
-		{"sched=wheel/lanes=on", netsim.SchedulerWheel, true},
-	} {
-		m := m
-		b.Run(m.name, func(b *testing.B) {
-			prev := netsim.SetDefaultScheduler(m.sched)
-			defer netsim.SetDefaultScheduler(prev)
-			netsim.DebugHooks.DisableLinkLanes = !m.lanes
+	for _, lanes := range []bool{false, true} {
+		lanes := lanes
+		b.Run(lanesName(lanes), func(b *testing.B) {
+			netsim.DebugHooks.DisableLinkLanes = !lanes
 			defer func() { netsim.DebugHooks.DisableLinkLanes = false }()
 
 			nw := netsim.New()
@@ -72,7 +63,9 @@ func BenchmarkEngineE1(b *testing.B) {
 			nw.ComputeRoutes()
 			// Reflect every delivery back at its sender: the packet
 			// population circulates forever with zero allocation.
+			delivered := 0
 			reflect := netsim.ReceiverFunc(func(now float64, p *packet.Packet) {
+				delivered++
 				p.Src, p.Dst = p.Dst, p.Src
 				if p.Src == h1.Addr {
 					h1.Send(p)
@@ -98,69 +91,71 @@ func BenchmarkEngineE1(b *testing.B) {
 			nw.RunUntil(nw.Now() + 1)
 			b.ReportAllocs()
 			b.ResetTimer()
+			delivered = 0
 			done := 0
 			for done < b.N {
 				done += e.RunUntil(e.Now() + 0.01)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "events/sec")
+			reportEngineRates(b, done, delivered)
 		})
 	}
 }
 
-// BenchmarkEngineHold isolates the scheduler on the pure timer hold
+// lanesName names an engine benchmark's link-lane mode.
+func lanesName(lanes bool) string {
+	if lanes {
+		return "lanes=on"
+	}
+	return "lanes=off"
+}
+
+// reportEngineRates reports events/sec and ns/packet for a timed engine
+// run that executed events and delivered packets.
+func reportEngineRates(b *testing.B, events, packets int) {
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	if packets == 0 {
+		b.Fatal("no packets delivered")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(packets), "ns/packet")
+}
+
+// BenchmarkEngineHold isolates the event heap on the pure timer hold
 // model: a large population of self-rescheduling timers with exponential
-// inter-event gaps and no packets. This is the heap's best case (no
-// batching applies), so it bounds the scheduler-only share of the E1
-// speedup.
+// inter-event gaps and no packets, so no lane batching applies.
 func BenchmarkEngineHold(b *testing.B) {
 	const population = 1 << 16
-	for _, sched := range []netsim.Scheduler{netsim.SchedulerHeap, netsim.SchedulerWheel} {
-		sched := sched
-		b.Run("sched="+sched.String(), func(b *testing.B) {
-			e := netsim.NewEngineSched(sched)
-			rng := stats.NewRNG(0xE1)
-			var tick func()
-			tick = func() { e.After(rng.Exp(1), tick) }
-			for i := 0; i < population; i++ {
-				e.After(rng.Float64(), tick)
-			}
-			// Let the queue reach steady state before timing.
-			e.RunUntil(2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			done := 0
-			for done < b.N {
-				done += e.RunUntil(e.Now() + 0.01)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "events/sec")
-		})
+	e := netsim.NewEngine()
+	rng := stats.NewRNG(0xE1)
+	var tick func()
+	tick = func() { e.After(rng.Exp(1), tick) }
+	for i := 0; i < population; i++ {
+		e.After(rng.Float64(), tick)
 	}
+	// Let the queue reach steady state before timing.
+	e.RunUntil(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	done := 0
+	for done < b.N {
+		done += e.RunUntil(e.Now() + 0.01)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkEngineLinkBurst measures the packet path through a link:
 // bursts of back-to-back packets serialize, propagate, and deliver.
-// lanes=off routes every delivery through a closure event on the heap
-// scheduler; lanes=on is the batching fast path on the timing wheel. Each
-// packet-hop is one event either way (serialization-done is settled
-// lazily). Traces are byte-identical either way
-// (TestLinkLanesTraceIdenticalToClosures) — only the events/sec differ.
+// lanes=off routes every delivery through a closure event; lanes=on is
+// the batching fast path. Each packet-hop is one event either way
+// (serialization-done is settled lazily), so ns/packet is wall time per
+// delivered packet. Traces are byte-identical either way
+// (TestLinkLanesTraceIdenticalToClosures): only the throughput differs.
 func BenchmarkEngineLinkBurst(b *testing.B) {
-	type mode struct {
-		name  string
-		sched netsim.Scheduler
-		lanes bool
-	}
-	for _, m := range []mode{
-		{"sched=heap/lanes=off", netsim.SchedulerHeap, false},
-		{"sched=wheel/lanes=on", netsim.SchedulerWheel, true},
-	} {
-		m := m
-		b.Run(m.name, func(b *testing.B) {
-			prev := netsim.SetDefaultScheduler(m.sched)
-			defer netsim.SetDefaultScheduler(prev)
-			netsim.DebugHooks.DisableLinkLanes = !m.lanes
+	for _, lanes := range []bool{false, true} {
+		lanes := lanes
+		b.Run(lanesName(lanes), func(b *testing.B) {
+			netsim.DebugHooks.DisableLinkLanes = !lanes
 			defer func() { netsim.DebugHooks.DisableLinkLanes = false }()
 
 			nw := netsim.New()
@@ -191,10 +186,7 @@ func BenchmarkEngineLinkBurst(b *testing.B) {
 				events += nw.Engine().Executed() - before
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			if received == 0 {
-				b.Fatal("no packets delivered")
-			}
+			reportEngineRates(b, int(events), received)
 		})
 	}
 }
@@ -382,10 +374,10 @@ func BenchmarkMatrixSystem(b *testing.B) {
 // BenchmarkScenarioAuditedRun measures the fault-mode fuzzing trial: one
 // op is scenario.RunChecked — a double run under the full audit stack —
 // over each of 32 fixed generated fault-mode scenarios. allocs/op and B/op
-// cover everything a trial builds and throws away (network, wheel, lanes,
-// packets, auditors, trace digest), so a per-run fixed cost coming back
-// shows here before it shows in a campaign. trials/sec is the headline
-// metric; the seeds are fixed, so the work per op never changes.
+// cover everything a trial builds and throws away (network, event heap,
+// lanes, packets, auditors, trace digest), so a per-run fixed cost
+// coming back shows here before it shows in a campaign. trials/sec is the
+// headline metric; the seeds are fixed, so the work per op never changes.
 func BenchmarkScenarioAuditedRun(b *testing.B) {
 	var scns []*scenario.Scenario
 	for _, seed := range runner.Seeds(1, 32) {

@@ -1,9 +1,16 @@
-// Command benchgate compares a benchmark-trajectory JSON file (the
-// cmd/benchjson output format) against the checked-in floors in
-// BENCH_FLOOR.json and reports every violation: an absolute metric floor
-// or ceiling ("the wheel engine must sustain N events/sec", "the hot path
-// must stay at 0 allocs/op") or a ratio floor between two benchmarks
-// ("wheel must beat heap by at least R× on the E1 workload").
+// Command benchgate turns `go test -bench` output read on stdin into the
+// repository's benchmark-trajectory JSON and checks it against the
+// checked-in floors in BENCH_FLOOR.json. Input lines are echoed to stdout,
+// so it sits transparently at the end of a pipe:
+//
+//	go test -run '^$' -bench=. -benchmem -count=1 . | benchgate BENCH_5.json
+//
+// The JSON file holds one entry per benchmark with ns/op, B/op, allocs/op
+// and any custom ReportMetric units. The floors are absolute metric floors
+// or ceilings ("the E1 engine workload must sustain N events/sec", "the
+// hot path must stay at 0 allocs/op") and ratio floors between two
+// benchmarks ("lanes must beat closure delivery by at least R× on the E1
+// workload").
 //
 // Usage:
 //
@@ -17,33 +24,36 @@
 // independent (unlike wall-clock throughput), so "an allocation
 // reappeared on the steady-state path" gates reliably even on noisy
 // shared runners while the perf floors stay warn-only. Exit status 2 on
-// usage or read errors, including a floor entry whose benchmark or metric
-// is missing from the measurement file (a silently-skipped check would
-// read as a pass).
+// usage, read or write errors, on input without a benchmark result line,
+// and on a floor entry whose benchmark or metric is missing from the
+// measurements (a silently-skipped check would read as a pass).
 //
-// The floors are deliberately conservative relative to the numbers in
-// BENCH_4.json: they are meant to catch "the optimization fell off" (a
+// The floors are deliberately conservative relative to the measured
+// numbers: they are meant to catch "the optimization fell off" (a
 // 2×-or-worse cliff, an allocation reappearing on the steady-state path),
 // not a 10% wobble.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"dui/internal/cli"
 )
 
-// Benchmark mirrors cmd/benchjson's entry: one parsed result line.
+// Benchmark is one parsed result line.
 type Benchmark struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// File mirrors cmd/benchjson's document.
+// File is the benchmark-trajectory document (BENCH_*.json).
 type File struct {
 	GeneratedBy string      `json:"generated_by"`
 	Goos        string      `json:"goos,omitempty"`
@@ -62,9 +72,8 @@ type Floor struct {
 	Why    string   `json:"why,omitempty"`
 }
 
-// Ratio is a floor on Num's metric divided by Den's metric — the shape of
-// the PR's "≥5× events/sec over the heap engine" acceptance criterion,
-// held here at a CI-noise-tolerant fraction of the measured value.
+// Ratio is a floor on Num's metric divided by Den's metric, held at a
+// CI-noise-tolerant fraction of the measured value.
 type Ratio struct {
 	Num    string  `json:"num"`
 	Den    string  `json:"den"`
@@ -85,7 +94,7 @@ func main() {
 	strict := flag.Bool("strict", false, "exit 1 on any violation instead of warning")
 	strictAllocs := flag.Bool("strict-allocs", false, "exit 1 on allocs/op ceiling violations (deterministic metric); perf floors stay warnings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: benchgate [-floor BENCH_FLOOR.json] [-strict] [-strict-allocs] BENCH.json\n")
+		fmt.Fprintf(os.Stderr, "usage: go test -bench ... | benchgate [-floor BENCH_FLOOR.json] [-strict] [-strict-allocs] BENCH.json\n")
 		flag.PrintDefaults()
 	}
 	cli.Parse("benchgate")
@@ -93,11 +102,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	out := flag.Arg(0)
 
 	var floors FloorFile
 	mustLoad(*floorPath, &floors)
-	var bench File
-	mustLoad(flag.Arg(0), &bench)
+	bench := readBench()
+	if len(bench.Benchmarks) == 0 {
+		fatalf("no benchmark result lines on stdin; %s not written", out)
+	}
+	enc, err := json.MarshalIndent(bench, "", "  ")
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if err := os.WriteFile(out, append(enc, '\n'), 0o644); err != nil {
+		fatalf("%v", err)
+	}
 
 	byName := make(map[string]Benchmark, len(bench.Benchmarks))
 	for _, b := range bench.Benchmarks {
@@ -106,11 +125,11 @@ func main() {
 	metric := func(name, unit string) float64 {
 		b, ok := byName[name]
 		if !ok {
-			fatalf("benchmark %q not present in %s (floor entry is stale or the bench run was filtered)", name, flag.Arg(0))
+			fatalf("benchmark %q not present in %s (floor entry is stale or the bench run was filtered)", name, out)
 		}
 		v, ok := b.Metrics[unit]
 		if !ok {
-			fatalf("benchmark %q has no %q metric in %s", name, unit, flag.Arg(0))
+			fatalf("benchmark %q has no %q metric in %s", name, unit, out)
 		}
 		return v
 	}
@@ -161,6 +180,67 @@ func main() {
 		return
 	}
 	fmt.Println("benchgate: all floors hold")
+}
+
+// readBench parses `go test -bench` output from stdin, echoing each line
+// to stdout.
+func readBench() File {
+	doc := File{GeneratedBy: "go test -bench=. -benchmem -count=1 | benchgate"}
+	sc := bufio.NewScanner(os.Stdin)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Println(line)
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			doc.Goos = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "cpu: "):
+			doc.CPU = strings.TrimPrefix(line, "cpu: ")
+		}
+		if b, ok := parseLine(line); ok {
+			doc.Benchmarks = append(doc.Benchmarks, b)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		fatalf("reading stdin: %v", err)
+	}
+	return doc
+}
+
+// parseLine parses one result line of the form
+//
+//	BenchmarkName-8   1234   456.7 ns/op   89 B/op   2 allocs/op   1.5 custom-unit
+//
+// i.e. the benchmark name, the iteration count, then (value, unit) pairs.
+func parseLine(line string) (Benchmark, bool) {
+	fields := strings.Fields(line)
+	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+		return Benchmark{}, false
+	}
+	name := fields[0]
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i] // strip the -GOMAXPROCS suffix
+		}
+	}
+	iters, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return Benchmark{}, false
+	}
+	b := Benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+	for i := 2; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return Benchmark{}, false
+		}
+		b.Metrics[fields[i+1]] = v
+	}
+	if len(b.Metrics) == 0 {
+		return Benchmark{}, false
+	}
+	return b, true
 }
 
 // why formats an optional rationale suffix.

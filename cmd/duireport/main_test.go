@@ -28,14 +28,8 @@ func init() {
 // stdout, stderr and exit status.
 func run(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 	t.Helper()
-	return runEnv(t, nil, args...)
-}
-
-// runEnv is run with env appended to the child's environment.
-func runEnv(t *testing.T, env []string, args ...string) (stdout, stderr []byte, code int) {
-	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(append(os.Environ(), runMainEnv+"=1"), env...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
@@ -108,26 +102,24 @@ func checkDigest(t *testing.T, what string, b []byte, want string) {
 }
 
 // TestTracePinned pins the audited blink-fig2 run's stdout and its JSONL
-// selector trace under both event engines, as the trace-identity CI job
-// compares them.
+// selector trace. The subtest is named for the engine's event queue, the
+// 4-ary heap.
 func TestTracePinned(t *testing.T) {
-	for _, engine := range []string{"wheel", "heap"} {
-		t.Run(engine, func(t *testing.T) {
-			t.Parallel()
-			trace := t.TempDir() + "/trace.jsonl"
-			stdout, stderr, code := runEnv(t, []string{"DUI_ENGINE=" + engine},
-				"blink-fig2", "-runs", "4", "-duration", "120", "-flows", "400", "-meandur", "6.35", "-audit", "-trace", trace)
-			if code != 0 {
-				t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-			}
-			checkDigest(t, "stdout", stdout, "ffd182c2de07192358d14fcb9b654b946b59442f883085493ed3cf6602831d50")
-			events, err := os.ReadFile(trace)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkDigest(t, "trace", events, "928bd2899ffb7dcc65bcacadbdb5a84c4f0a37121cf89b37a55da4a275f4b46b")
-		})
-	}
+	t.Parallel()
+	t.Run("heap", func(t *testing.T) {
+		trace := t.TempDir() + "/trace.jsonl"
+		stdout, stderr, code := run(t,
+			"blink-fig2", "-runs", "4", "-duration", "120", "-flows", "400", "-meandur", "6.35", "-audit", "-trace", trace)
+		if code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+		}
+		checkDigest(t, "stdout", stdout, "ffd182c2de07192358d14fcb9b654b946b59442f883085493ed3cf6602831d50")
+		events, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDigest(t, "trace", events, "928bd2899ffb7dcc65bcacadbdb5a84c4f0a37121cf89b37a55da4a275f4b46b")
+	})
 }
 
 // TestRejectsStrayArguments: an unknown subcommand or a leftover

@@ -1,10 +1,6 @@
 package fuzz
 
-import (
-	"testing"
-
-	"dui/internal/netsim"
-)
+import "testing"
 
 // TestCorpusReplay is the regression gate over the committed reproducer
 // corpus: every entry must (a) run clean on current code and (b) — when it
@@ -19,26 +15,18 @@ func TestCorpusReplay(t *testing.T) {
 	if len(entries) < 3 {
 		t.Fatalf("expected at least the 3 seed corpus entries, found %d", len(entries))
 	}
-	// Replay under both event-queue implementations: corpus verdicts are
-	// part of the determinism surface the scheduler swap must preserve.
-	prev := netsim.DefaultScheduler()
-	defer netsim.SetDefaultScheduler(prev)
-	for _, sched := range []netsim.Scheduler{netsim.SchedulerWheel, netsim.SchedulerHeap} {
-		sched := sched
-		t.Run(sched.String(), func(t *testing.T) {
-			netsim.SetDefaultScheduler(sched)
-			defer netsim.SetDefaultScheduler(prev)
-			for _, e := range entries {
-				e := e
-				t.Run(e.Name, func(t *testing.T) {
-					if err := e.Scenario.Validate(); err != nil {
-						t.Fatalf("corpus scenario invalid: %v", err)
-					}
-					if err := Replay(e); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-		})
-	}
+	// The subtest is named for the engine's event queue, the 4-ary heap.
+	t.Run("heap", func(t *testing.T) {
+		for _, e := range entries {
+			e := e
+			t.Run(e.Name, func(t *testing.T) {
+				if err := e.Scenario.Validate(); err != nil {
+					t.Fatalf("corpus scenario invalid: %v", err)
+				}
+				if err := Replay(e); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	})
 }

@@ -13,7 +13,7 @@ import (
 // TestFaultModeReportsPinned pins the full reports — violations, event
 // count, trace hash, reroutes, deliveries, final time — of 200 generated
 // fault-mode scenarios to a digest recorded when every run still retained
-// its whole trace and hashed it afterwards. The scheduler, the trace
+// its whole trace and hashed it afterwards. The event heap, the trace
 // digest and the link auditor all sit under these bytes, so a change to
 // any of them that moves one event, one hash bit or one violation string
 // fails here.

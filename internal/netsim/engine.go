@@ -13,9 +13,8 @@
 //
 // Every run is a pure function of the scenario and its seeds. The engine
 // executes events in exactly one order — ascending (t, seq), where seq is
-// the global scheduling sequence number — regardless of which scheduler
-// backs the queue (timing wheel or 4-ary heap, see Scheduler), regardless
-// of link-lane batching, and regardless of when a link's lazily settled
+// the global scheduling sequence number — regardless of link-lane
+// batching, and regardless of when a link's lazily settled
 // serialization-done transitions are applied (see Link). Simulation code
 // must draw all randomness from seeded stats.RNG streams (SplitMix64
 // child derivation, stats.ChildAt for per-trial streams), never from the
@@ -54,87 +53,21 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"os"
 )
-
-// Scheduler selects the event-queue implementation backing an Engine.
-// Both produce the exact same execution order — ascending (t, seq) — so
-// the choice is purely a throughput trade-off; cmd/simtrace diffs of the
-// same scenario under both schedulers are byte-identical.
-type Scheduler int
-
-// Scheduler kinds.
-const (
-	// SchedulerWheel is the default: an 8192-slot timing wheel that
-	// serves events from a sorted ready run, buckets near-future events
-	// into unsorted per-tick slots, and stages far-future events (RTO
-	// timers, scheduled failures and flaps) for a sorted overflow heap.
-	// Insert and pop are amortized O(1) on the clustered-timestamp
-	// workloads netsim produces; see wheel.go for the full design.
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap is the PR 2 value-typed 4-ary min-heap, kept as the
-	// reference implementation: O(log n) insert/pop, trivially correct
-	// ordering. DUI_ENGINE=heap selects it process-wide for A/B trace
-	// diffing.
-	SchedulerHeap
-)
-
-// String names the scheduler for benchmarks and diagnostics.
-func (s Scheduler) String() string {
-	if s == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// defaultScheduler is what NewEngine uses; initialized from DUI_ENGINE.
-var defaultScheduler = schedulerFromEnv()
-
-// schedulerFromEnv maps DUI_ENGINE to a Scheduler: "heap" selects the
-// reference heap, anything else (including unset) the timing wheel.
-func schedulerFromEnv() Scheduler {
-	if os.Getenv("DUI_ENGINE") == "heap" {
-		return SchedulerHeap
-	}
-	return SchedulerWheel
-}
-
-// DefaultScheduler returns the scheduler NewEngine currently uses.
-func DefaultScheduler() Scheduler { return defaultScheduler }
-
-// SetDefaultScheduler changes the scheduler NewEngine uses and returns
-// the previous value, for tests and A/B drivers that build networks
-// through code paths without an explicit engine choice. Not safe for
-// concurrent use with engine construction.
-func SetDefaultScheduler(s Scheduler) (prev Scheduler) {
-	prev = defaultScheduler
-	defaultScheduler = s
-	return prev
-}
-
-// scheduler is the priority-queue contract both implementations satisfy:
-// pop must always return the pending event with the smallest (t, seq)
-// key, and peek must report that key without removing it.
-type scheduler interface {
-	push(event)
-	pop() event
-	peek() (t float64, seq uint64, ok bool)
-	len() int
-}
 
 // Engine is the discrete-event core: a virtual clock and an event queue.
 // Events at equal timestamps fire in scheduling order (stable FIFO), which
 // keeps runs deterministic.
 //
-// The queue is value-typed — event structs, never *event or interface
-// boxing — so scheduling allocates nothing in steady state, and the
-// (t, seq) key is a total order, so the execution order is independent of
-// the queue's internal shape. Lanes (see Lane) are pre-sorted FIFO event
-// sources merged into the same total order; the engine keeps every
-// non-empty lane in a small auxiliary min-heap keyed by its head entry
-// and, each loop step, runs whichever of the scheduler minimum and the
-// best lane head comes first, draining consecutive lane entries in a
-// burst while they precede everything else pending.
+// The queue is a value-typed 4-ary min-heap of event structs, never
+// *event or interface boxing, so scheduling allocates nothing in steady
+// state, and the (t, seq) key is a total order, so the execution order is
+// independent of the heap's internal shape. Lanes (see Lane) are
+// pre-sorted FIFO event sources merged into the same total order; the
+// engine keeps every non-empty lane in a small auxiliary min-heap keyed by
+// its head entry and, each loop step, runs whichever of the event-heap
+// minimum and the best lane head comes first, draining consecutive lane
+// entries in a burst while they precede everything else pending.
 type Engine struct {
 	now float64
 	seq uint64
@@ -147,8 +80,7 @@ type Engine struct {
 	audit    bool
 	budget   uint64
 	executed uint64
-	kind     Scheduler
-	sched    scheduler
+	events   eventHeap
 	// laneQ is the binary min-heap of armed (non-empty) lanes, ordered by
 	// head-entry (T, Seq). The key is stored inline in each heap element
 	// so comparisons never chase the lane pointer, and it is stable while
@@ -157,11 +89,11 @@ type Engine struct {
 	// arbitrary removal or re-keying.
 	laneQ []laneRef
 	// laneEntries counts pending entries across all lanes; Pending()
-	// reconciles it with the scheduler so callers see one coherent
+	// adds it to the event heap's length so callers see one coherent
 	// pending-event count.
 	laneEntries int
 	// schedGen increments on every push that could introduce a new global
-	// minimum (scheduler pushes and lane arms). Lane drains cache their
+	// minimum (event-heap pushes and lane arms). Lane drains cache their
 	// drain boundary and recompute only when this changes, since the
 	// boundary can otherwise only move when the drain itself pops.
 	schedGen uint64
@@ -199,10 +131,10 @@ func (e *Engine) EventBudget() uint64 { return e.budget }
 
 // Executed returns the total number of events executed so far. Lane
 // entries count exactly like ordinary events, so the count is identical
-// across schedulers and with batching on or off. A link's
-// serialization-done transitions are settled lazily rather than executed,
-// so they are not counted (a transition flushed by a link failure runs as
-// the no-op event it would have been, and is).
+// with link-lane batching on or off. A link's serialization-done
+// transitions are settled lazily rather than executed, so they are not
+// counted (a transition flushed by a link failure runs as the no-op event
+// it would have been, and is).
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // checkBudget enforces the event-budget watchdog after each executed event.
@@ -213,40 +145,23 @@ func (e *Engine) checkBudget() {
 	}
 }
 
-// NewEngine returns an engine with the clock at zero, backed by the
-// default scheduler (the timing wheel unless DUI_ENGINE=heap).
-func NewEngine() *Engine { return NewEngineSched(defaultScheduler) }
-
-// NewEngineSched returns an engine backed by an explicit scheduler kind.
-func NewEngineSched(kind Scheduler) *Engine {
-	e := &Engine{kind: kind}
-	if kind == SchedulerHeap {
-		e.sched = &heapSched{}
-	} else {
-		e.sched = newWheelSched()
-	}
-	return e
-}
-
-// Scheduler returns the scheduler kind backing this engine.
-func (e *Engine) Scheduler() Scheduler { return e.kind }
+// NewEngine returns an engine with the clock at zero and nothing queued.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
 // SetAudit toggles continuous causality checking: every popped event's
 // timestamp is verified against virtual-time monotonicity, so a corrupted
-// queue order — a mis-bucketed wheel slot, a broken heap, an out-of-order
-// lane — panics at the first out-of-order pop instead of silently
-// reordering the simulation. Lane pushes are additionally checked for the
+// queue order — a broken heap, an out-of-order lane — panics at the first
+// out-of-order pop instead of silently reordering the simulation. Lane pushes are additionally checked for the
 // FIFO monotonicity their contract requires. Costs one comparison per
 // event when on.
 func (e *Engine) SetAudit(on bool) { e.audit = on }
 
 // checkCausality panics if executing an event at t would move the clock
 // backwards. At/After already reject past scheduling, so a violation here
-// means the priority queue itself mis-ordered events — under the wheel
-// scheduler, that an event was cascaded into a slot behind the cursor.
+// means the event heap or a lane itself mis-ordered events.
 func (e *Engine) checkCausality(t float64) {
 	if t < e.now {
 		panic("netsim: audit: event queue popped an event before the current virtual time")
@@ -265,7 +180,7 @@ func (e *Engine) At(t float64, fn func()) {
 	}
 	e.seq++
 	e.schedGen++
-	e.sched.push(event{t: t, seq: e.seq, fn: fn})
+	e.events.push(event{t: t, seq: e.seq, fn: fn})
 }
 
 // nextSeq hands out the next scheduling sequence number without queueing
@@ -288,7 +203,7 @@ func (e *Engine) passed(t float64, seq uint64) bool {
 // would have been.
 func (e *Engine) pushNop(t float64, seq uint64) {
 	e.schedGen++
-	e.sched.push(event{t: t, seq: seq, fn: nop})
+	e.events.push(event{t: t, seq: seq, fn: nop})
 }
 
 func nop() {}
@@ -305,7 +220,7 @@ func (e *Engine) After(d float64, fn func()) {
 // entry once and each not yet passed serialization-done transition of a
 // link as the event it would have been. It settles every link direction.
 func (e *Engine) Pending() int {
-	n := e.sched.len() + e.laneEntries
+	n := len(e.events) + e.laneEntries
 	for _, d := range e.wires {
 		d.settle(e)
 		n += d.wires.n
@@ -340,7 +255,7 @@ func (e *Engine) Run() int {
 	return n
 }
 
-// run is the shared event loop: each step compares the scheduler minimum
+// run is the shared event loop: each step compares the event-heap minimum
 // with the best lane head (root of laneQ) and executes whichever has the
 // smaller (t, seq) key, repeating while its time is within the horizon.
 // Picking a lane removes it from laneQ and drains the burst of
@@ -349,11 +264,11 @@ func (e *Engine) Run() int {
 func (e *Engine) run(until float64) int {
 	n := 0
 	for {
-		mt, mseq, ok := e.sched.peek()
+		mt, mseq, ok := e.events.peek()
 		if len(e.laneQ) > 0 {
 			r := e.laneQ[0]
 			if !ok || r.t < mt || (r.t == mt && r.seq < mseq) {
-				// r.t <= until is implied whenever the scheduler still has
+				// r.t <= until is implied whenever the event heap still has
 				// in-horizon work (r precedes it), so this check only
 				// triggers when the lane head is the true stopping point.
 				if r.t > until {
@@ -367,7 +282,7 @@ func (e *Engine) run(until float64) int {
 		if !ok || mt > until {
 			return n
 		}
-		ev := e.sched.pop()
+		ev := e.events.pop()
 		if e.audit {
 			e.checkCausality(ev.t)
 		}

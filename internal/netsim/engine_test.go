@@ -7,22 +7,12 @@ import (
 	"testing/quick"
 )
 
-// schedulers lists both queue implementations; every engine-semantics test
-// runs against each, since the Scheduler contract promises identical
-// behavior.
-var schedulers = []Scheduler{SchedulerWheel, SchedulerHeap}
-
-// forEachScheduler runs f as a subtest per scheduler kind with a fresh
-// engine of that kind.
-func forEachScheduler(t *testing.T, f func(t *testing.T, e *Engine)) {
-	t.Helper()
-	for _, k := range schedulers {
-		t.Run(k.String(), func(t *testing.T) { f(t, NewEngineSched(k)) })
-	}
-}
+// The engine-semantics tests here and in lane_test.go and alloc_test.go run
+// as the subtest "heap", named for the engine's event queue, the 4-ary heap.
 
 func TestEngineOrdersEvents(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		var got []float64
 		for _, tm := range []float64{3, 1, 2, 1.5} {
 			tm := tm
@@ -39,7 +29,8 @@ func TestEngineOrdersEvents(t *testing.T) {
 }
 
 func TestEngineFIFOAtEqualTimes(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		var got []int
 		for i := 0; i < 10; i++ {
 			i := i
@@ -55,7 +46,8 @@ func TestEngineFIFOAtEqualTimes(t *testing.T) {
 }
 
 func TestEngineRunUntil(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		fired := 0
 		e.At(1, func() { fired++ })
 		e.At(2, func() { fired++ })
@@ -77,7 +69,8 @@ func TestEngineRunUntil(t *testing.T) {
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		var trace []string
 		e.At(1, func() {
 			trace = append(trace, "a")
@@ -96,7 +89,8 @@ func TestEngineNestedScheduling(t *testing.T) {
 }
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		e.At(5, func() {})
 		e.RunUntil(5)
 		defer func() {
@@ -109,7 +103,8 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 }
 
 func TestEngineAfterRejectsInvalidDelay(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		for _, d := range []float64{-1, -1e-9, math.NaN()} {
 			d := d
 			func() {
@@ -118,7 +113,7 @@ func TestEngineAfterRejectsInvalidDelay(t *testing.T) {
 						t.Fatalf("After(%v) did not panic", d)
 					}
 				}()
-				NewEngineSched(e.Scheduler()).After(d, func() {})
+				NewEngine().After(d, func() {})
 			}()
 		}
 		// +Inf is a valid (if useless) future time; it must not panic and
@@ -134,7 +129,8 @@ func TestEngineAfterRejectsInvalidDelay(t *testing.T) {
 }
 
 func TestEngineAtRejectsNaN(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		defer func() {
 			if recover() == nil {
 				t.Fatal("At(NaN) did not panic")
@@ -150,7 +146,8 @@ func TestEngineAtRejectsNaN(t *testing.T) {
 // times — and then leave the clock wherever the last event put it; on an
 // open system it never returned.
 func TestEngineRunUntilRejectsNaN(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		left := 1000
 		var tick func()
 		tick = func() {
@@ -174,35 +171,33 @@ func TestEngineRunUntilRejectsNaN(t *testing.T) {
 }
 
 func TestEngineClockMonotoneProperty(t *testing.T) {
-	for _, k := range schedulers {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			if err := quick.Check(func(times []float64) bool {
-				e := NewEngineSched(k)
-				last := -1.0
-				ok := true
-				for _, tm := range times {
-					if tm < 0 || tm != tm { // negative or NaN
-						continue
-					}
-					e.At(tm, func() {
-						if e.Now() < last {
-							ok = false
-						}
-						last = e.Now()
-					})
+	t.Run("heap", func(t *testing.T) {
+		if err := quick.Check(func(times []float64) bool {
+			e := NewEngine()
+			last := -1.0
+			ok := true
+			for _, tm := range times {
+				if tm < 0 || tm != tm { // negative or NaN
+					continue
 				}
-				e.Run()
-				return ok
-			}, &quick.Config{MaxCount: 100}); err != nil {
-				t.Fatal(err)
+				e.At(tm, func() {
+					if e.Now() < last {
+						ok = false
+					}
+					last = e.Now()
+				})
 			}
-		})
-	}
+			e.Run()
+			return ok
+		}, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestEngineEventBudgetTripsOnLivelock(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		e.SetEventBudget(1000)
 		var spin func()
 		spin = func() { e.After(0, spin) } // classic zero-delay self-scheduler
@@ -225,7 +220,8 @@ func TestEngineEventBudgetTripsOnLivelock(t *testing.T) {
 }
 
 func TestEngineNoBudgetMeansNoTrip(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		n := 0
 		var spin func()
 		spin = func() {
@@ -244,18 +240,64 @@ func TestEngineNoBudgetMeansNoTrip(t *testing.T) {
 	})
 }
 
-func TestSetDefaultScheduler(t *testing.T) {
-	orig := DefaultScheduler()
-	defer SetDefaultScheduler(orig)
-	prev := SetDefaultScheduler(SchedulerHeap)
-	if prev != orig {
-		t.Fatalf("prev = %v, want %v", prev, orig)
+// Timestamps near the top of the float64 range, some of them equal, must
+// drain in exact (t, seq) order: ascending time, equal times in scheduling
+// order.
+func TestEngineHugeTimestamps(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	for i, tm := range []float64{1e300, 3, 2e300, 1e300, 0.5, 1.5e300} {
+		i := i
+		e.At(tm, func() { got = append(got, i) })
 	}
-	if e := NewEngine(); e.Scheduler() != SchedulerHeap {
-		t.Fatalf("NewEngine scheduler = %v", e.Scheduler())
+	e.Run()
+	want := []int{4, 1, 0, 3, 5, 2}
+	if len(got) != len(want) {
+		t.Fatalf("executed %d of %d events: %v", len(got), len(want), got)
 	}
-	SetDefaultScheduler(SchedulerWheel)
-	if e := NewEngine(); e.Scheduler() != SchedulerWheel {
-		t.Fatalf("NewEngine scheduler = %v", e.Scheduler())
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+// Multiple +Inf events drain in scheduling order once all finite work is
+// done.
+func TestEngineInfinityDrainsFIFO(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	for i := 0; i < 5; i++ {
+		i := i
+		e.At(math.Inf(1), func() { got = append(got, i) })
+	}
+	e.At(1, func() { got = append(got, -1) })
+	e.Run()
+	want := []int{-1, 0, 1, 2, 3, 4}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v", got)
+		}
+	}
+	if !math.IsInf(e.Now(), 1) {
+		t.Fatalf("clock = %v", e.Now())
+	}
+}
+
+// Pending and Executed must agree with the run's own count on every
+// prefix: each scheduled event is either still pending or executed.
+func TestEnginePendingExecutedParity(t *testing.T) {
+	e := NewEngine()
+	const scheduled = 100
+	for i := 0; i < scheduled; i++ {
+		e.At(float64(i)*0.5, func() {})
+	}
+	ran := 0
+	for cut := 5.0; cut < 60; cut += 7 {
+		ran += e.RunUntil(cut)
+		if uint64(ran) != e.Executed() || e.Pending()+ran != scheduled {
+			t.Fatalf("at %v: ran=%d pending=%d executed=%d, want pending+executed=%d",
+				cut, ran, e.Pending(), e.Executed(), scheduled)
+		}
 	}
 }

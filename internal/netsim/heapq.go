@@ -1,10 +1,9 @@
 package netsim
 
-// eventHeap is the value-typed 4-ary min-heap over event structs from
-// PR 2, shared by the reference heap scheduler and the timing wheel's
-// ready/overflow structures: scheduling allocates nothing in steady state
-// (the backing array is reused across push/pop), and the (t, seq) key is
-// a total order, so pop order is independent of heap shape.
+// eventHeap is the engine's event queue: a value-typed 4-ary min-heap
+// over event structs. Scheduling allocates nothing in steady state (the
+// backing array is reused across push/pop), and the (t, seq) key is a
+// total order, so pop order is independent of heap shape.
 type eventHeap []event
 
 // push appends ev and sifts it up the 4-ary heap.
@@ -65,22 +64,11 @@ func (h *eventHeap) siftDown(i int) {
 	}
 }
 
-// heapSched is the reference scheduler: one global 4-ary heap. O(log n)
-// insert and pop, trivially correct (t, seq) order; kept swappable behind
-// the scheduler interface so the timing wheel can be diffed against it.
-type heapSched struct {
-	h eventHeap
-}
-
-func (s *heapSched) push(ev event) { s.h.push(ev) }
-
-func (s *heapSched) pop() event { return s.h.pop() }
-
-func (s *heapSched) peek() (float64, uint64, bool) {
-	if len(s.h) == 0 {
+// peek reports the minimum event's key without removing it; ok is false
+// when the heap is empty.
+func (h eventHeap) peek() (t float64, seq uint64, ok bool) {
+	if len(h) == 0 {
 		return 0, 0, false
 	}
-	return s.h[0].t, s.h[0].seq, true
+	return h[0].t, h[0].seq, true
 }
-
-func (s *heapSched) len() int { return len(s.h) }

@@ -217,13 +217,13 @@ func (e *Engine) laneQPop() {
 // runLane executes a lane burst after run picked the lane's head as the
 // global minimum (and removed the lane from laneQ): the head entry always
 // runs, then consecutive entries keep draining while they still precede
-// the until horizon, the scheduler's next event, and every other lane's
+// the until horizon, the event heap's minimum, and every other lane's
 // head. On exit with entries remaining, the lane re-queues with its new
 // head key.
 func (e *Engine) runLane(ln *Lane, until float64) int {
 	ln.draining = true
 	n := 0
-	// Cache the drain boundary — min of the scheduler peek and the best
+	// Cache the drain boundary — min of the event-heap peek and the best
 	// other lane head — for the whole burst: it can only change if an
 	// entry's callback pushes (At or another lane arming), which schedGen
 	// tracks; the drain itself never pops anything else.
@@ -260,9 +260,9 @@ func (e *Engine) runLane(ln *Lane, until float64) int {
 }
 
 // mergeMin returns the best (t, seq) key pending outside the currently
-// draining lane: the scheduler minimum merged with laneQ's root.
+// draining lane: the event-heap minimum merged with laneQ's root.
 func (e *Engine) mergeMin() (float64, uint64, bool) {
-	mt, mseq, ok := e.sched.peek()
+	mt, mseq, ok := e.events.peek()
 	if len(e.laneQ) > 0 {
 		r := e.laneQ[0]
 		if !ok || r.t < mt || (r.t == mt && r.seq < mseq) {

@@ -6,9 +6,10 @@ import (
 )
 
 // Lane entries and ordinary At events must interleave in exact (t, seq)
-// order across both schedulers.
+// order.
 func TestLaneMergesIntoTotalOrder(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		var got []uint64
 		ln := e.NewLane(func(en LaneEntry) { got = append(got, en.Tag) })
 		// Interleave: At(1), lane(1) — same time, At first by seq — then
@@ -40,7 +41,8 @@ func TestLaneMergesIntoTotalOrder(t *testing.T) {
 // RunUntil must execute lane entries up to and including the horizon and
 // leave the rest pending, exactly like At events.
 func TestLaneRespectsRunUntilHorizon(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		var got []uint64
 		ln := e.NewLane(func(en LaneEntry) { got = append(got, en.Tag) })
 		for i := uint64(1); i <= 5; i++ {
@@ -65,7 +67,8 @@ func TestLaneRespectsRunUntilHorizon(t *testing.T) {
 // A lane burst must yield to an ordinary event scheduled between two
 // entries, then resume.
 func TestLaneBurstYieldsToEarlierEvent(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		var got []uint64
 		ln := e.NewLane(func(en LaneEntry) { got = append(got, en.Tag) })
 		ln.Push(1, LaneEntry{Tag: 1})
@@ -149,7 +152,8 @@ func TestLaneFlag(t *testing.T) {
 // A lane callback may push into its own lane mid-drain; the new entry
 // must run at its proper time, not be lost or double-armed.
 func TestLaneReentrantPush(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, e *Engine) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
 		var got []uint64
 		var ln *Lane
 		ln = e.NewLane(func(en LaneEntry) {
@@ -176,7 +180,7 @@ func TestLaneReentrantPush(t *testing.T) {
 
 // The ring must survive growth while wrapped (head mid-buffer).
 func TestLaneRingGrowth(t *testing.T) {
-	e := NewEngineSched(SchedulerWheel)
+	e := NewEngine()
 	var got []uint64
 	ln := e.NewLane(func(en LaneEntry) { got = append(got, en.Tag) })
 	tag := uint64(0)

@@ -311,7 +311,7 @@ func (d *linkDir) settle(e *Engine) {
 
 // flush drops every unsettled transition on a link failure, emptying the
 // queue: each packet's delivery is marked dead, and the transition goes to
-// the scheduler as the no-op event it would have been, at its original
+// the event heap as the no-op event it would have been, at its original
 // key.
 func (d *linkDir) flush(e *Engine) {
 	d.qlen = 0

@@ -13,10 +13,8 @@ import (
 // new enqueue times regress behind stale lane entries), and a second
 // burst — and returns every link probe observation plus final stats as
 // one comparable string.
-func linkTrace(t *testing.T, sched Scheduler, lanes bool) string {
+func linkTrace(t *testing.T, lanes bool) string {
 	t.Helper()
-	prev := SetDefaultScheduler(sched)
-	defer SetDefaultScheduler(prev)
 	DebugHooks.DisableLinkLanes = !lanes
 	defer func() { DebugHooks.DisableLinkLanes = false }()
 
@@ -54,16 +52,10 @@ func linkTrace(t *testing.T, sched Scheduler, lanes bool) string {
 
 // Link lanes are an ordering-transparent optimization: the probe-level
 // event sequence, all counters, and the executed-event count must be
-// byte-identical with lanes on and off, on both schedulers.
+// byte-identical with lanes on and off.
 func TestLinkLanesTraceIdenticalToClosures(t *testing.T) {
-	ref := linkTrace(t, SchedulerHeap, false) // PR 2-era baseline
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		for _, lanes := range []bool{true, false} {
-			got := linkTrace(t, sched, lanes)
-			if got != ref {
-				t.Fatalf("trace diverges (sched=%v lanes=%v):\n--- baseline ---\n%s--- got ---\n%s",
-					sched, lanes, ref, got)
-			}
-		}
+	ref := linkTrace(t, false)
+	if got := linkTrace(t, true); got != ref {
+		t.Fatalf("trace diverges with lanes on:\n--- lanes off ---\n%s--- lanes on ---\n%s", ref, got)
 	}
 }

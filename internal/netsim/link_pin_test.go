@@ -253,23 +253,18 @@ func pinnedLinkTrace(seed uint64, out hash.Hash) {
 	}
 }
 
-// TestLinkBehaviourPinned hashes the seeded link workloads on both
-// schedulers, with link lanes on and off; every combination must produce
-// the pinned digest.
+// TestLinkBehaviourPinned hashes the seeded link workloads with link
+// lanes on and off; both must produce the pinned digest.
 func TestLinkBehaviourPinned(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		for _, lanes := range []bool{true, false} {
-			prev := SetDefaultScheduler(sched)
-			DebugHooks.DisableLinkLanes = !lanes
-			h := sha256.New()
-			for seed := uint64(1); seed <= linkPinSeeds; seed++ {
-				pinnedLinkTrace(seed, h)
-			}
-			DebugHooks.DisableLinkLanes = false
-			SetDefaultScheduler(prev)
-			if got := hex.EncodeToString(h.Sum(nil)); got != linkPinDigest {
-				t.Errorf("sched=%v lanes=%v: link trace digest %s, pinned %s", sched, lanes, got, linkPinDigest)
-			}
+	for _, lanes := range []bool{true, false} {
+		DebugHooks.DisableLinkLanes = !lanes
+		h := sha256.New()
+		for seed := uint64(1); seed <= linkPinSeeds; seed++ {
+			pinnedLinkTrace(seed, h)
+		}
+		DebugHooks.DisableLinkLanes = false
+		if got := hex.EncodeToString(h.Sum(nil)); got != linkPinDigest {
+			t.Errorf("lanes=%v: link trace digest %s, pinned %s", lanes, got, linkPinDigest)
 		}
 	}
 }
