@@ -80,13 +80,14 @@ chaos-smoke:
 	$(GO) run -race ./cmd/simfuzz -seeds 100 -faults -shrink
 
 ## advsearch-smoke: the adversary-synthesis determinism gate — a quick
-## Blink attack-frontier search (duireport advsearch: guarded vs unguarded,
-## CEM) run once on one worker and once on four; the JSON on stdout must be
-## byte-identical (cmp) or the target fails.
+## attack-frontier search over the matrix's Blink, Pytheas and PCC
+## deployments (duireport advsearch: guarded vs unguarded, CEM) run once on
+## one worker and once on four; the JSON on stdout must be byte-identical
+## (cmp) or the target fails.
 advsearch-smoke:
 	$(GO) build -o /tmp/advsearch-smoke-duireport ./cmd/duireport
-	/tmp/advsearch-smoke-duireport advsearch -quick -system blink -parallel 1 2>/dev/null > /tmp/advsearch-a.json
-	/tmp/advsearch-smoke-duireport advsearch -quick -system blink -parallel 4 2>/dev/null > /tmp/advsearch-b.json
+	/tmp/advsearch-smoke-duireport advsearch -quick -parallel 1 2>/dev/null > /tmp/advsearch-a.json
+	/tmp/advsearch-smoke-duireport advsearch -quick -parallel 4 2>/dev/null > /tmp/advsearch-b.json
 	cmp /tmp/advsearch-a.json /tmp/advsearch-b.json
 	@echo "advsearch-smoke: worker-count independent frontier verified"
 

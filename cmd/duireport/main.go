@@ -23,7 +23,7 @@
 //	blink-pop          Blink at PoP scale: a selector bank over millions of flows, stdout identical at any -shards
 //	chaos-eval         §5 Blink guard under gray failure: detect, false-veto and false-reroute rates per intensity
 //	robustness         §5 matrix: system x attack x guard arm x fault profile; -defense-eval prints E8 in full
-//	advsearch          black-box attack-frontier search (CEM or annealing) against Blink, Pytheas and PCC, as JSON
+//	advsearch          black-box attack-frontier search (CEM or annealing) over the matrix's Blink, Pytheas and PCC deployments, as JSON
 //
 // chaos-eval, robustness and advsearch run campaign job kinds
 // (internal/campaign): -server submits the spec to a running duid

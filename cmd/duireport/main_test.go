@@ -66,8 +66,8 @@ var stdoutPins = []struct{ args, sha string }{
 	{"blink-pop -quick", "4bb4e558f0d741b55c965ba3d025ec47a90f6dd9e16d218f52a5a858a9aa2720"},
 	{"blink-pop -quick -audit-every 8 -shards 7 -parallel 4", "bda212334ab55a06d67cb9be4f348d30d5d845dacbded798ca1e2910072eee4c"},
 	{"blink-pop -quick -audit-every 8 -shards 1 -parallel 1", "bda212334ab55a06d67cb9be4f348d30d5d845dacbded798ca1e2910072eee4c"},
-	{"advsearch -quick -system blink", "fdba3b135222e9c05dfde0b87219dd36f8fff9d5bf30f3e501005016c8c048ce"},
-	{"advsearch -quick -system pytheas -searcher anneal -guarded on", "280210ddc88c445954c2d1ced3d3ea5d18a69e67b6c1f4e36f191dca4460286b"},
+	{"advsearch -quick -system blink", "4c9f3cf70fb3f987f18c633da67e78ed4c800609e604433218380a9920e30700"},
+	{"advsearch -quick -system pytheas -searcher anneal -guarded on", "aa95e9a33b664c8d4af881d5250d7eceba1cb36cfdd1346e81a82a39d3524fd7"},
 	{"robustness -defense-eval", "9eacd12f1bd11cf6fabf9951194a58922763a48d8ae6dd426bc5779257fa3c95"},
 	{"robustness -quick -trials 1 -systems pcc,sketch -profiles none,gray", "4847c6691348189cf971daada5a56817f7f2d75ac9fe362c8b5a2f3fec9a29ee"},
 	{"robustness -quick -trials 1 -systems pcc,sketch -profiles none,gray -json", "3ad04077c6db66a4bd691470ebc6b12aa7dd9bc9dcd46d48075d0a9beceae304"},

@@ -19,7 +19,7 @@ func TestSlowPinned(t *testing.T) {
 		{"chaos-eval -quick", "0b9767f32f7bca875344c3b261b85d4bc9637fc0e4305373160cf0f42a3b38d4"},
 		{"chaos-eval -quick -csv", "a2098534b84c8f57fd5d4dd3b5a78a9009dfee3fe9cb89d0963cc1f73e52e4ee"},
 		{"chaos-eval -quick -json", "79bccc1dfc73b597b124fbb7ea0cbfdaea42f03591590cfd5defa57707176a3e"},
-		{"advsearch -quick", "624aa669035a8646e7ed152c80118f085647ed7ce78ffc7b39ce8d17a2ede916"},
+		{"advsearch -quick", "07bd9b5fa279043d68e2657ed9a12eb4a8ad68316b2f3341f21ee127008566ac"},
 		{"robustness -quick", "d06e2c77799fff153398b22b4ae6737a64f061d4c08ca500ae1ecca87e35cfd6"},
 		{"robustness -quick -json", "e729e2b2ad0c1fae25b48051f242f3004cff10c8654283ba616588886ac50d9c"},
 		{"robustness -json", "8566f28148edd53935051f40a65ff28714289bf2d9dce34be102089b15c9bb49"},

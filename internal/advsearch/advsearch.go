@@ -1,10 +1,11 @@
-// Package advsearch synthesizes black-box adversarial inputs against the
-// deployed systems of this reproduction: a seed-deterministic optimizer
-// searches a typed attack-knob space (spoofed-flow counts, rates, burst
-// phases, tap placement, packet mix) for the minimal-cost input that flips
-// a system's decision — a Blink reroute without a failure, a Pytheas group
-// steered onto the bad option, a PCC rate collapse — with and without the
-// internal/supervisor guard in front of it.
+// Package advsearch is a seed-deterministic black-box optimizer for
+// adversarial inputs: it searches a typed attack-knob space (flow counts,
+// rates, timing, packet mix) for the minimal-cost input that flips a
+// Target's decision. The package holds only the optimizer; the targets are
+// the robustness matrix's own deployments, adapted by
+// robustness.SearchTarget — a Blink reroute without a failure, a Pytheas
+// group's honest QoE poisoned, a PCC rate collapse — with and without the
+// internal/supervisor guard in front of them.
 //
 // The paper's attacks (§3–4) are hand-crafted; this package asks the
 // harder engineering question the defenses of §5 raise: what does the
@@ -87,7 +88,6 @@ type Outcome struct {
 // for concurrent calls; the searcher fans evaluations out on
 // internal/runner.
 type Target interface {
-	Name() string
 	Space() Space
 	Evaluate(x Vector, evalSeed uint64) Outcome
 }
@@ -152,7 +152,6 @@ type GenStat struct {
 
 // Result is a completed search.
 type Result struct {
-	Target   string `json:"target"`
 	Searcher string `json:"searcher"`
 	Config   Config `json:"config"`
 	// Best is the lowest-score candidate (nil only when the budget was

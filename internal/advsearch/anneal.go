@@ -26,7 +26,7 @@ func (Anneal) Name() string { return "anneal" }
 func (Anneal) Search(t Target, cfg Config) *Result {
 	cfg = cfg.Defaults()
 	space := t.Space()
-	res := &Result{Target: t.Name(), Searcher: Anneal{}.Name(), Config: cfg}
+	res := &Result{Searcher: Anneal{}.Name(), Config: cfg}
 	steps := cfg.Generations * cfg.Pop
 	if steps == 0 {
 		return res

@@ -28,7 +28,7 @@ func (CEM) Name() string { return "cem" }
 func (CEM) Search(t Target, cfg Config) *Result {
 	cfg = cfg.Defaults()
 	space := t.Space()
-	res := &Result{Target: t.Name(), Searcher: CEM{}.Name(), Config: cfg}
+	res := &Result{Searcher: CEM{}.Name(), Config: cfg}
 
 	// Proposal distribution in search coordinates: start at mid-range
 	// with InitSigma of each range.

@@ -18,8 +18,6 @@ type synthTarget struct {
 	flaky bool
 }
 
-func (synthTarget) Name() string { return "synth" }
-
 func (synthTarget) Space() Space {
 	return Space{
 		{Name: "a", Min: 1, Max: 1000, Log: true},

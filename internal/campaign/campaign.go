@@ -112,8 +112,9 @@ type ScenarioSpec struct {
 // is sequential across generations, so this kind always runs as one
 // shard; worker-count independence comes from internal/advsearch itself.
 type AdvSpec struct {
-	// Systems to attack, a subset of {blink, pytheas, pcc}; canonicalized
-	// to that order (default all three).
+	// Systems to attack, a subset of the robustness systems with a knob
+	// space (blink, pytheas, pcc); canonicalized to matrix order (default
+	// all of them).
 	Systems []string `json:"systems"`
 	// Guarded selects deployments: "on", "off", or "both" (default).
 	Guarded string `json:"guarded"`
@@ -155,10 +156,6 @@ type RobustnessSpec struct {
 // its first trial runs, so an unbounded count in a small request body
 // would be a memory bomb; every in-repo campaign stays far below it.
 const MaxTrials = 1 << 20
-
-// advSystems are the adv kind's systems in canonical order, also its
-// default selection.
-var advSystems = []string{"blink", "pytheas", "pcc"}
 
 // checkCount rejects a count of a × b above MaxTrials, without
 // overflowing; a and b are positive.
@@ -240,18 +237,26 @@ func (s JobSpec) Canon() (JobSpec, error) {
 		if s.Adv != nil {
 			a = *s.Adv
 		}
+		// The adv kind's systems, also its default selection: the matrix
+		// systems with a knob space, in canonical order.
+		var all []string
+		for _, s := range robustness.Systems() {
+			if _, ok := s.(robustness.Searchable); ok {
+				all = append(all, s.Name())
+			}
+		}
 		if len(a.Systems) == 0 {
-			a.Systems = advSystems
+			a.Systems = all
 		}
 		want := map[string]bool{}
 		for _, sys := range a.Systems {
-			if !slices.Contains(advSystems, sys) {
+			if !slices.Contains(all, sys) {
 				return out, fmt.Errorf("campaign: adv job: unknown system %q", sys)
 			}
 			want[sys] = true
 		}
 		a.Systems = nil
-		for _, sys := range advSystems {
+		for _, sys := range all {
 			if want[sys] {
 				a.Systems = append(a.Systems, sys)
 			}

@@ -11,6 +11,7 @@ import (
 	"dui/internal/blink"
 	"dui/internal/faults"
 	"dui/internal/fuzz"
+	"dui/internal/robustness"
 	"dui/internal/scenario"
 	"dui/internal/stats"
 	"dui/internal/supervisor"
@@ -351,28 +352,13 @@ type AdvResult struct {
 	Systems     []AdvSystem `json:"systems"`
 }
 
-// advTarget builds the system under attack; quick mode shrinks the
-// per-evaluation simulations so smoke runs stay in CI-friendly time.
+// advTarget is the matrix's own deployment of system under its one
+// attack, fault-free, as a search target.
 func advTarget(system string, guarded, quick bool) advsearch.Target {
-	switch system {
-	case "blink":
-		t := &advsearch.BlinkTarget{Guarded: guarded}
-		if quick {
-			t.Duration, t.MaxFlows = 4, 64
+	for _, s := range robustness.Systems() {
+		if k, ok := s.(robustness.Searchable); ok && s.Name() == system {
+			return robustness.SearchTarget(k, s.Attacks()[0], guarded, robustness.AllProfiles[0], quick)
 		}
-		return t
-	case "pytheas":
-		t := advsearch.NewPytheasTarget(guarded)
-		if quick {
-			t.Sessions, t.Epochs = 200, 60
-		}
-		return t
-	case "pcc":
-		t := &advsearch.PCCTarget{Guarded: guarded}
-		if quick {
-			t.Duration = 24
-		}
-		return t
 	}
 	panic("campaign: advTarget on unvalidated system " + system)
 }

@@ -34,8 +34,8 @@ type OscConfig struct {
 	// supervisor.ClampedPCCConfig.
 	EpsMax float64
 	// EqDetectMargin, EqExtraDrop and EqActiveFrom tune the equalizer
-	// when Attack is set (0 = the Equalizer defaults) — the attack knobs
-	// internal/advsearch searches over.
+	// when Attack is set (0 = the Equalizer defaults) — the knobs the
+	// robustness matrix's PCC attack search varies.
 	EqDetectMargin float64
 	EqExtraDrop    float64
 	EqActiveFrom   float64

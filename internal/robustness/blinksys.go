@@ -1,6 +1,7 @@
 package robustness
 
 import (
+	"dui/internal/advsearch"
 	"dui/internal/blink"
 	"dui/internal/faults"
 	"dui/internal/netsim"
@@ -28,22 +29,54 @@ type blinkSystem struct{}
 func (blinkSystem) Name() string      { return "blink" }
 func (blinkSystem) Attacks() []string { return []string{"hijack"} }
 
-func (blinkSystem) Run(attack string, guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
-	if attack == "hijack" {
-		return blinkRunHijack(guarded, prof, seed, quick)
-	}
-	return blinkRunTwin(guarded, prof, seed, quick)
+func (s blinkSystem) Run(attack string, guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
+	return s.RunKnobs(attack, blinkHijack(quick), guarded, prof, seed, quick)
 }
 
-func blinkRunHijack(guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
+// blinkHijackDuration is the hijack run's length in virtual seconds.
+func blinkHijackDuration(quick bool) float64 {
+	if quick {
+		return 45
+	}
+	return 70
+}
+
+// blinkHijack is the named hijack: 56 spoofed flows at 2 pps that storm
+// at 40 s (25 s quick), without RTO mimicry.
+func blinkHijack(quick bool) advsearch.Vector {
+	if quick {
+		return advsearch.Vector{56, 2, 25, 0}
+	}
+	return advsearch.Vector{56, 2, 40, 0}
+}
+
+// Knobs spans the hijack: the spoofed pool's size (mal_flows) and
+// per-flow rate (mal_pps), when its storm starts (trigger_at), and
+// whether the storm paces like genuine RTO backoff (mimic, the §5
+// adaptive attacker). A reroute is the flip.
+func (blinkSystem) Knobs(_ string, quick bool) (advsearch.Space, advsearch.Vector, float64) {
+	dur := blinkHijackDuration(quick)
+	return advsearch.Space{
+		{Name: "mal_flows", Min: 4, Max: 256, Integer: true, Log: true},
+		{Name: "mal_pps", Min: 0.5, Max: 20, Log: true},
+		{Name: "trigger_at", Min: 5, Max: dur - 5},
+		{Name: "mimic", Min: 0, Max: 1, Integer: true},
+	}, blinkHijack(quick), 1
+}
+
+// RunKnobs runs the hijack at x; its Cost is the pool's spoofed packet
+// budget, flows × rate × run length.
+func (blinkSystem) RunKnobs(attack string, x advsearch.Vector, guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
+	if attack != "hijack" {
+		return blinkRunTwin(guarded, prof, seed, quick)
+	}
 	cfg := blink.HijackConfig{
-		LegitFlows: 120, MalFlows: 56,
-		TriggerAt: 40, Duration: 70,
-		Seed: seed,
+		LegitFlows: 120, MalFlows: int(x[0]), MalPPS: x[1],
+		TriggerAt: x[2], MimicRTO: x[3] >= 0.5,
+		Duration: blinkHijackDuration(quick), Seed: seed,
 	}
 	if quick {
-		cfg.LegitFlows, cfg.MalFlows = 80, 56
-		cfg.TriggerAt, cfg.Duration = 25, 45
+		cfg.LegitFlows = 80
 	}
 	cfg.Chaos = blinkHijackChaos(prof, seed, cfg.Duration)
 	var g *supervisor.BlinkGuard
@@ -53,7 +86,7 @@ func blinkRunHijack(guarded bool, prof Profile, seed uint64, quick bool) TrialRe
 		}
 	}
 	res := blink.RunHijack(cfg)
-	out := TrialResult{}
+	out := TrialResult{Cost: float64(cfg.MalFlows) * cfg.MalPPS * cfg.Duration}
 	if res.Rerouted {
 		out.Damage = 1
 	}

@@ -1,6 +1,7 @@
 package robustness
 
 import (
+	"dui/internal/advsearch"
 	"dui/internal/faults"
 	"dui/internal/netsim"
 	"dui/internal/pcc"
@@ -27,14 +28,44 @@ type pccSystem struct{}
 func (pccSystem) Name() string      { return "pcc" }
 func (pccSystem) Attacks() []string { return []string{"equalizer"} }
 
-func (pccSystem) Run(attack string, guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
+func (s pccSystem) Run(attack string, guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
+	return s.RunKnobs(attack, pccEqualizer(), guarded, prof, seed, quick)
+}
+
+// pccDuration is the run's length in virtual seconds.
+func pccDuration(quick bool) float64 {
+	if quick {
+		return 45
+	}
+	return 90
+}
+
+// pccEqualizer is the named equalizer: pcc.NewEqualizer's margins,
+// active from the start.
+func pccEqualizer() advsearch.Vector { return advsearch.Vector{0.004, 0.03, 0} }
+
+// Knobs spans the equalizer's own tuning: the rate-excess margin that
+// classifies a fast trial (detect_margin), the loss added beyond the
+// exact equalizing drop (extra_drop), and the attack's start time
+// (active_from). A late-rate shortfall of half the capacity is the flip.
+func (pccSystem) Knobs(_ string, quick bool) (advsearch.Space, advsearch.Vector, float64) {
+	return advsearch.Space{
+		{Name: "detect_margin", Min: 0.001, Max: 0.02, Log: true},
+		{Name: "extra_drop", Min: 0.005, Max: 0.12, Log: true},
+		{Name: "active_from", Min: 0, Max: 0.6 * pccDuration(quick)},
+	}, pccEqualizer(), 0.5
+}
+
+// RunKnobs runs the equalizer at x; its Cost is the drop budget in
+// percent of the packets it observed.
+func (pccSystem) RunKnobs(attack string, x advsearch.Vector, guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
 	cfg := pcc.OscConfig{
-		Duration: 90,
+		Duration: pccDuration(quick),
 		Seed:     seed,
 		Attack:   attack == "equalizer",
 	}
-	if quick {
-		cfg.Duration = 45
+	if cfg.Attack {
+		cfg.EqDetectMargin, cfg.EqExtraDrop, cfg.EqActiveFrom = x[0], x[1], x[2]
 	}
 	if guarded {
 		cfg.EpsMax = supervisor.EpsRange(0.01).Max
@@ -44,7 +75,10 @@ func (pccSystem) Run(attack string, guarded bool, prof Profile, seed uint64, qui
 	// The attack's headline damage is rate suppression: the flow stays
 	// pinned near its start rate instead of converging to capacity.
 	cc := cfg.Defaults()
-	out := TrialResult{Damage: clamp01(1 - res.Flows[0].MeanRateLate/cc.CapacityPPS)}
+	out := TrialResult{
+		Damage: clamp01(1 - res.Flows[0].MeanRateLate/cc.CapacityPPS),
+		Cost:   res.DropFraction * 100,
+	}
 	if guarded {
 		g := &supervisor.PCCGuard{}
 		v := g.Check(res.Records)

@@ -1,6 +1,7 @@
 package robustness
 
 import (
+	"dui/internal/advsearch"
 	"dui/internal/pytheas"
 	"dui/internal/stats"
 	"dui/internal/supervisor"
@@ -94,14 +95,46 @@ func (w *pytheasFaults) Reports(s int, opt pytheas.Option, q float64) []float64 
 	return reports
 }
 
-func (pytheasSystem) Run(attack string, guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
+func (s pytheasSystem) Run(attack string, guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
+	return s.RunKnobs(attack, pytheasPoison(), guarded, prof, seed, quick)
+}
+
+// pytheasPoison is the named poisoning botnet: 15 % of the sessions,
+// each reporting 5 times per epoch, with pytheas.Poison's fabricated
+// QoE values.
+func pytheasPoison() advsearch.Vector { return advsearch.Vector{15, 5, 0.2, 4.8} }
+
+// Knobs spans the botnet: its share of the group's sessions in percent
+// (bots_pct), the reports each bot submits per epoch (report_mult,
+// which dedup caps at 1), and the QoE a bot fabricates for a well
+// (low_qoe) and a poorly (high_qoe) performing option. An honest QoE
+// shortfall of a fifth of the benchmark is the flip.
+func (pytheasSystem) Knobs(_ string, quick bool) (advsearch.Space, advsearch.Vector, float64) {
+	return advsearch.Space{
+		{Name: "bots_pct", Min: 1, Max: 40, Integer: true, Log: true},
+		{Name: "report_mult", Min: 1, Max: 10, Integer: true, Log: true},
+		{Name: "low_qoe", Min: 0.05, Max: 1.5},
+		{Name: "high_qoe", Min: 3.5, Max: 5},
+	}, pytheasPoison(), 0.2
+}
+
+// RunKnobs runs the poisoning at x; its Cost is the report volume per
+// epoch, bots × report multiplier, the quantity authentication and rate
+// limiting would meter.
+func (pytheasSystem) RunKnobs(attack string, x advsearch.Vector, guarded bool, prof Profile, seed uint64, quick bool) TrialResult {
 	cfg := pytheas.SimConfig{Sessions: 400, Epochs: 120, Seed: seed}
 	if quick {
 		cfg.Sessions, cfg.Epochs = 200, 60
 	}
 	var inner pytheas.Attacker = pytheas.NoAttack{}
+	cost := 0.0
 	if attack == "poison" {
-		inner = pytheas.Poison{Bots: cfg.Sessions * 15 / 100, ReportMultiplier: 5}.Defaults()
+		p := pytheas.Poison{
+			Bots: cfg.Sessions * int(x[0]) / 100, ReportMultiplier: int(x[1]),
+			LowQoE: x[2], HighQoE: x[3],
+		}.Defaults()
+		inner = p
+		cost = float64(p.Bots * p.ReportMultiplier)
 	}
 	w := &pytheasFaults{
 		inner: inner, prof: prof,
@@ -114,7 +147,7 @@ func (pytheasSystem) Run(attack string, guarded bool, prof Profile, seed uint64,
 		w.guard = &supervisor.PytheasGuard{}
 	}
 	res := pytheas.Run(cfg, w)
-	out := TrialResult{Damage: clamp01((4.5 - res.HonestQoELate) / 4.5)}
+	out := TrialResult{Damage: clamp01((4.5 - res.HonestQoELate) / 4.5), Cost: cost}
 	if w.guard != nil {
 		out.Detected = w.detected
 		out.Checks = w.guard.Cost().Checks

@@ -27,6 +27,13 @@
 // split, or guard arm, so attacked run and twin — and guard-on and
 // guard-off arms — of one rep share their base randomness and the
 // aggregated matrix is bit-identical however it is scheduled.
+//
+// A system whose attacks can be searched adaptively also implements
+// Searchable: each attack spans a knob space in which the named attack
+// is one point, and Run is RunKnobs at that point. SearchTarget adapts
+// such a deployment to an internal/advsearch Target, so the attack
+// search probes the very deployments the matrix scores (Blink, Pytheas
+// and PCC today).
 package robustness
 
 import "fmt"
@@ -86,6 +93,10 @@ type TrialResult struct {
 	Checks int
 	// Damage is the harness's normalized damage metric in [0, 1].
 	Damage float64
+	// Cost is the attacker's spend (0 on the twin); a Searchable
+	// documents its unit. The adaptive search minimizes it; the matrix
+	// does not journal it.
+	Cost float64
 }
 
 // System is one case-study harness.

@@ -34,18 +34,8 @@ const (
 // in seconds instead of a wall-clock hang.
 const runEventBudget = 1 << 26
 
-// Options lets a caller attach extra machinery to the built scenario.
-type Options struct {
-	// Hook, if non-nil, runs on the Built scenario after construction and
-	// before the simulation starts — the installation point for
-	// supervisor guards and extra observers (internal/advsearch's
-	// guarded-twin evaluation). RunChecked passes the hook to both runs
-	// of its determinism double-run, so hooks must be re-runnable: any
-	// per-run state must be created inside the hook, and anything written
-	// through captured variables must be assigned identically by both
-	// runs (which determinism guarantees for a deterministic hook).
-	Hook func(*Built)
-}
+// Options is reserved for per-run settings; it has none today.
+type Options struct{}
 
 // Report is the outcome of one scenario run. A run with no violations is a
 // pass; everything else carries the structured context the shrinker and
@@ -59,8 +49,6 @@ type Report struct {
 	TraceHash  uint64 `json:"trace_hash"`
 	// Reroutes counts Blink failovers executed (0 without Blink).
 	Reroutes int `json:"reroutes,omitempty"`
-	// Vetoes counts Blink failovers blocked by a guard a Hook installed.
-	Vetoes int `json:"vetoes,omitempty"`
 	// Delivered counts packets received by hosts.
 	Delivered uint64 `json:"delivered"`
 	// FinalTime is the virtual time the run drained at.
@@ -97,7 +85,7 @@ func (r *Report) HasRule(rule string) bool {
 // report. Run never panics: scenario-induced panics become RulePanic
 // violations, invalid scenarios RuleInvalid. The report is a pure function
 // of the scenario value.
-func Run(s *Scenario, opts Options) (rep Report) {
+func Run(s *Scenario, _ Options) (rep Report) {
 	defer func() {
 		if r := recover(); r != nil {
 			if le, ok := r.(*netsim.LivelockError); ok {
@@ -118,9 +106,6 @@ func Run(s *Scenario, opts Options) (rep Report) {
 		return rep
 	}
 	b := Build(s)
-	if opts.Hook != nil {
-		opts.Hook(b)
-	}
 	nw := b.Net
 	nw.Engine().SetEventBudget(runEventBudget)
 	nw.RunUntil(s.Duration)
@@ -155,7 +140,6 @@ func Run(s *Scenario, opts Options) (rep Report) {
 	rep.TraceHash = b.Recorder.Hash()
 	if b.Pipe != nil {
 		rep.Reroutes = len(b.Pipe.Reroutes())
-		rep.Vetoes = b.Pipe.VetoedReroutes
 	}
 	for i, n := range b.nodes {
 		if !s.Nodes[i].Router {
@@ -169,18 +153,15 @@ func Run(s *Scenario, opts Options) (rep Report) {
 // RunChecked is Run plus the determinism oracle: the scenario runs twice
 // and the two trace fingerprints must agree. The returned report is the
 // first run's, with a RuleDeterminism violation appended on divergence.
-// The hook (if any) runs in both runs — a guard that vetoed a reroute in
-// the first run must veto it in the second, so Vetoes is part of the
-// comparison.
 func RunChecked(s *Scenario, opts Options) Report {
 	rep := Run(s, opts)
-	again := Run(s, Options{Hook: opts.Hook})
+	again := Run(s, opts)
 	if rep.TraceHash != again.TraceHash || rep.EventCount != again.EventCount ||
-		rep.Reroutes != again.Reroutes || rep.Vetoes != again.Vetoes {
+		rep.Reroutes != again.Reroutes {
 		rep.Violations = append(rep.Violations, audit.Violation{
 			Rule: RuleDeterminism,
-			Detail: fmt.Sprintf("double run diverged: trace %#x/%d events/%d reroutes/%d vetoes vs %#x/%d/%d/%d",
-				rep.TraceHash, rep.EventCount, rep.Reroutes, rep.Vetoes, again.TraceHash, again.EventCount, again.Reroutes, again.Vetoes),
+			Detail: fmt.Sprintf("double run diverged: trace %#x/%d events/%d reroutes vs %#x/%d/%d",
+				rep.TraceHash, rep.EventCount, rep.Reroutes, again.TraceHash, again.EventCount, again.Reroutes),
 		})
 	}
 	return rep
