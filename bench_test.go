@@ -343,10 +343,13 @@ func BenchmarkE8Defenses(b *testing.B) {
 // run (Blink's genuine failover, PCC's honest equalizer, DAPPER's honest
 // network-limited flow). blink-gray-twin and pcc-gray-twin run the same
 // twins under the gray-failure profile, whose fault plane holds, drops,
-// corrupts and duplicates packets. The allocs/op of the systems converted
-// to incremental state, and of the TCP-path arms (blink, pcc, dapper,
-// conntrack and the five twins), are ceilinged in BENCH_FLOOR.json; ns/op
-// is the arm's share of a matrix cell.
+// corrupts and duplicates packets. dapper-inflate runs DAPPER's
+// inflate-window attack, whose sender re-arms its RTO on every segment
+// and ACK, and sketch-hide runs the targeted hiders on top of the
+// pollution. The allocs/op of the systems converted to incremental state,
+// and of the TCP-path arms (blink, pcc, dapper, dapper-inflate, conntrack
+// and the five twins), are ceilinged in BENCH_FLOOR.json; ns/op is the
+// arm's share of a matrix cell.
 func BenchmarkMatrixSystem(b *testing.B) {
 	run := func(name string, sys robustness.System, attack string, prof robustness.Profile) {
 		b.Run(name, func(b *testing.B) {
@@ -367,6 +370,12 @@ func BenchmarkMatrixSystem(b *testing.B) {
 			if sys.Name() != "dapper" {
 				run(sys.Name()+"-gray-twin", sys, "", gray)
 			}
+		}
+		switch sys.Name() {
+		case "dapper":
+			run("dapper-inflate", sys, "inflate-window", none)
+		case "sketch":
+			run("sketch-hide", sys, "hide", none)
 		}
 	}
 }

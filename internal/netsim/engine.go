@@ -13,13 +13,15 @@
 //
 // Every run is a pure function of the scenario and its seeds. The engine
 // executes events in exactly one order — ascending (t, seq), where seq is
-// the global scheduling sequence number — regardless of link-lane
-// batching, and regardless of when a link's lazily settled
-// serialization-done transitions are applied (see Link). Simulation code
-// must draw all randomness from seeded stats.RNG streams (SplitMix64
-// child derivation, stats.ChildAt for per-trial streams), never from the
-// wall clock or a global generator, so results are bit-identical at any
-// worker count.
+// the global scheduling sequence number — regardless of lane batching
+// (link deliveries, PCC pacing), and regardless of which reserved keys
+// are ever queued: a link's serialization-done transitions are settled
+// lazily and a TCP sender's superseded RTO arms simply pass, but both
+// take their (t, seq) from Reserve exactly where their events once did
+// (see Key). Simulation code must draw all randomness from seeded
+// stats.RNG streams (SplitMix64 child derivation, stats.ChildAt for
+// per-trial streams), never from the wall clock or a global generator, so
+// results are bit-identical at any worker count.
 //
 // # Packet ownership
 //
@@ -74,8 +76,8 @@ type Engine struct {
 	// curSeq completes the settle frontier (now, curSeq): every event
 	// keyed strictly before it has executed and none at or after it has.
 	// Inside run it is the executing entry's seq; once a run reaches its
-	// horizon it is one past the last seq handed out. Links apply their
-	// pending serialization-done transitions against it (passed).
+	// horizon it is one past the last seq handed out. Holders of reserved
+	// keys settle against it (Passed).
 	curSeq   uint64
 	audit    bool
 	budget   uint64
@@ -97,9 +99,9 @@ type Engine struct {
 	// drain boundary and recompute only when this changes, since the
 	// boundary can otherwise only move when the drain itself pops.
 	schedGen uint64
-	// wires lists every link direction, whose unsettled serialization-done
-	// transitions Pending counts.
-	wires []*linkDir
+	// reservers lists every holder of reserved keys with no event queued
+	// (link directions, TCP senders); Pending counts their keys.
+	reservers []Reserver
 }
 
 // LivelockError is the panic value delivered when an engine's event budget
@@ -131,10 +133,13 @@ func (e *Engine) EventBudget() uint64 { return e.budget }
 
 // Executed returns the total number of events executed so far. Lane
 // entries count exactly like ordinary events, so the count is identical
-// with link-lane batching on or off. A link's serialization-done
-// transitions are settled lazily rather than executed, so they are not
-// counted (a transition flushed by a link failure runs as the no-op event
-// it would have been, and is).
+// with link-lane batching on or off. A reserved key whose holder never
+// schedules it is not counted: a link's serialization-done transitions
+// are settled lazily rather than executed (one flushed by a link failure
+// runs as the no-op event it would have been, and is), and a TCP
+// sender's superseded RTO arms simply pass. Executed drops by exactly
+// those keys, so an event budget is reached later only by a run that
+// reserves keys without end.
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // checkBudget enforces the event-budget watchdog after each executed event.
@@ -172,6 +177,40 @@ func (e *Engine) checkCausality(t float64) {
 // panics: both are always simulation bugs (a NaN timestamp would silently
 // corrupt the queue order, since NaN compares false against everything).
 func (e *Engine) At(t float64, fn func()) {
+	k := e.Reserve(t)
+	e.schedGen++
+	e.events.push(event{k, fn})
+}
+
+// Key is a position in the engine's total execution order: an event's
+// time and its scheduling sequence number.
+//
+// Reserve hands out the key At would assign, at the moment At would
+// assign it, without queueing anything; AtKey queues work at it later.
+// That lets a holder keep many would-be events as bare keys and schedule
+// only the ones that matter, with the order of everything else
+// unchanged: seqs are taken exactly where the events took them, and an
+// event queued at its reserved key runs exactly where it would have run.
+// A holder whose reserved keys stand for events it no longer queues
+// registers with CountReserved, so Pending still counts each key until
+// it passes.
+type Key struct {
+	T   float64
+	Seq uint64
+}
+
+// Before reports whether an event keyed k executes before one keyed o.
+func (k Key) Before(o Key) bool {
+	if k.T != o.T {
+		return k.T < o.T
+	}
+	return k.Seq < o.Seq
+}
+
+// Reserve takes the next scheduling sequence number for time t and
+// returns the key At(t, ...) would have given an event now, queueing
+// nothing. It panics where At does: at NaN or in the past.
+func (e *Engine) Reserve(t float64) Key {
 	if math.IsNaN(t) {
 		panic("netsim: scheduling at NaN")
 	}
@@ -179,33 +218,46 @@ func (e *Engine) At(t float64, fn func()) {
 		panic("netsim: scheduling into the past")
 	}
 	e.seq++
+	return Key{T: t, Seq: e.seq}
+}
+
+// AtKey schedules fn at a key Reserve handed out, taking no new seq. A key
+// that has passed (Passed), or one never reserved, panics: the event could
+// not run where its key says.
+func (e *Engine) AtKey(k Key, fn func()) {
+	if math.IsNaN(k.T) {
+		panic("netsim: scheduling at NaN")
+	}
+	if k.Seq > e.seq || e.Passed(k) {
+		panic("netsim: scheduling at a passed or unreserved key")
+	}
 	e.schedGen++
-	e.events.push(event{t: t, seq: e.seq, fn: fn})
+	e.events.push(event{k, fn})
 }
 
-// nextSeq hands out the next scheduling sequence number without queueing
-// anything, for a link's serialization-done transition: it keeps the key
-// (t, seq) it would have had as an event, but is applied lazily.
-func (e *Engine) nextSeq() uint64 {
-	e.seq++
-	return e.seq
+// Passed reports whether an event keyed k would already have executed:
+// whether k precedes the settle frontier (now, curSeq). Inside an event's
+// callback the frontier is that event's own key.
+func (e *Engine) Passed(k Key) bool {
+	return k.T < e.now || (k.T == e.now && k.Seq < e.curSeq)
 }
 
-// passed reports whether an event keyed (t, seq) would already have
-// executed: whether the key precedes the settle frontier (now, curSeq).
-func (e *Engine) passed(t float64, seq uint64) bool {
-	return t < e.now || (t == e.now && seq < e.curSeq)
+// Reserver is a holder of reserved keys that stand for events it has not
+// queued. Pending counts its keys through Reserved.
+type Reserver interface {
+	// Reserved returns how many such keys have not passed yet.
+	Reserved() int
 }
 
-// pushNop queues a no-op event at an already-assigned key: a link
-// failure hands its flushed serialization-done transitions back this way,
-// so they stay pending, and then execute, exactly as the events they
-// would have been.
-func (e *Engine) pushNop(t float64, seq uint64) {
-	e.schedGen++
-	e.events.push(event{t: t, seq: seq, fn: nop})
+// CountReserved registers r, so Pending counts each key it reports as
+// the event it would have been.
+func (e *Engine) CountReserved(r Reserver) {
+	e.reservers = append(e.reservers, r)
 }
 
+// nop is the event a link failure queues at each flushed transition's
+// reserved key, so the transition stays pending, and then executes, as
+// the event it would have been.
 func nop() {}
 
 // After schedules fn d seconds from now. Negative or NaN d panics.
@@ -217,13 +269,13 @@ func (e *Engine) After(d float64, fn func()) {
 }
 
 // Pending returns the number of queued events, counting each pending lane
-// entry once and each not yet passed serialization-done transition of a
-// link as the event it would have been. It settles every link direction.
+// entry once and each not yet passed key a registered Reserver holds (a
+// link's serialization-done transitions, a TCP sender's superseded RTO
+// arms) as the event it would have been.
 func (e *Engine) Pending() int {
 	n := len(e.events) + e.laneEntries
-	for _, d := range e.wires {
-		d.settle(e)
-		n += d.wires.n
+	for _, r := range e.reservers {
+		n += r.Reserved()
 	}
 	return n
 }
@@ -264,14 +316,14 @@ func (e *Engine) Run() int {
 func (e *Engine) run(until float64) int {
 	n := 0
 	for {
-		mt, mseq, ok := e.events.peek()
+		m, ok := e.events.peek()
 		if len(e.laneQ) > 0 {
 			r := e.laneQ[0]
-			if !ok || r.t < mt || (r.t == mt && r.seq < mseq) {
-				// r.t <= until is implied whenever the event heap still has
+			if !ok || r.Before(m) {
+				// r.T <= until is implied whenever the event heap still has
 				// in-horizon work (r precedes it), so this check only
 				// triggers when the lane head is the true stopping point.
-				if r.t > until {
+				if r.T > until {
 					return n
 				}
 				e.laneQPop()
@@ -279,31 +331,24 @@ func (e *Engine) run(until float64) int {
 				continue
 			}
 		}
-		if !ok || mt > until {
+		if !ok || m.T > until {
 			return n
 		}
 		ev := e.events.pop()
 		if e.audit {
-			e.checkCausality(ev.t)
+			e.checkCausality(ev.T)
 		}
-		e.now, e.curSeq = ev.t, ev.seq
+		e.now, e.curSeq = ev.T, ev.Seq
 		ev.fn()
 		n++
 		e.checkBudget()
 	}
 }
 
+// event is one queued callback. Its key orders by time, then by
+// scheduling sequence — a total order, so any valid queue pops events in
+// exactly one sequence.
 type event struct {
-	t   float64
-	seq uint64
-	fn  func()
-}
-
-// less orders by time, then by scheduling sequence — a total order, so any
-// valid queue pops events in exactly one sequence.
-func (a event) less(b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
+	Key
+	fn func()
 }

@@ -12,7 +12,7 @@ func (h *eventHeap) push(ev event) {
 	i := len(pq) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !pq[i].less(pq[p]) {
+		if !pq[i].Before(pq[p].Key) {
 			break
 		}
 		pq[i], pq[p] = pq[p], pq[i]
@@ -52,11 +52,11 @@ func (h *eventHeap) siftDown(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if pq[j].less(pq[best]) {
+			if pq[j].Before(pq[best].Key) {
 				best = j
 			}
 		}
-		if !pq[best].less(pq[i]) {
+		if !pq[best].Before(pq[i].Key) {
 			return
 		}
 		pq[i], pq[best] = pq[best], pq[i]
@@ -66,9 +66,9 @@ func (h *eventHeap) siftDown(i int) {
 
 // peek reports the minimum event's key without removing it; ok is false
 // when the heap is empty.
-func (h eventHeap) peek() (t float64, seq uint64, ok bool) {
+func (h eventHeap) peek() (Key, bool) {
 	if len(h) == 0 {
-		return 0, 0, false
+		return Key{}, false
 	}
-	return h[0].t, h[0].seq, true
+	return h[0].Key, true
 }

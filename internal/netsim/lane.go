@@ -10,8 +10,9 @@ import (
 // key plus a fixed payload — an integer slot, a flag settable through
 // Lane.Flag, and a packet pointer — so scheduling a packet allocates
 // nothing. Links use the packet and the flag (set when a link failure
-// flushes the packet before it reached the wire). Work that needs richer
-// state uses an ordinary closure via Engine.At instead.
+// flushes the packet before it reached the wire); PCC's paced sends use
+// the slot for the data seq and the flag for an RTT probe. Work that needs
+// richer state uses an ordinary closure via Engine.At instead.
 type LaneEntry struct {
 	T   float64 // firing time, set by Push
 	Seq uint64  // global scheduling sequence, set by Push
@@ -24,7 +25,9 @@ type LaneEntry struct {
 // total order. Pushing costs a ring-buffer append — no priority-queue
 // work and no closure allocation — under one contract: times must be
 // monotonically non-decreasing, which link serialization satisfies by
-// construction (busyUntil only moves forward while a link stays up). The
+// construction (busyUntil only moves forward while a link stays up), and
+// so does a PCC sender's pacing (each monitor interval's sends precede
+// the next interval's). The
 // engine keeps every non-empty lane in a small min-heap keyed by its head
 // entry's exact (t, seq); when a lane head is the global minimum the
 // engine drains a whole burst of consecutive entries while they precede
@@ -153,17 +156,8 @@ func (ln *Lane) pop() LaneEntry {
 // sits in laneQ (entries pop only during a drain, and a draining lane is
 // removed from laneQ first), so a copied key never goes stale.
 type laneRef struct {
-	t   float64
-	seq uint64
-	ln  *Lane
-}
-
-// before orders laneQ by (t, seq), matching event.less.
-func (a laneRef) before(b laneRef) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
+	Key
+	ln *Lane
 }
 
 // arm queues a newly non-empty lane in laneQ. The lane carries its head
@@ -173,12 +167,12 @@ func (a laneRef) before(b laneRef) bool {
 func (e *Engine) arm(ln *Lane) {
 	e.schedGen++
 	h := &ln.buf[ln.head]
-	r := laneRef{t: h.T, seq: h.Seq, ln: ln}
+	r := laneRef{Key{h.T, h.Seq}, ln}
 	e.laneQ = append(e.laneQ, r)
 	i := len(e.laneQ) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !r.before(e.laneQ[parent]) {
+		if !r.Before(e.laneQ[parent].Key) {
 			break
 		}
 		e.laneQ[i] = e.laneQ[parent]
@@ -202,10 +196,10 @@ func (e *Engine) laneQPop() {
 		if c >= last {
 			break
 		}
-		if c+1 < last && e.laneQ[c+1].before(e.laneQ[c]) {
+		if c+1 < last && e.laneQ[c+1].Before(e.laneQ[c].Key) {
 			c++
 		}
-		if !e.laneQ[c].before(r) {
+		if !e.laneQ[c].Before(r.Key) {
 			break
 		}
 		e.laneQ[i] = e.laneQ[c]
@@ -227,7 +221,7 @@ func (e *Engine) runLane(ln *Lane, until float64) int {
 	// other lane head — for the whole burst: it can only change if an
 	// entry's callback pushes (At or another lane arming), which schedGen
 	// tracks; the drain itself never pops anything else.
-	mt, mseq, mok := e.mergeMin()
+	m, mok := e.mergeMin()
 	gen := e.schedGen
 	for {
 		en := ln.pop()
@@ -247,10 +241,10 @@ func (e *Engine) runLane(ln *Lane, until float64) int {
 			break
 		}
 		if gen != e.schedGen {
-			mt, mseq, mok = e.mergeMin()
+			m, mok = e.mergeMin()
 			gen = e.schedGen
 		}
-		if mok && !(h.T < mt || (h.T == mt && h.Seq < mseq)) {
+		if mok && !(Key{h.T, h.Seq}).Before(m) {
 			e.arm(ln)
 			break
 		}
@@ -259,15 +253,14 @@ func (e *Engine) runLane(ln *Lane, until float64) int {
 	return n
 }
 
-// mergeMin returns the best (t, seq) key pending outside the currently
-// draining lane: the event-heap minimum merged with laneQ's root.
-func (e *Engine) mergeMin() (float64, uint64, bool) {
-	mt, mseq, ok := e.events.peek()
+// mergeMin returns the best key pending outside the currently draining
+// lane: the event-heap minimum merged with laneQ's root.
+func (e *Engine) mergeMin() (Key, bool) {
+	m, ok := e.events.peek()
 	if len(e.laneQ) > 0 {
-		r := e.laneQ[0]
-		if !ok || r.t < mt || (r.t == mt && r.seq < mseq) {
-			return r.t, r.seq, true
+		if r := e.laneQ[0]; !ok || r.Before(m) {
+			return r.Key, true
 		}
 	}
-	return mt, mseq, ok
+	return m, ok
 }

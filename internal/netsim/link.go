@@ -180,9 +180,9 @@ type linkDir struct {
 
 	// wires holds the serialization-done transition of every queued or
 	// serializing packet. A transition is not an engine event: it keeps
-	// the (t, seq) key it would have had as one and is applied — the
-	// packet leaves the queue and goes on the wire — by settle, at the
-	// first read of that state at or after its key. Keys enter in
+	// the key Reserve gave it where it would have been scheduled, and is
+	// applied — the packet leaves the queue and goes on the wire — by
+	// settle, at the first read of that state at or after its key. Keys enter in
 	// increasing order (the horizon only moves forward while the link is
 	// up, and a failure empties the FIFO), so the passed transitions are
 	// always a prefix.
@@ -192,8 +192,7 @@ type linkDir struct {
 	// priority queue.
 	deliver *Lane
 	// holds are the packets a tap or fault delay keeps off the link, in a
-	// min-heap on the (t, seq) key of the engine event that ends each
-	// hold. Those events all run unhold, bound once per direction, and
+	// min-heap on the key of the engine event that ends each hold. Those events all run unhold, bound once per direction, and
 	// fire in key order, so the heap's minimum is always the one firing.
 	holds  []held
 	unhold func()
@@ -203,18 +202,10 @@ type linkDir struct {
 // carries the verdict's duplicate count; a tap hold goes back through the
 // fault stage when it ends.
 type held struct {
-	t     float64
-	seq   uint64
+	k     Key
 	p     *packet.Packet
 	fault bool
 	dup   int
-}
-
-func (a held) before(b held) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
 }
 
 // pushHold adds h to the holds heap.
@@ -223,7 +214,7 @@ func (d *linkDir) pushHold(h held) {
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.before(q[parent]) {
+		if !h.k.Before(q[parent].k) {
 			break
 		}
 		q[i] = q[parent]
@@ -245,10 +236,10 @@ func (d *linkDir) popHold() held {
 		if c >= len(q) {
 			break
 		}
-		if c+1 < len(q) && q[c+1].before(q[c]) {
+		if c+1 < len(q) && q[c+1].k.Before(q[c].k) {
 			c++
 		}
-		if !q[c].before(last) {
+		if !q[c].k.Before(last.k) {
 			break
 		}
 		q[i] = q[c]
@@ -272,8 +263,7 @@ type wireFIFO struct {
 // that marks its packet's delivery dead if a failure flushes it first:
 // a deliver-lane position, or the closure path's flag.
 type wireEntry struct {
-	t    float64
-	seq  uint64
+	k    Key
 	pos  uint64
 	dead *bool
 }
@@ -299,7 +289,7 @@ func (f *wireFIFO) push(w wireEntry) {
 func (d *linkDir) settle(e *Engine) {
 	for f := &d.wires; f.n > 0; {
 		w := &f.buf[f.head]
-		if !e.passed(w.t, w.seq) {
+		if !e.Passed(w.k) {
 			return
 		}
 		f.head = (f.head + 1) & (len(f.buf) - 1)
@@ -311,7 +301,7 @@ func (d *linkDir) settle(e *Engine) {
 
 // flush drops every unsettled transition on a link failure, emptying the
 // queue: each packet's delivery is marked dead, and the transition goes to
-// the event heap as the no-op event it would have been, at its original
+// the event heap as the no-op event it would have been, at its reserved
 // key.
 func (d *linkDir) flush(e *Engine) {
 	d.qlen = 0
@@ -323,8 +313,15 @@ func (d *linkDir) flush(e *Engine) {
 		} else {
 			d.deliver.Flag(w.pos)
 		}
-		e.pushNop(w.t, w.seq)
+		e.AtKey(w.k, nop)
 	}
+}
+
+// Reserved implements Reserver: it settles the direction and returns its
+// unsettled transitions.
+func (d *linkDir) Reserved() int {
+	d.settle(d.deliver.eng)
+	return d.wires.n
 }
 
 // Up reports whether the link is currently up.
@@ -453,12 +450,12 @@ func (l *Link) send(from *Node, p *packet.Packet) {
 // hold keeps p off the link for delay seconds, counted in the tapHeld
 // occupancy term: it schedules the direction's unhold callback exactly as
 // a per-packet closure would have been scheduled, and files the packet
-// under that event's (t, seq) key.
+// under that event's key.
 func (l *Link) hold(d *linkDir, h held, delay float64) {
 	eng := l.net.eng
 	d.tapHeld++
-	eng.After(delay, d.unhold)
-	h.t, h.seq = eng.now+delay, eng.seq
+	h.k = eng.Reserve(eng.now + delay)
+	eng.AtKey(h.k, d.unhold)
 	d.pushHold(h)
 }
 
@@ -572,7 +569,7 @@ func (l *Link) admit(p *packet.Packet, dir Direction) bool {
 	// scheduled events would: a failure at exactly tw flushes the packet
 	// iff the failure's key comes first.
 	tw, td := start+tx, start+tx+l.Delay
-	w := wireEntry{t: tw, seq: eng.nextSeq()}
+	w := wireEntry{k: eng.Reserve(tw)}
 	dst := l.b
 	if dir == BToA {
 		dst = l.a
@@ -613,9 +610,9 @@ func (l *Link) deliverPacket(d *linkDir, dir Direction, dst *Node, p *packet.Pac
 	dst.receive(p, l)
 }
 
-// initLanes creates the per-direction deliver lanes and registers the
+// initLanes creates the per-direction deliver lanes, registers the
 // directions with the engine, whose Pending counts their unsettled
-// transitions, and binds each direction's unhold callback. An entry
+// transitions (Reserved), and binds each direction's unhold callback. An entry
 // flagged OK was flushed by a link failure; its packet ends its life when
 // the entry pops.
 func (l *Link) initLanes() {
@@ -634,6 +631,6 @@ func (l *Link) initLanes() {
 			l.deliverPacket(d, dir, dst, en.P)
 		})
 		d.unhold = func() { l.unholdFrom(d, dir) }
-		l.net.eng.wires = append(l.net.eng.wires, d)
+		l.net.eng.CountReserved(d)
 	}
 }

@@ -126,18 +126,11 @@ type Sender struct {
 	epsTrace []float64
 	stopped  bool
 
-	// sends queues the paced transmissions startMI scheduled, in firing
-	// order (each MI's send times are nondecreasing and precede the next
-	// MI's), so one bound callback serves them all.
-	sends    []pacedSend
-	sendHead int
-	sendFn   func() // s.sendNext, bound once
-}
-
-// pacedSend is one scheduled data transmission.
-type pacedSend struct {
-	seq   uint64
-	probe bool // record the send time as an RTT probe
+	// sends is the lane of paced transmissions startMI scheduled: each
+	// entry carries its seq in Tag and, in OK, whether to record its send
+	// time as an RTT probe. Each MI's send times are nondecreasing and
+	// precede the next MI's, which is the lane's FIFO contract.
+	sends *netsim.Lane
 }
 
 // miSpan is the seq range [lo, hi) one monitor interval sent.
@@ -159,7 +152,7 @@ func Start(src, dst *tcpflow.Endpoint, cfg Config, rng *stats.RNG) *Sender {
 		srtt:   0.1,
 	}
 	s.prevMIUtil = math.Inf(-1)
-	s.sendFn = s.sendNext
+	s.sends = s.net.Engine().NewLane(s.sendNext)
 	// Receiver: echo the sequence number of each arriving data packet.
 	rk := cfg.Key.Reverse()
 	dst.Register(cfg.Key, netsim.ReceiverFunc(func(now float64, p *packet.Packet) {
@@ -233,13 +226,10 @@ func (s *Sender) startMI(rate float64, role string) {
 		n = 1
 	}
 	gap := 1 / rate
-	s.sends = append(s.sends[:0], s.sends[s.sendHead:]...)
-	s.sendHead = 0
 	lo := s.nextSeq
 	for i := 0; i < n; i++ {
-		s.sends = append(s.sends, pacedSend{seq: s.nextSeq, probe: i%16 == 0}) // sparse RTT probes
+		s.sends.Push(now+float64(i)*gap, netsim.LaneEntry{Tag: s.nextSeq, OK: i%16 == 0}) // sparse RTT probes
 		s.nextSeq++
-		s.net.Engine().At(now+float64(i)*gap, s.sendFn)
 	}
 	rec.Sent = n
 	hi := s.nextSeq
@@ -251,19 +241,17 @@ func (s *Sender) startMI(rate float64, role string) {
 	s.net.Engine().At(now+dur+1.5*s.srtt+0.05, func() { s.finalizeMI(rec, hi) })
 }
 
-// sendNext transmits the oldest scheduled paced send.
-func (s *Sender) sendNext() {
-	ps := s.sends[s.sendHead]
-	s.sendHead++
+// sendNext transmits one paced send.
+func (s *Sender) sendNext(en netsim.LaneEntry) {
 	if s.stopped {
 		return
 	}
-	if ps.probe {
-		s.sentAt[ps.seq] = s.net.Now()
+	if en.OK {
+		s.sentAt[en.Tag] = en.T
 	}
 	s.node.Send(s.net.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, packet.TCPHeader{
 		SrcPort: s.cfg.Key.SrcPort, DstPort: s.cfg.Key.DstPort,
-		Seq: uint32(ps.seq), Flags: packet.FlagACK,
+		Seq: uint32(en.Tag), Flags: packet.FlagACK,
 	}, s.cfg.PktSize))
 }
 

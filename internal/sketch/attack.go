@@ -18,25 +18,32 @@ import "dui/internal/stats"
 // attacker.
 func CraftPollutingFlows(m, k, n int, region float64, startLabel FlowID) []FlowID {
 	rangeLen := m / k
-	limit := int(region * float64(rangeLen))
-	if limit < 1 {
-		limit = 1
-	}
+	limit := regionLimit(rangeLen, region)
 	out := make([]FlowID, 0, n)
-	var buf [8]int
 	for id := startLabel; len(out) < n; id++ {
-		ok := true
-		for i, p := range appendPositions(buf[:0], id, k, m) {
-			if p-i*rangeLen >= limit {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if inRegion(id, k, rangeLen, limit, -1) {
 			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// regionLimit is the number of leading cells of each partition the
+// polluted region covers.
+func regionLimit(rangeLen int, region float64) int {
+	return max(int(region*float64(rangeLen)), 1)
+}
+
+// inRegion reports whether every partition but skip puts id among its
+// first limit cells. It hashes one partition at a time and stops at the
+// first one outside, which is where nearly every candidate fails.
+func inRegion(id FlowID, k, rangeLen, limit, skip int) bool {
+	for i := 0; i < k; i++ {
+		if i != skip && offset(id, i, rangeLen) >= limit {
+			return false
+		}
+	}
+	return true
 }
 
 // CraftTargetedHiders crafts flows that conceal a chosen victim flow from
@@ -45,33 +52,16 @@ func CraftPollutingFlows(m, k, n int, region float64, startLabel FlowID) []FlowI
 // inside the polluted region, so they are themselves part of the stopping
 // set and can never be peeled away. With every victim cell permanently
 // impure, the victim's traffic disappears from the network statistics.
+// A candidate is checked against the victim's cell first, the rarer of
+// the two conditions.
 func CraftTargetedHiders(m, k int, victim FlowID, region float64, perCell int, startLabel FlowID) []FlowID {
 	rangeLen := m / k
-	limit := int(region * float64(rangeLen))
-	if limit < 1 {
-		limit = 1
-	}
-	vic := appendPositions(nil, victim, k, m)
+	limit := regionLimit(rangeLen, region)
 	var out []FlowID
-	var buf [8]int
 	for target := 0; target < k; target++ {
-		found := 0
-		for id := startLabel; found < perCell; id++ {
-			ps := appendPositions(buf[:0], id, k, m)
-			if ps[target] != vic[target] {
-				continue
-			}
-			ok := true
-			for i, p := range ps {
-				if i == target {
-					continue
-				}
-				if p-i*rangeLen >= limit {
-					ok = false
-					break
-				}
-			}
-			if ok && id != victim {
+		cell := offset(victim, target, rangeLen)
+		for found, id := 0, startLabel; found < perCell; id++ {
+			if offset(id, target, rangeLen) == cell && inRegion(id, k, rangeLen, limit, target) && id != victim {
 				out = append(out, id)
 				found++
 				startLabel = id + 1

@@ -86,14 +86,20 @@ const (
 func appendPositions(dst []int, id FlowID, k, m int) []int {
 	rangeLen := m / k
 	for i := 0; i < k; i++ {
-		h := (fnvOffset64 ^ uint64(byte(i))) * fnvPrime64
-		for shift := 56; shift >= 0; shift -= 8 {
-			h ^= uint64(byte(id >> shift))
-			h *= fnvPrime64
-		}
-		dst = append(dst, i*rangeLen+int(h%uint64(rangeLen)))
+		dst = append(dst, i*rangeLen+offset(id, i, rangeLen))
 	}
 	return dst
+}
+
+// offset is a label's cell index within partition i, which spans
+// rangeLen cells.
+func offset(id FlowID, i, rangeLen int) int {
+	h := (fnvOffset64 ^ uint64(byte(i))) * fnvPrime64
+	for shift := 56; shift >= 0; shift -= 8 {
+		h ^= uint64(byte(id >> shift))
+		h *= fnvPrime64
+	}
+	return int(h % uint64(rangeLen))
 }
 
 // Add records one packet of the given flow: the flow's label enters the

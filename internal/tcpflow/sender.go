@@ -85,7 +85,6 @@ type Sender struct {
 	srtt, rttv float64
 	rwnd       int64 // latest advertised receive window (bytes)
 	rto        float64
-	rtoSeq     uint64 // invalidates stale timers
 	backoff    int
 	stopped    bool
 	stats      Stats
@@ -96,26 +95,50 @@ type Sender struct {
 	paceWake   float64 // the pacing instant the last wake-up was scheduled for
 	repump     func()  // s.pump, bound once so pacing re-arms allocate nothing
 
-	// rtoArms holds every RTO arm whose engine event is still pending, as
-	// a min-heap on (deadline, gen) — the engine's own firing order, since
-	// gen rises with every arm and so follows scheduling order — so the
-	// one bound callback rtoFn learns which arm is firing and whether it
-	// is still current.
-	rtoArms []rtoArm
-	rtoFn   func() // s.rtoFired, bound once
+	// The RTO timer. Every arm reserves the engine key its own event
+	// would have had, but only the latest arm can fire, so arms are not
+	// queued one by one: the sender queues a wake-up at an arm's key only
+	// when no wake-up already queued comes at or before the live arm, and
+	// a wake-up that finds a superseded arm moves on to the live one.
+	// That is one wake-up per RTO period, not one event per segment
+	// (DESIGN.md §6.6).
+	rtoKey   netsim.Key   // the latest arm
+	rtoLive  bool         // the latest arm may still fire: not fired, superseded or cancelled
+	rtoWakes []netsim.Key // keys with a wake-up queued, latest first: the last one fires next
+	rtoStale keyQueue     // retired arms with no wake-up, counted by Reserved until they pass
+	rtoFn    func()       // s.rtoFired, bound once
 }
 
-// rtoArm is one armed retransmission timer.
-type rtoArm struct {
-	deadline float64
-	gen      uint64 // rtoSeq at arm time; stale once rtoSeq moves on
+// keyQueue holds reserved keys in ascending order until the engine passes
+// them. Keys arrive nearly in order (a deadline falls behind an earlier
+// one only when the timeout shrinks), so push sorts from the back.
+type keyQueue struct {
+	keys []netsim.Key // keys[lo:] are outstanding; keys[:lo] have passed
+	lo   int
 }
 
-func (a rtoArm) before(b rtoArm) bool {
-	if a.deadline != b.deadline {
-		return a.deadline < b.deadline
+func (q *keyQueue) push(k netsim.Key) {
+	if len(q.keys) == cap(q.keys) && q.lo > 0 {
+		// Compact over the passed prefix instead of growing.
+		q.keys, q.lo = q.keys[:copy(q.keys, q.keys[q.lo:])], 0
 	}
-	return a.gen < b.gen
+	q.keys = append(q.keys, k)
+	i := len(q.keys) - 1
+	for ; i > q.lo && k.Before(q.keys[i-1]); i-- {
+		q.keys[i] = q.keys[i-1]
+	}
+	q.keys[i] = k
+}
+
+// settle drops the keys e has passed and returns how many remain.
+func (q *keyQueue) settle(e *netsim.Engine) int {
+	for q.lo < len(q.keys) && e.Passed(q.keys[q.lo]) {
+		q.lo++
+	}
+	if q.lo == len(q.keys) {
+		q.keys, q.lo = q.keys[:0], 0
+	}
+	return len(q.keys) - q.lo
 }
 
 type sendInfo struct {
@@ -193,6 +216,7 @@ func Start(src, dst *Endpoint, cfg Config) *Sender {
 	s.stats.RTO = s.rto
 	s.repump = s.pump
 	s.rtoFn = s.rtoFired
+	s.net.Engine().CountReserved(s)
 	// Receiver: consumes data arriving with the forward key, ACKs back.
 	r := &receiver{net: dst.node.Net(), node: dst.node, key: cfg.Key, mss: cfg.MSS, rwnd: cfg.RcvWindow}
 	dst.Register(cfg.Key, r)
@@ -216,7 +240,7 @@ func (s *Sender) Window() float64 { return s.window }
 // Stop ends the flow; no further segments or timers fire.
 func (s *Sender) Stop() {
 	s.stopped = true
-	s.rtoSeq++
+	s.retireRTO()
 }
 
 // pump sends as many segments as the window (and pacing) allows.
@@ -270,65 +294,69 @@ func (s *Sender) transmit(seq int64, isRetrans bool) {
 	s.armRTO()
 }
 
+// armRTO (re)arms the retransmission timer. The arm reserves its key
+// where its own event would have been scheduled.
 func (s *Sender) armRTO() {
-	s.rtoSeq++
 	timeout := s.rto * math.Pow(2, float64(s.backoff))
 	if timeout > 60 {
 		timeout = 60
 	}
 	eng := s.net.Engine()
-	deadline := eng.Now() + timeout
-	s.pushArm(rtoArm{deadline: deadline, gen: s.rtoSeq})
-	eng.At(deadline, s.rtoFn)
+	k := eng.Reserve(eng.Now() + timeout)
+	s.retireRTO()
+	s.rtoKey, s.rtoLive = k, true
+	s.wakeRTO()
 }
 
-// rtoFired runs when the earliest pending arm's timer fires; only the
-// current arm retransmits.
+// wakeRTO queues a wake-up at the live arm's key unless one already queued
+// comes at or before it.
+func (s *Sender) wakeRTO() {
+	if n := len(s.rtoWakes); n == 0 || s.rtoKey.Before(s.rtoWakes[n-1]) {
+		s.net.Engine().AtKey(s.rtoKey, s.rtoFn)
+		s.rtoWakes = append(s.rtoWakes, s.rtoKey)
+	}
+}
+
+// retireRTO ends the live arm without firing it, as a re-arm, completion
+// or Stop does. Its key stays pending, as the no-op event it once was,
+// until it passes: through its wake-up if it has one, else in rtoStale.
+func (s *Sender) retireRTO() {
+	if !s.rtoLive {
+		return
+	}
+	s.rtoLive = false
+	if n := len(s.rtoWakes); n == 0 || s.rtoWakes[n-1] != s.rtoKey {
+		s.rtoStale.push(s.rtoKey)
+		s.rtoStale.settle(s.net.Engine())
+	}
+}
+
+// rtoFired runs a wake-up. At the live arm's key the timer fires; at a
+// superseded arm's key it moves on to the live arm.
 func (s *Sender) rtoFired() {
-	if s.popArm().gen == s.rtoSeq {
+	n := len(s.rtoWakes) - 1
+	k := s.rtoWakes[n]
+	s.rtoWakes = s.rtoWakes[:n]
+	switch {
+	case !s.rtoLive:
+	case k == s.rtoKey:
+		s.rtoLive = false
 		s.onRTO()
+	default:
+		s.wakeRTO()
 	}
 }
 
-func (s *Sender) pushArm(a rtoArm) {
-	h := append(s.rtoArms, a)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !a.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+// Reserved implements netsim.Reserver: the engine's pending count includes
+// every arm not yet passed, as it did when each arm was an event. Arms
+// with a wake-up are queued events already; the rest are the retired ones
+// in rtoStale and a live arm waiting behind an earlier wake-up.
+func (s *Sender) Reserved() int {
+	n := s.rtoStale.settle(s.net.Engine())
+	if w := len(s.rtoWakes); s.rtoLive && s.rtoWakes[w-1] != s.rtoKey {
+		n++
 	}
-	h[i] = a
-	s.rtoArms = h
-}
-
-func (s *Sender) popArm() rtoArm {
-	h := s.rtoArms
-	top, last := h[0], h[len(h)-1]
-	h = h[:len(h)-1]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(last) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	if len(h) > 0 {
-		h[i] = last
-	}
-	s.rtoArms = h
-	return top
+	return n
 }
 
 // onRTO fires when the oldest segment times out: retransmit it, back off,
@@ -383,7 +411,7 @@ func (s *Sender) onAck(now float64, p *packet.Packet) {
 	if s.cfg.TotalBytes > 0 && s.una >= s.cfg.TotalBytes {
 		s.stats.Completed = true
 		s.stats.CompletionTime = now
-		s.rtoSeq++ // cancel timers
+		s.retireRTO()
 		if s.OnComplete != nil {
 			s.OnComplete(now)
 		}
