@@ -182,18 +182,19 @@ type linkDir struct {
 	// serializing packet. A transition is not an engine event: it keeps
 	// the key Reserve gave it where it would have been scheduled, and is
 	// applied — the packet leaves the queue and goes on the wire — by
-	// settle, at the first read of that state at or after its key. Keys enter in
-	// increasing order (the horizon only moves forward while the link is
-	// up, and a failure empties the FIFO), so the passed transitions are
-	// always a prefix.
+	// settle, at the first read of that state at or after its key. Keys
+	// enter in increasing order (the horizon only moves forward while the
+	// link is up, and a failure empties the FIFO), so the passed
+	// transitions are always a prefix.
 	wires wireFIFO
 	// deliver is the direction's batching lane (see Lane): the delivery
 	// events of consecutive packets are FIFO in time, so they skip the
 	// priority queue.
 	deliver *Lane
 	// holds are the packets a tap or fault delay keeps off the link, in a
-	// min-heap on the key of the engine event that ends each hold. Those events all run unhold, bound once per direction, and
-	// fire in key order, so the heap's minimum is always the one firing.
+	// min-heap on the key of the engine event that ends each hold. Those
+	// events all run unhold, bound once per direction, and fire in key
+	// order, so the heap's minimum is always the one firing.
 	holds  []held
 	unhold func()
 }
@@ -448,9 +449,9 @@ func (l *Link) send(from *Node, p *packet.Packet) {
 }
 
 // hold keeps p off the link for delay seconds, counted in the tapHeld
-// occupancy term: it schedules the direction's unhold callback exactly as
-// a per-packet closure would have been scheduled, and files the packet
-// under that event's key.
+// occupancy term: it reserves the key a per-packet closure would have
+// been scheduled at, queues the direction's unhold callback there, and
+// files the packet under that key.
 func (l *Link) hold(d *linkDir, h held, delay float64) {
 	eng := l.net.eng
 	d.tapHeld++
@@ -612,9 +613,9 @@ func (l *Link) deliverPacket(d *linkDir, dir Direction, dst *Node, p *packet.Pac
 
 // initLanes creates the per-direction deliver lanes, registers the
 // directions with the engine, whose Pending counts their unsettled
-// transitions (Reserved), and binds each direction's unhold callback. An entry
-// flagged OK was flushed by a link failure; its packet ends its life when
-// the entry pops.
+// transitions (Reserved), and binds each direction's unhold callback. An
+// entry flagged OK was flushed by a link failure; its packet ends its life
+// when the entry pops.
 func (l *Link) initLanes() {
 	for i := range l.dir {
 		d := &l.dir[i]
