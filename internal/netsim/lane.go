@@ -27,12 +27,11 @@ type LaneEntry struct {
 // monotonically non-decreasing, which link serialization satisfies by
 // construction (busyUntil only moves forward while a link stays up), and
 // so does a PCC sender's pacing (each monitor interval's sends precede
-// the next interval's). The
-// engine keeps every non-empty lane in a small min-heap keyed by its head
-// entry's exact (t, seq); when a lane head is the global minimum the
-// engine drains a whole burst of consecutive entries while they precede
-// everything else pending. One callback, fixed at creation, runs every
-// entry.
+// the next interval's). The engine keeps every non-empty lane in a small
+// min-heap keyed by its head entry's exact (t, seq); when a lane head is
+// the global minimum the engine drains a whole burst of consecutive
+// entries while they precede everything else pending. One callback, fixed
+// at creation, runs every entry.
 //
 // Lanes are an ordering-transparent optimization: Push assigns seq from
 // the same counter as At/After, so a lane entry executes exactly where the
