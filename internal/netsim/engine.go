@@ -137,9 +137,9 @@ func (e *Engine) EventBudget() uint64 { return e.budget }
 // schedules it is not counted: a link's serialization-done transitions
 // are settled lazily rather than executed (one flushed by a link failure
 // runs as the no-op event it would have been, and is), and a TCP
-// sender's superseded RTO arms simply pass. Executed drops by exactly
-// those keys, so an event budget is reached later only by a run that
-// reserves keys without end.
+// sender's superseded and cancelled RTO arms simply pass. Executed drops
+// by exactly those keys, so an event budget is reached later only by a
+// run that reserves keys without end.
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // checkBudget enforces the event-budget watchdog after each executed event.
