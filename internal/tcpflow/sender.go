@@ -104,7 +104,7 @@ type Sender struct {
 	// (DESIGN.md §6.6).
 	rtoKey   netsim.Key   // the latest arm
 	rtoLive  bool         // the latest arm may still fire: not fired, superseded or cancelled
-	rtoWakes []netsim.Key // keys with a wake-up queued, latest first: the last one fires next
+	rtoWakes []netsim.Key // keys with a wake-up queued, in descending order: the last fires next
 	rtoStale keyQueue     // retired arms with no wake-up, counted by Reserved until they pass
 	rtoFn    func()       // s.rtoFired, bound once
 }
