@@ -53,10 +53,10 @@ bench-gate:
 		| $(GO) run ./cmd/benchgate -strict-allocs BENCH_GATE.json
 
 ## pop-smoke: the PoP-scale determinism gate — a 512-prefix / ~34k-flow
-## duireport blink-pop run with the bank-vs-scalar audit on every 8th
-## prefix, executed once single-shard single-worker and once with 7 shards
-## on 4 workers; the deterministic stdout must be byte-identical (cmp) or
-## the target fails.
+## duireport blink-pop run that cross-checks every 8th prefix against a
+## shadow one-prefix bank, executed once single-shard single-worker and
+## once with 7 shards on 4 workers; the deterministic stdout must be
+## byte-identical (cmp) or the target fails.
 pop-smoke:
 	$(GO) build -o /tmp/pop-smoke-duireport ./cmd/duireport
 	/tmp/pop-smoke-duireport blink-pop -quick -audit-every 8 -shards 1 -parallel 1 2>/dev/null > /tmp/pop-smoke-a.txt

@@ -443,7 +443,7 @@ func BenchmarkPopScale(b *testing.B) {
 // BenchmarkSubstrateFlowSelector measures the hot data-plane path: one
 // packet through Blink's flow selector.
 func BenchmarkSubstrateFlowSelector(b *testing.B) {
-	m := blink.NewMonitor(blink.Config{})
+	m := blink.NewMonitorBank(1, blink.Config{})
 	st := trace.NewLegit(trace.LegitConfig{
 		Victim: blink.Victim, Flows: 500, Dur: trace.ExpDuration{MeanSec: 6},
 		PPS: 2, Until: math.Inf(1), SrcBase: blink.LegitSrcBase,
@@ -451,7 +451,7 @@ func BenchmarkSubstrateFlowSelector(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev, _ := st.Next()
-		m.Feed(ev.Time, ev.Pkt)
+		m.Feed(0, ev.Time, ev.Pkt)
 	}
 }
 

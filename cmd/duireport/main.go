@@ -209,13 +209,13 @@ func blinkFig2() {
 		n := cfgIn.Defaults().Runs
 		recs = make([]*audit.Recorder, n)
 		auds = make([]*audit.MonAudit, n)
-		cfgIn.ObserveTrial = func(run int, m *blink.Monitor) {
+		cfgIn.ObserveTrial = func(run int, m *blink.MonitorBank) {
 			var rec *audit.Recorder
 			if *trace != "" {
 				rec = audit.NewRecorder()
 				recs[run] = rec
 			}
-			auds[run] = audit.AttachMonitor(m, rec)
+			auds[run] = audit.AttachMonitor(m, 0, rec)
 		}
 	}
 	if *progress {
@@ -307,7 +307,7 @@ func blinkPop() {
 	cli.SeedVar(&cfg.Seed, "root seed (prefix pid streams from ChildAt(seed, pid))")
 	flag.IntVar(&cfg.Shards, "shards", 32, "contiguous prefix-range shards (output identical at any value)")
 	cli.ParallelVar(&cfg.Parallel, "workers for the shard pool (0 = all cores; output identical at any value)")
-	flag.IntVar(&cfg.AuditEvery, "audit-every", 0, "cross-check every k-th prefix against a shadow scalar Monitor (0 = off)")
+	flag.IntVar(&cfg.AuditEvery, "audit-every", 0, "cross-check every k-th prefix against a shadow one-prefix bank (0 = off)")
 	quick := flag.Bool("quick", false, "reduced-scale smoke run (512 prefixes, 10 s)")
 	failures := flag.Int("failures", 5, "print the first N failure inferences")
 	defer start("duireport blink-pop")()

@@ -7,10 +7,10 @@
 //
 // The package only observes: it attaches to the hooks the substrate
 // exposes (netsim.Network.SetLinkProbe, netsim.Engine.SetAudit, the
-// blink.Monitor On* callbacks, blink.Fig2Config.ObserveTrial) and never
+// blink.MonitorBank On* observers, blink.Fig2Config.ObserveTrial) and never
 // mutates simulation state. With nothing attached the substrate pays one
 // nil check per event — the zero-allocation hot-path guarantees of the
-// engine, the trace generators, and Monitor.Feed are unchanged.
+// engine, the trace generators, and MonitorBank.Feed are unchanged.
 //
 // Audits are wired into tests and experiment binaries behind the
 // DUI_AUDIT=1 environment variable (or each binary's -audit flag); reduced

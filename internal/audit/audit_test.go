@@ -152,13 +152,13 @@ func TestAuditTapDelayAccounting(t *testing.T) {
 	}
 }
 
-// TestMonitorAuditCleanRun feeds a monitor a mixed legitimate/malicious
+// TestMonitorAuditCleanRun feeds a one-prefix bank a mixed legitimate/malicious
 // workload (including retransmission storms) and requires the selector
 // invariants to hold throughout.
 func TestMonitorAuditCleanRun(t *testing.T) {
-	m := blink.NewMonitor(blink.Config{Cells: 16, Threshold: 17}) // unreachable threshold: no inference cutoff
+	m := blink.NewMonitorBank(1, blink.Config{Cells: 16, Threshold: 17}) // unreachable threshold: no inference cutoff
 	rec := NewRecorder()
-	a := AttachMonitor(m, rec)
+	a := AttachMonitor(m, 0, rec)
 	rng := stats.NewRNG(7)
 	legit := trace.NewLegit(trace.LegitConfig{
 		Victim: blink.Victim, Flows: 80, Dur: trace.ExpDuration{MeanSec: 4},
@@ -177,7 +177,7 @@ func TestMonitorAuditCleanRun(t *testing.T) {
 			break
 		}
 		now = ev.Time
-		m.Feed(now, ev.Pkt)
+		m.Feed(0, now, ev.Pkt)
 		if steps++; steps%1000 == 0 {
 			if err := a.Check(now); err != nil {
 				t.Fatalf("audit at t=%.3f: %v", now, err)
@@ -228,19 +228,19 @@ func TestTraceRoundTripAndDiff(t *testing.T) {
 }
 
 // TestMonitorAuditCatchesTamperedCell proves the selector checker is
-// live: recreating a monitor state whose counted flags cannot match the
+// live: recreating a selector state whose counted flags cannot match the
 // incremental count must be reported. The tampering goes through the only
 // public mutation path (Feed) plus a fabricated "now" far in the past,
 // which is exactly the misuse the checker guards against.
 func TestMonitorAuditCatchesTamperedCell(t *testing.T) {
-	m := blink.NewMonitor(blink.Config{Cells: 4, Threshold: 5})
-	a := AttachMonitor(m, nil)
+	m := blink.NewMonitorBank(1, blink.Config{Cells: 4, Threshold: 5})
+	a := AttachMonitor(m, 0, nil)
 	// One retransmitting flow: counted, in-window.
 	p := packet.NewTCP(packet.MustParseAddr("30.0.0.1"), blink.Victim.Nth(1),
 		packet.TCPHeader{SrcPort: 9, DstPort: 443, Seq: 100}, 1500)
-	m.Feed(1.0, p)
-	m.Feed(1.1, p) // seq repeats -> retransmission, counted
-	m.Feed(1.2, p)
+	m.Feed(0, 1.0, p)
+	m.Feed(0, 1.1, p) // seq repeats -> retransmission, counted
+	m.Feed(0, 1.2, p)
 	// Checking "at" a time before the retransmission makes LastRetr appear
 	// out of causal order with the claimed window membership.
 	if err := a.Check(0.5); err == nil {

@@ -10,30 +10,32 @@ import (
 )
 
 // BankAudit cross-checks a PoP-scale blink.MonitorBank against shadow
-// scalar blink.Monitors on a sample of its prefixes. For every audited
-// prefix the auditor keeps an independent Monitor — the reference
-// implementation every single-prefix experiment uses — feeds it the exact
-// packets the bank sees, runs the full MonAudit selector-invariant checks
-// on it, and at Check time demands the bank's flat state be *bit-identical*
-// to the shadow: cells (including unexported tracking fields, via
+// one-prefix banks on a sample of its prefixes. For every audited prefix
+// the auditor keeps an independent one-prefix bank — the shape every
+// single-prefix experiment uses — feeds it the exact packets the bank
+// sees, runs the full MonAudit selector-invariant checks on it, and at
+// Check time demands the bank's flat state be *bit-identical* to the
+// shadow: cells (including unexported tracking fields, via
 // reflect.DeepEqual), the incremental window counters, and the failure
-// inference times. A divergence means the struct-of-arrays refactor broke
-// the algorithm for some prefix; the violation names the prefix.
+// inference times. Both run the same selector algorithm, so what the
+// cross-check catches is a wrong segment offset or prefix tag — traffic
+// or state of one prefix landing in another; the violation names the
+// prefix.
 type BankAudit struct {
 	bank *blink.MonitorBank
 	// idx maps a bank prefix id to its slot in prefixes/shadows (-1 when
 	// the prefix is not audited), so Feed costs one slice load per packet.
 	idx      []int32
 	prefixes []int
-	shadows  []*blink.Monitor
+	shadows  []*blink.MonitorBank
 	mons     []*MonAudit
 	v        violations
 }
 
 // AttachBank builds the cross-checker for the given bank prefix ids
 // (deduplicated, must be in [0, bank.Prefixes())). When rec is non-nil the
-// shadow monitors also record their residence/retransmission/failure
-// events into it, exactly as AttachMonitor does for scalar experiments.
+// shadow banks also record their residence/retransmission/failure events
+// into it, exactly as AttachMonitor does for single-prefix experiments.
 func AttachBank(bank *blink.MonitorBank, prefixes []int, rec *Recorder) *BankAudit {
 	a := &BankAudit{
 		bank: bank,
@@ -48,9 +50,9 @@ func AttachBank(bank *blink.MonitorBank, prefixes []int, rec *Recorder) *BankAud
 		}
 		a.idx[p] = int32(len(a.prefixes))
 		a.prefixes = append(a.prefixes, p)
-		m := blink.NewMonitor(bank.Config())
+		m := blink.NewMonitorBank(1, bank.Config())
 		a.shadows = append(a.shadows, m)
-		a.mons = append(a.mons, AttachMonitor(m, rec))
+		a.mons = append(a.mons, AttachMonitor(m, 0, rec))
 	}
 	return a
 }
@@ -58,23 +60,23 @@ func AttachBank(bank *blink.MonitorBank, prefixes []int, rec *Recorder) *BankAud
 // Prefixes returns the audited bank prefix ids in attachment order.
 func (a *BankAudit) Prefixes() []int { return a.prefixes }
 
-// Feed mirrors one packet into prefix p's shadow monitor, when p is
+// Feed mirrors one packet into prefix p's shadow bank, when p is
 // audited. Call it with exactly the (p, now, pkt) arguments passed to the
 // bank's Feed; unaudited prefixes cost one array load.
 func (a *BankAudit) Feed(p int, now float64, pkt *packet.Packet) {
 	if i := a.idx[p]; i >= 0 {
-		a.shadows[i].Feed(now, pkt)
+		a.shadows[i].Feed(0, now, pkt)
 	}
 }
 
 // Check verifies every audited prefix at virtual time now (>= the last
-// Feed time): the shadow monitor's own selector invariants (MonAudit), and
+// Feed time): the shadow bank's own selector invariants (MonAudit), and
 // bank-vs-shadow state identity. It returns all violations joined, nil
 // when the bank is exact.
 func (a *BankAudit) Check(now float64) error {
 	for i, p := range a.prefixes {
 		if err := a.mons[i].Check(now); err != nil {
-			a.v.add(now, RuleSelector, prefixName(p), "shadow monitor invariants: %v", err)
+			a.v.add(now, RuleSelector, prefixName(p), "shadow bank invariants: %v", err)
 		}
 		a.comparePrefix(now, p, a.shadows[i])
 	}
@@ -82,14 +84,14 @@ func (a *BankAudit) Check(now float64) error {
 }
 
 // comparePrefix demands bit-identity between the bank's prefix p and its
-// shadow monitor.
-func (a *BankAudit) comparePrefix(now float64, p int, m *blink.Monitor) {
+// one-prefix shadow bank m.
+func (a *BankAudit) comparePrefix(now float64, p int, m *blink.MonitorBank) {
 	where := prefixName(p)
-	if !reflect.DeepEqual(a.bank.CellsAt(p), m.Cells()) {
-		a.v.add(now, RuleSelector, where, "bank cells diverge from the shadow scalar monitor")
+	if !reflect.DeepEqual(a.bank.CellsAt(p), m.CellsAt(0)) {
+		a.v.add(now, RuleSelector, where, "bank cells diverge from the shadow bank")
 	}
 	bc, bm := a.bank.AuditWindowState(p)
-	sc, sm := m.AuditWindowState()
+	sc, sm := m.AuditWindowState(0)
 	if bc != sc || !sameFloat(bm, sm) {
 		a.v.add(now, RuleSelector, where,
 			"bank window counters (count %d, min %.9g) != shadow (count %d, min %.9g)", bc, bm, sc, sm)
@@ -104,9 +106,9 @@ func (a *BankAudit) comparePrefix(now float64, p int, m *blink.Monitor) {
 		if f.Prefix != p {
 			continue
 		}
-		if f.Now != shadow[i] {
+		if f.Now != shadow[i].Now {
 			a.v.add(now, RuleSelector, where,
-				"failure %d at %.9g in the bank, %.9g in the shadow", i, f.Now, shadow[i])
+				"failure %d at %.9g in the bank, %.9g in the shadow", i, f.Now, shadow[i].Now)
 		}
 		i++
 	}

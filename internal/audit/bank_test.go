@@ -81,8 +81,8 @@ func TestBankAuditCatchesDivergence(t *testing.T) {
 }
 
 // TestBankAuditRecordsShadowEvents pins that a Recorder attached through
-// AttachBank sees the shadow monitors' residence/failure events, the same
-// stream AttachMonitor records for scalar experiments.
+// AttachBank sees the shadow banks' residence/failure events, the same
+// stream AttachMonitor records for single-prefix experiments.
 func TestBankAuditRecordsShadowEvents(t *testing.T) {
 	cfg := bankWorkload()
 	bank := blink.NewMonitorBank(cfg.Prefixes, blink.Config{})
@@ -101,6 +101,6 @@ func TestBankAuditRecordsShadowEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rec.Events()) == 0 {
-		t.Fatal("recorder saw no shadow-monitor events")
+		t.Fatal("recorder saw no shadow-bank events")
 	}
 }

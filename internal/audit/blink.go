@@ -8,28 +8,34 @@ import (
 	"dui/internal/packet"
 )
 
-// MonAudit traces and checks one blink.Monitor. The tracer records every
-// residence event (sample, evict, reset-evict), every detected
-// retransmission, and every failure inference; the checker verifies the
-// selector invariants the PR 2 incremental-count optimization rests on.
+// MonAudit traces and checks one prefix of a blink.MonitorBank. The
+// tracer records every residence event (sample, evict, reset-evict), every
+// detected retransmission, and every failure inference; the checker
+// verifies the selector invariants the incremental-count optimization
+// rests on.
 type MonAudit struct {
-	m   *blink.Monitor
+	b   *blink.MonitorBank
+	p   int
 	rec *Recorder
 	v   violations
 }
 
 // AttachMonitor installs tracing (when rec is non-nil) and continuous
-// residence checks on m via its OnSample/OnEvict/OnRetrans/OnFailure
-// callbacks. Monitor callbacks accumulate, so the auditor coexists with a
-// reroute pipeline or an experiment observer on the same monitor.
-func AttachMonitor(m *blink.Monitor, rec *Recorder) *MonAudit {
-	a := &MonAudit{m: m, rec: rec}
-	m.OnSample(func(now float64, key packet.FlowKey, cell int) {
-		if a.rec != nil {
+// residence checks on prefix p of b via the bank's OnSample/OnEvict/
+// OnRetrans/OnFailure observers, ignoring every other prefix. Bank
+// observers accumulate, so the auditor coexists with a reroute pipeline or
+// an experiment observer on the same bank.
+func AttachMonitor(b *blink.MonitorBank, p int, rec *Recorder) *MonAudit {
+	a := &MonAudit{b: b, p: p, rec: rec}
+	b.OnSample(func(prefix int, now float64, key packet.FlowKey, cell int) {
+		if prefix == p && a.rec != nil {
 			a.rec.Record(now, KindSample, cell, key.FastHash())
 		}
 	})
-	m.OnEvict(func(ev blink.Eviction) {
+	b.OnEvict(func(prefix int, ev blink.Eviction) {
+		if prefix != p {
+			return
+		}
 		if ev.Residence < 0 || math.IsNaN(ev.Residence) {
 			a.v.add(ev.Now, RuleSelector, cellName(ev.Cell), "eviction before sampling (residence %g)", ev.Residence)
 		}
@@ -41,13 +47,13 @@ func AttachMonitor(m *blink.Monitor, rec *Recorder) *MonAudit {
 			a.rec.Record(ev.Now, k, ev.Cell, ev.Key.FastHash())
 		}
 	})
-	m.OnRetrans(func(ev blink.RetransEvent) {
-		if a.rec != nil {
+	b.OnRetrans(func(prefix int, ev blink.RetransEvent) {
+		if prefix == p && a.rec != nil {
 			a.rec.Record(ev.Now, KindRetrans, ev.Cell, ev.Key.FastHash())
 		}
 	})
-	m.OnFailure(func(now float64) {
-		if a.rec != nil {
+	b.OnFailure(func(prefix int, now float64) {
+		if prefix == p && a.rec != nil {
 			a.rec.Record(now, KindFailure, 0, 0)
 		}
 	})
@@ -57,7 +63,7 @@ func AttachMonitor(m *blink.Monitor, rec *Recorder) *MonAudit {
 func cellName(i int) string { return "cell " + strconv.Itoa(i) }
 
 // Check verifies the selector's structural invariants at virtual time now
-// (now must be >= the monitor's last Feed time) and returns them joined
+// (now must be >= the prefix's last Feed time) and returns them joined
 // with any violations the continuous hooks collected:
 //
 //   - occupied cells never exceed the configured cell count;
@@ -69,8 +75,8 @@ func cellName(i int) string { return "cell " + strconv.Itoa(i) }
 //     retransmission is still inside the window at now is counted, and
 //     minLastRetr never exceeds any counted cell's LastRetr.
 func (a *MonAudit) Check(now float64) error {
-	cfg := a.m.Config()
-	cells := a.m.Cells()
+	cfg := a.b.Config()
+	cells := a.b.CellsAt(a.p)
 	if len(cells) != cfg.Cells {
 		a.v.add(now, RuleSelector, "", "selector has %d cells, config says %d", len(cells), cfg.Cells)
 	}
@@ -108,7 +114,7 @@ func (a *MonAudit) Check(now float64) error {
 	if occupied > cfg.Cells {
 		a.v.add(now, RuleSelector, "", "%d occupied cells exceed the %d-cell selector", occupied, cfg.Cells)
 	}
-	count, minLastRetr := a.m.AuditWindowState()
+	count, minLastRetr := a.b.AuditWindowState(a.p)
 	if count != counted {
 		a.v.add(now, RuleSelector, "", "incremental retransmission count %d != %d counted cells", count, counted)
 	}

@@ -7,122 +7,87 @@
 package blink
 
 import (
+	"fmt"
 	"testing"
 
 	"dui/internal/packet"
 )
 
-// TestMonitorFeedZeroAllocs pins 0 allocs/op for Monitor.Feed on a warm
-// selector: hashing, sampling, eviction, sequence tracking, and the
-// incremental retransmission count must all run without touching the heap.
-func TestMonitorFeedZeroAllocs(t *testing.T) {
-	m := NewMonitor(Config{})
-	pkts := make([]*packet.Packet, 256)
-	for i := range pkts {
-		pkts[i] = packet.NewTCP(packet.Addr(i+1), Victim.Nth(1), packet.TCPHeader{
-			SrcPort: uint16(1000 + i), DstPort: 443, Flags: packet.FlagACK,
-		}, 1500)
-	}
-	now := 0.0
-	i := 0
-	feed := func() {
-		p := pkts[i%len(pkts)]
-		p.TCP.Seq += 1460 // advancing data; exercises seq tracking, no failures
-		now += 0.005
-		m.Feed(now, p)
-		i++
-	}
-	// Warm: fill cells, trip the first sample resets and evictions.
-	for k := 0; k < 8192; k++ {
-		feed()
-	}
-	if avg := testing.AllocsPerRun(10000, feed); avg != 0 {
-		t.Fatalf("Monitor.Feed allocates %.1f objects/op, want 0", avg)
-	}
+// bankAllocCases are the two shapes every zero-allocation guard runs on: a
+// one-prefix bank (the single-prefix experiments and a one-policy
+// Pipeline) and packets round-robining across 64 prefixes (the PoP sweep).
+// step is the virtual time between packets and warm the number of
+// packets fed before measuring.
+var bankAllocCases = []struct {
+	prefixes, warm int
+	step           float64
+}{
+	{prefixes: 1, warm: 8192, step: 0.005},
+	{prefixes: 64, warm: 32768, step: 0.0005},
 }
 
 // TestMonitorBankFeedZeroAllocs pins 0 allocs/op for MonitorBank.Feed on
-// a warm bank: the PoP-scale hot path — segment slicing, the shared
-// selector core, and the bank's observer dispatch — must not touch the
-// heap even while packets round-robin across prefixes.
+// a warm bank: hashing, sampling, eviction, sequence tracking, the
+// incremental retransmission count, segment slicing, and the bank's
+// observer dispatch must all run without touching the heap.
 func TestMonitorBankFeedZeroAllocs(t *testing.T) {
-	const prefixes = 64
-	bank := NewMonitorBank(prefixes, Config{})
-	pkts := make([]*packet.Packet, 256)
-	for i := range pkts {
-		pkts[i] = packet.NewTCP(packet.Addr(i+1), Victim.Nth(1), packet.TCPHeader{
-			SrcPort: uint16(1000 + i), DstPort: 443, Flags: packet.FlagACK,
-		}, 1500)
-	}
-	now := 0.0
-	i := 0
-	feed := func() {
-		p := pkts[i%len(pkts)]
-		p.TCP.Seq += 1460
-		now += 0.0005
-		bank.Feed(i%prefixes, now, p)
-		i++
-	}
-	for k := 0; k < 32768; k++ {
-		feed()
-	}
-	if avg := testing.AllocsPerRun(10000, feed); avg != 0 {
-		t.Fatalf("MonitorBank.Feed allocates %.1f objects/op, want 0", avg)
+	for _, tc := range bankAllocCases {
+		t.Run(fmt.Sprintf("prefixes=%d", tc.prefixes), func(t *testing.T) {
+			bank := NewMonitorBank(tc.prefixes, Config{})
+			pkts := make([]*packet.Packet, 256)
+			for i := range pkts {
+				pkts[i] = packet.NewTCP(packet.Addr(i+1), Victim.Nth(1), packet.TCPHeader{
+					SrcPort: uint16(1000 + i), DstPort: 443, Flags: packet.FlagACK,
+				}, 1500)
+			}
+			now := 0.0
+			i := 0
+			feed := func() {
+				p := pkts[i%len(pkts)]
+				p.TCP.Seq += 1460 // advancing data; exercises seq tracking, no failures
+				now += tc.step
+				bank.Feed(i%tc.prefixes, now, p)
+				i++
+			}
+			for k := 0; k < tc.warm; k++ {
+				feed()
+			}
+			if avg := testing.AllocsPerRun(10000, feed); avg != 0 {
+				t.Fatalf("MonitorBank.Feed allocates %.1f objects/op, want 0", avg)
+			}
+		})
 	}
 }
 
-// TestMonitorBankFeedZeroAllocsDuringStorm pins the same guarantee in the
-// retransmission-storm regime, with inference armed but unreachable so the
-// rare failure-record append stays off the measured path.
+// TestMonitorBankFeedZeroAllocsDuringStorm pins the same guarantee during
+// a retransmission storm — every packet repeats its flow's sequence
+// number — which is exactly the regime the incremental inference count
+// exists for. Inference stays armed but unreachable, so the rare
+// failure-record append stays off the measured path.
 func TestMonitorBankFeedZeroAllocsDuringStorm(t *testing.T) {
-	const prefixes = 64
-	bank := NewMonitorBank(prefixes, Config{})
-	bank.cfg.Threshold = bank.cfg.Cells + 1
-	pkts := make([]*packet.Packet, 256)
-	for i := range pkts {
-		pkts[i] = packet.NewTCP(packet.Addr(i+1), Victim.Nth(1), packet.TCPHeader{
-			SrcPort: uint16(1000 + i), DstPort: 443, Seq: 7300, Flags: packet.FlagACK,
-		}, 1500)
-	}
-	now := 0.0
-	i := 0
-	feed := func() {
-		bank.Feed(i%prefixes, now, pkts[i%len(pkts)]) // constant seq: every data packet retransmits
-		now += 0.0005
-		i++
-	}
-	for k := 0; k < 32768; k++ {
-		feed()
-	}
-	if avg := testing.AllocsPerRun(10000, feed); avg != 0 {
-		t.Fatalf("MonitorBank.Feed (storm) allocates %.1f objects/op, want 0", avg)
-	}
-}
-
-// TestMonitorFeedZeroAllocsDuringStorm pins the same guarantee during a
-// retransmission storm — every packet repeats its flow's sequence number —
-// which is exactly the regime the incremental inference count exists for.
-func TestMonitorFeedZeroAllocsDuringStorm(t *testing.T) {
-	m := NewMonitor(Config{})
-	// Leave inference armed but unreachable: no failure-slice append.
-	m.cfg.Threshold = m.cfg.Cells + 1
-	pkts := make([]*packet.Packet, 256)
-	for i := range pkts {
-		pkts[i] = packet.NewTCP(packet.Addr(i+1), Victim.Nth(1), packet.TCPHeader{
-			SrcPort: uint16(1000 + i), DstPort: 443, Seq: 7300, Flags: packet.FlagACK,
-		}, 1500)
-	}
-	now := 0.0
-	i := 0
-	feed := func() {
-		m.Feed(now, pkts[i%len(pkts)]) // constant seq: every data packet is a retransmit
-		now += 0.005
-		i++
-	}
-	for k := 0; k < 8192; k++ {
-		feed()
-	}
-	if avg := testing.AllocsPerRun(10000, feed); avg != 0 {
-		t.Fatalf("Monitor.Feed (storm) allocates %.1f objects/op, want 0", avg)
+	for _, tc := range bankAllocCases {
+		t.Run(fmt.Sprintf("prefixes=%d", tc.prefixes), func(t *testing.T) {
+			bank := NewMonitorBank(tc.prefixes, Config{})
+			bank.cfg.Threshold = bank.cfg.Cells + 1
+			pkts := make([]*packet.Packet, 256)
+			for i := range pkts {
+				pkts[i] = packet.NewTCP(packet.Addr(i+1), Victim.Nth(1), packet.TCPHeader{
+					SrcPort: uint16(1000 + i), DstPort: 443, Seq: 7300, Flags: packet.FlagACK,
+				}, 1500)
+			}
+			now := 0.0
+			i := 0
+			feed := func() {
+				bank.Feed(i%tc.prefixes, now, pkts[i%len(pkts)]) // constant seq: every data packet retransmits
+				now += tc.step
+				i++
+			}
+			for k := 0; k < tc.warm; k++ {
+				feed()
+			}
+			if avg := testing.AllocsPerRun(10000, feed); avg != 0 {
+				t.Fatalf("MonitorBank.Feed (storm) allocates %.1f objects/op, want 0", avg)
+			}
+		})
 	}
 }

@@ -188,7 +188,7 @@ func RunHijack(cfg HijackConfig) *HijackResult {
 	PlayStream(nw, ingress, trace.Merge(legit, mal))
 
 	nw.Engine().At(cfg.TriggerAt, func() {
-		res.MaliciousCellsAtTrigger = pipe.Monitor(0).CountOccupied(IsMaliciousSrc)
+		res.MaliciousCellsAtTrigger = pipe.Bank().CountOccupied(0, IsMaliciousSrc)
 	})
 	nw.RunUntil(cfg.Duration)
 

@@ -11,40 +11,40 @@ type BankFailure struct {
 	Now    float64
 }
 
-// MonitorBank is the PoP-scale shape of Blink's per-prefix state: the
-// selectors of n prefixes held in flat struct-of-arrays storage — one
-// contiguous []Cell of n×Cells slots plus one scalar selState per prefix —
-// and fed by dense prefix id. Feeding prefix p touches only p's cell
-// segment and scalar record, so a PoP sweep that processes prefixes in
-// bursts stays cache-resident instead of chasing one heap-allocated
-// *Monitor per prefix through a map.
+// MonitorBank is Blink's per-prefix data-plane state: the flow selectors
+// plus failure inference of n prefixes, held in flat struct-of-arrays
+// storage — one contiguous []Cell of n×Cells slots plus one scalar
+// selState per prefix — and fed by dense prefix id. Feeding prefix p
+// touches only p's cell segment and scalar record, so a PoP sweep that
+// processes prefixes in bursts stays cache-resident. It is driven purely
+// by packets (Feed); all timing is derived from packet timestamps, as in
+// the P4 implementation.
 //
-// The bank runs exactly the scalar Monitor's algorithm (the shared
-// selCore), so for every prefix the cell states, window counters, and
-// failure inferences are bit-identical to what an independent Monitor fed
-// the same packets would hold — the property TestMonitorBankMatchesMonitors
-// pins and internal/audit's BankAudit cross-checks online.
+// Every prefix runs the same selCore algorithm on its own segment, so a
+// prefix's cell states, window counters, and failure inferences are
+// bit-identical to those of a one-prefix bank fed the same packets — the
+// property TestMonitorBankMatchesMonitors pins and internal/audit's
+// BankAudit cross-checks online.
 //
 // The warm Feed path performs no heap allocation (pinned by
 // TestMonitorBankFeedZeroAllocs); the only allocating path is the append
 // recording a rare failure inference.
 type MonitorBank struct {
 	cfg   Config
-	n     int
 	cells []Cell     // n * cfg.Cells, prefix p owns cells[p*Cells:(p+1)*Cells]
 	st    []selState // one scalar record per prefix
 
-	// cur is the prefix currently being fed; the selObserver methods read
-	// it to tag events. A MonitorBank is single-goroutine, like Monitor.
+	// cur is the prefix currently being fed; the event methods read it to
+	// tag events. A MonitorBank is single-goroutine.
 	cur int
 
 	failures  []BankFailure
 	nFailures []uint32 // per-prefix failure counts (dense, for summaries)
 
-	onFailure func(prefix int, now float64)
-	onRetrans func(prefix int, ev RetransEvent)
-	onEvict   func(prefix int, ev Eviction)
-	onSample  func(prefix int, now float64, key packet.FlowKey, cell int)
+	onFailure []func(prefix int, now float64)
+	onRetrans []func(prefix int, ev RetransEvent)
+	onEvict   []func(prefix int, ev Eviction)
+	onSample  []func(prefix int, now float64, key packet.FlowKey, cell int)
 }
 
 // NewMonitorBank returns a bank of n per-prefix selectors with the given
@@ -55,7 +55,6 @@ func NewMonitorBank(n int, cfg Config) *MonitorBank {
 	cfg = cfg.Defaults()
 	b := &MonitorBank{
 		cfg:       cfg,
-		n:         n,
 		cells:     make([]Cell, n*cfg.Cells),
 		st:        make([]selState, n),
 		nFailures: make([]uint32, n),
@@ -70,7 +69,7 @@ func NewMonitorBank(n int, cfg Config) *MonitorBank {
 func (b *MonitorBank) Config() Config { return b.cfg }
 
 // Prefixes returns the number of prefixes the bank monitors.
-func (b *MonitorBank) Prefixes() int { return b.n }
+func (b *MonitorBank) Prefixes() int { return len(b.st) }
 
 // seg returns prefix p's cell segment. The full-slice expression pins the
 // capacity so an observer cannot grow into a neighbor's segment.
@@ -81,71 +80,80 @@ func (b *MonitorBank) seg(p int) []Cell {
 
 // core returns the selector view of prefix p for the shared algorithm.
 func (b *MonitorBank) core(p int) selCore {
-	return selCore{cfg: &b.cfg, cells: b.seg(p), st: &b.st[p], obs: b}
+	return selCore{b: b, cells: b.seg(p), st: &b.st[p]}
 }
 
-// Feed processes one packet toward prefix p's selector. Packets for one
-// prefix must arrive in non-decreasing time order (the same contract as
-// Monitor.Feed); different prefixes are independent, so the interleaving
-// across prefixes is unconstrained.
+// Feed processes one packet toward prefix p's selector. Non-TCP packets
+// are ignored (Blink monitors TCP only). Packets for one prefix must
+// arrive in non-decreasing time order; different prefixes are
+// independent, so the interleaving across prefixes is unconstrained.
 func (b *MonitorBank) Feed(p int, now float64, pkt *packet.Packet) {
 	b.cur = p
 	b.core(p).feed(now, pkt)
 }
 
-// Restart models a crash/power-cycle of the device holding prefix p's
-// selector state (see Monitor.Restart).
+// Restart models a crash and power-cycle of the device holding prefix p's
+// selector state: every occupied cell is evicted (reported to OnEvict with
+// Reset=true — residences ended by state loss, not by the sampling rules),
+// failure inference re-arms, and the sample-reset clock restarts at now.
+// Registered observers survive — they model the control plane and the
+// auditors, not router RAM.
 func (b *MonitorBank) Restart(p int, now float64) {
 	b.cur = p
 	b.core(p).restart(now)
 }
 
-// sampled implements selObserver for the prefix being fed.
+// OnFailure registers a failure-inference observer. Observers of every
+// kind accumulate and run in registration order, so a reroute pipeline, a
+// guard, and an audit tracer can observe the same bank; each sees every
+// prefix and filters the ones it watches.
+func (b *MonitorBank) OnFailure(f func(prefix int, now float64)) {
+	b.onFailure = append(b.onFailure, f)
+}
+
+// OnRetrans registers a retransmission observer.
+func (b *MonitorBank) OnRetrans(f func(prefix int, ev RetransEvent)) {
+	b.onRetrans = append(b.onRetrans, f)
+}
+
+// OnEvict registers an eviction observer (tR measurement).
+func (b *MonitorBank) OnEvict(f func(prefix int, ev Eviction)) { b.onEvict = append(b.onEvict, f) }
+
+// OnSample registers an observer of cell occupations — the counterpart of
+// OnEvict, used by the audit event tracer to record every residence.
+func (b *MonitorBank) OnSample(f func(prefix int, now float64, key packet.FlowKey, cell int)) {
+	b.onSample = append(b.onSample, f)
+}
+
+// sampled reports a cell occupation of the prefix being fed.
 func (b *MonitorBank) sampled(now float64, key packet.FlowKey, cell int) {
-	if b.onSample != nil {
-		b.onSample(b.cur, now, key, cell)
+	for _, f := range b.onSample {
+		f(b.cur, now, key, cell)
 	}
 }
 
-// evicted implements selObserver for the prefix being fed.
+// evicted reports the end of a residence in the prefix being fed.
 func (b *MonitorBank) evicted(ev Eviction) {
-	if b.onEvict != nil {
-		b.onEvict(b.cur, ev)
+	for _, f := range b.onEvict {
+		f(b.cur, ev)
 	}
 }
 
-// retrans implements selObserver for the prefix being fed.
+// retrans reports a retransmission detected in the prefix being fed.
 func (b *MonitorBank) retrans(ev RetransEvent) {
-	if b.onRetrans != nil {
-		b.onRetrans(b.cur, ev)
+	for _, f := range b.onRetrans {
+		f(b.cur, ev)
 	}
 }
 
-// failed implements selObserver: the inference is recorded against the
-// prefix being fed, then handed to the OnFailure callback.
+// failed records an inference against the prefix being fed, then hands it
+// to the OnFailure observers.
 func (b *MonitorBank) failed(now float64) {
 	b.failures = append(b.failures, BankFailure{Prefix: b.cur, Now: now})
 	b.nFailures[b.cur]++
-	if b.onFailure != nil {
-		b.onFailure(b.cur, now)
+	for _, f := range b.onFailure {
+		f(b.cur, now)
 	}
-}
-
-// OnFailure sets the bank-wide failure observer (the reroute decision
-// sink). Unlike Monitor's accumulating callback slices, the bank carries a
-// single function per event kind — per-prefix slices would defeat the flat
-// layout at 100k prefixes.
-func (b *MonitorBank) OnFailure(f func(prefix int, now float64)) { b.onFailure = f }
-
-// OnRetrans sets the bank-wide retransmission observer.
-func (b *MonitorBank) OnRetrans(f func(prefix int, ev RetransEvent)) { b.onRetrans = f }
-
-// OnEvict sets the bank-wide eviction observer.
-func (b *MonitorBank) OnEvict(f func(prefix int, ev Eviction)) { b.onEvict = f }
-
-// OnSample sets the bank-wide cell-occupation observer.
-func (b *MonitorBank) OnSample(f func(prefix int, now float64, key packet.FlowKey, cell int)) {
-	b.onSample = f
 }
 
 // Failures returns every failure inference in feed order (shared backing
@@ -155,9 +163,7 @@ func (b *MonitorBank) Failures() []BankFailure { return b.failures }
 // FailureCount returns how many failures prefix p has inferred.
 func (b *MonitorBank) FailureCount(p int) int { return int(b.nFailures[p]) }
 
-// CellsAt returns a snapshot copy of prefix p's selector state, in the
-// same shape Monitor.Cells returns — the equivalence tests and BankAudit
-// compare the two directly.
+// CellsAt returns a snapshot copy of prefix p's selector state.
 func (b *MonitorBank) CellsAt(p int) []Cell {
 	out := make([]Cell, b.cfg.Cells)
 	copy(out, b.seg(p))
@@ -165,13 +171,16 @@ func (b *MonitorBank) CellsAt(p int) []Cell {
 }
 
 // AuditWindowState exposes prefix p's incremental failure-inference
-// counters (see Monitor.AuditWindowState).
+// counters for the invariant checker (internal/audit): the number of cells
+// currently counted as retransmitting in-window, and the conservative
+// lower bound on their earliest LastRetr.
 func (b *MonitorBank) AuditWindowState(p int) (retrCount int, minLastRetr float64) {
 	return b.st[p].retrCount, b.st[p].minLastRetr
 }
 
 // CountOccupied returns how many of prefix p's cells match pred (pred nil
-// counts all occupied cells).
+// counts all occupied cells). The Fig 2 experiment counts cells occupied
+// by malicious flows.
 func (b *MonitorBank) CountOccupied(p int, pred func(packet.FlowKey) bool) int {
 	return countOccupied(b.seg(p), pred)
 }

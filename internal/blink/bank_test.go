@@ -23,23 +23,23 @@ func popWorkload(prefixes int) trace.PopConfig {
 	}.Defaults()
 }
 
-// TestMonitorBankMatchesMonitors is the tentpole property: feeding N
-// prefixes' interleaved packets through one MonitorBank leaves every
-// prefix bit-identical — cells including unexported tracking fields,
+// TestMonitorBankMatchesMonitors pins segment offsets and prefix tagging:
+// feeding N prefixes' interleaved packets through one MonitorBank leaves
+// every prefix bit-identical — cells including unexported tracking fields,
 // incremental window counters, failure times, and callback events — to N
-// independent scalar Monitors fed the same per-prefix packets.
+// independent one-prefix banks fed the same per-prefix packets.
 func TestMonitorBankMatchesMonitors(t *testing.T) {
 	const prefixes = 32
 	cfg := popWorkload(prefixes)
 	short := Config{ResetPeriod: 20} // exercise sample resets within Until
 	bank := NewMonitorBank(prefixes, short)
 
-	mons := make([]*Monitor, prefixes)
+	mons := make([]*MonitorBank, prefixes)
 	var wantFailures []BankFailure
 	for p := range mons {
-		mons[p] = NewMonitor(short)
+		mons[p] = NewMonitorBank(1, short)
 		p := p
-		mons[p].OnFailure(func(now float64) {
+		mons[p].OnFailure(func(_ int, now float64) {
 			wantFailures = append(wantFailures, BankFailure{Prefix: p, Now: now})
 		})
 	}
@@ -51,7 +51,7 @@ func TestMonitorBankMatchesMonitors(t *testing.T) {
 	var bankRetr, monRetr int
 	bank.OnRetrans(func(prefix int, ev RetransEvent) { bankRetr++ })
 	for _, m := range mons {
-		m.OnRetrans(func(ev RetransEvent) { monRetr++ })
+		m.OnRetrans(func(_ int, ev RetransEvent) { monRetr++ })
 	}
 
 	sh := trace.NewPopShard(cfg, 0, prefixes)
@@ -62,7 +62,7 @@ func TestMonitorBankMatchesMonitors(t *testing.T) {
 			break
 		}
 		bank.Feed(ev.Prefix, ev.Time, ev.Pkt)
-		mons[ev.Prefix].Feed(ev.Time, ev.Pkt)
+		mons[ev.Prefix].Feed(0, ev.Time, ev.Pkt)
 		n++
 	}
 	if n == 0 {
@@ -70,17 +70,17 @@ func TestMonitorBankMatchesMonitors(t *testing.T) {
 	}
 
 	for p := 0; p < prefixes; p++ {
-		if got, want := bank.CellsAt(p), mons[p].Cells(); !reflect.DeepEqual(got, want) {
-			t.Errorf("prefix %d: bank cells diverge from scalar monitor", p)
+		if got, want := bank.CellsAt(p), mons[p].CellsAt(0); !reflect.DeepEqual(got, want) {
+			t.Errorf("prefix %d: bank cells diverge from its one-prefix bank", p)
 		}
 		bc, bm := bank.AuditWindowState(p)
-		sc, sm := mons[p].AuditWindowState()
+		sc, sm := mons[p].AuditWindowState(0)
 		if bc != sc || bm != sm {
-			t.Errorf("prefix %d: window counters (%d, %g) != scalar (%d, %g)", p, bc, bm, sc, sm)
+			t.Errorf("prefix %d: window counters (%d, %g) != one-prefix bank (%d, %g)", p, bc, bm, sc, sm)
 		}
 		want := mons[p].Failures()
 		if got := bank.FailureCount(p); got != len(want) {
-			t.Errorf("prefix %d: %d failures in bank, %d in scalar monitor", p, got, len(want))
+			t.Errorf("prefix %d: %d failures in bank, %d in its one-prefix bank", p, got, len(want))
 			continue
 		}
 		i := 0
@@ -88,8 +88,8 @@ func TestMonitorBankMatchesMonitors(t *testing.T) {
 			if f.Prefix != p {
 				continue
 			}
-			if f.Now != want[i] {
-				t.Errorf("prefix %d: failure %d at %g in bank, %g in scalar monitor", p, i, f.Now, want[i])
+			if f.Now != want[i].Now {
+				t.Errorf("prefix %d: failure %d at %g in bank, %g in its one-prefix bank", p, i, f.Now, want[i].Now)
 			}
 			i++
 		}
@@ -101,23 +101,23 @@ func TestMonitorBankMatchesMonitors(t *testing.T) {
 		t.Error("OnFailure callbacks diverge from the recorded failure list")
 	}
 	if !reflect.DeepEqual(gotFailures, wantFailures) {
-		t.Error("bank failure callbacks diverge from the scalar monitors'")
+		t.Error("bank failure callbacks diverge from the one-prefix banks'")
 	}
 	if bankRetr == 0 || bankRetr != monRetr {
-		t.Errorf("bank saw %d retransmission events, scalar monitors %d", bankRetr, monRetr)
+		t.Errorf("bank saw %d retransmission events, one-prefix banks %d", bankRetr, monRetr)
 	}
 }
 
 // TestMonitorBankRestart pins that a per-prefix Restart wipes exactly that
-// prefix: the restarted prefix matches a restarted scalar Monitor and its
+// prefix: the restarted prefix matches a restarted one-prefix bank and its
 // neighbors are untouched.
 func TestMonitorBankRestart(t *testing.T) {
 	const prefixes = 4
 	cfg := popWorkload(prefixes)
 	bank := NewMonitorBank(prefixes, Config{})
-	mons := make([]*Monitor, prefixes)
+	mons := make([]*MonitorBank, prefixes)
 	for p := range mons {
-		mons[p] = NewMonitor(Config{})
+		mons[p] = NewMonitorBank(1, Config{})
 	}
 	sh := trace.NewPopShard(cfg, 0, prefixes)
 	last := 0.0
@@ -127,13 +127,13 @@ func TestMonitorBankRestart(t *testing.T) {
 			break
 		}
 		bank.Feed(ev.Prefix, ev.Time, ev.Pkt)
-		mons[ev.Prefix].Feed(ev.Time, ev.Pkt)
+		mons[ev.Prefix].Feed(0, ev.Time, ev.Pkt)
 		last = ev.Time
 	}
 	bank.Restart(1, last)
-	mons[1].Restart(last)
+	mons[1].Restart(0, last)
 	for p := 0; p < prefixes; p++ {
-		if !reflect.DeepEqual(bank.CellsAt(p), mons[p].Cells()) {
+		if !reflect.DeepEqual(bank.CellsAt(p), mons[p].CellsAt(0)) {
 			t.Errorf("prefix %d diverges after restarting prefix 1", p)
 		}
 	}
@@ -192,5 +192,42 @@ func TestMonitorBankSegmentsIsolated(t *testing.T) {
 		if c, m := bank.AuditWindowState(p); c != 0 || !math.IsInf(m, 1) && m != 0 {
 			t.Errorf("prefix %d window counters moved: (%d, %g)", p, c, m)
 		}
+	}
+}
+
+// TestMonitorBankObserversAccumulate pins the observer contract the
+// pipeline, guard, auditor and oracle stack relies on: registering a
+// second observer of a kind adds to the first, and both run, in
+// registration order, on every event of that kind.
+func TestMonitorBankObserversAccumulate(t *testing.T) {
+	bank := NewMonitorBank(2, Config{Cells: 1, Threshold: 1, Window: 1, ResetPeriod: 10})
+	var got []string
+	note := func(event string, p int) {
+		if p != 1 {
+			t.Errorf("%s tagged with prefix %d, want 1", event, p)
+		}
+		got = append(got, event)
+	}
+	for _, name := range []string{"first", "second"} {
+		name := name
+		bank.OnSample(func(p int, now float64, key packet.FlowKey, cell int) { note("sample "+name, p) })
+		bank.OnEvict(func(p int, ev Eviction) { note("evict "+name, p) })
+		bank.OnRetrans(func(p int, ev RetransEvent) { note("retrans "+name, p) })
+		bank.OnFailure(func(p int, now float64) { note("failure "+name, p) })
+	}
+	pkt := packet.NewTCP(1, Victim.Nth(1), packet.TCPHeader{SrcPort: 9, DstPort: 443, Flags: packet.FlagACK}, 1500)
+	bank.Feed(1, 0, pkt)    // sample
+	bank.Feed(1, 0.05, pkt) // first sequence number seen
+	bank.Feed(1, 0.1, pkt)  // repeated: retransmission, at threshold 1 a failure
+	bank.Feed(1, 10.5, pkt) // past the sample reset: reset-evict, then resample
+	want := []string{
+		"sample first", "sample second",
+		"retrans first", "retrans second",
+		"failure first", "failure second",
+		"evict first", "evict second",
+		"sample first", "sample second",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("observer calls = %q, want %q", got, want)
 	}
 }

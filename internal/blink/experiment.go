@@ -27,12 +27,12 @@ func IsMaliciousSrc(k packet.FlowKey) bool {
 
 // MeasureTR empirically measures tR — the mean time a legitimate flow
 // remains sampled — by running a legitimate-only workload through a
-// monitor and averaging the residence times of completed (non-reset)
-// evictions after a warmup.
+// one-prefix bank and averaging the residence times of completed
+// (non-reset) evictions after a warmup.
 func MeasureTR(cfg Config, flows int, dur trace.DurationDist, pps, duration, warmup float64, rng *stats.RNG) float64 {
-	m := NewMonitor(cfg)
+	m := NewMonitorBank(1, cfg)
 	var s stats.Summary
-	m.OnEvict(func(ev Eviction) {
+	m.OnEvict(func(_ int, ev Eviction) {
 		if !ev.Reset && ev.Now >= warmup {
 			s.Add(ev.Residence)
 		}
@@ -46,7 +46,7 @@ func MeasureTR(cfg Config, flows int, dur trace.DurationDist, pps, duration, war
 		if !ok {
 			break
 		}
-		m.Feed(ev.Time, ev.Pkt)
+		m.Feed(0, ev.Time, ev.Pkt)
 	}
 	return s.Mean()
 }
@@ -94,12 +94,12 @@ type Fig2Config struct {
 	Parallel int
 	// OnProgress, if set, observes trial completion (see runner.Config).
 	OnProgress func(runner.Progress)
-	// ObserveTrial, if set, is called with each trial's Monitor right
-	// after construction, before any packet is fed — the attachment point
-	// for internal/audit's event tracer and invariant checker. Trials run
-	// concurrently on the worker pool, so the callback must be safe for
-	// concurrent calls (distinct runs receive distinct monitors).
-	ObserveTrial func(run int, m *Monitor)
+	// ObserveTrial, if set, is called with each trial's one-prefix bank
+	// right after construction, before any packet is fed — the attachment
+	// point for internal/audit's event tracer and invariant checker.
+	// Trials run concurrently on the worker pool, so the callback must be
+	// safe for concurrent calls (distinct runs receive distinct banks).
+	ObserveTrial func(run int, m *MonitorBank)
 }
 
 // Defaults fills the paper's parameters.
@@ -225,7 +225,7 @@ func RunFig2(cfg Fig2Config) *Fig2Result {
 // simulateOnce runs one trace-driven selector simulation and returns the
 // malicious-cell count sampled on the experiment grid.
 func simulateOnce(cfg Fig2Config, meanDur float64, run int, rng *stats.RNG) *stats.Series {
-	m := NewMonitor(cfg.Blink)
+	m := NewMonitorBank(1, cfg.Blink)
 	if cfg.ObserveTrial != nil {
 		cfg.ObserveTrial(run, m)
 	}
@@ -250,14 +250,14 @@ func simulateOnce(cfg Fig2Config, meanDur float64, run int, rng *stats.RNG) *sta
 			break
 		}
 		for idx < len(series.Values) && ev.Time >= next {
-			series.Values[idx] = float64(m.CountOccupied(IsMaliciousSrc))
+			series.Values[idx] = float64(m.CountOccupied(0, IsMaliciousSrc))
 			idx++
 			next += cfg.SampleStep
 		}
-		m.Feed(ev.Time, ev.Pkt)
+		m.Feed(0, ev.Time, ev.Pkt)
 	}
 	for ; idx < len(series.Values); idx++ {
-		series.Values[idx] = float64(m.CountOccupied(IsMaliciousSrc))
+		series.Values[idx] = float64(m.CountOccupied(0, IsMaliciousSrc))
 	}
 	return series
 }

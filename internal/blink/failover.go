@@ -113,7 +113,7 @@ func RunFailover(cfg FailoverConfig) *FailoverResult {
 		cfg.Hook(pipe)
 	}
 	rBlink.AttachProgram(pipe)
-	pipe.Monitor(0).OnRetrans(func(ev RetransEvent) {
+	pipe.Bank().OnRetrans(func(_ int, ev RetransEvent) {
 		res.RetransGaps = append(res.RetransGaps, ev.Gap)
 	})
 	if cfg.Chaos != nil {

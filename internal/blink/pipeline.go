@@ -21,12 +21,15 @@ type Reroute struct {
 	To     *netsim.Node
 }
 
-// Pipeline is Blink as a netsim data-plane program: per-prefix monitors
-// plus the reroute action. Attach it to a router with AttachProgram; it
-// installs the primary route at construction.
+// Pipeline is Blink as a netsim data-plane program: one monitor bank,
+// where prefix i monitors policy i, plus the reroute action. Attach it to
+// a router with AttachProgram; it installs the primary routes at
+// construction.
 type Pipeline struct {
 	node     *netsim.Node
-	states   []*prefixState
+	bank     *MonitorBank
+	policies []PrefixPolicy
+	current  []int // per policy: index of the active next hop
 	reroutes []Reroute
 
 	// OnReroute, if set, observes failover decisions.
@@ -36,52 +39,51 @@ type Pipeline struct {
 	// §5 supervisor's hook (countermeasure IV: "invoking supervisor
 	// checks"). Returning true blocks the reroute; inference re-arms at
 	// the next sample reset.
-	Veto func(r Reroute, m *Monitor) bool
+	Veto func(r Reroute) bool
 
 	// VetoedReroutes counts blocked failovers.
 	VetoedReroutes int
 }
 
-type prefixState struct {
-	policy  PrefixPolicy
-	monitor *Monitor
-	current int
-}
-
-// NewPipeline builds the program, creates one monitor per policy, and
-// installs each policy's primary route on node.
+// NewPipeline builds the program, creates the bank with one prefix per
+// policy, and installs each policy's primary route on node.
 func NewPipeline(node *netsim.Node, cfg Config, policies []PrefixPolicy) *Pipeline {
-	p := &Pipeline{node: node}
+	p := &Pipeline{
+		node:     node,
+		bank:     NewMonitorBank(len(policies), cfg),
+		policies: append([]PrefixPolicy(nil), policies...),
+		current:  make([]int, len(policies)),
+	}
 	for _, pol := range policies {
 		if len(pol.NextHops) == 0 {
 			panic("blink: policy needs at least one next hop")
 		}
-		st := &prefixState{policy: pol, monitor: NewMonitor(cfg)}
 		node.AddRoute(pol.Prefix, pol.NextHops[0], nil)
-		st.monitor.OnFailure(func(now float64) { p.failover(now, st) })
-		p.states = append(p.states, st)
 	}
+	p.bank.OnFailure(p.failover)
 	return p
 }
 
-// Monitor returns the monitor for the i-th policy, for metric collection.
-func (p *Pipeline) Monitor(i int) *Monitor { return p.states[i].monitor }
+// Bank returns the pipeline's monitor bank (prefix i is the i-th policy),
+// for metric collection and observers.
+func (p *Pipeline) Bank() *MonitorBank { return p.bank }
 
 // Reroutes returns all failover decisions so far.
 func (p *Pipeline) Reroutes() []Reroute { return p.reroutes }
 
 // CurrentNextHop returns the active next hop for the i-th policy.
 func (p *Pipeline) CurrentNextHop(i int) *netsim.Node {
-	return p.states[i].policy.NextHops[p.states[i].current]
+	return p.policies[i].NextHops[p.current[i]]
 }
 
 // OnPacket implements netsim.Program: feed TCP packets toward monitored
-// prefixes into the matching monitor. Blink never drops traffic.
+// prefixes into the matching prefix of the bank. Blink never drops
+// traffic.
 func (p *Pipeline) OnPacket(now float64, pkt *packet.Packet, node *netsim.Node) bool {
 	if pkt.TCP != nil {
-		for _, st := range p.states {
-			if st.policy.Prefix.Contains(pkt.Dst) {
-				st.monitor.Feed(now, pkt)
+		for i := range p.policies {
+			if p.policies[i].Prefix.Contains(pkt.Dst) {
+				p.bank.Feed(i, now, pkt)
 				break
 			}
 		}
@@ -90,33 +92,35 @@ func (p *Pipeline) OnPacket(now float64, pkt *packet.Packet, node *netsim.Node) 
 }
 
 // Restart models a crash/restart of the router running the pipeline: all
-// monitor state is lost (Monitor.Restart) and every policy falls back to
-// its primary next hop — what a rebooted device loads from its startup
+// monitor state is lost (MonitorBank.Restart) and every policy falls back
+// to its primary next hop — what a rebooted device loads from its startup
 // config. Reroute history, veto counts, and registered hooks survive; they
 // belong to the experiment harness, not router RAM.
 func (p *Pipeline) Restart(now float64) {
-	for _, st := range p.states {
-		st.monitor.Restart(now)
-		st.current = 0
-		p.node.AddRoute(st.policy.Prefix, st.policy.NextHops[0], nil)
+	for i, pol := range p.policies {
+		p.bank.Restart(i, now)
+		p.current[i] = 0
+		p.node.AddRoute(pol.Prefix, pol.NextHops[0], nil)
 	}
 }
 
-// failover advances to the next backup next hop and rewrites the route —
-// Blink's fast-reroute action, and the lever the §3.1 attacker pulls.
-func (p *Pipeline) failover(now float64, st *prefixState) {
-	if st.current+1 >= len(st.policy.NextHops) {
+// failover advances policy i to its next backup next hop and rewrites the
+// route — Blink's fast-reroute action, and the lever the §3.1 attacker
+// pulls.
+func (p *Pipeline) failover(i int, now float64) {
+	pol := p.policies[i]
+	if p.current[i]+1 >= len(pol.NextHops) {
 		return // no backup left
 	}
-	from := st.policy.NextHops[st.current]
-	to := st.policy.NextHops[st.current+1]
-	ev := Reroute{Now: now, Prefix: st.policy.Prefix, From: from, To: to}
-	if p.Veto != nil && p.Veto(ev, st.monitor) {
+	from := pol.NextHops[p.current[i]]
+	to := pol.NextHops[p.current[i]+1]
+	ev := Reroute{Now: now, Prefix: pol.Prefix, From: from, To: to}
+	if p.Veto != nil && p.Veto(ev) {
 		p.VetoedReroutes++
 		return
 	}
-	st.current++
-	p.node.AddRoute(st.policy.Prefix, to, nil)
+	p.current[i]++
+	p.node.AddRoute(pol.Prefix, to, nil)
 	p.reroutes = append(p.reroutes, ev)
 	if p.OnReroute != nil {
 		p.OnReroute(ev)

@@ -61,12 +61,12 @@ func TestPipelineMultiPrefix(t *testing.T) {
 // TestMonitorRearmsAfterReset: failure inference fires at most once per
 // sample epoch and re-arms at the reset.
 func TestMonitorRearmsAfterReset(t *testing.T) {
-	m := NewMonitor(Config{Cells: 2, Threshold: 1, ResetPeriod: 10, Window: 1})
+	m := NewMonitorBank(1, Config{Cells: 2, Threshold: 1, ResetPeriod: 10, Window: 1})
 	fires := 0
-	m.OnFailure(func(now float64) { fires++ })
+	m.OnFailure(func(_ int, now float64) { fires++ })
 	k := packet.FlowKey{Src: 1, Dst: Victim.Nth(1), SrcPort: 9, DstPort: 443, Proto: packet.ProtoTCP}
 	feed := func(now float64, seq uint32) {
-		m.Feed(now, packet.NewTCP(k.Src, k.Dst, packet.TCPHeader{
+		m.Feed(0, now, packet.NewTCP(k.Src, k.Dst, packet.TCPHeader{
 			SrcPort: k.SrcPort, DstPort: k.DstPort, Seq: seq, Flags: packet.FlagACK,
 		}, 1500))
 	}

@@ -18,12 +18,10 @@
 // cell, the sample fills with malicious flows that are never evicted until
 // the reset (§3.1, Fig 2).
 //
-// Per-prefix state comes in two shapes sharing one algorithm: the scalar
-// *Monitor (one prefix, callback observers — the shape every single-prefix
-// experiment uses) and the PoP-scale *MonitorBank (tens of thousands of
-// prefixes in flat struct-of-arrays state, fed by dense prefix id). Both
-// drive the same unexported selCore, so their selector decisions are
-// bit-identical by construction (pinned by TestMonitorBankMatchesMonitors).
+// Per-prefix state lives in one shape, the *MonitorBank: the selectors of
+// n prefixes in flat struct-of-arrays storage, fed by dense prefix id. A
+// single-prefix experiment is a one-prefix bank, and a Pipeline holds one
+// bank with prefix i for its i-th policy.
 package blink
 
 import (
@@ -114,8 +112,8 @@ type Eviction struct {
 
 // selState is the per-prefix scalar selector state beside the cells: the
 // sample-reset clock, the one-inference-per-epoch arming bit, and the
-// incremental failure-inference counters. A Monitor holds one; a
-// MonitorBank holds a flat array of them indexed by prefix id.
+// incremental failure-inference counters. A MonitorBank holds a flat
+// array of them indexed by prefix id.
 type selState struct {
 	nextReset float64
 	armed     bool
@@ -131,27 +129,15 @@ type selState struct {
 	minLastRetr float64
 }
 
-// selObserver receives the selector's residence and inference events. The
-// scalar Monitor dispatches them to its registered callback slices; the
-// MonitorBank tags them with the prefix id being fed. Observer methods run
-// only on events (sample/evict/retrans/failure), never on the plain
-// per-packet update path, so the indirection costs nothing warm.
-type selObserver interface {
-	sampled(now float64, key packet.FlowKey, cell int)
-	evicted(ev Eviction)
-	retrans(ev RetransEvent)
-	failed(now float64)
-}
-
-// selCore is a borrowed view of one prefix's selector — config, cell
-// segment, scalar state, observer — carrying the entire data-plane
-// algorithm. Monitor and MonitorBank construct one per Feed; the compiler
-// keeps it on the stack, so the sharing costs no allocation.
+// selCore is a borrowed view of one prefix's selector — its cell segment
+// and scalar state inside bank b — carrying the entire data-plane
+// algorithm. MonitorBank constructs one per Feed; the compiler keeps it on
+// the stack, so the view costs no allocation. Events go straight to the
+// bank, which tags them with the prefix being fed.
 type selCore struct {
-	cfg   *Config
+	b     *MonitorBank
 	cells []Cell
 	st    *selState
-	obs   selObserver
 }
 
 // feed processes one packet toward the monitored prefix. Non-TCP packets
@@ -172,7 +158,7 @@ func (s selCore) feed(now float64, p *packet.Packet) {
 		s.update(c, idx, p, now)
 	default:
 		// Collision: evict only a finished or inactive occupant.
-		if c.Finished || now-c.LastSeen >= s.cfg.InactivityTimeout {
+		if c.Finished || now-c.LastSeen >= s.b.cfg.InactivityTimeout {
 			s.evict(c, idx, now, false)
 			s.sample(c, idx, key, now)
 			s.update(c, idx, p, now)
@@ -182,7 +168,7 @@ func (s selCore) feed(now float64, p *packet.Packet) {
 
 func (s selCore) sample(c *Cell, idx int, key packet.FlowKey, now float64) {
 	*c = Cell{Occupied: true, Key: key, SampledAt: now, LastSeen: now}
-	s.obs.sampled(now, key, idx)
+	s.b.sampled(now, key, idx)
 }
 
 func (s selCore) update(c *Cell, idx int, p *packet.Packet, now float64) {
@@ -194,7 +180,7 @@ func (s selCore) update(c *Cell, idx int, p *packet.Packet, now float64) {
 		c.LastRetr = now
 		c.hasRetr = true
 		c.prevPktGap = gap
-		s.obs.retrans(RetransEvent{Now: now, Key: c.Key, Cell: idx, Gap: gap})
+		s.b.retrans(RetransEvent{Now: now, Key: c.Key, Cell: idx, Gap: gap})
 		s.noteRetrans(c, now)
 	} else if isData {
 		c.LastSeq = p.TCP.Seq
@@ -216,7 +202,7 @@ func (s selCore) update(c *Cell, idx int, p *packet.Packet, now float64) {
 // true without the cell passing through noteRetrans.
 func (s selCore) noteRetrans(c *Cell, now float64) {
 	st := s.st
-	if st.retrCount > 0 && now-st.minLastRetr > s.cfg.Window {
+	if st.retrCount > 0 && now-st.minLastRetr > s.b.cfg.Window {
 		s.recount(now)
 	}
 	if !c.counted {
@@ -226,9 +212,9 @@ func (s selCore) noteRetrans(c *Cell, now float64) {
 			st.minLastRetr = now
 		}
 	}
-	if st.armed && st.retrCount >= s.cfg.Threshold {
+	if st.armed && st.retrCount >= s.b.cfg.Threshold {
 		st.armed = false // one inference per sample epoch
-		s.obs.failed(now)
+		s.b.failed(now)
 	}
 }
 
@@ -241,7 +227,7 @@ func (s selCore) recount(now float64) {
 	st.minLastRetr = math.Inf(1)
 	for i := range s.cells {
 		c := &s.cells[i]
-		if c.Occupied && c.hasRetr && now-c.LastRetr <= s.cfg.Window {
+		if c.Occupied && c.hasRetr && now-c.LastRetr <= s.b.cfg.Window {
 			c.counted = true
 			st.retrCount++
 			if c.LastRetr < st.minLastRetr {
@@ -255,7 +241,7 @@ func (s selCore) recount(now float64) {
 
 func (s selCore) evict(c *Cell, idx int, now float64, reset bool) {
 	if c.Occupied {
-		s.obs.evicted(Eviction{Now: now, Key: c.Key, Cell: idx, Residence: now - c.SampledAt, Reset: reset})
+		s.b.evicted(Eviction{Now: now, Key: c.Key, Cell: idx, Residence: now - c.SampledAt, Reset: reset})
 	}
 	if c.counted {
 		s.st.retrCount--
@@ -264,7 +250,7 @@ func (s selCore) evict(c *Cell, idx int, now float64, reset bool) {
 }
 
 // restart models a router crash and power-cycle: every occupied cell is
-// evicted (reported to the observer with Reset=true — residences ended by
+// evicted (reported to the bank with Reset=true — residences ended by
 // state loss, not by the sampling rules), failure inference re-arms, and
 // the sample-reset clock restarts at now.
 func (s selCore) restart(now float64) {
@@ -274,7 +260,7 @@ func (s selCore) restart(now float64) {
 	s.st.retrCount = 0
 	s.st.minLastRetr = 0
 	s.st.armed = true
-	s.st.nextReset = now + s.cfg.ResetPeriod
+	s.st.nextReset = now + s.b.cfg.ResetPeriod
 }
 
 // maybeReset clears the sample when the reset period elapses (checked on
@@ -284,103 +270,12 @@ func (s selCore) maybeReset(now float64) {
 		for i := range s.cells {
 			s.evict(&s.cells[i], i, s.st.nextReset, true)
 		}
-		s.st.nextReset += s.cfg.ResetPeriod
+		s.st.nextReset += s.b.cfg.ResetPeriod
 		s.st.armed = true
 	}
 }
 
-// Monitor is Blink's per-prefix data-plane state: the flow selector plus
-// failure inference. It is driven purely by packets (Feed); all timing is
-// derived from packet timestamps, as in the P4 implementation.
-type Monitor struct {
-	cfg   Config
-	cells []Cell
-	st    selState
-
-	onFailure []func(now float64)
-	onRetrans []func(RetransEvent)
-	onEvict   []func(Eviction)
-	onSample  []func(now float64, key packet.FlowKey, cell int)
-
-	failures []float64
-}
-
-// NewMonitor returns a monitor with the given (defaulted) config.
-func NewMonitor(cfg Config) *Monitor {
-	cfg = cfg.Defaults()
-	return &Monitor{
-		cfg:   cfg,
-		cells: make([]Cell, cfg.Cells),
-		st:    selState{nextReset: cfg.ResetPeriod, armed: true},
-	}
-}
-
-// core returns the selector view the shared algorithm operates on.
-func (m *Monitor) core() selCore {
-	return selCore{cfg: &m.cfg, cells: m.cells, st: &m.st, obs: m}
-}
-
-// Config returns the effective configuration.
-func (m *Monitor) Config() Config { return m.cfg }
-
-// OnFailure registers a failure-inference callback. Callbacks accumulate
-// and run in registration order, so a reroute pipeline and an audit tracer
-// can observe the same monitor.
-func (m *Monitor) OnFailure(f func(now float64)) { m.onFailure = append(m.onFailure, f) }
-
-// OnRetrans registers a retransmission observer (callbacks accumulate).
-func (m *Monitor) OnRetrans(f func(RetransEvent)) { m.onRetrans = append(m.onRetrans, f) }
-
-// OnEvict registers an eviction observer (tR measurement; callbacks
-// accumulate).
-func (m *Monitor) OnEvict(f func(Eviction)) { m.onEvict = append(m.onEvict, f) }
-
-// OnSample registers an observer of cell occupations — the counterpart of
-// OnEvict, used by the audit event tracer to record every residence
-// (callbacks accumulate).
-func (m *Monitor) OnSample(f func(now float64, key packet.FlowKey, cell int)) {
-	m.onSample = append(m.onSample, f)
-}
-
-// sampled implements selObserver by dispatching to the OnSample callbacks.
-func (m *Monitor) sampled(now float64, key packet.FlowKey, cell int) {
-	for _, f := range m.onSample {
-		f(now, key, cell)
-	}
-}
-
-// evicted implements selObserver by dispatching to the OnEvict callbacks.
-func (m *Monitor) evicted(ev Eviction) {
-	for _, f := range m.onEvict {
-		f(ev)
-	}
-}
-
-// retrans implements selObserver by dispatching to the OnRetrans callbacks.
-func (m *Monitor) retrans(ev RetransEvent) {
-	for _, f := range m.onRetrans {
-		f(ev)
-	}
-}
-
-// failed implements selObserver: the inferred failure is recorded and then
-// dispatched to the OnFailure callbacks.
-func (m *Monitor) failed(now float64) {
-	m.failures = append(m.failures, now)
-	for _, f := range m.onFailure {
-		f(now)
-	}
-}
-
-// AuditWindowState exposes the incremental failure-inference counters for
-// the invariant checker (internal/audit): the number of cells currently
-// counted as retransmitting in-window, and the conservative lower bound on
-// their earliest LastRetr.
-func (m *Monitor) AuditWindowState() (retrCount int, minLastRetr float64) {
-	return m.st.retrCount, m.st.minLastRetr
-}
-
-// Counted reports whether the cell is included in the monitor's
+// Counted reports whether the cell is included in the selector's
 // incremental in-window retransmission count (audit introspection).
 func (c Cell) Counted() bool { return c.counted }
 
@@ -388,25 +283,8 @@ func (c Cell) Counted() bool { return c.counted }
 // (audit introspection; LastRetr is only meaningful when true).
 func (c Cell) HasRetr() bool { return c.hasRetr }
 
-// Failures returns the times of all inferred failures.
-func (m *Monitor) Failures() []float64 { return m.failures }
-
-// Cells returns a snapshot copy of the selector state.
-func (m *Monitor) Cells() []Cell {
-	out := make([]Cell, len(m.cells))
-	copy(out, m.cells)
-	return out
-}
-
-// CountOccupied returns how many cells match pred (pred nil counts all
-// occupied cells). The Fig 2 experiment counts cells occupied by malicious
-// flows.
-func (m *Monitor) CountOccupied(pred func(packet.FlowKey) bool) int {
-	return countOccupied(m.cells, pred)
-}
-
-// countOccupied is the shared occupancy scan behind Monitor.CountOccupied
-// and MonitorBank.CountOccupied.
+// countOccupied is the occupancy scan behind MonitorBank.CountOccupied and
+// MonitorBank.OccupiedTotal.
 func countOccupied(cells []Cell, pred func(packet.FlowKey) bool) int {
 	n := 0
 	for i := range cells {
@@ -416,19 +294,4 @@ func countOccupied(cells []Cell, pred func(packet.FlowKey) bool) int {
 		}
 	}
 	return n
-}
-
-// Feed processes one packet toward the monitored prefix. Non-TCP packets
-// are ignored (Blink monitors TCP only).
-func (m *Monitor) Feed(now float64, p *packet.Packet) {
-	m.core().feed(now, p)
-}
-
-// Restart models a router crash and power-cycle: every occupied cell is
-// evicted (reported to OnEvict with Reset=true — residences ended by state
-// loss, not by the sampling rules), failure inference re-arms, and the
-// sample-reset clock restarts at now. Registered callbacks survive — they
-// model the control plane and the auditors, not router RAM.
-func (m *Monitor) Restart(now float64) {
-	m.core().restart(now)
 }

@@ -19,9 +19,9 @@ func finPkt(src packet.Addr, sport uint16, seq uint32) *packet.Packet {
 }
 
 func TestMonitorSamplesFirstFlow(t *testing.T) {
-	m := NewMonitor(Config{Cells: 8})
-	m.Feed(1.0, tcpPkt(1, 100, 0, 1500))
-	if got := m.CountOccupied(nil); got != 1 {
+	m := NewMonitorBank(1, Config{Cells: 8})
+	m.Feed(0, 1.0, tcpPkt(1, 100, 0, 1500))
+	if got := m.CountOccupied(0, nil); got != 1 {
 		t.Fatalf("occupied = %d", got)
 	}
 }
@@ -29,29 +29,29 @@ func TestMonitorSamplesFirstFlow(t *testing.T) {
 func TestCollisionIgnoredWhileOccupantLive(t *testing.T) {
 	// With a single cell, a second flow collides with the first and must
 	// not take over while the first stays active.
-	m := NewMonitor(Config{Cells: 1})
-	m.Feed(0.0, tcpPkt(1, 100, 0, 1500))
-	m.Feed(0.5, tcpPkt(2, 200, 0, 1500))
-	cells := m.Cells()
+	m := NewMonitorBank(1, Config{Cells: 1})
+	m.Feed(0, 0.0, tcpPkt(1, 100, 0, 1500))
+	m.Feed(0, 0.5, tcpPkt(2, 200, 0, 1500))
+	cells := m.CellsAt(0)
 	if cells[0].Key.Src != 1 {
 		t.Fatalf("occupant replaced by colliding flow: %v", cells[0].Key)
 	}
 }
 
 func TestInactivityEviction(t *testing.T) {
-	m := NewMonitor(Config{Cells: 1, InactivityTimeout: 2})
+	m := NewMonitorBank(1, Config{Cells: 1, InactivityTimeout: 2})
 	var evs []Eviction
-	m.OnEvict(func(e Eviction) { evs = append(evs, e) })
-	m.Feed(0.0, tcpPkt(1, 100, 0, 1500))
-	m.Feed(1.0, tcpPkt(1, 100, 1500, 1500)) // still active
+	m.OnEvict(func(_ int, e Eviction) { evs = append(evs, e) })
+	m.Feed(0, 0.0, tcpPkt(1, 100, 0, 1500))
+	m.Feed(0, 1.0, tcpPkt(1, 100, 1500, 1500)) // still active
 	// Collision at 2.5s: occupant last seen 1.0 -> idle 1.5s < 2s, keep.
-	m.Feed(2.5, tcpPkt(2, 200, 0, 1500))
-	if m.Cells()[0].Key.Src != 1 {
+	m.Feed(0, 2.5, tcpPkt(2, 200, 0, 1500))
+	if m.CellsAt(0)[0].Key.Src != 1 {
 		t.Fatal("evicted too early")
 	}
 	// Collision at 3.5s: idle 2.5s >= 2s, evict and resample.
-	m.Feed(3.5, tcpPkt(2, 200, 0, 1500))
-	if m.Cells()[0].Key.Src != 2 {
+	m.Feed(0, 3.5, tcpPkt(2, 200, 0, 1500))
+	if m.CellsAt(0)[0].Key.Src != 2 {
 		t.Fatal("inactive occupant not evicted")
 	}
 	if len(evs) != 1 || evs[0].Residence != 3.5 || evs[0].Reset {
@@ -60,45 +60,45 @@ func TestInactivityEviction(t *testing.T) {
 }
 
 func TestFinishedFlowEvictedImmediately(t *testing.T) {
-	m := NewMonitor(Config{Cells: 1})
-	m.Feed(0.0, tcpPkt(1, 100, 0, 1500))
-	m.Feed(0.2, finPkt(1, 100, 1500))
-	m.Feed(0.3, tcpPkt(2, 200, 0, 1500)) // collision right after FIN
-	if m.Cells()[0].Key.Src != 2 {
+	m := NewMonitorBank(1, Config{Cells: 1})
+	m.Feed(0, 0.0, tcpPkt(1, 100, 0, 1500))
+	m.Feed(0, 0.2, finPkt(1, 100, 1500))
+	m.Feed(0, 0.3, tcpPkt(2, 200, 0, 1500)) // collision right after FIN
+	if m.CellsAt(0)[0].Key.Src != 2 {
 		t.Fatal("finished occupant not evicted")
 	}
 }
 
 func TestSampleReset(t *testing.T) {
-	m := NewMonitor(Config{Cells: 4, ResetPeriod: 10})
+	m := NewMonitorBank(1, Config{Cells: 4, ResetPeriod: 10})
 	var resets int
-	m.OnEvict(func(e Eviction) {
+	m.OnEvict(func(_ int, e Eviction) {
 		if e.Reset {
 			resets++
 		}
 	})
-	m.Feed(0.0, tcpPkt(1, 100, 0, 1500))
-	m.Feed(9.0, tcpPkt(1, 100, 1500, 1500))
-	m.Feed(10.5, tcpPkt(2, 200, 0, 1500)) // past the reset boundary
+	m.Feed(0, 0.0, tcpPkt(1, 100, 0, 1500))
+	m.Feed(0, 9.0, tcpPkt(1, 100, 1500, 1500))
+	m.Feed(0, 10.5, tcpPkt(2, 200, 0, 1500)) // past the reset boundary
 	if resets != 1 {
 		t.Fatalf("resets = %d", resets)
 	}
 	// The old occupant is gone; only flow 2 is monitored.
-	if got := m.CountOccupied(func(k packet.FlowKey) bool { return k.Src == 1 }); got != 0 {
+	if got := m.CountOccupied(0, func(k packet.FlowKey) bool { return k.Src == 1 }); got != 0 {
 		t.Fatal("reset did not clear the sample")
 	}
-	if got := m.CountOccupied(nil); got != 1 {
+	if got := m.CountOccupied(0, nil); got != 1 {
 		t.Fatalf("occupied after reset = %d", got)
 	}
 }
 
 func TestRetransmissionDetection(t *testing.T) {
-	m := NewMonitor(Config{Cells: 4})
+	m := NewMonitorBank(1, Config{Cells: 4})
 	var evs []RetransEvent
-	m.OnRetrans(func(e RetransEvent) { evs = append(evs, e) })
-	m.Feed(0.0, tcpPkt(1, 100, 0, 1500))
-	m.Feed(0.1, tcpPkt(1, 100, 1500, 1500))
-	m.Feed(0.4, tcpPkt(1, 100, 1500, 1500)) // duplicate seq -> retransmission
+	m.OnRetrans(func(_ int, e RetransEvent) { evs = append(evs, e) })
+	m.Feed(0, 0.0, tcpPkt(1, 100, 0, 1500))
+	m.Feed(0, 0.1, tcpPkt(1, 100, 1500, 1500))
+	m.Feed(0, 0.4, tcpPkt(1, 100, 1500, 1500)) // duplicate seq -> retransmission
 	if len(evs) != 1 {
 		t.Fatalf("retrans events = %d", len(evs))
 	}
@@ -106,20 +106,20 @@ func TestRetransmissionDetection(t *testing.T) {
 		t.Fatalf("gap = %v", evs[0].Gap)
 	}
 	// Advancing seq again is not a retransmission.
-	m.Feed(0.5, tcpPkt(1, 100, 3000, 1500))
+	m.Feed(0, 0.5, tcpPkt(1, 100, 3000, 1500))
 	if len(evs) != 1 {
 		t.Fatal("false positive retransmission")
 	}
 }
 
 func TestPureAcksDoNotTriggerRetrans(t *testing.T) {
-	m := NewMonitor(Config{Cells: 4})
+	m := NewMonitorBank(1, Config{Cells: 4})
 	fired := 0
-	m.OnRetrans(func(e RetransEvent) { fired++ })
+	m.OnRetrans(func(_ int, e RetransEvent) { fired++ })
 	// 40-byte pure ACKs with identical seq must not count.
-	m.Feed(0.0, tcpPkt(1, 100, 0, 40))
-	m.Feed(0.1, tcpPkt(1, 100, 0, 40))
-	m.Feed(0.2, tcpPkt(1, 100, 0, 40))
+	m.Feed(0, 0.0, tcpPkt(1, 100, 0, 40))
+	m.Feed(0, 0.1, tcpPkt(1, 100, 0, 40))
+	m.Feed(0, 0.2, tcpPkt(1, 100, 0, 40))
 	if fired != 0 {
 		t.Fatal("pure ACKs flagged as retransmissions")
 	}
@@ -127,18 +127,18 @@ func TestPureAcksDoNotTriggerRetrans(t *testing.T) {
 
 func TestFailureInferenceAtMajority(t *testing.T) {
 	cfg := Config{Cells: 8, Threshold: 4, Window: 1}
-	m := NewMonitor(cfg)
+	m := NewMonitorBank(1, cfg)
 	var failures []float64
-	m.OnFailure(func(now float64) { failures = append(failures, now) })
+	m.OnFailure(func(_ int, now float64) { failures = append(failures, now) })
 
 	// Fill distinct cells with distinct flows by brute force: try many
 	// flows, keep those that landed in empty cells.
 	var keys []*packet.Packet
 	for s := uint16(1); len(keys) < 8 && s < 5000; s++ {
-		before := m.CountOccupied(nil)
+		before := m.CountOccupied(0, nil)
 		p := tcpPkt(packet.Addr(s), s, 0, 1500)
-		m.Feed(0.0, p)
-		if m.CountOccupied(nil) > before {
+		m.Feed(0, 0.0, p)
+		if m.CountOccupied(0, nil) > before {
 			keys = append(keys, p)
 		}
 	}
@@ -149,12 +149,12 @@ func TestFailureInferenceAtMajority(t *testing.T) {
 	for i, p := range keys {
 		q := p.Clone()
 		q.TCP.Seq = 1500
-		m.Feed(0.2+float64(i)*0.001, q)
+		m.Feed(0, 0.2+float64(i)*0.001, q)
 	}
 	retr := func(i int, now float64) {
 		q := keys[i].Clone()
 		q.TCP.Seq = 1500
-		m.Feed(now, q)
+		m.Feed(0, now, q)
 	}
 	retr(0, 0.5)
 	retr(1, 0.51)
@@ -176,27 +176,27 @@ func TestFailureInferenceAtMajority(t *testing.T) {
 func TestFailureWindowExpiry(t *testing.T) {
 	// Retransmissions spread wider than the window must not trigger.
 	cfg := Config{Cells: 4, Threshold: 2, Window: 0.5}
-	m := NewMonitor(cfg)
+	m := NewMonitorBank(1, cfg)
 	var failures []float64
-	m.OnFailure(func(now float64) { failures = append(failures, now) })
+	m.OnFailure(func(_ int, now float64) { failures = append(failures, now) })
 	var pkts []*packet.Packet
 	for s := uint16(1); len(pkts) < 4 && s < 5000; s++ {
-		before := m.CountOccupied(nil)
+		before := m.CountOccupied(0, nil)
 		p := tcpPkt(packet.Addr(s), s, 0, 1500)
-		m.Feed(0.0, p)
-		if m.CountOccupied(nil) > before {
+		m.Feed(0, 0.0, p)
+		if m.CountOccupied(0, nil) > before {
 			pkts = append(pkts, p)
 		}
 	}
 	for i, p := range pkts {
 		q := p.Clone()
 		q.TCP.Seq = 1500
-		m.Feed(0.1+float64(i)*0.001, q)
+		m.Feed(0, 0.1+float64(i)*0.001, q)
 	}
 	retr := func(i int, now float64) {
 		q := pkts[i].Clone()
 		q.TCP.Seq = 1500
-		m.Feed(now, q)
+		m.Feed(0, now, q)
 	}
 	retr(0, 1.0)
 	retr(1, 2.0) // 1s apart > 0.5s window
@@ -206,9 +206,9 @@ func TestFailureWindowExpiry(t *testing.T) {
 }
 
 func TestNonTCPIgnored(t *testing.T) {
-	m := NewMonitor(Config{Cells: 4})
-	m.Feed(0, packet.NewUDP(1, Victim.Nth(1), packet.UDPHeader{SrcPort: 1, DstPort: 2}, 100))
-	if m.CountOccupied(nil) != 0 {
+	m := NewMonitorBank(1, Config{Cells: 4})
+	m.Feed(0, 0, packet.NewUDP(1, Victim.Nth(1), packet.UDPHeader{SrcPort: 1, DstPort: 2}, 100))
+	if m.CountOccupied(0, nil) != 0 {
 		t.Fatal("UDP packet sampled")
 	}
 }

@@ -9,7 +9,14 @@ import (
 // performance problems by manipulating TCP packets, and falsely trigger
 // the recourses suggested by the authors". Each tap sits between the
 // monitored vantage point and one endpoint (MitM privilege) and rewrites
-// or injects unauthenticated header bytes.
+// or injects unauthenticated header bytes. Its copies come from the
+// link's network (Network.CloneTCP), which recycles them.
+
+// linkNet returns the network link l belongs to.
+func linkNet(l *netsim.Link) *netsim.Network {
+	a, _ := l.Nodes()
+	return a.Net()
+}
 
 // BlameNetwork injects a duplicate of every k-th data segment upstream of
 // the monitor: the monitor counts them as retransmissions and diagnoses
@@ -33,6 +40,7 @@ func (b *BlameNetwork) Attach(l *netsim.Link) {
 	if b.Every <= 0 {
 		b.Every = 4
 	}
+	nw := linkNet(l)
 	b.inj = l.AttachTap(netsim.TapFunc(func(now float64, p *packet.Packet, dir netsim.Direction) netsim.TapVerdict {
 		if p.TCP == nil || p.Size <= 60 {
 			return netsim.TapVerdict{}
@@ -42,7 +50,7 @@ func (b *BlameNetwork) Attach(l *netsim.Link) {
 		}
 		b.count++
 		if b.count%b.Every == 0 {
-			dup := p.Clone()
+			dup := nw.CloneTCP(p)
 			dup.ID = 0 // fresh packet identity
 			b.inj.Inject(dup, dir)
 			b.Injected++
@@ -67,11 +75,12 @@ func (b *BlameReceiver) Attach(l *netsim.Link) {
 	if b.Window == 0 {
 		b.Window = 4096
 	}
+	nw := linkNet(l)
 	l.AttachTap(netsim.TapFunc(func(now float64, p *packet.Packet, dir netsim.Direction) netsim.TapVerdict {
 		if p.TCP == nil || p.Size > 60 || p.TCP.Window == 0 {
 			return netsim.TapVerdict{}
 		}
-		q := p.Clone()
+		q := nw.CloneTCP(p)
 		q.TCP.Window = b.Window
 		b.Rewritten++
 		return netsim.TapVerdict{Replace: q}
@@ -97,11 +106,12 @@ func (b *BlameSender) Attach(l *netsim.Link) {
 	if b.Window == 0 {
 		b.Window = 65535
 	}
+	nw := linkNet(l)
 	l.AttachTap(netsim.TapFunc(func(now float64, p *packet.Packet, dir netsim.Direction) netsim.TapVerdict {
 		if p.TCP == nil || p.Size > 60 || p.TCP.Window == 0 {
 			return netsim.TapVerdict{}
 		}
-		q := p.Clone()
+		q := nw.CloneTCP(p)
 		q.TCP.Window = b.Window
 		b.Rewritten++
 		return netsim.TapVerdict{Replace: q}

@@ -81,6 +81,51 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// NoWindow is the RwndMin of an epoch in which no advertised window was
+// seen.
+const NoWindow int64 = 1 << 30
+
+// EpochEvidence is what one diagnosis epoch gives the decision tree.
+type EpochEvidence struct {
+	DataPkts  int   // data packets seen
+	Retrans   int   // data packets that carried old data
+	FlightMax int64 // largest flight (bytes sent but not acknowledged)
+	RwndMin   int64 // smallest advertised window, NoWindow when none was seen
+}
+
+// Classify is the decision tree over one epoch's evidence, with c's
+// thresholds (c must be defaulted): too few packets ⇒ unknown;
+// retransmissions ⇒ network; flight pinned at the advertised window ⇒
+// receiver; otherwise the sender had window available and did not use it
+// ⇒ sender.
+func (c Config) Classify(e EpochEvidence) Diagnosis {
+	if e.DataPkts < c.MinPackets {
+		return Unknown
+	}
+	if e.Retrans >= c.RetransThreshold {
+		return NetworkLimited
+	}
+	if e.RwndMin < NoWindow && float64(e.FlightMax) >= c.RwndFraction*float64(e.RwndMin) {
+		return ReceiverLimited
+	}
+	return SenderLimited
+}
+
+// Votes tallies per-epoch diagnoses, indexed by Diagnosis.
+type Votes [4]int
+
+// Majority returns the most common non-Unknown diagnosis (Unknown when
+// every vote is Unknown); ties go to sender, then network, then receiver.
+func (v Votes) Majority() Diagnosis {
+	best, bestN := Unknown, 0
+	for _, d := range []Diagnosis{SenderLimited, NetworkLimited, ReceiverLimited} {
+		if v[d] > bestN {
+			best, bestN = d, v[d]
+		}
+	}
+	return best
+}
+
 // connState is the per-connection tracking state (what DAPPER keeps in
 // the data plane: a handful of counters per connection).
 type connState struct {
@@ -89,12 +134,8 @@ type connState struct {
 	rwnd       int64 // latest advertised window from the receiver
 	epochStart float64
 
-	// Per-epoch accumulators.
-	dataPkts  int
-	retrans   int
-	flightMax int64
-	rwndMin   int64
-	verdicts  []Verdict
+	cur      EpochEvidence // the open epoch's accumulators
+	verdicts []Verdict
 }
 
 // Verdict is one finished epoch's diagnosis.
@@ -136,23 +177,23 @@ func (m *Monitor) onData(now float64, p *packet.Packet) {
 	k := p.Flow()
 	c := m.conns[k]
 	if c == nil {
-		c = &connState{epochStart: now, rwndMin: 1 << 30}
+		c = &connState{epochStart: now, cur: EpochEvidence{RwndMin: NoWindow}}
 		m.conns[k] = c
 	}
 	m.rollEpoch(now, c)
-	c.dataPkts++
+	c.cur.DataPkts++
 	seq := int64(p.TCP.Seq)
 	end := seq + int64(p.Size-40)
 	// A data packet entirely below the highest byte already sent carries
 	// old data: a retransmission (this catches fast retransmits, unlike
 	// a naive consecutive-duplicate check).
 	if end <= c.maxSeqEnd {
-		c.retrans++
+		c.cur.Retrans++
 	} else {
 		c.maxSeqEnd = end
 	}
-	if f := c.maxSeqEnd - c.ackedUpTo; f > c.flightMax {
-		c.flightMax = f
+	if f := c.maxSeqEnd - c.ackedUpTo; f > c.cur.FlightMax {
+		c.cur.FlightMax = f
 	}
 }
 
@@ -170,8 +211,8 @@ func (m *Monitor) onAck(now float64, p *packet.Packet) {
 	}
 	if w := int64(p.TCP.Window); w > 0 {
 		c.rwnd = w
-		if w < c.rwndMin {
-			c.rwndMin = w
+		if w < c.cur.RwndMin {
+			c.cur.RwndMin = w
 		}
 	}
 }
@@ -181,31 +222,14 @@ func (m *Monitor) rollEpoch(now float64, c *connState) {
 	for now-c.epochStart >= m.cfg.Epoch {
 		c.verdicts = append(c.verdicts, Verdict{
 			At:        c.epochStart + m.cfg.Epoch,
-			Diagnosis: m.classify(c),
-			Retrans:   c.retrans,
-			FlightMax: c.flightMax,
-			RwndMin:   c.rwndMin,
+			Diagnosis: m.cfg.Classify(c.cur),
+			Retrans:   c.cur.Retrans,
+			FlightMax: c.cur.FlightMax,
+			RwndMin:   c.cur.RwndMin,
 		})
 		c.epochStart += m.cfg.Epoch
-		c.dataPkts, c.retrans, c.flightMax = 0, 0, 0
-		c.rwndMin = 1 << 30
+		c.cur = EpochEvidence{RwndMin: NoWindow}
 	}
-}
-
-// classify is the decision tree: retransmissions ⇒ network; flight pinned
-// at the advertised window ⇒ receiver; otherwise the sender had window
-// available and did not use it ⇒ sender.
-func (m *Monitor) classify(c *connState) Diagnosis {
-	if c.dataPkts < m.cfg.MinPackets {
-		return Unknown
-	}
-	if c.retrans >= m.cfg.RetransThreshold {
-		return NetworkLimited
-	}
-	if c.rwndMin < 1<<30 && float64(c.flightMax) >= m.cfg.RwndFraction*float64(c.rwndMin) {
-		return ReceiverLimited
-	}
-	return SenderLimited
 }
 
 // Verdicts returns the finished epochs of a connection (nil if unseen).
@@ -217,30 +241,22 @@ func (m *Monitor) Verdicts(k packet.FlowKey) []Verdict {
 	return append([]Verdict(nil), c.verdicts...)
 }
 
+// votes tallies a connection's epoch verdicts (empty if unseen).
+func (m *Monitor) votes(k packet.FlowKey) Votes {
+	var v Votes
+	for _, vd := range m.Verdicts(k) {
+		v[vd.Diagnosis]++
+	}
+	return v
+}
+
 // Majority returns the most common non-Unknown diagnosis of a connection
 // over its observed epochs.
-func (m *Monitor) Majority(k packet.FlowKey) Diagnosis {
-	counts := map[Diagnosis]int{}
-	for _, v := range m.Verdicts(k) {
-		if v.Diagnosis != Unknown {
-			counts[v.Diagnosis]++
-		}
-	}
-	best, bestN := Unknown, 0
-	for _, d := range []Diagnosis{SenderLimited, NetworkLimited, ReceiverLimited} {
-		if counts[d] > bestN {
-			best, bestN = d, counts[d]
-		}
-	}
-	return best
-}
+func (m *Monitor) Majority(k packet.FlowKey) Diagnosis { return m.votes(k).Majority() }
 
 // Summary renders per-diagnosis epoch counts for one connection.
 func (m *Monitor) Summary(k packet.FlowKey) string {
-	counts := map[Diagnosis]int{}
-	for _, v := range m.Verdicts(k) {
-		counts[v.Diagnosis]++
-	}
+	v := m.votes(k)
 	return fmt.Sprintf("sender=%d network=%d receiver=%d unknown=%d",
-		counts[SenderLimited], counts[NetworkLimited], counts[ReceiverLimited], counts[Unknown])
+		v[SenderLimited], v[NetworkLimited], v[ReceiverLimited], v[Unknown])
 }

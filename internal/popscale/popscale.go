@@ -9,8 +9,7 @@
 //     stats.ChildAt, so it does not depend on shard boundaries or worker
 //     scheduling.
 //   - selector state: blink.MonitorBank, struct-of-arrays cells + scalar
-//     records indexed by dense prefix id, bit-identical to the scalar
-//     blink.Monitor by construction (shared selCore).
+//     records indexed by dense prefix id.
 //   - sharding: the prefix space is cut into Shards contiguous ranges
 //     fanned out over internal/runner; each shard feeds its own bank from
 //     its own PopShard, and the merge is deterministic — per-prefix digests
@@ -18,7 +17,7 @@
 //     (prefix, time) — so Result is byte-identical at any shard count and
 //     any worker count.
 //   - self-checking: with AuditEvery > 0, every k-th prefix is mirrored
-//     into a shadow scalar Monitor under the full MonAudit invariant
+//     into a shadow one-prefix bank under the full MonAudit invariant
 //     checks, and the bank must match it bit for bit (audit.BankAudit).
 //
 // The headline numbers — simulated flows/sec, packets (events)/sec, peak
@@ -76,8 +75,8 @@ type Config struct {
 	// Parallel bounds the worker pool running shards (0 = all cores).
 	// Results are identical at any value.
 	Parallel int
-	// AuditEvery cross-checks every k-th prefix against a shadow scalar
-	// Monitor with full selector-invariant audits (0 = off).
+	// AuditEvery cross-checks every k-th prefix against a shadow
+	// one-prefix bank with full selector-invariant audits (0 = off).
 	AuditEvery int
 	// OnProgress observes shard completion (see runner.Config).
 	OnProgress func(runner.Progress)
@@ -178,8 +177,8 @@ type Result struct {
 	// counters, and failure times in prefix order — the byte-identity
 	// fingerprint shard-count independence is checked against.
 	StateHash uint64
-	// AuditedPrefixes counts prefixes cross-checked against shadow scalar
-	// monitors (0 when auditing is off).
+	// AuditedPrefixes counts prefixes cross-checked against shadow
+	// one-prefix banks (0 when auditing is off).
 	AuditedPrefixes int
 
 	// Wall-clock performance (NOT deterministic; excluded from StateHash

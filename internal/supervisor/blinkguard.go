@@ -135,11 +135,12 @@ type BlinkGuard struct {
 var _ Guard[[]float64] = (*BlinkGuard)(nil)
 
 // GuardPipeline installs a guard over model on pipeline's first monitored
-// prefix (3 s gap window, veto at risk >= 0.5) and returns it. Call
-// before traffic starts.
+// prefix (3 s gap window, veto at risk >= 0.5) and returns it: it records
+// the retransmission gaps of bank prefix 0 only, and judges every
+// failover against them. Call before traffic starts.
 //
-// The veto-time gap selection uses the same subtraction form as
-// blink.Monitor's in-window test (now - t <= window), via windowContains.
+// The veto-time gap selection uses the same subtraction form as the blink
+// selector's in-window test (now - t <= window), via windowContains.
 // The earlier addition form (t >= now - window) disagrees with it at
 // exact window edges — IEEE rounding of now-window differs from that of
 // now-t — so the guard would judge a slightly different gap set than the
@@ -147,11 +148,14 @@ var _ Guard[[]float64] = (*BlinkGuard)(nil)
 // on. The table tests in boundary_test.go pin the agreement.
 func GuardPipeline(p *blink.Pipeline, model *RTOModel) *BlinkGuard {
 	g := &BlinkGuard{Model: model, Window: 3}
-	p.Monitor(0).OnRetrans(func(ev blink.RetransEvent) {
+	p.Bank().OnRetrans(func(prefix int, ev blink.RetransEvent) {
+		if prefix != 0 {
+			return
+		}
 		g.gaps = append(g.gaps, ev.Gap)
 		g.times = append(g.times, ev.Now)
 	})
-	p.Veto = func(r blink.Reroute, m *blink.Monitor) bool {
+	p.Veto = func(r blink.Reroute) bool {
 		var recent []float64
 		for i := range g.gaps {
 			if windowContains(r.Now, g.times[i], g.Window) {

@@ -62,9 +62,9 @@ func TestWindowFormMatchesMonitorAtEdges(t *testing.T) {
 // over it must see the same boundary.
 func TestMonitorFiresAtExactThreshold(t *testing.T) {
 	const cells, threshold = 8, 3
-	m := blink.NewMonitor(blink.Config{Cells: cells, Threshold: threshold, Window: 0.8})
+	m := blink.NewMonitorBank(1, blink.Config{Cells: cells, Threshold: threshold, Window: 0.8})
 	var fired []float64
-	m.OnFailure(func(now float64) { fired = append(fired, now) })
+	m.OnFailure(func(_ int, now float64) { fired = append(fired, now) })
 
 	dst := packet.MakeAddr(10, 1, 0, 1)
 	src := packet.MakeAddr(20, 1, 0, 1)
@@ -86,20 +86,20 @@ func TestMonitorFiresAtExactThreshold(t *testing.T) {
 	// each flow's last sequence number (second packet). Feeds must stay in
 	// non-decreasing time order across flows.
 	for i, port := range ports {
-		m.Feed(1.0+float64(i)*0.001, pkt(port, 1000))
+		m.Feed(0, 1.0+float64(i)*0.001, pkt(port, 1000))
 	}
 	for i, port := range ports {
-		m.Feed(1.02+float64(i)*0.001, pkt(port, 1000))
+		m.Feed(0, 1.02+float64(i)*0.001, pkt(port, 1000))
 	}
 	// threshold-1 retransmissions within the window: must NOT fire.
 	for i := 0; i < threshold-1; i++ {
-		m.Feed(1.1+float64(i)*0.01, pkt(ports[i], 1000))
+		m.Feed(0, 1.1+float64(i)*0.01, pkt(ports[i], 1000))
 	}
 	if len(fired) != 0 {
 		t.Fatalf("failure fired at %d retransmitting cells (threshold %d)", threshold-1, threshold)
 	}
 	// The threshold-th retransmitting cell: count == threshold must fire.
-	m.Feed(1.2, pkt(ports[threshold-1], 1000))
+	m.Feed(0, 1.2, pkt(ports[threshold-1], 1000))
 	if len(fired) != 1 || fired[0] != 1.2 {
 		t.Fatalf("failure inference at count == threshold: fired %v, want exactly [1.2]", fired)
 	}

@@ -38,8 +38,9 @@ type DapperPacketObs struct {
 //     real window whose advertisement was inflated (the phantom
 //     ceiling check).
 //
-// The guard runs its own sanitized mirror of the decision tree,
-// ignoring flagged evidence, so its Diagnose is the mitigated verdict.
+// The guard keeps its own sanitized per-epoch evidence, ignoring flagged
+// packets, and runs DAPPER's decision tree and majority vote over it, so
+// its Diagnose is the mitigated verdict.
 type DapperGuard struct {
 	// MinRetransGap is the smallest plausible gap between a data
 	// sequence range and its retransmission (<= 0 = 5 ms).
@@ -62,11 +63,9 @@ type dapperConn struct {
 	epochStart float64
 	started    bool
 
-	// Per-epoch sanitized accumulators.
-	dataPkts   int
-	sanRetrans int
-	flightMax  int64
-	sanRwndMin int64
+	// The open epoch's sanitized accumulators (forged duplicates and
+	// windows left out), and the largest raw advertised window so far.
+	cur        dapper.EpochEvidence
 	rawRwndMax int64
 
 	// Finished epochs.
@@ -79,12 +78,13 @@ type dapperConn struct {
 }
 
 type dapperEpoch struct {
-	dataPkts   int
-	sanRetrans int
-	flightMax  int64
-	sanRwndMin int64
+	ev         dapper.EpochEvidence // sanitized
 	rawRwndMax int64
 }
+
+// dapperTree is the decision tree the guard mirrors: DAPPER's own, at its
+// default thresholds.
+var dapperTree = dapper.Config{}.Defaults()
 
 // defaults applies the zero-value knobs.
 func (g *DapperGuard) defaults() {
@@ -138,7 +138,7 @@ func (g *DapperGuard) Check(o DapperPacketObs) Verdict {
 	}
 	c := g.conns[o.Key]
 	if c == nil {
-		c = &dapperConn{endTimes: map[int64]float64{}, sanRwndMin: 1 << 30}
+		c = &dapperConn{endTimes: map[int64]float64{}, cur: dapper.EpochEvidence{RwndMin: dapper.NoWindow}}
 		g.conns[o.Key] = c
 	}
 	if !c.started {
@@ -152,11 +152,11 @@ func (g *DapperGuard) Check(o DapperPacketObs) Verdict {
 }
 
 func (g *DapperGuard) checkData(o DapperPacketObs, c *dapperConn) Verdict {
-	c.dataPkts++
+	c.cur.DataPkts++
 	defer func() {
 		c.endTimes[o.End] = o.Now
-		if f := c.maxSeqEnd - c.ackedUpTo; f > c.flightMax {
-			c.flightMax = f
+		if f := c.maxSeqEnd - c.ackedUpTo; f > c.cur.FlightMax {
+			c.cur.FlightMax = f
 		}
 	}()
 	if o.End > c.maxSeqEnd {
@@ -170,7 +170,7 @@ func (g *DapperGuard) checkData(o DapperPacketObs, c *dapperConn) Verdict {
 		return Verdict{Risk: 1, Reason: fmt.Sprintf(
 			"retransmission %.1f ms after the original: below any plausible RTT", 1000*(o.Now-last))}
 	}
-	c.sanRetrans++
+	c.cur.Retrans++
 	return Verdict{Plausible: true, Risk: 0, Reason: "plausibly timed retransmission"}
 }
 
@@ -190,8 +190,8 @@ func (g *DapperGuard) checkAck(o DapperPacketObs, c *dapperConn) Verdict {
 		return Verdict{Risk: 1, Reason: fmt.Sprintf(
 			"advertised window %d below two MSS: implausible for a functioning receiver", o.Window)}
 	}
-	if o.Window < c.sanRwndMin {
-		c.sanRwndMin = o.Window
+	if o.Window < c.cur.RwndMin {
+		c.cur.RwndMin = o.Window
 	}
 	return Verdict{Plausible: true, Reason: "plausible advertised window"}
 }
@@ -199,13 +199,9 @@ func (g *DapperGuard) checkAck(o DapperPacketObs, c *dapperConn) Verdict {
 // rollEpoch closes finished sanitized epochs.
 func (g *DapperGuard) rollEpoch(now float64, c *dapperConn) {
 	for now-c.epochStart >= g.Epoch {
-		c.epochs = append(c.epochs, dapperEpoch{
-			dataPkts: c.dataPkts, sanRetrans: c.sanRetrans,
-			flightMax: c.flightMax, sanRwndMin: c.sanRwndMin, rawRwndMax: c.rawRwndMax,
-		})
+		c.epochs = append(c.epochs, dapperEpoch{ev: c.cur, rawRwndMax: c.rawRwndMax})
 		c.epochStart += g.Epoch
-		c.dataPkts, c.sanRetrans, c.flightMax = 0, 0, 0
-		c.sanRwndMin = 1 << 30
+		c.cur = dapper.EpochEvidence{RwndMin: dapper.NoWindow}
 	}
 }
 
@@ -229,16 +225,16 @@ func (g *DapperGuard) Flagged(k packet.FlowKey) bool {
 // stable multi-MSS ceiling is a real (receiver) window whose
 // advertisement was rewritten upward.
 func (g *DapperGuard) phantomCeiling(c *dapperConn) bool {
-	if c.sanRetrans+sumEpochRetrans(c.epochs) > 0 {
+	if c.cur.Retrans+sumEpochRetrans(c.epochs) > 0 {
 		return false
 	}
 	var flights []int64
 	var rawMax int64
 	for _, e := range c.epochs {
-		if e.dataPkts < 5 {
+		if e.ev.DataPkts < 5 {
 			continue
 		}
-		flights = append(flights, e.flightMax)
+		flights = append(flights, e.ev.FlightMax)
 		if e.rawRwndMax > rawMax {
 			rawMax = e.rawRwndMax
 		}
@@ -264,7 +260,7 @@ func (g *DapperGuard) phantomCeiling(c *dapperConn) bool {
 func sumEpochRetrans(es []dapperEpoch) int {
 	n := 0
 	for _, e := range es {
-		n += e.sanRetrans
+		n += e.ev.Retrans
 	}
 	return n
 }
@@ -280,32 +276,13 @@ func (g *DapperGuard) Diagnose(k packet.FlowKey) dapper.Diagnosis {
 	if c == nil {
 		return dapper.Unknown
 	}
-	counts := map[dapper.Diagnosis]int{}
+	var votes dapper.Votes
 	for _, e := range c.epochs {
-		counts[classifyEpoch(e)]++
+		votes[dapperTree.Classify(e.ev)]++
 	}
-	best, bestN := dapper.Unknown, 0
-	for _, d := range []dapper.Diagnosis{dapper.SenderLimited, dapper.NetworkLimited, dapper.ReceiverLimited} {
-		if counts[d] > bestN {
-			best, bestN = d, counts[d]
-		}
-	}
+	best := votes.Majority()
 	if best == dapper.SenderLimited && g.phantomCeiling(c) {
 		return dapper.ReceiverLimited
 	}
 	return best
-}
-
-// classifyEpoch mirrors dapper's decision tree over sanitized evidence.
-func classifyEpoch(e dapperEpoch) dapper.Diagnosis {
-	if e.dataPkts < 5 {
-		return dapper.Unknown
-	}
-	if e.sanRetrans >= 2 {
-		return dapper.NetworkLimited
-	}
-	if e.sanRwndMin < 1<<30 && float64(e.flightMax) >= 0.8*float64(e.sanRwndMin) {
-		return dapper.ReceiverLimited
-	}
-	return dapper.SenderLimited
 }

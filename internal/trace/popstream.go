@@ -175,7 +175,7 @@ type popSlot struct {
 // each Epoch-long window the shard emits prefix lo's packets, then lo+1's,
 // …, then hi-1's, and advances to the next window — a deterministic
 // prefix-interleaved total order. Per-prefix subsequences are in
-// non-decreasing time order (the Monitor/MonitorBank feed contract) and
+// non-decreasing time order (the MonitorBank feed contract) and
 // are bit-identical to PrefixStream(pid) regardless of shard boundaries.
 //
 // The packet-lifetime rule of Stream applies per prefix: the returned

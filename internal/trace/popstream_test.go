@@ -114,7 +114,7 @@ func TestPopShardShardingInvariant(t *testing.T) {
 }
 
 // TestPopShardTimeOrder pins the two ordering contracts the consumers
-// rely on: per-prefix times never decrease (the Monitor feed contract),
+// rely on: per-prefix times never decrease (the MonitorBank feed contract),
 // and the global interleave never emits a packet from an epoch earlier
 // than the one being swept (times are within Epoch of the sweep floor).
 func TestPopShardTimeOrder(t *testing.T) {

@@ -31,7 +31,7 @@ type Event struct {
 // next call to Next on the same stream — generators re-fill one
 // stream-owned scratch packet so the per-packet hot path allocates
 // nothing. Consumers that inspect the packet and move on (Blink's
-// Monitor.Feed, the tR measurements) need no copy; consumers that retain
+// MonitorBank.Feed, the tR measurements) need no copy; consumers that retain
 // the packet — netsim link queues, MitM taps, anything that buffers —
 // must take a Clone() first (blink.PlayStream does).
 type Stream interface {
