@@ -18,7 +18,7 @@ func fig2Traced(t *testing.T, cfg blink.Fig2Config, workers int) []audit.Event {
 	auds := make([]*audit.MonAudit, n)
 	cfg.ObserveTrial = func(run int, m *blink.MonitorBank) {
 		recs[run] = audit.NewRecorder()
-		auds[run] = audit.AttachMonitor(m, 0, recs[run])
+		auds[run] = audit.AttachMonitor(m, recs[run])
 	}
 	res := blink.RunFig2(cfg)
 	for run, a := range auds {

@@ -28,6 +28,10 @@
 // and on a floor entry whose benchmark or metric is missing from the
 // measurements (a silently-skipped check would read as a pass).
 //
+// Before overwriting an existing BENCH.json, benchgate prints each
+// benchmark's change in ns/op, B/op and allocs/op against it, for the
+// benchmarks present in both runs.
+//
 // The floors are deliberately conservative relative to the measured
 // numbers: they are meant to catch "the optimization fell off" (a
 // 2×-or-worse cliff, an allocation reappearing on the steady-state path),
@@ -39,6 +43,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -109,6 +114,9 @@ func main() {
 	bench := readBench()
 	if len(bench.Benchmarks) == 0 {
 		fatalf("no benchmark result lines on stdin; %s not written", out)
+	}
+	if prev, ok := loadPrevious(out); ok {
+		printDeltas(os.Stdout, prev, bench)
 	}
 	enc, err := json.MarshalIndent(bench, "", "  ")
 	if err != nil {
@@ -241,6 +249,59 @@ func parseLine(line string) (Benchmark, bool) {
 		return Benchmark{}, false
 	}
 	return b, true
+}
+
+// loadPrevious reads the benchmark file about to be overwritten. A
+// missing or unreadable file only means there is nothing to compare
+// against.
+func loadPrevious(path string) (File, bool) {
+	var prev File
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return prev, false
+	}
+	if err := json.Unmarshal(data, &prev); err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: previous %s unreadable, no deltas: %v\n", path, err)
+		return prev, false
+	}
+	return prev, true
+}
+
+// printDeltas writes, for every benchmark present in both files, the
+// change in ns/op, B/op and allocs/op from prev to cur.
+func printDeltas(w io.Writer, prev, cur File) {
+	old := make(map[string]Benchmark, len(prev.Benchmarks))
+	for _, b := range prev.Benchmarks {
+		old[b.Name] = b
+	}
+	for _, b := range cur.Benchmarks {
+		p, ok := old[b.Name]
+		if !ok {
+			continue
+		}
+		var parts []string
+		for _, unit := range []string{"ns/op", "B/op", "allocs/op"} {
+			was, ok1 := p.Metrics[unit]
+			now, ok2 := b.Metrics[unit]
+			if ok1 && ok2 {
+				parts = append(parts, fmt.Sprintf("%s %g -> %g (%s)", unit, was, now, change(was, now)))
+			}
+		}
+		if len(parts) > 0 {
+			fmt.Fprintf(w, "benchgate: delta: %s %s\n", b.Name, strings.Join(parts, ", "))
+		}
+	}
+}
+
+// change formats the relative change from was to now.
+func change(was, now float64) string {
+	switch {
+	case was == now:
+		return "="
+	case was == 0:
+		return "was 0"
+	}
+	return fmt.Sprintf("%+.1f%%", 100*(now-was)/was)
 }
 
 // why formats an optional rationale suffix.

@@ -215,7 +215,7 @@ func blinkFig2() {
 				rec = audit.NewRecorder()
 				recs[run] = rec
 			}
-			auds[run] = audit.AttachMonitor(m, 0, rec)
+			auds[run] = audit.AttachMonitor(m, rec)
 		}
 	}
 	if *progress {
@@ -337,7 +337,7 @@ func blinkPop() {
 		fmt.Printf("  prefix %d failed at t=%.3fs\n", f.Prefix, f.Now)
 	}
 	if cfg.AuditEvery > 0 {
-		fmt.Printf("audited:       %d prefixes bit-identical to scalar monitors\n", res.AuditedPrefixes)
+		fmt.Printf("audited:       %d prefixes bit-identical to shadow one-prefix banks\n", res.AuditedPrefixes)
 	}
 	fmt.Printf("state hash:    %016x\n", res.StateHash)
 

@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -172,20 +173,25 @@ func checkDeclDocs(t *testing.T, fset *token.FileSet, path string, decl ast.Decl
 
 // docRefFiles are the living documents, and the CI files that build and
 // run commands, whose command and example references must resolve (glob
-// patterns). EXPERIMENTS.md is exempt: it is a dated log that names
-// deleted tools on purpose.
+// patterns).
 var docRefFiles = []string{
 	"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md",
 	"Makefile", ".github/workflows/*.yml", "scripts/*.sh",
 }
+
+// runLineDocs are dated logs whose prose names deleted tools on purpose:
+// only their runnable lines, those matching runLine, must resolve.
+var runLineDocs = []string{"EXPERIMENTS.md"}
+
+var runLine = regexp.MustCompile(`^(?:\$ )?go run `)
 
 // docRef matches cmd/<x> and examples/<x> (optionally ./-prefixed) and
 // /tmp/bins/<x>, the verify skill's build directory for cmd/<x>.
 var docRef = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?(cmd|examples)/([\w-]+)|/tmp/bins/([\w-]+)`)
 
 // TestDocReferencesExist asserts every cmd/<x>, examples/<x> and
-// /tmp/bins/<x> named in a living document or CI file is an existing
-// directory.
+// /tmp/bins/<x> named in a living document or CI file, or on a runnable
+// line of a dated log, is an existing directory.
 func TestDocReferencesExist(t *testing.T) {
 	var docs []string
 	for _, pattern := range docRefFiles {
@@ -195,12 +201,16 @@ func TestDocReferencesExist(t *testing.T) {
 		}
 		docs = append(docs, matches...)
 	}
-	for _, doc := range docs {
+	for _, doc := range append(docs, runLineDocs...) {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		runOnly := slices.Contains(runLineDocs, doc)
 		for i, line := range strings.Split(string(src), "\n") {
+			if runOnly && !runLine.MatchString(line) {
+				continue
+			}
 			for _, m := range docRef.FindAllStringSubmatch(line, -1) {
 				dir := filepath.Join(m[1], m[2])
 				if m[3] != "" {

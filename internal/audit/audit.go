@@ -8,9 +8,12 @@
 // The package only observes: it attaches to the hooks the substrate
 // exposes (netsim.Network.SetLinkProbe, netsim.Engine.SetAudit, the
 // blink.MonitorBank On* observers, blink.Fig2Config.ObserveTrial) and never
-// mutates simulation state. With nothing attached the substrate pays one
-// nil check per event — the zero-allocation hot-path guarantees of the
-// engine, the trace generators, and MonitorBank.Feed are unchanged.
+// mutates simulation state. MonAudit traces and checks a one-prefix Blink
+// bank (a Pipeline's, or one Fig 2 trial's); BankAudit cross-checks a
+// PoP-scale bank against one-prefix shadows. With nothing attached the
+// substrate pays one nil check per event — the zero-allocation hot-path
+// guarantees of the engine, the trace generators, and MonitorBank.Feed
+// are unchanged.
 //
 // Audits are wired into tests and experiment binaries behind the
 // DUI_AUDIT=1 environment variable (or each binary's -audit flag); reduced

@@ -158,7 +158,7 @@ func TestAuditTapDelayAccounting(t *testing.T) {
 func TestMonitorAuditCleanRun(t *testing.T) {
 	m := blink.NewMonitorBank(1, blink.Config{Cells: 16, Threshold: 17}) // unreachable threshold: no inference cutoff
 	rec := NewRecorder()
-	a := AttachMonitor(m, 0, rec)
+	a := AttachMonitor(m, rec)
 	rng := stats.NewRNG(7)
 	legit := trace.NewLegit(trace.LegitConfig{
 		Victim: blink.Victim, Flows: 80, Dur: trace.ExpDuration{MeanSec: 4},
@@ -234,7 +234,7 @@ func TestTraceRoundTripAndDiff(t *testing.T) {
 // which is exactly the misuse the checker guards against.
 func TestMonitorAuditCatchesTamperedCell(t *testing.T) {
 	m := blink.NewMonitorBank(1, blink.Config{Cells: 4, Threshold: 5})
-	a := AttachMonitor(m, 0, nil)
+	a := AttachMonitor(m, nil)
 	// One retransmitting flow: counted, in-window.
 	p := packet.NewTCP(packet.MustParseAddr("30.0.0.1"), blink.Victim.Nth(1),
 		packet.TCPHeader{SrcPort: 9, DstPort: 443, Seq: 100}, 1500)

@@ -52,7 +52,7 @@ func AttachBank(bank *blink.MonitorBank, prefixes []int, rec *Recorder) *BankAud
 		a.prefixes = append(a.prefixes, p)
 		m := blink.NewMonitorBank(1, bank.Config())
 		a.shadows = append(a.shadows, m)
-		a.mons = append(a.mons, AttachMonitor(m, 0, rec))
+		a.mons = append(a.mons, AttachMonitor(m, rec))
 	}
 	return a
 }

@@ -8,62 +8,55 @@ import (
 	"dui/internal/packet"
 )
 
-// MonAudit traces and checks one prefix of a blink.MonitorBank. The
-// tracer records every residence event (sample, evict, reset-evict), every
-// detected retransmission, and every failure inference; the checker
-// verifies the selector invariants the incremental-count optimization
-// rests on.
+// MonAudit traces and checks a one-prefix blink.MonitorBank — a
+// Pipeline's bank or one trial's selector. The tracer records every
+// residence event (sample, evict, reset-evict), every detected
+// retransmission, and every failure inference; the checker verifies the
+// selector invariants the incremental-count optimization rests on.
 type MonAudit struct {
-	b   *blink.MonitorBank
-	p   int
-	rec *Recorder
-	v   violations
+	b *blink.MonitorBank
+	v violations
 }
 
-// AttachMonitor installs tracing (when rec is non-nil) and continuous
-// residence checks on prefix p of b via the bank's OnSample/OnEvict/
-// OnRetrans/OnFailure observers, ignoring every other prefix. Bank
-// observers accumulate, so the auditor coexists with a reroute pipeline or
-// an experiment observer on the same bank.
-func AttachMonitor(b *blink.MonitorBank, p int, rec *Recorder) *MonAudit {
-	a := &MonAudit{b: b, p: p, rec: rec}
-	b.OnSample(func(prefix int, now float64, key packet.FlowKey, cell int) {
-		if prefix == p && a.rec != nil {
-			a.rec.Record(now, KindSample, cell, key.FastHash())
-		}
-	})
-	b.OnEvict(func(prefix int, ev blink.Eviction) {
-		if prefix != p {
-			return
-		}
+// AttachMonitor installs continuous residence checks, and tracing when
+// rec is non-nil, on the one-prefix bank b via its OnEvict/OnSample/
+// OnRetrans/OnFailure observers; it panics on a bank with more than one
+// prefix. Bank observers accumulate, so the auditor coexists with a
+// reroute pipeline or an experiment observer on the same bank.
+func AttachMonitor(b *blink.MonitorBank, rec *Recorder) *MonAudit {
+	if b.Prefixes() != 1 {
+		panic("audit: AttachMonitor needs a one-prefix bank")
+	}
+	a := &MonAudit{b: b}
+	b.OnEvict(func(_ int, ev blink.Eviction) {
 		if ev.Residence < 0 || math.IsNaN(ev.Residence) {
 			a.v.add(ev.Now, RuleSelector, cellName(ev.Cell), "eviction before sampling (residence %g)", ev.Residence)
 		}
-		if a.rec != nil {
+		if rec != nil {
 			k := KindEvict
 			if ev.Reset {
 				k = KindResetEvict
 			}
-			a.rec.Record(ev.Now, k, ev.Cell, ev.Key.FastHash())
+			rec.Record(ev.Now, k, ev.Cell, ev.Key.FastHash())
 		}
 	})
-	b.OnRetrans(func(prefix int, ev blink.RetransEvent) {
-		if prefix == p && a.rec != nil {
-			a.rec.Record(ev.Now, KindRetrans, ev.Cell, ev.Key.FastHash())
-		}
+	if rec == nil {
+		return a
+	}
+	b.OnSample(func(_ int, now float64, key packet.FlowKey, cell int) {
+		rec.Record(now, KindSample, cell, key.FastHash())
 	})
-	b.OnFailure(func(prefix int, now float64) {
-		if prefix == p && a.rec != nil {
-			a.rec.Record(now, KindFailure, 0, 0)
-		}
+	b.OnRetrans(func(_ int, ev blink.RetransEvent) {
+		rec.Record(ev.Now, KindRetrans, ev.Cell, ev.Key.FastHash())
 	})
+	b.OnFailure(func(_ int, now float64) { rec.Record(now, KindFailure, 0, 0) })
 	return a
 }
 
 func cellName(i int) string { return "cell " + strconv.Itoa(i) }
 
 // Check verifies the selector's structural invariants at virtual time now
-// (now must be >= the prefix's last Feed time) and returns them joined
+// (now must be >= the bank's last Feed time) and returns them joined
 // with any violations the continuous hooks collected:
 //
 //   - occupied cells never exceed the configured cell count;
@@ -76,7 +69,7 @@ func cellName(i int) string { return "cell " + strconv.Itoa(i) }
 //     minLastRetr never exceeds any counted cell's LastRetr.
 func (a *MonAudit) Check(now float64) error {
 	cfg := a.b.Config()
-	cells := a.b.CellsAt(a.p)
+	cells := a.b.CellsAt(0)
 	if len(cells) != cfg.Cells {
 		a.v.add(now, RuleSelector, "", "selector has %d cells, config says %d", len(cells), cfg.Cells)
 	}
@@ -114,7 +107,7 @@ func (a *MonAudit) Check(now float64) error {
 	if occupied > cfg.Cells {
 		a.v.add(now, RuleSelector, "", "%d occupied cells exceed the %d-cell selector", occupied, cfg.Cells)
 	}
-	count, minLastRetr := a.b.AuditWindowState(a.p)
+	count, minLastRetr := a.b.AuditWindowState(0)
 	if count != counted {
 		a.v.add(now, RuleSelector, "", "incremental retransmission count %d != %d counted cells", count, counted)
 	}

@@ -66,11 +66,11 @@ type HijackConfig struct {
 	// Hook, if set, runs after the pipeline is built — the place to
 	// install a §5 supervisor (Veto) before traffic starts.
 	Hook func(p *Pipeline)
-	// Chaos, if set, runs once routes are computed and before traffic
-	// starts — the place to install benign faults on the topology. The
-	// links are, in order: ingress–rBlink, rBlink–rGood (primary trunk),
-	// rBlink–rEvil (backup trunk), rGood–victim, rEvil–victim.
-	Chaos func(nw *netsim.Network, links []*netsim.Link)
+	// Chaos, if set, runs once routes are computed and before the
+	// pipeline is built or traffic starts — the place to install benign
+	// faults on the topology (ingress–rBlink uplink, rBlink–rGood trunk,
+	// rGood–victim tail).
+	Chaos func(t Topo)
 }
 
 // Defaults fills a fast-but-representative configuration: a smaller
@@ -146,21 +146,21 @@ func RunHijack(cfg HijackConfig) *HijackResult {
 	rGood := nw.AddRouter("rGood")
 	rEvil := nw.AddRouter("rEvil")
 	victim := nw.AddHost("victim", Victim.Nth(1))
-	l0 := nw.Connect(ingress, rBlink, 0, 0.001, 0)
-	l1 := nw.Connect(rBlink, rGood, 0, 0.005, 0)
-	l2 := nw.Connect(rBlink, rEvil, 0, 0.005, 0)
-	l3 := nw.Connect(rGood, victim, 0, 0.005, 0)
-	l4 := nw.Connect(rEvil, victim, 0, 0.005, 0)
+	lUp := nw.Connect(ingress, rBlink, 0, 0.001, 0)
+	lTrunk := nw.Connect(rBlink, rGood, 0, 0.005, 0)
+	nw.Connect(rBlink, rEvil, 0, 0.005, 0)
+	lTail := nw.Connect(rGood, victim, 0, 0.005, 0)
+	nw.Connect(rEvil, victim, 0, 0.005, 0)
 	nw.Announce(victim, Victim)
 	nw.ComputeRoutes()
 	if cfg.Chaos != nil {
-		cfg.Chaos(nw, []*netsim.Link{l0, l1, l2, l3, l4})
+		cfg.Chaos(Topo{Net: nw, Uplink: lUp, PrimaryTrunk: lTrunk, PrimaryTail: lTail})
 	}
 
-	pipe := NewPipeline(rBlink, cfg.Blink, []PrefixPolicy{{
+	pipe := NewPipeline(rBlink, cfg.Blink, PrefixPolicy{
 		Prefix:   Victim,
 		NextHops: []*netsim.Node{rGood, rEvil},
-	}})
+	})
 	if cfg.Hook != nil {
 		cfg.Hook(pipe)
 	}

@@ -26,21 +26,18 @@ type FailoverConfig struct {
 	// and before any flow starts — the fault-injection point
 	// (internal/faults). Nil leaves the run bit-identical to a chaos-free
 	// one.
-	Chaos func(t FailoverTopo)
+	Chaos func(t Topo)
 }
 
-// FailoverTopo exposes the experiment's fixed topology to the Chaos hook:
-// the network (for the engine and scheduling) plus every node and link by
-// role, so fault plans can target the primary path, the backup path, or
-// the Blink router itself.
-type FailoverTopo struct {
-	Net                         *netsim.Network
-	Sender, RBlink, RGood, RAlt *netsim.Node
-	Victim                      *netsim.Node
-	SenderUplink                *netsim.Link // sender–rBlink
-	PrimaryTrunk, PrimaryTail   *netsim.Link // rBlink–rGood, rGood–victim
-	BackupTrunk, BackupTail     *netsim.Link // rBlink–rAlt, rAlt–victim
-	Pipe                        *Pipeline
+// Topo names the links of a Blink experiment's topology that fault plans
+// target: the sender's uplink into the Blink router and the two hops of
+// the primary path to the victim. RunFailover and RunHijack pass it to
+// their Chaos hooks.
+type Topo struct {
+	Net          *netsim.Network
+	Uplink       *netsim.Link // sender (or ingress) – Blink router
+	PrimaryTrunk *netsim.Link // Blink router – primary next hop
+	PrimaryTail  *netsim.Link // primary next hop – victim
 }
 
 // Defaults fills a representative configuration.
@@ -94,9 +91,9 @@ func RunFailover(cfg FailoverConfig) *FailoverResult {
 	victim := nw.AddHost("victim", Victim.Nth(1))
 	lUp := nw.Connect(sender, rBlink, 0, 0.002, 0)
 	lTrunk := nw.Connect(rBlink, rGood, 0, 0.01, 0)
-	lBackupTrunk := nw.Connect(rBlink, rAlt, 0, 0.015, 0)
+	nw.Connect(rBlink, rAlt, 0, 0.015, 0)
 	lGood := nw.Connect(rGood, victim, 0, 0.01, 0)
-	lBackupTail := nw.Connect(rAlt, victim, 0, 0.015, 0)
+	nw.Connect(rAlt, victim, 0, 0.015, 0)
 	nw.Announce(victim, Victim)
 	nw.ComputeRoutes()
 	// Return traffic is pinned through rAlt: the failure under study is
@@ -105,10 +102,10 @@ func RunFailover(cfg FailoverConfig) *FailoverResult {
 	// anyone).
 	victim.AddRoute(packet.Prefix{Addr: sender.Addr, Bits: 32}, rAlt, nil)
 
-	pipe := NewPipeline(rBlink, cfg.Blink, []PrefixPolicy{{
+	pipe := NewPipeline(rBlink, cfg.Blink, PrefixPolicy{
 		Prefix:   Victim,
 		NextHops: []*netsim.Node{rGood, rAlt},
-	}})
+	})
 	if cfg.Hook != nil {
 		cfg.Hook(pipe)
 	}
@@ -117,11 +114,7 @@ func RunFailover(cfg FailoverConfig) *FailoverResult {
 		res.RetransGaps = append(res.RetransGaps, ev.Gap)
 	})
 	if cfg.Chaos != nil {
-		cfg.Chaos(FailoverTopo{
-			Net: nw, Sender: sender, RBlink: rBlink, RGood: rGood, RAlt: rAlt, Victim: victim,
-			SenderUplink: lUp, PrimaryTrunk: lTrunk, PrimaryTail: lGood,
-			BackupTrunk: lBackupTrunk, BackupTail: lBackupTail, Pipe: pipe,
-		})
+		cfg.Chaos(Topo{Net: nw, Uplink: lUp, PrimaryTrunk: lTrunk, PrimaryTail: lGood})
 	}
 
 	se := tcpflow.NewEndpoint(sender)

@@ -21,15 +21,17 @@ type Reroute struct {
 	To     *netsim.Node
 }
 
-// Pipeline is Blink as a netsim data-plane program: one monitor bank,
-// where prefix i monitors policy i, plus the reroute action. Attach it to
-// a router with AttachProgram; it installs the primary routes at
-// construction.
+// Pipeline is Blink as a netsim data-plane program for one monitored
+// prefix: a one-prefix monitor bank plus the reroute action. Attach it to
+// a router with AttachProgram; it installs the primary route at
+// construction. A router monitors several prefixes by attaching one
+// Pipeline per prefix (netsim runs a node's programs in order), so each
+// pipeline's observers and Veto see only their own prefix.
 type Pipeline struct {
 	node     *netsim.Node
 	bank     *MonitorBank
-	policies []PrefixPolicy
-	current  []int // per policy: index of the active next hop
+	policy   PrefixPolicy
+	current  int // index of the active next hop
 	reroutes []Reroute
 
 	// OnReroute, if set, observes failover decisions.
@@ -45,82 +47,65 @@ type Pipeline struct {
 	VetoedReroutes int
 }
 
-// NewPipeline builds the program, creates the bank with one prefix per
-// policy, and installs each policy's primary route on node.
-func NewPipeline(node *netsim.Node, cfg Config, policies []PrefixPolicy) *Pipeline {
-	p := &Pipeline{
-		node:     node,
-		bank:     NewMonitorBank(len(policies), cfg),
-		policies: append([]PrefixPolicy(nil), policies...),
-		current:  make([]int, len(policies)),
+// NewPipeline builds the program, creates its one-prefix bank, and
+// installs the policy's primary route on node.
+func NewPipeline(node *netsim.Node, cfg Config, policy PrefixPolicy) *Pipeline {
+	if len(policy.NextHops) == 0 {
+		panic("blink: policy needs at least one next hop")
 	}
-	for _, pol := range policies {
-		if len(pol.NextHops) == 0 {
-			panic("blink: policy needs at least one next hop")
-		}
-		node.AddRoute(pol.Prefix, pol.NextHops[0], nil)
-	}
+	p := &Pipeline{node: node, bank: NewMonitorBank(1, cfg), policy: policy}
+	node.AddRoute(policy.Prefix, policy.NextHops[0], nil)
 	p.bank.OnFailure(p.failover)
 	return p
 }
 
-// Bank returns the pipeline's monitor bank (prefix i is the i-th policy),
-// for metric collection and observers.
+// Bank returns the pipeline's one-prefix monitor bank, for metric
+// collection and observers.
 func (p *Pipeline) Bank() *MonitorBank { return p.bank }
 
 // Reroutes returns all failover decisions so far.
 func (p *Pipeline) Reroutes() []Reroute { return p.reroutes }
 
-// CurrentNextHop returns the active next hop for the i-th policy.
-func (p *Pipeline) CurrentNextHop(i int) *netsim.Node {
-	return p.policies[i].NextHops[p.current[i]]
+// CurrentNextHop returns the prefix's active next hop.
+func (p *Pipeline) CurrentNextHop() *netsim.Node {
+	return p.policy.NextHops[p.current]
 }
 
-// OnPacket implements netsim.Program: feed TCP packets toward monitored
-// prefixes into the matching prefix of the bank. Blink never drops
-// traffic.
+// OnPacket implements netsim.Program: feed TCP packets toward the
+// monitored prefix into the bank. Blink never drops traffic.
 func (p *Pipeline) OnPacket(now float64, pkt *packet.Packet, node *netsim.Node) bool {
-	if pkt.TCP != nil {
-		for i := range p.policies {
-			if p.policies[i].Prefix.Contains(pkt.Dst) {
-				p.bank.Feed(i, now, pkt)
-				break
-			}
-		}
+	if pkt.TCP != nil && p.policy.Prefix.Contains(pkt.Dst) {
+		p.bank.Feed(0, now, pkt)
 	}
 	return true
 }
 
 // Restart models a crash/restart of the router running the pipeline: all
-// monitor state is lost (MonitorBank.Restart) and every policy falls back
-// to its primary next hop — what a rebooted device loads from its startup
+// monitor state is lost (MonitorBank.Restart) and the prefix falls back to
+// its primary next hop — what a rebooted device loads from its startup
 // config. Reroute history, veto counts, and registered hooks survive; they
 // belong to the experiment harness, not router RAM.
 func (p *Pipeline) Restart(now float64) {
-	for i, pol := range p.policies {
-		p.bank.Restart(i, now)
-		p.current[i] = 0
-		p.node.AddRoute(pol.Prefix, pol.NextHops[0], nil)
-	}
+	p.bank.Restart(0, now)
+	p.current = 0
+	p.node.AddRoute(p.policy.Prefix, p.policy.NextHops[0], nil)
 }
 
-// failover advances policy i to its next backup next hop and rewrites the
-// route — Blink's fast-reroute action, and the lever the §3.1 attacker
-// pulls.
-func (p *Pipeline) failover(i int, now float64) {
-	pol := p.policies[i]
-	if p.current[i]+1 >= len(pol.NextHops) {
+// failover advances the prefix to its next backup next hop and rewrites
+// the route — Blink's fast-reroute action, and the lever the §3.1
+// attacker pulls.
+func (p *Pipeline) failover(_ int, now float64) {
+	hops := p.policy.NextHops
+	if p.current+1 >= len(hops) {
 		return // no backup left
 	}
-	from := pol.NextHops[p.current[i]]
-	to := pol.NextHops[p.current[i]+1]
-	ev := Reroute{Now: now, Prefix: pol.Prefix, From: from, To: to}
+	ev := Reroute{Now: now, Prefix: p.policy.Prefix, From: hops[p.current], To: hops[p.current+1]}
 	if p.Veto != nil && p.Veto(ev) {
 		p.VetoedReroutes++
 		return
 	}
-	p.current[i]++
-	p.node.AddRoute(pol.Prefix, to, nil)
+	p.current++
+	p.node.AddRoute(p.policy.Prefix, ev.To, nil)
 	p.reroutes = append(p.reroutes, ev)
 	if p.OnReroute != nil {
 		p.OnReroute(ev)

@@ -10,8 +10,8 @@ import (
 	"dui/internal/trace"
 )
 
-// TestPipelineMultiPrefix: two monitored prefixes with independent state —
-// an attack on one must not reroute the other.
+// TestPipelineMultiPrefix: two single-prefix pipelines on one router keep
+// independent state — an attack on one prefix must not reroute the other.
 func TestPipelineMultiPrefix(t *testing.T) {
 	nw := netsim.New()
 	ingress := nw.AddHost("in", packet.MustParseAddr("20.0.0.1"))
@@ -33,11 +33,11 @@ func TestPipelineMultiPrefix(t *testing.T) {
 	nw.Announce(vB, pfxB)
 	nw.ComputeRoutes()
 
-	pipe := NewPipeline(rB, Config{Cells: 8, Threshold: 4}, []PrefixPolicy{
-		{Prefix: pfxA, NextHops: []*netsim.Node{nhA, nhB}},
-		{Prefix: pfxB, NextHops: []*netsim.Node{nhB, nhA}},
-	})
-	rB.AttachProgram(pipe)
+	cfg := Config{Cells: 8, Threshold: 4}
+	pipeA := NewPipeline(rB, cfg, PrefixPolicy{Prefix: pfxA, NextHops: []*netsim.Node{nhA, nhB}})
+	pipeB := NewPipeline(rB, cfg, PrefixPolicy{Prefix: pfxB, NextHops: []*netsim.Node{nhB, nhA}})
+	rB.AttachProgram(pipeA)
+	rB.AttachProgram(pipeB)
 
 	// Attack prefix A only.
 	mal := trace.NewMalicious(trace.MaliciousConfig{
@@ -47,14 +47,14 @@ func TestPipelineMultiPrefix(t *testing.T) {
 	PlayStream(nw, ingress, mal)
 	nw.RunUntil(60)
 
-	if pipe.CurrentNextHop(0) != nhB {
+	if pipeA.CurrentNextHop() != nhB {
 		t.Fatal("attacked prefix did not fail over")
 	}
-	if pipe.CurrentNextHop(1) != nhB {
+	if pipeB.CurrentNextHop() != nhB {
 		t.Fatal("unattacked prefix moved")
 	}
-	if len(pipe.Reroutes()) != 1 {
-		t.Fatalf("reroutes = %d", len(pipe.Reroutes()))
+	if n := len(pipeA.Reroutes()) + len(pipeB.Reroutes()); n != 1 {
+		t.Fatalf("reroutes = %d", n)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestPipelineNoBackupLeft(t *testing.T) {
 	r := nw.AddRouter("r")
 	nh := nw.AddRouter("nh")
 	nw.Connect(r, nh, 0, 0.001, 0)
-	pipe := NewPipeline(r, Config{Cells: 2, Threshold: 1, Window: 1}, []PrefixPolicy{
-		{Prefix: Victim, NextHops: []*netsim.Node{nh}},
+	pipe := NewPipeline(r, Config{Cells: 2, Threshold: 1, Window: 1}, PrefixPolicy{
+		Prefix: Victim, NextHops: []*netsim.Node{nh},
 	})
 	k := packet.NewTCP(1, Victim.Nth(1), packet.TCPHeader{SrcPort: 1, DstPort: 2, Seq: 0, Flags: packet.FlagACK}, 1500)
 	pipe.OnPacket(0, k, r)
@@ -105,7 +105,7 @@ func TestPipelineNoBackupLeft(t *testing.T) {
 	if len(pipe.Reroutes()) != 0 {
 		t.Fatal("rerouted with no backup")
 	}
-	if pipe.CurrentNextHop(0) != nh {
+	if pipe.CurrentNextHop() != nh {
 		t.Fatal("next hop changed")
 	}
 }

@@ -20,8 +20,9 @@
 //
 // Per-prefix state lives in one shape, the *MonitorBank: the selectors of
 // n prefixes in flat struct-of-arrays storage, fed by dense prefix id. A
-// single-prefix experiment is a one-prefix bank, and a Pipeline holds one
-// bank with prefix i for its i-th policy.
+// single-prefix experiment is a one-prefix bank, and so is a Pipeline: a
+// Pipeline serves one prefix, and a router monitors several by attaching
+// one Pipeline per prefix.
 package blink
 
 import (

@@ -196,11 +196,11 @@ var chaosOps = ops{
 			LossP: 0.03 * e, DupP: 0.01 * e, CorruptP: 0.005 * e,
 			JitterP: 0.5, Jitter: 0.04 * e,
 		}
-		chaos := func(base uint64) func(blink.FailoverTopo) {
+		chaos := func(base uint64) func(blink.Topo) {
 			if e == 0 {
 				return nil // ε=0 stays bit-identical to a chaos-free run
 			}
-			return func(topo blink.FailoverTopo) {
+			return func(topo blink.Topo) {
 				topo.PrimaryTrunk.SetFault(faults.NewGray(grayCfg, stats.ChildAt(seed, base)))
 				topo.PrimaryTail.SetFault(faults.NewGray(grayCfg, stats.ChildAt(seed, base+1)))
 			}

@@ -4,7 +4,6 @@ import (
 	"dui/internal/advsearch"
 	"dui/internal/blink"
 	"dui/internal/faults"
-	"dui/internal/netsim"
 	"dui/internal/stats"
 	"dui/internal/supervisor"
 )
@@ -78,7 +77,7 @@ func (blinkSystem) RunKnobs(attack string, x advsearch.Vector, guarded bool, pro
 	if quick {
 		cfg.LegitFlows = 80
 	}
-	cfg.Chaos = blinkHijackChaos(prof, seed, cfg.Duration)
+	cfg.Chaos = blinkChaos(prof, seed, cfg.Duration, cfg.Duration/2)
 	var g *supervisor.BlinkGuard
 	if guarded {
 		cfg.Hook = func(p *blink.Pipeline) {
@@ -106,7 +105,9 @@ func blinkRunTwin(guarded bool, prof Profile, seed uint64, quick bool) TrialResu
 		// has between benign flap recovery and the genuine failure.
 		cfg.Flows, cfg.FailAt, cfg.Duration = 60, 18, 30
 	}
-	cfg.Chaos = blinkFailoverChaos(prof, seed, cfg.Duration)
+	// The flap window closes well before the genuine failure so its
+	// recovery bursts age out of the guard's sample window.
+	cfg.Chaos = blinkChaos(prof, seed, cfg.Duration, 2*cfg.Duration/5)
 	var g *supervisor.BlinkGuard
 	if guarded {
 		cfg.Hook = func(p *blink.Pipeline) {
@@ -127,9 +128,11 @@ func blinkRunTwin(guarded bool, prof Profile, seed uint64, quick bool) TrialResu
 	return out
 }
 
-// blinkFailoverChaos builds the benign-fault plan for the failover twin
-// topology.
-func blinkFailoverChaos(prof Profile, seed uint64, dur float64) func(blink.FailoverTopo) {
+// blinkChaos builds the benign-fault plan for a Blink topology: gray on
+// the primary trunk and tail, a flap of the uplink from dur/5 to flapEnd,
+// or jitter on the primary trunk from dur/5. The failover twin closes its
+// flap window at 2*dur/5 and the hijack at dur/2.
+func blinkChaos(prof Profile, seed uint64, dur, flapEnd float64) func(blink.Topo) {
 	e := prof.Intensity
 	if e == 0 {
 		return nil
@@ -137,54 +140,21 @@ func blinkFailoverChaos(prof Profile, seed uint64, dur float64) func(blink.Failo
 	switch prof.Name {
 	case "gray":
 		cfg := faults.GrayConfig{LossP: 0.02 * e, DupP: 0.01 * e, JitterP: 0.5, Jitter: 0.02 * e}
-		return func(t blink.FailoverTopo) {
+		return func(t blink.Topo) {
 			t.PrimaryTrunk.SetFault(faults.NewGray(cfg, stats.ChildAt(seed, 3000)))
 			t.PrimaryTail.SetFault(faults.NewGray(cfg, stats.ChildAt(seed, 3001)))
 		}
 	case "flap":
-		return func(t blink.FailoverTopo) {
-			// The flap window closes well before the genuine failure so
-			// its recovery bursts age out of the guard's sample window.
-			faults.ScheduleFlap(t.Net.Engine(), t.SenderUplink, faults.FlapConfig{
-				Start: dur / 5, End: 2 * dur / 5,
+		return func(t blink.Topo) {
+			faults.ScheduleFlap(t.Net.Engine(), t.Uplink, faults.FlapConfig{
+				Start: dur / 5, End: flapEnd,
 				MeanDown: 0.05 + 0.1*e, MeanUp: 2, MinDwell: 0.05,
 			}, stats.ChildAt(seed, 3010))
 		}
 	case "degrade":
 		cfg := faults.GrayConfig{JitterP: 1, Jitter: 0.03 * e, From: dur / 5}
-		return func(t blink.FailoverTopo) {
+		return func(t blink.Topo) {
 			t.PrimaryTrunk.SetFault(faults.NewGray(cfg, stats.ChildAt(seed, 3020)))
-		}
-	}
-	return nil
-}
-
-// blinkHijackChaos is the same plan over the hijack topology's link
-// vector (ingress–rBlink, primary trunk, backup trunk, primary tail,
-// backup tail).
-func blinkHijackChaos(prof Profile, seed uint64, dur float64) func(*netsim.Network, []*netsim.Link) {
-	e := prof.Intensity
-	if e == 0 {
-		return nil
-	}
-	switch prof.Name {
-	case "gray":
-		cfg := faults.GrayConfig{LossP: 0.02 * e, DupP: 0.01 * e, JitterP: 0.5, Jitter: 0.02 * e}
-		return func(nw *netsim.Network, links []*netsim.Link) {
-			links[1].SetFault(faults.NewGray(cfg, stats.ChildAt(seed, 3000)))
-			links[3].SetFault(faults.NewGray(cfg, stats.ChildAt(seed, 3001)))
-		}
-	case "flap":
-		return func(nw *netsim.Network, links []*netsim.Link) {
-			faults.ScheduleFlap(nw.Engine(), links[0], faults.FlapConfig{
-				Start: dur / 5, End: dur / 2,
-				MeanDown: 0.05 + 0.1*e, MeanUp: 2, MinDwell: 0.05,
-			}, stats.ChildAt(seed, 3010))
-		}
-	case "degrade":
-		cfg := faults.GrayConfig{JitterP: 1, Jitter: 0.03 * e, From: dur / 5}
-		return func(nw *netsim.Network, links []*netsim.Link) {
-			links[1].SetFault(faults.NewGray(cfg, stats.ChildAt(seed, 3020)))
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package robustness
 
 import (
+	"slices"
+	"sync"
+
 	"dui/internal/sketch"
 	"dui/internal/stats"
 	"dui/internal/supervisor"
@@ -69,10 +72,10 @@ func (sketchSystem) Run(attack string, guarded bool, prof Profile, seed uint64, 
 		if quick {
 			n = 60
 		}
-		crafted = sketch.CraftPollutingFlows(m, k, n, 0.1, 1<<40)
+		crafted = pollutingFlows(m, k, n)
 	case "hide":
-		crafted = append(sketch.CraftPollutingFlows(m, k, 80, 0.1, 1<<40),
-			sketch.CraftTargetedHiders(m, k, victim, 0.1, 2, 1<<41)...)
+		crafted = slices.Concat(pollutingFlows(m, k, 80),
+			sketch.CraftTargetedHiders(m, k, victim, 0.1, 2, 1<<41))
 	}
 
 	primary := sketch.New(m, k)
@@ -124,4 +127,20 @@ func (sketchSystem) Run(attack string, guarded bool, prof Profile, seed uint64, 
 		out.Damage = float64(missing) / float64(total)
 	}
 	return out
+}
+
+// craftCache memoizes pollutingFlows by [3]int{m, k, n}.
+var craftCache sync.Map
+
+// pollutingFlows is sketch.CraftPollutingFlows(m, k, n, 0.1, 1<<40), a
+// pure function of (m, k, n) that every trial of a cell would otherwise
+// repeat. Trials run concurrently and share the returned slice, so
+// callers must not modify it or append to it.
+func pollutingFlows(m, k, n int) []sketch.FlowID {
+	key := [3]int{m, k, n}
+	if v, ok := craftCache.Load(key); ok {
+		return v.([]sketch.FlowID)
+	}
+	v, _ := craftCache.LoadOrStore(key, sketch.CraftPollutingFlows(m, k, n, 0.1, 1<<40))
+	return v.([]sketch.FlowID)
 }

@@ -76,12 +76,12 @@ func Build(s *Scenario) *Built {
 			hops[i] = b.nodes[nh]
 		}
 		cfg := blink.Config{Cells: bs.Cells, Threshold: bs.Threshold, Window: bs.Window}
-		b.Pipe = blink.NewPipeline(b.nodes[bs.Router], cfg, []blink.PrefixPolicy{{
+		b.Pipe = blink.NewPipeline(b.nodes[bs.Router], cfg, blink.PrefixPolicy{
 			Prefix:   HostPrefix(bs.Victim),
 			NextHops: hops,
-		}})
+		})
 		b.nodes[bs.Router].AttachProgram(b.Pipe)
-		b.MonAudit = audit.AttachMonitor(b.Pipe.Bank(), 0, b.Recorder)
+		b.MonAudit = audit.AttachMonitor(b.Pipe.Bank(), b.Recorder)
 		b.reroute = attachRerouteOracle(b.Pipe)
 	}
 
@@ -246,8 +246,8 @@ func (b *Built) buildWorkload(wi int, w WorkloadSpec) {
 // the pipeline executes must be justified by at least Threshold monitored
 // cells with a retransmission inside the sliding window at decision time —
 // the condition Blink's incremental inference is supposed to implement.
-// The oracle rebuilds the in-window count from bank prefix 0's own event
-// observers, independently of the selector's internal counters.
+// The oracle rebuilds the in-window count from the pipeline's own bank
+// event observers, independently of the selector's internal counters.
 type rerouteOracle struct {
 	window     float64
 	threshold  int
@@ -259,16 +259,8 @@ func attachRerouteOracle(p *blink.Pipeline) *rerouteOracle {
 	m := p.Bank()
 	cfg := m.Config()
 	o := &rerouteOracle{window: cfg.Window, threshold: cfg.Threshold, lastRetr: map[int]float64{}}
-	m.OnRetrans(func(prefix int, ev blink.RetransEvent) {
-		if prefix == 0 {
-			o.lastRetr[ev.Cell] = ev.Now
-		}
-	})
-	m.OnEvict(func(prefix int, ev blink.Eviction) {
-		if prefix == 0 {
-			delete(o.lastRetr, ev.Cell)
-		}
-	})
+	m.OnRetrans(func(_ int, ev blink.RetransEvent) { o.lastRetr[ev.Cell] = ev.Now })
+	m.OnEvict(func(_ int, ev blink.Eviction) { delete(o.lastRetr, ev.Cell) })
 	p.OnReroute = func(r blink.Reroute) {
 		n := 0
 		for _, t := range o.lastRetr {

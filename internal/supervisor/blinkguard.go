@@ -134,10 +134,10 @@ type BlinkGuard struct {
 
 var _ Guard[[]float64] = (*BlinkGuard)(nil)
 
-// GuardPipeline installs a guard over model on pipeline's first monitored
-// prefix (3 s gap window, veto at risk >= 0.5) and returns it: it records
-// the retransmission gaps of bank prefix 0 only, and judges every
-// failover against them. Call before traffic starts.
+// GuardPipeline installs a guard over model on the pipeline's prefix (3 s
+// gap window, veto at risk >= 0.5) and returns it: it records the
+// prefix's retransmission gaps and judges each failover against them.
+// Call before traffic starts.
 //
 // The veto-time gap selection uses the same subtraction form as the blink
 // selector's in-window test (now - t <= window), via windowContains.
@@ -148,10 +148,7 @@ var _ Guard[[]float64] = (*BlinkGuard)(nil)
 // on. The table tests in boundary_test.go pin the agreement.
 func GuardPipeline(p *blink.Pipeline, model *RTOModel) *BlinkGuard {
 	g := &BlinkGuard{Model: model, Window: 3}
-	p.Bank().OnRetrans(func(prefix int, ev blink.RetransEvent) {
-		if prefix != 0 {
-			return
-		}
+	p.Bank().OnRetrans(func(_ int, ev blink.RetransEvent) {
 		g.gaps = append(g.gaps, ev.Gap)
 		g.times = append(g.times, ev.Now)
 	})

@@ -185,7 +185,7 @@ func TestGuardNeverVetoesUnderGrayFailure(t *testing.T) {
 			FailAt:   12 + rng.Float64()*16,
 			Duration: 45,
 			Hook:     func(p *blink.Pipeline) { GuardPipeline(p, model) },
-			Chaos: func(topo blink.FailoverTopo) {
+			Chaos: func(topo blink.Topo) {
 				topo.PrimaryTrunk.SetFault(faults.NewGray(grayCfg, grngA))
 				topo.PrimaryTail.SetFault(faults.NewGray(grayCfg, grngB))
 			},
@@ -230,7 +230,7 @@ func TestGuardNeverVetoesUnderFlapping(t *testing.T) {
 			FailAt:   failAt,
 			Duration: 45,
 			Hook:     func(p *blink.Pipeline) { GuardPipeline(p, model) },
-			Chaos: func(topo blink.FailoverTopo) {
+			Chaos: func(topo blink.Topo) {
 				faults.ScheduleFlap(topo.Net.Engine(), topo.PrimaryTail, flapCfg, frng)
 			},
 		}

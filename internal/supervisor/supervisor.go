@@ -19,7 +19,8 @@
 //     flows, derive the expected RTO distribution upon a genuine failure,
 //     and veto reroutes whose retransmission timing does not match it
 //     (BlinkGuard over an RTOModel; DefaultRTOModel is the model trained
-//     from a clean failover run).
+//     from a clean failover run). GuardPipeline guards one single-prefix
+//     blink.Pipeline, so each prefix is judged by its own gaps.
 //   - Pytheas: inspect the distribution of QoE reports within a group; a
 //     deviating minority indicates ill-formed groups or malicious inputs
 //     (PytheasGuard; the aggregation ablation lives in package pytheas).
