@@ -2,9 +2,9 @@
 // persistent server that accepts evaluation campaigns — scenario fuzzing,
 // chaos sweeps, scenario batches, attack-frontier searches, robustness
 // matrices — over an HTTP JSON API, executes them on bounded worker
-// pools, journals every completed trial so a campaign survives kill -9,
-// and serves repeated submissions from a content-addressed result cache
-// keyed by (canonical spec, code revision).
+// pools, journals completed trials so a campaign survives kill -9, and
+// serves repeated submissions from a content-addressed result cache keyed
+// by (canonical spec, code revision).
 //
 // Usage:
 //
@@ -16,8 +16,11 @@
 // resumes every unfinished campaign. -shards splits each job's seed range
 // into contiguous shards; with -shard-procs P the shards run in P worker
 // subprocesses (duid re-executes itself with the internal -run-shard
-// flag, exchanging JSON on stdin/stdout). Result bytes are identical at
-// every -parallel / -shards / -shard-procs setting.
+// flag, exchanging JSON on stdin/stdout). In-process shards journal each
+// trial as it finishes; a -shard-procs worker's trials are journaled only
+// when it returns its whole shard, so a kill -9 loses the finished trials
+// of every shard still running. Result bytes are identical at every
+// -parallel / -shards / -shard-procs setting.
 //
 // The API (see internal/campaign.Server.Handler):
 //

@@ -16,7 +16,8 @@
 //
 // The root package holds only this doc and the module-wide tests
 // (per-experiment benchmarks, the audited Fig 2 parity check, entry-point
-// smoke tests, doc/format lint). The library is the internal packages,
+// smoke tests, doc/format lint, and the reachability gate that keeps
+// library code no program links out of internal/). The library is the internal packages,
 // imported directly by every caller:
 //
 //   - internal/stats, internal/graph, internal/packet: deterministic

@@ -114,9 +114,6 @@ func (a *BankAudit) comparePrefix(now float64, p int, m *blink.MonitorBank) {
 	}
 }
 
-// Err returns the violations collected so far.
-func (a *BankAudit) Err() error { return a.v.err() }
-
 // Violations returns the structured violations collected so far (shared
 // backing array; callers must not mutate).
 func (a *BankAudit) Violations() []Violation { return a.v.all() }

@@ -117,9 +117,6 @@ func (a *MonAudit) Check(now float64) error {
 	return a.v.err()
 }
 
-// Err returns violations collected by the continuous hooks so far.
-func (a *MonAudit) Err() error { return a.v.err() }
-
 // Violations returns the structured violations collected so far (shared
 // backing array; callers must not mutate).
 func (a *MonAudit) Violations() []Violation { return a.v.all() }

@@ -63,9 +63,12 @@ type Env struct {
 	// With in-process shards 1 is the useful value (the trial pool
 	// already uses Workers); subprocess executors raise it.
 	ShardParallel int
-	// Journal, when non-empty, records every completed trial's verdict in
-	// this internal/journal file, bound to the job Key. A killed campaign
-	// resumes from it to the identical final verdict.
+	// Journal, when non-empty, records completed trials' verdicts in this
+	// internal/journal file, bound to the job Key. In-process shards
+	// journal each trial as it finishes; the records of an external
+	// RunShard executor are journaled only when it returns its shard, so
+	// a kill loses every finished trial of the shards still in flight. A
+	// killed campaign resumes from it to the identical final verdict.
 	Journal string
 	// Budget, when positive, stops starting trials once this much wall
 	// time has passed; trials already running finish and are journaled.
@@ -317,10 +320,6 @@ func runShardWith(ctx context.Context, req ShardRequest, onFresh func(TrialRec))
 		done[rec.Trial] = rec.Data
 	}
 
-	state, err := ops.init(canon, req.Workers)
-	if err != nil {
-		return nil, err
-	}
 	n := req.Hi - req.Lo
 	datas, err := runner.Run(ctx, n, 0, runner.Config{Workers: req.Workers},
 		func(ctx context.Context, t runner.Trial) (json.RawMessage, error) {
@@ -336,7 +335,7 @@ func runShardWith(ctx context.Context, req ShardRequest, onFresh func(TrialRec))
 				}
 				return nil, err
 			}
-			data, err := ops.runOne(canon, state, trial, seeds[trial])
+			data, err := ops.runOne(canon, req.Workers, trial, seeds[trial])
 			if err != nil {
 				return nil, err
 			}

@@ -297,3 +297,43 @@ func TestExecuteBudgetJournalsStartedTrials(t *testing.T) {
 		t.Fatalf("journal holds %d trials, result says %d ran", recs, seeds-res.Skipped)
 	}
 }
+
+// TestExecuteExternalShardJournalsOnReturn: the parent journals an
+// external executor's records only when the executor returns them. A
+// shard executor that dies after finishing its trials but before
+// returning them leaves none of its shard in the journal; a shard that
+// returned is journaled whole.
+func TestExecuteExternalShardJournalsOnReturn(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "job.journal")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ext := func(ctx context.Context, req campaign.ShardRequest) ([]campaign.TrialRec, error) {
+		recs, err := campaign.RunShard(ctx, req)
+		if err != nil || req.Lo == 0 {
+			return recs, err
+		}
+		cancel() // the second shard ran every trial, then dies
+		return nil, ctx.Err()
+	}
+	_, err := campaign.Execute(ctx, fuzzSpec(8), campaign.Env{Workers: 1, Shards: 2, ShardParallel: 1,
+		Journal: jpath, RunShard: ext})
+	if err == nil {
+		t.Fatal("campaign with a killed shard reported success")
+	}
+	b, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")[1:] // after the header
+	var trials []int
+	for _, line := range lines {
+		var rec campaign.TrialRec
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal record %q: %v", line, err)
+		}
+		trials = append(trials, rec.Trial)
+	}
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(trials, want) {
+		t.Fatalf("journaled trials %v, want the returned first shard %v", trials, want)
+	}
+}

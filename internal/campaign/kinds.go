@@ -19,13 +19,13 @@ import (
 
 // ops is one job kind's execution vocabulary. Every function must be a
 // pure function of its arguments (plus the deterministic simulation
-// substrate): runOne(spec, i, seed) is the per-trial verdict the journal
-// records, and assemble folds the verdicts — in trial order — into the
-// canonical result value.
+// substrate): runOne(spec, workers, i, seed) is the per-trial verdict the
+// journal records, and assemble folds the verdicts — in trial order — into
+// the canonical result value. workers is the shard's worker count; only the
+// adv kind, one indivisible trial, uses it, and no result byte depends on it.
 type ops struct {
 	total    func(JobSpec) int
-	init     func(JobSpec, int) (any, error)
-	runOne   func(JobSpec, any, int, uint64) (json.RawMessage, error)
+	runOne   func(JobSpec, int, int, uint64) (json.RawMessage, error)
 	assemble func(context.Context, JobSpec, [][]byte) (any, error)
 	// partial marks a kind whose assemble accepts nil records — trials
 	// an Env.Budget left unstarted. Other kinds fail a budget stop.
@@ -99,8 +99,7 @@ type FuzzResult struct {
 
 var fuzzOps = ops{
 	total: func(s JobSpec) int { return s.Fuzz.Seeds },
-	init:  func(JobSpec, int) (any, error) { return nil, nil },
-	runOne: func(s JobSpec, _ any, _ int, seed uint64) (json.RawMessage, error) {
+	runOne: func(s JobSpec, _, _ int, seed uint64) (json.RawMessage, error) {
 		scn := fuzz.Generate(seed, s.Fuzz.GenConfig())
 		rep := scenario.RunChecked(scn, scenario.Options{})
 		return json.Marshal(fuzzRec{Seed: seed, Violations: rep.Violations})
@@ -187,8 +186,7 @@ func chaosEps(c *ChaosSpec, li int) float64 {
 
 var chaosOps = ops{
 	total: func(s JobSpec) int { return s.Chaos.Trials * s.Chaos.Levels },
-	init:  func(JobSpec, int) (any, error) { return nil, nil },
-	runOne: func(s JobSpec, _ any, trial int, seed uint64) (json.RawMessage, error) {
+	runOne: func(s JobSpec, _, trial int, seed uint64) (json.RawMessage, error) {
 		c := s.Chaos
 		model := supervisor.DefaultRTOModel()
 		e := chaosEps(c, trial/c.Trials)
@@ -299,8 +297,7 @@ type ScenariosResult struct {
 
 var scenarioOps = ops{
 	total: func(s JobSpec) int { return len(s.Scenarios.Scenarios) },
-	init:  func(JobSpec, int) (any, error) { return nil, nil },
-	runOne: func(s JobSpec, _ any, trial int, _ uint64) (json.RawMessage, error) {
+	runOne: func(s JobSpec, _, trial int, _ uint64) (json.RawMessage, error) {
 		scn := s.Scenarios.Scenarios[trial].Clone()
 		rep := scenario.RunChecked(&scn, scenario.Options{})
 		return json.Marshal(scenarioRec{Violations: rep.Violations, FinalTime: rep.FinalTime})
@@ -401,16 +398,12 @@ func runAdv(a *AdvSpec, workers int) AdvResult {
 	return out
 }
 
-// advState carries the worker count from init to runOne.
-type advState struct{ workers int }
-
 var advOps = ops{
 	// A search is sequential across generations, so the adv kind is one
 	// indivisible trial; internal parallelism comes from Workers.
 	total: func(JobSpec) int { return 1 },
-	init:  func(_ JobSpec, workers int) (any, error) { return advState{workers: workers}, nil },
-	runOne: func(s JobSpec, state any, _ int, _ uint64) (json.RawMessage, error) {
-		return json.Marshal(runAdv(s.Adv, state.(advState).workers))
+	runOne: func(s JobSpec, workers, _ int, _ uint64) (json.RawMessage, error) {
+		return json.Marshal(runAdv(s.Adv, workers))
 	},
 	assemble: func(_ context.Context, _ JobSpec, outs [][]byte) (any, error) {
 		var res AdvResult

@@ -45,8 +45,7 @@ var robustnessOps = ops{
 		cells, _ := robustnessAxes(s.Robustness)
 		return len(cells) * s.Robustness.Trials
 	},
-	init: func(s JobSpec, _ int) (any, error) { return nil, nil },
-	runOne: func(s JobSpec, _ any, trial int, _ uint64) (json.RawMessage, error) {
+	runOne: func(s JobSpec, _, trial int, _ uint64) (json.RawMessage, error) {
 		r := s.Robustness
 		cells, profiles := robustnessAxes(r)
 		out := robustness.RunTrial(cells[trial/r.Trials], profiles, r.RootSeed, trial%r.Trials, r.Quick)

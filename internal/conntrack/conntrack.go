@@ -101,14 +101,6 @@ func (t *Table) Insert(now float64, k packet.FlowKey, b Backend) bool {
 	return true
 }
 
-// Remove deletes a connection's state (FIN/RST).
-func (t *Table) Remove(k packet.FlowKey) {
-	if e, ok := t.entries[k]; ok {
-		heap.Remove(&t.idle, e.idx)
-		delete(t.entries, k)
-	}
-}
-
 // SweepProbation evicts every entry that was touched at most once and
 // has been idle for at least minIdle seconds — the table-pressure
 // guard's mitigation. A spoofed SYN touches its entry exactly once and

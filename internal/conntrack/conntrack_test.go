@@ -65,16 +65,6 @@ func TestTableIdleExpiry(t *testing.T) {
 	}
 }
 
-func TestTableRemove(t *testing.T) {
-	tb := NewTable(2, 10)
-	tb.Insert(0, key(1), 0)
-	tb.Remove(key(1))
-	if tb.Len() != 0 {
-		t.Fatal("remove failed")
-	}
-	tb.Remove(key(9)) // removing absent keys is a no-op
-}
-
 func TestTableOccupancyNeverExceedsCap(t *testing.T) {
 	if err := quick.Check(func(ops []uint16) bool {
 		tb := NewTable(8, 3)

@@ -16,8 +16,6 @@ import (
 	"dui/internal/ron"
 	"dui/internal/sketch"
 	"dui/internal/sppifo"
-	"dui/internal/stats"
-	"dui/internal/trace"
 )
 
 // Summary is the uniform result of one catalog run: named scalar metrics
@@ -231,13 +229,6 @@ func Catalog() []CaseStudy {
 			},
 		},
 	}
-}
-
-// MeasureTRQuick exposes a reduced tR measurement for the quickstart
-// example, so it does not need internal trace plumbing.
-func MeasureTRQuick(seed uint64) float64 {
-	return blink.MeasureTR(blink.Config{}, 300,
-		trace.ExpDuration{MeanSec: 6}, 2, 60, 10, stats.NewRNG(seed))
 }
 
 func b2f(b bool) float64 {

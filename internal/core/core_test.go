@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-func TestPrivilegeCapabilities(t *testing.T) {
-	if Host.Capabilities().Has(Reconfigure) {
-		t.Fatal("host must not reconfigure the network")
-	}
-	if MitM.Capabilities().Has(Reconfigure) {
-		t.Fatal("mitm must not reconfigure the network")
-	}
-	if !Operator.Capabilities().Has(Reconfigure) {
-		t.Fatal("operator reconfigures the network")
-	}
-	for _, p := range []Privilege{Host, MitM, Operator} {
-		for _, c := range []Capability{Inject, Record, Drop, Delay, Modify} {
-			if !p.Capabilities().Has(c) {
-				t.Fatalf("%v missing capability %v", p, c)
-			}
-		}
-	}
-}
-
 func TestStringers(t *testing.T) {
 	if Host.String() != "host" || MitM.String() != "mitm" || Operator.String() != "operator" {
 		t.Fatal("privilege names")
@@ -126,12 +107,5 @@ func TestCatalogRunsSucceed(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestMeasureTRQuick(t *testing.T) {
-	tr := MeasureTRQuick(3)
-	if tr < 2 || tr > 20 {
-		t.Fatalf("tR = %v implausible", tr)
 	}
 }

@@ -40,42 +40,6 @@ func (p Privilege) String() string {
 	}
 }
 
-// Capability is one atomic ability over traffic or configuration.
-type Capability int
-
-// Capabilities, per the §2.1 descriptions.
-const (
-	Inject Capability = 1 << iota
-	Spoof
-	Record
-	Modify
-	Drop
-	Delay
-	Reconfigure
-)
-
-// CapabilitySet is a bitmask of capabilities.
-type CapabilitySet int
-
-// Has reports whether the set includes c.
-func (s CapabilitySet) Has(c Capability) bool { return int(s)&int(c) != 0 }
-
-// Capabilities returns the §2.1 capability matrix for a privilege level.
-// Host capabilities apply to the attacker's own vantage points; MitM
-// capabilities to intercepted links; operator capabilities everywhere.
-func (p Privilege) Capabilities() CapabilitySet {
-	switch p {
-	case Host:
-		return CapabilitySet(Inject | Spoof | Record | Modify | Drop | Delay)
-	case MitM:
-		return CapabilitySet(Inject | Spoof | Record | Modify | Drop | Delay)
-	case Operator:
-		return CapabilitySet(Inject | Spoof | Record | Modify | Drop | Delay | Reconfigure)
-	default:
-		return 0
-	}
-}
-
 // Target is what the adversarial inputs aim at (§2.2).
 type Target int
 

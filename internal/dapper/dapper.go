@@ -15,8 +15,6 @@
 package dapper
 
 import (
-	"fmt"
-
 	"dui/internal/netsim"
 	"dui/internal/packet"
 )
@@ -253,10 +251,3 @@ func (m *Monitor) votes(k packet.FlowKey) Votes {
 // Majority returns the most common non-Unknown diagnosis of a connection
 // over its observed epochs.
 func (m *Monitor) Majority(k packet.FlowKey) Diagnosis { return m.votes(k).Majority() }
-
-// Summary renders per-diagnosis epoch counts for one connection.
-func (m *Monitor) Summary(k packet.FlowKey) string {
-	v := m.votes(k)
-	return fmt.Sprintf("sender=%d network=%d receiver=%d unknown=%d",
-		v[SenderLimited], v[NetworkLimited], v[ReceiverLimited], v[Unknown])
-}

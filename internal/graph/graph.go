@@ -92,15 +92,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{names: append([]string(nil), g.names...), adj: make([][]Edge, len(g.adj))}
-	for i, es := range g.adj {
-		c.adj[i] = append([]Edge(nil), es...)
-	}
-	return c
-}
-
 func (g *Graph) check(id NodeID) {
 	if id < 0 || int(id) >= len(g.names) {
 		panic(fmt.Sprintf("graph: node %d out of range (n=%d)", id, len(g.names)))
@@ -116,26 +107,6 @@ func (p Path) Len() int {
 		return 0
 	}
 	return len(p) - 1
-}
-
-// Contains reports whether the path visits node id.
-func (p Path) Contains(id NodeID) bool {
-	for _, n := range p {
-		if n == id {
-			return true
-		}
-	}
-	return false
-}
-
-// HasEdge reports whether the path traverses the directed edge a→b.
-func (p Path) HasEdge(a, b NodeID) bool {
-	for i := 0; i+1 < len(p); i++ {
-		if p[i] == a && p[i+1] == b {
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether two paths are identical.
@@ -168,14 +139,4 @@ func (p Path) Weight(g *Graph) float64 {
 		total += w
 	}
 	return total
-}
-
-// CommonPrefix returns the number of leading nodes shared by p and q. It is
-// the similarity primitive of NetHide's accuracy metric.
-func (p Path) CommonPrefix(q Path) int {
-	n := 0
-	for n < len(p) && n < len(q) && p[n] == q[n] {
-		n++
-	}
-	return n
 }

@@ -89,17 +89,6 @@ func RandomConnected(n, extra int, rng *stats.RNG) *Graph {
 	return g
 }
 
-// Star returns a hub-and-spoke graph with the hub as node 0 and n spokes.
-func Star(n int) *Graph {
-	g := &Graph{}
-	hub := g.AddNode("hub")
-	for i := 0; i < n; i++ {
-		s := g.AddNode(fmt.Sprintf("spoke%d", i))
-		g.AddBiEdge(hub, s, 1)
-	}
-	return g
-}
-
 // Line returns a chain of n nodes, useful for traceroute tests.
 func Line(n int) *Graph {
 	g := &Graph{}

@@ -26,18 +26,6 @@ func TestShortestPathsAndDensity(t *testing.T) {
 	}
 }
 
-func TestTopLinksOrdered(t *testing.T) {
-	g := graph.Line(5)
-	pm := ShortestPaths(g, AllPairs(g))
-	top := pm.TopLinks(4)
-	fd := pm.FlowDensity()
-	for i := 1; i < len(top); i++ {
-		if fd[top[i]] > fd[top[i-1]] {
-			t.Fatal("top links not sorted by density")
-		}
-	}
-}
-
 func TestEvaluateIdentity(t *testing.T) {
 	g := graph.Abilene()
 	pm := ShortestPaths(g, AllPairs(g))

@@ -103,28 +103,6 @@ func (pm PathMap) MaxDensity() (linkID, int) {
 	return best, bestN
 }
 
-// TopLinks returns the m highest-density links in deterministic order.
-func (pm PathMap) TopLinks(m int) []linkID {
-	fd := pm.FlowDensity()
-	links := make([]linkID, 0, len(fd))
-	for l := range fd {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if fd[links[i]] != fd[links[j]] {
-			return fd[links[i]] > fd[links[j]]
-		}
-		if links[i].A != links[j].A {
-			return links[i].A < links[j].A
-		}
-		return links[i].B < links[j].B
-	})
-	if m > len(links) {
-		m = len(links)
-	}
-	return links[:m]
-}
-
 // Metrics are NetHide's quality measures for a virtual topology relative
 // to the physical one.
 type Metrics struct {

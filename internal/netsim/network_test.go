@@ -124,8 +124,7 @@ func TestRoutingPrefersLowDelayAndReroutes(t *testing.T) {
 		t.Fatalf("r1 next hop = %v", r1.NextHop(h2.Addr).Name())
 	}
 	// Operator rerouting (config manipulation) moves traffic to r3.
-	op := NewOperator(nw)
-	op.Reroute(r1, packet.Prefix{Addr: h2.Addr, Bits: 32}, r3)
+	r1.AddRoute(packet.Prefix{Addr: h2.Addr, Bits: 32}, r3, nil)
 	var path []string
 	r3.AttachProgram(programFunc(func(now float64, p *packet.Packet, n *Node) bool {
 		path = append(path, n.Name())
@@ -253,43 +252,6 @@ func TestMitMInjection(t *testing.T) {
 	nw.RunUntil(1)
 	if len(got) != 1 || got[0].TCP.Seq != 777 {
 		t.Fatalf("injection failed: %v", got)
-	}
-}
-
-func TestRecorderCountsRetransmissions(t *testing.T) {
-	nw, h1, h2, links := lineNet(0, 0.001, 0)
-	rec := NewRecorder()
-	links[1].AttachTap(rec)
-	send := func(seq uint32) {
-		h1.Send(packet.NewTCP(h1.Addr, h2.Addr, packet.TCPHeader{SrcPort: 5, DstPort: 80, Seq: seq}, 1000))
-	}
-	send(1)
-	send(2)
-	send(2) // retransmission
-	send(3)
-	nw.RunUntil(1)
-	k := packet.FlowKey{Src: h1.Addr, Dst: h2.Addr, SrcPort: 5, DstPort: 80, Proto: packet.ProtoTCP}
-	f := rec.Flows[k]
-	if f == nil || f.Packets != 4 {
-		t.Fatalf("flow record = %+v", f)
-	}
-	if f.Retrans != 1 {
-		t.Fatalf("retrans = %d", f.Retrans)
-	}
-}
-
-func TestOperatorThrottle(t *testing.T) {
-	nw, h1, h2, links := lineNet(0, 0.001, 0)
-	delivered := 0
-	h2.SetReceiver(ReceiverFunc(func(now float64, p *packet.Packet) { delivered++ }))
-	op := NewOperator(nw)
-	rng := stats.NewRNG(1)
-	op.Throttle(links[1], func(p *packet.Packet) bool { return p.TCP != nil && p.TCP.DstPort == 80 }, 1.0, 0, rng)
-	h1.Send(packet.NewTCP(h1.Addr, h2.Addr, packet.TCPHeader{DstPort: 80}, 100))
-	h1.Send(packet.NewTCP(h1.Addr, h2.Addr, packet.TCPHeader{DstPort: 443}, 100))
-	nw.RunUntil(1)
-	if delivered != 1 {
-		t.Fatalf("delivered = %d, want only the non-matching packet", delivered)
 	}
 }
 

@@ -75,14 +75,8 @@ type route struct {
 	via     *Link
 }
 
-// ID returns the node's dense index within its network.
-func (n *Node) ID() int { return n.id }
-
 // Name returns the display name.
 func (n *Node) Name() string { return n.name }
-
-// Kind returns Host or Router.
-func (n *Node) Kind() NodeKind { return n.kind }
 
 // Net returns the owning network.
 func (n *Node) Net() *Network { return n.net }

@@ -1,7 +1,7 @@
 // Package packet models the packets exchanged in the simulated network:
-// IPv4 addressing, TCP/UDP/ICMP headers, 5-tuple flow keys with fast
-// hashing, and wire serialization. The design follows the layered style of
-// gopacket, reduced to the protocols the paper's case studies need.
+// IPv4 addressing, TCP/UDP/ICMP headers and 5-tuple flow keys with fast
+// hashing. The design follows the layered style of gopacket, reduced to the
+// protocols the paper's case studies need.
 package packet
 
 import (

@@ -54,3 +54,11 @@ func TestFastHashDirectional(t *testing.T) {
 		t.Fatal("FastHash must not be symmetric")
 	}
 }
+
+func be32(b []byte, v uint32) {
+	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
+}
+
+func be16(b []byte, v uint16) {
+	b[0], b[1] = byte(v>>8), byte(v)
+}

@@ -260,14 +260,6 @@ func (k FlowKey) String() string {
 	return fmt.Sprintf("%s %s:%d>%s:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
 }
 
-func be32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
-func be16(b []byte, v uint16) {
-	b[0], b[1] = byte(v>>8), byte(v)
-}
-
 // String renders a one-line summary of the packet for logs and debugging.
 func (p *Packet) String() string {
 	switch {

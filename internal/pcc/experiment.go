@@ -31,7 +31,7 @@ type OscConfig struct {
 	MinMI float64
 	// EpsMax caps the victim's trial amplitude (0 = the sender default
 	// 0.05). The supervisor's clamped deployment lowers it — see
-	// supervisor.ClampedPCCConfig.
+	// supervisor.EpsRange.
 	EpsMax float64
 	// EqDetectMargin, EqExtraDrop and EqActiveFrom tune the equalizer
 	// when Attack is set (0 = the Equalizer defaults) — the knobs the

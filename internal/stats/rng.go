@@ -154,17 +154,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return r.src.ExpFloat64() * mean
 }
 
-// Pareto returns a Pareto variate with minimum xm and shape alpha. The
-// distribution is heavy-tailed for small alpha; the mean is
-// alpha*xm/(alpha-1) for alpha > 1 and infinite otherwise.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("stats: Pareto requires positive xm and alpha")
-	}
-	u := 1 - r.src.Float64() // in (0, 1]
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // LogNormal returns a log-normal variate with the given parameters of the
 // underlying normal (mu, sigma).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
@@ -174,36 +163,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 // Uniform returns a uniform variate in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.src.Float64()
-}
-
-// Poisson returns a Poisson variate with the given mean, using inversion for
-// small means and the PTRS transformed-rejection method's simpler fallback
-// (normal approximation with continuity correction) for large means. The
-// approximation error for mean > 30 is far below anything the experiments
-// can resolve.
-func (r *RNG) Poisson(mean float64) int {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		// Knuth inversion in the log domain to avoid underflow.
-		l := -mean
-		k := 0
-		acc := 0.0
-		for {
-			acc += math.Log(r.src.Float64())
-			if acc < l {
-				return k
-			}
-			k++
-		}
-	default:
-		v := mean + math.Sqrt(mean)*r.src.NormFloat64() + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
 }
 
 // Shuffle permutes the n elements addressed by swap, as in rand.Shuffle.

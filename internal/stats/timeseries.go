@@ -35,15 +35,6 @@ func (s *Series) Index(t float64) int {
 // Time returns the start time of bin i.
 func (s *Series) Time(i int) float64 { return s.Start + float64(i)*s.Step }
 
-// SetFrom records that the series holds value v from time t onward (until
-// overwritten by a later SetFrom). Calls must be made in non-decreasing time
-// order; it fills every bin from t to the end of the series.
-func (s *Series) SetFrom(t, v float64) {
-	for i := s.Index(t); i < len(s.Values); i++ {
-		s.Values[i] = v
-	}
-}
-
 // Ensemble aggregates many runs of the same experiment: one Series per run,
 // all sharing Start/Step/len. It produces the per-bin mean and quantile
 // envelopes plotted in the paper's Fig 2.
@@ -62,9 +53,6 @@ func (e *Ensemble) Add(s *Series) {
 	}
 	e.runs = append(e.runs, s)
 }
-
-// Runs returns the number of runs added.
-func (e *Ensemble) Runs() int { return len(e.runs) }
 
 // Mean returns the per-bin mean across runs.
 func (e *Ensemble) Mean() *Series { return e.aggregate(func(xs []float64) float64 { return Mean(xs) }) }

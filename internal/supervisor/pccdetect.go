@@ -80,10 +80,3 @@ func (g *PCCGuard) Cost() GuardCost { return g.cost }
 // pcc.ForcedOscillation). The trade-off: a smaller range also slows
 // legitimate convergence.
 func EpsRange(maxEps float64) Range { return Range{Min: 0.001, Max: maxEps} }
-
-// ClampedPCCConfig returns cfg with the ε bounds restricted to the range.
-func ClampedPCCConfig(cfg pcc.Config, r Range) pcc.Config {
-	cfg.EpsMin = r.Clamp(cfg.EpsMin)
-	cfg.EpsMax = r.Clamp(cfg.EpsMax)
-	return cfg
-}

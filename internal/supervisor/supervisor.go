@@ -86,17 +86,3 @@ func (v Verdict) String() string {
 // (countermeasure III): the driver may move its control variable only
 // within it.
 type Range struct{ Min, Max float64 }
-
-// Clamp returns x restricted to the range.
-func (r Range) Clamp(x float64) float64 {
-	if x < r.Min {
-		return r.Min
-	}
-	if x > r.Max {
-		return r.Max
-	}
-	return x
-}
-
-// Contains reports whether x lies within the range.
-func (r Range) Contains(x float64) bool { return x >= r.Min && x <= r.Max }

@@ -126,14 +126,10 @@ func TestPCCGuardDetectsEqualizer(t *testing.T) {
 
 func TestEpsRangeBoundsForcedOscillation(t *testing.T) {
 	// Countermeasure III: the granted ε range directly caps the forced
-	// oscillation amplitude.
+	// oscillation amplitude. The guarded PCC deployment grants it as the
+	// sender's EpsMax.
 	for _, maxEps := range []float64{0.01, 0.03, 0.05} {
-		r := EpsRange(maxEps)
-		cfg := ClampedPCCConfig(pcc.Config{EpsMin: 0.01, EpsMax: 0.05}, r)
-		if cfg.EpsMax > maxEps {
-			t.Fatalf("clamp failed: %v", cfg.EpsMax)
-		}
-		_, amp := pcc.ForcedOscillation(cfg.EpsMin, cfg.EpsMax, 20)
+		_, amp := pcc.ForcedOscillation(0.01, EpsRange(maxEps).Max, 20)
 		if amp > 2*maxEps+1e-12 {
 			t.Fatalf("amplitude %v exceeds granted range %v", amp, 2*maxEps)
 		}
@@ -141,12 +137,8 @@ func TestEpsRangeBoundsForcedOscillation(t *testing.T) {
 }
 
 func TestRangeAndVerdictHelpers(t *testing.T) {
-	r := Range{Min: 1, Max: 3}
-	if r.Clamp(0) != 1 || r.Clamp(5) != 3 || r.Clamp(2) != 2 {
-		t.Fatal("clamp")
-	}
-	if !r.Contains(2) || r.Contains(4) {
-		t.Fatal("contains")
+	if r := EpsRange(0.03); r != (Range{Min: 0.001, Max: 0.03}) {
+		t.Fatalf("EpsRange(0.03) = %+v", r)
 	}
 	v := Verdict{Plausible: false, Risk: 0.9, Reason: "x"}
 	if v.String() == "" {

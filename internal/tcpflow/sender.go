@@ -234,9 +234,6 @@ func (s *Sender) Stats() Stats {
 	return st
 }
 
-// Window returns the current window in segments.
-func (s *Sender) Window() float64 { return s.window }
-
 // Stop ends the flow; no further segments or timers fire.
 func (s *Sender) Stop() {
 	s.stopped = true

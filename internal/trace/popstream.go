@@ -217,9 +217,6 @@ func NewPopShard(cfg PopConfig, lo, hi int) *PopShard {
 	return s
 }
 
-// Config returns the defaulted config the shard runs.
-func (s *PopShard) Config() PopConfig { return s.cfg }
-
 // Next returns the next packet of the interleaved order. ok=false means
 // every prefix stream is exhausted (all flows passed Until).
 func (s *PopShard) Next() (PrefixEvent, bool) {

@@ -72,25 +72,6 @@ func (d LogNormalDuration) String() string {
 	return fmt.Sprintf("lognormal(mu=%.3g,sigma=%.3g)", d.Mu, d.Sigma)
 }
 
-// ParetoDuration is a Pareto duration distribution with minimum Xm and
-// shape Alpha.
-type ParetoDuration struct{ Xm, Alpha float64 }
-
-// Sample implements DurationDist.
-func (d ParetoDuration) Sample(r *stats.RNG) float64 { return r.Pareto(d.Xm, d.Alpha) }
-
-// Mean implements DurationDist (infinite for Alpha <= 1, reported as such).
-func (d ParetoDuration) Mean() float64 {
-	if d.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return d.Alpha * d.Xm / (d.Alpha - 1)
-}
-
-func (d ParetoDuration) String() string {
-	return fmt.Sprintf("pareto(xm=%.3g,alpha=%.3g)", d.Xm, d.Alpha)
-}
-
 // merge implements Stream over multiple sub-streams in time order.
 //
 // Refilling is lazy: the slot whose event was handed out is not advanced

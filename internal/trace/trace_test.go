@@ -172,7 +172,6 @@ func TestDurationDistMeans(t *testing.T) {
 	for _, d := range []DurationDist{
 		ExpDuration{MeanSec: 8.37},
 		LogNormalDuration{Mu: 1.0, Sigma: 1.0},
-		ParetoDuration{Xm: 2, Alpha: 2.5},
 	} {
 		var s stats.Summary
 		for i := 0; i < 300000; i++ {
@@ -181,9 +180,6 @@ func TestDurationDistMeans(t *testing.T) {
 		if math.Abs(s.Mean()-d.Mean())/d.Mean() > 0.1 {
 			t.Fatalf("%v: sample mean %v vs analytic %v", d, s.Mean(), d.Mean())
 		}
-	}
-	if !math.IsInf(ParetoDuration{Xm: 1, Alpha: 0.9}.Mean(), 1) {
-		t.Fatal("heavy Pareto mean must be infinite")
 	}
 }
 
