@@ -66,10 +66,13 @@ pop-smoke:
 
 ## fuzz-smoke: a race-enabled 200-seed scenario-fuzzing campaign with
 ## shrinking plus a replay of the committed reproducer corpus — the
-## audit-oracle campaign CI runs on every push (seconds, deterministic).
+## audit-oracle campaign CI runs on every push (seconds, deterministic) —
+## then 15 s of coverage-guided fuzzing of campaign.JobSpec.Canon over
+## job bodies (FuzzCanon; plain `go test` runs only its seeds).
 fuzz-smoke:
 	$(GO) run -race ./cmd/simfuzz -seeds 200 -shrink
 	$(GO) run -race ./cmd/simfuzz -replay internal/fuzz/testdata/corpus
+	$(GO) test -run '^$$' -fuzz '^FuzzCanon$$' -fuzztime 15s ./internal/campaign
 
 ## chaos-smoke: the race-enabled fault-plane gate — a reduced duireport
 ## chaos-eval sweep (gray-failure intensity vs Blink inference, 3 levels x

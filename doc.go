@@ -16,9 +16,10 @@
 //
 // The root package holds only this doc and the module-wide tests
 // (per-experiment benchmarks, the audited Fig 2 parity check, entry-point
-// smoke tests, doc/format lint, and the reachability gate that keeps
-// library code no program links out of internal/). The library is the internal packages,
-// imported directly by every caller:
+// smoke tests, doc/format lint, the reachability gate that keeps
+// library code no program links out of internal/, and the knob gate that
+// keeps config fields only their Defaults method sets out of it). The
+// library is the internal packages, imported directly by every caller:
 //
 //   - internal/stats, internal/graph, internal/packet: deterministic
 //     randomness, graphs, and the packet model.

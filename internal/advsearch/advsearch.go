@@ -48,6 +48,15 @@ const (
 // optimizer a gradient toward the decision boundary.
 const nonFlipPenalty = 1e12
 
+const (
+	// elite is the fraction of each generation that refits the proposal
+	// distribution (CEM only).
+	elite float64 = 0.25
+	// initSigma scales the initial proposal stddev as a fraction of each
+	// knob's (transformed) range.
+	initSigma float64 = 0.35
+)
+
 // Knob is one searchable attack parameter.
 type Knob struct {
 	Name string `json:"name"`
@@ -99,12 +108,6 @@ type Config struct {
 	// Generations and Pop set the evaluation budget (Generations × Pop).
 	Generations int `json:"generations"`
 	Pop         int `json:"pop"`
-	// Elite is the fraction of each generation that refits the proposal
-	// distribution (CEM only).
-	Elite float64 `json:"elite,omitempty"`
-	// InitSigma scales the initial proposal stddev as a fraction of each
-	// knob's (transformed) range.
-	InitSigma float64 `json:"init_sigma,omitempty"`
 	// Workers bounds evaluation parallelism (<= 0 = GOMAXPROCS). The
 	// result is identical at any worker count.
 	Workers int `json:"-"`
@@ -120,12 +123,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Pop <= 0 {
 		c.Pop = 24
-	}
-	if c.Elite <= 0 || c.Elite > 1 {
-		c.Elite = 0.25
-	}
-	if c.InitSigma <= 0 {
-		c.InitSigma = 0.35
 	}
 	return c
 }

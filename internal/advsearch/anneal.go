@@ -33,7 +33,7 @@ func (Anneal) Search(t Target, cfg Config) *Result {
 	}
 
 	// Current point starts at mid-range; the step size anneals from
-	// InitSigma of each range down to the 2% floor alongside the
+	// initSigma of each range down to the 2% floor alongside the
 	// temperature.
 	cur := make([]float64, len(space))
 	for d, k := range space {
@@ -65,7 +65,7 @@ func (Anneal) Search(t Target, cfg Config) *Result {
 		next := make([]float64, len(space))
 		for d, k := range space {
 			lo, hi := k.searchBounds()
-			step := (cfg.InitSigma*(1-frac) + 0.02) * (hi - lo)
+			step := (initSigma*(1-frac) + 0.02) * (hi - lo)
 			v := cur[d] + step*prop.NormFloat64()
 			if v < lo {
 				v = lo

@@ -31,14 +31,14 @@ func (CEM) Search(t Target, cfg Config) *Result {
 	res := &Result{Searcher: CEM{}.Name(), Config: cfg}
 
 	// Proposal distribution in search coordinates: start at mid-range
-	// with InitSigma of each range.
+	// with initSigma of each range.
 	mean := make([]float64, len(space))
 	sigma := make([]float64, len(space))
 	floor := make([]float64, len(space))
 	for d, k := range space {
 		lo, hi := k.searchBounds()
 		mean[d] = (lo + hi) / 2
-		sigma[d] = cfg.InitSigma * (hi - lo)
+		sigma[d] = initSigma * (hi - lo)
 		floor[d] = 0.02 * (hi - lo)
 	}
 
@@ -86,7 +86,7 @@ func (CEM) Search(t Target, cfg Config) *Result {
 		res.Gens = append(res.Gens, GenStat{Gen: g, BestScore: cands[0].Score, Flipped: flipped})
 
 		// Refit to the elite (at least one member) in search coordinates.
-		ne := int(cfg.Elite * float64(cfg.Pop))
+		ne := int(elite * float64(cfg.Pop))
 		if ne < 1 {
 			ne = 1
 		}

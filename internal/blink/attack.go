@@ -47,14 +47,17 @@ func PlayStream(nw *netsim.Network, from *netsim.Node, st trace.Stream) {
 	pump()
 }
 
+// hijackMeanFlowDuration is the E3 legitimate exponential mean flow
+// duration in seconds.
+const hijackMeanFlowDuration float64 = 6
+
 // HijackConfig parameterizes the E3 end-to-end hijack experiment.
 type HijackConfig struct {
 	Blink Config
 	// LegitFlows is the concurrent legitimate population, MalFlows the
-	// attacker pool. MeanFlowDuration is the legitimate exponential mean.
+	// attacker pool sending MalPPS packets per second per flow.
 	LegitFlows, MalFlows int
-	MeanFlowDuration     float64
-	PPS, MalPPS          float64
+	MalPPS               float64
 	// TriggerAt is when the attacker starts the fake retransmission
 	// storm (she waits for her flows to dominate the sample).
 	TriggerAt float64
@@ -83,12 +86,6 @@ func (c HijackConfig) Defaults() HijackConfig {
 	}
 	if c.MalFlows <= 0 {
 		c.MalFlows = 80 // qm = 0.20 to dominate well before the trigger
-	}
-	if c.MeanFlowDuration <= 0 {
-		c.MeanFlowDuration = 6
-	}
-	if c.PPS <= 0 {
-		c.PPS = 2
 	}
 	if c.MalPPS <= 0 {
 		c.MalPPS = 2
@@ -176,7 +173,7 @@ func RunHijack(cfg HijackConfig) *HijackResult {
 
 	legit := trace.NewLegit(trace.LegitConfig{
 		Victim: Victim, Flows: cfg.LegitFlows,
-		Dur: trace.ExpDuration{MeanSec: cfg.MeanFlowDuration}, PPS: cfg.PPS,
+		Dur: trace.ExpDuration{MeanSec: hijackMeanFlowDuration}, PPS: legitPPS,
 		Until: cfg.Duration, SrcBase: LegitSrcBase,
 	}, rng.Child())
 	mal := trace.NewMalicious(trace.MaliciousConfig{

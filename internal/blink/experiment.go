@@ -72,6 +72,16 @@ func CalibrateMeanDuration(cfg Config, flows int, pps, targetTR, tol float64, se
 	return (lo + hi) / 2
 }
 
+// Packet rates and sampling grid of the trace-driven experiments.
+const (
+	// legitPPS is the legitimate per-flow packet rate of Fig 2 and E3.
+	legitPPS float64 = 2
+	// fig2MalPPS is the Fig 2 attacker per-flow packet rate.
+	fig2MalPPS float64 = 2
+	// sampleStep is the Fig 2 curves' sampling interval in seconds.
+	sampleStep float64 = 1
+)
+
 // Fig2Config parameterizes the reproduction of Fig 2. Zero fields default
 // to the paper's values: tR = 8.37 s, qm = 0.0525 (2000 legitimate + 105
 // malicious flows), 50 simulations over 500 s.
@@ -80,10 +90,7 @@ type Fig2Config struct {
 	TR         float64
 	Qm         float64
 	LegitFlows int
-	PPS        float64 // legitimate per-flow packet rate
-	MalPPS     float64 // attacker per-flow packet rate
 	Duration   float64
-	SampleStep float64
 	Runs       int
 	Seed       uint64
 	// MeanFlowDuration skips calibration when set (exponential mean).
@@ -114,17 +121,8 @@ func (c Fig2Config) Defaults() Fig2Config {
 	if c.LegitFlows <= 0 {
 		c.LegitFlows = 2000
 	}
-	if c.PPS <= 0 {
-		c.PPS = 2
-	}
-	if c.MalPPS <= 0 {
-		c.MalPPS = 2
-	}
 	if c.Duration <= 0 {
 		c.Duration = 500
-	}
-	if c.SampleStep <= 0 {
-		c.SampleStep = 1
 	}
 	if c.Runs <= 0 {
 		c.Runs = 50
@@ -178,15 +176,15 @@ func RunFig2(cfg Fig2Config) *Fig2Result {
 		if calFlows > 600 {
 			calFlows = 600
 		}
-		res.MeanFlowDuration = CalibrateMeanDuration(cfg.Blink, calFlows, cfg.PPS, cfg.TR, 0.05, cfg.Seed+1000)
+		res.MeanFlowDuration = CalibrateMeanDuration(cfg.Blink, calFlows, legitPPS, cfg.TR, 0.05, cfg.Seed+1000)
 	}
 	res.MeasuredTR = MeasureTR(cfg.Blink, cfg.LegitFlows,
-		trace.ExpDuration{MeanSec: res.MeanFlowDuration}, cfg.PPS, 90, 15, stats.NewRNG(cfg.Seed+2000))
+		trace.ExpDuration{MeanSec: res.MeanFlowDuration}, legitPPS, 90, 15, stats.NewRNG(cfg.Seed+2000))
 
 	model := Model{N: cfg.Blink.Cells, Threshold: cfg.Blink.Threshold, TR: cfg.TR, Qm: cfg.Qm}
-	res.TheoryMean = model.MeanCurve(cfg.Duration, cfg.SampleStep)
-	res.TheoryP5 = model.QuantileCurve(0.05, cfg.Duration, cfg.SampleStep)
-	res.TheoryP95 = model.QuantileCurve(0.95, cfg.Duration, cfg.SampleStep)
+	res.TheoryMean = model.MeanCurve(cfg.Duration, sampleStep)
+	res.TheoryP5 = model.QuantileCurve(0.05, cfg.Duration, sampleStep)
+	res.TheoryP95 = model.QuantileCurve(0.95, cfg.Duration, sampleStep)
 	res.TheoryExpectedHit = model.ExpectedHittingTime()
 	res.TheoryHitP5 = model.HittingTimeQuantile(0.05)
 	res.TheoryHitP95 = model.HittingTimeQuantile(0.95)
@@ -231,17 +229,17 @@ func simulateOnce(cfg Fig2Config, meanDur float64, run int, rng *stats.RNG) *sta
 	}
 	legit := trace.NewLegit(trace.LegitConfig{
 		Victim: Victim, Flows: cfg.LegitFlows,
-		Dur: trace.ExpDuration{MeanSec: meanDur}, PPS: cfg.PPS,
+		Dur: trace.ExpDuration{MeanSec: meanDur}, PPS: legitPPS,
 		Until: cfg.Duration, SrcBase: LegitSrcBase,
 	}, rng.Child())
 	mal := trace.NewMalicious(trace.MaliciousConfig{
-		Victim: Victim, Flows: cfg.MalFlows(), PPS: cfg.MalPPS,
+		Victim: Victim, Flows: cfg.MalFlows(), PPS: fig2MalPPS,
 		Until: cfg.Duration, SrcBase: MalSrcBase,
 		RetransmitFrom: math.Inf(1), // occupancy only; E3 triggers the storm
 	}, rng.Child())
 	st := trace.Merge(legit, mal)
 
-	series := stats.NewSeries(0, cfg.SampleStep, int(cfg.Duration/cfg.SampleStep))
+	series := stats.NewSeries(0, sampleStep, int(cfg.Duration/sampleStep))
 	next := 0.0
 	idx := 0
 	for {
@@ -252,7 +250,7 @@ func simulateOnce(cfg Fig2Config, meanDur float64, run int, rng *stats.RNG) *sta
 		for idx < len(series.Values) && ev.Time >= next {
 			series.Values[idx] = float64(m.CountOccupied(0, IsMaliciousSrc))
 			idx++
-			next += cfg.SampleStep
+			next += sampleStep
 		}
 		m.Feed(0, ev.Time, ev.Pkt)
 	}

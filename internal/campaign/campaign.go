@@ -189,6 +189,16 @@ func (s JobSpec) Canon() (JobSpec, error) {
 		if f.MaxNodes > scenario.MaxHosts {
 			return out, fmt.Errorf("campaign: fuzz job: max_nodes %d exceeds the %d-host address plan", f.MaxNodes, scenario.MaxHosts)
 		}
+		// One spelling per campaign, the default as 0: the generator
+		// clamps max_nodes, and the shrinker defaults a budget <= 0 and
+		// never runs without shrink.
+		f.MaxNodes = fuzz.GenConfig{MaxNodes: f.MaxNodes}.Defaults().MaxNodes
+		if f.MaxNodes == (fuzz.GenConfig{}).Defaults().MaxNodes {
+			f.MaxNodes = 0
+		}
+		if !f.Shrink || f.ShrinkBudget == fuzz.DefaultShrinkBudget || f.ShrinkBudget < 0 {
+			f.ShrinkBudget = 0
+		}
 		out.Fuzz = &f
 	case KindChaos:
 		c := ChaosSpec{}

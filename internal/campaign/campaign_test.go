@@ -131,6 +131,42 @@ func TestKeySpellingInvariance(t *testing.T) {
 	if campaign.Key(bare) == campaign.Key(reseeded) {
 		t.Fatal("root seed does not reach the cache key")
 	}
+
+	// Spellings of one campaign share a Key; the groups differ. The
+	// generator reads max_nodes <= 0 as 12 and 1-2 as 3; the shrinker
+	// reads a budget <= 0 as its default and none without shrink.
+	fuzzKey := func(f campaign.FuzzSpec) string {
+		c, err := campaign.JobSpec{Kind: campaign.KindFuzz, Fuzz: &f}.Canon()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return campaign.Key(c)
+	}
+	groups := [][]campaign.FuzzSpec{
+		{{}, {MaxNodes: -1}, {MaxNodes: 12}, {ShrinkBudget: 50}, {ShrinkBudget: -1}},
+		{{MaxNodes: 1}, {MaxNodes: 2}, {MaxNodes: 3}},
+		{{Shrink: true}, {Shrink: true, ShrinkBudget: -5}, {Shrink: true, ShrinkBudget: fuzz.DefaultShrinkBudget}},
+		{{Shrink: true, ShrinkBudget: 50}},
+	}
+	seen := map[string]int{}
+	for g, group := range groups {
+		for _, f := range group {
+			k := fuzzKey(f)
+			if k != fuzzKey(group[0]) {
+				t.Errorf("%+v and %+v run one campaign but hash apart", f, group[0])
+			}
+			if prev, ok := seen[k]; ok && prev != g {
+				t.Errorf("%+v shares a Key with spelling group %d", f, prev)
+			}
+			seen[k] = g
+		}
+	}
+	// The default spec's canonical bytes, which Key hashes, predate the
+	// canonical spellings: cached results and journals of default
+	// campaigns stay valid.
+	if enc, _ := json.Marshal(bare); string(enc) != `{"kind":"fuzz","fuzz":{"seeds":200,"root_seed":1}}` {
+		t.Errorf("the default fuzz spec canonicalizes to %s", enc)
+	}
 }
 
 // TestCanonTrialCap: every kind's trial count is accepted at

@@ -5,16 +5,20 @@ import (
 	"dui/internal/stats"
 )
 
+// The §3.2 experiment's switch: a table evicting entries idle for
+// idleTimeout seconds, in front of a pool of backends servers.
+const (
+	idleTimeout float64 = 5
+	backends    int     = 8
+)
+
 // ExhaustionConfig parameterizes the §3.2 state-exhaustion experiment: a
 // population of legitimate connections through the balancer, a spoofed
 // SYN flood filling the table, and a backend-pool update that reveals
 // which connections lost their pinning.
 type ExhaustionConfig struct {
-	// TableCap is the switch's per-connection state capacity; Timeout
-	// its idle eviction (seconds).
+	// TableCap is the switch's per-connection state capacity.
 	TableCap int
-	Timeout  float64
-	Backends int
 	// LegitConns is the number of concurrent legitimate connections;
 	// each sends a packet every LegitInterval seconds for Duration.
 	LegitConns    int
@@ -42,12 +46,6 @@ type ExhaustionConfig struct {
 func (c ExhaustionConfig) Defaults() ExhaustionConfig {
 	if c.TableCap <= 0 {
 		c.TableCap = 4000
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 5
-	}
-	if c.Backends <= 0 {
-		c.Backends = 8
 	}
 	if c.LegitConns <= 0 {
 		c.LegitConns = 1000
@@ -98,8 +96,8 @@ type ExhaustionResult struct {
 func RunExhaustion(cfg ExhaustionConfig) *ExhaustionResult {
 	cfg = cfg.Defaults()
 	rng := stats.NewRNG(cfg.Seed)
-	table := NewTable(cfg.TableCap, cfg.Timeout)
-	lb := NewLoadBalancer(table, cfg.Backends, rng)
+	table := NewTable(cfg.TableCap, idleTimeout)
+	lb := NewLoadBalancer(table, backends, rng)
 	res := &ExhaustionResult{Config: cfg}
 	vip := packet.MustParseAddr("10.9.0.1")
 

@@ -26,8 +26,6 @@ func linkNet(l *netsim.Link) *netsim.Network {
 type BlameNetwork struct {
 	// Every is the duplication period in data packets.
 	Every int
-	// Sel restricts the attack to matching packets (nil = all TCP data).
-	Sel func(*packet.Packet) bool
 
 	inj   *netsim.Injector
 	count int
@@ -43,9 +41,6 @@ func (b *BlameNetwork) Attach(l *netsim.Link) {
 	nw := linkNet(l)
 	b.inj = l.AttachTap(netsim.TapFunc(func(now float64, p *packet.Packet, dir netsim.Direction) netsim.TapVerdict {
 		if p.TCP == nil || p.Size <= 60 {
-			return netsim.TapVerdict{}
-		}
-		if b.Sel != nil && !b.Sel(p) {
 			return netsim.TapVerdict{}
 		}
 		b.count++

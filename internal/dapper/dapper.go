@@ -48,36 +48,20 @@ func (d Diagnosis) String() string {
 	}
 }
 
-// Config tunes the decision tree.
-type Config struct {
-	// Epoch is the diagnosis interval (seconds).
-	Epoch float64
-	// RetransThreshold is the per-epoch retransmission count that flags
-	// a connection network-limited.
-	RetransThreshold int
-	// RwndFraction is the flight/rwnd ratio above which the connection
-	// counts as receiver-limited.
-	RwndFraction float64
-	// MinPackets is the minimum data packets per epoch for a verdict.
-	MinPackets int
-}
+// Epoch is the diagnosis interval in seconds.
+const Epoch float64 = 1
 
-// Defaults fills the decision-tree parameters.
-func (c Config) Defaults() Config {
-	if c.Epoch <= 0 {
-		c.Epoch = 1
-	}
-	if c.RetransThreshold <= 0 {
-		c.RetransThreshold = 2
-	}
-	if c.RwndFraction <= 0 {
-		c.RwndFraction = 0.8
-	}
-	if c.MinPackets <= 0 {
-		c.MinPackets = 5
-	}
-	return c
-}
+// The decision tree's thresholds.
+const (
+	// retransThreshold is the per-epoch retransmission count that flags
+	// a connection network-limited.
+	retransThreshold int = 2
+	// rwndFraction is the flight/rwnd ratio above which the connection
+	// counts as receiver-limited.
+	rwndFraction float64 = 0.8
+	// minPackets is the minimum data packets per epoch for a verdict.
+	minPackets int = 5
+)
 
 // NoWindow is the RwndMin of an epoch in which no advertised window was
 // seen.
@@ -91,19 +75,18 @@ type EpochEvidence struct {
 	RwndMin   int64 // smallest advertised window, NoWindow when none was seen
 }
 
-// Classify is the decision tree over one epoch's evidence, with c's
-// thresholds (c must be defaulted): too few packets ⇒ unknown;
-// retransmissions ⇒ network; flight pinned at the advertised window ⇒
-// receiver; otherwise the sender had window available and did not use it
-// ⇒ sender.
-func (c Config) Classify(e EpochEvidence) Diagnosis {
-	if e.DataPkts < c.MinPackets {
+// Classify is the decision tree over one epoch's evidence: too few
+// packets ⇒ unknown; retransmissions ⇒ network; flight pinned at the
+// advertised window ⇒ receiver; otherwise the sender had window available
+// and did not use it ⇒ sender.
+func Classify(e EpochEvidence) Diagnosis {
+	if e.DataPkts < minPackets {
 		return Unknown
 	}
-	if e.Retrans >= c.RetransThreshold {
+	if e.Retrans >= retransThreshold {
 		return NetworkLimited
 	}
-	if e.RwndMin < NoWindow && float64(e.FlightMax) >= c.RwndFraction*float64(e.RwndMin) {
+	if e.RwndMin < NoWindow && float64(e.FlightMax) >= rwndFraction*float64(e.RwndMin) {
 		return ReceiverLimited
 	}
 	return SenderLimited
@@ -148,13 +131,12 @@ type Verdict struct {
 // Monitor is the vantage-point program: attach to a router both
 // directions of the monitored connections traverse.
 type Monitor struct {
-	cfg   Config
 	conns map[packet.FlowKey]*connState
 }
 
 // NewMonitor returns a DAPPER monitor.
-func NewMonitor(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg.Defaults(), conns: map[packet.FlowKey]*connState{}}
+func NewMonitor() *Monitor {
+	return &Monitor{conns: map[packet.FlowKey]*connState{}}
 }
 
 // OnPacket implements netsim.Program.
@@ -217,15 +199,15 @@ func (m *Monitor) onAck(now float64, p *packet.Packet) {
 
 // rollEpoch closes finished epochs and emits verdicts.
 func (m *Monitor) rollEpoch(now float64, c *connState) {
-	for now-c.epochStart >= m.cfg.Epoch {
+	for now-c.epochStart >= Epoch {
 		c.verdicts = append(c.verdicts, Verdict{
-			At:        c.epochStart + m.cfg.Epoch,
-			Diagnosis: m.cfg.Classify(c.cur),
+			At:        c.epochStart + Epoch,
+			Diagnosis: Classify(c.cur),
 			Retrans:   c.cur.Retrans,
 			FlightMax: c.cur.FlightMax,
 			RwndMin:   c.cur.RwndMin,
 		})
-		c.epochStart += m.cfg.Epoch
+		c.epochStart += Epoch
 		c.cur = EpochEvidence{RwndMin: NoWindow}
 	}
 }

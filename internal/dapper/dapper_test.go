@@ -83,7 +83,7 @@ func TestConfusionMatrixDiagonal(t *testing.T) {
 }
 
 func TestMonitorIgnoresNonTCP(t *testing.T) {
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	m.OnPacket(0, packet.NewUDP(1, 2, packet.UDPHeader{}, 100), nil)
 	if len(m.conns) != 0 {
 		t.Fatal("UDP tracked")
@@ -91,7 +91,7 @@ func TestMonitorIgnoresNonTCP(t *testing.T) {
 }
 
 func TestMonitorUnknownOnSparseTraffic(t *testing.T) {
-	m := NewMonitor(Config{})
+	m := NewMonitor()
 	k := packet.FlowKey{Src: 1, Dst: 2, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
 	// 2 packets in the first epoch, then one in the next to roll it.
 	p := packet.NewTCP(1, 2, packet.TCPHeader{SrcPort: 1, DstPort: 2, Seq: 0}, 1500)

@@ -113,7 +113,7 @@ func RunWith(rc RunConfig) Outcome {
 	}
 	nw.ComputeRoutes()
 
-	mon := NewMonitor(Config{})
+	mon := NewMonitor()
 	rV.AttachProgram(mon)
 	for _, p := range rc.Programs {
 		rV.AttachProgram(p)

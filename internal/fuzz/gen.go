@@ -19,19 +19,22 @@ import (
 	"dui/internal/stats"
 )
 
-// GenConfig bounds the random scenario generator. The defaults are sized
-// for test-speed campaigns (hundreds of seeds in seconds, race-enabled);
-// nightly runs raise them.
+// The generator's traffic and horizon caps, sized for test-speed
+// campaigns (hundreds of seeds in seconds, race-enabled).
+const (
+	// maxWorkloads, maxFlows and maxPPS cap traffic volume.
+	maxWorkloads int     = 3
+	maxFlows     int     = 8
+	maxPPS       float64 = 20
+	// maxDuration caps the simulated horizon (seconds).
+	maxDuration float64 = 10
+)
+
+// GenConfig bounds the random scenario generator.
 type GenConfig struct {
 	// MaxNodes caps the topology size (minimum 3 takes effect; at least
 	// two hosts are always generated).
 	MaxNodes int
-	// MaxWorkloads, MaxFlows, and MaxPPS cap traffic volume.
-	MaxWorkloads int
-	MaxFlows     int
-	MaxPPS       float64
-	// MaxDuration caps the simulated horizon (seconds).
-	MaxDuration float64
 	// FaultModes opens the benign-fault plane to the generator: gray
 	// failure, link flapping, bandwidth degradation, and router
 	// crash/restart specs are drawn after all classic draws, so for any
@@ -48,18 +51,6 @@ func (c GenConfig) Defaults() GenConfig {
 	if c.MaxNodes < 3 {
 		c.MaxNodes = 3
 	}
-	if c.MaxWorkloads <= 0 {
-		c.MaxWorkloads = 3
-	}
-	if c.MaxFlows <= 0 {
-		c.MaxFlows = 8
-	}
-	if c.MaxPPS <= 0 {
-		c.MaxPPS = 20
-	}
-	if c.MaxDuration <= 0 {
-		c.MaxDuration = 10
-	}
 	return c
 }
 
@@ -75,7 +66,7 @@ func Generate(seed uint64, cfg GenConfig) *scenario.Scenario {
 		Name: fmt.Sprintf("gen-%016x", seed),
 		Seed: seed,
 	}
-	s.Duration = 2 + rng.Float64()*(cfg.MaxDuration-2)
+	s.Duration = 2 + rng.Float64()*(maxDuration-2)
 
 	// Topology: random node kinds with at least two hosts, a random
 	// spanning tree (connected by construction), plus a few extra edges
@@ -112,7 +103,7 @@ func Generate(seed uint64, cfg GenConfig) *scenario.Scenario {
 	}
 
 	// Workloads between distinct random hosts.
-	for w := 1 + rng.IntN(cfg.MaxWorkloads); w > 0; w-- {
+	for w := 1 + rng.IntN(maxWorkloads); w > 0; w-- {
 		from := hosts[rng.IntN(len(hosts))]
 		to := hosts[rng.IntN(len(hosts))]
 		if from == to {
@@ -120,8 +111,8 @@ func Generate(seed uint64, cfg GenConfig) *scenario.Scenario {
 		}
 		ws := scenario.WorkloadSpec{
 			From: from, To: to,
-			Flows: 1 + rng.IntN(cfg.MaxFlows),
-			PPS:   1 + rng.Float64()*(cfg.MaxPPS-1),
+			Flows: 1 + rng.IntN(maxFlows),
+			PPS:   1 + rng.Float64()*(maxPPS-1),
 			Until: s.Duration * (0.5 + 0.5*rng.Float64()),
 		}
 		if rng.Float64() < 0.35 {

@@ -4,8 +4,9 @@ import (
 	"dui/internal/scenario"
 )
 
-// defaultShrinkBudget bounds how many candidate runs one shrink spends.
-const defaultShrinkBudget = 400
+// DefaultShrinkBudget bounds how many candidate runs one shrink spends
+// when its caller gives no budget.
+const DefaultShrinkBudget = 400
 
 // Shrink greedily minimizes s while the given oracle rule keeps firing,
 // and returns the smallest reproducer found plus the number of candidate
@@ -26,7 +27,7 @@ const defaultShrinkBudget = 400
 // was filed for.
 func Shrink(s *scenario.Scenario, rule string, budget int) (*scenario.Scenario, int) {
 	if budget <= 0 {
-		budget = defaultShrinkBudget
+		budget = DefaultShrinkBudget
 	}
 	wantAdv := adversarial(s)
 	spent := 0

@@ -13,23 +13,16 @@ type Config struct {
 	// more than this many pair-paths. NetHide "limits the amount of
 	// lying to the minimum required to meet the security requirements".
 	DensityCap int
-	// Candidates is the number of alternative (k-shortest loop-free)
-	// paths considered per rerouted pair.
-	Candidates int
-	// Sweeps bounds the greedy improvement rounds.
-	Sweeps int
 }
 
-// Defaults fills the search parameters.
-func (c Config) Defaults() Config {
-	if c.Candidates <= 0 {
-		c.Candidates = 8
-	}
-	if c.Sweeps <= 0 {
-		c.Sweeps = 50
-	}
-	return c
-}
+// The obfuscation search's bounds.
+const (
+	// pathCandidates is the number of alternative (k-shortest
+	// loop-free) paths considered per rerouted pair.
+	pathCandidates int = 8
+	// sweeps bounds the greedy improvement rounds.
+	sweeps int = 50
+)
 
 // Obfuscate computes a virtual path map whose maximum flow density
 // respects cfg.DensityCap while keeping accuracy and utility as high as
@@ -38,7 +31,6 @@ func (c Config) Defaults() Config {
 // a greedy hottest-link-first search, which preserves the trade-off shape
 // the experiments measure: lower density caps cost accuracy.
 func Obfuscate(g *graph.Graph, pairs []Pair, cfg Config, rng *stats.RNG) (PathMap, Metrics) {
-	cfg = cfg.Defaults()
 	phys := ShortestPaths(g, pairs)
 	virt := PathMap{}
 	for k, v := range phys {
@@ -53,7 +45,7 @@ func Obfuscate(g *graph.Graph, pairs []Pair, cfg Config, rng *stats.RNG) (PathMa
 		if c, ok := candCache[p]; ok {
 			return c
 		}
-		c := g.KShortestPaths(p.Src, p.Dst, cfg.Candidates)
+		c := g.KShortestPaths(p.Src, p.Dst, pathCandidates)
 		candCache[p] = c
 		return c
 	}
@@ -84,7 +76,7 @@ func Obfuscate(g *graph.Graph, pairs []Pair, cfg Config, rng *stats.RNG) (PathMa
 		return best, bestN
 	}
 
-	for sweep := 0; sweep < cfg.Sweeps; sweep++ {
+	for sweep := 0; sweep < sweeps; sweep++ {
 		if _, density := hottest(); density <= cfg.DensityCap {
 			break
 		}

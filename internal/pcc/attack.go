@@ -22,8 +22,6 @@ import (
 type Equalizer struct {
 	// Util is the utility the victim optimizes (known to the attacker).
 	Util Utility
-	// Sel restricts the attack to matching packets (nil = all TCP data).
-	Sel func(*packet.Packet) bool
 	// DetectMargin is the relative rate excess over baseline treated as
 	// a fast trial (default 0.4%: below the ε_min=1% trial amplitude,
 	// above pacing noise).
@@ -44,10 +42,6 @@ type Equalizer struct {
 
 	// Stats: attack budget accounting.
 	Seen, Dropped uint64
-
-	// DebugClassify, if set, observes each phase classification (test
-	// diagnostics).
-	DebugClassify func(now, rate, base float64, kind string, sinceBase int)
 }
 
 // eqFlow tracks one victim flow. PCC paces uniformly within a monitor
@@ -106,9 +100,6 @@ func (e *Equalizer) Intercept(now float64, p *packet.Packet, dir netsim.Directio
 	if p.TCP == nil || p.Size <= 60 {
 		return netsim.TapVerdict{} // ignore the echo/ack direction
 	}
-	if e.Sel != nil && !e.Sel(p) {
-		return netsim.TapVerdict{}
-	}
 	k := p.Flow()
 	f := e.flows[k]
 	if f == nil {
@@ -153,7 +144,6 @@ func (e *Equalizer) Intercept(now float64, p *packet.Packet, dir netsim.Directio
 	}
 	if f.confirmed && !f.classified {
 		f.classified = true
-		kind := "slow"
 		switch {
 		case f.curRate > base*(1+e.DetectMargin):
 			// A fast phase: a (1+ε) trial, an adjusting step, or a
@@ -162,14 +152,9 @@ func (e *Equalizer) Intercept(now float64, p *packet.Packet, dir netsim.Directio
 			// exactly one degraded up-trial.
 			f.sinceBase++
 			f.punishCur = f.sinceBase == 1
-			kind = "fast"
 		case f.curRate > base*(1-e.DetectMargin):
 			// A base-rate phase (filler between rounds): new round.
 			f.sinceBase = 0
-			kind = "base"
-		}
-		if e.DebugClassify != nil {
-			e.DebugClassify(now, f.curRate, base, kind, f.sinceBase)
 		}
 	}
 	if !f.punishCur || now < e.ActiveFrom {

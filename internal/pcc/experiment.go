@@ -12,6 +12,10 @@ import (
 	"dui/internal/tcpflow"
 )
 
+// oscMinMI is the §4.2 experiment's monitor interval floor in seconds:
+// large enough that per-MI loss is not dominated by quantization.
+const oscMinMI float64 = 0.5
+
 // OscConfig parameterizes the §4.2 experiment: one or many PCC flows, each
 // through its own capacity-C access path toward a common destination, with
 // or without the equalizer MitM on the shared pre-destination link.
@@ -19,16 +23,12 @@ type OscConfig struct {
 	Flows int
 	// CapacityPPS is each flow's bottleneck capacity in packets/s.
 	CapacityPPS float64
-	StartRate   float64
 	Attack      bool
 	// Utility selects the victim's utility (nil = Allegro). The attacker
 	// is always assumed to know it.
 	Utility  Utility
 	Duration float64
 	Seed     uint64
-	// MinMI is the monitor interval floor (default 0.5 s — large enough
-	// that per-MI loss is not dominated by quantization).
-	MinMI float64
 	// EpsMax caps the victim's trial amplitude (0 = the sender default
 	// 0.05). The supervisor's clamped deployment lowers it — see
 	// supervisor.EpsRange.
@@ -39,8 +39,6 @@ type OscConfig struct {
 	EqDetectMargin float64
 	EqExtraDrop    float64
 	EqActiveFrom   float64
-	// Debug prints per-MI records of flow 0 (test diagnostics only).
-	Debug bool
 	// Chaos, if set, runs once routes are computed and before any flow
 	// starts: bottlenecks are the per-flow rIn–rOut capacity links,
 	// shared the rOut–destination link. The fault-injection point for
@@ -56,17 +54,11 @@ func (c OscConfig) Defaults() OscConfig {
 	if c.CapacityPPS <= 0 {
 		c.CapacityPPS = 1000
 	}
-	if c.StartRate <= 0 {
-		c.StartRate = 100
-	}
 	if c.Duration <= 0 {
 		c.Duration = 120
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MinMI <= 0 {
-		c.MinMI = 0.5
 	}
 	return c
 }
@@ -165,11 +157,6 @@ func RunOscillation(cfg OscConfig) *OscResult {
 			eq.ExtraDrop = cfg.EqExtraDrop
 		}
 		eq.ActiveFrom = cfg.EqActiveFrom
-		if cfg.Debug {
-			eq.DebugClassify = func(now, rate, base float64, kind string, sb int) {
-				fmt.Printf("  [eq t=%5.2f rate=%7.2f base=%7.2f %s sinceBase=%d]\n", now, rate, base, kind, sb)
-			}
-		}
 		shared.AttachTap(eq)
 	}
 
@@ -185,8 +172,8 @@ func RunOscillation(cfg OscConfig) *OscResult {
 		}
 		se := tcpflow.NewEndpoint(senders[i])
 		flows[i] = Start(se, de, Config{
-			Key: key, StartRate: cfg.StartRate, MaxRate: 4 * cfg.CapacityPPS,
-			Utility: cfg.Utility, MinMI: cfg.MinMI, Duration: cfg.Duration,
+			Key: key, MaxRate: 4 * cfg.CapacityPPS,
+			Utility: cfg.Utility, MinMI: oscMinMI, Duration: cfg.Duration,
 			EpsMax: cfg.EpsMax,
 		}, rng.Child())
 	}
@@ -201,13 +188,6 @@ func RunOscillation(cfg OscConfig) *OscResult {
 	}))
 
 	nw.RunUntil(cfg.Duration)
-
-	if cfg.Debug {
-		for _, r := range flows[0].Records() {
-			fmt.Printf("t=%5.1f rate=%6.1f role=%-7s loss=%.3f u=%8.2f eps=%.2f st=%s\n",
-				r.Start, r.Rate, r.Role, r.Loss, r.Utility, r.Eps, r.State)
-		}
-	}
 
 	lateFrom := cfg.Duration * 2 / 3
 	var lateMean stats.Summary

@@ -31,19 +31,27 @@ func (s State) String() string {
 	}
 }
 
+// Fixed parameters of every PCC flow.
+const (
+	// minRate is the smallest sending rate in packets/s.
+	minRate float64 = 10
+	// pktSize is the wire size of each data packet (bytes).
+	pktSize int = 1250
+	// epsMin is the trial granularity and escalation step.
+	epsMin float64 = 0.01
+)
+
 // Config parameterizes a PCC flow.
 type Config struct {
 	Key packet.FlowKey
-	// StartRate/MinRate/MaxRate bound the sending rate in packets/s.
-	StartRate, MinRate, MaxRate float64
-	// PktSize is the wire size of each data packet (bytes).
-	PktSize int
-	// EpsMin is the trial granularity and escalation step (0.01); EpsMax
-	// is the cap (0.05) that bounds the forced oscillation.
-	EpsMin, EpsMax float64
-	// MIDur is the monitor interval duration; 0 derives it from the RTT
-	// (1.7×SRTT, floored at MinMI).
-	MIDur, MinMI float64
+	// StartRate is the initial and MaxRate the largest sending rate in
+	// packets/s.
+	StartRate, MaxRate float64
+	// EpsMax is the cap (0.05) on the trial amplitude that bounds the
+	// forced oscillation.
+	EpsMax float64
+	// MinMI floors the monitor interval, which is 1.7×SRTT.
+	MinMI float64
 	// Utility defaults to Allegro.
 	Utility Utility
 	// Duration stops the flow at this simulation time (0 = run forever).
@@ -54,17 +62,8 @@ func (c *Config) defaults() {
 	if c.StartRate <= 0 {
 		c.StartRate = 100
 	}
-	if c.MinRate <= 0 {
-		c.MinRate = 10
-	}
 	if c.MaxRate <= 0 {
 		c.MaxRate = 1e5
-	}
-	if c.PktSize <= 0 {
-		c.PktSize = 1250
-	}
-	if c.EpsMin <= 0 {
-		c.EpsMin = 0.01
 	}
 	if c.EpsMax <= 0 {
 		c.EpsMax = 0.05
@@ -147,7 +146,7 @@ func Start(src, dst *tcpflow.Endpoint, cfg Config, rng *stats.RNG) *Sender {
 		rng:    rng,
 		state:  Starting,
 		rate:   cfg.StartRate,
-		eps:    cfg.EpsMin,
+		eps:    epsMin,
 		sentAt: map[uint64]float64{},
 		srtt:   0.1,
 	}
@@ -186,9 +185,6 @@ func (s *Sender) Stop() { s.stopped = true }
 
 // miDuration returns the monitor interval length.
 func (s *Sender) miDuration() float64 {
-	if s.cfg.MIDur > 0 {
-		return s.cfg.MIDur
-	}
 	d := 1.7 * s.srtt
 	if d < s.cfg.MinMI {
 		d = s.cfg.MinMI
@@ -252,7 +248,7 @@ func (s *Sender) sendNext(en netsim.LaneEntry) {
 	s.node.Send(s.net.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, packet.TCPHeader{
 		SrcPort: s.cfg.Key.SrcPort, DstPort: s.cfg.Key.DstPort,
 		Seq: uint32(en.Tag), Flags: packet.FlagACK,
-	}, s.cfg.PktSize))
+	}, pktSize))
 }
 
 // finalizeMI computes loss and utility once echoes have had time to land.
@@ -351,11 +347,11 @@ func (s *Sender) onResult(rec *MIRecord) {
 		if rec.Utility > s.lastUtility {
 			s.lastUtility = rec.Utility
 			s.adjustStep++
-			s.rate = s.clamp(s.rate * (1 + s.adjustDir*float64(s.adjustStep)*s.cfg.EpsMin))
+			s.rate = s.clamp(s.rate * (1 + s.adjustDir*float64(s.adjustStep)*epsMin))
 			return
 		}
 		// Utility fell: step back and re-run trials.
-		s.rate = s.clamp(s.rate / (1 + s.adjustDir*float64(s.adjustStep)*s.cfg.EpsMin))
+		s.rate = s.clamp(s.rate / (1 + s.adjustDir*float64(s.adjustStep)*epsMin))
 		s.enterDecision()
 	}
 }
@@ -402,7 +398,7 @@ func (s *Sender) decide() {
 	default:
 		// Inconclusive: stay, escalate ε — the state the §4.2 attacker
 		// pins the flow into.
-		s.eps = math.Min(s.eps+s.cfg.EpsMin, s.cfg.EpsMax)
+		s.eps = math.Min(s.eps+epsMin, s.cfg.EpsMax)
 		s.enterDecision()
 	}
 }
@@ -412,12 +408,12 @@ func (s *Sender) beginAdjust(dir float64, winners []*MIRecord) {
 	s.adjustDir = dir
 	s.adjustStep = 1
 	s.lastUtility = math.Max(winners[0].Utility, winners[1].Utility)
-	s.eps = s.cfg.EpsMin
+	s.eps = epsMin
 	s.rate = s.clamp(s.rate * (1 + dir*s.eps))
 }
 
 func (s *Sender) clamp(r float64) float64 {
-	return math.Max(s.cfg.MinRate, math.Min(s.cfg.MaxRate, r))
+	return math.Max(minRate, math.Min(s.cfg.MaxRate, r))
 }
 
 // onAck records an echoed sequence number and an RTT sample.

@@ -103,13 +103,13 @@ func TestDecideInconclusiveEscalates(t *testing.T) {
 	}
 }
 
-// TestClampBounds: rate never leaves [MinRate, MaxRate].
+// TestClampBounds: rate never leaves [minRate, MaxRate].
 func TestClampBounds(t *testing.T) {
 	s := newIdleSender(t)
 	if got := s.clamp(1e9); got != s.cfg.MaxRate {
 		t.Fatalf("clamp high = %v", got)
 	}
-	if got := s.clamp(0); got != s.cfg.MinRate {
+	if got := s.clamp(0); got != minRate {
 		t.Fatalf("clamp low = %v", got)
 	}
 }

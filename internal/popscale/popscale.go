@@ -78,8 +78,6 @@ type Config struct {
 	// AuditEvery cross-checks every k-th prefix against a shadow
 	// one-prefix bank with full selector-invariant audits (0 = off).
 	AuditEvery int
-	// OnProgress observes shard completion (see runner.Config).
-	OnProgress func(runner.Progress)
 }
 
 // Defaults fills zero fields and returns the config.
@@ -209,7 +207,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	start := time.Now()
 
 	outs, err := runner.Run(ctx, cfg.Shards, cfg.Seed,
-		runner.Config{Workers: cfg.Parallel, OnProgress: cfg.OnProgress},
+		runner.Config{Workers: cfg.Parallel},
 		func(_ context.Context, t runner.Trial) (shardOut, error) {
 			lo := t.Index * cfg.Prefixes / cfg.Shards
 			hi := (t.Index + 1) * cfg.Prefixes / cfg.Shards

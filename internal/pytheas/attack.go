@@ -1,5 +1,9 @@
 package pytheas
 
+// goodThreshold separates "performing well" from "performing poorly" as
+// the bot measures it itself — no oracle needed.
+const goodThreshold float64 = 3
+
 // Poison is the §4.1 host-level attack: a botnet controls a fraction of
 // the group's sessions and submits fabricated QoE reports — low whenever
 // the bot was assigned a well-performing option, high on a poor one — so
@@ -17,9 +21,6 @@ type Poison struct {
 	// ReportMultiplier is how many copies of the fake report each bot
 	// submits per epoch (1 = same volume as an honest client).
 	ReportMultiplier int
-	// GoodThreshold separates "performing well" from "performing
-	// poorly" as measured by the bot itself — no oracle needed.
-	GoodThreshold float64
 	// LowQoE/HighQoE are the fabricated values.
 	LowQoE, HighQoE float64
 }
@@ -28,9 +29,6 @@ type Poison struct {
 func (p Poison) Defaults() Poison {
 	if p.ReportMultiplier <= 0 {
 		p.ReportMultiplier = 1
-	}
-	if p.GoodThreshold <= 0 {
-		p.GoodThreshold = 3
 	}
 	if p.LowQoE <= 0 {
 		p.LowQoE = 0.2
@@ -47,7 +45,7 @@ func (p Poison) Reports(session int, _ Option, trueQoE float64) []float64 {
 		return []float64{trueQoE}
 	}
 	fake := p.HighQoE
-	if trueQoE >= p.GoodThreshold {
+	if trueQoE >= goodThreshold {
 		fake = p.LowQoE
 	}
 	out := make([]float64, p.ReportMultiplier)

@@ -74,14 +74,15 @@ func MADFiltered(k float64) Aggregator {
 	}
 }
 
+// exploreBonus is the UCB exploration constant.
+const exploreBonus float64 = 0.3
+
 // E2Config parameterizes a group's exploration–exploitation process.
 type E2Config struct {
 	// Options is the number of choices.
 	Options int
 	// Window is the number of recent reports kept per option.
 	Window int
-	// ExploreBonus is the UCB exploration constant.
-	ExploreBonus float64
 	// Aggregate reduces an option's report window to its score.
 	Aggregate Aggregator
 }
@@ -94,9 +95,6 @@ func (c E2Config) Defaults() E2Config {
 	}
 	if c.Window <= 0 {
 		c.Window = 200
-	}
-	if c.ExploreBonus <= 0 {
-		c.ExploreBonus = 0.3
 	}
 	if c.Aggregate == nil {
 		c.Aggregate = Mean
@@ -150,7 +148,7 @@ func (g *Group) Decide() Option {
 			return Option(i) // explore untried options immediately
 		}
 		score := g.Score(Option(i)) +
-			g.cfg.ExploreBonus*math.Sqrt(math.Log(float64(g.total+1))/float64(n))
+			exploreBonus*math.Sqrt(math.Log(float64(g.total+1))/float64(n))
 		if score > bestScore {
 			bestScore = score
 			best = Option(i)

@@ -62,6 +62,10 @@ func (NoAttack) Measure(_ int, _ Option, q float64) float64 { return q }
 // IsBot implements Attacker.
 func (NoAttack) IsBot(int) bool { return false }
 
+// redecideProb is the per-epoch probability a session asks the frontend
+// for a fresh decision (session churn).
+const redecideProb float64 = 0.05
+
 // SimConfig parameterizes the group simulation: a fixed session population
 // in one group, epoch-based (one epoch ≈ one QoE reporting interval).
 type SimConfig struct {
@@ -69,9 +73,6 @@ type SimConfig struct {
 	Options  []OptionModel
 	Sessions int
 	Epochs   int
-	// RedecideProb is the per-epoch probability a session asks the
-	// frontend for a fresh decision (session churn).
-	RedecideProb float64
 	// DedupReports accepts only one report per session per epoch — the
 	// §5 "input quality" countermeasure (authenticated, rate-limited
 	// measurement reports). Without it a bot inflates its weight by
@@ -95,9 +96,6 @@ func (c SimConfig) Defaults() SimConfig {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 300
-	}
-	if c.RedecideProb <= 0 {
-		c.RedecideProb = 0.05
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -170,7 +168,7 @@ func Run(cfg SimConfig, atk Attacker) *SimResult {
 			for _, r := range reports {
 				g.Report(opt, clampQoE(r))
 			}
-			if rng.Bool(cfg.RedecideProb) {
+			if rng.Bool(redecideProb) {
 				assign[s] = g.Decide()
 			}
 		}

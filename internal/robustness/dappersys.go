@@ -26,7 +26,7 @@ import (
 // sender-side access link (genuine duplicates arrive at genuine RTO
 // spacing, so the instant-dup clamp tolerates them — the documented
 // gray bound comes from DupP duplicating a packet verbatim in flight,
-// which can land inside MinRetransGap); flap bounces the bottleneck
+// which can land inside the 5 ms retransmission gap); flap bounces the bottleneck
 // link briefly; degrade scales the bottleneck rate down mid-run
 // (genuine congestion that must shift — legitimately — toward a
 // network-limited diagnosis is avoided by degrading gently).

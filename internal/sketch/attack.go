@@ -92,25 +92,25 @@ type PollutionRow struct {
 // saturating random flows only win near the global peeling threshold, and
 // then they take everyone down with them.
 type PollutionExperiment struct {
-	M, K       int
+	M          int
 	LegitFlows int
-	// Region is the targeted fraction of the table.
-	Region float64
-	Seed   uint64
+	Seed       uint64
 }
+
+// The pollution experiment's FlowRadar geometry and attack target.
+const (
+	// pollutionK is the number of hash partitions.
+	pollutionK int = 3
+	// pollutionRegion is the targeted fraction of the table.
+	pollutionRegion float64 = 0.05
+)
 
 func (e *PollutionExperiment) defaults() {
 	if e.M <= 0 {
 		e.M = 4096
 	}
-	if e.K <= 0 {
-		e.K = 3
-	}
 	if e.LegitFlows <= 0 {
 		e.LegitFlows = 1500
-	}
-	if e.Region <= 0 {
-		e.Region = 0.05
 	}
 	if e.Seed == 0 {
 		e.Seed = 1
@@ -142,13 +142,13 @@ func (e PollutionExperiment) Run(attackCounts []int) []PollutionRow {
 	var rows []PollutionRow
 	for _, n := range attackCounts {
 		for _, crafted := range []bool{false, true} {
-			fr := New(e.M, e.K)
+			fr := New(e.M, pollutionK)
 			for _, id := range legit {
 				fr.Add(id)
 			}
 			var attack []FlowID
 			if crafted {
-				attack = CraftPollutingFlows(e.M, e.K, n, e.Region, 1)
+				attack = CraftPollutingFlows(e.M, pollutionK, n, pollutionRegion, 1)
 			} else {
 				seen := map[FlowID]bool{}
 				for len(seen) < n {
@@ -184,14 +184,14 @@ func (e PollutionExperiment) RunTargeted(regionFlows, perCell int) (victimDecode
 	legit := e.legitSet(rng)
 	victim := legit[0]
 
-	fr := New(e.M, e.K)
+	fr := New(e.M, pollutionK)
 	for _, id := range legit {
 		fr.Add(id)
 	}
-	for _, id := range CraftPollutingFlows(e.M, e.K, regionFlows, e.Region, 1) {
+	for _, id := range CraftPollutingFlows(e.M, pollutionK, regionFlows, pollutionRegion, 1) {
 		fr.Add(id)
 	}
-	for _, id := range CraftTargetedHiders(e.M, e.K, victim, e.Region, perCell, 1<<40) {
+	for _, id := range CraftTargetedHiders(e.M, pollutionK, victim, pollutionRegion, perCell, 1<<40) {
 		fr.Add(id)
 	}
 	dec := fr.Decode()

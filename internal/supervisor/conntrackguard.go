@@ -26,51 +26,39 @@ type TableObs struct {
 // (Table.SweepProbation): one-touch state older than a confirmation
 // window is exactly what a spoofed SYN leaves behind.
 type ConntrackGuard struct {
-	// PressureFrac is the occupancy fraction that counts as pressure
-	// (<= 0 = 0.9).
-	PressureFrac float64
-	// MinSteps is how many consecutive pressured observations make the
-	// verdict implausible (<= 0 = 3).
-	MinSteps int
-	// ProbationIdle is the one-touch idle age beyond which the
-	// mitigation sweep evicts (<= 0 = 0.6 s — longer than a legitimate
-	// keepalive interval, far shorter than the idle timeout).
-	ProbationIdle float64
-
 	cost         GuardCost
 	lastRejected uint64
 	streak       int
 }
 
-// defaults applies the zero-value knobs.
-func (g *ConntrackGuard) defaults() {
-	if g.PressureFrac <= 0 {
-		g.PressureFrac = 0.9
-	}
-	if g.MinSteps <= 0 {
-		g.MinSteps = 3
-	}
-	if g.ProbationIdle <= 0 {
-		g.ProbationIdle = 0.6
-	}
-}
+// The table-pressure guard's thresholds.
+const (
+	// tablePressureFrac is the occupancy fraction that counts as pressure.
+	tablePressureFrac float64 = 0.9
+	// pressureSteps is how many consecutive pressured observations make the
+	// verdict implausible.
+	pressureSteps int = 3
+	// probationIdle is the one-touch idle age in seconds beyond which
+	// the mitigation sweep evicts: longer than a legitimate keepalive
+	// interval, far shorter than the idle timeout.
+	probationIdle float64 = 0.6
+)
 
 var _ Guard[TableObs] = (*ConntrackGuard)(nil)
 
 // Check implements Guard. Risk reaches the inclusive 0.5 veto threshold
-// after MinSteps consecutive pressured samples (near-full table with
+// after pressureSteps consecutive pressured samples (near-full table with
 // fresh insertion rejections).
 func (g *ConntrackGuard) Check(o TableObs) Verdict {
-	g.defaults()
 	g.cost.Checks++
-	pressured := float64(o.Len) >= g.PressureFrac*float64(o.Cap) && o.Rejected > g.lastRejected
+	pressured := float64(o.Len) >= tablePressureFrac*float64(o.Cap) && o.Rejected > g.lastRejected
 	g.lastRejected = o.Rejected
 	if pressured {
 		g.streak++
 	} else {
 		g.streak = 0
 	}
-	risk := float64(g.streak) / float64(2*g.MinSteps)
+	risk := float64(g.streak) / float64(2*pressureSteps)
 	if risk > 1 {
 		risk = 1
 	}
@@ -94,8 +82,7 @@ func (g *ConntrackGuard) StepHook() func(now float64, t *conntrack.Table) {
 	return func(now float64, t *conntrack.Table) {
 		v := g.Check(TableObs{Now: now, Len: t.Len(), Cap: t.Cap(), Rejected: t.Rejected})
 		if !v.Plausible {
-			g.defaults()
-			t.SweepProbation(now, g.ProbationIdle)
+			t.SweepProbation(now, probationIdle)
 		}
 	}
 }

@@ -30,9 +30,9 @@ type DapperPacketObs struct {
 //
 //   - a genuine retransmission is separated from the original by at
 //     least an RTT (fast retransmit) or an RTO; injected duplicates
-//     ride on the original's heels (< MinRetransGap),
+//     ride on the original's heels (< minRetransGap),
 //   - a receiver that advertises less than two MSS persistently is not
-//     a functioning TCP endpoint (MinRwnd),
+//     a functioning TCP endpoint (minRwnd),
 //   - a flight ceiling that sits epoch after epoch at a stable value
 //     far below the advertised window, with no loss anywhere, is a
 //     real window whose advertisement was inflated (the phantom
@@ -42,15 +42,6 @@ type DapperPacketObs struct {
 // packets, and runs DAPPER's decision tree and majority vote over it, so
 // its Diagnose is the mitigated verdict.
 type DapperGuard struct {
-	// MinRetransGap is the smallest plausible gap between a data
-	// sequence range and its retransmission (<= 0 = 5 ms).
-	MinRetransGap float64
-	// MinRwnd is the smallest plausible persistent advertised window in
-	// bytes (<= 0 = 2920, two MSS).
-	MinRwnd int64
-	// Epoch mirrors the monitor's diagnosis interval (<= 0 = 1 s).
-	Epoch float64
-
 	cost  GuardCost
 	conns map[packet.FlowKey]*dapperConn
 }
@@ -82,21 +73,18 @@ type dapperEpoch struct {
 	rawRwndMax int64
 }
 
-// dapperTree is the decision tree the guard mirrors: DAPPER's own, at its
-// default thresholds.
-var dapperTree = dapper.Config{}.Defaults()
+// The DAPPER guard's sanity envelope.
+const (
+	// minRetransGap is the smallest plausible gap in seconds between a
+	// data sequence range and its retransmission.
+	minRetransGap float64 = 0.005
+	// minRwnd is the smallest plausible persistent advertised window in
+	// bytes: two MSS.
+	minRwnd int64 = 2 * 1460
+)
 
-// defaults applies the zero-value knobs.
+// defaults allocates the connection table of a zero guard.
 func (g *DapperGuard) defaults() {
-	if g.MinRetransGap <= 0 {
-		g.MinRetransGap = 0.005
-	}
-	if g.MinRwnd <= 0 {
-		g.MinRwnd = 2 * 1460
-	}
-	if g.Epoch <= 0 {
-		g.Epoch = 1
-	}
 	if g.conns == nil {
 		g.conns = map[packet.FlowKey]*dapperConn{}
 	}
@@ -164,7 +152,7 @@ func (g *DapperGuard) checkData(o DapperPacketObs, c *dapperConn) Verdict {
 		return Verdict{Plausible: true, Reason: "new data"}
 	}
 	c.totRetrans++
-	if last, seen := c.endTimes[o.End]; seen && o.Now-last < g.MinRetransGap {
+	if last, seen := c.endTimes[o.End]; seen && o.Now-last < minRetransGap {
 		c.instantDups++
 		g.cost.Flags++
 		return Verdict{Risk: 1, Reason: fmt.Sprintf(
@@ -184,7 +172,7 @@ func (g *DapperGuard) checkAck(o DapperPacketObs, c *dapperConn) Verdict {
 	if o.Window > c.rawRwndMax {
 		c.rawRwndMax = o.Window
 	}
-	if o.Window < g.MinRwnd {
+	if o.Window < minRwnd {
 		c.lowRwnd++
 		g.cost.Flags++
 		return Verdict{Risk: 1, Reason: fmt.Sprintf(
@@ -198,9 +186,9 @@ func (g *DapperGuard) checkAck(o DapperPacketObs, c *dapperConn) Verdict {
 
 // rollEpoch closes finished sanitized epochs.
 func (g *DapperGuard) rollEpoch(now float64, c *dapperConn) {
-	for now-c.epochStart >= g.Epoch {
+	for now-c.epochStart >= dapper.Epoch {
 		c.epochs = append(c.epochs, dapperEpoch{ev: c.cur, rawRwndMax: c.rawRwndMax})
-		c.epochStart += g.Epoch
+		c.epochStart += dapper.Epoch
 		c.cur = dapper.EpochEvidence{RwndMin: dapper.NoWindow}
 	}
 }
@@ -278,7 +266,7 @@ func (g *DapperGuard) Diagnose(k packet.FlowKey) dapper.Diagnosis {
 	}
 	var votes dapper.Votes
 	for _, e := range c.epochs {
-		votes[dapperTree.Classify(e.ev)]++
+		votes[dapper.Classify(e.ev)]++
 	}
 	best := votes.Majority()
 	if best == dapper.SenderLimited && g.phantomCeiling(c) {

@@ -28,42 +28,34 @@ type ProbeObs struct {
 // the mitigation: tampered samples never reach the estimator, so routes
 // stay put.
 //
-// The envelope is deliberately generous — max(AbsDev, RelDev×baseline)
+// The envelope is deliberately generous — max(ronAbsDev, ronRelDev×baseline)
 // — so genuine path changes (rerouting, congestion onset) still pass
-// once they persist: a genuine shift keeps producing consistent samples
+// once they ronPersist: a genuine shift keeps producing consistent samples
 // and Reset lets the operator re-learn, while the guard's per-pair flag
 // records that something moved.
 type RONGuard struct {
-	// RelDev and AbsDev define the admission envelope around the
-	// per-pair baseline: a sample within baseline ± max(AbsDev,
-	// RelDev×baseline) is admitted (<= 0 = 0.5 and 3 ms).
-	RelDev, AbsDev float64
-	// Persist is how many consecutive rejected samples on one pair
-	// count as a level shift (<= 0 = 3).
-	Persist int
-	// Alpha is the EWMA weight for admitted samples (<= 0 = 0.3).
-	Alpha float64
-
 	cost    GuardCost
 	base    map[[2]int]float64
 	streak  map[[2]int]int
 	shifted map[[2]int]bool
 }
 
-// defaults applies the zero-value knobs.
+// The RON guard's probe-consistency envelope.
+const (
+	// ronRelDev and ronAbsDev define the admission envelope around the
+	// per-pair baseline: a sample within baseline ± max(ronAbsDev,
+	// ronRelDev×baseline) is admitted.
+	ronRelDev float64 = 0.5
+	ronAbsDev float64 = 0.003
+	// ronPersist is how many consecutive rejected samples on one pair
+	// count as a level shift.
+	ronPersist int = 3
+	// ronAlpha is the EWMA weight for admitted samples.
+	ronAlpha float64 = 0.3
+)
+
+// defaults allocates the per-pair tables of a zero guard.
 func (g *RONGuard) defaults() {
-	if g.RelDev <= 0 {
-		g.RelDev = 0.5
-	}
-	if g.AbsDev <= 0 {
-		g.AbsDev = 0.003
-	}
-	if g.Persist <= 0 {
-		g.Persist = 3
-	}
-	if g.Alpha <= 0 {
-		g.Alpha = 0.3
-	}
 	if g.base == nil {
 		g.base = map[[2]int]float64{}
 		g.streak = map[[2]int]int{}
@@ -94,16 +86,16 @@ func (g *RONGuard) Check(o ProbeObs) Verdict {
 		return Verdict{Plausible: true, Risk: 0, Reason: "baseline sample"}
 	}
 	dev := math.Abs(o.RTT - b)
-	env := math.Max(g.AbsDev, g.RelDev*b)
+	env := math.Max(ronAbsDev, ronRelDev*b)
 	if finite && dev <= env {
-		g.base[key] = (1-g.Alpha)*b + g.Alpha*o.RTT
+		g.base[key] = (1-ronAlpha)*b + ronAlpha*o.RTT
 		g.streak[key] = 0
 		return Verdict{Plausible: true, Risk: dev / (2 * env),
 			Reason: "probe within the consistency envelope"}
 	}
 	g.streak[key]++
 	g.cost.Flags++
-	if g.streak[key] >= g.Persist && !g.shifted[key] {
+	if g.streak[key] >= ronPersist && !g.shifted[key] {
 		g.shifted[key] = true
 	}
 	return Verdict{Risk: 1,

@@ -23,23 +23,19 @@ type SketchObs struct {
 // between the residues: high primary residue with a clean shadow is the
 // attack signature; matched residues — however high — are load.
 type SketchGuard struct {
-	// MaxImbalance is the residue-imbalance fraction (of M) at which
-	// the verdict goes implausible (<= 0 = 0.04).
-	MaxImbalance float64
-
 	cost GuardCost
 }
 
+// maxImbalance is the residue-imbalance fraction (of M) at which the
+// sketch guard's verdict goes implausible.
+const maxImbalance float64 = 0.04
+
 var _ Guard[SketchObs] = (*SketchGuard)(nil)
 
-// Check implements Guard. Risk normalizes the imbalance so MaxImbalance
+// Check implements Guard. Risk normalizes the imbalance so maxImbalance
 // lands on the inclusive 0.5 veto threshold. A table with no cells
 // (M <= 0) holds no residue to compare: plausible, risk 0.
 func (g *SketchGuard) Check(o SketchObs) Verdict {
-	max := g.MaxImbalance
-	if max <= 0 {
-		max = 0.04
-	}
 	g.cost.Checks++
 	if o.M <= 0 {
 		return Verdict{Plausible: true, Risk: 0, Reason: "empty table: no residue to compare"}
@@ -48,7 +44,7 @@ func (g *SketchGuard) Check(o SketchObs) Verdict {
 	if imb < 0 {
 		imb = 0
 	}
-	risk := imb / (2 * max)
+	risk := imb / (2 * maxImbalance)
 	if risk > 1 {
 		risk = 1
 	}

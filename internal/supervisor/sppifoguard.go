@@ -20,7 +20,7 @@ type SPPIFOObs struct {
 // limiting. SP-PIFO's queue-bound adaptation assumes rank arrival order
 // is random. The §3.2 attacks break that assumption in two ways, and
 // the guard watches for both signatures over a sliding admission
-// window:
+// sppifoWindow:
 //
 //   - descending ramps push down (ranks undercutting every bound) on
 //     nearly every packet, collapsing the bounds — the windowed
@@ -36,24 +36,8 @@ type SPPIFOObs struct {
 // that are themselves part of the adversarial pattern (push-downs, and
 // members of long monotone runs) are vetoed: dropped without moving the
 // bounds, so crafted bursts stop dragging the queue state with them.
-// Benign traffic admitted during a flagged window is untouched.
+// Benign traffic admitted during a flagged sppifoWindow is untouched.
 type SPPIFOGuard struct {
-	// Window is the sliding admission window (packets; <= 0 = 128).
-	Window int
-	// MaxRate is the push-down rate at which the verdict goes
-	// implausible (<= 0 = 0.30; uniform random ranks sit near 1/queues).
-	MaxRate float64
-	// MinDowns is the minimum push-downs in the window before the rate
-	// channel may flag — a cold-start floor (<= 0 = 16).
-	MinDowns int
-	// RunLen is the monotone run length at which a packet counts as a
-	// run event (<= 0 = 6; random order reaches it with probability
-	// ~2/6! per packet).
-	RunLen int
-	// RunEvents is the windowed run-event count at which the run
-	// channel flags (<= 0 = 6).
-	RunEvents int
-
 	cost    GuardCost
 	ring    []bool // push-down history
 	runRing []bool // run-event history
@@ -67,24 +51,24 @@ type SPPIFOGuard struct {
 	runLen   int
 }
 
-// defaults applies the zero-value knobs.
-func (g *SPPIFOGuard) defaults() {
-	if g.Window <= 0 {
-		g.Window = 128
-	}
-	if g.MaxRate <= 0 {
-		g.MaxRate = 0.30
-	}
-	if g.MinDowns <= 0 {
-		g.MinDowns = 16
-	}
-	if g.RunLen <= 0 {
-		g.RunLen = 6
-	}
-	if g.RunEvents <= 0 {
-		g.RunEvents = 6
-	}
-}
+// The SP-PIFO guard's sppifoWindow and thresholds.
+const (
+	// sppifoWindow is the sliding admission sppifoWindow in packets.
+	sppifoWindow int = 128
+	// sppifoMaxRate is the push-down rate at which the verdict goes
+	// implausible (uniform random ranks sit near 1/queues).
+	sppifoMaxRate float64 = 0.30
+	// sppifoMinDowns is the minimum push-downs in the sppifoWindow before the rate
+	// channel may flag — a cold-start floor.
+	sppifoMinDowns int = 16
+	// sppifoRunLen is the monotone run length at which a packet counts as
+	// a run event (random order reaches it with probability ~2/6! per
+	// packet).
+	sppifoRunLen int = 6
+	// sppifoRunEvents is the windowed run-event count at which the run
+	// channel flags.
+	sppifoRunEvents int = 6
+)
 
 var _ Guard[SPPIFOObs] = (*SPPIFOGuard)(nil)
 
@@ -92,10 +76,9 @@ var _ Guard[SPPIFOObs] = (*SPPIFOGuard)(nil)
 // risks, each normalized so its threshold lands exactly on the 0.5 veto
 // threshold (inclusive, like every supervisor in this package).
 func (g *SPPIFOGuard) Check(o SPPIFOObs) Verdict {
-	g.defaults()
 	if g.ring == nil {
-		g.ring = make([]bool, g.Window)
-		g.runRing = make([]bool, g.Window)
+		g.ring = make([]bool, sppifoWindow)
+		g.runRing = make([]bool, sppifoWindow)
 	}
 
 	// Monotone run tracking (ties break the run).
@@ -112,9 +95,9 @@ func (g *SPPIFOGuard) Check(o SPPIFOObs) Verdict {
 		g.runLen = 1
 	}
 	g.prevRank = o.Rank
-	runEvt := g.runLen >= g.RunLen
+	runEvt := g.runLen >= sppifoRunLen
 
-	if g.fill == g.Window {
+	if g.fill == sppifoWindow {
 		if g.ring[g.idx] {
 			g.downs--
 		}
@@ -132,18 +115,18 @@ func (g *SPPIFOGuard) Check(o SPPIFOObs) Verdict {
 	if runEvt {
 		g.runEvts++
 	}
-	g.idx = (g.idx + 1) % g.Window
+	g.idx = (g.idx + 1) % sppifoWindow
 	g.cost.Checks++
 
 	rate := float64(g.downs) / float64(g.fill)
-	rateRisk := rate / (2 * g.MaxRate)
+	rateRisk := rate / (2 * sppifoMaxRate)
 	if rateRisk > 1 {
 		rateRisk = 1
 	}
-	if g.downs < g.MinDowns {
+	if g.downs < sppifoMinDowns {
 		rateRisk = 0
 	}
-	runRisk := float64(g.runEvts) / float64(2*g.RunEvents)
+	runRisk := float64(g.runEvts) / float64(2*sppifoRunEvents)
 	if runRisk > 1 {
 		runRisk = 1
 	}
@@ -152,7 +135,7 @@ func (g *SPPIFOGuard) Check(o SPPIFOObs) Verdict {
 	reason := fmt.Sprintf("push-down rate %.2f: rank arrival order adversarially sorted", rate)
 	if runRisk > risk {
 		risk = runRisk
-		reason = fmt.Sprintf("%d monotone rank runs >= %d in window: rank arrival order adversarially sorted", g.runEvts, g.RunLen)
+		reason = fmt.Sprintf("%d monotone rank runs >= %d in sppifoWindow: rank arrival order adversarially sorted", g.runEvts, sppifoRunLen)
 	}
 	v := Verdict{Risk: risk, Plausible: risk < 0.5}
 	if v.Plausible {
@@ -165,11 +148,10 @@ func (g *SPPIFOGuard) Check(o SPPIFOObs) Verdict {
 }
 
 // InRun reports whether the most recently checked packet sits inside a
-// monotone rank run of at least RunLen — i.e. whether that packet is
+// monotone rank run of at least sppifoRunLen — i.e. whether that packet is
 // itself part of the pattern the run channel flags.
 func (g *SPPIFOGuard) InRun() bool {
-	g.defaults()
-	return g.runLen >= g.RunLen
+	return g.runLen >= sppifoRunLen
 }
 
 // Cost implements Guard.
@@ -180,7 +162,7 @@ func (g *SPPIFOGuard) Cost() GuardCost { return g.cost }
 // implicated in the adversarial pattern — push-downs, and members of
 // long monotone runs — are vetoed (dropped without moving the bounds).
 // Packets outside the pattern are admitted normally even during a
-// flagged window, so benign traffic is not collateral.
+// flagged sppifoWindow, so benign traffic is not collateral.
 func GuardSPPIFO(q *sppifo.SPPIFO, g *SPPIFOGuard) {
 	q.Admission = func(rank, cost int, pushDown bool) bool {
 		v := g.Check(SPPIFOObs{Rank: rank, PushDown: pushDown, Cost: cost})

@@ -20,7 +20,7 @@ func TestRTOWakesPerPeriodNotPerSegment(t *testing.T) {
 	if !st.Completed || st.Retransmissions != 0 {
 		t.Fatalf("transfer did not complete cleanly: %+v", st)
 	}
-	periods := st.CompletionTime / 0.2 // RTOMin
+	periods := st.CompletionTime / 0.2 // rtoMin
 	t.Logf("%d segments, %d RTO callbacks over %.3g s (%.1f minimum RTO periods)", st.SentSegments, wakes, st.CompletionTime, periods)
 	if float64(wakes) > 2*periods {
 		t.Fatalf("%d RTO callbacks for %d segments over %.1f minimum RTO periods", wakes, st.SentSegments, periods)

@@ -9,27 +9,33 @@ import (
 	"dui/internal/packet"
 )
 
+// Fixed parameters of every TCP flow.
+const (
+	// mss is the segment payload size in bytes.
+	mss int = 1460
+	// maxWindow caps the window in segments.
+	maxWindow float64 = 64
+	// rtoMin and rtoInit bound the retransmission timeout (seconds,
+	// RFC 6298).
+	rtoMin  float64 = 0.2
+	rtoInit float64 = 1.0
+)
+
 // Config parameterizes a TCP flow. The zero value is completed by
-// defaults() — MSS 1460, initial window 10 segments, RFC 6298 RTO bounds.
+// defaults() — initial window 10 segments, 64 KiB receive window.
 type Config struct {
 	// Key is the forward (data) direction 5-tuple; ACKs travel on
 	// Key.Reverse().
 	Key packet.FlowKey
-	// MSS is the segment payload size in bytes.
-	MSS int
 	// Window is the send window in segments. With AIMD enabled it is the
 	// initial congestion window; otherwise it is fixed.
 	Window float64
 	// AIMD enables additive-increase/multiplicative-decrease on the
 	// window (increase 1/W per ACKed segment, halve on loss).
 	AIMD bool
-	// MaxWindow caps the window in segments (0 = 64).
-	MaxWindow float64
 	// TotalBytes ends the flow after this much data is ACKed; 0 means the
 	// flow runs until Stop.
 	TotalBytes int64
-	// RTOMin and RTOInit bound the retransmission timeout (seconds).
-	RTOMin, RTOInit float64
 	// Pace, if positive, limits sending to this many segments per second
 	// (models application-limited flows; most trace flows are not
 	// window-limited).
@@ -41,20 +47,8 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.MSS <= 0 {
-		c.MSS = 1460
-	}
 	if c.Window <= 0 {
 		c.Window = 10
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = 64
-	}
-	if c.RTOMin <= 0 {
-		c.RTOMin = 0.2
-	}
-	if c.RTOInit <= 0 {
-		c.RTOInit = 1.0
 	}
 	if c.RcvWindow <= 0 || c.RcvWindow > 65535 {
 		c.RcvWindow = 65535
@@ -211,14 +205,14 @@ func Start(src, dst *Endpoint, cfg Config) *Sender {
 		cfg:    cfg,
 		window: cfg.Window,
 		rwnd:   int64(cfg.RcvWindow),
-		rto:    cfg.RTOInit,
+		rto:    rtoInit,
 	}
 	s.stats.RTO = s.rto
 	s.repump = s.pump
 	s.rtoFn = s.rtoFired
 	s.net.Engine().CountReserved(s)
 	// Receiver: consumes data arriving with the forward key, ACKs back.
-	r := &receiver{net: dst.node.Net(), node: dst.node, key: cfg.Key, mss: cfg.MSS, rwnd: cfg.RcvWindow}
+	r := &receiver{net: dst.node.Net(), node: dst.node, key: cfg.Key, mss: mss, rwnd: cfg.RcvWindow}
 	dst.Register(cfg.Key, r)
 	// Sender consumes ACKs arriving with the reverse key.
 	src.Register(cfg.Key.Reverse(), netsim.ReceiverFunc(s.onAck))
@@ -246,7 +240,7 @@ func (s *Sender) pump() {
 		return
 	}
 	now := s.net.Now()
-	wBytes := int64(s.window) * int64(s.cfg.MSS)
+	wBytes := int64(s.window) * int64(mss)
 	if wBytes > s.rwnd {
 		wBytes = s.rwnd // flow control: never exceed the advertised window
 	}
@@ -271,7 +265,7 @@ func (s *Sender) pump() {
 			s.paceNext = now + 1/s.cfg.Pace
 		}
 		s.transmit(s.nxt, false)
-		s.nxt += int64(s.cfg.MSS)
+		s.nxt += int64(mss)
 	}
 }
 
@@ -282,7 +276,7 @@ func (s *Sender) transmit(seq int64, isRetrans bool) {
 		SrcPort: s.cfg.Key.SrcPort, DstPort: s.cfg.Key.DstPort,
 		Seq: uint32(seq), Flags: packet.FlagACK,
 	}
-	s.node.Send(s.net.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, h, s.cfg.MSS+40))
+	s.node.Send(s.net.NewTCP(s.cfg.Key.Src, s.cfg.Key.Dst, h, mss+40))
 	s.stats.SentSegments++
 	if isRetrans {
 		s.stats.Retransmissions++
@@ -402,8 +396,8 @@ func (s *Sender) onAck(now float64, p *packet.Packet) {
 	s.backoff = 0
 	s.stats.AckedBytes = s.una
 	if s.cfg.AIMD {
-		segs := float64(acked) / float64(s.cfg.MSS)
-		s.window = math.Min(s.cfg.MaxWindow, s.window+segs/s.window)
+		segs := float64(acked) / float64(mss)
+		s.window = math.Min(maxWindow, s.window+segs/s.window)
 	}
 	if s.cfg.TotalBytes > 0 && s.una >= s.cfg.TotalBytes {
 		s.stats.Completed = true
@@ -431,8 +425,8 @@ func (s *Sender) rttSample(rtt float64) {
 		s.srtt = (1-alpha)*s.srtt + alpha*rtt
 	}
 	s.rto = s.srtt + 4*s.rttv
-	if s.rto < s.cfg.RTOMin {
-		s.rto = s.cfg.RTOMin
+	if s.rto < rtoMin {
+		s.rto = rtoMin
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 const rtoPinDigest = "01452cfba508e205ddc1a5cf7992096dcaf9f30a74bbfddb030cf83cc1d4bff9"
 
 // rtoTimerTrace runs two flows through a mid-transfer path failure: the
-// RTO shrinks from RTOInit to the RTT-derived value between arms (so a
+// RTO shrinks from rtoInit to the RTT-derived value between arms (so a
 // later arm fires before an earlier, stale one), timeouts back off while
 // the path is down, one flow completes (cancelling its timers) and the
 // other is stopped mid-flight. It returns every data send and ACK

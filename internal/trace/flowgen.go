@@ -25,15 +25,19 @@ type LegitConfig struct {
 	Until float64
 	// SrcBase is the first source address; each new flow takes the next.
 	SrcBase packet.Addr
-	// MSS is the segment size (default 1460).
-	MSS int
 }
+
+// Segment size and retransmission timeout floor of every generated flow.
+const (
+	// mss is the segment payload size in bytes.
+	mss int = 1460
+	// rtoMin is the RTO floor a MimicRTO storm imitates (seconds,
+	// RFC 6298).
+	rtoMin float64 = 0.2
+)
 
 // NewLegit returns a stream of packets from the configured population.
 func NewLegit(cfg LegitConfig, rng *stats.RNG) Stream {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1460
-	}
 	g := &flowStream{cfg: cfg, rng: rng}
 	g.scratch.init()
 	for i := 0; i < cfg.Flows; i++ {
@@ -99,8 +103,8 @@ func (g *flowStream) Next() (Event, bool) {
 		p := g.scratch.fillTCP(f.key, packet.TCPHeader{
 			SrcPort: f.key.SrcPort, DstPort: f.key.DstPort,
 			Seq: f.seq, Flags: packet.FlagACK,
-		}, g.cfg.MSS+40)
-		f.seq += uint32(g.cfg.MSS)
+		}, mss+40)
+		f.seq += uint32(mss)
 		f.next = at + g.rng.Exp(1/g.cfg.PPS)
 		g.h.siftDown(0, len(g.h))
 		return Event{Time: at, Pkt: p}, true
@@ -208,16 +212,10 @@ type MaliciousConfig struct {
 	// it without knowing per-flow RTTs when the RTT distribution is
 	// dominated by the floor.
 	MimicRTO bool
-	// RTOMin is the mimicked floor (default 0.2 s, RFC 6298).
-	RTOMin float64
-	MSS    int
 }
 
 // NewMalicious returns the attack pool stream.
 func NewMalicious(cfg MaliciousConfig, rng *stats.RNG) Stream {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1460
-	}
 	m := &malStream{cfg: cfg, rng: rng}
 	m.scratch.init()
 	for i := 0; i < cfg.Flows; i++ {
@@ -259,16 +257,16 @@ func (m *malStream) Next() (Event, bool) {
 	if at >= m.cfg.RetransmitFrom {
 		// Fake retransmission: repeat the last-sent sequence number so a
 		// data-plane observer flags this packet as a retransmit.
-		if seq >= uint32(m.cfg.MSS) {
-			seq -= uint32(m.cfg.MSS)
+		if seq >= uint32(mss) {
+			seq -= uint32(mss)
 		}
 	} else {
-		f.seq += uint32(m.cfg.MSS) // look like ordinary traffic
+		f.seq += uint32(mss) // look like ordinary traffic
 	}
 	p := m.scratch.fillTCP(f.key, packet.TCPHeader{
 		SrcPort: f.key.SrcPort, DstPort: f.key.DstPort,
 		Seq: seq, Flags: packet.FlagACK,
-	}, m.cfg.MSS+40)
+	}, mss+40)
 	// The attacker paces her own traffic: near-constant spacing (±10%
 	// jitter) so a flow is never idle long enough to be evicted. This is
 	// the "always remain active" requirement of §3.1. The adaptive
@@ -276,10 +274,6 @@ func (m *malStream) Next() (Event, bool) {
 	// The transition into the storm must be paced like an RTO too: the
 	// first duplicate's gap is the one the supervisor scrutinizes first.
 	if m.cfg.MimicRTO && at+1/m.cfg.PPS >= m.cfg.RetransmitFrom {
-		rto := m.cfg.RTOMin
-		if rto <= 0 {
-			rto = 0.2
-		}
 		mult := 1.0
 		switch r := m.rng.Float64(); {
 		case r < 0.3:
@@ -287,7 +281,7 @@ func (m *malStream) Next() (Event, bool) {
 		case r < 0.4:
 			mult = 4
 		}
-		f.next = at + rto*mult + 0.25*m.rng.Float64()
+		f.next = at + rtoMin*mult + 0.25*m.rng.Float64()
 	} else {
 		f.next = at + m.rng.Uniform(0.9, 1.1)/m.cfg.PPS
 	}

@@ -7,6 +7,16 @@ import (
 	"dui/internal/stats"
 )
 
+// Address plan of the PoP-scale population: prefix pid is the /24 at
+// popBase + pid<<8, inside 100.64.0.0/10; per-prefix legitimate and
+// attacker source pools allocate from disjoint bases, as NewLegit and
+// NewMalicious do.
+const (
+	popBase          packet.Addr = 100<<24 | 64<<16 // 100.64.0.0
+	popSrcBase       packet.Addr = 20 << 24         // 20.0.0.0
+	popAttackSrcBase packet.Addr = 30 << 24         // 30.0.0.0
+)
+
 // PopConfig describes a PoP-scale traffic population: Prefixes monitored
 // /24 destination prefixes, each carrying its own renewing population of
 // FlowsPerPrefix legitimate TCP flows, with an always-active attack pool
@@ -21,8 +31,6 @@ import (
 // that makes the PoP experiment's sharded results byte-identical at any
 // shard and worker count.
 type PopConfig struct {
-	// Base addresses prefix pid at Base.Addr + pid<<8 (a /24 per prefix).
-	Base packet.Prefix
 	// Prefixes is the number of monitored prefixes.
 	Prefixes int
 	// FlowsPerPrefix is each prefix's concurrently active legitimate flow
@@ -40,11 +48,6 @@ type PopConfig struct {
 	// epoch. Coarser epochs keep one prefix's selector and flow state
 	// cache-hot for longer; the per-prefix timeline is Epoch-independent.
 	Epoch float64
-	// SrcBase is the first legitimate source address (per-prefix pools
-	// allocate from it independently, as NewLegit does).
-	SrcBase packet.Addr
-	// MSS is the segment size (default 1460).
-	MSS int
 	// Seed is the root seed; prefix pid draws from stats.ChildAt(Seed, pid).
 	Seed uint64
 
@@ -55,9 +58,6 @@ type PopConfig struct {
 	AttackFlows int
 	// AttackPPS is the attacker's per-flow packet rate (default PPS).
 	AttackPPS float64
-	// AttackSrcBase allocates spoofed attacker sources (default disjoint
-	// from SrcBase).
-	AttackSrcBase packet.Addr
 	// StormAt is the time the attack pools switch to fake retransmissions
 	// (MaliciousConfig.RetransmitFrom); 0 means never (occupancy only).
 	StormAt float64
@@ -65,9 +65,6 @@ type PopConfig struct {
 
 // Defaults fills zero fields and returns the config.
 func (c PopConfig) Defaults() PopConfig {
-	if c.Base == (packet.Prefix{}) {
-		c.Base = packet.MustParsePrefix("100.64.0.0/10")
-	}
 	if c.Prefixes <= 0 {
 		c.Prefixes = 1024
 	}
@@ -83,12 +80,6 @@ func (c PopConfig) Defaults() PopConfig {
 	if c.Epoch <= 0 {
 		c.Epoch = 1
 	}
-	if c.SrcBase == 0 {
-		c.SrcBase = packet.MustParseAddr("20.0.0.0")
-	}
-	if c.MSS <= 0 {
-		c.MSS = 1460
-	}
 	if c.AttackedEvery > 0 {
 		if c.AttackFlows <= 0 {
 			c.AttackFlows = 8
@@ -96,16 +87,13 @@ func (c PopConfig) Defaults() PopConfig {
 		if c.AttackPPS <= 0 {
 			c.AttackPPS = c.PPS
 		}
-		if c.AttackSrcBase == 0 {
-			c.AttackSrcBase = packet.MustParseAddr("30.0.0.0")
-		}
 	}
 	return c
 }
 
 // PrefixAt returns prefix pid's /24.
 func (c PopConfig) PrefixAt(pid int) packet.Prefix {
-	return packet.Prefix{Addr: c.Base.Addr + packet.Addr(pid)<<8, Bits: 24}
+	return packet.Prefix{Addr: popBase + packet.Addr(pid)<<8, Bits: 24}
 }
 
 // Attacked reports whether prefix pid hosts an attack pool.
@@ -136,7 +124,7 @@ func (c PopConfig) PrefixStream(pid int) Stream {
 	victim := c.PrefixAt(pid)
 	legit := NewLegit(LegitConfig{
 		Victim: victim, Flows: c.FlowsPerPrefix, Dur: c.Dur, PPS: c.PPS,
-		Until: c.Until, SrcBase: c.SrcBase, MSS: c.MSS,
+		Until: c.Until, SrcBase: popSrcBase,
 	}, rng.Child())
 	if !c.Attacked(pid) {
 		return legit
@@ -147,8 +135,8 @@ func (c PopConfig) PrefixStream(pid int) Stream {
 	}
 	mal := NewMalicious(MaliciousConfig{
 		Victim: victim, Flows: c.AttackFlows, PPS: c.AttackPPS,
-		Until: c.Until, SrcBase: c.AttackSrcBase,
-		RetransmitFrom: storm, MSS: c.MSS,
+		Until: c.Until, SrcBase: popAttackSrcBase,
+		RetransmitFrom: storm,
 	}, rng.Child())
 	return Merge(legit, mal)
 }
