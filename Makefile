@@ -53,26 +53,30 @@ bench-gate:
 		| $(GO) run ./cmd/benchgate -strict-allocs BENCH_GATE.json
 
 ## pop-smoke: the PoP-scale determinism gate — a 512-prefix / ~34k-flow
-## duireport blink-pop run that cross-checks every 8th prefix against a
-## shadow one-prefix bank, executed once single-shard single-worker and
-## once with 7 shards on 4 workers; the deterministic stdout must be
-## byte-identical (cmp) or the target fails.
+## duireport blink-pop run executed single-shard single-worker, with 7
+## shards on 4 workers, and at the default 32 shards; the deterministic
+## stdout must be byte-identical (cmp) or the target fails. Per-prefix
+## agreement with one-prefix banks is TestRunMatchesOnePrefixBanks.
 pop-smoke:
 	$(GO) build -o /tmp/pop-smoke-duireport ./cmd/duireport
-	/tmp/pop-smoke-duireport blink-pop -quick -audit-every 8 -shards 1 -parallel 1 2>/dev/null > /tmp/pop-smoke-a.txt
-	/tmp/pop-smoke-duireport blink-pop -quick -audit-every 8 -shards 7 -parallel 4 2>/dev/null > /tmp/pop-smoke-b.txt
+	/tmp/pop-smoke-duireport blink-pop -quick -shards 1 -parallel 1 2>/dev/null > /tmp/pop-smoke-a.txt
+	/tmp/pop-smoke-duireport blink-pop -quick -shards 7 -parallel 4 2>/dev/null > /tmp/pop-smoke-b.txt
+	/tmp/pop-smoke-duireport blink-pop -quick 2>/dev/null > /tmp/pop-smoke-c.txt
 	cmp /tmp/pop-smoke-a.txt /tmp/pop-smoke-b.txt
+	cmp /tmp/pop-smoke-a.txt /tmp/pop-smoke-c.txt
 	@echo "pop-smoke: shard/worker-count independent output verified"
 
 ## fuzz-smoke: a race-enabled 200-seed scenario-fuzzing campaign with
 ## shrinking plus a replay of the committed reproducer corpus — the
 ## audit-oracle campaign CI runs on every push (seconds, deterministic) —
 ## then 15 s of coverage-guided fuzzing of campaign.JobSpec.Canon over
-## job bodies (FuzzCanon; plain `go test` runs only its seeds).
+## job bodies (FuzzCanon) and 10 s of journal.Open over arbitrary file
+## bytes (FuzzJournalOpen); plain `go test` runs only their seeds.
 fuzz-smoke:
 	$(GO) run -race ./cmd/simfuzz -seeds 200 -shrink
 	$(GO) run -race ./cmd/simfuzz -replay internal/fuzz/testdata/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzCanon$$' -fuzztime 15s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime 10s ./internal/journal
 
 ## chaos-smoke: the race-enabled fault-plane gate — a reduced duireport
 ## chaos-eval sweep (gray-failure intensity vs Blink inference, 3 levels x

@@ -307,7 +307,6 @@ func blinkPop() {
 	cli.SeedVar(&cfg.Seed, "root seed (prefix pid streams from ChildAt(seed, pid))")
 	flag.IntVar(&cfg.Shards, "shards", 32, "contiguous prefix-range shards (output identical at any value)")
 	cli.ParallelVar(&cfg.Parallel, "workers for the shard pool (0 = all cores; output identical at any value)")
-	flag.IntVar(&cfg.AuditEvery, "audit-every", 0, "cross-check every k-th prefix against a shadow one-prefix bank (0 = off)")
 	quick := flag.Bool("quick", false, "reduced-scale smoke run (512 prefixes, 10 s)")
 	failures := flag.Int("failures", 5, "print the first N failure inferences")
 	defer start("duireport blink-pop")()
@@ -335,9 +334,6 @@ func blinkPop() {
 			break
 		}
 		fmt.Printf("  prefix %d failed at t=%.3fs\n", f.Prefix, f.Now)
-	}
-	if cfg.AuditEvery > 0 {
-		fmt.Printf("audited:       %d prefixes bit-identical to shadow one-prefix banks\n", res.AuditedPrefixes)
 	}
 	fmt.Printf("state hash:    %016x\n", res.StateHash)
 

@@ -45,8 +45,8 @@ func run(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 // pytheas-poison, nethide-trace, dataplane-attacks, blink-fig2,
 // blink-pop, advsearch, robustness, chaos-eval) printed for these flags.
 // The hijack ensemble pins the same digest at one and two workers, and
-// the audited blink-pop run the same digest at one shard on one worker
-// and seven shards on four.
+// blink-pop the same digest at the default 32 shards, at one shard on one
+// worker and at seven shards on four.
 var stdoutPins = []struct{ args, sha string }{
 	{"blink-survey", "0dca1c5df958dc4d176195fd598032f7858f70456e85eb549df40294de7efa46"},
 	{"blink-survey -prefixes 4 -flows 100 -seed 2", "71a4219e58dcff1ce90175ecb9d5ab6bf73180426495ed8113b5cbbdb440c6dc"},
@@ -64,8 +64,8 @@ var stdoutPins = []struct{ args, sha string }{
 	{"blink-fig2 -runs 6 -duration 120 -flows 400 -meandur 6.35", "9db053f505e8e5e26d6eb98eeeeac399cc4b28717468c263d587d61e7b2a4896"},
 	{"blink-fig2 -runs 4 -duration 120 -flows 400 -meandur 6.35 -csv", "3b78a596539cea56935ac04ca088f68a385e597e592da487734fce14aae843c0"},
 	{"blink-pop -quick", "4bb4e558f0d741b55c965ba3d025ec47a90f6dd9e16d218f52a5a858a9aa2720"},
-	{"blink-pop -quick -audit-every 8 -shards 7 -parallel 4", "a81bd0cbfaa97c2f547ddd1850a767a3d71cc5a9e8e3e630404ca4d059269779"},
-	{"blink-pop -quick -audit-every 8 -shards 1 -parallel 1", "a81bd0cbfaa97c2f547ddd1850a767a3d71cc5a9e8e3e630404ca4d059269779"},
+	{"blink-pop -quick -shards 1 -parallel 1", "4bb4e558f0d741b55c965ba3d025ec47a90f6dd9e16d218f52a5a858a9aa2720"},
+	{"blink-pop -quick -shards 7 -parallel 4", "4bb4e558f0d741b55c965ba3d025ec47a90f6dd9e16d218f52a5a858a9aa2720"},
 	{"advsearch -quick -system blink", "4c9f3cf70fb3f987f18c633da67e78ed4c800609e604433218380a9920e30700"},
 	{"advsearch -quick -system pytheas -searcher anneal -guarded on", "aa95e9a33b664c8d4af881d5250d7eceba1cb36cfdd1346e81a82a39d3524fd7"},
 	{"robustness -defense-eval", "9eacd12f1bd11cf6fabf9951194a58922763a48d8ae6dd426bc5779257fa3c95"},

@@ -9,11 +9,10 @@
 // exposes (netsim.Network.SetLinkProbe, netsim.Engine.SetAudit, the
 // blink.MonitorBank On* observers, blink.Fig2Config.ObserveTrial) and never
 // mutates simulation state. MonAudit traces and checks a one-prefix Blink
-// bank (a Pipeline's, or one Fig 2 trial's); BankAudit cross-checks a
-// PoP-scale bank against one-prefix shadows. With nothing attached the
-// substrate pays one nil check per event — the zero-allocation hot-path
-// guarantees of the engine, the trace generators, and MonitorBank.Feed
-// are unchanged.
+// bank (a Pipeline's, one Fig 2 trial's, or one PoP prefix's reference
+// bank in popscale's tests). With nothing attached the substrate pays one
+// nil check per event — the zero-allocation hot-path guarantees of the
+// engine, the trace generators, and MonitorBank.Feed are unchanged.
 //
 // Audits are wired into tests and experiment binaries behind the
 // DUI_AUDIT=1 environment variable (or each binary's -audit flag); reduced

@@ -23,8 +23,8 @@ type BankFailure struct {
 // Every prefix runs the same selCore algorithm on its own segment, so a
 // prefix's cell states, window counters, and failure inferences are
 // bit-identical to those of a one-prefix bank fed the same packets — the
-// property TestMonitorBankMatchesMonitors pins and internal/audit's
-// BankAudit cross-checks online.
+// property TestMonitorBankMatchesMonitors pins, and popscale's
+// TestRunMatchesOnePrefixBanks checks for every prefix of a sharded PoP run.
 //
 // The warm Feed path performs no heap allocation (pinned by
 // TestMonitorBankFeedZeroAllocs); the only allocating path is the append

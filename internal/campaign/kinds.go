@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"dui/internal/advsearch"
 	"dui/internal/audit"
@@ -244,30 +243,20 @@ var chaosOps = ops{
 				}
 			}
 			n := float64(c.Trials)
+			var medLat float64 // 0 when no trial rerouted
+			if len(lats) > 0 {
+				medLat = stats.Median(lats)
+			}
 			res.Rows = append(res.Rows, ChaosRow{
 				Eps: chaosEps(c, li), Trials: c.Trials,
 				DetectRate:       float64(detect) / n,
-				MedianLatency:    median(lats),
+				MedianLatency:    medLat,
 				FalseVetoRate:    float64(vetoRuns) / n,
 				FalseRerouteRate: float64(falseRe) / n,
 			})
 		}
 		return res, nil
 	},
-}
-
-// median returns the middle of xs (0 when empty).
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
 }
 
 // ----------------------------------------------------------- scenarios

@@ -62,8 +62,8 @@ const (
 // TimeExceeded replies, OrigSrc/OrigDst/OrigTTL echo the expired probe's
 // header, which is how traceroute matches replies to probes.
 type ICMPHeader struct {
-	Type, Code uint8
-	ID, Seq    uint16
+	Type    uint8
+	ID, Seq uint16
 	// Quoted original header for TimeExceeded, per RFC 792.
 	OrigSrc, OrigDst Addr
 	OrigTTL          uint8
@@ -270,8 +270,10 @@ func (p *Packet) String() string {
 		return fmt.Sprintf("udp %s:%d>%s:%d len=%d ttl=%d",
 			p.Src, p.UDP.SrcPort, p.Dst, p.UDP.DstPort, p.Size, p.TTL)
 	case p.ICMP != nil:
-		return fmt.Sprintf("icmp %s>%s type=%d code=%d ttl=%d",
-			p.Src, p.Dst, p.ICMP.Type, p.ICMP.Code, p.TTL)
+		// Echo and TTL-exceeded-in-transit, the only messages modelled,
+		// both carry code 0.
+		return fmt.Sprintf("icmp %s>%s type=%d code=0 ttl=%d",
+			p.Src, p.Dst, p.ICMP.Type, p.TTL)
 	default:
 		return fmt.Sprintf("%s %s>%s len=%d ttl=%d", p.Proto, p.Src, p.Dst, p.Size, p.TTL)
 	}

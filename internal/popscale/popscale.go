@@ -15,10 +15,9 @@
 //     its own PopShard, and the merge is deterministic — per-prefix digests
 //     are folded in prefix order and failures are reported sorted by
 //     (prefix, time) — so Result is byte-identical at any shard count and
-//     any worker count.
-//   - self-checking: with AuditEvery > 0, every k-th prefix is mirrored
-//     into a shadow one-prefix bank under the full MonAudit invariant
-//     checks, and the bank must match it bit for bit (audit.BankAudit).
+//     any worker count. TestRunMatchesOnePrefixBanks checks every prefix of
+//     every split against its own audited one-prefix bank, so a wrong
+//     segment offset or prefix tag cannot pass.
 //
 // The headline numbers — simulated flows/sec, packets (events)/sec, peak
 // RSS at ≥1M active flows — are what duireport blink-pop and
@@ -27,12 +26,10 @@ package popscale
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"time"
 
-	"dui/internal/audit"
 	"dui/internal/blink"
 	"dui/internal/runner"
 	"dui/internal/trace"
@@ -75,9 +72,6 @@ type Config struct {
 	// Parallel bounds the worker pool running shards (0 = all cores).
 	// Results are identical at any value.
 	Parallel int
-	// AuditEvery cross-checks every k-th prefix against a shadow
-	// one-prefix bank with full selector-invariant audits (0 = off).
-	AuditEvery int
 }
 
 // Defaults fills zero fields and returns the config.
@@ -175,9 +169,6 @@ type Result struct {
 	// counters, and failure times in prefix order — the byte-identity
 	// fingerprint shard-count independence is checked against.
 	StateHash uint64
-	// AuditedPrefixes counts prefixes cross-checked against shadow
-	// one-prefix banks (0 when auditing is off).
-	AuditedPrefixes int
 
 	// Wall-clock performance (NOT deterministic; excluded from StateHash
 	// and printed to stderr by duireport blink-pop).
@@ -191,7 +182,6 @@ type shardOut struct {
 	lo, hi   int
 	packets  uint64
 	occupied int
-	audited  int
 	failures []blink.BankFailure // global prefix ids, shard feed order
 	digests  []uint64            // per-prefix end-state digests, pid order
 }
@@ -199,8 +189,7 @@ type shardOut struct {
 // Run executes the configured experiment: Shards contiguous prefix ranges
 // on the trial pool, each streaming its own prefix-interleaved workload
 // into its own MonitorBank, merged deterministically. The returned error
-// is non-nil only when the audit cross-check (AuditEvery > 0) finds a
-// divergence or the context is cancelled.
+// is non-nil only when the context is cancelled.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
 	pop := cfg.popConfig()
@@ -211,9 +200,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		func(_ context.Context, t runner.Trial) (shardOut, error) {
 			lo := t.Index * cfg.Prefixes / cfg.Shards
 			hi := (t.Index + 1) * cfg.Prefixes / cfg.Shards
-			out, err := runShard(cfg, pop, lo, hi)
+			out := runShard(cfg, pop, lo, hi)
 			t.ReportVirtual(cfg.Duration)
-			return out, err
+			return out, nil
 		})
 	if err != nil {
 		return nil, err
@@ -224,7 +213,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	for _, out := range outs {
 		res.Packets += out.packets
 		res.OccupiedCells += out.occupied
-		res.AuditedPrefixes += out.audited
 		res.Failures = append(res.Failures, out.failures...)
 		for _, d := range out.digests {
 			h = fnvFold(h, d)
@@ -259,22 +247,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // runShard feeds prefixes [lo, hi) through a fresh bank and summarizes.
-func runShard(cfg Config, pop trace.PopConfig, lo, hi int) (shardOut, error) {
+func runShard(cfg Config, pop trace.PopConfig, lo, hi int) shardOut {
 	sh := trace.NewPopShard(pop, lo, hi)
 	bank := blink.NewMonitorBank(hi-lo, cfg.Blink)
-
-	var aud *audit.BankAudit
-	if cfg.AuditEvery > 0 {
-		var audited []int
-		for pid := lo; pid < hi; pid++ {
-			if pid%cfg.AuditEvery == 0 {
-				audited = append(audited, pid-lo)
-			}
-		}
-		if len(audited) > 0 {
-			aud = audit.AttachBank(bank, audited, nil)
-		}
-	}
 
 	out := shardOut{lo: lo, hi: hi}
 	for {
@@ -282,19 +257,8 @@ func runShard(cfg Config, pop trace.PopConfig, lo, hi int) (shardOut, error) {
 		if !ok {
 			break
 		}
-		local := ev.Prefix - lo
-		bank.Feed(local, ev.Time, ev.Pkt)
-		if aud != nil {
-			aud.Feed(local, ev.Time, ev.Pkt)
-		}
+		bank.Feed(ev.Prefix-lo, ev.Time, ev.Pkt)
 		out.packets++
-	}
-
-	if aud != nil {
-		if err := aud.Check(cfg.Duration); err != nil {
-			return out, fmt.Errorf("popscale: shard [%d,%d): %w", lo, hi, err)
-		}
-		out.audited = len(aud.Prefixes())
 	}
 
 	out.occupied = bank.OccupiedTotal()
@@ -305,7 +269,7 @@ func runShard(cfg Config, pop trace.PopConfig, lo, hi int) (shardOut, error) {
 	for _, f := range bank.Failures() {
 		out.failures = append(out.failures, blink.BankFailure{Prefix: f.Prefix + lo, Now: f.Now})
 	}
-	return out, nil
+	return out
 }
 
 // prefixDigest folds one prefix's end-state selector into a 64-bit

@@ -4,6 +4,9 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"dui/internal/audit"
+	"dui/internal/blink"
 )
 
 func testConfig() Config {
@@ -15,17 +18,20 @@ func testConfig() Config {
 	}
 }
 
-// TestRunShardAndWorkerIndependence is the PR's determinism acceptance
-// criterion at unit scale: every deterministic Result field — state hash,
-// packet count, failures, occupancy — is identical whether the prefix
-// space runs as one shard on one worker or as many unevenly-sized shards
-// on several workers, with the audit cross-check on throughout.
+// splits are the shard × worker layouts the determinism tests run: one
+// shard on one worker, uneven shards, one prefix per shard, and more
+// workers than a clean division of the prefix space.
+var splits = []struct{ shards, parallel int }{{1, 1}, {7, 1}, {48, 4}, {5, 3}}
+
+// TestRunShardAndWorkerIndependence is the determinism criterion at unit
+// scale: every deterministic Result field — state hash, packet count,
+// failures, occupancy — is identical whether the prefix space runs as one
+// shard on one worker or as many unevenly-sized shards on several workers.
 func TestRunShardAndWorkerIndependence(t *testing.T) {
 	base := testConfig()
-	base.AuditEvery = 8
 
 	ref := base
-	ref.Shards, ref.Parallel = 1, 1
+	ref.Shards, ref.Parallel = splits[0].shards, splits[0].parallel
 	want, err := Run(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +39,8 @@ func TestRunShardAndWorkerIndependence(t *testing.T) {
 	if want.Packets == 0 || len(want.Failures) == 0 {
 		t.Fatalf("reference run is degenerate: %d packets, %d failures", want.Packets, len(want.Failures))
 	}
-	if want.AuditedPrefixes != 6 {
-		t.Fatalf("reference run audited %d prefixes, want 6", want.AuditedPrefixes)
-	}
 
-	for _, tc := range []struct{ shards, parallel int }{{7, 1}, {48, 4}, {5, 3}} {
+	for _, tc := range splits[1:] {
 		cfg := base
 		cfg.Shards, cfg.Parallel = tc.shards, tc.parallel
 		got, err := Run(context.Background(), cfg)
@@ -60,9 +63,118 @@ func TestRunShardAndWorkerIndependence(t *testing.T) {
 			t.Errorf("shards=%d parallel=%d: failure list diverges from reference",
 				tc.shards, tc.parallel)
 		}
-		if got.AuditedPrefixes != want.AuditedPrefixes {
-			t.Errorf("shards=%d parallel=%d: audited %d prefixes, reference %d",
-				tc.shards, tc.parallel, got.AuditedPrefixes, want.AuditedPrefixes)
+	}
+}
+
+// onePrefixBanks is the reference the bank tests compare Run against: it
+// feeds each prefix's standalone PrefixStream into its own one-prefix bank
+// — no shard, no offset arithmetic — under the MonAudit selector
+// invariants, and returns the per-prefix digests in pid order, the packet
+// count and the failures tagged with global prefix ids. drop, if non-nil,
+// withholds the packets it reports true for (prefix id, index in that
+// prefix's stream) from the reference banks.
+func onePrefixBanks(t *testing.T, cfg Config, drop func(pid, i int) bool) ([]uint64, uint64, []blink.BankFailure) {
+	t.Helper()
+	pop := cfg.popConfig().Defaults()
+	digests := make([]uint64, cfg.Prefixes)
+	var packets uint64
+	var failures []blink.BankFailure
+	for pid := 0; pid < cfg.Prefixes; pid++ {
+		bank := blink.NewMonitorBank(1, cfg.Blink)
+		mon := audit.AttachMonitor(bank, nil)
+		st := pop.PrefixStream(pid)
+		for i := 0; ; i++ {
+			ev, ok := st.Next()
+			if !ok {
+				break
+			}
+			if drop != nil && drop(pid, i) {
+				continue
+			}
+			bank.Feed(0, ev.Time, ev.Pkt)
+			packets++
+		}
+		if err := mon.Check(cfg.Duration); err != nil {
+			t.Fatalf("prefix %d: one-prefix bank invariants: %v", pid, err)
+		}
+		for _, f := range bank.Failures() {
+			failures = append(failures, blink.BankFailure{Prefix: pid, Now: f.Now})
+		}
+		digests[pid] = prefixDigest(bank, 0)
+	}
+	return digests, packets, failures
+}
+
+// TestRunMatchesOnePrefixBanks checks segment offsets and prefix tags end
+// to end: at every split, Run's state hash, packet count and failure list
+// equal the onePrefixBanks reference with its per-prefix digests folded
+// in prefix order. Every prefix is checked, so a packet or state landing
+// in a neighbour's segment, or a failure tagged with a shard-local id,
+// changes the hash or the list.
+func TestRunMatchesOnePrefixBanks(t *testing.T) {
+	cfg := testConfig().Defaults()
+	digests, packets, failures := onePrefixBanks(t, cfg, nil)
+	if packets == 0 || len(failures) == 0 {
+		t.Fatalf("reference is degenerate: %d packets, %d failures", packets, len(failures))
+	}
+	h := fnvInit
+	for _, d := range digests {
+		h = fnvFold(h, d)
+	}
+
+	for _, tc := range splits {
+		run := testConfig()
+		run.Shards, run.Parallel = tc.shards, tc.parallel
+		got, err := Run(context.Background(), run)
+		if err != nil {
+			t.Fatalf("shards=%d parallel=%d: %v", tc.shards, tc.parallel, err)
+		}
+		if got.StateHash != h {
+			t.Errorf("shards=%d parallel=%d: state hash %016x != one-prefix banks' %016x",
+				tc.shards, tc.parallel, got.StateHash, h)
+		}
+		if got.Packets != packets {
+			t.Errorf("shards=%d parallel=%d: %d packets != one-prefix banks' %d",
+				tc.shards, tc.parallel, got.Packets, packets)
+		}
+		if !reflect.DeepEqual(got.Failures, failures) {
+			t.Errorf("shards=%d parallel=%d: failure list diverges from the one-prefix banks'",
+				tc.shards, tc.parallel)
+		}
+	}
+}
+
+// TestOnePrefixBanksCatchDivergence pins that the reference comparison is
+// sharp and local: when the reference withholds every 50th packet of one
+// prefix, that prefix's digest — and only that prefix's — differs from
+// the one runShard computes at every split, so a shard bug shows up
+// against the prefix it corrupts rather than as an anonymous hash change.
+func TestOnePrefixBanksCatchDivergence(t *testing.T) {
+	const diverged = 6
+	cfg := testConfig().Defaults()
+	pop := cfg.popConfig()
+	want, _, _ := onePrefixBanks(t, cfg, func(pid, i int) bool {
+		return pid == diverged && i%50 == 0
+	})
+
+	for _, tc := range splits {
+		var got []uint64
+		for s := 0; s < tc.shards; s++ {
+			lo, hi := s*cfg.Prefixes/tc.shards, (s+1)*cfg.Prefixes/tc.shards
+			got = append(got, runShard(cfg, pop, lo, hi).digests...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: %d digests, want %d", tc.shards, len(got), len(want))
+		}
+		var differ []int
+		for pid := range want {
+			if got[pid] != want[pid] {
+				differ = append(differ, pid)
+			}
+		}
+		if !reflect.DeepEqual(differ, []int{diverged}) {
+			t.Errorf("shards=%d: prefixes whose digest differs = %v, want only [%d]",
+				tc.shards, differ, diverged)
 		}
 	}
 }

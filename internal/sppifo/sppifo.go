@@ -32,9 +32,8 @@ type Queue interface {
 }
 
 // PIFO is the ideal reference: a perfect priority queue (lowest rank
-// dequeues first, FIFO within equal ranks).
+// dequeues first, FIFO within equal ranks), unbounded.
 type PIFO struct {
-	Cap   int // 0 = unbounded
 	items []Packet
 	seq   int
 	order []int // arrival sequence for FIFO tie-break
@@ -42,9 +41,6 @@ type PIFO struct {
 
 // Enqueue implements Queue.
 func (q *PIFO) Enqueue(p Packet) bool {
-	if q.Cap > 0 && len(q.items) >= q.Cap {
-		return false
-	}
 	q.items = append(q.items, p)
 	q.order = append(q.order, q.seq)
 	q.seq++

@@ -42,15 +42,6 @@ func TestPIFOFIFOTieBreak(t *testing.T) {
 	}
 }
 
-func TestPIFOCapacity(t *testing.T) {
-	q := &PIFO{Cap: 2}
-	q.Enqueue(Packet{Rank: 1})
-	q.Enqueue(Packet{Rank: 2})
-	if q.Enqueue(Packet{Rank: 3}) {
-		t.Fatal("over-capacity enqueue accepted")
-	}
-}
-
 func TestSPPIFOPushUpPushDown(t *testing.T) {
 	q := New(2, 0)
 	// Rank 5 lands in the lowest-priority queue (bound 0 <= 5), bound->5.

@@ -13,22 +13,24 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// The knob gate: a config field exists only when two programs need
-// different values. TestNoDefaultOnlyFields fails on any scalar or func
-// field that a Defaults/defaults method under internal/ assigns and that
-// no non-test code in the root module or bench/ writes anywhere else —
-// a value with one setting, which belongs in a constant — unless
-// testdata/knobs.txt lists it with the test or bench file that sets it to
-// a second value. The scan type-checks every non-test package against the
-// export data `go list -export` writes, so a write is found however the
-// field is reached: keyed composite literals, assignments (multi-assign
-// and op-assign included), ++/--, and &x.F (flag bindings).
+// The knob gate: a field exists only when two programs need different
+// values. TestNoDefaultOnlyFields fails on any exported scalar or func
+// field of a struct declared in non-test internal/ code that no non-test
+// code in the root module or bench/ writes, outside its own type's
+// Defaults/defaults method — a value with one setting, which belongs in a
+// constant, or a field nothing sets at all — unless testdata/knobs.txt
+// lists it with the test or bench file that sets it. The scan type-checks
+// every non-test package against the export data `go list -export`
+// writes, so a write is found however the field is reached: keyed and
+// positional composite literals, assignments (multi-assign and op-assign
+// included), ++/--, and &x.F (flag bindings).
 
 const knobsPath = "testdata/knobs.txt"
 
@@ -41,13 +43,13 @@ func TestNoDefaultOnlyFields(t *testing.T) {
 	for _, mod := range []struct{ dir, pattern string }{{".", "./..."}, {"bench", "."}} {
 		s.scanModule(t, goTool, mod.dir, mod.pattern)
 	}
-	if len(s.defaulted) == 0 || len(s.written) == 0 {
-		t.Fatal("found no defaulted or written field; the scan is broken")
+	if len(s.fields) == 0 || len(s.written) == 0 {
+		t.Fatal("found no declared or written field; the scan is broken")
 	}
 	knobs := readKnobs(t)
 	var unset []string
 	set := 0
-	for key, pos := range s.defaulted {
+	for key, pos := range s.fields {
 		switch {
 		case s.written[key]:
 			set++
@@ -57,17 +59,17 @@ func TestNoDefaultOnlyFields(t *testing.T) {
 	}
 	sort.Strings(unset)
 	for _, u := range unset {
-		t.Errorf("only its Defaults method sets %s; make it a constant, or list it in %s with the test that sets it", u, knobsPath)
+		t.Errorf("no program sets %s outside its Defaults method; make it a constant or delete it, or list it in %s with the test that sets it", u, knobsPath)
 	}
 	for key := range knobs {
-		switch _, ok := s.defaulted[key]; {
+		switch _, ok := s.fields[key]; {
 		case !ok:
-			t.Errorf("%s lists %s, which no Defaults method assigns", knobsPath, key)
+			t.Errorf("%s lists %s, which is not an exported scalar or func field of an internal/ struct", knobsPath, key)
 		case s.written[key]:
 			t.Errorf("%s lists %s, which a program sets; remove the entry", knobsPath, key)
 		}
 	}
-	t.Logf("%d fields defaulted, %d of them set by a program, %d listed", len(s.defaulted), set, len(knobs))
+	t.Logf("%d fields declared, %d of them set by a program, %d listed", len(s.fields), set, len(knobs))
 }
 
 // listedPkg is the part of `go list -json` output the scan reads.
@@ -80,17 +82,17 @@ type listedPkg struct {
 }
 
 // fieldScan collects, keyed "pkg.Type.Field" with the "dui/internal/"
-// prefix dropped: the scalar and func fields a Defaults/defaults method of
-// their own type assigns (with the field's position), and every field
-// non-test code writes outside such a method.
+// prefix dropped: the exported scalar and func fields of every struct type
+// declared under internal/ (with the field's position), and every field
+// non-test code writes outside its own type's Defaults/defaults method.
 type fieldScan struct {
-	fset      *token.FileSet
-	defaulted map[string]string
-	written   map[string]bool
+	fset    *token.FileSet
+	fields  map[string]string
+	written map[string]bool
 }
 
 func newFieldScan() *fieldScan {
-	return &fieldScan{fset: token.NewFileSet(), defaulted: map[string]string{}, written: map[string]bool{}}
+	return &fieldScan{fset: token.NewFileSet(), fields: map[string]string{}, written: map[string]bool{}}
 }
 
 // scanModule type-checks the packages pattern names in the module at dir
@@ -132,34 +134,55 @@ func (s *fieldScan) scanModule(t *testing.T, goTool, dir, pattern string) {
 		}
 		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 		conf := types.Config{Importer: imp}
-		if _, err := conf.Check(p.ImportPath, s.fset, files, info); err != nil {
+		pkg, err := conf.Check(p.ImportPath, s.fset, files, info)
+		if err != nil {
 			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
 		}
+		s.declare(pkg)
 		for _, f := range files {
-			s.scanFile(f, info, strings.HasPrefix(p.ImportPath, "dui/internal/"))
+			s.scanFile(f, info)
+		}
+	}
+}
+
+// declare records the exported scalar and func fields of the struct types
+// declared at package level in pkg, when pkg is under internal/. Fields
+// with a json tag are left out: encoding/json writes them from a spec file
+// or a request body, a write no type-check sees.
+func (s *fieldScan) declare(pkg *types.Package) {
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, key := structOf(tn.Type())
+		if st == nil {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if _, decoded := reflect.StructTag(st.Tag(i)).Lookup("json"); decoded {
+				continue
+			}
+			if f := st.Field(i); f.Exported() && settable(f) {
+				s.fields[key+"."+f.Name()] = s.fset.Position(f.Pos()).String()
+			}
 		}
 	}
 }
 
 // scanFile records the field writes of one file, in function bodies and
 // package-level initializers alike. Writes inside a Defaults/defaults
-// method to its own receiver type's fields mark those fields defaulted
-// (when internal is set); every other write marks its field written.
-func (s *fieldScan) scanFile(f *ast.File, info *types.Info, internal bool) {
+// method to its own receiver type's fields do not count; every other
+// write marks its field written.
+func (s *fieldScan) scanFile(f *ast.File, info *types.Info) {
 	for _, d := range f.Decls {
 		owner := ""
-		if fd, ok := d.(*ast.FuncDecl); ok && internal && fd.Recv != nil &&
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil &&
 			(fd.Name.Name == "Defaults" || fd.Name.Name == "defaults") {
 			owner = typeKey(info.Types[fd.Recv.List[0].Type].Type)
 		}
-		mark := func(key string, v *types.Var) {
-			if key == "" {
-				return
-			}
-			if owner != "" && strings.HasPrefix(key, owner+".") {
-				if settable(v) {
-					s.defaulted[key] = s.fset.Position(v.Pos()).String()
-				}
+		mark := func(key string) {
+			if key == "" || owner != "" && strings.HasPrefix(key, owner+".") {
 				return
 			}
 			s.written[key] = true
@@ -188,14 +211,9 @@ func (s *fieldScan) scanFile(f *ast.File, info *types.Info, internal bool) {
 				}
 				for i, elt := range n.Elts {
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						name := kv.Key.(*ast.Ident).Name
-						for j := 0; j < st.NumFields(); j++ {
-							if st.Field(j).Name() == name {
-								mark(key+"."+name, st.Field(j))
-							}
-						}
+						mark(key + "." + kv.Key.(*ast.Ident).Name)
 					} else if i < st.NumFields() {
-						mark(key+"."+st.Field(i).Name(), st.Field(i))
+						mark(key + "." + st.Field(i).Name())
 					}
 				}
 			}
@@ -245,11 +263,11 @@ func structOf(t types.Type) (*types.Struct, string) {
 	return st, key
 }
 
-// selectionKey returns the key and object of the field a selector picks,
-// walking embedded fields so the key names the struct that declares it.
-func selectionKey(sel *types.Selection) (string, *types.Var) {
+// selectionKey returns the key of the field a selector picks, walking
+// embedded fields so the key names the struct that declares it.
+func selectionKey(sel *types.Selection) string {
 	if sel == nil || sel.Kind() != types.FieldVal {
-		return "", nil
+		return ""
 	}
 	t := sel.Recv()
 	var key string
@@ -263,9 +281,9 @@ func selectionKey(sel *types.Selection) (string, *types.Var) {
 		t = field.Type()
 	}
 	if key == "" {
-		return "", nil
+		return ""
 	}
-	return key + "." + field.Name(), field
+	return key + "." + field.Name()
 }
 
 // knobLine is one testdata/knobs.txt entry: a field key, a tab, and the
