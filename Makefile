@@ -70,12 +70,15 @@ pop-smoke:
 ## shrinking plus a replay of the committed reproducer corpus — the
 ## audit-oracle campaign CI runs on every push (seconds, deterministic) —
 ## then 15 s of coverage-guided fuzzing of campaign.JobSpec.Canon over
-## job bodies (FuzzCanon) and 10 s of journal.Open over arbitrary file
-## bytes (FuzzJournalOpen); plain `go test` runs only their seeds.
+## job bodies (FuzzCanon), 10 s of the campaign server's POST /v1/jobs
+## handler over request bodies (FuzzHandleSubmit) and 10 s of journal.Open
+## over arbitrary file bytes (FuzzJournalOpen); plain `go test` runs only
+## their seeds.
 fuzz-smoke:
 	$(GO) run -race ./cmd/simfuzz -seeds 200 -shrink
 	$(GO) run -race ./cmd/simfuzz -replay internal/fuzz/testdata/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzCanon$$' -fuzztime 15s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleSubmit$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime 10s ./internal/journal
 
 ## chaos-smoke: the race-enabled fault-plane gate — a reduced duireport

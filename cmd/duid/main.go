@@ -1,26 +1,20 @@
 // Command duid is the lab's campaign service (internal/campaign): a
 // persistent server that accepts evaluation campaigns — scenario fuzzing,
-// chaos sweeps, scenario batches, attack-frontier searches, robustness
-// matrices — over an HTTP JSON API, executes them on bounded worker
-// pools, journals completed trials so a campaign survives kill -9, and
-// serves repeated submissions from a content-addressed result cache keyed
-// by (canonical spec, code revision).
+// chaos sweeps, attack-frontier searches, robustness matrices — over an
+// HTTP JSON API, executes them on bounded worker pools, journals
+// completed trials so a campaign survives kill -9, and serves repeated
+// submissions from a content-addressed result cache keyed by (canonical
+// spec, code revision).
 //
 // Usage:
 //
-//	duid [-addr HOST:PORT] [-dir DIR] [-parallel W] [-shards N]
-//	     [-shard-procs P] [-jobs J]
+//	duid [-addr HOST:PORT] [-dir DIR] [-parallel W] [-jobs J]
 //
 // State lives under -dir (job-store journal, per-job trial journals,
 // result cache); a restarted duid over the same directory re-queues and
-// resumes every unfinished campaign. -shards splits each job's seed range
-// into contiguous shards; with -shard-procs P the shards run in P worker
-// subprocesses (duid re-executes itself with the internal -run-shard
-// flag, exchanging JSON on stdin/stdout). In-process shards journal each
-// trial as it finishes; a -shard-procs worker's trials are journaled only
-// when it returns its whole shard, so a kill -9 loses the finished trials
-// of every shard still running. Result bytes are identical at every
-// -parallel / -shards / -shard-procs setting.
+// resumes every unfinished campaign from the trials it journaled, each
+// as it finished. Result bytes are identical at every -parallel and
+// -jobs setting.
 //
 // The API (see internal/campaign.Server.Handler):
 //
@@ -41,15 +35,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"syscall"
 	"time"
@@ -62,23 +53,11 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8077", "listen address for the HTTP API")
 	dir := flag.String("dir", "duid-state", "state directory (job journal, trial journals, result cache)")
-	parallel := cli.Parallel("per-shard trial workers (0 = all cores; results identical at any setting)")
-	shards := flag.Int("shards", 1, "contiguous seed-range shards per job (results identical at any setting)")
-	shardProcs := flag.Int("shard-procs", 0, "run shards in this many worker subprocesses (0 = in-process)")
+	parallel := cli.Parallel("per-job trial workers (0 = all cores; results identical at any setting)")
 	jobs := flag.Int("jobs", 1, "concurrently executing jobs")
-	runShard := flag.Bool("run-shard", false, "internal: execute one shard request from stdin and exit")
 	cli.Parse("duid")
 
-	if *runShard {
-		os.Exit(runShardMain())
-	}
-
-	opts := campaign.Options{Workers: *parallel, Shards: *shards, Jobs: *jobs}
-	if *shardProcs > 0 {
-		opts.ShardParallel = *shardProcs
-		opts.RunShard = subprocessShard
-	}
-	srv, err := campaign.NewServer(*dir, opts)
+	srv, err := campaign.NewServer(*dir, campaign.Options{Workers: *parallel, Jobs: *jobs})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "duid: %v\n", err)
 		os.Exit(2)
@@ -121,51 +100,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "duid: %v\n", err)
 		os.Exit(2)
 	}
-}
-
-// runShardMain is the worker-subprocess entry: one ShardRequest as JSON
-// on stdin, the shard's TrialRecs as JSON on stdout.
-func runShardMain() int {
-	var req campaign.ShardRequest
-	if err := json.NewDecoder(os.Stdin).Decode(&req); err != nil {
-		fmt.Fprintf(os.Stderr, "duid: -run-shard: %v\n", err)
-		return 2
-	}
-	recs, err := campaign.RunShard(context.Background(), req)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "duid: -run-shard: %v\n", err)
-		return 1
-	}
-	if err := json.NewEncoder(os.Stdout).Encode(recs); err != nil {
-		fmt.Fprintf(os.Stderr, "duid: -run-shard: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// subprocessShard executes one shard in a fresh duid -run-shard worker
-// process. Trial records are pure functions of (spec, trial index), so
-// process boundaries cannot perturb results — only how they're computed.
-func subprocessShard(ctx context.Context, req campaign.ShardRequest) ([]campaign.TrialRec, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("duid: %w", err)
-	}
-	in, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("duid: shard [%d,%d): %w", req.Lo, req.Hi, err)
-	}
-	cmd := exec.CommandContext(ctx, exe, "-run-shard")
-	cmd.Stdin = bytes.NewReader(in)
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("duid: shard [%d,%d): %w", req.Lo, req.Hi, err)
-	}
-	var recs []campaign.TrialRec
-	if err := json.Unmarshal(out.Bytes(), &recs); err != nil {
-		return nil, fmt.Errorf("duid: shard [%d,%d): bad worker output: %w", req.Lo, req.Hi, err)
-	}
-	return recs, nil
 }

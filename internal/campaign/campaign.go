@@ -4,17 +4,16 @@
 // item 5), served by cmd/duid.
 //
 // A JobSpec describes one campaign: a scenario-fuzzing run, a chaos
-// sweep, a scenario batch, an attack-frontier search, or a robustness
-// matrix. Every job kind obeys the repo-wide determinism contract — the
-// result is a pure function of the canonical spec, independent of worker
-// count, shard split, process boundaries, and restarts — which is what
-// makes the rest of this package sound:
+// sweep, an attack-frontier search, or a robustness matrix. Every job
+// kind obeys the repo-wide determinism contract — the result is a pure
+// function of the canonical spec, independent of worker count, shard
+// split, and restarts — which is what makes the rest of this package
+// sound:
 //
 //   - Execute splits a job's seed range into contiguous shards, runs them
-//     on bounded worker pools (in-process via internal/runner, or in
-//     worker subprocesses via Env.RunShard), and merges per-trial records
-//     in trial order, so the encoded result is byte-identical at any
-//     Workers / Shards / ShardParallel setting;
+//     on bounded internal/runner worker pools, and merges per-trial
+//     records in trial order, so the encoded result is byte-identical at
+//     any Workers / Shards / ShardParallel setting;
 //   - per-trial records append to an internal/journal file as they
 //     complete, so a campaign killed mid-run (kill -9 included) resumes
 //     from the journal to the identical final verdict;
@@ -45,7 +44,6 @@ import (
 const (
 	KindFuzz       = "fuzz"
 	KindChaos      = "chaos"
-	KindScenarios  = "scenarios"
 	KindAdv        = "adv"
 	KindRobustness = "robustness"
 )
@@ -54,12 +52,11 @@ const (
 // Canon validates, applies the kind's canonical defaults, and clears the
 // rest, so two specs meaning the same campaign hash to the same Key.
 type JobSpec struct {
-	// Kind selects the campaign type (KindFuzz, KindChaos, KindScenarios,
-	// KindAdv).
+	// Kind selects the campaign type (KindFuzz, KindChaos, KindAdv,
+	// KindRobustness).
 	Kind       string          `json:"kind"`
 	Fuzz       *FuzzSpec       `json:"fuzz,omitempty"`
 	Chaos      *ChaosSpec      `json:"chaos,omitempty"`
-	Scenarios  *ScenarioSpec   `json:"scenarios,omitempty"`
 	Adv        *AdvSpec        `json:"adv,omitempty"`
 	Robustness *RobustnessSpec `json:"robustness,omitempty"`
 }
@@ -99,13 +96,6 @@ type ChaosSpec struct {
 	FailAt float64 `json:"fail_at,omitempty"`
 	// Duration is the per-run horizon in seconds (default 45).
 	Duration float64 `json:"duration,omitempty"`
-}
-
-// ScenarioSpec is a scenario batch: explicit internal/scenario values run
-// under the full audit-oracle stack, one trial each.
-type ScenarioSpec struct {
-	// Scenarios are run in order; each result reports its violations.
-	Scenarios []scenario.Scenario `json:"scenarios"`
 }
 
 // AdvSpec is an attack-frontier search (duireport advsearch). The search
@@ -230,18 +220,6 @@ func (s JobSpec) Canon() (JobSpec, error) {
 			return out, fmt.Errorf("campaign: chaos job needs fail_at < duration (%g >= %g)", c.FailAt, c.Duration)
 		}
 		out.Chaos = &c
-	case KindScenarios:
-		if s.Scenarios == nil || len(s.Scenarios.Scenarios) == 0 {
-			return out, fmt.Errorf("campaign: scenarios job carries no scenarios")
-		}
-		sc := ScenarioSpec{Scenarios: make([]scenario.Scenario, len(s.Scenarios.Scenarios))}
-		for i, scn := range s.Scenarios.Scenarios {
-			if err := scn.Validate(); err != nil {
-				return out, fmt.Errorf("campaign: scenario %d: %w", i, err)
-			}
-			sc.Scenarios[i] = scn.Clone()
-		}
-		out.Scenarios = &sc
 	case KindAdv:
 		a := AdvSpec{}
 		if s.Adv != nil {

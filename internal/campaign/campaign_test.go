@@ -10,7 +10,6 @@ import (
 	"dui/internal/campaign"
 	"dui/internal/fuzz"
 	"dui/internal/robustness"
-	"dui/internal/scenario"
 )
 
 // TestCanonDefaults pins the canonical defaults of every kind: a bare
@@ -59,8 +58,6 @@ func TestCanonRejects(t *testing.T) {
 			Adv: &campaign.AdvSpec{Guarded: "maybe"}}, "unknown guarded"},
 		{"fuzz max_nodes past the address plan", campaign.JobSpec{Kind: campaign.KindFuzz,
 			Fuzz: &campaign.FuzzSpec{MaxNodes: 256}}, "max_nodes 256 exceeds the 255-host address plan"},
-		{"empty scenario batch", campaign.JobSpec{Kind: campaign.KindScenarios},
-			"no scenarios"},
 	}
 	for _, c := range cases {
 		if _, err := c.spec.Canon(); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -83,10 +80,6 @@ func TestCanonLeavesInputUntouched(t *testing.T) {
 		}},
 		{"chaos", func() campaign.JobSpec {
 			return campaign.JobSpec{Kind: campaign.KindChaos, Chaos: &campaign.ChaosSpec{Levels: 3}}
-		}},
-		{"scenarios", func() campaign.JobSpec {
-			return campaign.JobSpec{Kind: campaign.KindScenarios, Scenarios: &campaign.ScenarioSpec{
-				Scenarios: []scenario.Scenario{*fuzz.Generate(11, fuzz.GenConfig{MaxNodes: 6})}}}
 		}},
 		{"adv", func() campaign.JobSpec {
 			return campaign.JobSpec{Kind: campaign.KindAdv, Adv: &campaign.AdvSpec{Systems: []string{"pcc", "blink", "pcc"}}}

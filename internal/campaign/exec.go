@@ -25,7 +25,7 @@ type Progress struct {
 // TrialRec is one trial's journaled verdict: the trial index plus the
 // kind-specific record. Trial outcomes are pure functions of (spec,
 // trial index), which is what makes records portable across shard
-// splits, worker counts, process boundaries, and restarts.
+// splits, worker counts, shard executors, and restarts.
 type TrialRec struct {
 	Trial int             `json:"trial"`
 	Data  json.RawMessage `json:"data"`
@@ -36,17 +36,16 @@ type TrialRec struct {
 // already recovered from the job journal so a resumed shard replays
 // instead of re-running them.
 type ShardRequest struct {
-	Spec    JobSpec    `json:"spec"`
-	Lo      int        `json:"lo"`
-	Hi      int        `json:"hi"`
-	Workers int        `json:"workers"`
-	Done    []TrialRec `json:"done,omitempty"`
+	Spec    JobSpec
+	Lo, Hi  int
+	Workers int
+	Done    []TrialRec
 }
 
 // ShardFn executes one shard and returns every trial record in [Lo, Hi)
-// — replayed and fresh alike. nil means in-process execution
-// (RunShard); cmd/duid substitutes a subprocess executor for
-// multi-process sharding.
+// — replayed and fresh alike. nil means in-process execution; the
+// benchmark's traced run substitutes an executor that computes and times
+// each trial itself.
 type ShardFn func(ctx context.Context, req ShardRequest) ([]TrialRec, error)
 
 // Env tunes one Execute call. The result bytes are independent of every
@@ -60,8 +59,8 @@ type Env struct {
 	// shards (<= 0: 1; capped at the trial count).
 	Shards int
 	// ShardParallel bounds how many shards run concurrently (<= 0: 1).
-	// With in-process shards 1 is the useful value (the trial pool
-	// already uses Workers); subprocess executors raise it.
+	// With in-process shards 1 is the useful value: the trial pool
+	// already uses Workers.
 	ShardParallel int
 	// Journal, when non-empty, records completed trials' verdicts in this
 	// internal/journal file, bound to the job Key. In-process shards
@@ -290,13 +289,6 @@ func (l *localExec) run(ctx context.Context, req ShardRequest) ([]TrialRec, erro
 		}
 		l.prog.trialDone()
 	})
-}
-
-// RunShard executes one shard in-process and returns all records in
-// [Lo, Hi) in trial order. This is the entry point worker subprocesses
-// (duid -run-shard) call; the parent journals the returned records.
-func RunShard(ctx context.Context, req ShardRequest) ([]TrialRec, error) {
-	return runShardWith(ctx, req, nil)
 }
 
 // runShardWith is the shared shard body: replay what Done covers, run

@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"dui/internal/campaign"
-	"dui/internal/fuzz"
 	"dui/internal/netsim"
-	"dui/internal/scenario"
 )
 
 // fuzzSpec is the small fuzzing campaign the execution tests share.
@@ -37,7 +35,8 @@ func mustExecute(t *testing.T, spec campaign.JobSpec, env campaign.Env) []byte {
 
 // TestExecuteFuzzShardWorkerIndependence: the canonical result bytes of a
 // fuzz campaign are identical at any worker count, shard split, and shard
-// executor — including the subprocess-style external executor path.
+// executor — including an external executor that returns its shard in
+// bulk.
 func TestExecuteFuzzShardWorkerIndependence(t *testing.T) {
 	spec := fuzzSpec(24)
 	want := mustExecute(t, spec, campaign.Env{Workers: 1, Shards: 1})
@@ -53,8 +52,8 @@ func TestExecuteFuzzShardWorkerIndependence(t *testing.T) {
 	if got := mustExecute(t, spec, campaign.Env{Workers: 4, Shards: 3}); !bytes.Equal(got, want) {
 		t.Error("workers=4 shards=3 diverged from workers=1 shards=1")
 	}
-	// The external-executor path (what duid -shard-procs uses), with the
-	// shards themselves running concurrently.
+	// The external-executor path, with the shards themselves running
+	// concurrently.
 	ext := func(ctx context.Context, req campaign.ShardRequest) ([]campaign.TrialRec, error) {
 		return campaign.RunShard(ctx, req)
 	}
@@ -79,28 +78,6 @@ func TestExecuteChaosShardWorkerIndependence(t *testing.T) {
 	}
 	if got := mustExecute(t, spec, campaign.Env{Workers: 2, Shards: 2}); !bytes.Equal(got, want) {
 		t.Error("chaos campaign diverged across workers/shards")
-	}
-}
-
-// TestExecuteScenariosKind: explicit scenario batches run under the full
-// oracle stack, worker-count independent.
-func TestExecuteScenariosKind(t *testing.T) {
-	scns := []scenario.Scenario{
-		*fuzz.Generate(11, fuzz.GenConfig{MaxNodes: 6}),
-		*fuzz.Generate(12, fuzz.GenConfig{MaxNodes: 6}),
-	}
-	spec := campaign.JobSpec{Kind: campaign.KindScenarios,
-		Scenarios: &campaign.ScenarioSpec{Scenarios: scns}}
-	want := mustExecute(t, spec, campaign.Env{Workers: 1})
-	var res campaign.ScenariosResult
-	if err := json.Unmarshal(want, &res); err != nil {
-		t.Fatalf("result does not parse as ScenariosResult: %v", err)
-	}
-	if res.Scenarios != 2 || len(res.Verdicts) != 2 {
-		t.Fatalf("scenario verdicts = %+v", res)
-	}
-	if got := mustExecute(t, spec, campaign.Env{Workers: 2, Shards: 2}); !bytes.Equal(got, want) {
-		t.Error("scenario batch diverged across workers/shards")
 	}
 }
 

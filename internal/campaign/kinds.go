@@ -39,8 +39,6 @@ func kindOps(kind string) ops {
 		return fuzzOps
 	case KindChaos:
 		return chaosOps
-	case KindScenarios:
-		return scenarioOps
 	case KindAdv:
 		return advOps
 	case KindRobustness:
@@ -58,10 +56,8 @@ func rootSeed(s JobSpec) uint64 {
 		return s.Chaos.RootSeed
 	case KindAdv:
 		return s.Adv.Seed
-	case KindRobustness:
-		return s.Robustness.RootSeed // informational: trials reseed via robustness.TrialSeed
 	default:
-		return 1 // scenario batches carry their seeds inside each scenario
+		return s.Robustness.RootSeed // informational: trials reseed via robustness.TrialSeed
 	}
 }
 
@@ -254,61 +250,6 @@ var chaosOps = ops{
 				FalseVetoRate:    float64(vetoRuns) / n,
 				FalseRerouteRate: float64(falseRe) / n,
 			})
-		}
-		return res, nil
-	},
-}
-
-// ----------------------------------------------------------- scenarios
-
-// scenarioRec is the journaled per-scenario verdict of a scenario batch.
-type scenarioRec struct {
-	Violations []audit.Violation `json:"violations,omitempty"`
-	FinalTime  float64           `json:"final_time"`
-}
-
-// ScenarioVerdict is one scenario's outcome in a ScenariosResult.
-type ScenarioVerdict struct {
-	Index      int      `json:"index"`
-	Name       string   `json:"name,omitempty"`
-	Failed     bool     `json:"failed"`
-	Violations []string `json:"violations,omitempty"`
-	FinalTime  float64  `json:"final_time"`
-}
-
-// ScenariosResult is the canonical result of a scenario batch.
-type ScenariosResult struct {
-	Kind      string            `json:"kind"`
-	Scenarios int               `json:"scenarios"`
-	Failures  int               `json:"failures"`
-	Verdicts  []ScenarioVerdict `json:"verdicts"`
-}
-
-var scenarioOps = ops{
-	total: func(s JobSpec) int { return len(s.Scenarios.Scenarios) },
-	runOne: func(s JobSpec, _, trial int, _ uint64) (json.RawMessage, error) {
-		scn := s.Scenarios.Scenarios[trial].Clone()
-		rep := scenario.RunChecked(&scn, scenario.Options{})
-		return json.Marshal(scenarioRec{Violations: rep.Violations, FinalTime: rep.FinalTime})
-	},
-	assemble: func(_ context.Context, s JobSpec, outs [][]byte) (any, error) {
-		res := ScenariosResult{Kind: KindScenarios, Scenarios: len(outs)}
-		for i, raw := range outs {
-			var rec scenarioRec
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return nil, fmt.Errorf("campaign: scenario %d: corrupt record: %v", i, err)
-			}
-			v := ScenarioVerdict{
-				Index: i, Name: s.Scenarios.Scenarios[i].Name,
-				Failed: len(rec.Violations) > 0, FinalTime: rec.FinalTime,
-			}
-			for _, viol := range rec.Violations {
-				v.Violations = append(v.Violations, viol.Error())
-			}
-			if v.Failed {
-				res.Failures++
-			}
-			res.Verdicts = append(res.Verdicts, v)
 		}
 		return res, nil
 	},

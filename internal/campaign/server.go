@@ -17,15 +17,8 @@ import (
 // Options tunes a Server. Like Env, nothing here affects result bytes —
 // only how campaigns execute.
 type Options struct {
-	// Workers bounds each shard's in-process trial pool (<= 0: all cores).
+	// Workers bounds each job's in-process trial pool (<= 0: all cores).
 	Workers int
-	// Shards splits each job's seed range (<= 0: 1).
-	Shards int
-	// ShardParallel bounds concurrently running shards (<= 0: 1).
-	ShardParallel int
-	// RunShard substitutes a shard executor (nil = in-process); cmd/duid
-	// installs its worker-subprocess executor here.
-	RunShard ShardFn
 	// Jobs bounds concurrently executing jobs (<= 0: 1).
 	Jobs int
 }
@@ -45,11 +38,21 @@ type Server struct {
 	cancel context.CancelFunc
 	wake   chan struct{}
 	wg     sync.WaitGroup
+	// shards carries the Env.Shards, ShardParallel and RunShard every
+	// job runs with. NewServer leaves it zero: one in-process shard per
+	// job. Tests set it to gate or count shard runs.
+	shards Env
 }
 
 // NewServer opens (or recovers) the campaign state under dir and starts
 // Options.Jobs scheduler goroutines. Close stops them.
 func NewServer(dir string, opts Options) (*Server, error) {
+	return newServer(dir, opts, Env{})
+}
+
+// newServer is NewServer with every job run under shards' Shards,
+// ShardParallel and RunShard.
+func newServer(dir string, opts Options, shards Env) (*Server, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "journals"), 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
@@ -65,7 +68,7 @@ func NewServer(dir string, opts Options) (*Server, error) {
 	if opts.Jobs <= 0 {
 		opts.Jobs = 1
 	}
-	s := &Server{dir: dir, store: store, cache: cache, opts: opts, wake: make(chan struct{}, 1)}
+	s := &Server{dir: dir, store: store, cache: cache, opts: opts, wake: make(chan struct{}, 1), shards: shards}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.routes()
 	for i := 0; i < opts.Jobs; i++ {
@@ -139,14 +142,11 @@ func (s *Server) runJob(ctx context.Context, st JobStatus, spec JobSpec) {
 		s.store.Finish(st.ID, true)
 		return
 	}
-	res, err := Execute(ctx, spec, Env{
-		Workers:       s.opts.Workers,
-		Shards:        s.opts.Shards,
-		ShardParallel: s.opts.ShardParallel,
-		RunShard:      s.opts.RunShard,
-		Journal:       filepath.Join(s.dir, "journals", st.ID+".journal"),
-		OnProgress:    func(p Progress) { s.store.SetProgress(st.ID, p) },
-	})
+	env := s.shards
+	env.Workers = s.opts.Workers
+	env.Journal = filepath.Join(s.dir, "journals", st.ID+".journal")
+	env.OnProgress = func(p Progress) { s.store.SetProgress(st.ID, p) }
+	res, err := Execute(ctx, spec, env)
 	switch {
 	case err == nil:
 		if perr := s.cache.Put(st.Key, res); perr != nil {
@@ -193,11 +193,10 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// maxSpecBytes caps a POST /v1/jobs body. Parameter specs are a few
-// hundred bytes; a scenarios batch carries ~2–5 KiB per scenario, so this
-// admits batches of a thousand-odd scenarios while bounding what one
-// request can make the server buffer.
-const maxSpecBytes = 8 << 20
+// maxSpecBytes caps a POST /v1/jobs body. Every spec is a handful of
+// parameters: the largest canonical one, a robustness job naming all
+// nine systems and four profiles, is under 200 bytes.
+const maxSpecBytes = 64 << 10
 
 // handleSubmit accepts a JobSpec, consults the result cache, and either
 // records an immediately-done cached job or queues it for the scheduler.

@@ -15,22 +15,30 @@ import (
 
 	"dui/internal/buildinfo"
 	"dui/internal/campaign"
+	"dui/internal/fuzz"
 )
 
 // startServer stands up a campaign server over dir and an HTTP front for
 // it, returning a client. Close order (HTTP first) is handled by cleanup.
-func startServer(t *testing.T, dir string, opts campaign.Options) (*campaign.Server, *campaign.Client, func()) {
+func startServer(t *testing.T, dir string, opts campaign.Options) (*campaign.Client, func()) {
 	t.Helper()
 	srv, err := campaign.NewServer(dir, opts)
+	return serve(t, srv, err)
+}
+
+// serve fronts srv, the result of a server constructor that returned err,
+// with an HTTP server and returns a client for it and a stop function.
+func serve(t *testing.T, srv *campaign.Server, err error) (*campaign.Client, func()) {
+	t.Helper()
 	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+		t.Fatalf("new server: %v", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	stop := func() {
 		ts.Close()
 		srv.Close()
 	}
-	return srv, campaign.NewClient(ts.URL), stop
+	return campaign.NewClient(ts.URL), stop
 }
 
 // TestServerEndToEnd: submit a fuzz job over the API, stream its progress
@@ -40,7 +48,7 @@ func TestServerEndToEnd(t *testing.T) {
 	spec := fuzzSpec(12)
 	direct := mustExecute(t, spec, campaign.Env{Workers: 1})
 
-	_, c, stop := startServer(t, t.TempDir(), campaign.Options{Workers: 2})
+	c, stop := startServer(t, t.TempDir(), campaign.Options{Workers: 2})
 	defer stop()
 	ctx := context.Background()
 
@@ -94,8 +102,8 @@ func TestServerCacheHit(t *testing.T) {
 		shardRuns.Add(1)
 		return campaign.RunShard(ctx, req)
 	}
-	_, c, stop := startServer(t, t.TempDir(),
-		campaign.Options{Workers: 2, Shards: 2, ShardParallel: 2, RunShard: counting})
+	srv, err := campaign.NewShardedServer(t.TempDir(), campaign.Options{Workers: 2}, 2, 2, counting)
+	c, stop := serve(t, srv, err)
 	defer stop()
 	ctx := context.Background()
 
@@ -164,8 +172,8 @@ func TestServerRestartResumesJob(t *testing.T) {
 		}
 		return campaign.RunShard(ctx, req)
 	}
-	srv, c, stop := startServer(t, dir,
-		campaign.Options{Workers: 1, Shards: 6, ShardParallel: 1, RunShard: gated})
+	srv, err := campaign.NewShardedServer(dir, campaign.Options{Workers: 1}, 6, 1, gated)
+	c, stop := serve(t, srv, err)
 	st, err := c.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -176,11 +184,10 @@ func TestServerRestartResumesJob(t *testing.T) {
 		t.Fatal("job never progressed")
 	}
 	stop() // abandons the running job without a terminal record
-	_ = srv
 
 	// Restart over the same state directory: the job re-queues, resumes
 	// from its journal, and finishes.
-	_, c2, stop2 := startServer(t, dir, campaign.Options{Workers: 2})
+	c2, stop2 := startServer(t, dir, campaign.Options{Workers: 2})
 	defer stop2()
 	fin, err := c2.Wait(context.Background(), st.ID, nil)
 	if err != nil || fin.State != campaign.JobDone {
@@ -205,7 +212,8 @@ func TestServerCancel(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	_, c, stop := startServer(t, t.TempDir(), campaign.Options{Workers: 1, RunShard: blocking})
+	srv, err := campaign.NewShardedServer(t.TempDir(), campaign.Options{Workers: 1}, 1, 1, blocking)
+	c, stop := serve(t, srv, err)
 	defer stop()
 	ctx := context.Background()
 
@@ -229,28 +237,32 @@ func TestServerCancel(t *testing.T) {
 }
 
 // TestServerRejectsOversizeSpec: a POST /v1/jobs body past the server's
-// cap is answered 413 without queuing anything.
+// 64 KiB cap, by one byte or by megabytes, is answered 413 without
+// queuing anything.
 func TestServerRejectsOversizeSpec(t *testing.T) {
-	_, c, stop := startServer(t, t.TempDir(), campaign.Options{Workers: 1})
+	c, stop := startServer(t, t.TempDir(), campaign.Options{Workers: 1})
 	defer stop()
 
-	body := `{"kind":"fuzz","pad":"` + strings.Repeat("x", 16<<20) + `"}`
-	resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
+	const head, tail = `{"kind":"fuzz","pad":"`, `"}`
+	for _, size := range []int{64<<10 + 1, 16 << 20} {
+		body := head + strings.Repeat("x", size-len(head)-len(tail)) + tail
+		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%d-byte spec answered %d, want 413", size, resp.StatusCode)
+		}
+		assertNoJobs(t, c.Base)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize spec answered %d, want 413", resp.StatusCode)
-	}
-	assertNoJobs(t, c.Base)
 }
 
 // TestServerRejectsOverCapSpec: a small body asking for more trials
 // than campaign.MaxTrials is answered 400 and never journaled as queued,
 // so a restart cannot re-queue it either.
 func TestServerRejectsOverCapSpec(t *testing.T) {
-	_, c, stop := startServer(t, t.TempDir(), campaign.Options{Workers: 1})
+	c, stop := startServer(t, t.TempDir(), campaign.Options{Workers: 1})
 	defer stop()
 
 	resp, err := http.Post(c.Base+"/v1/jobs", "application/json",
@@ -265,11 +277,12 @@ func TestServerRejectsOverCapSpec(t *testing.T) {
 	assertNoJobs(t, c.Base)
 }
 
-// TestServerRecoversRejectedSubmit: a store journal whose submit record
+// TestServerRecoversRejectedSubmit: a store journal whose submit records
 // this build's Canon rejects (an over-cap fuzz job journaled before the
-// trial cap existed) must not keep the server from starting. The record
-// is listed as failed and never runs, the valid job journaled after it
-// still runs, and the next submission does not reuse either ID.
+// trial cap existed, a job of the retired scenarios kind) must not keep
+// the server from starting. Each such record is listed as failed and
+// never runs, the valid job journaled between them still runs, and the
+// next submission reuses no ID.
 func TestServerRecoversRejectedSubmit(t *testing.T) {
 	spec := fuzzSpec(4)
 	direct := mustExecute(t, spec, campaign.Env{Workers: 1})
@@ -281,16 +294,23 @@ func TestServerRecoversRejectedSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A scenario the retired kind's Canon accepted, so an older build
+	// would run the record.
+	scn, err := json.Marshal(fuzz.Generate(11, fuzz.GenConfig{MaxNodes: 6}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	journal := `{"magic":"dui-campaign-store","version":1}
 {"op":"submit","id":"j000001","key":"0123456789abcdef0123456789abcdef","spec":{"kind":"fuzz","fuzz":{"seeds":1000000000,"root_seed":1}}}
 {"op":"submit","id":"j000002","key":"` + campaign.Key(canon) + `","spec":` + string(canonJSON) + `}
+{"op":"submit","id":"j000003","key":"fedcba9876543210fedcba9876543210","spec":{"kind":"scenarios","scenarios":{"scenarios":[` + string(scn) + `]}}}
 `
 	if err := os.WriteFile(filepath.Join(dir, "jobs.journal"), []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	_, c, stop := startServer(t, dir, campaign.Options{Workers: 1})
+	c, stop := startServer(t, dir, campaign.Options{Workers: 1})
 	defer stop()
 	ctx := context.Background()
 	rejected, err := c.Status(ctx, "j000001")
@@ -304,12 +324,19 @@ func TestServerRecoversRejectedSubmit(t *testing.T) {
 	if res, err := c.Result(ctx, "j000002"); err != nil || !bytes.Equal(res, direct) {
 		t.Fatalf("valid record's result diverged from direct execution (err %v)", err)
 	}
-	if got, _ := c.Status(ctx, "j000001"); got.State != campaign.JobFailed || got.Done != 0 {
-		t.Fatalf("rejected record ran: %+v", got)
+	retired, err := c.Status(ctx, "j000003")
+	if err != nil || retired.State != campaign.JobFailed ||
+		!strings.Contains(retired.Error, "rejected on recovery") || !strings.Contains(retired.Error, `unknown job kind "scenarios"`) {
+		t.Fatalf("retired-kind record = %+v, %v; want failed on recovery naming the unknown kind", retired, err)
+	}
+	for _, id := range []string{"j000001", "j000003"} {
+		if got, _ := c.Status(ctx, id); got.State != campaign.JobFailed || got.Done != 0 {
+			t.Fatalf("rejected record ran: %+v", got)
+		}
 	}
 	next, err := c.Submit(ctx, fuzzSpec(5))
-	if err != nil || next.ID != "j000003" {
-		t.Fatalf("next submission = %+v, %v; want id j000003", next, err)
+	if err != nil || next.ID != "j000004" {
+		t.Fatalf("next submission = %+v, %v; want id j000004", next, err)
 	}
 }
 

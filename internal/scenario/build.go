@@ -75,7 +75,7 @@ func Build(s *Scenario) *Built {
 		for i, nh := range bs.NextHops {
 			hops[i] = b.nodes[nh]
 		}
-		cfg := blink.Config{Cells: bs.Cells, Threshold: bs.Threshold, Window: bs.Window}
+		cfg := blink.Config{Cells: bs.Cells}
 		b.Pipe = blink.NewPipeline(b.nodes[bs.Router], cfg, blink.PrefixPolicy{
 			Prefix:   HostPrefix(bs.Victim),
 			NextHops: hops,

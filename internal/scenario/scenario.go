@@ -197,11 +197,9 @@ type BlinkSpec struct {
 	// NextHops are node indices in preference order; each must share a
 	// link with Router.
 	NextHops []int `json:"next_hops"`
-	// Cells and Threshold override the selector defaults (0 = default).
-	Cells     int `json:"cells,omitempty"`
-	Threshold int `json:"threshold,omitempty"`
-	// Window overrides the retransmission window (0 = default 0.8s).
-	Window float64 `json:"window,omitempty"`
+	// Cells overrides the selector's cell count (0 = default); the
+	// threshold and retransmission window keep their defaults.
+	Cells int `json:"cells,omitempty"`
 }
 
 // MaxHosts is the most nodes a scenario may have: node i is addressed
@@ -389,8 +387,8 @@ func (s *Scenario) Validate() error {
 				return fmt.Errorf("blink: next hop %d shares no link with router %d", nh, b.Router)
 			}
 		}
-		if b.Cells < 0 || b.Cells > 4096 || b.Threshold < 0 || b.Window < 0 {
-			return fmt.Errorf("blink: selector parameters out of range")
+		if b.Cells < 0 || b.Cells > 4096 {
+			return fmt.Errorf("blink: cells %d out of range", b.Cells)
 		}
 	}
 	return nil
