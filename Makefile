@@ -66,28 +66,29 @@ pop-smoke:
 	cmp /tmp/pop-smoke-a.txt /tmp/pop-smoke-c.txt
 	@echo "pop-smoke: shard/worker-count independent output verified"
 
-## fuzz-smoke: a race-enabled 200-seed scenario-fuzzing campaign with
-## shrinking plus a replay of the committed reproducer corpus — the
-## audit-oracle campaign CI runs on every push (seconds, deterministic) —
+## fuzz-smoke: a race-enabled 200-seed scenario-fuzzing campaign (duireport
+## simfuzz) with shrinking plus a replay of the committed reproducer
+## corpus — the audit-oracle campaign CI runs on every push (seconds,
+## deterministic) —
 ## then 15 s of coverage-guided fuzzing of campaign.JobSpec.Canon over
 ## job bodies (FuzzCanon), 10 s of the campaign server's POST /v1/jobs
 ## handler over request bodies (FuzzHandleSubmit) and 10 s of journal.Open
 ## over arbitrary file bytes (FuzzJournalOpen); plain `go test` runs only
 ## their seeds.
 fuzz-smoke:
-	$(GO) run -race ./cmd/simfuzz -seeds 200 -shrink
-	$(GO) run -race ./cmd/simfuzz -replay internal/fuzz/testdata/corpus
+	$(GO) run -race ./cmd/duireport simfuzz -seeds 200 -shrink
+	$(GO) run -race ./cmd/duireport simfuzz -replay internal/fuzz/testdata/corpus
 	$(GO) test -run '^$$' -fuzz '^FuzzCanon$$' -fuzztime 15s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleSubmit$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime 10s ./internal/journal
 
 ## chaos-smoke: the race-enabled fault-plane gate — a reduced duireport
 ## chaos-eval sweep (gray-failure intensity vs Blink inference, 3 levels x
-## 3 trials) plus a short fault-mode fuzzing campaign. Both are
-## seed-deterministic.
+## 3 trials) plus a short fault-mode fuzzing campaign (duireport simfuzz
+## -faults). Both are seed-deterministic.
 chaos-smoke:
 	$(GO) run -race ./cmd/duireport chaos-eval -quick
-	$(GO) run -race ./cmd/simfuzz -seeds 100 -faults -shrink
+	$(GO) run -race ./cmd/duireport simfuzz -seeds 100 -faults -shrink
 
 ## advsearch-smoke: the adversary-synthesis determinism gate — a quick
 ## attack-frontier search over the matrix's Blink, Pytheas and PCC
@@ -104,8 +105,8 @@ advsearch-smoke:
 ## duid-smoke: the campaign-service gate — a fuzz campaign submitted over
 ## the duid HTTP API is kill -9'd mid-run, restarted over the same state
 ## directory, and must resume from its journals to result bytes identical
-## (cmp) to a direct simfuzz -json run; an identical resubmission must be
-## served from the result cache without re-execution.
+## (cmp) to a direct duireport simfuzz -json run; an identical
+## resubmission must be served from the result cache without re-execution.
 duid-smoke:
 	./scripts/duid_smoke.sh
 

@@ -36,7 +36,7 @@ func fig2Traced(t *testing.T, cfg blink.Fig2Config, workers int) []audit.Event {
 // bit-identity contract: a sequential and a parallel Fig 2 run must emit
 // exactly the same selector event sequence, and every trial must satisfy
 // the selector invariants. A divergence fails with the first differing
-// event — the same localization cmd/simtrace gives on saved traces.
+// event — the same localization duireport simtrace gives on saved traces.
 func TestFig2AuditedTraceParity(t *testing.T) {
 	cfg := blink.Fig2Config{Runs: 4, Duration: 60, LegitFlows: 300, MeanFlowDuration: 8}
 	assertParity(t, cfg)

@@ -27,9 +27,9 @@
 //	POST /v1/jobs/{id}/cancel    cancel
 //	GET  /v1/version             build identity (= cache-key revision)
 //
-// The drivers cmd/simfuzz and duireport's chaos-eval, robustness and
-// advsearch subcommands submit to a running duid with their -server flag
-// and emit the same canonical JSON their -json inline mode produces —
+// duireport's campaign subcommands (simfuzz, chaos-eval, robustness and
+// advsearch) submit to a running duid with their -server flag and emit
+// the same canonical JSON their -json inline mode produces —
 // byte-identical, by construction and by the duid-smoke and
 // robustness-smoke CI gates.
 package main

@@ -24,11 +24,14 @@
 //	chaos-eval         §5 Blink guard under gray failure: detect, false-veto and false-reroute rates per intensity
 //	robustness         §5 matrix: system x attack x guard arm x fault profile; -defense-eval prints E8 in full
 //	advsearch          black-box attack-frontier search (CEM or annealing) over the matrix's Blink, Pytheas and PCC deployments, as JSON
+//	simfuzz            property-based fuzzing of random scenarios under the audit oracles; -replay re-checks a reproducer corpus
+//	simtrace           diff two JSONL event traces (blink-fig2 -trace) and print the first diverging event
 //
-// chaos-eval, robustness and advsearch run campaign job kinds
+// simfuzz, chaos-eval, robustness and advsearch run campaign job kinds
 // (internal/campaign): -server submits the spec to a running duid
 // instead, -json (always, for advsearch) writes the canonical result
-// bytes, and a spec the campaign validator rejects exits 2.
+// bytes, and a spec the campaign validator rejects exits 2. simfuzz
+// exits 1 only when the oracles caught failures.
 package main
 
 import (
@@ -79,6 +82,8 @@ var subcommands = map[string]func(){
 	"chaos-eval":        chaosEval,
 	"robustness":        robustnessMatrix,
 	"advsearch":         advSearch,
+	"simfuzz":           simfuzz,
+	"simtrace":          simtrace,
 }
 
 // main dispatches on os.Args[1] before any flag is parsed: a subcommand
@@ -191,7 +196,7 @@ func blinkFig2() {
 		csv      = flag.Bool("csv", false, "emit plottable CSV instead of the summary")
 		parallel = cli.Parallel("")
 		progress = flag.Bool("progress", false, "report per-trial progress on stderr")
-		trace    = cli.Trace("write the per-trial selector event trace (JSONL) to this file; diff two runs with cmd/simtrace")
+		trace    = cli.Trace("write the per-trial selector event trace (JSONL) to this file; diff two runs with duireport simtrace")
 		audited  = cli.Audit("check selector invariants on every trial (defaults to DUI_AUDIT)")
 	)
 	defer start("duireport blink-fig2")()
@@ -835,18 +840,36 @@ func e8(b *strings.Builder, quick bool, seed uint64, workers int) {
 
 func last(s *stats.Series) float64 { return s.Values[len(s.Values)-1] }
 
-// runCampaign runs the campaign subcommand tool's spec, inline or on the
-// duid server at server, and returns the canonical result bytes. A spec
-// campaign.JobSpec.Canon rejects is a usage error (exit 2); a failed run
-// exits 1.
-func runCampaign(tool, server string, spec campaign.JobSpec, workers int) []byte {
+// runCampaign runs the campaign subcommand tool's spec under env, inline
+// or on the duid server at server, and returns the canonical result
+// bytes; progress prints the completed-trial count to stderr every 50
+// trials and at the last. A spec campaign.JobSpec.Canon rejects is a
+// usage error (exit 2). A failed run exits 1, except a fuzz campaign's,
+// which exits 2: simfuzz's exit 1 means the oracles caught failures.
+func runCampaign(tool, server string, spec campaign.JobSpec, env campaign.Env, progress bool) []byte {
 	if _, err := spec.Canon(); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 		os.Exit(2)
 	}
-	raw, err := cli.DispatchCampaign(context.Background(), tool, server, spec, campaign.Env{Workers: workers}, true)
+	if progress {
+		lastDone := -1
+		next := env.OnProgress
+		env.OnProgress = func(p campaign.Progress) { // calls are serialized
+			if next != nil {
+				next(p)
+			}
+			if p.Done != lastDone && (p.Done%50 == 0 || p.Done == p.Total) {
+				lastDone = p.Done
+				fmt.Fprintf(os.Stderr, "%s: %d/%d trials\n", tool, p.Done, p.Total)
+			}
+		}
+	}
+	raw, err := campaign.Dispatch(context.Background(), spec, server, env)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		if spec.Kind == campaign.KindFuzz {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	return raw
@@ -883,7 +906,7 @@ func chaosEval() {
 
 	raw := runCampaign("chaos-eval", *server, campaign.JobSpec{Kind: campaign.KindChaos, Chaos: &campaign.ChaosSpec{
 		Trials: *trials, Levels: *levels, RootSeed: *seed,
-	}}, *parallel)
+	}}, campaign.Env{Workers: *parallel}, false)
 	if *jsonOut {
 		os.Stdout.Write(raw)
 		return
@@ -933,7 +956,7 @@ func robustnessMatrix() {
 		Trials:   *trials,
 		RootSeed: *seed,
 		Quick:    *quick,
-	}}, *parallel)
+	}}, campaign.Env{Workers: *parallel}, false)
 	if *jsonOut {
 		os.Stdout.Write(raw)
 		return
@@ -984,5 +1007,5 @@ func advSearch() {
 	os.Stdout.Write(runCampaign("advsearch", *server, campaign.JobSpec{Kind: campaign.KindAdv, Adv: &campaign.AdvSpec{
 		Systems: systems, Guarded: *guarded, Searcher: *searcher,
 		Seed: *seed, Gens: *gens, Pop: *pop, Validate: *validate, Quick: *quick,
-	}}, *parallel))
+	}}, campaign.Env{Workers: *parallel}, false))
 }

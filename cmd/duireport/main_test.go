@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -43,7 +44,8 @@ func run(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 // stdoutPins are the SHA-256 digests of stdout that each subcommand's
 // former standalone binary (blink-survey, blink-hijack, pcc-oscillate,
 // pytheas-poison, nethide-trace, dataplane-attacks, blink-fig2,
-// blink-pop, advsearch, robustness, chaos-eval) printed for these flags.
+// blink-pop, advsearch, robustness, chaos-eval, simfuzz) printed for
+// these flags; the corpus replay reads the checked-in reproducers.
 // The hijack ensemble pins the same digest at one and two workers, and
 // blink-pop the same digest at the default 32 shards, at one shard on one
 // worker and at seven shards on four.
@@ -71,6 +73,9 @@ var stdoutPins = []struct{ args, sha string }{
 	{"robustness -defense-eval", "9eacd12f1bd11cf6fabf9951194a58922763a48d8ae6dd426bc5779257fa3c95"},
 	{"robustness -quick -trials 1 -systems pcc,sketch -profiles none,gray", "4847c6691348189cf971daada5a56817f7f2d75ac9fe362c8b5a2f3fec9a29ee"},
 	{"robustness -quick -trials 1 -systems pcc,sketch -profiles none,gray -json", "3ad04077c6db66a4bd691470ebc6b12aa7dd9bc9dcd46d48075d0a9beceae304"},
+	{"simfuzz -seeds 20", "3df28fe5c7acdea1b7a296b5a1fc64981769f4080416202b41465ca1ee81727b"},
+	{"simfuzz -seeds 20 -json", "deb7b4d8ec9b706fa8a35cc049eda7d46c476ed892108a2c23c98ed6e61856e0"},
+	{"simfuzz -replay ../../internal/fuzz/testdata/corpus", "30f590377685740a87407a5911cabbcb6cbeb42d5b274d6257e4a69a98ea43f0"},
 }
 
 // TestSubcommandsPinned pins every subcommand's stdout to the digest its
@@ -122,6 +127,51 @@ func TestTracePinned(t *testing.T) {
 	})
 }
 
+// TestSimtrace: two runs of the same blink-fig2 trace are identical, an
+// altered event is reported at its own index with exit 1, -quiet keeps
+// the exit status and prints nothing, and one argument is a usage error.
+func TestSimtrace(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	a, b, c := dir+"/a.jsonl", dir+"/b.jsonl", dir+"/c.jsonl"
+	for _, path := range []string{a, b} {
+		if _, stderr, code := run(t, "blink-fig2", "-runs", "1", "-trace", path); code != 0 {
+			t.Fatalf("blink-fig2 exit %d, stderr:\n%s", code, stderr)
+		}
+	}
+	events, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(events), "\n")
+	const altered = 100
+	lines[altered] = strings.Replace(lines[altered], `"run":0`, `"run":9`, 1)
+	if err := os.WriteFile(c, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stdout string // required prefix
+	}{
+		{[]string{a, b}, 0, fmt.Sprintf("identical: %d events\n", len(lines)-1)},
+		{[]string{a, c}, 1, fmt.Sprintf("traces diverge at event #%d (", altered)},
+		{[]string{"-quiet", a, b}, 0, ""},
+		{[]string{"-quiet", a, c}, 1, ""},
+	} {
+		stdout, stderr, code := run(t, append([]string{"simtrace"}, tc.args...)...)
+		if code != tc.code || !strings.HasPrefix(string(stdout), tc.stdout) || (tc.stdout == "" && len(stdout) != 0) {
+			t.Errorf("simtrace %v: exit %d, stdout %q, stderr %q; want exit %d, stdout starting %q",
+				tc.args, code, stdout, stderr, tc.code, tc.stdout)
+		}
+	}
+	stdout, stderr, code := run(t, "simtrace", a)
+	if code != 2 || len(stdout) != 0 || !strings.HasPrefix(string(stderr), "usage: duireport simtrace ") {
+		t.Errorf("simtrace with one argument: exit %d, stdout %q, stderr %q; want exit 2 and the usage", code, stdout, stderr)
+	}
+}
+
 // TestRejectsStrayArguments: an unknown subcommand or a leftover
 // positional argument, in report mode or after a subcommand's flags,
 // prints the usage with every subcommand to stderr and exits 2 without
@@ -139,6 +189,8 @@ func TestRejectsStrayArguments(t *testing.T) {
 		"chaos-eval -quick extra",
 		"robustness -quick extra",
 		"advsearch -quick extra",
+		"simfuzz extra",
+		"simfuzz -seeds 4 extra",
 	} {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()

@@ -1,17 +1,28 @@
-// Command simfuzz runs the property-based fuzzing campaign over random
+package main
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+
+	"dui/internal/campaign"
+	"dui/internal/cli"
+	"dui/internal/fuzz"
+)
+
+// simfuzz runs the property-based fuzzing campaign over random
 // simulation scenarios (internal/fuzz): each seed becomes a randomized
 // topology with heterogeneous links, heavy-tailed workloads, scheduled
 // failures, MitM taps, and optional Blink deployments, executed twice
 // under the full audit-oracle stack. Failures are shrunk to minimal
 // reproducers and optionally written to a corpus directory.
 //
-// Usage:
-//
-//	simfuzz [-seeds N] [-seed S] [-parallel W] [-budget D] [-shrink]
-//	        [-corpus DIR] [-max-nodes N] [-faults] [-checkpoint FILE] [-quiet]
-//	simfuzz -json [campaign flags]
-//	simfuzz -server URL [campaign flags]
-//	simfuzz -replay DIR
+//	duireport simfuzz [-seeds N] [-seed S] [-parallel W] [-budget D] [-shrink]
+//	                  [-corpus DIR] [-max-nodes N] [-faults] [-checkpoint FILE] [-quiet]
+//	duireport simfuzz -json | -server URL [campaign flags]
+//	duireport simfuzz -replay DIR
 //
 // Every mode runs one internal/campaign fuzz job and differs only in how
 // it renders the result: the text summary (default), the canonical result
@@ -37,47 +48,24 @@
 // pure function of the spec, and the server journals durability itself.
 //
 // Exit status 0 when all scenarios (or corpus entries) pass, 1 when the
-// oracles caught failures, 2 on usage or internal errors.
-package main
-
-import (
-	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"io"
-	"os"
-
-	"dui/internal/campaign"
-	"dui/internal/cli"
-	"dui/internal/fuzz"
-)
-
-func main() {
-	seeds := flag.Int("seeds", 200, "number of random scenarios to run")
-	seed := cli.Seed("root seed (expands into per-scenario seeds)")
-	parallel := cli.Parallel("worker pool size (0 = GOMAXPROCS)")
-	budget := flag.Duration("budget", 0, "wall-time budget; stops handing out new trials when exceeded (0 = none)")
-	shrink := flag.Bool("shrink", false, "shrink each failure to a minimal reproducer")
-	corpus := flag.String("corpus", "", "directory to write failure reproducers to")
-	maxNodes := flag.Int("max-nodes", 0, "topology size cap for generated scenarios (0 = default)")
-	faultModes := flag.Bool("faults", false, "draw benign-fault specs (gray failure, flapping, degradation, crash/restart)")
-	checkpoint := flag.String("checkpoint", "", "record per-trial verdicts in this file; resume a killed campaign from it")
-	replay := flag.String("replay", "", "replay corpus entries from this directory instead of fuzzing")
-	quiet := flag.Bool("quiet", false, "suppress per-failure and progress output; only the final summary")
-	jsonOut := flag.Bool("json", false, "emit the canonical campaign result JSON (internal/campaign fuzz kind) instead of the text summary")
-	server := flag.String("server", "", "submit the campaign to the duid server at this URL and print the result it serves")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: simfuzz [-seeds N] [-seed S] [-parallel W] [-budget D] [-shrink] [-corpus DIR] [-max-nodes N] [-faults] [-checkpoint FILE] [-quiet]\n")
-		fmt.Fprintf(os.Stderr, "       simfuzz -json | -server URL [campaign flags]\n")
-		fmt.Fprintf(os.Stderr, "       simfuzz -replay DIR\n")
-		flag.PrintDefaults()
-	}
-	cli.Parse("simfuzz")
-	if flag.NArg() != 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
+// oracles caught failures, 2 on usage, dispatch or internal errors.
+func simfuzz() {
+	var (
+		seeds      = flag.Int("seeds", 200, "number of random scenarios to run")
+		seed       = cli.Seed("root seed (expands into per-scenario seeds)")
+		parallel   = cli.Parallel("worker pool size (0 = GOMAXPROCS)")
+		budget     = flag.Duration("budget", 0, "wall-time budget; stops handing out new trials when exceeded (0 = none)")
+		shrink     = flag.Bool("shrink", false, "shrink each failure to a minimal reproducer")
+		corpus     = flag.String("corpus", "", "directory to write failure reproducers to")
+		maxNodes   = flag.Int("max-nodes", 0, "topology size cap for generated scenarios (0 = default)")
+		faultModes = flag.Bool("faults", false, "draw benign-fault specs (gray failure, flapping, degradation, crash/restart)")
+		checkpoint = flag.String("checkpoint", "", "record per-trial verdicts in this file; resume a killed campaign from it")
+		replay     = flag.String("replay", "", "replay corpus entries from this directory instead of fuzzing")
+		quiet      = flag.Bool("quiet", false, "suppress per-failure and progress output; only the final summary")
+		jsonOut    = flag.Bool("json", false, "emit the canonical campaign result JSON (internal/campaign fuzz kind) instead of the text summary")
+		server     = flag.String("server", "", "submit the campaign to the duid server at this URL and print the result it serves")
+	)
+	stop := start("duireport simfuzz")
 
 	if *jsonOut || *server != "" {
 		if *budget != 0 || *checkpoint != "" || *corpus != "" || *replay != "" {
@@ -86,23 +74,19 @@ func main() {
 		}
 	}
 	if *replay != "" {
-		os.Exit(replayCorpus(*replay, *quiet))
+		code := replayCorpus(*replay, *quiet)
+		stop()
+		os.Exit(code)
 	}
 
-	spec := campaign.JobSpec{Kind: campaign.KindFuzz, Fuzz: &campaign.FuzzSpec{
+	resumed := 0
+	raw := runCampaign("simfuzz", *server, campaign.JobSpec{Kind: campaign.KindFuzz, Fuzz: &campaign.FuzzSpec{
 		Seeds: *seeds, RootSeed: *seed, MaxNodes: *maxNodes,
 		Faults: *faultModes, Shrink: *shrink,
-	}}
-	resumed := 0
-	env := campaign.Env{
+	}}, campaign.Env{
 		Workers: *parallel, Journal: *checkpoint, Budget: *budget,
 		OnProgress: func(p campaign.Progress) { resumed = p.Resumed },
-	}
-	raw, err := cli.DispatchCampaign(context.Background(), "simfuzz", *server, spec, env, *quiet)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simfuzz: %v\n", err)
-		os.Exit(2)
-	}
+	}, !*quiet)
 	var res campaign.FuzzResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		fmt.Fprintf(os.Stderr, "simfuzz: bad result: %v\n", err)
@@ -110,19 +94,20 @@ func main() {
 	}
 	if *jsonOut || *server != "" {
 		os.Stdout.Write(raw)
-	} else if err := report(os.Stdout, &res, resumed, *corpus, *quiet); err != nil {
+	} else if err := fuzzReport(os.Stdout, &res, resumed, *corpus, *quiet); err != nil {
 		fmt.Fprintf(os.Stderr, "simfuzz: %v\n", err)
 		os.Exit(2)
 	}
+	stop()
 	if len(res.Failures) > 0 {
 		os.Exit(1)
 	}
 }
 
-// report renders the text summary of a campaign result: one FAIL line
+// fuzzReport renders the text summary of a campaign result: one FAIL line
 // (and one shrink line) per failure unless quiet, the reproducers written
 // to corpusDir when it is set, and the closing count line.
-func report(w io.Writer, res *campaign.FuzzResult, resumed int, corpusDir string, quiet bool) error {
+func fuzzReport(w io.Writer, res *campaign.FuzzResult, resumed int, corpusDir string, quiet bool) error {
 	if !quiet {
 		for _, f := range res.Failures {
 			fmt.Fprintf(w, "FAIL trial=%d seed=%#x rule=%s (%s): %s\n",

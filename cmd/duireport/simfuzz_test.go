@@ -3,44 +3,46 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dui/internal/campaign"
 	"dui/internal/netsim"
 )
 
-// runMainEnv makes the test binary act as simfuzz itself: a child
-// re-executed with this variable set runs main on its real os.Args from
-// init, before the testing package registers its flags.
-const runMainEnv = "SIMFUZZ_RUN_MAIN"
-
-func init() {
-	if os.Getenv(runMainEnv) == "1" {
-		main()
-		os.Exit(0)
-	}
-}
-
 // TestMaxNodesPastAddressPlanRejected: -max-nodes above the 255-host
 // address plan is a usage error (exit 2) before any scenario is drawn,
 // not a campaign whose generated scenarios all fail validation.
 func TestMaxNodesPastAddressPlanRejected(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-seeds", "4", "-max-nodes", "400", "-json")
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); cmd.ProcessState == nil {
-		t.Fatal(err)
-	}
+	stdout, stderr, code := run(t, "simfuzz", "-seeds", "4", "-max-nodes", "400", "-json")
 	const msg = "simfuzz: campaign: fuzz job: max_nodes 400 exceeds the 255-host address plan\n"
-	if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || stderr.String() != msg {
-		t.Errorf("exit %d, %d stdout bytes, stderr %q; want exit 2, no stdout, stderr %q", code, stdout.Len(), stderr.Bytes(), msg)
+	if code != 2 || len(stdout) != 0 || string(stderr) != msg {
+		t.Errorf("exit %d, %d stdout bytes, stderr %q; want exit 2, no stdout, stderr %q", code, len(stdout), stderr, msg)
+	}
+}
+
+// TestServerErrorExitStatus: a campaign the server fails to take exits 2
+// under simfuzz, whose exit 1 means the oracles caught failures, and 1
+// under the other campaign subcommands.
+func TestServerErrorExitStatus(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "unavailable", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	for _, c := range []struct {
+		tool string
+		code int
+	}{{"simfuzz", 2}, {"chaos-eval", 1}} {
+		stdout, stderr, code := run(t, c.tool, "-server", srv.URL)
+		if code != c.code || len(stdout) != 0 || !strings.HasPrefix(string(stderr), c.tool+": campaign: ") {
+			t.Errorf("%s: exit %d, %d stdout bytes, stderr %q; want exit %d, no stdout, a %q error",
+				c.tool, code, len(stdout), stderr, c.code, c.tool+": campaign: ")
+		}
 	}
 }
 
@@ -64,15 +66,13 @@ func TestReportPinned(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if err := report(&out, &res, 0, "", false); err != nil {
+	if err := fuzzReport(&out, &res, 0, "", false); err != nil {
 		t.Fatal(err)
 	}
-	if got := digest(out.Bytes()); got != "c217eb8cf9633ec5b008cad034e29ec4b32396ed39354132b4ac9ddd17c55665" {
-		t.Errorf("text report digest %s changed:\n%s", got, out.Bytes())
-	}
+	checkDigest(t, "text report", out.Bytes(), "c217eb8cf9633ec5b008cad034e29ec4b32396ed39354132b4ac9ddd17c55665")
 
 	dir := t.TempDir()
-	if err := report(&out, &res, 0, dir, true); err != nil {
+	if err := fuzzReport(&out, &res, 0, dir, true); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]string{
@@ -92,13 +92,6 @@ func TestReportPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := digest(b); got != want[filepath.Base(path)] {
-			t.Errorf("%s: digest %s, want %s", filepath.Base(path), got, want[filepath.Base(path)])
-		}
+		checkDigest(t, filepath.Base(path), b, want[filepath.Base(path)])
 	}
-}
-
-func digest(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }

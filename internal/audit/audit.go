@@ -2,8 +2,8 @@
 // substrate: invariant checkers that prove packet conservation, queue
 // bounds, virtual-time causality, and Blink selector consistency while a
 // simulation runs, and an event-trace recorder whose output localizes the
-// *first* diverging event between two runs (cmd/simtrace) instead of
-// leaving bit-identity claims to whole-file CSV diffs.
+// *first* diverging event between two runs (duireport simtrace) instead
+// of leaving bit-identity claims to whole-file CSV diffs.
 //
 // The package only observes: it attaches to the hooks the substrate
 // exposes (netsim.Network.SetLinkProbe, netsim.Engine.SetAudit, the

@@ -30,8 +30,8 @@ const (
 // when no packet is attached, e.g. faildrop and failure events).
 //
 // Two seeded runs of the same experiment are equivalent exactly when their
-// event sequences are equal element-wise; cmd/simtrace reports the first
-// index where they are not.
+// event sequences are equal element-wise; duireport simtrace reports the
+// first index where they are not.
 type Event struct {
 	Seq   uint64  `json:"seq"`
 	T     float64 `json:"t"`

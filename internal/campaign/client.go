@@ -175,37 +175,29 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(JobStatus)) (Job
 	return last, fmt.Errorf("campaign: client: event stream ended before job %s finished", id)
 }
 
-// DispatchOpts tunes Dispatch.
-type DispatchOpts struct {
-	// Server, when non-empty, submits to the campaign server at this URL;
-	// empty runs inline via Execute.
-	Server string
-	// Env configures inline execution. With Server only Env.OnProgress
-	// applies — the server's own configuration governs — and Journal and
-	// Budget are rejected: the server journals every job itself, and it
-	// must never cache a budget-partial result.
-	Env Env
-}
-
-// Dispatch runs spec either inline (via Execute) or through a campaign
-// server (submit, wait, fetch). Both paths return the canonical result —
-// byte-identical by construction, which is the determinism gate the cmd/
-// drivers' -json and -server modes rely on.
-func Dispatch(ctx context.Context, spec JobSpec, o DispatchOpts) ([]byte, error) {
-	if o.Server == "" {
-		return Execute(ctx, spec, o.Env)
+// Dispatch runs spec either inline under env (via Execute) or, when
+// server is non-empty, through the campaign server at that URL (submit,
+// wait, fetch). Both paths return the canonical result — byte-identical
+// by construction, which is the determinism gate the duireport campaign
+// subcommands' -json and -server modes rely on. With a server only
+// env.OnProgress applies — the server's own configuration governs — and
+// a journal or budget is rejected: the server journals every job itself,
+// and it must never cache a budget-partial result.
+func Dispatch(ctx context.Context, spec JobSpec, server string, env Env) ([]byte, error) {
+	if server == "" {
+		return Execute(ctx, spec, env)
 	}
-	if o.Env.Journal != "" || o.Env.Budget > 0 {
+	if env.Journal != "" || env.Budget > 0 {
 		return nil, fmt.Errorf("campaign: a server-run job takes no journal or budget")
 	}
-	c := NewClient(o.Server)
+	c := NewClient(server)
 	st, err := c.Submit(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 	fin, err := c.Wait(ctx, st.ID, func(js JobStatus) {
-		if o.Env.OnProgress != nil {
-			o.Env.OnProgress(Progress{Done: js.Done, Total: js.Total, Resumed: js.Resumed})
+		if env.OnProgress != nil {
+			env.OnProgress(Progress{Done: js.Done, Total: js.Total, Resumed: js.Resumed})
 		}
 	})
 	if err != nil {

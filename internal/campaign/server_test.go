@@ -85,12 +85,18 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Error("server-mediated result diverged from direct execution")
 	}
 	// Dispatch in server mode returns the same bytes.
-	disp, err := campaign.Dispatch(ctx, spec, campaign.DispatchOpts{Server: c.Base})
+	disp, err := campaign.Dispatch(ctx, spec, c.Base, campaign.Env{})
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 	if !bytes.Equal(disp, direct) {
 		t.Error("Dispatch(server) diverged from direct execution")
+	}
+	// A server-run job takes no process-local journal or budget.
+	for _, env := range []campaign.Env{{Journal: "j.journal"}, {Budget: time.Second}} {
+		if _, err := campaign.Dispatch(ctx, spec, c.Base, env); err == nil {
+			t.Errorf("Dispatch(server, %+v) accepted a journal or budget", env)
+		}
 	}
 }
 

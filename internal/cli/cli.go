@@ -63,10 +63,10 @@ func Audit(desc string) *bool {
 }
 
 // Trace defines the conventional -trace flag naming a JSONL event-trace
-// output file (diff two runs with cmd/simtrace).
+// output file (diff two runs with duireport simtrace).
 func Trace(desc string) *string {
 	if desc == "" {
-		desc = "write the JSONL event trace to this file; diff two runs with cmd/simtrace"
+		desc = "write the JSONL event trace to this file; diff two runs with duireport simtrace"
 	}
 	return flag.String("trace", "", desc)
 }

@@ -1,8 +1,8 @@
 // Package journal implements the durable JSONL journal the lab's
 // crash-recovery machinery is built on: the campaign service's job store
 // and per-job trial journals (internal/campaign) share this file format
-// and recovery discipline. There is no separate fuzz checkpoint: simfuzz
-// -checkpoint is a campaign job journal.
+// and recovery discipline. There is no separate fuzz checkpoint: duireport
+// simfuzz -checkpoint is a campaign job journal.
 //
 // The format is JSON Lines: the first line is a header binding the file
 // to one logical stream (a campaign configuration, a job store), and

@@ -2,12 +2,12 @@ package netsim
 
 // DebugHooks re-introduces, one switch at a time, substrate bugs that were
 // found and fixed in the past, so the fuzzing oracles (internal/fuzz,
-// cmd/simfuzz) can prove they would have caught each of them and so the
-// corpus regression tests can pin that detection forever. The switches are
-// consulted only on cold paths (link failure, tap-imposed delay, MitM
-// injection) or behind one predictable branch (a packet's release) — with
-// every field false the per-packet hot path is unchanged and the
-// zero-allocation guarantees hold.
+// duireport simfuzz) can prove they would have caught each of them and so
+// the corpus regression tests can pin that detection forever. The
+// switches are consulted only on cold paths (link failure, tap-imposed
+// delay, MitM injection) or behind one predictable branch (a packet's
+// release) — with every field false the per-packet hot path is unchanged
+// and the zero-allocation guarantees hold.
 //
 // The hooks exist for tests only. They are process-global and not
 // synchronized; tests that set one must restore it and must not run in

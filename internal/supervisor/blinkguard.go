@@ -83,14 +83,9 @@ var (
 // is inclusive by design — a window whose risk lands exactly on the
 // threshold is vetoed — so "Plausible == (risk < maxRisk)" holds
 // everywhere the verdict is consumed (pinned by the boundary table
-// tests). maxRisk <= 0 means the default 0.5; maxRisk > 1 disables
-// vetoes (risk never exceeds 1), the knob a deliberately weakened
-// deployment turns. A nil or untrained model has no evidence to judge
-// by and returns plausible.
+// tests). A nil or untrained model has no evidence to judge by and
+// returns plausible.
 func (m *RTOModel) check(gaps []float64, maxRisk float64) Verdict {
-	if maxRisk <= 0 {
-		maxRisk = 0.5
-	}
 	if len(gaps) == 0 {
 		return Verdict{Plausible: true, Risk: 0, Reason: "no retransmissions observed"}
 	}
@@ -117,14 +112,6 @@ func (m *RTOModel) check(gaps []float64, maxRisk float64) Verdict {
 // failovers whose gap window fails the check.
 type BlinkGuard struct {
 	Model *RTOModel
-	// Window is how far back (seconds) the wired veto path considers
-	// gaps (GuardPipeline sets 3).
-	Window float64
-	// MaxRisk is the veto threshold (<= 0 = 0.5; > 1 never vetoes — a
-	// deliberately weakened guard). The wired veto path reads it at veto
-	// time, so it may be set after GuardPipeline returns.
-	MaxRisk float64
-
 	// Verdicts records every check performed.
 	Verdicts []Verdict
 
@@ -133,6 +120,15 @@ type BlinkGuard struct {
 }
 
 var _ Guard[[]float64] = (*BlinkGuard)(nil)
+
+const (
+	// blinkGuardWindow is how far back (seconds) the wired veto path
+	// considers gaps.
+	blinkGuardWindow = 3
+	// blinkGuardMaxRisk is the veto threshold: a gap window at or above
+	// this risk is implausible.
+	blinkGuardMaxRisk = 0.5
+)
 
 // GuardPipeline installs a guard over model on the pipeline's prefix (3 s
 // gap window, veto at risk >= 0.5) and returns it: it records the
@@ -147,7 +143,7 @@ var _ Guard[[]float64] = (*BlinkGuard)(nil)
 // selector counted, the boundary drift a search-based attacker can sit
 // on. The table tests in boundary_test.go pin the agreement.
 func GuardPipeline(p *blink.Pipeline, model *RTOModel) *BlinkGuard {
-	g := &BlinkGuard{Model: model, Window: 3}
+	g := &BlinkGuard{Model: model}
 	p.Bank().OnRetrans(func(_ int, ev blink.RetransEvent) {
 		g.gaps = append(g.gaps, ev.Gap)
 		g.times = append(g.times, ev.Now)
@@ -155,7 +151,7 @@ func GuardPipeline(p *blink.Pipeline, model *RTOModel) *BlinkGuard {
 	p.Veto = func(r blink.Reroute) bool {
 		var recent []float64
 		for i := range g.gaps {
-			if windowContains(r.Now, g.times[i], g.Window) {
+			if windowContains(r.Now, g.times[i], blinkGuardWindow) {
 				recent = append(recent, g.gaps[i])
 			}
 		}
@@ -167,7 +163,7 @@ func GuardPipeline(p *blink.Pipeline, model *RTOModel) *BlinkGuard {
 // Check implements Guard: it judges one veto-time window of
 // retransmission gaps at the guard's threshold and records the verdict.
 func (g *BlinkGuard) Check(gaps []float64) Verdict {
-	v := g.Model.check(gaps, g.MaxRisk)
+	v := g.Model.check(gaps, blinkGuardMaxRisk)
 	g.Verdicts = append(g.Verdicts, v)
 	return v
 }

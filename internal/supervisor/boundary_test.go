@@ -106,31 +106,21 @@ func TestMonitorFiresAtExactThreshold(t *testing.T) {
 }
 
 // TestBlinkGuardBoundaryInclusive pins the veto threshold semantics: a
-// window whose risk lands exactly on MaxRisk is implausible (vetoed), one
-// strictly below is plausible, MaxRisk > 1 never vetoes, and MaxRisk
-// <= 0 is the default 0.5.
+// window whose risk lands exactly on the threshold is implausible
+// (vetoed), and one strictly below it is plausible.
 func TestBlinkGuardBoundaryInclusive(t *testing.T) {
 	m := NewRTOModel([]float64{0.05, 0.1}, 0.2)
-	at := func(maxRisk float64, gaps []float64) Verdict {
-		return (&BlinkGuard{Model: m, MaxRisk: maxRisk}).Check(gaps)
-	}
 	// A mixed window: one gap on the RTO floor (in-model), one far outside
 	// every backoff band — risk strictly between 0 and 1.
 	gaps := []float64{0.21, 3.5}
-	base := at(0.5, gaps)
+	base := (&BlinkGuard{Model: m}).Check(gaps)
 	if !(base.Risk > 0 && base.Risk < 1) {
 		t.Fatalf("test window risk %v not in (0,1); pick different gaps", base.Risk)
 	}
-	if v := at(base.Risk, gaps); v.Plausible {
-		t.Fatalf("risk exactly at MaxRisk (%v) must veto (inclusive boundary), got plausible", base.Risk)
+	if v := m.check(gaps, base.Risk); v.Plausible {
+		t.Fatalf("risk exactly at the threshold (%v) must veto (inclusive boundary), got plausible", base.Risk)
 	}
-	if v := at(math.Nextafter(base.Risk, 2), gaps); !v.Plausible {
-		t.Fatal("risk strictly below MaxRisk must be plausible")
-	}
-	if v := at(2, []float64{9, 9, 9}); !v.Plausible {
-		t.Fatal("MaxRisk > 1 must never veto")
-	}
-	if def := at(0, gaps); def != base {
-		t.Fatal("MaxRisk <= 0 must mean the default 0.5")
+	if v := m.check(gaps, math.Nextafter(base.Risk, 2)); !v.Plausible {
+		t.Fatal("risk strictly below the threshold must be plausible")
 	}
 }

@@ -66,7 +66,7 @@ func TestGuardsTotalOnDegenerateInput(t *testing.T) {
 		{"blink/zero", drive[[]float64](&BlinkGuard{}, gapWindows...)},
 		{"blink/untrained", drive[[]float64](&BlinkGuard{Model: NewRTOModel(nil, 0.2)}, gapWindows...)},
 		{"blink/degenerate-rtts", drive[[]float64](&BlinkGuard{Model: NewRTOModel([]float64{nan, inf, -inf, 0}, 0)}, gapWindows...)},
-		{"blink/trained", drive[[]float64](&BlinkGuard{Model: NewRTOModel([]float64{0.05}, 0.2), MaxRisk: 2}, gapWindows...)},
+		{"blink/trained", drive[[]float64](&BlinkGuard{Model: NewRTOModel([]float64{0.05}, 0.2)}, gapWindows...)},
 		{"pytheas/zero", drive[[]float64](&PytheasGuard{},
 			nil, []float64{}, fill(20, 0), fill(20, nan), fill(20, inf), fill(20, -inf), mixed)},
 		{"pcc/zero", drive[[]pcc.MIRecord](&PCCGuard{},

@@ -51,8 +51,8 @@ func TestReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 13 {
-		t.Fatalf("built %d programs, want 13 (12 main packages + bench)", len(entries))
+	if len(entries) != 11 {
+		t.Fatalf("built %d programs, want 11 (10 main packages + bench)", len(entries))
 	}
 	reached := map[string]bool{}
 	for _, e := range entries {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # duid-smoke: the campaign-service crash-recovery and determinism gate.
 #
-# A fuzz campaign is run twice: once directly (simfuzz -json) and once
-# through a duid server that is kill -9'd mid-campaign and restarted over
-# the same state directory. The resumed job must report journal-replayed
+# A fuzz campaign is run twice: once directly (duireport simfuzz -json)
+# and once through a duid server that is kill -9'd mid-campaign and
+# restarted over the same state directory. The resumed job must report journal-replayed
 # trials and serve result bytes identical (cmp) to the direct run; an
 # identical resubmission must then be answered from the result cache
 # (cached:true, no re-execution), and the driver's -server mode must
@@ -40,13 +40,13 @@ wait_up() { # wait_up BASE — until /v1/version answers
 	die "duid at $1 never came up"
 }
 
-say "building duid and simfuzz"
+say "building duid and duireport"
 go build -o "$WORK/duid" ./cmd/duid
-go build -o "$WORK/simfuzz" ./cmd/simfuzz
+go build -o "$WORK/duireport" ./cmd/duireport
 
-say "direct run: simfuzz -json -seeds $SEEDS"
+say "direct run: duireport simfuzz -json -seeds $SEEDS"
 # Exit 1 just means the campaign found failures — still a valid result.
-"$WORK/simfuzz" -json -quiet -seeds "$SEEDS" >"$WORK/direct.json" || [ $? -eq 1 ]
+"$WORK/duireport" simfuzz -json -quiet -seeds "$SEEDS" >"$WORK/direct.json" || [ $? -eq 1 ]
 
 say "starting duid (single worker, state $WORK/state)"
 "$WORK/duid" -addr "127.0.0.1:$PORT1" -dir "$WORK/state" -parallel 1 \
@@ -106,7 +106,7 @@ curl -sf "$BASE2/v1/jobs/$id2/result" >"$WORK/cached.json"
 cmp "$WORK/direct.json" "$WORK/cached.json" || die "cached result diverged"
 say "identical resubmission served from the result cache"
 
-"$WORK/simfuzz" -server "$BASE2" -quiet -seeds "$SEEDS" >"$WORK/client.json" || [ $? -eq 1 ]
+"$WORK/duireport" simfuzz -server "$BASE2" -quiet -seeds "$SEEDS" >"$WORK/client.json" || [ $? -eq 1 ]
 cmp "$WORK/direct.json" "$WORK/client.json" || die "simfuzz -server diverged"
 say "simfuzz -server output matches -json inline output"
 
