@@ -107,9 +107,27 @@ func start(tool string) (stop func()) {
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "%s: unexpected argument %q\n", tool, flag.Arg(0))
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
-	return prof.Start()
+	return startProfiling()
+}
+
+// stopProfiling finalizes the profiles startProfiling began; until then
+// it does nothing.
+var stopProfiling = func() {}
+
+// startProfiling starts the profiling the flags ask for and returns its
+// stop function: defer it, and leave the process only through exit.
+func startProfiling() (stop func()) {
+	stopProfiling = prof.Start()
+	return stopProfiling
+}
+
+// exit ends the process with code. Every exit goes through it, so an
+// error exit still writes complete -cpuprofile and -memprofile files.
+func exit(code int) {
+	stopProfiling()
+	os.Exit(code)
 }
 
 // usage prints the synopsis, the subcommands and the defined flags.
@@ -241,7 +259,7 @@ func blinkFig2() {
 			}
 			if err := a.Check(res.Config.Duration); err != nil {
 				fmt.Fprintf(os.Stderr, "blink-fig2: audit: run %d: %v\n", run, err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 		fmt.Fprintf(os.Stderr, "blink-fig2: audit: selector invariants hold for all %d runs\n", len(auds))
@@ -254,7 +272,7 @@ func blinkFig2() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "blink-fig2: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "blink-fig2: wrote %d trace events to %s\n", len(events), *trace)
 	}
@@ -323,7 +341,7 @@ func blinkPop() {
 	res, err := popscale.Run(context.Background(), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "blink-pop:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	cfg = res.Config // defaulted
 
@@ -849,7 +867,7 @@ func last(s *stats.Series) float64 { return s.Values[len(s.Values)-1] }
 func runCampaign(tool, server string, spec campaign.JobSpec, env campaign.Env, progress bool) []byte {
 	if _, err := spec.Canon(); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-		os.Exit(2)
+		exit(2)
 	}
 	if progress {
 		lastDone := -1
@@ -868,9 +886,9 @@ func runCampaign(tool, server string, spec campaign.JobSpec, env campaign.Env, p
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 		if spec.Kind == campaign.KindFuzz {
-			os.Exit(2)
+			exit(2)
 		}
-		os.Exit(1)
+		exit(1)
 	}
 	return raw
 }
@@ -880,7 +898,7 @@ func runCampaign(tool, server string, spec campaign.JobSpec, env campaign.Env, p
 func decode(tool string, raw []byte, res any) {
 	if err := json.Unmarshal(raw, res); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: bad result: %v\n", tool, err)
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -901,7 +919,7 @@ func chaosEval() {
 	}
 	if *jsonOut && *csvOut {
 		fmt.Fprintln(os.Stderr, "chaos-eval: -json and -csv are mutually exclusive")
-		os.Exit(2)
+		exit(2)
 	}
 
 	raw := runCampaign("chaos-eval", *server, campaign.JobSpec{Kind: campaign.KindChaos, Chaos: &campaign.ChaosSpec{

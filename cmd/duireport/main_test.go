@@ -46,6 +46,8 @@ func run(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 // pytheas-poison, nethide-trace, dataplane-attacks, blink-fig2,
 // blink-pop, advsearch, robustness, chaos-eval, simfuzz) printed for
 // these flags; the corpus replay reads the checked-in reproducers.
+// The seed-2, 90 s pcc-oscillate row pins a clean PCC flow converging
+// to 802 pkts/s.
 // The hijack ensemble pins the same digest at one and two workers, and
 // blink-pop the same digest at the default 32 shards, at one shard on one
 // worker and at seven shards on four.
@@ -59,6 +61,7 @@ var stdoutPins = []struct{ args, sha string }{
 	{"blink-hijack -runs 3 -duration 120 -trigger 80 -parallel 2", "efec1cf493a48f39a1c71b12e8527333eead64774713399d2c77d646c724639a"},
 	{"pcc-oscillate", "3e29e124c005e9ed1f84c6b0664689449aaa9db2219cec6e3923e0bdeb3ec01e"},
 	{"pcc-oscillate -flows 3 -duration 60 -mitrace", "fc92072453c28bd964cd9128a761bcf4f764fbd7fa4aa05cb0f5cede9a32f471"},
+	{"pcc-oscillate -seed 2 -duration 90", "2db434848031d7f496c348ea1d003d14fa9924f135ea851e544b3a3e1aea6800"},
 	{"pytheas-poison", "c83e2ae2ae356449f1b679b0b800c6aec1889af34ac85a6c9eac277798578b17"},
 	{"pytheas-poison -sessions 300 -epochs 100 -multiplier 3 -seed 2", "7aea06eb161c7250f1ac39494ad2bbcdf1537119cd14bb1cd8bf77842bfe75c5"},
 	{"nethide-trace", "8b3799a7d03c5e8520204385df5ea6f050faee0e6867611ef63dba314477e7fd"},
@@ -232,16 +235,28 @@ func TestCampaignSpecRejected(t *testing.T) {
 }
 
 // TestProfilingFlagsTakeEffect: a subcommand accepts the report mode's
-// profiling flags, and they write their profiles.
+// profiling flags, and they write their profiles, on an error exit too.
 func TestProfilingFlagsTakeEffect(t *testing.T) {
-	dir := t.TempDir()
-	cpu, mem := dir+"/cpu.prof", dir+"/mem.prof"
-	if _, stderr, code := run(t, "nethide-trace", "-cpuprofile", cpu, "-memprofile", mem); code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	for _, path := range []string{cpu, mem} {
-		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-			t.Errorf("%s not written: %v", path, err)
-		}
+	for _, c := range []struct {
+		args string
+		code int
+	}{
+		{"nethide-trace", 0},
+		{"robustness -systems nosuch", 2},
+	} {
+		t.Run(c.args, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			cpu, mem := dir+"/cpu.prof", dir+"/mem.prof"
+			args := append(strings.Fields(c.args), "-cpuprofile", cpu, "-memprofile", mem)
+			if _, stderr, code := run(t, args...); code != c.code {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, c.code, stderr)
+			}
+			for _, path := range []string{cpu, mem} {
+				if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+					t.Errorf("%s not written: %v", path, err)
+				}
+			}
+		})
 	}
 }

@@ -65,18 +65,16 @@ func simfuzz() {
 		jsonOut    = flag.Bool("json", false, "emit the canonical campaign result JSON (internal/campaign fuzz kind) instead of the text summary")
 		server     = flag.String("server", "", "submit the campaign to the duid server at this URL and print the result it serves")
 	)
-	stop := start("duireport simfuzz")
+	defer start("duireport simfuzz")()
 
 	if *jsonOut || *server != "" {
 		if *budget != 0 || *checkpoint != "" || *corpus != "" || *replay != "" {
 			fmt.Fprintln(os.Stderr, "simfuzz: -json/-server campaigns reject the process-local flags -budget, -checkpoint, -corpus, -replay")
-			os.Exit(2)
+			exit(2)
 		}
 	}
 	if *replay != "" {
-		code := replayCorpus(*replay, *quiet)
-		stop()
-		os.Exit(code)
+		exit(replayCorpus(*replay, *quiet))
 	}
 
 	resumed := 0
@@ -90,17 +88,16 @@ func simfuzz() {
 	var res campaign.FuzzResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		fmt.Fprintf(os.Stderr, "simfuzz: bad result: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
 	if *jsonOut || *server != "" {
 		os.Stdout.Write(raw)
 	} else if err := fuzzReport(os.Stdout, &res, resumed, *corpus, *quiet); err != nil {
 		fmt.Fprintf(os.Stderr, "simfuzz: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
-	stop()
 	if len(res.Failures) > 0 {
-		os.Exit(1)
+		exit(1)
 	}
 }
 

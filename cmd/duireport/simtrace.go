@@ -7,7 +7,6 @@ import (
 
 	"dui/internal/audit"
 	"dui/internal/cli"
-	"dui/internal/prof"
 )
 
 // simtrace diffs two event traces recorded by the internal/audit layer
@@ -32,9 +31,9 @@ func simtrace() {
 	cli.Parse("duireport simtrace")
 	if flag.NArg() != 2 {
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
-	stop := prof.Start()
+	defer startProfiling()()
 	a := readTrace(flag.Arg(0))
 	b := readTrace(flag.Arg(1))
 
@@ -50,9 +49,8 @@ func simtrace() {
 		fmt.Println()
 		printSide(flag.Arg(1), b, idx, *ctxN)
 	}
-	stop()
 	if diverged {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -61,13 +59,13 @@ func readTrace(path string) []audit.Event {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simtrace: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
 	defer f.Close()
 	evs, err := audit.ReadJSONL(f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simtrace: %s: %v\n", path, err)
-		os.Exit(2)
+		exit(2)
 	}
 	return evs
 }

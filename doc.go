@@ -33,21 +33,14 @@
 //     internal/conntrack, internal/bnn: the case-study systems and their
 //     attacks.
 //   - internal/supervisor: the §5 driver/supervisor countermeasures.
-//   - internal/core: the §2 threat model and the attack catalog.
 //
 // # Quick start
 //
-// From a program inside this module (examples/quickstart is this loop):
-//
-//	for _, cs := range core.Catalog() {
-//	    fmt.Println(cs)
-//	    summary := cs.Run(1)
-//	    for _, name := range summary.Names() {
-//	        fmt.Printf("  %s = %.3f\n", name, summary.Metric(name))
-//	    }
-//	}
-//
-// Each experiment from the paper has a cmd/duireport subcommand and a
-// benchmark in bench_test.go; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for reproduced-vs-paper results.
+// README.md's quick start is a complete program that runs a Blink
+// failover, the §3.1 hijack and the §5 supervisor's veto from inside this
+// module; TestReadmeQuickStartRuns compiles and runs it. README.md also
+// tabulates the §2 threat model. Each experiment from the paper has a
+// cmd/duireport subcommand and a benchmark in bench_test.go; see DESIGN.md
+// for the experiment index and EXPERIMENTS.md for reproduced-vs-paper
+// results.
 package dui

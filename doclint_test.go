@@ -11,8 +11,8 @@ package dui
 //     internal/runner) are held to the stricter godoc standard: every
 //     exported top-level identifier must have a doc comment, because
 //     their comments carry the engine's ordering and seeding contracts;
-//   - every command and example the living documents name must exist, so
-//     deleting or renaming one cannot leave a stale instruction behind.
+//   - every command the living documents name must exist, so deleting or
+//     renaming one cannot leave a stale instruction behind.
 
 import (
 	"bytes"
@@ -172,8 +172,7 @@ func checkDeclDocs(t *testing.T, fset *token.FileSet, path string, decl ast.Decl
 }
 
 // docRefFiles are the living documents, and the CI files that build and
-// run commands, whose command and example references must resolve (glob
-// patterns).
+// run commands, whose command references must resolve (glob patterns).
 var docRefFiles = []string{
 	"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md",
 	"Makefile", ".github/workflows/*.yml", "scripts/*.sh",
@@ -185,13 +184,13 @@ var runLineDocs = []string{"EXPERIMENTS.md"}
 
 var runLine = regexp.MustCompile(`^(?:\$ )?go run `)
 
-// docRef matches cmd/<x> and examples/<x> (optionally ./-prefixed) and
-// /tmp/bins/<x>, the verify skill's build directory for cmd/<x>.
-var docRef = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?(cmd|examples)/([\w-]+)|/tmp/bins/([\w-]+)`)
+// docRef matches cmd/<x> (optionally ./-prefixed) and /tmp/bins/<x>, the
+// verify skill's build directory for cmd/<x>.
+var docRef = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?cmd/([\w-]+)|/tmp/bins/([\w-]+)`)
 
-// TestDocReferencesExist asserts every cmd/<x>, examples/<x> and
-// /tmp/bins/<x> named in a living document or CI file, or on a runnable
-// line of a dated log, is an existing directory.
+// TestDocReferencesExist asserts every cmd/<x> and /tmp/bins/<x> named in
+// a living document or CI file, or on a runnable line of a dated log, is
+// an existing directory.
 func TestDocReferencesExist(t *testing.T) {
 	var docs []string
 	for _, pattern := range docRefFiles {
@@ -212,10 +211,7 @@ func TestDocReferencesExist(t *testing.T) {
 				continue
 			}
 			for _, m := range docRef.FindAllStringSubmatch(line, -1) {
-				dir := filepath.Join(m[1], m[2])
-				if m[3] != "" {
-					dir = filepath.Join("cmd", m[3])
-				}
+				dir := filepath.Join("cmd", m[1]+m[2])
 				if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 					t.Errorf("%s:%d: names %s, which does not exist", doc, i+1, dir)
 				}

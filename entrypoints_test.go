@@ -5,30 +5,14 @@ import (
 	"testing"
 
 	"dui/internal/blink"
-	"dui/internal/core"
 	"dui/internal/pcc"
 	"dui/internal/stats"
 	"dui/internal/trace"
 )
 
 // These tests call the lab's headline entry points from the module root,
-// the way the examples and cmd/duireport do; the heavy behavioural
-// coverage lives in the internal packages.
-
-func TestCatalogFacade(t *testing.T) {
-	cat := core.Catalog()
-	if len(cat) < 7 {
-		t.Fatalf("catalog has %d entries", len(cat))
-	}
-	for _, cs := range cat {
-		if cs.MinPrivilege != core.Host && cs.MinPrivilege != core.MitM && cs.MinPrivilege != core.Operator {
-			t.Fatalf("bad privilege in %s", cs.Name)
-		}
-		if cs.Target != core.Infrastructure && cs.Target != core.Endpoint {
-			t.Fatalf("bad target in %s", cs.Name)
-		}
-	}
-}
+// the way cmd/duireport does; the heavy behavioural coverage lives in the
+// internal packages.
 
 func TestRequiredQmFacade(t *testing.T) {
 	qm := blink.RequiredQm(64, 32, 8.37, 510, 0.95)

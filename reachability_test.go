@@ -18,16 +18,15 @@ import (
 
 // The reachability gate: every non-test function declared under internal/
 // must be kept by the linker in at least one program — the main packages
-// under cmd/ and examples/, and the bench/ module — or be listed in
+// under cmd/ and the bench/ module — or be listed in
 // testdata/unreachable.txt with the reason a test still needs it. Inlining
 // is switched off for dui packages (-gcflags='dui/...=-l') so a function
 // that is only ever inlined still shows up as a symbol.
 
 // allowClasses are the reasons an unreachable function may stay:
 // driver — a test uses it to drive, observe or check reachable code;
-// claim — a named test demonstrates a paper claim with it;
-// helper — non-test code that only tests import.
-var allowClasses = map[string]bool{"driver": true, "claim": true, "helper": true}
+// claim — a named test demonstrates a paper claim with it.
+var allowClasses = map[string]bool{"driver": true, "claim": true}
 
 const allowlistPath = "testdata/unreachable.txt"
 
@@ -44,15 +43,15 @@ func TestReachability(t *testing.T) {
 			t.Fatalf("go build %v in %s: %v\n%s", args, dir, err, out)
 		}
 	}
-	build(".", "-o", bin+string(filepath.Separator), "./cmd/...", "./examples/...")
+	build(".", "-o", bin+string(filepath.Separator), "./cmd/...")
 	build("bench", "-o", filepath.Join(bin, "bench"), ".")
 
 	entries, err := os.ReadDir(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 11 {
-		t.Fatalf("built %d programs, want 11 (10 main packages + bench)", len(entries))
+	if len(entries) != 4 {
+		t.Fatalf("built %d programs, want 4 (3 main packages + bench)", len(entries))
 	}
 	reached := map[string]bool{}
 	for _, e := range entries {
@@ -235,7 +234,7 @@ func readAllowlist(t *testing.T) map[string]bool {
 		case !ok || !ok2 || strings.TrimSpace(reason) == "":
 			t.Errorf("%s:%d: want \"symbol<TAB>class: reason\", got %q", allowlistPath, i+1, line)
 		case !allowClasses[class]:
-			t.Errorf("%s:%d: class %q is not driver, claim or helper", allowlistPath, i+1, class)
+			t.Errorf("%s:%d: class %q is not driver or claim", allowlistPath, i+1, class)
 		}
 		if allow[sym] {
 			t.Errorf("%s:%d: %s listed twice", allowlistPath, i+1, sym)
