@@ -408,7 +408,8 @@ func BenchmarkScenarioAuditedRun(b *testing.B) {
 // interleaved stream of 4096 prefixes × 64 flows (262k concurrently
 // active) fed through a MonitorBank's flat per-prefix selectors. The
 // timed loop is the real per-packet path of duireport blink-pop —
-// generator Next plus bank Feed — and must stay at 0 allocs/op (pinned
+// generator Next plus bank FeedHashed with the flow hash the generator
+// carries, as popscale.Run feeds — and must stay at 0 allocs/op (pinned
 // here and by TestMonitorBankFeedZeroAllocs). flows/sec is the headline
 // metric: concurrently-active flows × virtual seconds per wall second,
 // which for this workload equals events/sec ÷ PPS.
@@ -423,7 +424,7 @@ func BenchmarkPopScale(b *testing.B) {
 	bank := blink.NewMonitorBank(prefixes, blink.Config{})
 	feed := func() {
 		ev, _ := sh.Next()
-		bank.Feed(ev.Prefix, ev.Time, ev.Pkt)
+		bank.FeedHashed(ev.Prefix, ev.Time, ev.Pkt, ev.FlowHash)
 	}
 	// Warm through initial occupancy and into eviction/renewal churn.
 	for i := 0; i < prefixes*64*2; i++ {

@@ -26,10 +26,11 @@ var bankAllocCases = []struct {
 	{prefixes: 64, warm: 32768, step: 0.0005},
 }
 
-// TestMonitorBankFeedZeroAllocs pins 0 allocs/op for MonitorBank.Feed on
-// a warm bank: hashing, sampling, eviction, sequence tracking, the
-// incremental retransmission count, segment slicing, and the bank's
-// observer dispatch must all run without touching the heap.
+// TestMonitorBankFeedZeroAllocs pins 0 allocs/op for both entry points,
+// MonitorBank.Feed and FeedHashed, on a warm bank: hashing, sampling,
+// eviction, sequence tracking, the incremental retransmission count,
+// segment slicing, and the bank's observer dispatch must all run without
+// touching the heap.
 func TestMonitorBankFeedZeroAllocs(t *testing.T) {
 	for _, tc := range bankAllocCases {
 		t.Run(fmt.Sprintf("prefixes=%d", tc.prefixes), func(t *testing.T) {
@@ -40,20 +41,37 @@ func TestMonitorBankFeedZeroAllocs(t *testing.T) {
 					SrcPort: uint16(1000 + i), DstPort: 443, Flags: packet.FlagACK,
 				}, 1500)
 			}
+			hashes := make([]uint64, len(pkts))
+			for i, p := range pkts {
+				hashes[i] = p.Flow().FastHash()
+			}
 			now := 0.0
 			i := 0
-			feed := func() {
-				p := pkts[i%len(pkts)]
+			next := func() (int, *packet.Packet, uint64) {
+				j := i % len(pkts)
+				p := pkts[j]
 				p.TCP.Seq += 1460 // advancing data; exercises seq tracking, no failures
 				now += tc.step
-				bank.Feed(i%tc.prefixes, now, p)
+				prefix := i % tc.prefixes
 				i++
+				return prefix, p, hashes[j]
+			}
+			feed := func() {
+				prefix, p, _ := next()
+				bank.Feed(prefix, now, p)
+			}
+			feedHashed := func() {
+				prefix, p, h := next()
+				bank.FeedHashed(prefix, now, p, h)
 			}
 			for k := 0; k < tc.warm; k++ {
 				feed()
 			}
 			if avg := testing.AllocsPerRun(10000, feed); avg != 0 {
 				t.Fatalf("MonitorBank.Feed allocates %.1f objects/op, want 0", avg)
+			}
+			if avg := testing.AllocsPerRun(10000, feedHashed); avg != 0 {
+				t.Fatalf("MonitorBank.FeedHashed allocates %.1f objects/op, want 0", avg)
 			}
 		})
 	}

@@ -26,8 +26,8 @@ type BankFailure struct {
 // property TestMonitorBankMatchesMonitors pins, and popscale's
 // TestRunMatchesOnePrefixBanks checks for every prefix of a sharded PoP run.
 //
-// The warm Feed path performs no heap allocation (pinned by
-// TestMonitorBankFeedZeroAllocs); the only allocating path is the append
+// The warm Feed and FeedHashed paths perform no heap allocation (pinned
+// by TestMonitorBankFeedZeroAllocs); the only allocating path is the append
 // recording a rare failure inference.
 type MonitorBank struct {
 	cfg   Config
@@ -88,8 +88,15 @@ func (b *MonitorBank) core(p int) selCore {
 // arrive in non-decreasing time order; different prefixes are
 // independent, so the interleaving across prefixes is unconstrained.
 func (b *MonitorBank) Feed(p int, now float64, pkt *packet.Packet) {
+	b.FeedHashed(p, now, pkt, pkt.Flow().FastHash())
+}
+
+// FeedHashed is Feed for a caller that already holds the packet's flow
+// hash h, which must equal pkt.Flow().FastHash() — as trace.Event.FlowHash
+// does — so the selector skips rehashing the 5-tuple.
+func (b *MonitorBank) FeedHashed(p int, now float64, pkt *packet.Packet, h uint64) {
 	b.cur = p
-	b.core(p).feed(now, pkt)
+	b.core(p).feed(now, pkt, h)
 }
 
 // Restart models a crash and power-cycle of the device holding prefix p's

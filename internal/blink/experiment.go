@@ -46,7 +46,7 @@ func MeasureTR(cfg Config, flows int, dur trace.DurationDist, pps, duration, war
 		if !ok {
 			break
 		}
-		m.Feed(0, ev.Time, ev.Pkt)
+		m.FeedHashed(0, ev.Time, ev.Pkt, ev.FlowHash)
 	}
 	return s.Mean()
 }
@@ -252,7 +252,7 @@ func simulateOnce(cfg Fig2Config, meanDur float64, run int, rng *stats.RNG) *sta
 			idx++
 			next += sampleStep
 		}
-		m.Feed(0, ev.Time, ev.Pkt)
+		m.FeedHashed(0, ev.Time, ev.Pkt, ev.FlowHash)
 	}
 	for ; idx < len(series.Values); idx++ {
 		series.Values[idx] = float64(m.CountOccupied(0, IsMaliciousSrc))

@@ -141,15 +141,15 @@ type selCore struct {
 	st    *selState
 }
 
-// feed processes one packet toward the monitored prefix. Non-TCP packets
-// are ignored (Blink monitors TCP only).
-func (s selCore) feed(now float64, p *packet.Packet) {
+// feed processes one packet, whose flow hash is h, toward the monitored
+// prefix. Non-TCP packets are ignored (Blink monitors TCP only).
+func (s selCore) feed(now float64, p *packet.Packet, h uint64) {
 	if p.TCP == nil {
 		return
 	}
 	s.maybeReset(now)
 	key := p.Flow()
-	idx := int(key.FastHash() % uint64(len(s.cells)))
+	idx := int(h % uint64(len(s.cells)))
 	c := &s.cells[idx]
 
 	switch {

@@ -257,7 +257,7 @@ func runShard(cfg Config, pop trace.PopConfig, lo, hi int) shardOut {
 		if !ok {
 			break
 		}
-		bank.Feed(ev.Prefix-lo, ev.Time, ev.Pkt)
+		bank.FeedHashed(ev.Prefix-lo, ev.Time, ev.Pkt, ev.FlowHash)
 		out.packets++
 	}
 

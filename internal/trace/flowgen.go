@@ -34,6 +34,8 @@ const (
 	// rtoMin is the RTO floor a MimicRTO storm imitates (seconds,
 	// RFC 6298).
 	rtoMin float64 = 0.2
+	// dstPort is the destination port of every generated flow (HTTPS).
+	dstPort uint16 = 443
 )
 
 // NewLegit returns a stream of packets from the configured population.
@@ -49,12 +51,24 @@ func NewLegit(cfg LegitConfig, rng *stats.RNG) Stream {
 	return g
 }
 
+// flowState is one active flow: the varying fields of its 5-tuple (every
+// generated flow is TCP to dstPort), its flow hash, and its sequence and
+// timing state. hash is the 5-tuple's FastHash, computed once when the
+// flow starts and carried on every Event the flow emits. The record is the
+// flow heap's element, so it is kept to 40 bytes.
 type flowState struct {
-	key  packet.FlowKey
-	dst  packet.Addr
-	seq  uint32
-	end  float64
-	next float64
+	src, dst packet.Addr
+	sport    uint16
+	seq      uint32
+	hash     uint64
+	end      float64
+	next     float64
+}
+
+// newFlowState returns a flow that has sent nothing yet.
+func newFlowState(src, dst packet.Addr, sport uint16, end, next float64) flowState {
+	key := packet.FlowKey{Src: src, Dst: dst, SrcPort: sport, DstPort: dstPort, Proto: packet.ProtoTCP}
+	return flowState{src: src, dst: dst, sport: sport, hash: key.FastHash(), end: end, next: next}
 }
 
 type flowStream struct {
@@ -69,17 +83,9 @@ func (g *flowStream) newFlow(start float64) flowState {
 	g.counter++
 	src := g.cfg.SrcBase + packet.Addr(g.counter)
 	dst := g.cfg.Victim.Nth(uint32(g.rng.IntN(250)) + 1)
-	key := packet.FlowKey{
-		Src: src, Dst: dst,
-		SrcPort: uint16(1024 + g.rng.IntN(60000)), DstPort: 443,
-		Proto: packet.ProtoTCP,
-	}
-	return flowState{
-		key:  key,
-		dst:  dst,
-		end:  start + g.cfg.Dur.Sample(g.rng),
-		next: start + g.rng.Exp(1/g.cfg.PPS),
-	}
+	sport := uint16(1024 + g.rng.IntN(60000))
+	end := start + g.cfg.Dur.Sample(g.rng)
+	return newFlowState(src, dst, sport, end, start+g.rng.Exp(1/g.cfg.PPS))
 }
 
 // Next implements Stream. The returned Event borrows the stream's scratch
@@ -99,23 +105,21 @@ func (g *flowStream) Next() (Event, bool) {
 			g.h.siftDown(0, len(g.h))
 			continue
 		}
-		at := f.next
-		p := g.scratch.fillTCP(f.key, packet.TCPHeader{
-			SrcPort: f.key.SrcPort, DstPort: f.key.DstPort,
-			Seq: f.seq, Flags: packet.FlagACK,
-		}, mss+40)
+		// Read f before the sift: f aliases the heap root.
+		ev := Event{Time: f.next, Pkt: g.scratch.fill(f, f.seq), FlowHash: f.hash}
 		f.seq += uint32(mss)
-		f.next = at + g.rng.Exp(1/g.cfg.PPS)
+		f.next = ev.Time + g.rng.Exp(1/g.cfg.PPS)
 		g.h.siftDown(0, len(g.h))
-		return Event{Time: at, Pkt: p}, true
+		return ev, true
 	}
 }
 
 // flowHeap is a value-typed binary min-heap on flowState.next with
-// hand-inlined sift operations. The algorithms mirror container/heap's
-// up/down byte for byte (same comparison order, same swaps), so the heap
-// layout — and therefore the emission order, even under exact float ties —
-// is identical to the historical container/heap implementation, while the
+// hand-inlined sift operations. push follows container/heap's up, and
+// siftDown its down — same comparisons, hole instead of swaps — so the
+// heap layout, and therefore the emission order even under exact float
+// ties, is identical to the historical container/heap implementation
+// (TestFlowHeapMatchesContainerHeapUnderTies pins this), while the
 // interface round-trips and per-node pointer chasing are gone.
 type flowHeap []flowState
 
@@ -134,24 +138,34 @@ func (h *flowHeap) push(f flowState) {
 	}
 }
 
-// siftDown restores heap order from index i within s[:n]
+// siftDown restores heap order from index i within h[:n]
 // (container/heap.down equivalent; Fix(i) for a root whose key changed).
+// The element being sifted is held in x while a hole moves down, and the
+// smaller child is picked by adding 0 or 1 rather than by a branch the
+// random keys would mispredict half the time.
 func (h flowHeap) siftDown(i, n int) {
+	x := h[i]
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			return
+		c := 2*i + 1
+		if c+1 >= n {
+			if c < n && h[c].next < x.next {
+				h[i] = h[c]
+				i = c
+			}
+			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].next < h[j1].next {
-			j = j2
+		d := 0
+		if h[c+1].next < h[c].next {
+			d = 1
 		}
-		if !(h[j].next < h[i].next) {
-			return
+		c += d
+		if !(h[c].next < x.next) {
+			break
 		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = x
 }
 
 // init heapifies (container/heap.Init equivalent).
@@ -175,13 +189,14 @@ func (s *packetScratch) init() {
 	s.pkt.TCP = &s.tcp
 }
 
-// fillTCP resets the scratch packet to a fresh TCP packet with the same
-// field values packet.NewTCP would produce.
-func (s *packetScratch) fillTCP(key packet.FlowKey, h packet.TCPHeader, size int) *packet.Packet {
-	s.tcp = h
+// fill resets the scratch packet to flow f's full-size ACK-flagged data
+// segment with sequence number seq, the field values packet.NewTCP would
+// produce.
+func (s *packetScratch) fill(f *flowState, seq uint32) *packet.Packet {
+	s.tcp = packet.TCPHeader{SrcPort: f.sport, DstPort: dstPort, Seq: seq, Flags: packet.FlagACK}
 	s.pkt = packet.Packet{
-		Src: key.Src, Dst: key.Dst, TTL: packet.DefaultTTL,
-		Proto: packet.ProtoTCP, Size: size, TCP: &s.tcp,
+		Src: f.src, Dst: f.dst, TTL: packet.DefaultTTL,
+		Proto: packet.ProtoTCP, Size: mss + 40, TCP: &s.tcp,
 	}
 	return &s.pkt
 }
@@ -219,17 +234,9 @@ func NewMalicious(cfg MaliciousConfig, rng *stats.RNG) Stream {
 	m := &malStream{cfg: cfg, rng: rng}
 	m.scratch.init()
 	for i := 0; i < cfg.Flows; i++ {
-		key := packet.FlowKey{
-			Src:     cfg.SrcBase + packet.Addr(i+1),
-			Dst:     cfg.Victim.Nth(uint32(rng.IntN(250)) + 1),
-			SrcPort: uint16(1024 + rng.IntN(60000)), DstPort: 443,
-			Proto: packet.ProtoTCP,
-		}
-		m.h = append(m.h, flowState{
-			key:  key,
-			end:  math.Inf(1),
-			next: rng.Float64() / cfg.PPS,
-		})
+		dst := cfg.Victim.Nth(uint32(rng.IntN(250)) + 1)
+		sport := uint16(1024 + rng.IntN(60000))
+		m.h = append(m.h, newFlowState(cfg.SrcBase+packet.Addr(i+1), dst, sport, math.Inf(1), rng.Float64()/cfg.PPS))
 	}
 	m.h.init()
 	return m
@@ -263,10 +270,7 @@ func (m *malStream) Next() (Event, bool) {
 	} else {
 		f.seq += uint32(mss) // look like ordinary traffic
 	}
-	p := m.scratch.fillTCP(f.key, packet.TCPHeader{
-		SrcPort: f.key.SrcPort, DstPort: f.key.DstPort,
-		Seq: seq, Flags: packet.FlagACK,
-	}, mss+40)
+	p := m.scratch.fill(f, seq)
 	// The attacker paces her own traffic: near-constant spacing (±10%
 	// jitter) so a flow is never idle long enough to be evicted. This is
 	// the "always remain active" requirement of §3.1. The adaptive
@@ -285,6 +289,7 @@ func (m *malStream) Next() (Event, bool) {
 	} else {
 		f.next = at + m.rng.Uniform(0.9, 1.1)/m.cfg.PPS
 	}
+	h := f.hash // f aliases the heap root the sift moves
 	m.h.siftDown(0, len(m.h))
-	return Event{Time: at, Pkt: p}, true
+	return Event{Time: at, Pkt: p, FlowHash: h}, true
 }

@@ -141,12 +141,14 @@ func (c PopConfig) PrefixStream(pid int) Stream {
 	return Merge(legit, mal)
 }
 
-// PrefixEvent is one generated packet, its emission time, and the global
-// prefix id it is destined to.
+// PrefixEvent is one generated packet, its emission time, the global
+// prefix id it is destined to, and its flow hash (the Event.FlowHash
+// contract: Pkt.Flow().FastHash()).
 type PrefixEvent struct {
-	Prefix int
-	Time   float64
-	Pkt    *packet.Packet
+	Prefix   int
+	Time     float64
+	Pkt      *packet.Packet
+	FlowHash uint64
 }
 
 // popSlot buffers one pending event per prefix stream, mirroring merge's
@@ -228,7 +230,7 @@ func (s *PopShard) Next() (PrefixEvent, bool) {
 		sl := &s.slots[s.cur]
 		if sl.ok && sl.ev.Time < s.epochEnd {
 			s.last = s.cur
-			return PrefixEvent{Prefix: s.lo + s.cur, Time: sl.ev.Time, Pkt: sl.ev.Pkt}, true
+			return PrefixEvent{Prefix: s.lo + s.cur, Time: sl.ev.Time, Pkt: sl.ev.Pkt, FlowHash: sl.ev.FlowHash}, true
 		}
 		s.cur++
 	}

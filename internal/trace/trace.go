@@ -19,9 +19,15 @@ import (
 )
 
 // Event is one generated packet and its emission time.
+//
+// FlowHash is Pkt.Flow().FastHash(): every generator computes it once when
+// a flow starts and carries it on each of the flow's packets, so the
+// Blink selector (MonitorBank.FeedHashed) does not rehash a 5-tuple that
+// never changes.
 type Event struct {
-	Time float64
-	Pkt  *packet.Packet
+	Time     float64
+	Pkt      *packet.Packet
+	FlowHash uint64
 }
 
 // Stream produces packets in non-decreasing time order. Next reports
@@ -125,26 +131,35 @@ func (m *merge) Next() (Event, bool) {
 	return it.ev, true
 }
 
-// siftDown mirrors container/heap's down on the event-time key, keeping
-// the pop order identical to the historical container/heap implementation
-// even under exact time ties.
+// siftDown restores heap order from index i within h[:n] on the event-time
+// key. It makes the same comparisons as container/heap's down, moving a
+// hole instead of swapping (as flowHeap.siftDown does), so the pop order
+// is identical to the historical container/heap implementation even under
+// exact time ties (TestMergeMatchesContainerHeapUnderTies pins this).
 func (m *merge) siftDown(i, n int) {
 	h := m.h
+	x := h[i]
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			return
+		c := 2*i + 1
+		if c+1 >= n {
+			if c < n && h[c].ev.Time < x.ev.Time {
+				h[i] = h[c]
+				i = c
+			}
+			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].ev.Time < h[j1].ev.Time {
-			j = j2
+		d := 0
+		if h[c+1].ev.Time < h[c].ev.Time {
+			d = 1
 		}
-		if !(h[j].ev.Time < h[i].ev.Time) {
-			return
+		c += d
+		if !(h[c].ev.Time < x.ev.Time) {
+			break
 		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = x
 }
 
 type mergeItem struct {

@@ -232,3 +232,56 @@ func TestStreamsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestEventFlowHash pins the Event.FlowHash contract on every generator:
+// each event carries Pkt.Flow().FastHash(), including events of flows
+// that renewed mid-stream, storming and RTO-mimicking attack flows, events
+// routed through Merge, and the prefix events of a multi-prefix PopShard.
+func TestEventFlowHash(t *testing.T) {
+	check := func(name string, st Stream) {
+		t.Helper()
+		n := 0
+		for ev, ok := st.Next(); ok; ev, ok = st.Next() {
+			if want := ev.Pkt.Flow().FastHash(); ev.FlowHash != want {
+				t.Fatalf("%s event %d: FlowHash %#x, want %#x", name, n, ev.FlowHash, want)
+			}
+			n++
+		}
+		if n == 0 {
+			t.Fatalf("%s: no events", name)
+		}
+	}
+	legit := legitCfg(20, 30)
+	legit.Dur = ExpDuration{MeanSec: 2} // many renewals within Until
+	mal := func(storm float64, mimic bool) MaliciousConfig {
+		return MaliciousConfig{
+			Victim: victim, Flows: 8, PPS: 4, Until: 30,
+			SrcBase: packet.MustParseAddr("30.0.0.0"), RetransmitFrom: storm, MimicRTO: mimic,
+		}
+	}
+
+	renewed := NewLegit(legit, stats.NewRNG(1))
+	check("legit", renewed)
+	if got := renewed.(*flowStream).counter; got <= uint32(legit.Flows) {
+		t.Fatalf("legit stream started %d flows, want renewals past %d", got, legit.Flows)
+	}
+	check("malicious", NewMalicious(mal(math.Inf(1), false), stats.NewRNG(2)))
+	check("malicious storming", NewMalicious(mal(10, false), stats.NewRNG(3)))
+	check("malicious MimicRTO", NewMalicious(mal(10, true), stats.NewRNG(4)))
+	check("merge", Merge(NewLegit(legit, stats.NewRNG(5)), NewMalicious(mal(10, true), stats.NewRNG(6))))
+
+	cfg := popTestConfig()
+	sh := NewPopShard(cfg, 0, cfg.Prefixes)
+	n := 0
+	seen := map[int]bool{}
+	for ev, ok := sh.Next(); ok; ev, ok = sh.Next() {
+		if want := ev.Pkt.Flow().FastHash(); ev.FlowHash != want {
+			t.Fatalf("PopShard event %d (prefix %d): FlowHash %#x, want %#x", n, ev.Prefix, ev.FlowHash, want)
+		}
+		seen[ev.Prefix] = true
+		n++
+	}
+	if len(seen) != cfg.Prefixes {
+		t.Fatalf("PopShard covered %d of %d prefixes", len(seen), cfg.Prefixes)
+	}
+}
