@@ -74,7 +74,8 @@ func (sketchSystem) Run(attack string, guarded bool, prof Profile, seed uint64, 
 		}
 		crafted = pollutingFlows(m, k, n)
 	case "hide":
-		crafted = slices.Concat(pollutingFlows(m, k, 80), targetedHiders(m, k, victim))
+		crafted = slices.Concat(pollutingFlows(m, k, 80),
+			sketch.CraftTargetedHiders(m, k, victim, 0.1, 2, 1<<41))
 	}
 
 	primary := sketch.New(m, k)
@@ -142,25 +143,4 @@ func pollutingFlows(m, k, n int) []sketch.FlowID {
 	}
 	v, _ := craftCache.LoadOrStore(key, sketch.CraftPollutingFlows(m, k, n, 0.1, 1<<40))
 	return v.([]sketch.FlowID)
-}
-
-// hiderCache memoizes the hider label index by [2]int{m, k}.
-var hiderCache sync.Map
-
-// hiderSpan is how many labels the hider index covers: about 2.5 times
-// what a victim's hiders consume at m = 1024, k = 3, so nearly every
-// victim is answered from the index alone.
-const hiderSpan = 1 << 19
-
-// targetedHiders is sketch.CraftTargetedHiders(m, k, victim, 0.1, 2,
-// 1<<41), answered from a label index built once per (m, k) instead of a
-// label scan per trial. Trials run concurrently and share the index,
-// which Hiders only reads.
-func targetedHiders(m, k int, victim sketch.FlowID) []sketch.FlowID {
-	key := [2]int{m, k}
-	v, ok := hiderCache.Load(key)
-	if !ok {
-		v, _ = hiderCache.LoadOrStore(key, sketch.NewHiderIndex(m, k, 0.1, 1<<41, hiderSpan))
-	}
-	return v.(*sketch.HiderIndex).Hiders(victim, 2)
 }

@@ -1,10 +1,6 @@
 package sketch
 
-import (
-	"slices"
-
-	"dui/internal/stats"
-)
+import "dui/internal/stats"
 
 // CraftPollutingFlows searches for flow labels whose hash positions all
 // fall inside a small target region of the table — "the power of evil
@@ -56,84 +52,19 @@ func inRegion(id FlowID, k, rangeLen, limit, skip int) bool {
 // inside the polluted region, so they are themselves part of the stopping
 // set and can never be peeled away. With every victim cell permanently
 // impure, the victim's traffic disappears from the network statistics.
-// The search for cell i starts one label past the last hider found for
-// cell i-1 (cell 0 at startLabel) and skips the victim itself.
+// A candidate is checked against the victim's cell first, the rarer of
+// the two conditions.
 func CraftTargetedHiders(m, k int, victim FlowID, region float64, perCell int, startLabel FlowID) []FlowID {
-	return NewHiderIndex(m, k, region, startLabel, 0).Hiders(victim, perCell)
-}
-
-// HiderIndex answers CraftTargetedHiders for many victims of one table
-// geometry and start label without rescanning labels per victim: it lists,
-// for every partition target and cell, the labels of [start, start+span)
-// that hash to that cell in target and into the polluted region in every
-// other partition — the hiders of any victim occupying that cell —
-// in ascending order. A victim whose hiders lie past the indexed labels
-// falls back to the label scan from there.
-type HiderIndex struct {
-	k, rangeLen, limit int
-	start, end         FlowID
-	cells              [][]FlowID // cells[target*rangeLen+cell], ascending
-}
-
-// NewHiderIndex indexes the labels [start, start+span) of an m-cell,
-// k-partition table whose polluted region is the given fraction of each
-// partition. A label hides in partition target when every other partition
-// puts it in the region, so a label with two partitions outside it is
-// dropped after at most k hashes.
-func NewHiderIndex(m, k int, region float64, start FlowID, span uint64) *HiderIndex {
 	rangeLen := m / k
-	x := &HiderIndex{
-		k: k, rangeLen: rangeLen, limit: regionLimit(rangeLen, region),
-		start: start, end: start + FlowID(span),
-		cells: make([][]FlowID, k*rangeLen),
-	}
-	offs := make([]int, k)
-	for id := x.start; id < x.end; id++ {
-		outside, ok := -1, true // the one partition outside the region, if any
-		for i := 0; i < k && ok; i++ {
-			offs[i] = offset(id, i, rangeLen)
-			if offs[i] >= x.limit {
-				ok = outside < 0
-				outside = i
-			}
-		}
-		if !ok {
-			continue
-		}
-		for target := range k {
-			if outside < 0 || outside == target {
-				c := target*rangeLen + offs[target]
-				x.cells[c] = append(x.cells[c], id)
-			}
-		}
-	}
-	return x
-}
-
-// Hiders returns CraftTargetedHiders(m, k, victim, region, perCell, start)
-// for the index's geometry and start label, label for label.
-func (x *HiderIndex) Hiders(victim FlowID, perCell int) []FlowID {
+	limit := regionLimit(rangeLen, region)
 	var out []FlowID
-	from := x.start
-	for target := 0; target < x.k; target++ {
-		cell := offset(victim, target, x.rangeLen)
-		found := 0
-		list := x.cells[target*x.rangeLen+cell]
-		i, _ := slices.BinarySearch(list, from)
-		for ; i < len(list) && found < perCell; i++ {
-			if id := list[i]; id != victim {
+	for target := 0; target < k; target++ {
+		cell := offset(victim, target, rangeLen)
+		for found, id := 0, startLabel; found < perCell; id++ {
+			if offset(id, target, rangeLen) == cell && inRegion(id, k, rangeLen, limit, target) && id != victim {
 				out = append(out, id)
 				found++
-				from = id + 1
-			}
-		}
-		// Past the indexed labels: scan, checking the victim's cell
-		// first, the rarer of the two conditions.
-		for id := max(from, x.end); found < perCell; id++ {
-			if offset(id, target, x.rangeLen) == cell && inRegion(id, x.k, x.rangeLen, x.limit, target) && id != victim {
-				out = append(out, id)
-				found++
-				from = id + 1
+				startLabel = id + 1
 			}
 		}
 	}

@@ -3,12 +3,7 @@ package sketch
 import (
 	"slices"
 	"testing"
-
-	"dui/internal/stats"
 )
-
-// hiderTestSpan is the label span robustness indexes for its trials.
-const hiderTestSpan = 1 << 19
 
 // fullScanPolluting is CraftPollutingFlows written as a full scan: hash
 // every partition of a candidate, then test the positions.
@@ -69,39 +64,6 @@ func TestCraftMatchesFullScan(t *testing.T) {
 			got := CraftTargetedHiders(c.m, c.k, victim, c.region, 2, 1<<41)
 			if want := fullScanHiders(c.m, c.k, victim, c.region, 2, 1<<41); !slices.Equal(got, want) {
 				t.Errorf("CraftTargetedHiders(%d, %d, %#x, region %g) = %v, full scan %v", c.m, c.k, victim, c.region, got, want)
-			}
-		}
-	}
-}
-
-// TestHiderIndexMatchesCraft checks that a HiderIndex returns exactly the
-// labels CraftTargetedHiders scans for, at the matrix's table sizes (1024
-// cells, 819 under degrade, 512 under quick): for random victims, for a
-// victim that is itself an indexed hider (which must be skipped), and
-// through an index too short to hold every victim's hiders, so the scan
-// past the indexed labels runs too.
-func TestHiderIndexMatchesCraft(t *testing.T) {
-	const start = 1 << 41
-	rng := stats.NewRNG(5)
-	for _, m := range []int{1024, 819, 512} {
-		for _, span := range []uint64{hiderTestSpan, 1 << 16} {
-			x := NewHiderIndex(m, 3, 0.1, start, span)
-			// An indexed label shares its own cell's hider list.
-			var victims []FlowID
-			for _, c := range []int{0, 2 * (m / 3)} {
-				for len(x.cells[c]) == 0 {
-					c++
-				}
-				victims = append(victims, x.cells[c][0])
-			}
-			for range 8 {
-				victims = append(victims, FlowID(rng.Uint64()))
-			}
-			for _, victim := range victims {
-				want := CraftTargetedHiders(m, 3, victim, 0.1, 2, start)
-				if got := x.Hiders(victim, 2); !slices.Equal(got, want) {
-					t.Errorf("m=%d span=%d victim %#x: index %v, CraftTargetedHiders %v", m, span, victim, got, want)
-				}
 			}
 		}
 	}

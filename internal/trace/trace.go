@@ -131,35 +131,26 @@ func (m *merge) Next() (Event, bool) {
 	return it.ev, true
 }
 
-// siftDown restores heap order from index i within h[:n] on the event-time
-// key. It makes the same comparisons as container/heap's down, moving a
-// hole instead of swapping (as flowHeap.siftDown does), so the pop order
-// is identical to the historical container/heap implementation even under
-// exact time ties (TestMergeMatchesContainerHeapUnderTies pins this).
+// siftDown mirrors container/heap's down on the event-time key, keeping
+// the pop order identical to the historical container/heap implementation
+// even under exact time ties (TestMergeMatchesContainerHeapUnderTies).
 func (m *merge) siftDown(i, n int) {
 	h := m.h
-	x := h[i]
 	for {
-		c := 2*i + 1
-		if c+1 >= n {
-			if c < n && h[c].ev.Time < x.ev.Time {
-				h[i] = h[c]
-				i = c
-			}
-			break
+		j1 := 2*i + 1
+		if j1 >= n {
+			return
 		}
-		d := 0
-		if h[c+1].ev.Time < h[c].ev.Time {
-			d = 1
+		j := j1
+		if j2 := j1 + 1; j2 < n && h[j2].ev.Time < h[j1].ev.Time {
+			j = j2
 		}
-		c += d
-		if !(h[c].ev.Time < x.ev.Time) {
-			break
+		if !(h[j].ev.Time < h[i].ev.Time) {
+			return
 		}
-		h[i] = h[c]
-		i = c
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
-	h[i] = x
 }
 
 type mergeItem struct {
