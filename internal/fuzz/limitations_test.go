@@ -1,6 +1,8 @@
 package fuzz_test
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"testing"
@@ -20,18 +22,30 @@ import (
 // left going to Duration + 100 s drains completely: nothing leaks. A
 // deadline that lets them drain makes this test fail on purpose; it can
 // move the bytes of fuzz campaigns, so it is a change of its own.
+//
+// The same seeds drawn with the fault plane open are the two failures the
+// benchmark's fault-mode fuzz workload finds (trials 553 and 1029 of its
+// 2000 seeds) and shrinks serially. Each subtest also pins that shrink:
+// its run count and the SHA-256 of the shrunk scenario's JSON.
 func TestFalseQuiescencePinned(t *testing.T) {
 	spec, err := campaign.JobSpec{Kind: campaign.KindFuzz}.Canon()
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := spec.Fuzz.GenConfig()
+	faults := *spec.Fuzz
+	faults.Faults = true
+	faultGen := faults.GenConfig()
 	for _, c := range []struct {
-		seed      uint64
-		violation string
+		seed       uint64
+		violation  string
+		shrinkRuns int
+		shrunkSHA  string
 	}{
-		{0x87d37aac929bbbf6, "audit: [quiescence] t=27.5955216: 566 events still pending after the drain deadline 27.5955"},
-		{0x1d16d281151b7279, "audit: [quiescence] t=35.2578088: 4 events still pending after the drain deadline 35.2578"},
+		{0x87d37aac929bbbf6, "audit: [quiescence] t=27.5955216: 566 events still pending after the drain deadline 27.5955",
+			32, "8d6b4ebc673b46f31392b86d8218e1706de4cb08b1256b21a2e1c6828f883a63"},
+		{0x1d16d281151b7279, "audit: [quiescence] t=35.2578088: 4 events still pending after the drain deadline 35.2578",
+			37, "1c520b73808d1517c6caedd1bf4d168914a4b89f3616de5b5ba3cbc449b6e5e2"},
 	} {
 		t.Run(fmt.Sprintf("%#x", c.seed), func(t *testing.T) {
 			t.Parallel()
@@ -48,6 +62,16 @@ func TestFalseQuiescencePinned(t *testing.T) {
 			b.Net.RunUntil(s.Duration + 100)
 			if n := b.Net.Engine().Pending(); n != 0 {
 				t.Errorf("%d events still pending at Duration + 100 s: a real leak, not a tight deadline", n)
+			}
+
+			shrunk, runs := fuzz.Shrink(fuzz.Generate(c.seed, faultGen), scenario.RuleQuiescence, 0)
+			js, err := json.Marshal(shrunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := fmt.Sprintf("%x", sha256.Sum256(js)); runs != c.shrinkRuns || sum != c.shrunkSHA {
+				t.Errorf("fault-mode shrink: %d runs, sha256 %s; want %d runs, sha256 %s\n%s",
+					runs, sum, c.shrinkRuns, c.shrunkSHA, js)
 			}
 		})
 	}

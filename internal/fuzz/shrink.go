@@ -10,9 +10,10 @@ const DefaultShrinkBudget = 400
 
 // Shrink greedily minimizes s while the given oracle rule keeps firing,
 // and returns the smallest reproducer found plus the number of candidate
-// runs spent. The passes run coarse to fine — drop whole workloads, cut
-// flow counts, drop failures/taps/Blink, remove and bypass nodes, then
-// round parameters — and repeat until a full sweep accepts nothing or the
+// runs spent. The passes table runs coarse to fine — drop workloads, cut
+// flow counts, drop failures, taps, Blink, gray failures, flaps,
+// degradations and crashes, remove and bypass nodes, then round
+// parameters — and repeats until a full sweep accepts nothing or the
 // budget is exhausted. Shrinking is sequential and deterministic: the
 // result depends only on (s, rule, budget).
 //
@@ -31,35 +32,36 @@ func Shrink(s *scenario.Scenario, rule string, budget int) (*scenario.Scenario, 
 	}
 	wantAdv := adversarial(s)
 	spent := 0
-	check := func(c *scenario.Scenario) bool {
+	cur := s.Clone()
+	improved := true
+	try := func(e edit) bool {
+		if spent >= budget {
+			return false
+		}
+		c := cur.Clone()
 		// Structural rejections spend no budget, like Validate failures:
 		// a candidate that left the original's verdict class is not worth
 		// a run.
-		if spent >= budget || c.Validate() != nil || (wantAdv && !adversarial(c)) {
+		if !e(&c) || c.Validate() != nil || (wantAdv && !adversarial(&c)) {
 			return false
 		}
 		spent++
 		var rep scenario.Report
 		if rule == scenario.RuleDeterminism {
-			rep = scenario.RunChecked(c, scenario.Options{})
+			rep = scenario.RunChecked(&c, scenario.Options{})
 		} else {
-			rep = scenario.Run(c, scenario.Options{})
+			rep = scenario.Run(&c, scenario.Options{})
 		}
-		return rep.HasRule(rule)
+		if !rep.HasRule(rule) {
+			return false
+		}
+		cur, improved = c, true
+		return true
 	}
-
-	cur := s.Clone()
-	for improved := true; improved && spent < budget; {
+	for improved && spent < budget {
 		improved = false
-		for _, pass := range []func(*scenario.Scenario, func(*scenario.Scenario) bool) *scenario.Scenario{
-			dropWorkloads, reduceFlows, dropFailures, dropTaps, dropBlink,
-			dropGray, dropFlaps, dropDegrades, dropCrashes,
-			dropNodes, bypassNodes, roundParams,
-		} {
-			if next := pass(&cur, check); next != nil {
-				cur = *next
-				improved = true
-			}
+		for _, p := range passes {
+			p(&cur, try)
 		}
 	}
 	out := cur.Clone()
@@ -79,125 +81,83 @@ func adversarial(s *scenario.Scenario) bool {
 	return len(s.Taps) > 0
 }
 
-// Each pass tries its candidates against check and returns the last
-// accepted scenario (nil if nothing was accepted). Within a pass,
-// accepted candidates become the new baseline immediately, so one sweep
-// can drop several elements.
+// An edit changes a clone of the current scenario in place and reports
+// whether it found anything to change; a false edit is never run.
+type edit func(*scenario.Scenario) bool
 
-func dropWorkloads(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	return dropEach(s, check, func(c *scenario.Scenario) int { return len(c.Workloads) },
-		func(c *scenario.Scenario, i int) {
-			c.Workloads = append(c.Workloads[:i:i], c.Workloads[i+1:]...)
-		})
+// A pass offers its edits, in order, to try, which runs each candidate
+// and on success makes it the current scenario *cur, so the pass's later
+// edits start from every edit it kept.
+type pass func(cur *scenario.Scenario, try func(edit) bool)
+
+var passes = []pass{
+	dropEach(func(s *scenario.Scenario) *[]scenario.WorkloadSpec { return &s.Workloads }),
+	reduceFlows,
+	dropEach(func(s *scenario.Scenario) *[]scenario.FailureSpec { return &s.Failures }),
+	dropEach(func(s *scenario.Scenario) *[]scenario.TapSpec { return &s.Taps }),
+	dropBlink,
+	dropEach(func(s *scenario.Scenario) *[]scenario.GraySpec { return &s.Gray }),
+	dropEach(func(s *scenario.Scenario) *[]scenario.FlapSpec { return &s.Flaps }),
+	dropEach(func(s *scenario.Scenario) *[]scenario.DegradeSpec { return &s.Degrades }),
+	dropEach(func(s *scenario.Scenario) *[]scenario.CrashSpec { return &s.Crashes }),
+	dropNodes,
+	bypassNodes,
+	roundParams,
 }
 
-func dropFailures(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	return dropEach(s, check, func(c *scenario.Scenario) int { return len(c.Failures) },
-		func(c *scenario.Scenario, i int) {
-			c.Failures = append(c.Failures[:i:i], c.Failures[i+1:]...)
-		})
-}
-
-func dropTaps(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	return dropEach(s, check, func(c *scenario.Scenario) int { return len(c.Taps) },
-		func(c *scenario.Scenario, i int) {
-			c.Taps = append(c.Taps[:i:i], c.Taps[i+1:]...)
-		})
-}
-
-func dropGray(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	return dropEach(s, check, func(c *scenario.Scenario) int { return len(c.Gray) },
-		func(c *scenario.Scenario, i int) {
-			c.Gray = append(c.Gray[:i:i], c.Gray[i+1:]...)
-		})
-}
-
-func dropFlaps(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	return dropEach(s, check, func(c *scenario.Scenario) int { return len(c.Flaps) },
-		func(c *scenario.Scenario, i int) {
-			c.Flaps = append(c.Flaps[:i:i], c.Flaps[i+1:]...)
-		})
-}
-
-func dropDegrades(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	return dropEach(s, check, func(c *scenario.Scenario) int { return len(c.Degrades) },
-		func(c *scenario.Scenario, i int) {
-			c.Degrades = append(c.Degrades[:i:i], c.Degrades[i+1:]...)
-		})
-}
-
-func dropCrashes(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	return dropEach(s, check, func(c *scenario.Scenario) int { return len(c.Crashes) },
-		func(c *scenario.Scenario, i int) {
-			c.Crashes = append(c.Crashes[:i:i], c.Crashes[i+1:]...)
-		})
-}
-
-// dropEach tries removing each element of one slice, last first (later
-// elements never invalidate earlier indices).
-func dropEach(s *scenario.Scenario, check func(*scenario.Scenario) bool,
-	length func(*scenario.Scenario) int, remove func(*scenario.Scenario, int)) *scenario.Scenario {
-	var accepted *scenario.Scenario
-	cur := s
-	for i := length(cur) - 1; i >= 0; i-- {
-		c := cur.Clone()
-		remove(&c, i)
-		if check(&c) {
-			accepted = &c
-			cur = accepted
+// dropEach tries removing each element of one slice field, last first
+// (later elements never invalidate earlier indices).
+func dropEach[T any](field func(*scenario.Scenario) *[]T) pass {
+	return func(cur *scenario.Scenario, try func(edit) bool) {
+		for i := len(*field(cur)) - 1; i >= 0; i-- {
+			try(func(c *scenario.Scenario) bool {
+				f := field(c)
+				*f = append((*f)[:i:i], (*f)[i+1:]...)
+				return true
+			})
 		}
 	}
-	return accepted
 }
 
-func dropBlink(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	if s.Blink == nil {
-		return nil
-	}
-	c := s.Clone()
-	c.Blink = nil
-	if check(&c) {
-		return &c
-	}
-	return nil
+func dropBlink(_ *scenario.Scenario, try func(edit) bool) {
+	try(func(c *scenario.Scenario) bool {
+		had := c.Blink != nil
+		c.Blink = nil
+		return had
+	})
 }
 
-func reduceFlows(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	var accepted *scenario.Scenario
-	cur := s
+// reduceFlows cuts each workload's flow count, trying the floor first,
+// then halvings toward it, and keeps the first cut that still fails.
+func reduceFlows(cur *scenario.Scenario, try func(edit) bool) {
 	for i := range cur.Workloads {
-		// Try the floor first, then halvings toward it.
-		for _, flows := range []int{1, cur.Workloads[i].Flows / 4, cur.Workloads[i].Flows / 2} {
-			if flows <= 0 || flows >= cur.Workloads[i].Flows {
-				continue
-			}
-			c := cur.Clone()
-			c.Workloads[i].Flows = flows
-			if check(&c) {
-				accepted = &c
-				cur = accepted
+		f := cur.Workloads[i].Flows
+		for _, flows := range []int{1, f / 4, f / 2} {
+			if try(func(c *scenario.Scenario) bool {
+				if flows <= 0 || flows >= c.Workloads[i].Flows {
+					return false
+				}
+				c.Workloads[i].Flows = flows
+				return true
+			}) {
 				break
 			}
 		}
 	}
-	return accepted
 }
 
 // dropNodes removes each unreferenced node (last first) together with its
 // links and anything referencing those links.
-func dropNodes(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	var accepted *scenario.Scenario
-	cur := s
+func dropNodes(cur *scenario.Scenario, try func(edit) bool) {
 	for i := len(cur.Nodes) - 1; i >= 0; i-- {
-		if nodeReferenced(cur, i) {
-			continue
-		}
-		if c := removeNode(cur, i); check(c) {
-			accepted = c
-			cur = accepted
-		}
+		try(func(c *scenario.Scenario) bool {
+			if nodeReferenced(c, i) {
+				return false
+			}
+			removeNode(c, i)
+			return true
+		})
 	}
-	return accepted
 }
 
 func nodeReferenced(s *scenario.Scenario, i int) bool {
@@ -229,10 +189,9 @@ func nodeReferenced(s *scenario.Scenario, i int) bool {
 	return false
 }
 
-// removeNode deletes node i, every link touching it, and every failure or
-// tap on a deleted link, remapping all remaining indices.
-func removeNode(s *scenario.Scenario, i int) *scenario.Scenario {
-	c := s.Clone()
+// removeNode deletes node i, every link touching it, and every spec on a
+// deleted link, remapping all remaining node and link indices.
+func removeNode(c *scenario.Scenario, i int) {
 	c.Nodes = append(c.Nodes[:i:i], c.Nodes[i+1:]...)
 	node := func(j int) int {
 		if j > i {
@@ -248,94 +207,100 @@ func removeNode(s *scenario.Scenario, i int) *scenario.Scenario {
 			continue
 		}
 		linkMap[li] = len(links)
-		links = append(links, scenario.LinkSpec{A: node(l.A), B: node(l.B), RateBps: l.RateBps, Delay: l.Delay, QueueCap: l.QueueCap})
+		l.A, l.B = node(l.A), node(l.B)
+		links = append(links, l)
 	}
 	c.Links = links
-	remapLinkRefs(&c, linkMap, node)
-	return &c
+	relink(c, linkMap)
+	for j := range c.Taps {
+		c.Taps[j].InjectTo = node(c.Taps[j].InjectTo)
+	}
+	for j := range c.Crashes {
+		c.Crashes[j].Node = node(c.Crashes[j].Node)
+	}
+	for j := range c.Workloads {
+		c.Workloads[j].From = node(c.Workloads[j].From)
+		c.Workloads[j].To = node(c.Workloads[j].To)
+	}
+	if b := c.Blink; b != nil {
+		b.Router = node(b.Router)
+		b.Victim = node(b.Victim)
+		for j := range b.NextHops {
+			b.NextHops[j] = node(b.NextHops[j])
+		}
+	}
+}
+
+// relink points every failure, tap, gray, flap and degrade spec at
+// linkMap[its link], and drops the specs whose link maps to -1.
+func relink(c *scenario.Scenario, linkMap []int) {
+	c.Failures = keepLinked(c.Failures, linkMap, func(f *scenario.FailureSpec) *int { return &f.Link })
+	c.Taps = keepLinked(c.Taps, linkMap, func(t *scenario.TapSpec) *int { return &t.Link })
+	c.Gray = keepLinked(c.Gray, linkMap, func(g *scenario.GraySpec) *int { return &g.Link })
+	c.Flaps = keepLinked(c.Flaps, linkMap, func(f *scenario.FlapSpec) *int { return &f.Link })
+	c.Degrades = keepLinked(c.Degrades, linkMap, func(d *scenario.DegradeSpec) *int { return &d.Link })
+}
+
+// keepLinked is relink for one slice field; link picks the spec's link.
+func keepLinked[T any](specs []T, linkMap []int, link func(*T) *int) []T {
+	var out []T
+	for _, s := range specs {
+		if l := link(&s); linkMap[*l] >= 0 {
+			*l = linkMap[*l]
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // bypassNodes merges out degree-2 chain nodes: the node's two links become
 // one with summed delay, the tighter rate, and the tighter queue cap, so a
 // long forwarding path collapses without disconnecting its endpoints.
-func bypassNodes(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	var accepted *scenario.Scenario
-	cur := s
+func bypassNodes(cur *scenario.Scenario, try func(edit) bool) {
 	for i := len(cur.Nodes) - 1; i >= 0; i-- {
-		if nodeReferenced(cur, i) {
-			continue
-		}
-		var touching []int
-		for li, l := range cur.Links {
-			if l.A == i || l.B == i {
-				touching = append(touching, li)
+		try(func(c *scenario.Scenario) bool {
+			if nodeReferenced(c, i) {
+				return false
 			}
-		}
-		if len(touching) != 2 {
-			continue
-		}
-		l1, l2 := cur.Links[touching[0]], cur.Links[touching[1]]
-		a, b := otherEnd(l1, i), otherEnd(l2, i)
-		if a == b || a == i || b == i {
-			continue
-		}
-		c := cur.Clone()
-		merged := scenario.LinkSpec{
-			A: a, B: b,
-			Delay:    l1.Delay + l2.Delay,
-			RateBps:  minNonzero(l1.RateBps, l2.RateBps),
-			QueueCap: int(minNonzero(float64(l1.QueueCap), float64(l2.QueueCap))),
-		}
-		c.Links[touching[0]] = merged
-		// Drop the second link; refs to it move to the merged one.
-		linkMap := make([]int, len(c.Links))
-		var links []scenario.LinkSpec
-		for li, l := range c.Links {
-			if li == touching[1] {
-				linkMap[li] = touching[0] - boolInt(touching[0] > touching[1])
-				continue
+			var touching []int
+			for li, l := range c.Links {
+				if l.A == i || l.B == i {
+					touching = append(touching, li)
+				}
 			}
-			linkMap[li] = len(links)
-			links = append(links, l)
-		}
-		c.Links = links
-		// Now remove node i itself (it has no links left to drop).
-		c.Nodes = append(c.Nodes[:i:i], c.Nodes[i+1:]...)
-		node := func(j int) int {
-			if j > i {
-				return j - 1
+			if len(touching) != 2 {
+				return false
 			}
-			return j
-		}
-		for li := range c.Links {
-			c.Links[li].A = node(c.Links[li].A)
-			c.Links[li].B = node(c.Links[li].B)
-		}
-		remapLinkRefs(&c, linkMap, node)
-		if check(&c) {
-			accepted = &c
-			cur = accepted
-		}
+			t1, t2 := touching[0], touching[1]
+			l1, l2 := c.Links[t1], c.Links[t2]
+			a, b := otherEnd(l1, i), otherEnd(l2, i)
+			if a == b || a == i || b == i {
+				return false
+			}
+			c.Links[t1] = scenario.LinkSpec{
+				A: a, B: b,
+				Delay:    l1.Delay + l2.Delay,
+				RateBps:  minNonzero(l1.RateBps, l2.RateBps),
+				QueueCap: int(minNonzero(float64(l1.QueueCap), float64(l2.QueueCap))),
+			}
+			// Specs on the second link move to the merged one; removing
+			// node i then drops the second link and renumbers the rest.
+			linkMap := make([]int, len(c.Links))
+			for li := range linkMap {
+				linkMap[li] = li
+			}
+			linkMap[t2] = t1
+			relink(c, linkMap)
+			removeNode(c, i)
+			return true
+		})
 	}
-	return accepted
 }
 
 // roundParams simplifies scalars: halve the duration (scaling every
 // schedule with it), push per-flow rates toward 1 pps, uncap queues, and
 // drop tap drop/delay behaviors that are not load-bearing.
-func roundParams(s *scenario.Scenario, check func(*scenario.Scenario) bool) *scenario.Scenario {
-	var accepted *scenario.Scenario
-	cur := s
-	try := func(mutate func(*scenario.Scenario) bool) {
-		c := cur.Clone()
-		if !mutate(&c) {
-			return
-		}
-		if check(&c) {
-			accepted = &c
-			cur = accepted
-		}
-	}
+func roundParams(cur *scenario.Scenario, try func(edit) bool) {
 	try(func(c *scenario.Scenario) bool {
 		if c.Duration <= 1 {
 			return false
@@ -344,7 +309,6 @@ func roundParams(s *scenario.Scenario, check func(*scenario.Scenario) bool) *sce
 		return true
 	})
 	for i := range cur.Workloads {
-		i := i
 		try(func(c *scenario.Scenario) bool {
 			if c.Workloads[i].PPS <= 2 {
 				return false
@@ -352,49 +316,27 @@ func roundParams(s *scenario.Scenario, check func(*scenario.Scenario) bool) *sce
 			c.Workloads[i].PPS /= 2
 			return true
 		})
-		try(func(c *scenario.Scenario) bool {
-			if c.Workloads[i].MeanDur == 0 {
-				return false
-			}
-			c.Workloads[i].MeanDur = 0
-			return true
-		})
+		try(func(c *scenario.Scenario) bool { return zero(&c.Workloads[i].MeanDur) })
 	}
 	for i := range cur.Links {
-		i := i
-		try(func(c *scenario.Scenario) bool {
-			if c.Links[i].RateBps == 0 {
-				return false
-			}
-			c.Links[i].RateBps = 0
-			return true
-		})
-		try(func(c *scenario.Scenario) bool {
-			if c.Links[i].QueueCap == 0 {
-				return false
-			}
-			c.Links[i].QueueCap = 0
-			return true
-		})
+		try(func(c *scenario.Scenario) bool { return zero(&c.Links[i].RateBps) })
+		try(func(c *scenario.Scenario) bool { return zero(&c.Links[i].QueueCap) })
 	}
 	for i := range cur.Taps {
-		i := i
-		try(func(c *scenario.Scenario) bool {
-			if c.Taps[i].DropP == 0 {
-				return false
-			}
-			c.Taps[i].DropP = 0
-			return true
-		})
-		try(func(c *scenario.Scenario) bool {
-			if c.Taps[i].DelayP == 0 {
-				return false
-			}
-			c.Taps[i].DelayP = 0 // deterministic delay (or none if Delay is 0)
-			return true
-		})
+		try(func(c *scenario.Scenario) bool { return zero(&c.Taps[i].DropP) })
+		// DelayP 0 makes the delay deterministic (or none if Delay is 0).
+		try(func(c *scenario.Scenario) bool { return zero(&c.Taps[i].DelayP) })
 	}
-	return accepted
+}
+
+// zero sets *v to its zero value and reports whether that changed it.
+func zero[T comparable](v *T) bool {
+	var z T
+	if *v == z {
+		return false
+	}
+	*v = z
+	return true
 }
 
 // scaleTimes multiplies every schedule in the scenario by f, preserving
@@ -435,71 +377,6 @@ func scaleTimes(c *scenario.Scenario, f float64) {
 	}
 }
 
-// remapLinkRefs rewrites failure/tap link indices through linkMap (refs
-// mapped to -1 are dropped), and workload/Blink node indices through node.
-func remapLinkRefs(c *scenario.Scenario, linkMap []int, node func(int) int) {
-	var fails []scenario.FailureSpec
-	for _, f := range c.Failures {
-		if linkMap[f.Link] < 0 {
-			continue
-		}
-		f.Link = linkMap[f.Link]
-		fails = append(fails, f)
-	}
-	c.Failures = fails
-	var taps []scenario.TapSpec
-	for _, t := range c.Taps {
-		if linkMap[t.Link] < 0 {
-			continue
-		}
-		t.Link = linkMap[t.Link]
-		t.InjectTo = node(t.InjectTo)
-		taps = append(taps, t)
-	}
-	c.Taps = taps
-	var gray []scenario.GraySpec
-	for _, g := range c.Gray {
-		if linkMap[g.Link] < 0 {
-			continue
-		}
-		g.Link = linkMap[g.Link]
-		gray = append(gray, g)
-	}
-	c.Gray = gray
-	var flaps []scenario.FlapSpec
-	for _, fl := range c.Flaps {
-		if linkMap[fl.Link] < 0 {
-			continue
-		}
-		fl.Link = linkMap[fl.Link]
-		flaps = append(flaps, fl)
-	}
-	c.Flaps = flaps
-	var degs []scenario.DegradeSpec
-	for _, d := range c.Degrades {
-		if linkMap[d.Link] < 0 {
-			continue
-		}
-		d.Link = linkMap[d.Link]
-		degs = append(degs, d)
-	}
-	c.Degrades = degs
-	for i := range c.Crashes {
-		c.Crashes[i].Node = node(c.Crashes[i].Node)
-	}
-	for i := range c.Workloads {
-		c.Workloads[i].From = node(c.Workloads[i].From)
-		c.Workloads[i].To = node(c.Workloads[i].To)
-	}
-	if b := c.Blink; b != nil {
-		b.Router = node(b.Router)
-		b.Victim = node(b.Victim)
-		for i := range b.NextHops {
-			b.NextHops[i] = node(b.NextHops[i])
-		}
-	}
-}
-
 func otherEnd(l scenario.LinkSpec, i int) int {
 	if l.A == i {
 		return l.B
@@ -518,11 +395,4 @@ func minNonzero(a, b float64) float64 {
 	default:
 		return b
 	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
