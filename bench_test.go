@@ -278,7 +278,7 @@ func BenchmarkE6NetHide(b *testing.B) {
 	var success float64
 	for i := 0; i < b.N; i++ {
 		virt, _ := nethide.Obfuscate(g, pairs, nethide.Config{DensityCap: 30}, stats.NewRNG(uint64(i+1)))
-		out := nethide.EvaluateAttack(nethide.ShortestPaths(g, pairs), nethide.Survey(virt, pairs), 0)
+		out := nethide.EvaluateAttack(nethide.ShortestPaths(g, pairs), nethide.Survey(virt, pairs))
 		success = out.Success
 	}
 	b.ReportMetric(success, "attack-success")
@@ -312,9 +312,9 @@ func BenchmarkE7bSketchPollution(b *testing.B) {
 func BenchmarkE7cRONProbes(b *testing.B) {
 	var inflation float64
 	for i := 0; i < b.N; i++ {
-		out := ron.RunProbeAttack(8, uint64(i+1), func(o *ron.Overlay) (ron.ProbeTamper, int) {
+		out := ron.RunProbeAttack(uint64(i+1), func(o *ron.Overlay) (ron.ProbeTamper, int) {
 			return ron.DelayProbes(0, 1, 0.2), -1
-		}, 0, 1)
+		})
 		inflation = out.Inflation
 	}
 	b.ReportMetric(inflation, "latency-inflation")
@@ -523,7 +523,7 @@ func BenchmarkAblationBlinkEviction(b *testing.B) {
 					trace.ExpDuration{MeanSec: 6}, 2, 60, 10, stats.NewRNG(uint64(i+1)))
 			}
 			b.ReportMetric(tr, "tR-s")
-			b.ReportMetric(blink.RequiredQm(64, 32, tr, 510, 0.95), "required-qm")
+			b.ReportMetric(blink.RequiredQm(64, 32, tr, 510), "required-qm")
 		})
 	}
 }
@@ -536,7 +536,7 @@ func BenchmarkAblationBlinkResetPeriod(b *testing.B) {
 		b.Run(fmt.Sprintf("tB=%.0fs", tb), func(b *testing.B) {
 			var qm float64
 			for i := 0; i < b.N; i++ {
-				qm = blink.RequiredQm(64, 32, 8.37, tb, 0.95)
+				qm = blink.RequiredQm(64, 32, 8.37, tb)
 			}
 			b.ReportMetric(qm, "required-qm")
 		})

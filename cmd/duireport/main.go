@@ -532,7 +532,7 @@ func e4(b *strings.Builder, quick bool, seed uint64, workers int) {
 		{Flows: flows, Duration: dur, Seed: seed, Attack: true},
 	}, workers)
 	clean, attacked, fleetC, fleetA := runs[0], runs[1], runs[2], runs[3]
-	_, amp := pcc.ForcedOscillation(0.01, 0.05, 10)
+	_, amp := pcc.ForcedOscillation(0.05, 10)
 	fmt.Fprintf(b, "\n## E4 — PCC utility equalizer\n")
 	fmt.Fprintf(b, "- single flow: clean %.0f pkts/s vs attacked %.0f pkts/s (capacity 1000); oscillation %.1f%%; drop budget %.2f%%\n",
 		clean.MeanRateLate, attacked.MeanRateLate, 100*attacked.Flows[0].OscAmplitude, 100*attacked.DropFraction)
@@ -566,7 +566,7 @@ func pccOscillate() {
 	fmt.Printf("%-22s %13.2f%% %13.2f%%\n", "aggregate arrival CV", 100*clean.AggCV, 100*attacked.AggCV)
 	fmt.Printf("%-22s %14s %13.2f%%  of packets dropped by the MitM\n", "attack budget", "-", 100*attacked.DropFraction)
 
-	_, amp := pcc.ForcedOscillation(0.01, 0.05, 10)
+	_, amp := pcc.ForcedOscillation(0.05, 10)
 	fmt.Printf("\nanalytic §4.2 model: with every trial tied, ε escalates 0.01→0.05 and the rate\n")
 	fmt.Printf("fluctuates ±5%% forever (peak-to-peak %.0f%% of base) without converging.\n", 100*amp)
 
@@ -591,7 +591,7 @@ func e5(b *strings.Builder, quick bool, seed uint64, workers int) {
 		fmt.Fprintf(b, "- botnet %.0f%%: honest QoE %.2f, %.0f%% of honest sessions still on the good option\n",
 			100*f, rows[i].HonestQoELate, 100*rows[i].GoodShareLate)
 	}
-	out := pytheas.RunThrottle(cfg, 0.7, 0.2)
+	out := pytheas.RunThrottle(cfg)
 	fmt.Fprintf(b, "- throttle attack: QoE %.2f -> %.2f, peak stampede %.0f%% onto the capacity-limited site\n",
 		out.Baseline.HonestQoELate, out.Attacked.HonestQoELate, 100*out.PeakStampedeShare)
 	fmt.Fprintf(b, "- paper: a minority of manipulated clients drives group-wide decisions; throttling stampedes/overloads a CDN site\n")
@@ -627,7 +627,7 @@ func pytheasPoison() {
 	}
 
 	fmt.Printf("\n§4.1 selective throttling (MitM/operator): coverage 70%% of sessions, severity 0.2\n")
-	out := pytheas.RunThrottle(base, 0.7, 0.2)
+	out := pytheas.RunThrottle(base)
 	fmt.Printf("  baseline honest QoE: %.2f -> attacked: %.2f (drop %.2f)\n",
 		out.Baseline.HonestQoELate, out.Attacked.HonestQoELate, out.QoEDrop)
 	fmt.Printf("  peak stampede onto the capacity-limited fallback site: %.0f%% of the group\n",
@@ -638,8 +638,8 @@ func pytheasPoison() {
 func e6(b *strings.Builder, quick bool, seed uint64, workers int) {
 	h := hideHottestLink()
 	virt, m := nethide.Obfuscate(h.g, h.pairs, nethide.Config{DensityCap: 30}, stats.NewRNG(seed))
-	atk := nethide.EvaluateAttack(h.phys, nethide.Survey(virt, h.pairs), 0)
-	lieAtk := nethide.EvaluateAttack(h.phys, h.view, 0)
+	atk := nethide.EvaluateAttack(h.phys, nethide.Survey(virt, h.pairs))
+	lieAtk := nethide.EvaluateAttack(h.phys, h.view)
 	fmt.Fprintf(b, "\n## E6 — NetHide / fake topologies\n")
 	fmt.Fprintf(b, "- Abilene: hottest link %s-%s density %d; NetHide cap 30 -> virt max %d, accuracy %.3f, utility %.3f, attack success %.2f\n",
 		h.g.Name(h.a), h.g.Name(h.b), h.density, m.MaxDensityVirt, m.Accuracy, m.Utility, atk.Success)
@@ -700,7 +700,7 @@ func nethideTrace() {
 
 	h := hideHottestLink()
 	met := nethide.Evaluate(h.phys, h.view)
-	atk := nethide.EvaluateAttack(h.phys, h.view, 0)
+	atk := nethide.EvaluateAttack(h.phys, h.view)
 	fmt.Printf("\nmalicious operator on Abilene: hides the hottest link %s–%s (density %d)\n",
 		h.g.Name(h.a), h.g.Name(h.b), h.density)
 	fmt.Printf("  hidden link visible in any traceroute: %v\n", nethide.HiddenLinkVisible(h.view, h.a, h.b))
@@ -732,7 +732,7 @@ func e7(b *strings.Builder, quick bool, seed uint64, workers int) {
 			random = r
 		}
 	}
-	vic, others := sketch.PollutionExperiment{Seed: seed}.RunTargeted(400, 2)
+	vic, others := sketch.PollutionExperiment{Seed: seed}.RunTargeted()
 	probe := delayProbes(seed)
 	fmt.Fprintf(b, "\n## E7 — §3.2 breadth\n")
 	fmt.Fprintf(b, "- SP-PIFO (8 queues): adversarial ranks amplify excess unpifoness %.1fx over random arrivals\n", sp.Amplification)
@@ -758,9 +758,9 @@ func e7(b *strings.Builder, quick bool, seed uint64, workers int) {
 // delayProbes is E7's RON attack: +200 ms on the probes of victim pair
 // (0,1) in an 8-node overlay, data packets untouched.
 func delayProbes(seed uint64) ron.Outcome {
-	return ron.RunProbeAttack(8, seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
+	return ron.RunProbeAttack(seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
 		return ron.DelayProbes(0, 1, 0.2), -1
-	}, 0, 1)
+	})
 }
 
 func dataplaneAttacks() {
@@ -786,12 +786,12 @@ func dataplaneAttacks() {
 		fmt.Printf("%-14d %10v | %13.1f%% %13.1f%% %10d\n",
 			r.AttackFlows, r.Crafted, 100*r.LegitDecoded, 100*r.AttackDecoded, r.Residue)
 	}
-	vic, others := sketch.PollutionExperiment{Seed: *seed}.RunTargeted(400, 2)
+	vic, others := sketch.PollutionExperiment{Seed: *seed}.RunTargeted()
 	fmt.Printf("targeted hiding: victim flow decoded=%v, other legit flows decoded=%.1f%%\n", vic, 100*others)
 
 	rng := stats.NewRNG(*seed)
-	randomN := sketch.SaturationInsertions(4096, 3, 0.5, false, rng.Child())
-	craftedN := sketch.SaturationInsertions(4096, 3, 0.5, true, rng.Child())
+	randomN := sketch.SaturationInsertions(false, rng.Child())
+	craftedN := sketch.SaturationInsertions(true, rng.Child())
 	fmt.Printf("bloom saturation to 50%% FPR: crafted %d insertions vs random %d (%.1fx advantage)\n",
 		craftedN, randomN, float64(randomN)/float64(craftedN))
 
@@ -800,20 +800,20 @@ func dataplaneAttacks() {
 	delay := delayProbes(*seed)
 	fmt.Printf("  delay probes +200ms: diverted=%v, data latency %.1fms -> %.1fms (x%.2f), budget %.2f%% of packets\n",
 		delay.Diverted, 1000*delay.CleanLatency, 1000*delay.AttackedLatency, delay.Inflation, 100*delay.TamperBudget)
-	drop := ron.RunProbeAttack(8, *seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
+	drop := ron.RunProbeAttack(*seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
 		return ron.DropProbes(0, 1), -1
-	}, 0, 1)
+	})
 	fmt.Printf("  drop probes (fake dead path): diverted=%v, data latency x%.2f\n", drop.Diverted, drop.Inflation)
-	steer := ron.RunProbeAttack(8, *seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
+	steer := ron.RunProbeAttack(*seed, func(o *ron.Overlay) (ron.ProbeTamper, int) {
 		return ron.SteerVia(0, 1, 5, 0.2), 5
-	}, 0, 1)
+	})
 	fmt.Printf("  steer via attacker node 5: routed through it=%v (privacy: attacker now on-path)\n", steer.ViaAttacker)
 
 	// DAPPER diagnosis mis-blaming.
 	fmt.Printf("\n[DAPPER] TCP diagnosis confusion matrix (rows: ground truth; columns: attack)\n")
 	fmt.Printf("%-10s | %-16s %-22s %-16s %-16s\n", "truth", "none", "inject-retrans", "shrink-window", "inflate-window")
 	byKey := map[[2]string]string{}
-	for _, o := range dapper.ConfusionMatrix(25) {
+	for _, o := range dapper.ConfusionMatrix() {
 		byKey[[2]string{o.Scenario.String(), o.Attack.String()}] = o.Diagnosis.String()
 	}
 	for _, sc := range []string{"network", "receiver", "sender"} {

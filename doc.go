@@ -18,7 +18,7 @@
 // (per-experiment benchmarks, the audited Fig 2 parity check, entry-point
 // smoke tests, doc/format lint, the reachability gate that keeps
 // library code no program links out of internal/, and the knob gate that
-// keeps config fields only their Defaults method sets out of it). The
+// keeps config fields no program sets to a value of its own out of it). The
 // library is the internal packages, imported directly by every caller:
 //
 //   - internal/stats, internal/graph, internal/packet: deterministic

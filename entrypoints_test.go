@@ -15,14 +15,14 @@ import (
 // internal packages.
 
 func TestRequiredQmFacade(t *testing.T) {
-	qm := blink.RequiredQm(64, 32, 8.37, 510, 0.95)
+	qm := blink.RequiredQm(64, 32, 8.37, 510)
 	if qm <= 0 || qm > 0.0525 {
 		t.Fatalf("required qm = %v", qm)
 	}
 }
 
 func TestForcedOscillationFacade(t *testing.T) {
-	eps, amp := pcc.ForcedOscillation(0.01, 0.05, 6)
+	eps, amp := pcc.ForcedOscillation(0.05, 6)
 	if len(eps) != 6 || amp != 0.10 {
 		t.Fatalf("trace=%v amp=%v", eps, amp)
 	}

@@ -51,16 +51,21 @@ func MeasureTR(cfg Config, flows int, dur trace.DurationDist, pps, duration, war
 	return s.Mean()
 }
 
+// calibrateTol is how close (seconds) CalibrateMeanDuration's measured
+// tR must come to the target.
+const calibrateTol float64 = 0.05
+
 // CalibrateMeanDuration finds (by bisection) the exponential mean flow
-// duration whose measured tR matches the target within tol. This is how
-// the experiments pin tR to the paper's 8.37 s without CAIDA data: the
-// theoretical model depends on traffic only through tR and qm.
-func CalibrateMeanDuration(cfg Config, flows int, pps, targetTR, tol float64, seed uint64) float64 {
+// duration whose measured tR, at legitPPS packets per flow per second,
+// matches the target within calibrateTol. This is how the experiments pin
+// tR to the paper's 8.37 s without CAIDA data: the theoretical model
+// depends on traffic only through tR and qm.
+func CalibrateMeanDuration(cfg Config, flows int, targetTR float64, seed uint64) float64 {
 	lo, hi := 0.1, 4*targetTR+10
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		tr := MeasureTR(cfg, flows, trace.ExpDuration{MeanSec: mid}, pps, 90, 15, stats.NewRNG(seed))
-		if math.Abs(tr-targetTR) <= tol {
+		tr := MeasureTR(cfg, flows, trace.ExpDuration{MeanSec: mid}, legitPPS, 90, 15, stats.NewRNG(seed))
+		if math.Abs(tr-targetTR) <= calibrateTol {
 			return mid
 		}
 		if tr < targetTR {
@@ -176,7 +181,7 @@ func RunFig2(cfg Fig2Config) *Fig2Result {
 		if calFlows > 600 {
 			calFlows = 600
 		}
-		res.MeanFlowDuration = CalibrateMeanDuration(cfg.Blink, calFlows, legitPPS, cfg.TR, 0.05, cfg.Seed+1000)
+		res.MeanFlowDuration = CalibrateMeanDuration(cfg.Blink, calFlows, cfg.TR, cfg.Seed+1000)
 	}
 	res.MeasuredTR = MeasureTR(cfg.Blink, cfg.LegitFlows,
 		trace.ExpDuration{MeanSec: res.MeanFlowDuration}, legitPPS, 90, 15, stats.NewRNG(cfg.Seed+2000))
@@ -295,7 +300,7 @@ func RunSurvey(cfg Config, prefixes []trace.SurveyPrefix, flows int, seed uint64
 				MeanDuration: p.Dur.Mean(),
 				PPS:          p.PPS,
 				TR:           tr,
-				RequiredQm:   RequiredQm(cfg.Cells, cfg.Threshold, tr, cfg.ResetPeriod, 0.95),
+				RequiredQm:   RequiredQm(cfg.Cells, cfg.Threshold, tr, cfg.ResetPeriod),
 				HitAtPaperQm: model.ExpectedHittingTime(),
 			}, nil
 		})

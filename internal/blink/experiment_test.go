@@ -28,7 +28,7 @@ func TestMeasureTRTracksDuration(t *testing.T) {
 
 func TestCalibrateMeanDurationHitsTarget(t *testing.T) {
 	cfg := Config{}.Defaults()
-	mean := CalibrateMeanDuration(cfg, 500, 2, 8.37, 0.05, 42)
+	mean := CalibrateMeanDuration(cfg, 500, 8.37, 42)
 	got := MeasureTR(cfg, 500, trace.ExpDuration{MeanSec: mean}, 2, 90, 15, stats.NewRNG(7))
 	if math.Abs(got-8.37) > 0.5 {
 		t.Fatalf("calibrated duration %v yields tR %v, want ~8.37", mean, got)

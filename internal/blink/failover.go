@@ -100,7 +100,7 @@ func RunFailover(cfg FailoverConfig) *FailoverResult {
 	// on the forward path only (Blink targets remote, often asymmetric,
 	// outages — if the reverse path died with it, no signal could reach
 	// anyone).
-	victim.AddRoute(packet.Prefix{Addr: sender.Addr, Bits: 32}, rAlt, nil)
+	victim.AddRoute(packet.Prefix{Addr: sender.Addr, Bits: 32}, rAlt)
 
 	pipe := NewPipeline(rBlink, cfg.Blink, PrefixPolicy{
 		Prefix:   Victim,

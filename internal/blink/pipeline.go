@@ -54,7 +54,7 @@ func NewPipeline(node *netsim.Node, cfg Config, policy PrefixPolicy) *Pipeline {
 		panic("blink: policy needs at least one next hop")
 	}
 	p := &Pipeline{node: node, bank: NewMonitorBank(1, cfg), policy: policy}
-	node.AddRoute(policy.Prefix, policy.NextHops[0], nil)
+	node.AddRoute(policy.Prefix, policy.NextHops[0])
 	p.bank.OnFailure(p.failover)
 	return p
 }
@@ -88,7 +88,7 @@ func (p *Pipeline) OnPacket(now float64, pkt *packet.Packet, node *netsim.Node) 
 func (p *Pipeline) Restart(now float64) {
 	p.bank.Restart(0, now)
 	p.current = 0
-	p.node.AddRoute(p.policy.Prefix, p.policy.NextHops[0], nil)
+	p.node.AddRoute(p.policy.Prefix, p.policy.NextHops[0])
 }
 
 // failover advances the prefix to its next backup next hop and rewrites
@@ -105,7 +105,7 @@ func (p *Pipeline) failover(_ int, now float64) {
 		return
 	}
 	p.current++
-	p.node.AddRoute(p.policy.Prefix, ev.To, nil)
+	p.node.AddRoute(p.policy.Prefix, ev.To)
 	p.reroutes = append(p.reroutes, ev)
 	if p.OnReroute != nil {
 		p.OnReroute(ev)

@@ -113,17 +113,20 @@ func MinAttackerFlows(n, threshold int, slack float64) int {
 	}
 }
 
+// requiredConfidence is the majority probability RequiredQm asks for.
+const requiredConfidence float64 = 0.95
+
 // RequiredQm returns the smallest malicious traffic fraction for which a
-// majority is reached within budget seconds with the given confidence.
-// It inverts the model by bisection; the §3.1 observation "with longer tR,
-// the attack is harder, i.e., requires higher qm" is this function's
-// monotonicity in TR.
-func RequiredQm(n, threshold int, tr, budget, confidence float64) float64 {
+// majority is reached within budget seconds with probability
+// requiredConfidence. It inverts the model by bisection; the §3.1
+// observation "with longer tR, the attack is harder, i.e., requires
+// higher qm" is this function's monotonicity in TR.
+func RequiredQm(n, threshold int, tr, budget float64) float64 {
 	lo, hi := 0.0, 1.0
 	for hi-lo > 1e-6 {
 		mid := (lo + hi) / 2
 		m := Model{N: n, Threshold: threshold, TR: tr, Qm: mid}
-		if m.MajorityProb(budget) >= confidence {
+		if m.MajorityProb(budget) >= requiredConfidence {
 			hi = mid
 		} else {
 			lo = mid

@@ -82,7 +82,7 @@ func TestRequiredQmMonotoneInTR(t *testing.T) {
 	// qm."
 	prev := 0.0
 	for _, tr := range []float64{2, 5, 10, 20, 40} {
-		qm := RequiredQm(64, 32, tr, 510, 0.95)
+		qm := RequiredQm(64, 32, tr, 510)
 		if qm <= prev {
 			t.Fatalf("required qm not increasing: tR=%v qm=%v prev=%v", tr, qm, prev)
 		}
@@ -94,7 +94,7 @@ func TestRequiredQmSufficient(t *testing.T) {
 	if err := quick.Check(func(trRaw, bRaw uint16) bool {
 		tr := 1 + float64(trRaw%400)/10  // 1..41 s
 		budget := 60 + float64(bRaw%900) // 60..960 s
-		qm := RequiredQm(64, 32, tr, budget, 0.95)
+		qm := RequiredQm(64, 32, tr, budget)
 		m := Model{N: 64, Threshold: 32, TR: tr, Qm: qm}
 		return m.MajorityProb(budget) >= 0.95-1e-6
 	}, &quick.Config{MaxCount: 30}); err != nil {
@@ -105,7 +105,7 @@ func TestRequiredQmSufficient(t *testing.T) {
 func TestRequiredQmAtPaperPoint(t *testing.T) {
 	// At tR = 8.37 s and the full 510 s budget, qm = 0.0525 is more than
 	// enough — the paper's example attack succeeds with margin.
-	qm := RequiredQm(64, 32, 8.37, 510, 0.95)
+	qm := RequiredQm(64, 32, 8.37, 510)
 	if qm > 0.0525 {
 		t.Fatalf("required qm %v exceeds the paper's 0.0525", qm)
 	}

@@ -77,44 +77,37 @@ type EvasionRow struct {
 // classifier), and the attacker perturbs inputs to evade the student
 // while the teacher — the actual semantics — is unchanged.
 type Experiment struct {
-	In, Hidden int
-	Samples    int
-	// MutableBits masks the attacker-controllable features (0 = all).
-	MutableBits uint64
-	Seed        uint64
+	Seed uint64
 }
+
+// The E7d network shape and training-set size. Every input bit is
+// attacker-controllable.
+const (
+	expIn      int    = 24
+	expHidden  int    = 12
+	expSamples int    = 1500
+	expMutable uint64 = 1<<expIn - 1
+)
 
 // Run trains the student and evaluates evasion at the given budgets.
 func (e Experiment) Run(budgets []int) (studentAcc float64, rows []EvasionRow) {
-	if e.In <= 0 {
-		e.In = 24
-	}
-	if e.Hidden <= 0 {
-		e.Hidden = 12
-	}
-	if e.Samples <= 0 {
-		e.Samples = 1500
-	}
-	if e.MutableBits == 0 {
-		e.MutableBits = 1<<e.In - 1
-	}
 	if e.Seed == 0 {
 		e.Seed = 1
 	}
 	rng := stats.NewRNG(e.Seed)
-	teacher := NewRandom(e.In, e.Hidden, rng.Child())
-	xs := make([]Input, e.Samples)
-	ys := make([]bool, e.Samples)
+	teacher := NewRandom(expIn, expHidden, rng.Child())
+	xs := make([]Input, expSamples)
+	ys := make([]bool, expSamples)
 	sampleRNG := rng.Child()
 	for i := range xs {
-		xs[i] = Input(sampleRNG.Uint64() & (1<<e.In - 1))
+		xs[i] = Input(sampleRNG.Uint64() & (1<<expIn - 1))
 		ys[i] = teacher.Classify(xs[i])
 	}
 	// Greedy hill climbing is initialization-sensitive: train a few
 	// randomly initialized students and deploy the best.
 	var student *Network
 	for r := 0; r < 3; r++ {
-		cand := NewRandom(e.In, e.Hidden, rng.Child())
+		cand := NewRandom(expIn, expHidden, rng.Child())
 		if acc := cand.Train(xs, ys, 12); acc > studentAcc {
 			studentAcc = acc
 			student = cand
@@ -131,17 +124,11 @@ func (e Experiment) Run(budgets []int) (studentAcc float64, rows []EvasionRow) {
 				var adv Input
 				var ok bool
 				if crafted {
-					adv, ok = AdversarialExample(student, x, e.MutableBits, budget)
+					adv, ok = AdversarialExample(student, x, expMutable, budget)
 				} else {
 					adv = x
 					for f := 0; f < budget; f++ {
-						for {
-							b := randRNG.IntN(e.In)
-							if e.MutableBits&(1<<b) != 0 {
-								adv ^= 1 << b
-								break
-							}
-						}
+						adv ^= 1 << randRNG.IntN(expIn)
 					}
 					ok = student.Classify(adv) != student.Classify(x)
 				}

@@ -24,27 +24,24 @@ func linkNet(l *netsim.Link) *netsim.Network {
 // duplicates, so the connection itself is unharmed — only the operator's
 // view (and the triggered recourse) is corrupted.
 type BlameNetwork struct {
-	// Every is the duplication period in data packets.
-	Every int
-
 	inj   *netsim.Injector
 	count int
 	// Injected counts fabricated packets (attack budget).
 	Injected int
 }
 
+// dupEvery is BlameNetwork's duplication period in data packets.
+const dupEvery int = 4
+
 // Attach installs the tap on the link (direction dir carries the data).
 func (b *BlameNetwork) Attach(l *netsim.Link) {
-	if b.Every <= 0 {
-		b.Every = 4
-	}
 	nw := linkNet(l)
 	b.inj = l.AttachTap(netsim.TapFunc(func(now float64, p *packet.Packet, dir netsim.Direction) netsim.TapVerdict {
 		if p.TCP == nil || p.Size <= 60 {
 			return netsim.TapVerdict{}
 		}
 		b.count++
-		if b.count%b.Every == 0 {
+		if b.count%dupEvery == 0 {
 			dup := nw.CloneTCP(p)
 			dup.ID = 0 // fresh packet identity
 			b.inj.Inject(dup, dir)
@@ -59,24 +56,23 @@ func (b *BlameNetwork) Attach(l *netsim.Link) {
 // receiver. As collateral the sender genuinely throttles — the attack
 // both degrades the connection and mis-attributes the degradation.
 type BlameReceiver struct {
-	// Window is the forged advertised window (bytes).
-	Window uint16
 	// Rewritten counts modified ACKs.
 	Rewritten int
 }
 
+// shrunkWindow is BlameReceiver's forged advertised window: one MSS,
+// which pins even an application-paced flow's flight.
+const shrunkWindow uint16 = 1460
+
 // Attach installs the tap on the ACK path.
 func (b *BlameReceiver) Attach(l *netsim.Link) {
-	if b.Window == 0 {
-		b.Window = 4096
-	}
 	nw := linkNet(l)
 	l.AttachTap(netsim.TapFunc(func(now float64, p *packet.Packet, dir netsim.Direction) netsim.TapVerdict {
 		if p.TCP == nil || p.Size > 60 || p.TCP.Window == 0 {
 			return netsim.TapVerdict{}
 		}
 		q := nw.CloneTCP(p)
-		q.TCP.Window = b.Window
+		q.TCP.Window = shrunkWindow
 		b.Rewritten++
 		return netsim.TapVerdict{Replace: q}
 	}))
@@ -90,24 +86,23 @@ func (b *BlameReceiver) Attach(l *netsim.Link) {
 // real deployment that overruns the receiver's buffer, a classic
 // flow-control attack stacked on top of the mis-attribution.
 type BlameSender struct {
-	// Window is the forged (inflated) advertised window.
-	Window uint16
 	// Rewritten counts modified ACKs.
 	Rewritten int
 }
 
+// inflatedWindow is BlameSender's forged advertised window, the largest
+// an unscaled TCP header holds.
+const inflatedWindow uint16 = 65535
+
 // Attach installs the tap on the ACK path upstream of the monitor.
 func (b *BlameSender) Attach(l *netsim.Link) {
-	if b.Window == 0 {
-		b.Window = 65535
-	}
 	nw := linkNet(l)
 	l.AttachTap(netsim.TapFunc(func(now float64, p *packet.Packet, dir netsim.Direction) netsim.TapVerdict {
 		if p.TCP == nil || p.Size > 60 || p.TCP.Window == 0 {
 			return netsim.TapVerdict{}
 		}
 		q := nw.CloneTCP(p)
-		q.TCP.Window = b.Window
+		q.TCP.Window = inflatedWindow
 		b.Rewritten++
 		return netsim.TapVerdict{Replace: q}
 	}))

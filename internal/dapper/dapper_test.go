@@ -75,7 +75,7 @@ func TestConfusionMatrixDiagonal(t *testing.T) {
 		TrueReceiver: ReceiverLimited,
 		TrueSender:   SenderLimited,
 	}
-	for _, out := range ConfusionMatrix(25) {
+	for _, out := range ConfusionMatrix() {
 		if out.Attack == None && out.Diagnosis != want[out.Scenario] {
 			t.Fatalf("honest %v diagnosed %v", out.Scenario, out.Diagnosis)
 		}

@@ -131,16 +131,15 @@ func RunWith(rc RunConfig) Outcome {
 	budget := func() int { return 0 }
 	switch atk {
 	case InjectRetransmissions:
-		b := &BlameNetwork{Every: 4}
+		b := &BlameNetwork{}
 		b.Attach(srcLink)
 		budget = func() int { return b.Injected }
 	case ShrinkWindow:
-		// One MSS: pins even an application-paced flow's flight.
-		b := &BlameReceiver{Window: 1460}
+		b := &BlameReceiver{}
 		b.Attach(ackLink)
 		budget = func() int { return b.Rewritten }
 	case InflateWindow:
-		b := &BlameSender{Window: 65535}
+		b := &BlameSender{}
 		b.Attach(ackLink)
 		budget = func() int { return b.Rewritten }
 	}
@@ -174,14 +173,17 @@ func RunWith(rc RunConfig) Outcome {
 	}
 }
 
+// confusionDuration is the simulated seconds of each ConfusionMatrix run.
+const confusionDuration float64 = 25
+
 // ConfusionMatrix runs every scenario × attack combination and returns
 // the outcomes: the honest diagonal must be correct, and each attack must
 // flip the diagnosis it targets.
-func ConfusionMatrix(duration float64) []Outcome {
+func ConfusionMatrix() []Outcome {
 	var out []Outcome
 	for _, sc := range []Scenario{TrueNetwork, TrueReceiver, TrueSender} {
 		for _, atk := range []Attack{None, InjectRetransmissions, ShrinkWindow, InflateWindow} {
-			out = append(out, Run(sc, atk, duration))
+			out = append(out, Run(sc, atk, confusionDuration))
 		}
 	}
 	return out

@@ -15,17 +15,17 @@ type AttackOutcome struct {
 	// AchievedDensity is the maximum number of the attacker's flows
 	// that actually share one physical link — the real damage.
 	AchievedDensity int
-	// OptimalDensity is what the same budget achieves with ground-truth
-	// knowledge (flooding the physically hottest link).
+	// OptimalDensity is what an attacker with ground-truth knowledge
+	// achieves (flooding the physically hottest link).
 	OptimalDensity int
 	// Success is Achieved/Optimal ∈ [0,1].
 	Success float64
 }
 
 // EvaluateAttack plans a link-flooding attack from the view topology and
-// measures its effect on the physical topology. budget caps the number of
-// flooding pairs (0 = unlimited).
-func EvaluateAttack(phys, view PathMap, budget int) AttackOutcome {
+// measures its effect on the physical topology. The attacker floods every
+// pair the plan picks.
+func EvaluateAttack(phys, view PathMap) AttackOutcome {
 	var out AttackOutcome
 	var flood []Pair
 
@@ -36,27 +36,19 @@ func EvaluateAttack(phys, view PathMap, budget int) AttackOutcome {
 			flood = append(flood, pair)
 		}
 	}
-	sortPairs(flood)
-	if budget > 0 && len(flood) > budget {
-		flood = flood[:budget]
-	}
 	out.FloodPairs = len(flood)
 
 	// Effect: the flows follow the *physical* paths.
 	out.AchievedDensity = floodDensity(phys, flood)
 
-	// Oracle baseline: flood the physically hottest link with the same
-	// budget.
+	// Oracle baseline: flood every pair crossing the physically hottest
+	// link.
 	physHot, _ := phys.MaxDensity()
 	var oracle []Pair
 	for pair, path := range phys {
 		if pathHasLink(path, physHot) {
 			oracle = append(oracle, pair)
 		}
-	}
-	sortPairs(oracle)
-	if budget > 0 && len(oracle) > budget {
-		oracle = oracle[:budget]
 	}
 	out.OptimalDensity = floodDensity(phys, oracle)
 	if out.OptimalDensity > 0 {
@@ -84,21 +76,6 @@ func floodDensity(phys PathMap, flood []Pair) int {
 		}
 	}
 	return max
-}
-
-func sortPairs(ps []Pair) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && less(ps[j], ps[j-1]); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func less(a, b Pair) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	return a.Dst < b.Dst
 }
 
 // HiddenLinkVisible reports whether any path of the view still traverses

@@ -134,13 +134,13 @@ func TestAttackDegradedByObfuscation(t *testing.T) {
 	_, physMax := phys.MaxDensity()
 
 	// Without NetHide the attacker's plan is optimal.
-	clean := EvaluateAttack(phys, Survey(phys, pairs), 0)
+	clean := EvaluateAttack(phys, Survey(phys, pairs))
 	if clean.Success != 1 {
 		t.Fatalf("ground-truth attack success = %v", clean.Success)
 	}
 
 	virt, _ := Obfuscate(g, pairs, Config{DensityCap: physMax / 2}, stats.NewRNG(3))
-	obf := EvaluateAttack(phys, Survey(virt, pairs), 0)
+	obf := EvaluateAttack(phys, Survey(virt, pairs))
 	if obf.Success >= 1 {
 		t.Fatalf("obfuscation did not reduce attack success: %+v", obf)
 	}
@@ -166,7 +166,7 @@ func TestMaliciousOperatorHidesLink(t *testing.T) {
 	}
 	// Attacker aiming at the hottest visible link no longer targets the
 	// real one optimally.
-	out := EvaluateAttack(phys, view, 0)
+	out := EvaluateAttack(phys, view)
 	if out.TargetVirt == hot {
 		t.Fatal("attacker still found the hidden link")
 	}

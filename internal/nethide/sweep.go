@@ -29,7 +29,7 @@ func SweepCaps(g *graph.Graph, pairs []Pair, caps []int, cfg Config, seed uint64
 			c := cfg
 			c.DensityCap = cap
 			virt, m := Obfuscate(g, pairs, c, stats.ChildAt(seed, uint64(t.Index)))
-			atk := EvaluateAttack(phys, Survey(virt, pairs), 0)
+			atk := EvaluateAttack(phys, Survey(virt, pairs))
 			return SweepRow{Cap: cap, Metrics: m, AttackSuccess: atk.Success}, nil
 		})
 	return rows

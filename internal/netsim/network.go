@@ -251,7 +251,7 @@ func (nw *Network) ComputeRoutes() {
 				continue
 			}
 			if hop, ok := tree.FirstHop(graph.NodeID(d.node.id)); ok {
-				src.AddRoute(d.pfx, nw.nodes[hop], nil)
+				src.AddRoute(d.pfx, nw.nodes[hop])
 			}
 		}
 	}

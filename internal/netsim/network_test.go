@@ -124,7 +124,7 @@ func TestRoutingPrefersLowDelayAndReroutes(t *testing.T) {
 		t.Fatalf("r1 next hop = %v", r1.NextHop(h2.Addr).Name())
 	}
 	// Operator rerouting (config manipulation) moves traffic to r3.
-	r1.AddRoute(packet.Prefix{Addr: h2.Addr, Bits: 32}, r3, nil)
+	r1.AddRoute(packet.Prefix{Addr: h2.Addr, Bits: 32}, r3)
 	var path []string
 	r3.AttachProgram(programFunc(func(now float64, p *packet.Packet, n *Node) bool {
 		path = append(path, n.Name())
@@ -148,8 +148,8 @@ func TestLongestPrefixMatchWins(t *testing.T) {
 	r2 := nw.AddRouter("r2")
 	nw.Connect(h, r1, 0, 0.001, 0)
 	nw.Connect(h, r2, 0, 0.001, 0)
-	h.AddRoute(packet.MustParsePrefix("0.0.0.0/0"), r1, nil)
-	h.AddRoute(packet.MustParsePrefix("10.9.0.0/16"), r2, nil)
+	h.AddRoute(packet.MustParsePrefix("0.0.0.0/0"), r1)
+	h.AddRoute(packet.MustParsePrefix("10.9.0.0/16"), r2)
 	if h.NextHop(packet.MustParseAddr("10.9.1.1")) != r2 {
 		t.Fatal("specific route ignored")
 	}
@@ -263,8 +263,8 @@ func TestHostDoesNotForwardTransit(t *testing.T) {
 	h2 := nw.AddHost("h2", packet.MustParseAddr("10.0.0.3"))
 	nw.Connect(h1, hm, 0, 0.001, 0)
 	nw.Connect(hm, h2, 0, 0.001, 0)
-	h1.AddRoute(packet.MustParsePrefix("0.0.0.0/0"), hm, nil)
-	hm.AddRoute(packet.MustParsePrefix("0.0.0.0/0"), h2, nil)
+	h1.AddRoute(packet.MustParsePrefix("0.0.0.0/0"), hm)
+	hm.AddRoute(packet.MustParsePrefix("0.0.0.0/0"), h2)
 	delivered := 0
 	h2.SetReceiver(ReceiverFunc(func(now float64, p *packet.Packet) { delivered++ }))
 	h1.Send(packet.NewTCP(h1.Addr, h2.Addr, packet.TCPHeader{}, 100))
@@ -279,7 +279,7 @@ func TestNoRouteCounted(t *testing.T) {
 	h1 := nw.AddHost("h1", packet.MustParseAddr("10.0.0.1"))
 	r1 := nw.AddRouter("r1")
 	nw.Connect(h1, r1, 0, 0.001, 0)
-	h1.AddRoute(packet.MustParsePrefix("0.0.0.0/0"), r1, nil)
+	h1.AddRoute(packet.MustParsePrefix("0.0.0.0/0"), r1)
 	h1.Send(packet.NewTCP(h1.Addr, packet.MustParseAddr("99.9.9.9"), packet.TCPHeader{}, 100))
 	nw.RunUntil(1)
 	if r1.Stats().NoRoute != 1 {

@@ -94,20 +94,19 @@ func (n *Node) SetReceiver(r Receiver) { n.receiver = r }
 // attachment order.
 func (n *Node) AttachProgram(p Program) { n.programs = append(n.programs, p) }
 
-// AddRoute installs prefix → next hop. The route replaces any existing
-// route for exactly the same prefix. via must be a link attaching n to
-// nexthop; pass nil to auto-select the first such link.
-func (n *Node) AddRoute(pfx packet.Prefix, nexthop *Node, via *Link) {
+// AddRoute installs prefix → next hop, reached over the first link
+// attaching n to nexthop. The route replaces any existing route for
+// exactly the same prefix.
+func (n *Node) AddRoute(pfx packet.Prefix, nexthop *Node) {
+	var via *Link
+	for _, l := range n.links {
+		if l.Peer(n) == nexthop {
+			via = l
+			break
+		}
+	}
 	if via == nil {
-		for _, l := range n.links {
-			if l.Peer(n) == nexthop {
-				via = l
-				break
-			}
-		}
-		if via == nil {
-			panic("netsim: no link to next hop " + nexthop.name)
-		}
+		panic("netsim: no link to next hop " + nexthop.name)
 	}
 	for i := range n.routes {
 		if n.routes[i].prefix == pfx {

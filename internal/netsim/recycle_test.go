@@ -92,7 +92,7 @@ func TestReleaseOnHostTransit(t *testing.T) {
 	nw.Connect(h1, h2, 0, 0.01, 0)
 	nw.ComputeRoutes()
 	// h1 routes 99/8 at h2, which is a host and does not forward.
-	h1.AddRoute(packet.Prefix{Addr: packet.MustParseAddr("99.0.0.0"), Bits: 8}, h2, nil)
+	h1.AddRoute(packet.Prefix{Addr: packet.MustParseAddr("99.0.0.0"), Bits: 8}, h2)
 	p := nw.NewTCP(addrH1, packet.MustParseAddr("99.9.9.9"), packet.TCPHeader{}, 100)
 	h1.Send(p)
 	nw.RunUntil(1)
@@ -104,7 +104,7 @@ func TestReleaseOnHostTransit(t *testing.T) {
 
 func TestReleaseOnNoRouteAndProgramDrop(t *testing.T) {
 	nw, h1, r, _, _ := recycleNet(0, 0.01, 0)
-	h1.AddRoute(packet.Prefix{Addr: packet.MustParseAddr("99.0.0.0"), Bits: 8}, r, nil)
+	h1.AddRoute(packet.Prefix{Addr: packet.MustParseAddr("99.0.0.0"), Bits: 8}, r)
 	p := nw.NewTCP(addrH1, packet.MustParseAddr("99.9.9.9"), packet.TCPHeader{}, 100)
 	h1.Send(p)
 	nw.RunUntil(1)

@@ -12,10 +12,7 @@ import "math"
 //
 // It returns the ε value in effect at each decision round and the
 // steady-state peak-to-peak relative rate amplitude (2·εmax).
-func ForcedOscillation(epsMin, epsMax float64, rounds int) (epsTrace []float64, amplitude float64) {
-	if epsMin <= 0 {
-		epsMin = 0.01
-	}
+func ForcedOscillation(epsMax float64, rounds int) (epsTrace []float64, amplitude float64) {
 	if epsMax <= 0 {
 		epsMax = 0.05
 	}

@@ -103,7 +103,7 @@ func TestAttackPreventsConvergence(t *testing.T) {
 // trial tied, ε marches to the 5% cap and stays, so the flow fluctuates
 // by ±5% forever.
 func TestForcedOscillationModel(t *testing.T) {
-	trace, amp := ForcedOscillation(0.01, 0.05, 10)
+	trace, amp := ForcedOscillation(0.05, 10)
 	want := []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05}
 	if len(trace) != len(want) {
 		t.Fatalf("eps trace has %d rounds, want %d", len(trace), len(want))

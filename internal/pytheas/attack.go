@@ -69,17 +69,18 @@ func (p Poison) IsBot(s int) bool { return s < p.Bots }
 // stampedes to the other site, and — if that site lacks capacity — the
 // whole group's QoE collapses.
 type Throttle struct {
-	// Target is the option whose users are degraded.
-	Target Option
-	// Coverage is the fraction of sessions whose path the attacker
-	// intercepts (by session index, deterministic).
-	Coverage float64
-	// Severity multiplies the measured QoE of intercepted sessions on
-	// the target option (e.g., 0.3 = heavily throttled).
-	Severity float64
-	// Sessions is the group population (to resolve Coverage).
+	// Sessions is the group population (to resolve the coverage).
 	Sessions int
 }
+
+// The Throttle attack's reach: it degrades option 0, on the paths of the
+// first throttleCoverage of the sessions (by index, deterministic), and
+// multiplies their measured QoE there by throttleSeverity.
+const (
+	throttleTarget   Option  = 0
+	throttleCoverage float64 = 0.7
+	throttleSeverity float64 = 0.2
+)
 
 // Reports implements Attacker: everyone reports the truth (as they
 // experienced it).
@@ -88,8 +89,8 @@ func (t Throttle) Reports(_ int, _ Option, q float64) []float64 { return []float
 // Measure implements Attacker: intercepted sessions on the target option
 // see degraded service.
 func (t Throttle) Measure(session int, opt Option, q float64) float64 {
-	if opt == t.Target && session < int(t.Coverage*float64(t.Sessions)) {
-		return q * t.Severity
+	if opt == throttleTarget && session < int(throttleCoverage*float64(t.Sessions)) {
+		return q * throttleSeverity
 	}
 	return q
 }

@@ -64,14 +64,14 @@ type ThrottleOutcome struct {
 // option is intrinsically better but the attacker throttles the sessions
 // it can see on it; the alternative has limited capacity, so the stampede
 // overloads it.
-func RunThrottle(cfg SimConfig, coverage, severity float64) *ThrottleOutcome {
+func RunThrottle(cfg SimConfig) *ThrottleOutcome {
 	cfg = cfg.Defaults()
 	if cfg.Options[1].Capacity == 0 {
 		// Give the fallback site finite capacity so the stampede hurts.
 		cfg.Options[1].Capacity = cfg.Sessions / 2
 	}
 	base := Run(cfg, NoAttack{})
-	atk := Throttle{Target: 0, Coverage: coverage, Severity: severity, Sessions: cfg.Sessions}
+	atk := Throttle{Sessions: cfg.Sessions}
 	att := Run(cfg, atk)
 	peak := 0.0
 	for _, v := range att.OnOption[1].Values {

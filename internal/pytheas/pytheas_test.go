@@ -164,7 +164,7 @@ func TestDefenseRestoresQoE(t *testing.T) {
 // TestThrottleStampede: MitM throttling of the good site pushes the group
 // onto the capacity-limited alternative and overloads it.
 func TestThrottleStampede(t *testing.T) {
-	out := RunThrottle(SimConfig{Seed: 4}, 0.7, 0.2)
+	out := RunThrottle(SimConfig{Seed: 4})
 	if out.PeakStampedeShare < 0.5 {
 		t.Fatalf("no stampede: peak share on fallback = %v", out.PeakStampedeShare)
 	}

@@ -84,13 +84,13 @@ func (bnnSystem) Run(attack string, guarded bool, prof Profile, seed uint64, qui
 
 	var g *supervisor.BNNGuard
 	if guarded {
-		// The envelope anchors on the prototypes alone, at MaxDist 4:
+		// The envelope anchors on the prototypes alone, at distance 4:
 		// honest inputs sit within 2 flips of a prototype (3 under gray
 		// noise, 4 in a flap burst), so no profile pushes the honest
 		// flagged fraction over the alarm threshold — the full training
 		// set would cover adversarial examples with its members' own ±2
 		// neighborhoods and weaken the check.
-		g = supervisor.NewBNNGuard(xs[:protos], 4)
+		g = supervisor.NewBNNGuard(xs[:protos])
 	}
 
 	flagged, total := 0, 0

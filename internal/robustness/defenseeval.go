@@ -72,7 +72,7 @@ func evalPytheas(d *DefenseEval, seed uint64) {
 	d.PytheasAttacked = pytheas.Run(base, atk).HonestQoELate
 	d.PytheasDefended = pytheas.Run(defended, atk).HonestQoELate
 	d.PytheasClean = pytheas.Run(base, nil).HonestQoELate
-	d.PytheasDetector = (&supervisor.PytheasGuard{K: 4}).Check(poisonedWindow())
+	d.PytheasDetector = (&supervisor.PytheasGuard{}).Check(poisonedWindow())
 }
 
 func evalPCC(d *DefenseEval, seed uint64) {
@@ -83,7 +83,7 @@ func evalPCC(d *DefenseEval, seed uint64) {
 	d.PCCClean = (&supervisor.PCCGuard{}).Check(runs[0].Records)
 	d.PCCAttacked = (&supervisor.PCCGuard{}).Check(runs[1].Records)
 	for _, cap := range []float64{0.05, 0.03, 0.01} {
-		_, amp := pcc.ForcedOscillation(0.01, cap, 20)
+		_, amp := pcc.ForcedOscillation(cap, 20)
 		d.Clamps = append(d.Clamps, EpsClamp{Cap: cap, Amp: amp})
 	}
 }

@@ -22,10 +22,6 @@ type Overlay struct {
 	n   int
 	lat [][]float64 // true one-way underlay latency (seconds)
 	est [][]float64 // probe-derived estimates
-	// Alpha is the EWMA weight for new probe samples.
-	Alpha float64
-	// Jitter is the per-probe measurement noise standard deviation.
-	Jitter float64
 	// Admit, if set, vets every probe measurement before it reaches the
 	// estimator (the §5 probe-consistency guard); a rejected sample
 	// leaves the (i, j) estimate untouched, timeouts included.
@@ -36,6 +32,13 @@ type Overlay struct {
 	// ProbesSent / ProbesTampered account the attacker's budget.
 	ProbesSent, ProbesTampered uint64
 }
+
+// probeAlpha is the estimator's EWMA weight for new probe samples, and
+// probeJitter the per-probe measurement noise standard deviation.
+const (
+	probeAlpha  float64 = 0.3
+	probeJitter float64 = 0.0005
+)
 
 // ProbeTamper distorts one probe measurement crossing the (i, j) overlay
 // link; it returns the value the prober observes. Returning +Inf models a
@@ -63,7 +66,7 @@ func NewRandom(n int, rng *stats.RNG) *Overlay {
 			lat[i][j], lat[j][i] = l, l
 		}
 	}
-	o := &Overlay{n: n, lat: lat, Alpha: 0.3, Jitter: 0.0005, rng: rng.Child()}
+	o := &Overlay{n: n, lat: lat, rng: rng.Child()}
 	o.est = make([][]float64, n)
 	for i := range o.est {
 		o.est[i] = make([]float64, n)
@@ -87,7 +90,7 @@ func (o *Overlay) Probe(tamper ProbeTamper) {
 				continue
 			}
 			o.ProbesSent++
-			m := o.lat[i][j] + o.Jitter*math.Abs(o.rng.NormFloat64())
+			m := o.lat[i][j] + probeJitter*math.Abs(o.rng.NormFloat64())
 			if tamper != nil {
 				t := tamper(i, j, m)
 				if t != m {
@@ -106,7 +109,7 @@ func (o *Overlay) Probe(tamper ProbeTamper) {
 			if math.IsInf(o.est[i][j], 1) {
 				o.est[i][j] = m
 			} else {
-				o.est[i][j] = (1-o.Alpha)*o.est[i][j] + o.Alpha*m
+				o.est[i][j] = (1-probeAlpha)*o.est[i][j] + probeAlpha*m
 			}
 		}
 	}
@@ -204,27 +207,33 @@ type Outcome struct {
 	TamperBudget float64
 }
 
+// The E7c setup: an 8-node overlay whose victim pair is (0, 1).
+const (
+	attackNodes          int = 8
+	victimSrc, victimDst int = 0, 1
+)
+
 // RunProbeAttack builds a random overlay, lets it converge, applies the
 // tamper for a number of rounds, and reports the victim pair's fate.
-func RunProbeAttack(n int, seed uint64, mk func(o *Overlay) (ProbeTamper, int), src, dst int) Outcome {
+func RunProbeAttack(seed uint64, mk func(o *Overlay) (ProbeTamper, int)) Outcome {
 	rng := stats.NewRNG(seed)
-	o := NewRandom(n, rng)
+	o := NewRandom(attackNodes, rng)
 	for r := 0; r < 20; r++ {
 		o.Probe(nil)
 	}
 	out := Outcome{
-		DirectLatency: o.TrueLatency(src, dst),
-		CleanLatency:  o.DataLatency(src, dst),
+		DirectLatency: o.TrueLatency(victimSrc, victimDst),
+		CleanLatency:  o.DataLatency(victimSrc, victimDst),
 	}
 	tamper, via := mk(o)
 	for r := 0; r < 40; r++ {
 		o.Probe(tamper)
 	}
-	out.AttackedLatency = o.DataLatency(src, dst)
+	out.AttackedLatency = o.DataLatency(victimSrc, victimDst)
 	if out.CleanLatency > 0 {
 		out.Inflation = out.AttackedLatency / out.CleanLatency
 	}
-	route := o.Route(src, dst)
+	route := o.Route(victimSrc, victimDst)
 	out.Diverted = len(route) > 2
 	for _, hop := range route[1 : len(route)-1] {
 		if hop == via {

@@ -55,9 +55,9 @@ func TestCleanRouteNearOptimal(t *testing.T) {
 // TestProbeDelayDivertsTraffic is the §3.2 attack: delaying only probes
 // moves the data off the (perfectly healthy) direct path.
 func TestProbeDelayDivertsTraffic(t *testing.T) {
-	out := RunProbeAttack(8, 3, func(o *Overlay) (ProbeTamper, int) {
+	out := RunProbeAttack(3, func(o *Overlay) (ProbeTamper, int) {
 		return DelayProbes(0, 1, 0.2), -1
-	}, 0, 1)
+	})
 	if !out.Diverted {
 		t.Fatal("traffic not diverted")
 	}
@@ -73,9 +73,9 @@ func TestProbeDelayDivertsTraffic(t *testing.T) {
 
 // TestProbeDropMarksPathDead: dropped probes look like a dead path.
 func TestProbeDropMarksPathDead(t *testing.T) {
-	out := RunProbeAttack(8, 4, func(o *Overlay) (ProbeTamper, int) {
+	out := RunProbeAttack(4, func(o *Overlay) (ProbeTamper, int) {
 		return DropProbes(0, 1), -1
-	}, 0, 1)
+	})
 	if !out.Diverted {
 		t.Fatal("traffic not diverted off the 'dead' path")
 	}
@@ -85,9 +85,9 @@ func TestProbeDropMarksPathDead(t *testing.T) {
 // traffic through a node of her choice (e.g., one she can eavesdrop).
 func TestSteerViaChosenIntermediate(t *testing.T) {
 	// Pick the intermediate deterministically: node 5.
-	out := RunProbeAttack(8, 5, func(o *Overlay) (ProbeTamper, int) {
+	out := RunProbeAttack(5, func(o *Overlay) (ProbeTamper, int) {
 		return SteerVia(0, 1, 5, 0.2), 5
-	}, 0, 1)
+	})
 	if !out.ViaAttacker {
 		t.Fatal("traffic not steered through the attacker's intermediate")
 	}
@@ -95,8 +95,8 @@ func TestSteerViaChosenIntermediate(t *testing.T) {
 
 func TestAttackDeterministic(t *testing.T) {
 	mk := func(o *Overlay) (ProbeTamper, int) { return DelayProbes(0, 1, 0.1), -1 }
-	a := RunProbeAttack(8, 6, mk, 0, 1)
-	b := RunProbeAttack(8, 6, mk, 0, 1)
+	a := RunProbeAttack(6, mk)
+	b := RunProbeAttack(6, mk)
 	if a.AttackedLatency != b.AttackedLatency || a.TamperBudget != b.TamperBudget {
 		t.Fatal("nondeterministic attack run")
 	}

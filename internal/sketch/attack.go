@@ -99,7 +99,8 @@ type PollutionExperiment struct {
 
 // The pollution experiment's FlowRadar geometry and attack target.
 const (
-	// pollutionK is the number of hash partitions.
+	// pollutionK is the number of hash partitions (and the saturation
+	// attack's Bloom hash count).
 	pollutionK int = 3
 	// pollutionRegion is the targeted fraction of the table.
 	pollutionRegion float64 = 0.05
@@ -175,10 +176,17 @@ func (e PollutionExperiment) Run(attackCounts []int) []PollutionRow {
 	return rows
 }
 
+// The targeted attack's budget: targetedRegionFlows polluting flows, and
+// targetedPerCell hiders in each of the victim's cells.
+const (
+	targetedRegionFlows int = 400
+	targetedPerCell     int = 2
+)
+
 // RunTargeted hides one victim legitimate flow: region pollution plus the
 // targeted hiders. It returns whether the victim was decoded and the
 // decode fraction of the remaining legitimate flows (collateral).
-func (e PollutionExperiment) RunTargeted(regionFlows, perCell int) (victimDecoded bool, otherLegit float64) {
+func (e PollutionExperiment) RunTargeted() (victimDecoded bool, otherLegit float64) {
 	e.defaults()
 	rng := stats.NewRNG(e.Seed)
 	legit := e.legitSet(rng)
@@ -188,10 +196,10 @@ func (e PollutionExperiment) RunTargeted(regionFlows, perCell int) (victimDecode
 	for _, id := range legit {
 		fr.Add(id)
 	}
-	for _, id := range CraftPollutingFlows(e.M, pollutionK, regionFlows, pollutionRegion, 1) {
+	for _, id := range CraftPollutingFlows(e.M, pollutionK, targetedRegionFlows, pollutionRegion, 1) {
 		fr.Add(id)
 	}
-	for _, id := range CraftTargetedHiders(e.M, pollutionK, victim, pollutionRegion, perCell, 1<<40) {
+	for _, id := range CraftTargetedHiders(e.M, pollutionK, victim, pollutionRegion, targetedPerCell, 1<<40) {
 		fr.Add(id)
 	}
 	dec := fr.Decode()

@@ -58,21 +58,28 @@ func (b *Bloom) EstimateFPR(probes int, rng *stats.RNG) float64 {
 	return float64(hits) / float64(probes)
 }
 
+// The saturation attack's filter: saturationM bits and pollutionK hashes,
+// pushed to a measured FPR of saturationFPR.
+const (
+	saturationM   int     = 4096
+	saturationFPR float64 = 0.5
+)
+
 // SaturationInsertions counts the insertions needed to push the measured
-// FPR to the target, using either crafted keys (each chosen to set k
-// fresh bits — a greedy scan over the public hash) or random keys. The
-// crafted/random ratio is the attacker's advantage.
-func SaturationInsertions(m, k int, targetFPR float64, crafted bool, rng *stats.RNG) int {
-	b := NewBloom(m, k)
+// FPR to saturationFPR, using either crafted keys (each chosen to set
+// pollutionK fresh bits — a greedy scan over the public hash) or random
+// keys. The crafted/random ratio is the attacker's advantage.
+func SaturationInsertions(crafted bool, rng *stats.RNG) int {
+	b := NewBloom(saturationM, pollutionK)
 	n := 0
 	next := FlowID(1)
 	var buf [8]int
-	for b.EstimateFPR(400, rng.Child()) < targetFPR {
+	for b.EstimateFPR(400, rng.Child()) < saturationFPR {
 		if crafted {
 			// Greedy: take the next key all of whose bits are unset.
 			for {
 				ok := true
-				for _, p := range appendPositions(buf[:0], next, k, m) {
+				for _, p := range appendPositions(buf[:0], next, pollutionK, saturationM) {
 					if b.bits[p] {
 						ok = false
 						break
@@ -89,7 +96,7 @@ func SaturationInsertions(m, k int, targetFPR float64, crafted bool, rng *stats.
 			b.Add(FlowID(rng.Uint64() &^ (3 << 62)))
 		}
 		n++
-		if n > 100*m {
+		if n > 100*saturationM {
 			break // safety: unreachable target
 		}
 	}

@@ -154,7 +154,7 @@ func TestRandomSaturationThreshold(t *testing.T) {
 // TestTargetedHiding: the attacker conceals one chosen legitimate flow
 // from the statistics while every other legitimate flow still decodes.
 func TestTargetedHiding(t *testing.T) {
-	victimDecoded, others := PollutionExperiment{Seed: 4}.RunTargeted(400, 2)
+	victimDecoded, others := PollutionExperiment{Seed: 4}.RunTargeted()
 	if victimDecoded {
 		t.Fatal("victim flow still visible in decoded statistics")
 	}
@@ -167,8 +167,8 @@ func TestTargetedHiding(t *testing.T) {
 // substantially fewer insertions than random keys (Gerbet et al.).
 func TestBloomSaturationAdvantage(t *testing.T) {
 	rng := stats.NewRNG(5)
-	random := SaturationInsertions(4096, 3, 0.5, false, rng.Child())
-	crafted := SaturationInsertions(4096, 3, 0.5, true, rng.Child())
+	random := SaturationInsertions(false, rng.Child())
+	crafted := SaturationInsertions(true, rng.Child())
 	if crafted <= 0 || random <= 0 {
 		t.Fatalf("degenerate saturation counts: %d %d", crafted, random)
 	}

@@ -49,15 +49,15 @@ type RunResult struct {
 	Dequeued    int
 }
 
+// backlog is the standing queue Run builds before it starts serving.
+const backlog int = 256
+
 // Run feeds the workload through q with a standing backlog: the first
-// `backlog` arrivals build up a queue, then arrivals and services
+// backlog arrivals build up a queue, then arrivals and services
 // alternate one-for-one, and the queue drains at the end. A loaded queue
 // is the regime where scheduling order matters — an empty switch queue
 // has nothing to reorder.
-func Run(q Queue, w Workload, backlog int, rng *stats.RNG) RunResult {
-	if backlog <= 0 {
-		backlog = 256
-	}
+func Run(q Queue, w Workload, rng *stats.RNG) RunResult {
 	// Build the interleaved arrival sequence: attack packets are evenly
 	// spread among victim packets.
 	var arrivals []Packet
@@ -110,9 +110,12 @@ func Run(q Queue, w Workload, backlog int, rng *stats.RNG) RunResult {
 type Experiment struct {
 	Queues  int
 	Victims int
-	MaxRank int
 	Seed    uint64
 }
+
+// expMaxRank bounds the Experiment's ranks: victims draw uniform ranks in
+// [0, expMaxRank) and the attack ramps descend from it.
+const expMaxRank int = 100
 
 // Outcome holds the comparison. Even an ideal PIFO cannot order packets
 // across drain bursts (later packets did not exist yet), so the meaningful
@@ -141,25 +144,22 @@ func (e Experiment) Run() Outcome {
 	if e.Victims <= 0 {
 		e.Victims = 2000
 	}
-	if e.MaxRank <= 0 {
-		e.MaxRank = 100
-	}
 	if e.Seed == 0 {
 		e.Seed = 1
 	}
 	rng := stats.NewRNG(e.Seed)
-	attack := DescendingRamps(e.Victims/2, e.MaxRank)
-	wRand := Workload{Victims: e.Victims, VictimMaxRank: e.MaxRank}
-	wAtk := Workload{Victims: e.Victims, VictimMaxRank: e.MaxRank, Attack: attack}
+	attack := DescendingRamps(e.Victims/2, expMaxRank)
+	wRand := Workload{Victims: e.Victims, VictimMaxRank: expMaxRank}
+	wAtk := Workload{Victims: e.Victims, VictimMaxRank: expMaxRank, Attack: attack}
 
 	var out Outcome
 	// Paired seeds: each PIFO reference sees the identical arrival
 	// sequence as its SP-PIFO counterpart.
 	seedRand, seedAtk := rng.Uint64(), rng.Uint64()
-	out.PIFORandom = Run(&PIFO{}, wRand, 256, stats.NewRNG(seedRand))
-	out.RandomRanks = Run(New(e.Queues, 0), wRand, 256, stats.NewRNG(seedRand))
-	out.PIFOAttack = Run(&PIFO{}, wAtk, 256, stats.NewRNG(seedAtk))
-	out.Adversarial = Run(New(e.Queues, 0), wAtk, 256, stats.NewRNG(seedAtk))
+	out.PIFORandom = Run(&PIFO{}, wRand, stats.NewRNG(seedRand))
+	out.RandomRanks = Run(New(e.Queues, 0), wRand, stats.NewRNG(seedRand))
+	out.PIFOAttack = Run(&PIFO{}, wAtk, stats.NewRNG(seedAtk))
+	out.Adversarial = Run(New(e.Queues, 0), wAtk, stats.NewRNG(seedAtk))
 	out.RandomExcess = out.RandomRanks.Unpifoness - out.PIFORandom.Unpifoness
 	out.AdversarialExcess = out.Adversarial.Unpifoness - out.PIFOAttack.Unpifoness
 	if out.RandomExcess > 0 {

@@ -131,7 +131,7 @@ func TestMeanVictimDelay(t *testing.T) {
 func TestMoreQueuesApproximateBetter(t *testing.T) {
 	rng := stats.NewRNG(3)
 	run := func(k int) int {
-		return Run(New(k, 0), Workload{Victims: 3000, VictimMaxRank: 100}, 256, stats.NewRNG(7)).Unpifoness
+		return Run(New(k, 0), Workload{Victims: 3000, VictimMaxRank: 100}, stats.NewRNG(7)).Unpifoness
 	}
 	u2, u8, u32 := run(2), run(8), run(32)
 	if !(u32 < u8 && u8 < u2) {

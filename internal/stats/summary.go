@@ -5,34 +5,20 @@ import (
 	"sort"
 )
 
-// Summary accumulates streaming mean and variance using Welford's algorithm,
-// plus min and max. The zero value is ready to use.
+// Summary accumulates streaming mean and variance using Welford's
+// algorithm. The zero value is ready to use.
 type Summary struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add incorporates one observation.
 func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	s.n++
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
 }
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (s *Summary) Mean() float64 { return s.mean }
@@ -47,12 +33,6 @@ func (s *Summary) Variance() float64 {
 
 // Stddev returns the sample standard deviation.
 func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 { return s.max }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the default of R and

@@ -12,17 +12,11 @@ func TestSummaryBasics(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d", s.N())
-	}
 	if s.Mean() != 5 {
 		t.Fatalf("mean = %v", s.Mean())
 	}
 	if math.Abs(s.Variance()-32.0/7.0) > 1e-12 {
 		t.Fatalf("variance = %v", s.Variance())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
 	}
 }
 

@@ -17,7 +17,7 @@ type BNNObs struct {
 // greedily flipping the header bits the classifier reads; the perturbed
 // inputs sit off the manifold the classifier was trained on. The guard
 // keeps the training inputs and measures each arriving input's minimum
-// Hamming distance to them: inputs within MaxDist of some training
+// Hamming distance to them: inputs within bnnMaxDist of some training
 // sample are in-envelope, farther ones are flagged and — in the guarded
 // deployment — not acted upon (fall back to the default treatment
 // instead of the classifier's verdict). Legitimate traffic is drawn
@@ -25,31 +25,28 @@ type BNNObs struct {
 // small; an adversarial example must spend its flips moving away from
 // exactly that neighborhood.
 type BNNGuard struct {
-	// MaxDist is the largest in-envelope Hamming distance: a sample at
-	// distance >= MaxDist is flagged (<= 0 = 4).
-	MaxDist int
-
 	train []bnn.Input
 	cost  GuardCost
 }
 
+// bnnMaxDist bounds the envelope: a sample at Hamming distance >=
+// bnnMaxDist from every training input is flagged.
+const bnnMaxDist int = 4
+
 // NewBNNGuard builds the envelope from the deployed classifier's
 // training inputs.
-func NewBNNGuard(train []bnn.Input, maxDist int) *BNNGuard {
-	if maxDist <= 0 {
-		maxDist = 4
-	}
-	return &BNNGuard{MaxDist: maxDist, train: append([]bnn.Input(nil), train...)}
+func NewBNNGuard(train []bnn.Input) *BNNGuard {
+	return &BNNGuard{train: append([]bnn.Input(nil), train...)}
 }
 
 var _ Guard[BNNObs] = (*BNNGuard)(nil)
 
-// Check implements Guard. Risk normalizes the distance so MaxDist lands
+// Check implements Guard. Risk normalizes the distance so bnnMaxDist lands
 // exactly on the inclusive 0.5 veto threshold.
 func (g *BNNGuard) Check(o BNNObs) Verdict {
 	g.cost.Checks++
 	d := g.MinDist(o.X)
-	risk := float64(d) / float64(2*g.MaxDist)
+	risk := float64(d) / float64(2*bnnMaxDist)
 	if risk > 1 {
 		risk = 1
 	}

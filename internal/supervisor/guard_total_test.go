@@ -85,7 +85,7 @@ func TestGuardsTotalOnDegenerateInput(t *testing.T) {
 			DapperPacketObs{Now: nan, IsData: true}, DapperPacketObs{Now: inf, IsData: true},
 			DapperPacketObs{Now: -inf, Window: 1}, DapperPacketObs{Now: 5, Window: -1}, DapperPacketObs{Now: 5, Window: 1})},
 		{"bnn/zero", drive[BNNObs](&BNNGuard{}, BNNObs{}, BNNObs{X: ^bnn.Input(0)})},
-		{"bnn/self", drive[BNNObs](NewBNNGuard([]bnn.Input{0}, 0), BNNObs{}, BNNObs{X: ^bnn.Input(0)})},
+		{"bnn/self", drive[BNNObs](NewBNNGuard([]bnn.Input{0}), BNNObs{}, BNNObs{X: ^bnn.Input(0)})},
 		{"sppifo/zero", drive[SPPIFOObs](&SPPIFOGuard{},
 			SPPIFOObs{}, SPPIFOObs{Rank: math.MinInt, PushDown: true}, SPPIFOObs{Rank: math.MaxInt},
 			SPPIFOObs{Rank: -1, PushDown: true, Cost: -1}, SPPIFOObs{})},

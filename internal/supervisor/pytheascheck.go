@@ -14,15 +14,16 @@ import (
 // malicious inputs from part of the group population."
 //
 // One observation is one epoch's window of QoE reports. The guard
-// measures the fraction of reports deviating more than K MADs from the
-// group median. A benign group is unimodal (tiny outlier fraction); a
+// measures the fraction of reports deviating more than pytheasMADs MADs
+// from the group median. A benign group is unimodal (tiny outlier fraction); a
 // poisoned or ill-formed group shows a coherent deviating minority.
 type PytheasGuard struct {
-	// K is the MAD multiplier (<= 0 = 4).
-	K float64
-
 	cost GuardCost
 }
+
+// pytheasMADs is the guard's MAD multiplier: a report is an outlier
+// beyond this many MADs from the group median.
+const pytheasMADs float64 = 4
 
 var _ Guard[[]float64] = (*PytheasGuard)(nil)
 
@@ -32,17 +33,13 @@ func (g *PytheasGuard) Check(reports []float64) Verdict {
 	if len(reports) < 20 {
 		return Verdict{Plausible: true, Reason: "insufficient reports"}
 	}
-	k := g.K
-	if k <= 0 {
-		k = 4
-	}
 	med, mad := stats.MedianMAD(reports)
 	if mad == 0 {
 		mad = 1e-9
 	}
 	outliers := 0
 	for _, r := range reports {
-		if math.Abs(r-med) > k*mad {
+		if math.Abs(r-med) > pytheasMADs*mad {
 			outliers++
 		}
 	}
@@ -54,7 +51,7 @@ func (g *PytheasGuard) Check(reports []float64) Verdict {
 		risk = 1
 	}
 	v := Verdict{Risk: risk, Plausible: risk < 0.5}
-	v.Reason = fmt.Sprintf("%.1f%% of reports deviate >%.0f MADs from the group median", 100*frac, k)
+	v.Reason = fmt.Sprintf("%.1f%% of reports deviate >%.0f MADs from the group median", 100*frac, pytheasMADs)
 	if !v.Plausible {
 		g.cost.Flags++
 	}

@@ -92,7 +92,7 @@ func TestPytheasGuardDetectsPoisonedGroup(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		clean = append(clean, 4.5+0.3*rng.NormFloat64())
 	}
-	g := &PytheasGuard{K: 4}
+	g := &PytheasGuard{}
 	if v := g.Check(clean); !v.Plausible {
 		t.Fatalf("clean group flagged: %v", v)
 	}
@@ -129,7 +129,7 @@ func TestEpsRangeBoundsForcedOscillation(t *testing.T) {
 	// oscillation amplitude. The guarded PCC deployment grants it as the
 	// sender's EpsMax.
 	for _, maxEps := range []float64{0.01, 0.03, 0.05} {
-		_, amp := pcc.ForcedOscillation(0.01, EpsRange(maxEps).Max, 20)
+		_, amp := pcc.ForcedOscillation(EpsRange(maxEps).Max, 20)
 		if amp > 2*maxEps+1e-12 {
 			t.Fatalf("amplitude %v exceeds granted range %v", amp, 2*maxEps)
 		}

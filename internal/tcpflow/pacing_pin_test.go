@@ -98,12 +98,12 @@ func pacingTrace() string {
 	})
 	dapperFlow := tcpflow.Config{Window: 40, Pace: 20}
 	run("blame-receiver", 0.01, 10, dapperFlow, func(pn *pacedNet, _ *tcpflow.Sender) {
-		(&dapper.BlameReceiver{Window: 1460}).Attach(pn.links[1])
+		(&dapper.BlameReceiver{}).Attach(pn.links[1])
 	})
 	rcvLimited := dapperFlow
 	rcvLimited.RcvWindow = 8 * 1460
 	run("blame-sender", 0.01, 10, rcvLimited, func(pn *pacedNet, _ *tcpflow.Sender) {
-		(&dapper.BlameSender{Window: 65535}).Attach(pn.links[1])
+		(&dapper.BlameSender{}).Attach(pn.links[1])
 	})
 	return out.String()
 }

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -15,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -23,14 +26,20 @@ import (
 // The knob gate: a field exists only when two programs need different
 // values. TestNoDefaultOnlyFields fails on any exported scalar or func
 // field of a struct declared in non-test internal/ code that no non-test
-// code in the root module or bench/ writes, outside its own type's
-// Defaults/defaults method — a value with one setting, which belongs in a
-// constant, or a field nothing sets at all — unless testdata/knobs.txt
-// lists it with the test or bench file that sets it. The scan type-checks
-// every non-test package against the export data `go list -export`
-// writes, so a write is found however the field is reached: keyed and
-// positional composite literals, assignments (multi-assign and op-assign
-// included), ++/--, and &x.F (flag bindings).
+// code in the root module or bench/ sets — a value with one setting,
+// which belongs in a constant, or a field nothing sets at all — unless
+// testdata/knobs.txt lists it with the test or bench file that sets it.
+// Three kinds of write do not set a field:
+//   - a default write: one inside its own type's Defaults/defaults
+//     method, or one inside an if that compares the same field with its
+//     zero value (== 0, <= 0, == ""), wherever it sits;
+//   - a write of the same compile-time constant as a default write of
+//     the field, which only restates the default;
+//   - a write of the zero-value constant (0, "", false, nil).
+// The scan type-checks every non-test package against the export data
+// `go list -export` writes, so a write is found however the field is
+// reached: keyed and positional composite literals, assignments
+// (multi-assign and op-assign included), ++/--, and &x.F (flag bindings).
 
 const knobsPath = "testdata/knobs.txt"
 
@@ -43,7 +52,7 @@ func TestNoDefaultOnlyFields(t *testing.T) {
 	for _, mod := range []struct{ dir, pattern string }{{".", "./..."}, {"bench", "."}} {
 		s.scanModule(t, goTool, mod.dir, mod.pattern)
 	}
-	if len(s.fields) == 0 || len(s.written) == 0 {
+	if len(s.fields) == 0 || len(s.writes) == 0 {
 		t.Fatal("found no declared or written field; the scan is broken")
 	}
 	knobs := readKnobs(t)
@@ -51,7 +60,7 @@ func TestNoDefaultOnlyFields(t *testing.T) {
 	set := 0
 	for key, pos := range s.fields {
 		switch {
-		case s.written[key]:
+		case s.set(key):
 			set++
 		case knobs[key] == "":
 			unset = append(unset, key+"\t("+pos+")")
@@ -59,17 +68,84 @@ func TestNoDefaultOnlyFields(t *testing.T) {
 	}
 	sort.Strings(unset)
 	for _, u := range unset {
-		t.Errorf("no program sets %s outside its Defaults method; make it a constant or delete it, or list it in %s with the test that sets it", u, knobsPath)
+		t.Errorf("no program sets %s other than to its default or zero value; make it a constant or delete it, or list it in %s with the test that sets it", u, knobsPath)
 	}
 	for key := range knobs {
 		switch _, ok := s.fields[key]; {
 		case !ok:
 			t.Errorf("%s lists %s, which is not an exported scalar or func field of an internal/ struct", knobsPath, key)
-		case s.written[key]:
+		case s.set(key):
 			t.Errorf("%s lists %s, which a program sets; remove the entry", knobsPath, key)
 		}
 	}
 	t.Logf("%d fields declared, %d of them set by a program, %d listed", len(s.fields), set, len(knobs))
+}
+
+// knobFixture exercises every rule of the gate on one struct.
+const knobFixture = `package fixture
+
+import "flag"
+
+type Config struct {
+	Limit   int     // written only by Defaults
+	Window  int     // Defaults' zero-guarded default, restated by Use
+	Rate    float64 // zero-guarded default outside Defaults, in Run
+	Depth   int     // zero-guarded default in Run, and another constant in Use
+	Name    string  // written only with the zero value
+	Seed    uint64  // written a value computed at run time
+	Verbose bool    // bound to a flag
+}
+
+func (c *Config) Defaults() {
+	c.Limit = 10
+	if c.Window <= 0 {
+		c.Window = 3
+	}
+}
+
+func (c Config) Run() {
+	if c.Rate == 0 {
+		c.Rate = 0.5
+	}
+	if c.Depth == 0 {
+		c.Depth = 4
+	}
+}
+
+func Use(seed uint64) {
+	c := Config{Window: 3, Depth: 8, Name: "", Seed: seed}
+	flag.BoolVar(&c.Verbose, "v", false, "verbose")
+	c.Run()
+}
+`
+
+// TestKnobRulesOnFixture checks which fields of knobFixture the gate
+// counts as set: a rule that never fired would leave the whole-tree
+// check passing, so each rule is pinned here on its own field.
+func TestKnobRulesOnFixture(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go command not on PATH") // importing flag needs its export data
+	}
+	s := newFieldScan()
+	f, err := parser.ParseFile(s.fset, "fixture.go", knobFixture, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.check("dui/internal/fixture", []*ast.File{f}, importer.ForCompiler(s.fset, "gc", nil)); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{
+		"Limit": false, "Window": false, "Rate": false, "Name": false,
+		"Depth": true, "Seed": true, "Verbose": true,
+	}
+	if len(s.fields) != len(want) {
+		t.Fatalf("declared %d fields, want %d: %v", len(s.fields), len(want), s.fields)
+	}
+	for name, set := range want {
+		if got := s.set("fixture.Config." + name); got != set {
+			t.Errorf("Config.%s counted as set = %v, want %v", name, got, set)
+		}
+	}
 }
 
 // listedPkg is the part of `go list -json` output the scan reads.
@@ -83,16 +159,49 @@ type listedPkg struct {
 
 // fieldScan collects, keyed "pkg.Type.Field" with the "dui/internal/"
 // prefix dropped: the exported scalar and func fields of every struct type
-// declared under internal/ (with the field's position), and every field
-// non-test code writes outside its own type's Defaults/defaults method.
+// declared under internal/ (with the field's position), and every write
+// non-test code makes to a field.
 type fieldScan struct {
-	fset    *token.FileSet
-	fields  map[string]string
-	written map[string]bool
+	fset   *token.FileSet
+	fields map[string]string
+	writes map[string][]fieldWrite
+}
+
+// fieldWrite is one write of a field: the compile-time constant it stores
+// (nil when the value is computed at run time or the write is a binding),
+// whether that constant is the zero value, and whether it is a default
+// write.
+type fieldWrite struct {
+	val  constant.Value
+	zero bool
+	dflt bool
 }
 
 func newFieldScan() *fieldScan {
-	return &fieldScan{fset: token.NewFileSet(), fields: map[string]string{}, written: map[string]bool{}}
+	return &fieldScan{fset: token.NewFileSet(), fields: map[string]string{}, writes: map[string][]fieldWrite{}}
+}
+
+// set reports whether some write sets key: one that is no default write,
+// stores no zero value and restates no default write's constant.
+func (s *fieldScan) set(key string) bool {
+	ws := s.writes[key]
+	restatesDefault := func(v constant.Value) bool {
+		return v != nil && slices.ContainsFunc(ws, func(d fieldWrite) bool {
+			return d.dflt && d.val != nil && sameConst(d.val, v)
+		})
+	}
+	for _, w := range ws {
+		if !w.dflt && !w.zero && !restatesDefault(w.val) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameConst reports whether two constants of one field's type are equal.
+func sameConst(a, b constant.Value) bool {
+	numeric := func(v constant.Value) bool { return v.Kind() == constant.Int || v.Kind() == constant.Float }
+	return (a.Kind() == b.Kind() || numeric(a) && numeric(b)) && constant.Compare(a, token.EQL, b)
 }
 
 // scanModule type-checks the packages pattern names in the module at dir
@@ -132,17 +241,26 @@ func (s *fieldScan) scanModule(t *testing.T, goTool, dir, pattern string) {
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(p.ImportPath, s.fset, files, info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
-		}
-		s.declare(pkg)
-		for _, f := range files {
-			s.scanFile(f, info)
+		if err := s.check(p.ImportPath, files, imp); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
+
+// check type-checks one package's files, then records its declared fields
+// and its field writes.
+func (s *fieldScan) check(path string, files []*ast.File, imp types.Importer) error {
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, s.fset, files, info)
+	if err != nil {
+		return fmt.Errorf("type-checking %s: %v", path, err)
+	}
+	s.declare(pkg)
+	for _, f := range files {
+		s.scanFile(f, info)
+	}
+	return nil
 }
 
 // declare records the exported scalar and func fields of the struct types
@@ -171,9 +289,7 @@ func (s *fieldScan) declare(pkg *types.Package) {
 }
 
 // scanFile records the field writes of one file, in function bodies and
-// package-level initializers alike. Writes inside a Defaults/defaults
-// method to its own receiver type's fields do not count; every other
-// write marks its field written.
+// package-level initializers alike, marking each default write.
 func (s *fieldScan) scanFile(f *ast.File, info *types.Info) {
 	for _, d := range f.Decls {
 		owner := ""
@@ -181,45 +297,104 @@ func (s *fieldScan) scanFile(f *ast.File, info *types.Info) {
 			(fd.Name.Name == "Defaults" || fd.Name.Name == "defaults") {
 			owner = typeKey(info.Types[fd.Recv.List[0].Type].Type)
 		}
-		mark := func(key string) {
-			if key == "" || owner != "" && strings.HasPrefix(key, owner+".") {
+		var stack []ast.Node // the nodes enclosing the current one
+		// record notes a write of key at n storing val (nil: a value
+		// computed at run time).
+		record := func(key string, n ast.Node, val ast.Expr) {
+			if key == "" {
 				return
 			}
-			s.written[key] = true
+			w := fieldWrite{dflt: owner != "" && strings.HasPrefix(key, owner+".") || zeroGuarded(stack, n, key, info)}
+			if val != nil {
+				tv := info.Types[val]
+				w.val = tv.Value
+				w.zero = tv.IsNil() || tv.Value != nil && isZero(tv.Value)
+			}
+			s.writes[key] = append(s.writes[key], w)
 		}
-		markLHS := func(e ast.Expr) {
+		recordLHS := func(e ast.Expr, val ast.Expr) {
 			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-				mark(selectionKey(info.Selections[sel]))
+				record(selectionKey(info.Selections[sel]), e, val)
 			}
 		}
 		ast.Inspect(d, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					markLHS(lhs)
+				for i, lhs := range n.Lhs {
+					var val ast.Expr
+					if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+						val = n.Rhs[i]
+					}
+					recordLHS(lhs, val)
 				}
 			case *ast.IncDecStmt:
-				markLHS(n.X)
+				recordLHS(n.X, nil)
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
-					markLHS(n.X)
+					recordLHS(n.X, nil)
 				}
 			case *ast.CompositeLit:
-				st, key := structOf(info.Types[n].Type)
-				if st == nil {
-					return true
-				}
-				for i, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						mark(key + "." + kv.Key.(*ast.Ident).Name)
-					} else if i < st.NumFields() {
-						mark(key + "." + st.Field(i).Name())
+				if st, key := structOf(info.Types[n].Type); st != nil {
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							record(key+"."+kv.Key.(*ast.Ident).Name, kv, kv.Value)
+						} else if i < st.NumFields() {
+							record(key+"."+st.Field(i).Name(), elt, elt)
+						}
 					}
 				}
 			}
+			stack = append(stack, n)
 			return true
 		})
 	}
+}
+
+// zeroGuarded reports whether the write n of field key sits in the body of
+// an if, among the nodes in stack, whose condition compares that field
+// with its zero value (== 0, <= 0, == "").
+func zeroGuarded(stack []ast.Node, n ast.Node, key string, info *types.Info) bool {
+	for _, outer := range stack {
+		ifs, ok := outer.(*ast.IfStmt)
+		if !ok || n.Pos() < ifs.Body.Pos() || n.End() > ifs.Body.End() {
+			continue
+		}
+		guarded := false
+		ast.Inspect(ifs.Cond, func(c ast.Node) bool {
+			b, ok := c.(*ast.BinaryExpr)
+			if !ok || b.Op != token.EQL && b.Op != token.LEQ {
+				return !guarded
+			}
+			sel, ok := ast.Unparen(b.X).(*ast.SelectorExpr)
+			if ok && selectionKey(info.Selections[sel]) == key {
+				if v := info.Types[b.Y].Value; v != nil && isZero(v) {
+					guarded = true
+				}
+			}
+			return !guarded
+		})
+		if guarded {
+			return true
+		}
+	}
+	return false
+}
+
+// isZero reports whether a constant is its type's zero value.
+func isZero(v constant.Value) bool {
+	switch v.Kind() {
+	case constant.Bool:
+		return !constant.BoolVal(v)
+	case constant.String:
+		return constant.StringVal(v) == ""
+	case constant.Int, constant.Float, constant.Complex:
+		return constant.Sign(v) == 0
+	}
+	return false
 }
 
 // settable reports whether a field holds a single value a caller could

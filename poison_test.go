@@ -40,7 +40,7 @@ func TestNoReadAfterRelease(t *testing.T) {
 			return robustnessJSON(t, campaign.RobustnessSpec{Systems: []string{"blink", "pcc", "dapper"}, Trials: 1, RootSeed: 1})
 		}},
 		{"dapper-confusion", func(t *testing.T) []byte {
-			return marshal(t, dapper.ConfusionMatrix(25))
+			return marshal(t, dapper.ConfusionMatrix())
 		}},
 		{"fault-mode-scenarios", func(t *testing.T) []byte {
 			var b []byte
