@@ -28,8 +28,11 @@ bench-check:
 ## audit: the race-enabled suite with the invariant-audit layer forced on
 ## (engine causality checks + audited experiment paths). The 0 allocs/op
 ## guards are skipped under -race, so this does not fight the alloc gate.
+## It runs tests in a shuffled order: a test that leaks a debug hook or
+## other global state into a later one fails with the printed seed, which
+## -shuffle=<seed> replays. `make check` keeps the fixed order.
 audit:
-	DUI_AUDIT=1 $(GO) test -race ./...
+	DUI_AUDIT=1 $(GO) test -race -shuffle=on ./...
 
 ## bench: the per-experiment and substrate benchmarks (minutes); writes
 ## BENCH_5.json, the repo's benchmark-trajectory file (BENCH_2.json is the

@@ -291,15 +291,15 @@ func blinkFig2() {
 	cfg := res.Config
 	fmt.Printf("Fig 2 reproduction — malicious flows sampled by Blink over time\n")
 	fmt.Printf("parameters: tR=%.2fs qm=%.4f (%d legit + %d malicious flows), %d cells, threshold %d, %d runs\n",
-		cfg.TR, cfg.Qm, cfg.LegitFlows, cfg.MalFlows(), cfg.Blink.Cells, cfg.Blink.Threshold, cfg.Runs)
+		cfg.TR, cfg.Qm, cfg.LegitFlows, cfg.MalFlows(), cfg.Blink.Cells, cfg.Blink.Threshold(), cfg.Runs)
 	fmt.Printf("calibration: legit mean flow duration %.2fs -> measured tR %.2fs\n\n",
 		res.MeanFlowDuration, res.MeasuredTR)
 
 	fmt.Printf("theory (binomial model of §3.1):\n")
 	fmt.Printf("  expected majority hitting time: %.0f s (5th pct %.0f s, 95th pct %.0f s)\n",
 		res.TheoryExpectedHit, res.TheoryHitP5, res.TheoryHitP95)
-	mc, _ := res.TheoryMean.FirstCrossing(float64(cfg.Blink.Threshold))
-	fmt.Printf("  mean curve crosses %d cells at:  %.0f s\n", cfg.Blink.Threshold, mc)
+	mc, _ := res.TheoryMean.FirstCrossing(float64(cfg.Blink.Threshold()))
+	fmt.Printf("  mean curve crosses %d cells at:  %.0f s\n", cfg.Blink.Threshold(), mc)
 
 	hits := reached(res)
 	fmt.Printf("\nsimulations (%d runs, %d reached the majority):\n", cfg.Runs, len(hits))
@@ -408,13 +408,15 @@ func blinkSurvey() {
 
 	rows := survey(*n, *flows, *seed, *parallel)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].TR < rows[j].TR })
+	cfg := blink.Config{}.Defaults()
 
-	fmt.Printf("§3.1 prefix survey — %d synthetic prefixes, Blink defaults (64 cells, 8.5 min reset)\n\n", *n)
+	fmt.Printf("§3.1 prefix survey — %d synthetic prefixes, Blink defaults (%d cells, %g min reset)\n\n",
+		*n, cfg.Cells, cfg.ResetPeriod/60)
 	fmt.Printf("%-8s %12s %8s %10s %14s %16s\n",
 		"prefix", "meanFlowDur", "pps", "tR (s)", "required qm", "E[hit] @ qm=5.25%")
 	for _, r := range rows {
 		hit := fmt.Sprintf("%8.0f s", r.HitAtPaperQm)
-		if r.HitAtPaperQm > 510 {
+		if r.HitAtPaperQm > cfg.ResetPeriod {
 			hit = " >budget"
 		}
 		fmt.Printf("%-8s %10.1fs %8.1f %10.2f %14.4f %16s\n",
@@ -428,7 +430,7 @@ func blinkSurvey() {
 		if r.TR >= 10 {
 			ge10++
 		}
-		if r.HitAtPaperQm <= 510 {
+		if r.HitAtPaperQm <= cfg.ResetPeriod {
 			feasible++
 		}
 	}
@@ -444,8 +446,8 @@ func e3(b *strings.Builder, quick bool, seed uint64, workers int) {
 	fmt.Fprintf(b, "\n## E3 — end-to-end Blink behaviour\n")
 	fmt.Fprintf(b, "- genuine failure: detected in %.2fs, %d/%d flows recovered via backup\n",
 		legit.DetectionLatency, legit.RecoveredFlows, legit.Config.Flows)
-	fmt.Fprintf(b, "- hijack: attacker held %d/64 cells at trigger; reroute %.2fs after the storm; %d packets crossed the attacker router\n",
-		res.MaliciousCellsAtTrigger, res.Latency, res.HijackedPackets)
+	fmt.Fprintf(b, "- hijack: attacker held %d/%d cells at trigger; reroute %.2fs after the storm; %d packets crossed the attacker router\n",
+		res.MaliciousCellsAtTrigger, res.Config.Blink.Cells, res.Latency, res.HijackedPackets)
 	fmt.Fprintf(b, "- paper: single-host-level attacker can induce rerouting onto a path she controls\n")
 }
 
@@ -506,7 +508,7 @@ func blinkHijack() {
 	fmt.Printf("§3.1 Blink traffic hijack (qm=%.2f, trigger at %.0fs, defended=%v)\n",
 		float64(res.Config.MalFlows)/float64(res.Config.LegitFlows), *trigger, *defended)
 	fmt.Printf("  malicious cells at trigger: %d/%d (threshold %d)\n",
-		res.MaliciousCellsAtTrigger, res.Config.Blink.Cells, res.Config.Blink.Threshold)
+		res.MaliciousCellsAtTrigger, res.Config.Blink.Cells, res.Config.Blink.Threshold())
 	if res.Rerouted {
 		fmt.Printf("  HIJACKED: reroute at t=%.2fs (%.2fs after the storm started)\n", res.RerouteTime, res.Latency)
 		fmt.Printf("  victim traffic through the attacker's router: %d packets\n", res.HijackedPackets)
@@ -626,7 +628,8 @@ func pytheasPoison() {
 			prot[i].HonestQoELate, 100*prot[i].GoodShareLate)
 	}
 
-	fmt.Printf("\n§4.1 selective throttling (MitM/operator): coverage 70%% of sessions, severity 0.2\n")
+	fmt.Printf("\n§4.1 selective throttling (MitM/operator): coverage %.0f%% of sessions, severity %g\n",
+		100*pytheas.ThrottleCoverage, pytheas.ThrottleSeverity)
 	out := pytheas.RunThrottle(base)
 	fmt.Printf("  baseline honest QoE: %.2f -> attacked: %.2f (drop %.2f)\n",
 		out.Baseline.HonestQoELate, out.Attacked.HonestQoELate, out.QoEDrop)
@@ -792,11 +795,12 @@ func dataplaneAttacks() {
 	rng := stats.NewRNG(*seed)
 	randomN := sketch.SaturationInsertions(false, rng.Child())
 	craftedN := sketch.SaturationInsertions(true, rng.Child())
-	fmt.Printf("bloom saturation to 50%% FPR: crafted %d insertions vs random %d (%.1fx advantage)\n",
-		craftedN, randomN, float64(randomN)/float64(craftedN))
+	fmt.Printf("bloom saturation to %.0f%% FPR: crafted %d insertions vs random %d (%.1fx advantage)\n",
+		100*sketch.SaturationFPR, craftedN, randomN, float64(randomN)/float64(craftedN))
 
 	// RON probe manipulation.
-	fmt.Printf("\n[RON] probe-only tampering on an 8-node overlay, victim pair (0,1)\n")
+	fmt.Printf("\n[RON] probe-only tampering on an %d-node overlay, victim pair (%d,%d)\n",
+		ron.AttackNodes, ron.VictimSrc, ron.VictimDst)
 	delay := delayProbes(*seed)
 	fmt.Printf("  delay probes +200ms: diverted=%v, data latency %.1fms -> %.1fms (x%.2f), budget %.2f%% of packets\n",
 		delay.Diverted, 1000*delay.CleanLatency, 1000*delay.AttackedLatency, delay.Inflation, 100*delay.TamperBudget)

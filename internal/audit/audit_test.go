@@ -156,7 +156,7 @@ func TestAuditTapDelayAccounting(t *testing.T) {
 // workload (including retransmission storms) and requires the selector
 // invariants to hold throughout.
 func TestMonitorAuditCleanRun(t *testing.T) {
-	m := blink.NewMonitorBank(1, blink.Config{Cells: 16, Threshold: 17}) // unreachable threshold: no inference cutoff
+	m := blink.NewMonitorBank(1, blink.Config{Cells: 16})
 	rec := NewRecorder()
 	a := AttachMonitor(m, rec)
 	rng := stats.NewRNG(7)
@@ -233,7 +233,7 @@ func TestTraceRoundTripAndDiff(t *testing.T) {
 // public mutation path (Feed) plus a fabricated "now" far in the past,
 // which is exactly the misuse the checker guards against.
 func TestMonitorAuditCatchesTamperedCell(t *testing.T) {
-	m := blink.NewMonitorBank(1, blink.Config{Cells: 4, Threshold: 5})
+	m := blink.NewMonitorBank(1, blink.Config{Cells: 4})
 	a := AttachMonitor(m, nil)
 	// One retransmitting flow: counted, in-window.
 	p := packet.NewTCP(packet.MustParseAddr("30.0.0.1"), blink.Victim.Nth(1),

@@ -100,7 +100,7 @@ func (a *MonAudit) Check(now float64) error {
 			if c.LastRetr < minCounted {
 				minCounted = c.LastRetr
 			}
-		} else if c.HasRetr() && now-c.LastRetr <= cfg.Window {
+		} else if c.HasRetr() && now-c.LastRetr <= blink.RetransWindow {
 			a.v.add(now, RuleSelector, cellName(i), "in-window retransmission (LastRetr %.9g, now %.9g) not counted", c.LastRetr, now)
 		}
 	}

@@ -164,9 +164,6 @@ func (a *NetAudit) CheckDrained() error {
 	return a.Check()
 }
 
-// Err returns the violations collected so far without re-checking.
-func (a *NetAudit) Err() error { return a.v.err() }
-
 // Violations returns the structured violations collected so far, in
 // detection order — the form the fuzzing shrinker consumes. The slice
 // shares the auditor's backing array; callers must not mutate it.

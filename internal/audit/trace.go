@@ -51,8 +51,8 @@ func (e Event) String() string {
 // the per-run traces are flattened in trial order afterwards, which is
 // what makes worker-count-independent traces comparable at all.
 //
-// Every recorder folds each event into a running count and Hash as it
-// arrives. A digest recorder (NewDigestRecorder) keeps only those two, so
+// Every recorder folds each event into a running count and Hash digest as
+// it arrives. A digest recorder (NewDigestRecorder) keeps only those two, so
 // a run that needs just the fingerprint — the fuzzer's determinism
 // oracle — holds no trace in memory at all.
 type Recorder struct {
@@ -82,7 +82,11 @@ func (r *Recorder) Record(t float64, kind Kind, where int, flow uint64) {
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int { return r.n }
 
-// Hash returns Hash of every event recorded so far, retained or not.
+// Hash returns the FNV-1a-style 64-bit digest of every event recorded so
+// far, retained or not. Two traces hash equal iff (up to 64-bit collision)
+// they are element-wise identical, which is how the fuzzer's determinism
+// oracle compares a scenario's double run without retaining either trace.
+// Seq and Run are not part of the digest.
 func (r *Recorder) Hash() uint64 { return r.hash }
 
 // Events returns the recorded events with Run and Seq stamped for a
@@ -151,19 +155,6 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Hash folds an event sequence into one FNV-1a-style 64-bit digest. Two
-// traces hash equal iff (up to 64-bit collision) they are element-wise
-// identical, which is how the fuzzer's determinism oracle compares a
-// scenario's double run without retaining either trace. Seq and Run are
-// not part of the digest.
-func Hash(events []Event) uint64 {
-	h := uint64(hashOffset)
-	for _, ev := range events {
-		h = hashEvent(h, ev.T, ev.Kind, ev.Where, ev.Flow)
-	}
-	return h
 }
 
 const (

@@ -86,7 +86,7 @@ func TestMonitorBankFeedZeroAllocsDuringStorm(t *testing.T) {
 	for _, tc := range bankAllocCases {
 		t.Run(fmt.Sprintf("prefixes=%d", tc.prefixes), func(t *testing.T) {
 			bank := NewMonitorBank(tc.prefixes, Config{})
-			bank.cfg.Threshold = bank.cfg.Cells + 1
+			bank.threshold = bank.cfg.Cells + 1
 			pkts := make([]*packet.Packet, 256)
 			for i := range pkts {
 				pkts[i] = packet.NewTCP(packet.Addr(i+1), Victim.Nth(1), packet.TCPHeader{

@@ -46,7 +46,7 @@ func TestNoFalsePositiveWithoutFailure(t *testing.T) {
 // attacker's router afterwards.
 func TestHijack(t *testing.T) {
 	res := RunHijack(HijackConfig{Seed: 4})
-	if res.MaliciousCellsAtTrigger < res.Config.Blink.Threshold {
+	if res.MaliciousCellsAtTrigger < res.Config.Blink.Threshold() {
 		t.Fatalf("attacker held only %d cells at trigger", res.MaliciousCellsAtTrigger)
 	}
 	if !res.Rerouted {

@@ -30,9 +30,10 @@ type BankFailure struct {
 // by TestMonitorBankFeedZeroAllocs); the only allocating path is the append
 // recording a rare failure inference.
 type MonitorBank struct {
-	cfg   Config
-	cells []Cell     // n * cfg.Cells, prefix p owns cells[p*Cells:(p+1)*Cells]
-	st    []selState // one scalar record per prefix
+	cfg       Config
+	threshold int        // cfg.Threshold(), read on every retransmission
+	cells     []Cell     // n * cfg.Cells, prefix p owns cells[p*Cells:(p+1)*Cells]
+	st        []selState // one scalar record per prefix
 
 	// cur is the prefix currently being fed; the event methods read it to
 	// tag events. A MonitorBank is single-goroutine.
@@ -55,6 +56,7 @@ func NewMonitorBank(n int, cfg Config) *MonitorBank {
 	cfg = cfg.Defaults()
 	b := &MonitorBank{
 		cfg:       cfg,
+		threshold: cfg.Threshold(),
 		cells:     make([]Cell, n*cfg.Cells),
 		st:        make([]selState, n),
 		nFailures: make([]uint32, n),

@@ -200,7 +200,7 @@ func TestMonitorBankSegmentsIsolated(t *testing.T) {
 // second observer of a kind adds to the first, and both run, in
 // registration order, on every event of that kind.
 func TestMonitorBankObserversAccumulate(t *testing.T) {
-	bank := NewMonitorBank(2, Config{Cells: 1, Threshold: 1, Window: 1, ResetPeriod: 10})
+	bank := NewMonitorBank(2, Config{Cells: 2, ResetPeriod: 10})
 	var got []string
 	note := func(event string, p int) {
 		if p != 1 {

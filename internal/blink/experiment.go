@@ -186,7 +186,7 @@ func RunFig2(cfg Fig2Config) *Fig2Result {
 	res.MeasuredTR = MeasureTR(cfg.Blink, cfg.LegitFlows,
 		trace.ExpDuration{MeanSec: res.MeanFlowDuration}, legitPPS, 90, 15, stats.NewRNG(cfg.Seed+2000))
 
-	model := Model{N: cfg.Blink.Cells, Threshold: cfg.Blink.Threshold, TR: cfg.TR, Qm: cfg.Qm}
+	model := Model{N: cfg.Blink.Cells, Threshold: cfg.Blink.Threshold(), TR: cfg.TR, Qm: cfg.Qm}
 	res.TheoryMean = model.MeanCurve(cfg.Duration, sampleStep)
 	res.TheoryP5 = model.QuantileCurve(0.05, cfg.Duration, sampleStep)
 	res.TheoryP95 = model.QuantileCurve(0.95, cfg.Duration, sampleStep)
@@ -207,7 +207,7 @@ func RunFig2(cfg Fig2Config) *Fig2Result {
 		func(_ context.Context, t runner.Trial) (fig2Run, error) {
 			series := simulateOnce(cfg, res.MeanFlowDuration, t.Index, stats.ChildAt(cfg.Seed, uint64(t.Index)))
 			out := fig2Run{series: series, hit: math.NaN()}
-			if ht, ok := series.FirstCrossing(float64(cfg.Blink.Threshold)); ok {
+			if ht, ok := series.FirstCrossing(float64(cfg.Blink.Threshold())); ok {
 				out.hit = ht
 			}
 			t.ReportVirtual(cfg.Duration)
@@ -293,14 +293,14 @@ func RunSurvey(cfg Config, prefixes []trace.SurveyPrefix, flows int, seed uint64
 	rows, _ := runner.Map(context.Background(), prefixes, seed, runner.Config{Workers: workers},
 		func(_ context.Context, t runner.Trial, p trace.SurveyPrefix) (SurveyRow, error) {
 			tr := MeasureTR(cfg, flows, p.Dur, p.PPS, 120, 20, stats.ChildAt(seed, uint64(t.Index)))
-			model := Model{N: cfg.Cells, Threshold: cfg.Threshold, TR: tr, Qm: 0.0525}
+			model := Model{N: cfg.Cells, Threshold: cfg.Threshold(), TR: tr, Qm: 0.0525}
 			t.ReportVirtual(120)
 			return SurveyRow{
 				Name:         p.Name,
 				MeanDuration: p.Dur.Mean(),
 				PPS:          p.PPS,
 				TR:           tr,
-				RequiredQm:   RequiredQm(cfg.Cells, cfg.Threshold, tr, cfg.ResetPeriod),
+				RequiredQm:   RequiredQm(cfg.Cells, cfg.Threshold(), tr, cfg.ResetPeriod),
 				HitAtPaperQm: model.ExpectedHittingTime(),
 			}, nil
 		})

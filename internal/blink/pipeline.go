@@ -66,11 +66,6 @@ func (p *Pipeline) Bank() *MonitorBank { return p.bank }
 // Reroutes returns all failover decisions so far.
 func (p *Pipeline) Reroutes() []Reroute { return p.reroutes }
 
-// CurrentNextHop returns the prefix's active next hop.
-func (p *Pipeline) CurrentNextHop() *netsim.Node {
-	return p.policy.NextHops[p.current]
-}
-
 // OnPacket implements netsim.Program: feed TCP packets toward the
 // monitored prefix into the bank. Blink never drops traffic.
 func (p *Pipeline) OnPacket(now float64, pkt *packet.Packet, node *netsim.Node) bool {

@@ -33,7 +33,7 @@ func TestPipelineMultiPrefix(t *testing.T) {
 	nw.Announce(vB, pfxB)
 	nw.ComputeRoutes()
 
-	cfg := Config{Cells: 8, Threshold: 4}
+	cfg := Config{Cells: 8}
 	pipeA := NewPipeline(rB, cfg, PrefixPolicy{Prefix: pfxA, NextHops: []*netsim.Node{nhA, nhB}})
 	pipeB := NewPipeline(rB, cfg, PrefixPolicy{Prefix: pfxB, NextHops: []*netsim.Node{nhB, nhA}})
 	rB.AttachProgram(pipeA)
@@ -47,10 +47,10 @@ func TestPipelineMultiPrefix(t *testing.T) {
 	PlayStream(nw, ingress, mal)
 	nw.RunUntil(60)
 
-	if pipeA.CurrentNextHop() != nhB {
+	if nh, _ := rB.Lookup(pfxA.Addr); nh != nhB {
 		t.Fatal("attacked prefix did not fail over")
 	}
-	if pipeB.CurrentNextHop() != nhB {
+	if nh, _ := rB.Lookup(pfxB.Addr); nh != nhB {
 		t.Fatal("unattacked prefix moved")
 	}
 	if n := len(pipeA.Reroutes()) + len(pipeB.Reroutes()); n != 1 {
@@ -61,7 +61,7 @@ func TestPipelineMultiPrefix(t *testing.T) {
 // TestMonitorRearmsAfterReset: failure inference fires at most once per
 // sample epoch and re-arms at the reset.
 func TestMonitorRearmsAfterReset(t *testing.T) {
-	m := NewMonitorBank(1, Config{Cells: 2, Threshold: 1, ResetPeriod: 10, Window: 1})
+	m := NewMonitorBank(1, Config{Cells: 2, ResetPeriod: 10})
 	fires := 0
 	m.OnFailure(func(_ int, now float64) { fires++ })
 	k := packet.FlowKey{Src: 1, Dst: Victim.Nth(1), SrcPort: 9, DstPort: 443, Proto: packet.ProtoTCP}
@@ -93,7 +93,7 @@ func TestPipelineNoBackupLeft(t *testing.T) {
 	r := nw.AddRouter("r")
 	nh := nw.AddRouter("nh")
 	nw.Connect(r, nh, 0, 0.001, 0)
-	pipe := NewPipeline(r, Config{Cells: 2, Threshold: 1, Window: 1}, PrefixPolicy{
+	pipe := NewPipeline(r, Config{Cells: 2}, PrefixPolicy{
 		Prefix: Victim, NextHops: []*netsim.Node{nh},
 	})
 	k := packet.NewTCP(1, Victim.Nth(1), packet.TCPHeader{SrcPort: 1, DstPort: 2, Seq: 0, Flags: packet.FlagACK}, 1500)
@@ -105,7 +105,7 @@ func TestPipelineNoBackupLeft(t *testing.T) {
 	if len(pipe.Reroutes()) != 0 {
 		t.Fatal("rerouted with no backup")
 	}
-	if pipe.CurrentNextHop() != nh {
+	if got, _ := r.Lookup(Victim.Addr); got != nh {
 		t.Fatal("next hop changed")
 	}
 }

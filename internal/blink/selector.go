@@ -31,23 +31,21 @@ import (
 	"dui/internal/packet"
 )
 
+// RetransWindow is the sliding window (seconds) within which
+// retransmitting monitored flows are counted toward the threshold: the
+// paper's 800 ms (§3.1).
+const RetransWindow = 0.8
+
 // Config holds Blink's data-plane parameters, defaulting to the values of
-// the paper (64 cells, majority threshold, 2 s inactivity eviction, 8.5 min
-// sample reset, 800 ms retransmission window).
+// the paper (64 cells, 2 s inactivity eviction, 8.5 min sample reset).
 type Config struct {
 	// Cells is the flow-selector array size per prefix.
 	Cells int
-	// Threshold is the number of concurrently retransmitting monitored
-	// flows that triggers failure inference (default Cells/2).
-	Threshold int
 	// InactivityTimeout evicts a monitored flow idle this long (seconds).
 	InactivityTimeout float64
 	// ResetPeriod clears the whole sample this often (seconds); the
 	// attacker's time budget tB.
 	ResetPeriod float64
-	// Window is the sliding window (seconds) within which retransmitting
-	// flows are counted toward Threshold.
-	Window float64
 }
 
 // Defaults fills zero fields with the paper's values and returns the
@@ -56,20 +54,19 @@ func (c Config) Defaults() Config {
 	if c.Cells <= 0 {
 		c.Cells = 64
 	}
-	if c.Threshold <= 0 {
-		c.Threshold = c.Cells / 2
-	}
 	if c.InactivityTimeout <= 0 {
 		c.InactivityTimeout = 2.0
 	}
 	if c.ResetPeriod <= 0 {
 		c.ResetPeriod = 510 // 8.5 min
 	}
-	if c.Window <= 0 {
-		c.Window = 0.8
-	}
 	return c
 }
+
+// Threshold is the number of monitored flows retransmitting within
+// RetransWindow that triggers failure inference: a majority of the cells,
+// Cells/2 in integer division (32 of 64).
+func (c Config) Threshold() int { return c.Cells / 2 }
 
 // Cell is one slot of the flow selector.
 type Cell struct {
@@ -196,14 +193,14 @@ func (s selCore) update(c *Cell, idx int, p *packet.Packet, now float64) {
 // noteRetrans maintains the incremental in-window retransmission count for
 // the cell that just retransmitted (c.LastRetr == now) and fires failure
 // inference at the threshold. The count equals exactly what a full scan
-// (Occupied && hasRetr && now-LastRetr <= Window) would report: monitors
-// are fed in non-decreasing time order, so between recounts a counted
-// cell's window test cannot flip false while now-minLastRetr <= Window
-// (IEEE subtraction is monotone), and an uncounted cell's test cannot flip
-// true without the cell passing through noteRetrans.
+// (Occupied && hasRetr && now-LastRetr <= RetransWindow) would report:
+// monitors are fed in non-decreasing time order, so between recounts a
+// counted cell's window test cannot flip false while now-minLastRetr <=
+// RetransWindow (IEEE subtraction is monotone), and an uncounted cell's
+// test cannot flip true without the cell passing through noteRetrans.
 func (s selCore) noteRetrans(c *Cell, now float64) {
 	st := s.st
-	if st.retrCount > 0 && now-st.minLastRetr > s.b.cfg.Window {
+	if st.retrCount > 0 && now-st.minLastRetr > RetransWindow {
 		s.recount(now)
 	}
 	if !c.counted {
@@ -213,7 +210,7 @@ func (s selCore) noteRetrans(c *Cell, now float64) {
 			st.minLastRetr = now
 		}
 	}
-	if st.armed && st.retrCount >= s.b.cfg.Threshold {
+	if st.armed && st.retrCount >= s.b.threshold {
 		st.armed = false // one inference per sample epoch
 		s.b.failed(now)
 	}
@@ -228,7 +225,7 @@ func (s selCore) recount(now float64) {
 	st.minLastRetr = math.Inf(1)
 	for i := range s.cells {
 		c := &s.cells[i]
-		if c.Occupied && c.hasRetr && now-c.LastRetr <= s.b.cfg.Window {
+		if c.Occupied && c.hasRetr && now-c.LastRetr <= RetransWindow {
 			c.counted = true
 			st.retrCount++
 			if c.LastRetr < st.minLastRetr {

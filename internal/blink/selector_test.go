@@ -126,7 +126,7 @@ func TestPureAcksDoNotTriggerRetrans(t *testing.T) {
 }
 
 func TestFailureInferenceAtMajority(t *testing.T) {
-	cfg := Config{Cells: 8, Threshold: 4, Window: 1}
+	cfg := Config{Cells: 8}
 	m := NewMonitorBank(1, cfg)
 	var failures []float64
 	m.OnFailure(func(_ int, now float64) { failures = append(failures, now) })
@@ -175,7 +175,7 @@ func TestFailureInferenceAtMajority(t *testing.T) {
 
 func TestFailureWindowExpiry(t *testing.T) {
 	// Retransmissions spread wider than the window must not trigger.
-	cfg := Config{Cells: 4, Threshold: 2, Window: 0.5}
+	cfg := Config{Cells: 4}
 	m := NewMonitorBank(1, cfg)
 	var failures []float64
 	m.OnFailure(func(_ int, now float64) { failures = append(failures, now) })
@@ -199,7 +199,7 @@ func TestFailureWindowExpiry(t *testing.T) {
 		m.Feed(0, now, q)
 	}
 	retr(0, 1.0)
-	retr(1, 2.0) // 1s apart > 0.5s window
+	retr(1, 2.0) // 1s apart > RetransWindow
 	if len(failures) != 0 {
 		t.Fatalf("window not enforced: %v", failures)
 	}
@@ -215,13 +215,24 @@ func TestNonTCPIgnored(t *testing.T) {
 
 func TestDefaultsMatchPaper(t *testing.T) {
 	cfg := Config{}.Defaults()
-	if cfg.Cells != 64 || cfg.Threshold != 32 {
-		t.Fatalf("cells/threshold = %d/%d", cfg.Cells, cfg.Threshold)
+	if cfg.Cells != 64 || cfg.Threshold() != 32 {
+		t.Fatalf("cells/threshold = %d/%d", cfg.Cells, cfg.Threshold())
 	}
 	if cfg.InactivityTimeout != 2.0 {
 		t.Fatalf("inactivity = %v", cfg.InactivityTimeout)
 	}
 	if cfg.ResetPeriod != 510 {
 		t.Fatalf("reset = %v (want 8.5 min)", cfg.ResetPeriod)
+	}
+}
+
+// TestThresholdIsIntegerMajority pins the derived threshold's rounding:
+// Cells/2 in integer division. Fuzzed and corpus scenarios carry cell
+// counts from 1 to 4096, so an odd count's threshold reaches pinned bytes.
+func TestThresholdIsIntegerMajority(t *testing.T) {
+	for _, c := range []struct{ cells, want int }{{1, 0}, {4, 2}, {7, 3}, {8, 4}, {64, 32}} {
+		if got := (Config{Cells: c.cells}).Defaults().Threshold(); got != c.want {
+			t.Errorf("threshold of %d cells = %d, want %d", c.cells, got, c.want)
+		}
 	}
 }

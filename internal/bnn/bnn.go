@@ -94,20 +94,6 @@ func (n *Network) Margin(x Input) int {
 	return n.Out.margin(n.Hidden.forward(uint64(x)))
 }
 
-// Accuracy measures agreement with labels over a dataset.
-func (n *Network) Accuracy(xs []Input, ys []bool) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	ok := 0
-	for i, x := range xs {
-		if n.Classify(x) == ys[i] {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(xs))
-}
-
 // Train fits the network to (xs, ys) by greedy weight-bit hill climbing:
 // repeatedly flip the single weight bit that improves training accuracy
 // the most, until no flip helps. Simple, deterministic, and sufficient
@@ -117,7 +103,7 @@ func (n *Network) Accuracy(xs []Input, ys []bool) float64 {
 // hidden weight bit re-evaluates that one neuron per sample, and a trial
 // flip of an output weight bit re-evaluates only the output neuron. The
 // flips, their order and every accuracy compared are those of
-// re-classifying the whole set with Accuracy after each flip.
+// re-classifying the whole set after each flip.
 func (n *Network) Train(xs []Input, ys []bool, maxPasses int) float64 {
 	if maxPasses <= 0 {
 		maxPasses = 8

@@ -41,6 +41,20 @@ func TestSingleNeuronDotProduct(t *testing.T) {
 	}
 }
 
+// Accuracy measures agreement with labels over a dataset.
+func (n *Network) Accuracy(xs []Input, ys []bool) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	ok := 0
+	for i, x := range xs {
+		if n.Classify(x) == ys[i] {
+			ok++
+		}
+	}
+	return float64(ok) / float64(len(xs))
+}
+
 func TestTrainingLearnsTeacher(t *testing.T) {
 	rng := stats.NewRNG(3)
 	teacher := NewRandom(24, 12, rng.Child())

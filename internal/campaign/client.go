@@ -72,27 +72,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return nil
 }
 
-// Version fetches the server's build identity. A revision mismatch with
-// the local buildinfo means server-mediated and inline results may come
-// from different code.
-func (c *Client) Version(ctx context.Context) (VersionInfo, error) {
-	var v VersionInfo
-	err := c.do(ctx, http.MethodGet, "/v1/version", nil, &v)
-	return v, err
-}
-
 // Submit submits a job and returns its initial status — already done
 // (Cached) when the server held the result.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	var st JobStatus
 	err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &st)
-	return st, err
-}
-
-// Status fetches a job's current status.
-func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
@@ -126,13 +110,6 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	var raw []byte
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &raw)
 	return raw, err
-}
-
-// Cancel cancels a queued or running job and returns its status.
-func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/jobs/"+id+"/cancel", nil, &st)
-	return st, err
 }
 
 // Stream consumes a job's SSE progress stream, feeding every snapshot to

@@ -319,7 +319,7 @@ func TestServerRecoversRejectedSubmit(t *testing.T) {
 	c, stop := startServer(t, dir, campaign.Options{Workers: 1})
 	defer stop()
 	ctx := context.Background()
-	rejected, err := c.Status(ctx, "j000001")
+	rejected, err := c.Poll(ctx, "j000001", 0)
 	if err != nil || rejected.State != campaign.JobFailed || !strings.Contains(rejected.Error, "trial cap") {
 		t.Fatalf("rejected record = %+v, %v; want failed naming the trial cap", rejected, err)
 	}
@@ -330,13 +330,13 @@ func TestServerRecoversRejectedSubmit(t *testing.T) {
 	if res, err := c.Result(ctx, "j000002"); err != nil || !bytes.Equal(res, direct) {
 		t.Fatalf("valid record's result diverged from direct execution (err %v)", err)
 	}
-	retired, err := c.Status(ctx, "j000003")
+	retired, err := c.Poll(ctx, "j000003", 0)
 	if err != nil || retired.State != campaign.JobFailed ||
 		!strings.Contains(retired.Error, "rejected on recovery") || !strings.Contains(retired.Error, `unknown job kind "scenarios"`) {
 		t.Fatalf("retired-kind record = %+v, %v; want failed on recovery naming the unknown kind", retired, err)
 	}
 	for _, id := range []string{"j000001", "j000003"} {
-		if got, _ := c.Status(ctx, id); got.State != campaign.JobFailed || got.Done != 0 {
+		if got, _ := c.Poll(ctx, id, 0); got.State != campaign.JobFailed || got.Done != 0 {
 			t.Fatalf("rejected record ran: %+v", got)
 		}
 	}

@@ -46,7 +46,7 @@ type GrayConfig struct {
 	From, Until float64
 }
 
-// GrayStats counts what one Gray process did, for experiment reporting.
+// GrayStats counts what one Gray process did.
 type GrayStats struct {
 	Seen, Dropped, Corrupted, Duplicated, Jittered uint64
 }
@@ -75,9 +75,6 @@ func NewGray(cfg GrayConfig, rng *stats.RNG) *Gray {
 func NewGrayDir(cfg GrayConfig, dir netsim.Direction, rng *stats.RNG) *Gray {
 	return &Gray{cfg: cfg, dir: dir, rng: rng}
 }
-
-// Stats returns a copy of the process's counters.
-func (g *Gray) Stats() GrayStats { return g.st }
 
 // Apply implements netsim.LinkFault. The direction and window filters run
 // before any RNG draw, so traffic outside the process's scope cannot shift

@@ -90,7 +90,7 @@ func TestGrayCorruptLeavesOriginalIntact(t *testing.T) {
 	if p.TCP.Seq != 1234 {
 		t.Fatal("corruption mutated the original packet")
 	}
-	if st := g.Stats(); st.Corrupted != 1 || st.Seen != 1 {
+	if st := g.st; st.Corrupted != 1 || st.Seen != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -135,6 +135,21 @@ func TestNodeByName(t *testing.T) {
 	}
 }
 
+// Connected reports whether every node is reachable from node 0 treating
+// edges as given (directed reachability).
+func (g *Graph) Connected() bool {
+	if g.N() == 0 {
+		return true
+	}
+	t := g.Dijkstra(0)
+	for _, d := range t.Dist {
+		if math.IsInf(d, 1) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestAbileneConnectedAndSymmetric(t *testing.T) {
 	g := Abilene()
 	if g.N() != 11 {

@@ -76,21 +76,6 @@ func (g *Graph) ShortestPath(src, dst NodeID) Path {
 	return g.Dijkstra(src).PathTo(dst)
 }
 
-// Connected reports whether every node is reachable from node 0 treating
-// edges as given (directed reachability).
-func (g *Graph) Connected() bool {
-	if g.N() == 0 {
-		return true
-	}
-	t := g.Dijkstra(0)
-	for _, d := range t.Dist {
-		if math.IsInf(d, 1) {
-			return false
-		}
-	}
-	return true
-}
-
 // KShortestPaths returns up to k loop-free paths from src to dst in order
 // of increasing weight (Yen's algorithm). It returns fewer than k paths if
 // fewer exist.

@@ -41,7 +41,7 @@
 //     built);
 //   - a tap drop, or a tap Replace that supersedes it (Replace != p);
 //   - a fault drop, or a fault Replace that supersedes it;
-//   - a down drop or queue drop, after the probe and the drop handler;
+//   - a down drop or queue drop, after the probe;
 //   - a failure flush, when the flushed delivery would have run.
 //
 // A packet that is queued, on the wire, or held by a tap or fault delay
@@ -296,14 +296,6 @@ func (e *Engine) RunUntil(t float64) int {
 		e.now = t
 		e.curSeq = e.seq + 1
 	}
-	return n
-}
-
-// Run executes all events until the queue drains. Use RunUntil for open
-// systems that generate events forever.
-func (e *Engine) Run() int {
-	n := e.run(math.Inf(1))
-	e.curSeq = e.seq + 1
 	return n
 }
 

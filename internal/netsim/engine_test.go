@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// Run executes all events until the queue drains. Use RunUntil for open
+// systems that generate events forever.
+func (e *Engine) Run() int {
+	n := e.run(math.Inf(1))
+	e.curSeq = e.seq + 1
+	return n
+}
+
 // The engine-semantics tests here and in lane_test.go and alloc_test.go run
 // as the subtest "heap", named for the engine's event queue, the 4-ary heap.
 

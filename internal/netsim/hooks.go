@@ -10,8 +10,13 @@ package netsim
 // and the zero-allocation guarantees hold.
 //
 // The hooks exist for tests only. They are process-global and not
-// synchronized; tests that set one must restore it and must not run in
-// parallel with other simulation tests.
+// synchronized, by decision: several tests turn a hook on around a whole
+// campaign.Execute, fuzz.Shrink or robustness matrix, whose networks no
+// per-Network switch reaches without a new option that only tests would
+// set. So a test that sets a hook must restore it in a defer and must not
+// call Parallel(), which keeps it from overlapping any other test of its
+// binary; TestDebugHookTestsStaySequential in the root package checks
+// both rules over every test file.
 var DebugHooks struct {
 	// DisableFailureFlush reverts the link-failure fix: SetUp(false) no
 	// longer flushes queued/serializing packets, so a stale queue survives

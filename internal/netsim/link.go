@@ -550,7 +550,6 @@ func (l *Link) admit(p *packet.Packet, dir Direction) bool {
 		d.stats.QueueDrop++
 		l.net.probeLink(LinkSent, l, dir, p)
 		l.net.probeLink(LinkQueueDrop, l, dir, p)
-		l.net.notifyDrop(p, l, dir)
 		return false
 	}
 	now := eng.Now()

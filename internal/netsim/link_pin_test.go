@@ -248,7 +248,7 @@ func pinnedLinkTrace(seed uint64, out hash.Hash) {
 			r.printf("l%d d%d %+v\n", l.Index(), d, l.Stats(d))
 		}
 	}
-	for _, n := range nw.Nodes() {
+	for _, n := range []*Node{h1, r1, r2, h2} {
 		r.printf("%s %+v\n", n.Name(), n.Stats())
 	}
 }
@@ -256,6 +256,7 @@ func pinnedLinkTrace(seed uint64, out hash.Hash) {
 // TestLinkBehaviourPinned hashes the seeded link workloads with link
 // lanes on and off; both must produce the pinned digest.
 func TestLinkBehaviourPinned(t *testing.T) {
+	defer func() { DebugHooks.DisableLinkLanes = false }()
 	for _, lanes := range []bool{true, false} {
 		DebugHooks.DisableLinkLanes = !lanes
 		h := sha256.New()

@@ -7,10 +7,6 @@ import (
 	"dui/internal/packet"
 )
 
-// DropHandler observes queue drops, the signal congestion controllers react
-// to indirectly (through missing ACKs) and experiments count directly.
-type DropHandler func(now float64, p *packet.Packet, l *Link, dir Direction)
-
 // Network assembles nodes and links on top of an Engine and provides
 // topology-wide operations: route computation and operator-level control.
 type Network struct {
@@ -19,7 +15,6 @@ type Network struct {
 	links         []*Link
 	byAddr        map[packet.Addr]*Node
 	nextID        uint64
-	onDrop        DropHandler
 	linkProbe     LinkProbe
 	routerIP      uint32
 	announcements []announcement
@@ -48,15 +43,6 @@ func (nw *Network) Now() float64 { return nw.eng.Now() }
 
 // RunUntil advances the simulation to time t.
 func (nw *Network) RunUntil(t float64) int { return nw.eng.RunUntil(t) }
-
-// OnDrop installs a global queue-drop observer.
-func (nw *Network) OnDrop(h DropHandler) { nw.onDrop = h }
-
-func (nw *Network) notifyDrop(p *packet.Packet, l *Link, dir Direction) {
-	if nw.onDrop != nil {
-		nw.onDrop(nw.eng.Now(), p, l, dir)
-	}
-}
 
 // SetLinkProbe installs a network-wide observer of link events (at most
 // one; nil removes it). The probe is the hook internal/audit attaches its
@@ -93,19 +79,6 @@ func (nw *Network) AddRouter(name string) *Node {
 	nw.nodes = append(nw.nodes, n)
 	nw.byAddr[addr] = n
 	return n
-}
-
-// Nodes returns all nodes in creation order.
-func (nw *Network) Nodes() []*Node { return nw.nodes }
-
-// NodeByName returns the first node with the given name, or nil.
-func (nw *Network) NodeByName(name string) *Node {
-	for _, n := range nw.nodes {
-		if n.name == name {
-			return n
-		}
-	}
-	return nil
 }
 
 // Connect adds a link between two nodes. rateBps 0 means infinite

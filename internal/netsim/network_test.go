@@ -72,7 +72,11 @@ func TestQueueBuildupAndDrop(t *testing.T) {
 	delivered := 0
 	h2.SetReceiver(ReceiverFunc(func(now float64, p *packet.Packet) { delivered++ }))
 	drops := 0
-	nw.OnDrop(func(now float64, p *packet.Packet, l *Link, dir Direction) { drops++ })
+	nw.SetLinkProbe(func(now float64, kind LinkEventKind, l *Link, dir Direction, p *packet.Packet) {
+		if kind == LinkQueueDrop {
+			drops++
+		}
+	})
 	for i := 0; i < 5; i++ {
 		h1.Send(packet.NewTCP(h1.Addr, h2.Addr, packet.TCPHeader{Seq: uint32(i)}, 1000))
 	}
@@ -120,8 +124,8 @@ func TestRoutingPrefersLowDelayAndReroutes(t *testing.T) {
 	nw.Connect(r3, r2, 0, 0.010, 0)
 	nw.Connect(r2, h2, 0, 0.001, 0)
 	nw.ComputeRoutes()
-	if r1.NextHop(h2.Addr) != r2 {
-		t.Fatalf("r1 next hop = %v", r1.NextHop(h2.Addr).Name())
+	if nh, _ := r1.Lookup(h2.Addr); nh != r2 {
+		t.Fatalf("r1 next hop = %v", nh.Name())
 	}
 	// Operator rerouting (config manipulation) moves traffic to r3.
 	r1.AddRoute(packet.Prefix{Addr: h2.Addr, Bits: 32}, r3)
@@ -150,16 +154,16 @@ func TestLongestPrefixMatchWins(t *testing.T) {
 	nw.Connect(h, r2, 0, 0.001, 0)
 	h.AddRoute(packet.MustParsePrefix("0.0.0.0/0"), r1)
 	h.AddRoute(packet.MustParsePrefix("10.9.0.0/16"), r2)
-	if h.NextHop(packet.MustParseAddr("10.9.1.1")) != r2 {
+	if nh, _ := h.Lookup(packet.MustParseAddr("10.9.1.1")); nh != r2 {
 		t.Fatal("specific route ignored")
 	}
-	if h.NextHop(packet.MustParseAddr("8.8.8.8")) != r1 {
+	if nh, _ := h.Lookup(packet.MustParseAddr("8.8.8.8")); nh != r1 {
 		t.Fatal("default route ignored")
 	}
 }
 
 func TestTTLExpiryGeneratesICMP(t *testing.T) {
-	nw, h1, h2, _ := lineNet(0, 0.001, 0)
+	nw, h1, h2, links := lineNet(0, 0.001, 0)
 	var icmp *packet.Packet
 	h1.SetReceiver(ReceiverFunc(func(now float64, p *packet.Packet) {
 		if p.ICMP != nil {
@@ -173,7 +177,7 @@ func TestTTLExpiryGeneratesICMP(t *testing.T) {
 	if icmp == nil {
 		t.Fatal("no time-exceeded reply")
 	}
-	r1 := nw.NodeByName("r1")
+	_, r1 := links[0].Nodes()
 	if icmp.Src != r1.Addr {
 		t.Fatalf("reply from %v, want r1 %v", icmp.Src, r1.Addr)
 	}

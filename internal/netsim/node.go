@@ -134,13 +134,6 @@ func (n *Node) Lookup(dst packet.Addr) (*Node, *Link) {
 	return nil, nil
 }
 
-// NextHop returns just the next-hop node for dst (nil if unrouted); it is
-// the observable the Blink experiments assert on.
-func (n *Node) NextHop(dst packet.Addr) *Node {
-	nh, _ := n.Lookup(dst)
-	return nh
-}
-
 // Send originates a packet from this node: the host privilege level. The
 // source address is whatever the caller set — compromised hosts spoof
 // freely, as §3.1 notes ("the attacker does not need to establish TCP

@@ -237,13 +237,16 @@ func TestReleaseOnDownAndQueueDrop(t *testing.T) {
 	wantFree(t, nw, p, 1, "after a down drop")
 	links[0].SetUp(true)
 
-	// The drop handler still sees the packet; its life ends after.
+	// The queue-drop probe still sees the packet; its life ends after.
 	var dropped []*packet.Packet
-	nw.OnDrop(func(now float64, q *packet.Packet, l *Link, dir Direction) {
-		if q.TCP.Seq != 3 {
-			t.Fatalf("drop handler saw seq %d, want 3", q.TCP.Seq)
+	nw.SetLinkProbe(func(now float64, kind LinkEventKind, l *Link, dir Direction, q *packet.Packet) {
+		if kind != LinkQueueDrop {
+			return
 		}
-		wantFree(t, nw, q, 0, "inside the drop handler")
+		if q.TCP.Seq != 3 {
+			t.Fatalf("drop probe saw seq %d, want 3", q.TCP.Seq)
+		}
+		wantFree(t, nw, q, 0, "inside the drop probe")
 		dropped = append(dropped, q)
 	})
 	a, b := newPkt(nw, 2), newPkt(nw, 3)

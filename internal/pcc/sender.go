@@ -171,17 +171,11 @@ func Start(src, dst *tcpflow.Endpoint, cfg Config, rng *stats.RNG) *Sender {
 // Records returns all finalized MI records.
 func (s *Sender) Records() []MIRecord { return s.records }
 
-// Rate returns the current base rate (packets/s).
-func (s *Sender) Rate() float64 { return s.rate }
-
 // Eps returns the current trial amplitude ε.
 func (s *Sender) Eps() float64 { return s.eps }
 
 // State returns the control state.
 func (s *Sender) State() State { return s.state }
-
-// Stop halts the flow.
-func (s *Sender) Stop() { s.stopped = true }
 
 // miDuration returns the monitor interval length.
 func (s *Sender) miDuration() float64 {

@@ -18,6 +18,9 @@ import (
 // that Stop in the middle of a monitor interval sends nothing further.
 const stopPinDigest = "ada33f9b682644faefe8c49a095430e2ef2c85eb363fb1c120db0d09a3af0545"
 
+// Stop halts the flow.
+func (s *Sender) Stop() { s.stopped = true }
+
 func stopMidMITrace() string {
 	nw := netsim.New()
 	h1 := nw.AddHost("h1", packet.MustParseAddr("10.0.0.1"))
@@ -42,7 +45,7 @@ func stopMidMITrace() string {
 		out += fmt.Sprintf("%+v\n", rec)
 	}
 	out += fmt.Sprintf("sent %d rate %.12g eps %.12g state %v pending %d\n",
-		up.Stats(netsim.AToB).Sent, s.Rate(), s.Eps(), s.State(), nw.Engine().Pending())
+		up.Stats(netsim.AToB).Sent, s.rate, s.Eps(), s.State(), nw.Engine().Pending())
 	return out
 }
 

@@ -15,7 +15,7 @@ import (
 // MAD-filtered score on a full window: the eviction, the sorted-view
 // upkeep and the filter all reuse the window's own arrays.
 func TestReportScoreZeroAllocs(t *testing.T) {
-	g := NewGroup(E2Config{Options: 1, Aggregate: MADFiltered(3)})
+	g := NewGroup(E2Config{Aggregate: MADFiltered(3)})
 	rng := stats.NewRNG(1)
 	for i := 0; i < 1000; i++ {
 		g.Report(0, 5*rng.Float64())

@@ -74,12 +74,12 @@ type Throttle struct {
 }
 
 // The Throttle attack's reach: it degrades option 0, on the paths of the
-// first throttleCoverage of the sessions (by index, deterministic), and
-// multiplies their measured QoE there by throttleSeverity.
+// first ThrottleCoverage of the sessions (by index, deterministic), and
+// multiplies their measured QoE there by ThrottleSeverity.
 const (
 	throttleTarget   Option  = 0
-	throttleCoverage float64 = 0.7
-	throttleSeverity float64 = 0.2
+	ThrottleCoverage float64 = 0.7
+	ThrottleSeverity float64 = 0.2
 )
 
 // Reports implements Attacker: everyone reports the truth (as they
@@ -89,8 +89,8 @@ func (t Throttle) Reports(_ int, _ Option, q float64) []float64 { return []float
 // Measure implements Attacker: intercepted sessions on the target option
 // see degraded service.
 func (t Throttle) Measure(session int, opt Option, q float64) float64 {
-	if opt == throttleTarget && session < int(throttleCoverage*float64(t.Sessions)) {
-		return q * throttleSeverity
+	if opt == throttleTarget && session < int(ThrottleCoverage*float64(t.Sessions)) {
+		return q * ThrottleSeverity
 	}
 	return q
 }

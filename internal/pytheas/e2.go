@@ -77,22 +77,21 @@ func MADFiltered(k float64) Aggregator {
 // exploreBonus is the UCB exploration constant.
 const exploreBonus float64 = 0.3
 
+// groupOptions is the number of choices a group decides between: the
+// simulation's two sites, a good one and a poor one.
+const groupOptions = 2
+
 // E2Config parameterizes a group's exploration–exploitation process.
 type E2Config struct {
-	// Options is the number of choices.
-	Options int
 	// Window is the number of recent reports kept per option.
 	Window int
 	// Aggregate reduces an option's report window to its score.
 	Aggregate Aggregator
 }
 
-// Defaults fills Pytheas-like parameters: 2 options, 200-report windows,
-// mean aggregation.
+// Defaults fills Pytheas-like parameters: 200-report windows, mean
+// aggregation.
 func (c E2Config) Defaults() E2Config {
-	if c.Options <= 0 {
-		c.Options = 2
-	}
 	if c.Window <= 0 {
 		c.Window = 200
 	}
@@ -114,7 +113,7 @@ type Group struct {
 // NewGroup returns a group with the (defaulted) config.
 func NewGroup(cfg E2Config) *Group {
 	cfg = cfg.Defaults()
-	g := &Group{cfg: cfg, windows: make([]Window, cfg.Options)}
+	g := &Group{cfg: cfg, windows: make([]Window, groupOptions)}
 	for i := range g.windows {
 		g.windows[i].size = cfg.Window
 	}
@@ -130,11 +129,6 @@ func (g *Group) Report(opt Option, qoe float64) {
 // Score returns the aggregated QoE score of an option (0 when no data).
 func (g *Group) Score(opt Option) float64 {
 	return g.cfg.Aggregate(&g.windows[opt])
-}
-
-// Reports returns a copy of the current report window for an option.
-func (g *Group) Reports(opt Option) []float64 {
-	return append([]float64(nil), g.windows[opt].Values()...)
 }
 
 // Decide returns the option for the next session: the one maximizing

@@ -9,30 +9,30 @@ import (
 )
 
 func TestGroupExploresThenExploits(t *testing.T) {
-	g := NewGroup(E2Config{Options: 3})
+	g := NewGroup(E2Config{})
 	// Untried options are explored first.
 	seen := map[Option]bool{}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < groupOptions; i++ {
 		o := g.Decide()
 		if seen[o] {
 			t.Fatalf("option %d re-chosen before exploring all", o)
 		}
 		seen[o] = true
-		g.Report(o, float64(o)) // option 2 is best
+		g.Report(o, float64(o)) // the last option is best
 	}
 	// Feed clear evidence; the group must settle on the best option.
 	for i := 0; i < 500; i++ {
-		for o := 0; o < 3; o++ {
+		for o := 0; o < groupOptions; o++ {
 			g.Report(Option(o), float64(o))
 		}
 	}
-	if got := g.Decide(); got != 2 {
-		t.Fatalf("decided %d, want the clearly best option 2", got)
+	if got, best := g.Decide(), Option(groupOptions-1); got != best {
+		t.Fatalf("decided %d, want the clearly best option %d", got, best)
 	}
 }
 
 func TestGroupWindowSlides(t *testing.T) {
-	g := NewGroup(E2Config{Options: 1, Window: 10})
+	g := NewGroup(E2Config{Window: 10})
 	for i := 0; i < 100; i++ {
 		g.Report(0, 1)
 	}
@@ -42,7 +42,7 @@ func TestGroupWindowSlides(t *testing.T) {
 	if s := g.Score(0); s != 4 {
 		t.Fatalf("window did not slide: score %v", s)
 	}
-	if n := len(g.Reports(0)); n != 10 {
+	if n := len(g.windows[0].Values()); n != 10 {
 		t.Fatalf("window size %d", n)
 	}
 }
@@ -50,7 +50,7 @@ func TestGroupWindowSlides(t *testing.T) {
 // scoreOf scores one option fed the given reports, in order, under the
 // aggregator.
 func scoreOf(a Aggregator, reports []float64) float64 {
-	g := NewGroup(E2Config{Options: 1, Window: len(reports), Aggregate: a})
+	g := NewGroup(E2Config{Window: len(reports), Aggregate: a})
 	for _, r := range reports {
 		g.Report(0, r)
 	}

@@ -83,7 +83,7 @@ func TestWindowAggregatorsMatchScratch(t *testing.T) {
 		for sname, draw := range streams {
 			for seed := uint64(1); seed <= 3; seed++ {
 				rng := stats.NewRNG(seed)
-				g := NewGroup(E2Config{Options: 1, Window: size})
+				g := NewGroup(E2Config{Window: size})
 				w := &g.windows[0]
 				var ref []float64
 				steps := 3*size + 50
@@ -128,7 +128,7 @@ func TestWindowSortedViewHoldsExactValues(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, first := range []float64{negZero, 0} {
 		second := math.Copysign(0, -math.Copysign(1, first))
-		g := NewGroup(E2Config{Options: 1, Window: 2})
+		g := NewGroup(E2Config{Window: 2})
 		w := &g.windows[0]
 		g.Report(0, first)
 		w.Sorted()

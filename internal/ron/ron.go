@@ -75,9 +75,6 @@ func NewRandom(n int, rng *stats.RNG) *Overlay {
 	return o
 }
 
-// N returns the overlay size.
-func (o *Overlay) N() int { return o.n }
-
 // TrueLatency returns the underlay latency of the (i, j) link.
 func (o *Overlay) TrueLatency(i, j int) float64 { return o.lat[i][j] }
 
@@ -209,31 +206,31 @@ type Outcome struct {
 
 // The E7c setup: an 8-node overlay whose victim pair is (0, 1).
 const (
-	attackNodes          int = 8
-	victimSrc, victimDst int = 0, 1
+	AttackNodes          int = 8
+	VictimSrc, VictimDst int = 0, 1
 )
 
 // RunProbeAttack builds a random overlay, lets it converge, applies the
 // tamper for a number of rounds, and reports the victim pair's fate.
 func RunProbeAttack(seed uint64, mk func(o *Overlay) (ProbeTamper, int)) Outcome {
 	rng := stats.NewRNG(seed)
-	o := NewRandom(attackNodes, rng)
+	o := NewRandom(AttackNodes, rng)
 	for r := 0; r < 20; r++ {
 		o.Probe(nil)
 	}
 	out := Outcome{
-		DirectLatency: o.TrueLatency(victimSrc, victimDst),
-		CleanLatency:  o.DataLatency(victimSrc, victimDst),
+		DirectLatency: o.TrueLatency(VictimSrc, VictimDst),
+		CleanLatency:  o.DataLatency(VictimSrc, VictimDst),
 	}
 	tamper, via := mk(o)
 	for r := 0; r < 40; r++ {
 		o.Probe(tamper)
 	}
-	out.AttackedLatency = o.DataLatency(victimSrc, victimDst)
+	out.AttackedLatency = o.DataLatency(VictimSrc, VictimDst)
 	if out.CleanLatency > 0 {
 		out.Inflation = out.AttackedLatency / out.CleanLatency
 	}
-	route := o.Route(victimSrc, victimDst)
+	route := o.Route(VictimSrc, VictimDst)
 	out.Diverted = len(route) > 2
 	for _, hop := range route[1 : len(route)-1] {
 		if hop == via {

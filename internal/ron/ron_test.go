@@ -12,8 +12,8 @@ func TestOverlayConvergesToTruth(t *testing.T) {
 	for r := 0; r < 30; r++ {
 		o.Probe(nil)
 	}
-	for i := 0; i < o.N(); i++ {
-		for j := 0; j < o.N(); j++ {
+	for i := 0; i < o.n; i++ {
+		for j := 0; j < o.n; j++ {
 			if i == j {
 				continue
 			}
@@ -29,15 +29,15 @@ func TestCleanRouteNearOptimal(t *testing.T) {
 	for r := 0; r < 30; r++ {
 		o.Probe(nil)
 	}
-	for s := 0; s < o.N(); s++ {
-		for d := 0; d < o.N(); d++ {
+	for s := 0; s < o.n; s++ {
+		for d := 0; d < o.n; d++ {
 			if s == d {
 				continue
 			}
 			got := o.DataLatency(s, d)
 			// Optimal one-hop latency with ground truth.
 			best := o.TrueLatency(s, d)
-			for k := 0; k < o.N(); k++ {
+			for k := 0; k < o.n; k++ {
 				if k == s || k == d {
 					continue
 				}

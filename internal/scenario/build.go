@@ -243,13 +243,12 @@ func (b *Built) buildWorkload(wi int, w WorkloadSpec) {
 }
 
 // rerouteOracle is the end-to-end check behind RuleReroute: every failover
-// the pipeline executes must be justified by at least Threshold monitored
-// cells with a retransmission inside the sliding window at decision time —
+// the pipeline executes must be justified by at least Threshold() monitored
+// cells with a retransmission inside RetransWindow at decision time —
 // the condition Blink's incremental inference is supposed to implement.
 // The oracle rebuilds the in-window count from the pipeline's own bank
 // event observers, independently of the selector's internal counters.
 type rerouteOracle struct {
-	window     float64
 	threshold  int
 	lastRetr   map[int]float64
 	violations []audit.Violation
@@ -258,13 +257,13 @@ type rerouteOracle struct {
 func attachRerouteOracle(p *blink.Pipeline) *rerouteOracle {
 	m := p.Bank()
 	cfg := m.Config()
-	o := &rerouteOracle{window: cfg.Window, threshold: cfg.Threshold, lastRetr: map[int]float64{}}
+	o := &rerouteOracle{threshold: cfg.Threshold(), lastRetr: map[int]float64{}}
 	m.OnRetrans(func(_ int, ev blink.RetransEvent) { o.lastRetr[ev.Cell] = ev.Now })
 	m.OnEvict(func(_ int, ev blink.Eviction) { delete(o.lastRetr, ev.Cell) })
 	p.OnReroute = func(r blink.Reroute) {
 		n := 0
 		for _, t := range o.lastRetr {
-			if r.Now-t <= o.window {
+			if r.Now-t <= blink.RetransWindow {
 				n++
 			}
 		}

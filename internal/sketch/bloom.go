@@ -59,14 +59,14 @@ func (b *Bloom) EstimateFPR(probes int, rng *stats.RNG) float64 {
 }
 
 // The saturation attack's filter: saturationM bits and pollutionK hashes,
-// pushed to a measured FPR of saturationFPR.
+// pushed to a measured FPR of SaturationFPR.
 const (
 	saturationM   int     = 4096
-	saturationFPR float64 = 0.5
+	SaturationFPR float64 = 0.5
 )
 
 // SaturationInsertions counts the insertions needed to push the measured
-// FPR to saturationFPR, using either crafted keys (each chosen to set
+// FPR to SaturationFPR, using either crafted keys (each chosen to set
 // pollutionK fresh bits — a greedy scan over the public hash) or random
 // keys. The crafted/random ratio is the attacker's advantage.
 func SaturationInsertions(crafted bool, rng *stats.RNG) int {
@@ -74,7 +74,7 @@ func SaturationInsertions(crafted bool, rng *stats.RNG) int {
 	n := 0
 	next := FlowID(1)
 	var buf [8]int
-	for b.EstimateFPR(400, rng.Child()) < saturationFPR {
+	for b.EstimateFPR(400, rng.Child()) < SaturationFPR {
 		if crafted {
 			// Greedy: take the next key all of whose bits are unset.
 			for {

@@ -107,9 +107,6 @@ func New(n, perQueueCap int) *SPPIFO {
 	}
 }
 
-// Bounds returns a copy of the current queue bounds.
-func (q *SPPIFO) Bounds() []int { return append([]int(nil), q.bounds...) }
-
 // Enqueue implements Queue.
 func (q *SPPIFO) Enqueue(p Packet) bool {
 	n := len(q.queues)

@@ -46,17 +46,17 @@ func TestSPPIFOPushUpPushDown(t *testing.T) {
 	q := New(2, 0)
 	// Rank 5 lands in the lowest-priority queue (bound 0 <= 5), bound->5.
 	q.Enqueue(Packet{ID: 1, Rank: 5})
-	if b := q.Bounds(); b[1] != 5 {
+	if b := q.bounds; b[1] != 5 {
 		t.Fatalf("bounds = %v", b)
 	}
 	// Rank 3 < 5 but >= bound[0]=0: highest-priority queue, bound->3.
 	q.Enqueue(Packet{ID: 2, Rank: 3})
-	if b := q.Bounds(); b[0] != 3 {
+	if b := q.bounds; b[0] != 3 {
 		t.Fatalf("bounds = %v", b)
 	}
 	// Rank 1 < every bound: push-down by 3-1=2.
 	q.Enqueue(Packet{ID: 3, Rank: 1})
-	if b := q.Bounds(); b[0] != 1 || b[1] != 3 {
+	if b := q.bounds; b[0] != 1 || b[1] != 3 {
 		t.Fatalf("bounds after push-down = %v", b)
 	}
 	// Dequeue: strict priority — queue 0 first (ranks 3 then 1), then 5.

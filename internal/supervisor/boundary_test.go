@@ -61,8 +61,11 @@ func TestWindowFormMatchesMonitorAtEdges(t *testing.T) {
 // reaches the threshold exactly (>=, not >). The guard and any search
 // over it must see the same boundary.
 func TestMonitorFiresAtExactThreshold(t *testing.T) {
-	const cells, threshold = 8, 3
-	m := blink.NewMonitorBank(1, blink.Config{Cells: cells, Threshold: threshold, Window: 0.8})
+	const cells, threshold = 6, 3
+	m := blink.NewMonitorBank(1, blink.Config{Cells: cells})
+	if got := m.Config().Threshold(); got != threshold {
+		t.Fatalf("threshold of %d cells = %d, want %d", cells, got, threshold)
+	}
 	var fired []float64
 	m.OnFailure(func(_ int, now float64) { fired = append(fired, now) })
 

@@ -23,7 +23,7 @@ func TestGuardsJudgeOwnPrefix(t *testing.T) {
 	nw.Connect(r, nhB, 0, 0.001, 0)
 	pfxA := packet.MustParsePrefix("10.9.0.0/24")
 	pfxB := packet.MustParsePrefix("10.8.0.0/24")
-	cfg := blink.Config{Cells: 8, Threshold: 4, Window: 1}
+	cfg := blink.Config{Cells: 8}
 	model := NewRTOModel([]float64{0.05, 0.1}, 0.2)
 	pipeA := blink.NewPipeline(r, cfg, blink.PrefixPolicy{Prefix: pfxA, NextHops: []*netsim.Node{nhA, nhB}})
 	pipeB := blink.NewPipeline(r, cfg, blink.PrefixPolicy{Prefix: pfxB, NextHops: []*netsim.Node{nhA, nhB}})
@@ -62,7 +62,7 @@ func TestGuardsJudgeOwnPrefix(t *testing.T) {
 	if pipeA.Bank().FailureCount(0) != 0 || pipeB.Bank().FailureCount(0) != 1 {
 		t.Fatalf("failures: A %d, B %d; want 0 and 1", pipeA.Bank().FailureCount(0), pipeB.Bank().FailureCount(0))
 	}
-	if pipeB.VetoedReroutes != 1 || len(pipeB.Reroutes()) != 0 || pipeB.CurrentNextHop() != nhA {
+	if nh, _ := r.Lookup(pfxB.Addr); pipeB.VetoedReroutes != 1 || len(pipeB.Reroutes()) != 0 || nh != nhA {
 		t.Fatalf("B: %d vetoes, %d reroutes; want the storm's failover vetoed", pipeB.VetoedReroutes, len(pipeB.Reroutes()))
 	}
 	if len(gB.Verdicts) != 1 || gB.Verdicts[0].Plausible {
@@ -76,7 +76,7 @@ func TestGuardsJudgeOwnPrefix(t *testing.T) {
 			t.Fatalf("B's guard gap window = %v, want only B's 0.1 s gaps", gB.gaps)
 		}
 	}
-	if len(gA.Verdicts) != 0 || pipeA.VetoedReroutes != 0 || pipeA.CurrentNextHop() != nhA {
+	if nh, _ := r.Lookup(pfxA.Addr); len(gA.Verdicts) != 0 || pipeA.VetoedReroutes != 0 || nh != nhA {
 		t.Fatalf("A's guard judged %d failovers, want none", len(gA.Verdicts))
 	}
 	if len(gA.gaps) != 1 || math.Abs(gA.gaps[0]-0.3) > 1e-9 || gA.times[0] != 0.4 {

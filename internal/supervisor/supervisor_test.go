@@ -72,7 +72,7 @@ func TestGuardedHijackBlocked(t *testing.T) {
 		Seed: 4,
 		Hook: func(p *blink.Pipeline) { guard = GuardPipeline(p, model) },
 	})
-	if res.MaliciousCellsAtTrigger < res.Config.Blink.Threshold {
+	if res.MaliciousCellsAtTrigger < res.Config.Blink.Threshold() {
 		t.Fatalf("attack setup failed: %d cells", res.MaliciousCellsAtTrigger)
 	}
 	if res.Rerouted {

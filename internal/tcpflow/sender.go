@@ -228,12 +228,6 @@ func (s *Sender) Stats() Stats {
 	return st
 }
 
-// Stop ends the flow; no further segments or timers fire.
-func (s *Sender) Stop() {
-	s.stopped = true
-	s.retireRTO()
-}
-
 // pump sends as many segments as the window (and pacing) allows.
 func (s *Sender) pump() {
 	if s.stopped || s.stats.Completed {

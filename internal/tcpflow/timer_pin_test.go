@@ -15,6 +15,12 @@ import (
 // the bound timer callback must reproduce exactly.
 const rtoPinDigest = "01452cfba508e205ddc1a5cf7992096dcaf9f30a74bbfddb030cf83cc1d4bff9"
 
+// Stop ends the flow; no further segments or timers fire.
+func (s *Sender) Stop() {
+	s.stopped = true
+	s.retireRTO()
+}
+
 // rtoTimerTrace runs two flows through a mid-transfer path failure: the
 // RTO shrinks from rtoInit to the RTT-derived value between arms (so a
 // later arm fires before an earlier, stale one), timeouts back off while
